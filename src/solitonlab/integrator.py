@@ -144,6 +144,29 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
     return min(100 * h0, h1, max_step)
 
 
+def _dp_step(call, t, y, f, h, rtol, atol):
+    """One Dormand-Prince attempt of size h from (t, y) with slope f.
+
+    Returns (y_new, f_new, err) -- the fifth-order solution, its slope
+    (FSAL) and the scaled error norm -- or None when a stage raises or is
+    not finite.  The stages live in a fresh array per attempt: the returned
+    slope becomes the next attempt's first stage, and a shared buffer would
+    let a rejected attempt overwrite it.
+    """
+    K = np.empty((7, y.size))
+    K[0] = f
+    for i in range(1, 7):
+        yi = y + h * (K[:i].T @ _A[i])
+        try:
+            K[i] = call(t + _C[i] * h, yi)
+        except (ValueError, FloatingPointError, ZeroDivisionError):
+            return None
+        if not np.all(np.isfinite(K[i])):
+            return None
+    # the stage 7 node equals the 5th-order solution
+    return yi, K[6], _error_norm(h * (K.T @ _E), y, yi, rtol, atol)
+
+
 def _crossed(prev, curr, direction):
     if prev is None or not np.isfinite(prev) or not np.isfinite(curr):
         return False
@@ -181,7 +204,6 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     err_prev = 1.0
     termination = "reached_t_max"
     rejected_invalid = False
-    K = np.empty((7, y.size))
 
     while t < cfg.t_max:
         if stats["acc"] + stats["rej"] >= cfg.max_steps:
@@ -193,26 +215,12 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
             termination = "state_invalid" if rejected_invalid else "step_failure"
             break
 
-        K[0] = f
-        bad = False
-        for i in range(1, 7):
-            yi = y + h * (K[:i].T @ _A[i])
-            try:
-                K[i] = call(t + _C[i] * h, yi)
-            except (ValueError, FloatingPointError, ZeroDivisionError):
-                bad = True
-                break
-            if not np.all(np.isfinite(K[i])):
-                bad = True
-                break
-        if bad:
+        step = _dp_step(call, t, y, f, h, cfg.rel_tol, cfg.abs_tol)
+        if step is None:
             stats["rej"] += 1
             h *= 0.25
             continue
-
-        y_new = yi  # stage 7 node equals the 5th-order solution (FSAL)
-        f_new = K[6]
-        err = _error_norm(h * (K.T @ _E), y, y_new, cfg.rel_tol, cfg.abs_tol)
+        y_new, f_new, err = step
         if not np.isfinite(err) or (cfg.validity is not None and not cfg.validity(y_new)):
             stats["rej"] += 1
             rejected_invalid = cfg.validity is not None and not cfg.validity(y_new)
@@ -284,31 +292,19 @@ def _advance(call, t0, y0, t1, rtol, atol):
     t, y = t0, y0.copy()
     f = call(t, y)
     h = t1 - t0
-    K = np.empty((7, y.size))
     while t < t1:
         h = min(h, t1 - t)
         if h < 4.0 * np.finfo(float).eps * max(abs(t), 1.0):
             break
-        K[0] = f
-        bad = False
-        for i in range(1, 7):
-            yi = y + h * (K[:i].T @ _A[i])
-            try:
-                K[i] = call(t + _C[i] * h, yi)
-            except (ValueError, FloatingPointError, ZeroDivisionError):
-                bad = True
-                break
-            if not np.all(np.isfinite(K[i])):
-                bad = True
-                break
-        if bad:
+        step = _dp_step(call, t, y, f, h, rtol, atol)
+        if step is None:
             h *= 0.25
             continue
-        err = _error_norm(h * (K.T @ _E), y, yi, rtol, atol)
+        y_new, f_new, err = step
         if not np.isfinite(err) or err > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * max(err, 1e-10) ** (-0.2))
             continue
-        t, y, f = t + h, yi, K[6]
+        t, y, f = t + h, y_new, f_new
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * max(err, 1e-16) ** (-0.2)))
     return y
 

@@ -2,9 +2,14 @@
 
 The flow is singular at t = 0, so integration starts from a state at small
 t = delta built from the smoothness conditions: the collapsing component is
-odd with unit slope, the surviving components are even with the second
-derivatives the flow forces on them, and the potential carries
-uddot(0) = C / (d_S + 1).
+odd with unit slope, each surviving component f_i is even with the second
+derivative the flow forces on it,
+
+    (d_S + 1) fddot_i(0) / f_i(0) = eps/2 + r_i(singular orbit),
+
+r_i being its closed-form Ricci rate, and the potential carries
+uddot(0) = C / (d_S + 1).  One formula serves every family; lpp launches
+as its degenerate dancer_wang embedding.
 
 The series data alone is second order, which is not good enough for the
 conservation law: the first integral
@@ -22,22 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from .systems import (
-    DancerWangAnsatz,
-    LuPagePopeAnsatz,
     ProblemSpec,
     SolitonState,
     TwoSummandsAnsatz,
+    _ricci_rates_split,
     conservation_residual,
     u_dotdot_stable,
 )
 
-__all__ = [
-    "default_delta",
-    "launch",
-    "launch_two_summands",
-    "launch_dancer_wang",
-    "launch_lpp",
-]
+__all__ = ["default_delta", "launch"]
 
 
 def default_delta(spec: ProblemSpec) -> float:
@@ -53,12 +51,6 @@ def default_delta(spec: ProblemSpec) -> float:
     if isinstance(spec.ansatz, TwoSummandsAnsatz) and spec.ansatz.d1 > 1:
         return 1e-3 * base
     return 1e-4 * base
-
-
-def _check(spec: ProblemSpec, delta: float):
-    if delta <= 0:
-        raise ValueError("launch delta must be positive")
-    # C <= 0, eps >= 0, sizes > 0 are enforced by ProblemSpec itself.
 
 
 def _residual(state: SolitonState, spec: ProblemSpec) -> float:
@@ -115,82 +107,24 @@ def _project_conservation(state: SolitonState, spec: ProblemSpec) -> SolitonStat
     return _zero_residual_in(out, spec, "du", scale)
 
 
-def _finish(state: SolitonState, spec: ProblemSpec, project: bool) -> SolitonState:
-    return _project_conservation(state, spec) if project else state
-
-
-def launch_two_summands(spec: ProblemSpec, delta: float, project: bool = True) -> SolitonState:
-    """State at t = delta for the fibre/base system.
-
-    f1 is odd with unit slope; f2 is even with
-    (d1 + 1) fddot2(0) / f2(0) = eps/2 + A2 / (d2 fbar^2); the potential
-    starts with uddot(0) = C / (d1 + 1).
-    """
-    a = spec.ansatz
-    if not isinstance(a, TwoSummandsAnsatz):
-        raise TypeError("spec does not hold a two-summands ansatz")
-    _check(spec, delta)
-    fbar = spec.initial[0]
-    udd0 = spec.C / (a.d1 + 1.0)
-    fdd2 = fbar * (spec.epsilon / 2.0 + a.A2 / (a.d2 * fbar**2)) / (a.d1 + 1.0)
-    state = SolitonState(
-        t=delta,
-        f=np.array([delta, fbar + 0.5 * delta**2 * fdd2]),
-        df=np.array([1.0, delta * fdd2]),
-        u=0.5 * delta**2 * udd0,
-        du=delta * udd0,
-    )
-    return _finish(state, spec, project)
-
-
-def launch_dancer_wang(spec: ProblemSpec, delta: float, project: bool = True) -> SolitonState:
-    """State at t = delta for the circle-bundle system: f odd with unit
-    slope, 2 gddot_i(0) / g_i(0) = eps/2 + p_i / g_i(0)^2, uddot(0) = C/2."""
-    a = spec.ansatz
-    if not isinstance(a, DancerWangAnsatz):
-        raise TypeError("spec does not hold a Dancer-Wang ansatz")
-    _check(spec, delta)
-    gbar = np.asarray(spec.initial, dtype=float)
-    p = np.asarray(a.p, dtype=float)
-    gdd = gbar * (spec.epsilon / 2.0 + p / gbar**2) / 2.0
-    udd0 = spec.C / 2.0
-    state = SolitonState(
-        t=delta,
-        f=np.concatenate(([delta], gbar + 0.5 * delta**2 * gdd)),
-        df=np.concatenate(([1.0], delta * gdd)),
-        u=0.5 * delta**2 * udd0,
-        du=delta * udd0,
-    )
-    return _finish(state, spec, project)
-
-
-def launch_lpp(spec: ProblemSpec, delta: float, project: bool = True) -> SolitonState:
-    """Like the circle-bundle launch with the warped Einstein factor using
-    2 gddot2(0) / g2(0) = eps/2 + (d2 - 1) / g2(0)^2."""
-    a = spec.ansatz
-    if not isinstance(a, LuPagePopeAnsatz):
-        raise TypeError("spec does not hold a Lu-Page-Pope ansatz")
-    _check(spec, delta)
-    g1bar, g2bar = spec.initial
-    gdd1 = g1bar * (spec.epsilon / 2.0 + a.p1 / g1bar**2) / 2.0
-    gdd2 = g2bar * (spec.epsilon / 2.0 + (a.d2 - 1.0) / g2bar**2) / 2.0
-    udd0 = spec.C / 2.0
-    state = SolitonState(
-        t=delta,
-        f=np.array([delta, g1bar + 0.5 * delta**2 * gdd1, g2bar + 0.5 * delta**2 * gdd2]),
-        df=np.array([1.0, delta * gdd1, delta * gdd2]),
-        u=0.5 * delta**2 * udd0,
-        du=delta * udd0,
-    )
-    return _finish(state, spec, project)
-
-
 def launch(spec: ProblemSpec, delta: float | None = None, project: bool = True) -> SolitonState:
+    """State at t = delta from the series data, closed against the
+    conservation integral unless ``project`` is False."""
     delta = default_delta(spec) if delta is None else float(delta)
-    if isinstance(spec.ansatz, TwoSummandsAnsatz):
-        return launch_two_summands(spec, delta, project)
-    if isinstance(spec.ansatz, DancerWangAnsatz):
-        return launch_dancer_wang(spec, delta, project)
-    if isinstance(spec.ansatz, LuPagePopeAnsatz):
-        return launch_lpp(spec, delta, project)
-    raise TypeError(f"unknown ansatz type {type(spec.ansatz)!r}")
+    if delta <= 0:
+        raise ValueError("launch delta must be positive")
+    # C <= 0, eps >= 0, sizes > 0 are enforced by ProblemSpec itself.
+    fbar = np.asarray(spec.initial, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the collapsing component's rate is singular there and unused
+        _, r = _ricci_rates_split(np.concatenate(([0.0], fbar)), spec.ansatz)
+    fdd = fbar * (spec.epsilon / 2.0 + r[1:]) / (spec.d_S + 1.0)
+    udd0 = spec.C / (spec.d_S + 1.0)
+    state = SolitonState(
+        t=delta,
+        f=np.concatenate(([delta], fbar + 0.5 * delta**2 * fdd)),
+        df=np.concatenate(([1.0], delta * fdd)),
+        u=0.5 * delta**2 * udd0,
+        du=delta * udd0,
+    )
+    return _project_conservation(state, spec) if project else state

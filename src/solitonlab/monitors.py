@@ -22,9 +22,9 @@ from .systems import (
     TwoSummandsAnsatz,
     conservation_residual,
     conservation_residual_curvature,
+    flow_ansatz,
     kahler_residual,
     tr_L,
-    u_second_derivative_identity,
 )
 from .trajectory import Trajectory, dw_omega_sq_bounds, dw_pair_bound_constant, solve_problem
 
@@ -594,18 +594,11 @@ def curvature_budget_at_launch(spec: ProblemSpec, delta: float | None = None) ->
     circle bundles (the warped factor contributing d2 (d2 - 1) / g2(0)^2)."""
     from .launch import default_delta, launch
 
-    a = spec.ansatz
+    a = flow_ansatz(spec.ansatz)
     if isinstance(a, TwoSummandsAnsatz):
         state = launch(spec, default_delta(spec) if delta is None else delta)
         return float(a.A1 / state.f[0] ** 2 + a.A2 / state.f[1] ** 2)
-    if isinstance(a, DancerWangAnsatz):
-        return float(
-            sum(d * p / g**2 for d, p, g in zip(a.d, a.p, spec.initial))
-        )
-    if isinstance(a, LuPagePopeAnsatz):
-        g1, g2 = spec.initial
-        return float(a.d1 * a.p1 / g1**2 + a.d2 * (a.d2 - 1.0) / g2**2)
-    raise TypeError(f"unknown ansatz type {type(a)!r}")
+    return float(sum(d * p / g**2 for d, p, g in zip(a.d, a.p, spec.initial)))
 
 
 def growth_probe(

@@ -470,6 +470,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
         "expect": cfg.expect,
         "expectation_matched": None if cfg.expect is None else verdict.kind == cfg.expect,
         "termination": traj.termination,
+        "reasons": verdict.reasons,
         "launch_delta": traj.delta,
         "key_diagnostics": {
             "t_end": float(traj.ts[-1]),

@@ -7,16 +7,18 @@ on demand.  The second derivative of the potential is never a state
 variable -- it is recomputed from the right-hand side and cross-checked by
 the monitors.
 
-Each specialized right-hand side is typed out in closed form.  The
-same derivative can be assembled generically from the Ricci eigenvalues of
-an encoded structure-constant decomposition (``generic_rhs``); the two
-routes are kept independent on purpose and property-tested against each
-other.
+Each family's Ricci rates exist once in closed form (``_ricci_rates_split``);
+lpp has none of its own and is integrated as its degenerate dancer_wang
+embedding.  The same derivative can be assembled generically from the
+Ricci eigenvalues of an encoded structure-constant decomposition
+(``generic_rhs``); the two routes are kept independent on purpose and
+property-tested against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +31,7 @@ __all__ = [
     "SolitonState",
     "StateDerivative",
     "ProblemSpec",
-    "rhs_two_summands",
-    "rhs_dancer_wang",
-    "rhs_lpp",
+    "flow_ansatz",
     "rhs",
     "generic_rhs",
     "make_vector_rhs",
@@ -40,7 +40,6 @@ __all__ = [
     "tr_L",
     "tr_L2",
     "tr_ricci",
-    "u_dotdot",
     "conservation_residual",
     "conservation_residual_curvature",
     "u_second_derivative_identity",
@@ -102,6 +101,19 @@ class TwoSummandsAnsatz:
         b = (2.0 * self.A1 / self.d1 + 4.0 * self.A3 / self.d1, 2.0 * self.A2 / self.d2)
         return IsotropyDecomposition(d=(self.d1, self.d2), b=b, triples=t)
 
+    @cached_property
+    def _rate_coefficients(self) -> tuple[float, ...]:
+        """(geo, c1, c3, c2, c4) of the split rates r1 = geo / (d1 f1^2) +
+        c1 / f1^2 + c3 f1^2 / f2^4 and r2 = c2 / f2^2 - c4 f1^2 / f2^4."""
+        geo = float(self.d1 * (self.d1 - 1))
+        return (
+            geo,
+            (self.A1 - geo) / self.d1,
+            self.A3 / self.d1,
+            self.A2 / self.d2,
+            2.0 * self.A3 / self.d2,
+        )
+
 
 @dataclass(frozen=True)
 class DancerWangAnsatz:
@@ -109,7 +121,8 @@ class DancerWangAnsatz:
 
     q_i = 0 is not a geometric datum and is rejected unless
     ``allow_degenerate`` is set; the degenerate flag exists only to embed
-    the warped-product system as the special case (p_m, q_m) = (d_m - 1, 0).
+    the warped-product system as the special case (p_m, q_m) = (d_m - 1, 0),
+    which also admits p_m = 0 (a flat warped circle, d_m = 1).
     """
 
     d: tuple[int, ...]
@@ -125,7 +138,7 @@ class DancerWangAnsatz:
             raise ValueError("d, p, q must be nonempty and of equal length")
         if any(di <= 0 for di in self.d):
             raise ValueError("factor dimensions must be positive")
-        if any(pi <= 0 for pi in self.p):
+        if any(pi < 0 or (pi == 0 and not self.allow_degenerate) for pi in self.p):
             raise ValueError("Fano indices p_i must be positive")
         if not self.allow_degenerate:
             # Kaehler factors have even real dimension and a nonzero Euler
@@ -166,12 +179,24 @@ class DancerWangAnsatz:
         )
         return IsotropyDecomposition(d=self.dims, b=b, triples=t)
 
+    @cached_property
+    def _rate_coefficients(self) -> tuple[np.ndarray, ...]:
+        """(c0, p, c2) of the rates r_f = sum c0 f^2 / g^4 and
+        r_gi = p_i / g_i^2 - c2_i f^2 / g_i^4."""
+        d = np.asarray(self.d, dtype=float)
+        p = np.asarray(self.p, dtype=float)
+        q = np.asarray(self.q, dtype=float)
+        return d * q**2 / 4.0, p, q**2 / 2.0
+
 
 @dataclass(frozen=True)
 class LuPagePopeAnsatz:
     """Single-factor circle bundle warped with a positive Einstein factor N.
 
     The Einstein constant of N is pinned to d2 - 1 (unit round normalization).
+    The system is dancer_wang with a second factor (p2, q2) = (d2 - 1, 0)
+    (Lu-Page-Pope 2004, Dancer-Wang 2011), and is integrated as that
+    embedding; only its config schema and its ratio bound are its own.
     """
 
     d1: int
@@ -205,24 +230,28 @@ class LuPagePopeAnsatz:
     collapsing_dim = 1
 
     def as_dancer_wang(self) -> DancerWangAnsatz:
-        """The (p2, q2) = (d2 - 1, 0) degenerate two-factor embedding."""
-        return DancerWangAnsatz(
-            d=(self.d1, self.d2),
-            p=(self.p1, self.d2 - 1 if self.d2 > 1 else 1),
-            q=(self.q1, 0),
-            allow_degenerate=True,
-        )
+        """The (p2, q2) = (d2 - 1, 0) degenerate two-factor embedding, built
+        once per instance."""
+        return self._dancer_wang
 
-    def decomposition(self) -> IsotropyDecomposition:
-        t = np.zeros((3, 3, 3))
-        v = self.d1 * self.q1**2
-        for perm in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-            t[perm] = v
-        b = (float(v), 2.0 * self.p1, 2.0 * (self.d2 - 1))
-        return IsotropyDecomposition(d=self.dims, b=b, triples=t)
+    @cached_property
+    def _dancer_wang(self) -> DancerWangAnsatz:
+        return DancerWangAnsatz(
+            d=(self.d1, self.d2), p=(self.p1, self.d2 - 1), q=(self.q1, 0), allow_degenerate=True
+        )
 
 
 Ansatz = TwoSummandsAnsatz | DancerWangAnsatz | LuPagePopeAnsatz
+
+
+def flow_ansatz(ansatz: Ansatz) -> TwoSummandsAnsatz | DancerWangAnsatz:
+    """The ansatz whose closed form carries this one's flow: the degenerate
+    dancer_wang embedding for lpp, the ansatz itself otherwise."""
+    if isinstance(ansatz, LuPagePopeAnsatz):
+        return ansatz.as_dancer_wang()
+    if isinstance(ansatz, (TwoSummandsAnsatz, DancerWangAnsatz)):
+        return ansatz
+    raise TypeError(f"unknown ansatz type {type(ansatz)!r}")
 
 
 @dataclass
@@ -309,30 +338,6 @@ def tr_L2(state: SolitonState, ansatz: Ansatz) -> float:
 # -- curvature terms of each system ----------------------------------------
 
 
-def _ricci_rates(f: np.ndarray, ansatz: Ansatz) -> np.ndarray:
-    """Ricci eigenvalues of the orbit metric with components f (closed forms)."""
-    if isinstance(ansatz, TwoSummandsAnsatz):
-        f1, f2 = f
-        r1 = ansatz.A1 / ansatz.d1 / f1**2 + ansatz.A3 / ansatz.d1 * f1**2 / f2**4
-        r2 = ansatz.A2 / ansatz.d2 / f2**2 - 2.0 * ansatz.A3 / ansatz.d2 * f1**2 / f2**4
-        return np.array([r1, r2])
-    if isinstance(ansatz, DancerWangAnsatz):
-        ff, g = f[0], f[1:]
-        d = np.asarray(ansatz.d, dtype=float)
-        p = np.asarray(ansatz.p, dtype=float)
-        q = np.asarray(ansatz.q, dtype=float)
-        r0 = float(np.sum(d * q**2 / 4.0 * ff**2 / g**4))
-        ri = p / g**2 - q**2 / 2.0 * ff**2 / g**4
-        return np.concatenate(([r0], ri))
-    if isinstance(ansatz, LuPagePopeAnsatz):
-        ff, g1, g2 = f
-        r0 = ansatz.d1 * ansatz.q1**2 / 4.0 * ff**2 / g1**4
-        r1 = ansatz.p1 / g1**2 - ansatz.q1**2 / 2.0 * ff**2 / g1**4
-        r2 = (ansatz.d2 - 1.0) / g2**2
-        return np.array([r0, r1, r2])
-    raise TypeError(f"unknown ansatz type {type(ansatz)!r}")
-
-
 def _ricci_rates_split(f: np.ndarray, ansatz: Ansatz):
     """Ricci rates with the collapsing component's singular part split off.
 
@@ -341,20 +346,29 @@ def _ricci_rates_split(f: np.ndarray, ansatz: Ansatz):
     sphere.  Near the singular orbit geo / f0^2 cancels against the shape
     term d0 (d0 - 1) fdot0^2 / f0^2; keeping it separate lets callers fold
     the pair into (1 - fdot0)(1 + fdot0) geo / f0^2, which evaluates without
-    catastrophic cancellation.
+    catastrophic cancellation.  This is the one closed form of each family.
     """
-    if isinstance(ansatz, TwoSummandsAnsatz):
+    a = flow_ansatz(ansatz)
+    if isinstance(a, TwoSummandsAnsatz):
+        geo, c1, c3, c2, c4 = a._rate_coefficients
         f1, f2 = f
-        geo = float(ansatz.d1 * (ansatz.d1 - 1))
-        extras = np.array(
-            [
-                (ansatz.A1 - geo) / ansatz.d1 / f1**2 + ansatz.A3 / ansatz.d1 * f1**2 / f2**4,
-                ansatz.A2 / ansatz.d2 / f2**2 - 2.0 * ansatz.A3 / ansatz.d2 * f1**2 / f2**4,
-            ]
-        )
-        return geo, extras
+        f1sq, f2q = f1**2, f2**4
+        return geo, np.array([c1 / f1sq + c3 * f1sq / f2q, c2 / f2**2 - c4 * f1sq / f2q])
     # circle fibres: d0 = 1, no singular curvature term
-    return 0.0, _ricci_rates(f, ansatz)
+    c0, p, c2 = a._rate_coefficients
+    ff2, g = f[0] ** 2, f[1:]
+    g4 = g**4
+    rates = np.empty_like(f)
+    rates[0] = (c0 * ff2 / g4).sum()
+    rates[1:] = p / g**2 - c2 * ff2 / g4
+    return 0.0, rates
+
+
+def _ricci_rates(f: np.ndarray, ansatz: Ansatz) -> np.ndarray:
+    """Ricci eigenvalues of the orbit metric with components f."""
+    geo, rates = _ricci_rates_split(f, ansatz)
+    rates[0] += geo / (ansatz.dims[0] * f[0] ** 2)
+    return rates
 
 
 def tr_ricci(state: SolitonState, ansatz: Ansatz) -> float:
@@ -366,9 +380,11 @@ def tr_ricci(state: SolitonState, ansatz: Ansatz) -> float:
 # -- right-hand sides --------------------------------------------------------
 
 
-def _assemble(state: SolitonState, ansatz: Ansatz, eps: float, rates: np.ndarray):
+def _assemble(state: SolitonState, ansatz: Ansatz, eps: float, rates_of):
+    """The flow at one state, with the Ricci rates rates_of(f)."""
     if np.any(state.f <= 0.0):
         raise ValueError("metric components must be positive to evaluate the flow")
+    rates = rates_of(state.f)
     d = np.asarray(ansatz.dims, dtype=float)
     z = state.df / state.f
     H = -state.du + float(np.dot(d, z))
@@ -378,55 +394,9 @@ def _assemble(state: SolitonState, ansatz: Ansatz, eps: float, rates: np.ndarray
     return StateDerivative(df=state.df.copy(), ddf=ddf, du=state.du, udd=udd)
 
 
-def _check_metric(state: SolitonState):
-    if np.any(state.f <= 0.0):
-        raise ValueError("metric components must be positive to evaluate the flow")
-
-
-def rhs_two_summands(state: SolitonState, a: TwoSummandsAnsatz, eps: float) -> StateDerivative:
-    _check_metric(state)
-    f1, f2 = state.f
-    r = np.array(
-        [
-            a.A1 / a.d1 / f1**2 + a.A3 / a.d1 * f1**2 / f2**4,
-            a.A2 / a.d2 / f2**2 - 2.0 * a.A3 / a.d2 * f1**2 / f2**4,
-        ]
-    )
-    return _assemble(state, a, eps, r)
-
-
-def rhs_dancer_wang(state: SolitonState, a: DancerWangAnsatz, eps: float) -> StateDerivative:
-    _check_metric(state)
-    ff, g = state.f[0], state.f[1:]
-    d = np.asarray(a.d, dtype=float)
-    p = np.asarray(a.p, dtype=float)
-    q = np.asarray(a.q, dtype=float)
-    r0 = float(np.sum(d * q**2 / 4.0 * ff**2 / g**4))
-    ri = p / g**2 - q**2 / 2.0 * ff**2 / g**4
-    return _assemble(state, a, eps, np.concatenate(([r0], ri)))
-
-
-def rhs_lpp(state: SolitonState, a: LuPagePopeAnsatz, eps: float) -> StateDerivative:
-    _check_metric(state)
-    ff, g1, g2 = state.f
-    r = np.array(
-        [
-            a.d1 * a.q1**2 / 4.0 * ff**2 / g1**4,
-            a.p1 / g1**2 - a.q1**2 / 2.0 * ff**2 / g1**4,
-            (a.d2 - 1.0) / g2**2,
-        ]
-    )
-    return _assemble(state, a, eps, r)
-
-
 def rhs(state: SolitonState, ansatz: Ansatz, eps: float) -> StateDerivative:
-    if isinstance(ansatz, TwoSummandsAnsatz):
-        return rhs_two_summands(state, ansatz, eps)
-    if isinstance(ansatz, DancerWangAnsatz):
-        return rhs_dancer_wang(state, ansatz, eps)
-    if isinstance(ansatz, LuPagePopeAnsatz):
-        return rhs_lpp(state, ansatz, eps)
-    raise TypeError(f"unknown ansatz type {type(ansatz)!r}")
+    """The flow at one state, from the closed-form Ricci rates."""
+    return _assemble(state, ansatz, eps, lambda f: _ricci_rates(f, ansatz))
 
 
 def generic_rhs(
@@ -438,14 +408,8 @@ def generic_rhs(
     ansatz's encoded decomposition (metric scalings x_i = f_i^2).  Used as a
     cross-check of the specialized right-hand sides, never at solve time.
     """
-    dec = dec if dec is not None else ansatz.decomposition()
-    rates = ricci_eigenvalues(dec, state.f**2)
-    return _assemble(state, ansatz, eps, rates)
-
-
-def u_dotdot(state: SolitonState, ansatz: Ansatz, eps: float) -> float:
-    """The potential's second derivative as dictated by the flow."""
-    return rhs(state, ansatz, eps).udd
+    dec = dec if dec is not None else flow_ansatz(ansatz).decomposition()
+    return _assemble(state, ansatz, eps, lambda f: ricci_eigenvalues(dec, f**2))
 
 
 # -- cancellation-free assembly near the singular orbit -----------------------
@@ -462,9 +426,9 @@ def u_dotdot(state: SolitonState, ansatz: Ansatz, eps: float) -> float:
 # where geo = d0 (d0 - 1) and T_r is tr L without the collapsing component.
 
 
-def _second_rates_stable(f, df, du, ansatz: Ansatz, eps: float) -> np.ndarray:
-    """Per-component values of fddot_i / f_i, grouped to avoid cancellation."""
-    d = np.asarray(ansatz.dims, dtype=float)
+def _second_rates_stable(f, df, du, ansatz: Ansatz, d: np.ndarray, eps: float) -> np.ndarray:
+    """Per-component values of fddot_i / f_i, grouped to avoid cancellation;
+    d is the ansatz's dims as a float array."""
     z = df / f
     geo, extras = _ricci_rates_split(f, ansatz)
     t_rest = float(np.dot(d[1:], z[1:]))
@@ -484,7 +448,7 @@ def _second_rates_stable(f, df, du, ansatz: Ansatz, eps: float) -> np.ndarray:
 def u_dotdot_stable(state: SolitonState, ansatz: Ansatz, eps: float) -> float:
     """uddot from the flow, safe to evaluate arbitrarily close to t = 0."""
     d = np.asarray(ansatz.dims, dtype=float)
-    w = _second_rates_stable(state.f, state.df, state.du, ansatz, eps)
+    w = _second_rates_stable(state.f, state.df, state.du, ansatz, d, eps)
     return float(np.dot(d, w)) - eps / 2.0
 
 
@@ -509,7 +473,7 @@ def make_vector_rhs(ansatz: Ansatz, eps: float):
         f = y[:k]
         df = y[k : 2 * k]
         du = y[2 * k + 1]
-        w = _second_rates_stable(f, df, du, ansatz, eps)
+        w = _second_rates_stable(f, df, du, ansatz, d, eps)
         out = np.empty_like(y)
         out[:k] = df
         out[k : 2 * k] = f * w

@@ -72,6 +72,16 @@ class TestSolve:
         assert code == 64
         assert "chart" in capsys.readouterr().err
 
+    def test_inconclusive_run_prints_its_reason(self, tmp_path, capsys):
+        doc = dict(BASE, integrator={"t_max": 5.0, "max_steps": 10})
+        out = tmp_path / "o"
+        code = main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["verdict"] == "inconclusive"
+        assert manifest["reasons"] == ["step_failure"]
+        assert "note: inconclusive (step_failure)" in capsys.readouterr().out
+
     def test_plot_flag_writes_svg(self, tmp_path):
         out = tmp_path / "run"
         main(["solve", "--config", write_json(tmp_path, "c.json", BASE), "--out", str(out), "--plot"])

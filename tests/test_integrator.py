@@ -22,6 +22,22 @@ def test_spec_point_value():
     assert res.y_end[0] == pytest.approx(-1.5231883119115297, abs=1e-9)
 
 
+def test_rejected_attempt_keeps_the_accepted_slope():
+    # a front at t = 1 forces rejections after accepted steps; each retry
+    # must restart from the slope at the last accepted point.  A retry that
+    # starts from the rejected attempt's last stage gives errors near 1.7e-8.
+    k = 200.0
+    res = integrate(
+        lambda t, y: np.array([np.tanh(k * (t - 1.0))]),
+        0.0,
+        [0.0],
+        IntegratorConfig(t_max=2.0, rel_tol=1e-10, abs_tol=1e-12),
+    )
+    assert res.n_rejected > 0
+    exact = (np.log(np.cosh(k * (res.ts - 1.0))) - np.log(np.cosh(k))) / k
+    assert np.max(np.abs(res.ys[:, 0] - exact)) <= 1e-9
+
+
 def test_zero_rhs_is_constant():
     res = integrate(lambda t, y: np.zeros(3), 0.0, [1.0, -2.0, 0.5], IntegratorConfig(t_max=4.0))
     assert res.termination == "reached_t_max"

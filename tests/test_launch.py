@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from solitonlab.launch import default_delta, launch, launch_dancer_wang, launch_lpp, launch_two_summands
+from solitonlab.launch import default_delta, launch
 from solitonlab.systems import (
     DancerWangAnsatz,
     LuPagePopeAnsatz,
@@ -21,20 +21,20 @@ def residual_at(state, spec):
 
 def test_two_summands_series_values():
     spec = ProblemSpec(TwoSummandsAnsatz(3, 4, 6.0, 8.0, 3.0), 0.0, -2.0, (1.0,))
-    st = launch_two_summands(spec, 1e-3, project=False)
+    st = launch(spec, 1e-3, project=False)
     assert st.u == pytest.approx(-2.5e-7, rel=1e-12)
     assert st.du == pytest.approx(-5e-4, rel=1e-12)
     assert st.f[0] == 1e-3 and st.df[0] == 1.0
     # fddot2(0) = (A2/d2)/ (d1+1) for fbar = 1, eps = 0
     spec0 = ProblemSpec(TwoSummandsAnsatz(3, 4, 6.0, 8.0, 3.0), 0.0, 0.0, (1.0,))
-    st0 = launch_two_summands(spec0, 1e-3, project=False)
+    st0 = launch(spec0, 1e-3, project=False)
     assert st0.f[1] == pytest.approx(1.0 + 2.5e-7, rel=1e-12)
     assert st0.u == 0.0 and st0.du == 0.0  # Einstein seed
 
 
 def test_dancer_wang_series_values():
     spec = ProblemSpec(DancerWangAnsatz((2,), (2,), (1,)), 0.0, -1.0, (2.0,))
-    st = launch_dancer_wang(spec, 1e-3, project=False)
+    st = launch(spec, 1e-3, project=False)
     assert st.f[1] == pytest.approx(2.0 * (1.0 + 1.25e-7), rel=1e-13)
     assert st.du == pytest.approx(-0.5e-3, rel=1e-12)
     assert st.u == pytest.approx(-2.5e-7, rel=1e-12)
@@ -42,11 +42,11 @@ def test_dancer_wang_series_values():
 
 def test_lpp_series_values():
     spec = ProblemSpec(LuPagePopeAnsatz(2, 2, 1, 3), 0.0, -1.0, (1.0, 1.0))
-    st = launch_lpp(spec, 1e-3, project=False)
+    st = launch(spec, 1e-3, project=False)
     assert st.f[2] == pytest.approx(1.0 + 5e-7, rel=1e-13)
     # d2 = 1 keeps the warped factor flat through this order
     spec1 = ProblemSpec(LuPagePopeAnsatz(2, 2, 1, 1), 0.0, -1.0, (1.0, 1.0))
-    st1 = launch_lpp(spec1, 1e-3, project=False)
+    st1 = launch(spec1, 1e-3, project=False)
     assert st1.f[2] == 1.0 and st1.df[2] == 0.0
 
 
@@ -98,8 +98,6 @@ def test_launch_guards():
     spec = ProblemSpec(HOPF, 0.0, -1.0, (1.0,))
     with pytest.raises(ValueError, match="delta"):
         launch(spec, delta=-1e-3)
-    with pytest.raises(TypeError, match="ansatz"):
-        launch_dancer_wang(spec, 1e-4)
 
 
 def test_default_delta_scales_with_smallest_size():

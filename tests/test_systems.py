@@ -15,9 +15,6 @@ from solitonlab.systems import (
     make_vector_rhs,
     pack_state,
     rhs,
-    rhs_dancer_wang,
-    rhs_lpp,
-    rhs_two_summands,
     tr_L,
     tr_L2,
     tr_ricci,
@@ -28,7 +25,29 @@ from solitonlab.systems import (
 
 HOPF = TwoSummandsAnsatz(3, 4, 6.0, 48.0, 12.0)
 DW1 = DancerWangAnsatz((2,), (2,), (1,))
+DW2 = DancerWangAnsatz((2, 4), (2, 3), (1, -2))
 LPP = LuPagePopeAnsatz(2, 2, 1, 3)
+LPP_D2_ONE = LuPagePopeAnsatz(2, 2, 1, 1)
+
+
+def rhs_lpp_literal(state, a, eps):
+    """The warped-product flow typed out on its own: (fddot, uddot).
+
+    Test oracle for lpp, which the package integrates as degenerate
+    dancer_wang."""
+    ff, g1, g2 = state.f
+    r = np.array(
+        [
+            a.d1 * a.q1**2 / 4.0 * ff**2 / g1**4,
+            a.p1 / g1**2 - a.q1**2 / 2.0 * ff**2 / g1**4,
+            (a.d2 - 1.0) / g2**2,
+        ]
+    )
+    d = np.asarray(a.dims, dtype=float)
+    z = state.df / state.f
+    H = -state.du + float(np.dot(d, z))
+    dz = -H * z + eps / 2.0 + r
+    return state.f * (dz + z * z), float(np.dot(d, dz + z * z)) - eps / 2.0
 
 
 def log_rates(state, ansatz, eps):
@@ -76,14 +95,14 @@ class TestClosedForms:
         a_plus = DancerWangAnsatz((2, 4), (2, 3), (1, 2))
         a_minus = DancerWangAnsatz((2, 4), (2, 3), (-1, -2))
         st_ = SolitonState(1.0, [0.7, 1.1, 0.9], [0.2, 0.1, -0.3], -0.2, -0.4)
-        d1 = rhs_dancer_wang(st_, a_plus, 0.5)
-        d2 = rhs_dancer_wang(st_, a_minus, 0.5)
+        d1 = rhs(st_, a_plus, 0.5)
+        d2 = rhs(st_, a_minus, 0.5)
         assert d1.ddf == pytest.approx(d2.ddf, rel=1e-15)
 
     def test_nonpositive_metric_rejected(self):
         st_ = SolitonState(1.0, [0.0, 1.0], [0.0, 0.0], 0.0, 0.0)
         with pytest.raises(ValueError, match="positive"):
-            rhs_two_summands(st_, HOPF, 0.0)
+            rhs(st_, HOPF, 0.0)
 
 
 class TestCrossChecks:
@@ -95,23 +114,29 @@ class TestCrossChecks:
             st_ = SolitonState(
                 1.0, rng.uniform(0.4, 2.0, 2), rng.uniform(-1, 1, 2), -0.3, rng.uniform(-1, 0)
             )
-            d1 = rhs_dancer_wang(st_, DW1, 0.7)
-            d2 = rhs_two_summands(st_, dict_ts, 0.7)
+            d1 = rhs(st_, DW1, 0.7)
+            d2 = rhs(st_, dict_ts, 0.7)
             assert d1.ddf == pytest.approx(d2.ddf, rel=1e-12)
             assert d1.udd == pytest.approx(d2.udd, rel=1e-12)
 
     def test_lpp_matches_degenerate_dancer_wang(self):
-        adw = LPP.as_dancer_wang()
-        assert adw.q[1] == 0 and adw.p[1] == LPP.d2 - 1
         rng = np.random.default_rng(11)
-        for _ in range(25):
-            st_ = SolitonState(
-                1.0, rng.uniform(0.4, 2.0, 3), rng.uniform(-1, 1, 3), -0.3, rng.uniform(-1, 0)
-            )
-            d1 = rhs_lpp(st_, LPP, 1.0)
-            d2 = rhs_dancer_wang(st_, adw, 1.0)
-            assert d1.ddf == pytest.approx(d2.ddf, rel=1e-12)
-            assert d1.udd == pytest.approx(d2.udd, rel=1e-12)
+        for d2 in (1, 3):
+            a = LuPagePopeAnsatz(2, 2, 1, d2)
+            adw = a.as_dancer_wang()
+            assert adw.q[1] == 0 and adw.p[1] == d2 - 1
+            states = [SolitonState(1.0, [0.7, 1.1, 0.9], [0.2, 0.1, 0.3], -0.2, -0.4)] + [
+                SolitonState(
+                    1.0, rng.uniform(0.4, 2.0, 3), rng.uniform(-1, 1, 3), -0.3, rng.uniform(-1, 0)
+                )
+                for _ in range(25)
+            ]
+            for st_ in states:
+                ddf, udd = rhs_lpp_literal(st_, a, 0.5)
+                for form in (a, adw):
+                    der = rhs(st_, form, 0.5)
+                    assert der.ddf == pytest.approx(ddf, rel=1e-12), (d2, form)
+                    assert der.udd == pytest.approx(udd, rel=1e-12), (d2, form)
 
     def test_degenerate_q_rejected_without_flag(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -120,23 +145,26 @@ class TestCrossChecks:
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(
         data=st.tuples(
-            st.floats(0.3, 2.5),
-            st.floats(0.3, 2.5),
-            st.floats(-1.5, 1.5),
-            st.floats(-1.5, 1.5),
+            st.lists(st.floats(0.3, 2.5), min_size=3, max_size=3),
+            st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
             st.floats(-2.0, 0.0),
             st.floats(-2.0, 0.5),
             st.floats(0.0, 2.0),
         )
     )
     def test_specialized_equals_general_equations(self, data):
-        f1, f2, df1, df2, u, du, eps = data
-        for ansatz in (HOPF, DW1):
-            st_ = SolitonState(1.0, [f1, f2], [df1, df2], u, du)
-            spec_der = rhs(st_, ansatz, eps)
+        # the forms that run at solve time against the structure-constant route
+        f, df, u, du, eps = data
+        for ansatz in (HOPF, DW1, DW2, LPP, LPP_D2_ONE):
+            k = len(ansatz.dims)
+            st_ = SolitonState(1.0, f[:k], df[:k], u, du)
             gen_der = generic_rhs(st_, ansatz, eps)
-            np.testing.assert_allclose(spec_der.ddf, gen_der.ddf, rtol=1e-12, atol=1e-12)
-            assert spec_der.udd == pytest.approx(gen_der.udd, rel=1e-12, abs=1e-12)
+            out = make_vector_rhs(ansatz, eps)(1.0, pack_state(st_))
+            np.testing.assert_array_equal(out[:k], st_.df)
+            np.testing.assert_allclose(out[k : 2 * k], gen_der.ddf, rtol=1e-12, atol=1e-12)
+            assert out[2 * k : 2 * k + 2] == pytest.approx([du, gen_der.udd], rel=1e-12, abs=1e-12)
+            udd = u_dotdot_stable(st_, ansatz, eps)
+            assert udd == pytest.approx(gen_der.udd, rel=1e-12, abs=1e-12)
 
     def test_specialized_equals_general_lpp(self):
         rng = np.random.default_rng(12)
