@@ -130,12 +130,13 @@ def cmd_sweep(args) -> int:
     jobs = max(1, args.jobs)
     results: list[dict | None] = [None] * len(cells)
     cell_dirs = [os.path.join(args.out, f"cell_{i:04d}") for i in range(len(cells))]
+    errors: dict[str, str] = {}  # cell -> the exception that failed it
     if jobs == 1:
         for i, (doc, _) in enumerate(cells):
             try:
                 results[i] = _run_cell(doc, cell_dirs[i])
             except Exception as exc:  # keep sweeping past individual failures
-                results[i] = {"error": str(exc)}
+                errors[f"cell_{i:04d}"] = f"{type(exc).__name__}: {exc}"
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
@@ -145,16 +146,14 @@ def cmd_sweep(args) -> int:
                 try:
                     results[i] = fut.result()
                 except Exception as exc:
-                    results[i] = {"error": str(exc)}
+                    errors[f"cell_{i:04d}"] = f"{type(exc).__name__}: {exc}"
 
     params = [param for param, *_ in grids]
     header = params + ["cell", "verdict", "termination", "terminal_du", "max_conservation_residual"]
     lines = [",".join(header)]
-    n_err = 0
     for i, ((_, coords), manifest) in enumerate(zip(cells, results)):
         values = [_fmt(v) for _, v in coords]
-        if manifest is None or "error" in manifest:
-            n_err += 1
+        if manifest is None:
             lines.append(",".join(values + [f"cell_{i:04d}", "error", "error", "nan", "nan"]))
             continue
         key = manifest["key_diagnostics"]
@@ -171,8 +170,11 @@ def cmd_sweep(args) -> int:
             )
         )
     _atomic_write(os.path.join(args.out, "sweep_summary.csv"), "\n".join(lines) + "\n")
-    print(f"sweep: {len(cells)} cells, {n_err} failed, summary in {args.out}/sweep_summary.csv")
-    return EX_OK if n_err == 0 else EX_ERROR
+    if errors:
+        write_json(os.path.join(args.out, "sweep_errors.json"), errors)
+    note = f", errors in {args.out}/sweep_errors.json" if errors else ""
+    print(f"sweep: {len(cells)} cells, {len(errors)} failed, summary in {args.out}/sweep_summary.csv{note}")
+    return EX_OK if not errors else EX_ERROR
 
 
 def cmd_probe_c0(args) -> int:

@@ -1,4 +1,4 @@
-"""Adaptive embedded Runge-Utta integration with event detection.
+"""Adaptive embedded Runge-Kutta integration with event detection.
 
 A hand-rolled Dormand-Prince 5(4) pair: fifth-order propagation, embedded
 fourth-order error estimate, PI step-size control, first-same-as-last

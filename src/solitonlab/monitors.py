@@ -20,11 +20,10 @@ from .systems import (
     ProblemSpec,
     SolitonState,
     TwoSummandsAnsatz,
-    conservation_residual,
+    _locus_ratios,
+    _ricci_rates_split,
     conservation_residual_curvature,
     flow_ansatz,
-    kahler_residual,
-    tr_L,
 )
 from .trajectory import Trajectory, dw_omega_sq_bounds, dw_pair_bound_constant, solve_problem
 
@@ -144,10 +143,20 @@ def comparison_ode_closed_form(a: float, y_star: float, s_star: float, s) -> flo
 @dataclass
 class LocusReport:
     anchor: str
-    mean_curvature_ratio: float
-    curvature_ratio: float
-    classification: str
+    mean_curvature_ratio: float | np.ndarray
+    curvature_ratio: float | np.ndarray
+    classification: str | np.ndarray
     tol: float
+
+
+def _locus_classes(q1, q2, tol: float):
+    """einstein / strict / outside per sample, not_classifiable where the
+    ratios are undefined."""
+    einstein = (np.abs(q1 - 1.0) <= tol) & (np.abs(q2 - 1.0) <= tol)
+    strict = (q1 < 1.0) & (q2 < 1.0)
+    return np.select(
+        [np.isnan(q1), einstein, strict], ["not_classifiable", "einstein", "strict"], "outside"
+    )
 
 
 def locus_membership(state: SolitonState, spec: ProblemSpec, tol: float = 1e-7) -> LocusReport:
@@ -158,22 +167,12 @@ def locus_membership(state: SolitonState, spec: ProblemSpec, tol: float = 1e-7) 
     and classifies: both < 1 exactly characterises the locus holding every
     complete steady/expanding trajectory, both = 1 the nonpositively-curved
     Einstein one.  Both are computed through the conserved combination so
-    they stay meaningful arbitrarily close to the singular orbit.
+    they stay meaningful arbitrarily close to the singular orbit.  A batch
+    state gives one ratio and one classification per sample.
     """
     anchor = "membership of the preserved strict-soliton / Einstein trajectory loci"
-    H = -state.du + tr_L(state, spec.ansatz)
-    if H <= 0:
-        return LocusReport(anchor, np.nan, np.nan, "not_classifiable", tol)
-    q1 = 1.0 + state.du / H
-    r4 = conservation_residual_curvature(state, spec)
-    q2 = 1.0 + (r4 + spec.C + spec.epsilon * state.u) / (H * H)
-    if abs(q1 - 1.0) <= tol and abs(q2 - 1.0) <= tol:
-        cls = "einstein"
-    elif q1 < 1.0 and q2 < 1.0:
-        cls = "strict"
-    else:
-        cls = "outside"
-    return LocusReport(anchor, float(q1), float(q2), cls, tol)
+    q1, q2 = _locus_ratios(state, spec, conservation_residual_curvature(state, spec))
+    return LocusReport(anchor, q1, q2, _locus_classes(q1, q2, tol)[()], tol)
 
 
 @dataclass
@@ -186,12 +185,11 @@ class LocusSeriesReport:
 
 
 def locus_report(traj: Trajectory, tol: float = 1e-7) -> LocusSeriesReport:
-    rows = [locus_membership(s, traj.spec, tol) for s in traj.states]
-    eins = max(
-        (max(abs(r.mean_curvature_ratio - 1.0), abs(r.curvature_ratio - 1.0)) for r in rows),
-        default=np.nan,
-    )
-    cls = [r.classification for r in rows]
+    q1 = traj.columns["locus_mean_ratio"]
+    q2 = traj.columns["locus_curvature_ratio"]
+    # samples where the ratios are undefined carry no distance to the locus
+    eins = np.fmax.reduce(np.fmax(np.abs(q1 - 1.0), np.abs(q2 - 1.0)))
+    cls = _locus_classes(q1, q2, tol).tolist()
     return LocusSeriesReport(
         anchor="preserved-locus membership along the whole trajectory",
         classifications=cls,
@@ -315,10 +313,8 @@ class ConservationReport:
 
 def conservation_report(traj: Trajectory, tol_scale: float = 1e-8) -> ConservationReport:
     spec = traj.spec
-    r3 = np.array(
-        [conservation_residual(s, u, spec) for s, u in zip(traj.states, traj.udd)]
-    )
-    r4 = np.array([conservation_residual_curvature(s, spec) for s in traj.states])
+    r3 = traj.columns["conservation_residual"]
+    r4 = traj.columns["conservation_residual_curvature"]
     tol = tol_scale * (1.0 + abs(spec.C))
     m3 = float(np.max(np.abs(r3)))
     return ConservationReport(
@@ -354,8 +350,7 @@ def two_summands_omega_monitor(traj: Trajectory, tol: float = 1e-6) -> OmegaRepo
         raise TypeError("omega monitor applies to the two-summands system")
     fbar = traj.spec.initial[0]
     diag = two_summands_roots(a)
-    omega = traj.f[:, 0] / traj.f[:, 1]
-    domega = omega * (traj.df[:, 0] / traj.f[:, 0] - traj.df[:, 1] / traj.f[:, 1])
+    omega, domega = traj.columns["omega"], traj.columns["domega"]
     bound = 1.0 / fbar
     anchor = "fibre/base ratio slope capped by its launch value inside the preserved window"
     if diag.D < 0:
@@ -408,16 +403,15 @@ def dw_apriori_monitor(traj: Trajectory, tol: float = 1e-9) -> DWBoundReport:
         raise TypeError("a priori bound monitor applies to the circle-bundle system")
     c0 = dw_pair_bound_constant(a, spec.initial)
     w_bounds = dw_omega_sq_bounds(a, c0)
-    f = traj.f[:, 0]
     g = traj.f[:, 1:]
     dg = traj.df[:, 1:]
-    omega_sq = (f[:, None] / g) ** 2
+    omega_sq = traj.columns["omega"].T ** 2
     ok_w = np.all(omega_sq <= w_bounds[None, :] + tol, axis=1)
     if a.m > 1:
         ratios = g[:, :, None] / g[:, None, :]
         ok_q = np.all(ratios <= c0 + tol, axis=(1, 2))
     else:
-        ok_q = np.ones(len(f), dtype=bool)
+        ok_q = np.ones(len(g), dtype=bool)
     bound_ok = ok_w & ok_q
     first_bad = None if bool(np.all(bound_ok)) else float(traj.ts[int(np.argmin(bound_ok))])
 
@@ -441,11 +435,9 @@ def dw_apriori_monitor(traj: Trajectory, tol: float = 1e-9) -> DWBoundReport:
             qdot_ceiling = float(ceilings[worst])
             qdot_ok = bool(margins[worst] >= -tol)
 
-    key_ok = True
     p = np.asarray(a.p, dtype=float)
-    q = np.asarray(a.q, dtype=float)
     d = np.asarray(a.d, dtype=float)
-    lhs = p / g**2 - q**2 / 2.0 * (f[:, None] ** 2) / g**4
+    lhs = _ricci_rates_split(traj.samples.f, a)[1][1:].T  # the rates r_gi
     rhs = d * p / (d + 2.0) / g**2
     key_ok = bool(np.all(lhs[bound_ok] >= rhs[bound_ok] - tol))
     return DWBoundReport(
@@ -474,7 +466,7 @@ def lpp_bound_monitor(traj: Trajectory, tol: float = 1e-9) -> LppBoundReport:
     if not isinstance(a, LuPagePopeAnsatz):
         raise TypeError("bound monitor applies to the warped-product system")
     bound = 4.0 * a.p1 / ((a.d1 + 2.0) * a.q1**2)
-    omega1_sq = (traj.f[:, 0] / traj.f[:, 1]) ** 2
+    omega1_sq = traj.columns["omega1"] ** 2
     mx = float(np.max(omega1_sq))
     return LppBoundReport(
         anchor="warped-product ratio bound omega1^2 < 4 p1 / ((d1+2) q1^2)",
@@ -496,8 +488,7 @@ def kahler_report(traj: Trajectory, tol: float = 1e-6) -> KahlerReport:
     a = traj.spec.ansatz
     if not isinstance(a, DancerWangAnsatz):
         raise TypeError("Kaehler residual applies to the circle-bundle system")
-    res = np.array([kahler_residual(s, a) for s in traj.states])
-    per = np.max(np.abs(res), axis=0)
+    per = np.max(np.abs(traj.columns["kahler_res"]), axis=1)
     return KahlerReport(
         anchor="first-order condition d/dt g_i^2 = -q_i f cutting the preserved Kaehler locus",
         max_abs_residual=float(np.max(per)),
@@ -542,11 +533,10 @@ def classify_completeness(traj: Trajectory, conservation_tol_scale: float = 1e-8
         return Verdict("inconclusive", float(traj.ts[-1]), [term])
 
     reasons = []
-    cons = conservation_report(traj, conservation_tol_scale)
-    if not cons.ok:
-        reasons.append(
-            f"conservation residual {cons.max_abs_residual:.3e} above {cons.tolerance:.3e}"
-        )
+    tol = conservation_tol_scale * (1.0 + abs(spec.C))
+    worst = float(np.max(np.abs(traj.columns["conservation_residual"])))
+    if not worst <= tol:
+        reasons.append(f"conservation residual {worst:.3e} above {tol:.3e}")
     if not np.all(traj.df > 0.0):
         reasons.append("shape operator lost positivity at some sample")
     a = spec.ansatz
@@ -555,7 +545,7 @@ def classify_completeness(traj: Trajectory, conservation_tol_scale: float = 1e-8
         if diag.D < 0:
             reasons.append("no preserved window exists (negative discriminant)")
         else:
-            if not bool(np.max(traj.f[:, 0] / traj.f[:, 1]) < diag.omega2):
+            if not bool(np.max(traj.columns["omega"]) < diag.omega2):
                 reasons.append("fibre/base ratio reached its root")
     elif isinstance(a, DancerWangAnsatz):
         if not dw_apriori_monitor(traj).bound_ok_throughout:

@@ -8,18 +8,22 @@ point X_0 = Y_0 = 1, everything else 0.  Physical time and potential are
 carried along as quadrature variables (dt/ds = Lc, du/ds = sum d_j X_j - 1),
 which keeps the recovered t at integrator accuracy.
 
-State vector layout: [X_0..X_m, Y_0..Y_m, Lc, t, u].
+State vector layout: [X_0..X_m, Y_0..Y_m, Lc, t, u].  As in ``systems``, a
+RescaledState whose X and Y are (m+1, N) arrays and whose Lc, s, t and u are
+length-N arrays holds N samples, and the chart inversion and the locus
+residuals return one value (or column) per sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .integrator import EventSpec, IntegrationResult, IntegratorConfig, integrate
 from .launch import launch
-from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, tr_L
+from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, _per_component, tr_L
 
 __all__ = [
     "RescaledState",
@@ -66,12 +70,12 @@ def to_rescaled(state: SolitonState, spec: ProblemSpec, s: float = 0.0) -> Resca
 def from_rescaled(r: RescaledState, ansatz: DancerWangAnsatz) -> SolitonState:
     """Invert the chart: f_i = Lc / Y_i, fdot_i = f_i X_i / Lc,
     udot = (sum d_j X_j - 1) / Lc."""
-    if r.Lc <= 0 or np.any(r.Y <= 0):
+    if np.any(r.Lc <= 0) or np.any(r.Y <= 0):
         raise ValueError("chart inversion requires positive Lc and Y")
     d = np.asarray(ansatz.dims, dtype=float)
     f = r.Lc / r.Y
     df = f * r.X / r.Lc
-    du = (float(np.dot(d, r.X)) - 1.0) / r.Lc
+    du = (np.dot(d, r.X) - 1.0) / r.Lc
     return SolitonState(t=r.t, f=f, df=df, u=r.u, du=du)
 
 
@@ -126,15 +130,15 @@ def _fourth_ratio(Y):
     """Y_i^4 / Y_0^2 with the sphere-at-infinity limit Y_i = Y_0 = 0 -> 0."""
     out = np.zeros_like(Y[1:])
     nz = Y[1:] != 0.0
-    out[nz] = Y[1:][nz] ** 4 / Y[0] ** 2
+    out[nz] = Y[1:][nz] ** 4 / np.broadcast_to(Y[0] ** 2, nz.shape)[nz]
     return out
 
 
 @dataclass
 class LocusResiduals:
     anchor: str
-    einstein_linear: float
-    einstein_quadratic: float
+    einstein_linear: float | np.ndarray
+    einstein_quadratic: float | np.ndarray
     kahler_square: np.ndarray
     kahler_slope: np.ndarray
 
@@ -156,16 +160,17 @@ def rescaled_locus_residuals(r: RescaledState, a: DancerWangAnsatz, eps: float) 
     p = np.asarray(a.p, dtype=float)
     q = np.asarray(a.q, dtype=float)
     n = float(np.sum(d))
-    lin = float(np.dot(d, r.X)) - 1.0
+    fourth = _fourth_ratio(r.Y)
+    lin = np.dot(d, r.X) - 1.0
     quad = (
-        float(np.dot(d, r.X * r.X))
-        + float(np.sum(d[1:] * p * r.Y[1:] ** 2))
-        - float(np.sum(d[1:] * q**2 / 4.0 * _fourth_ratio(r.Y)))
+        np.dot(d, r.X * r.X)
+        + np.sum(_per_component(d[1:] * p, fourth) * r.Y[1:] ** 2, axis=0)
+        - np.sum(_per_component(d[1:] * q**2 / 4.0, fourth) * fourth, axis=0)
         + (n - 1.0) * eps / 2.0 * r.Lc**2
         - 1.0
     )
-    k_sq = r.X[1:] ** 2 - q**2 / 4.0 * _fourth_ratio(r.Y)
-    k_sl = r.X[1:] * (r.X[0] + 1.0) - p * r.Y[1:] ** 2 - eps / 2.0 * r.Lc**2
+    k_sq = r.X[1:] ** 2 - _per_component(q**2 / 4.0, fourth) * fourth
+    k_sl = r.X[1:] * (r.X[0] + 1.0) - _per_component(p, fourth) * r.Y[1:] ** 2 - eps / 2.0 * r.Lc**2
     return LocusResiduals(
         anchor="preserved Einstein and Kaehler loci in the compactified chart",
         einstein_linear=lin,
@@ -193,7 +198,22 @@ class RescaledTrajectory:
     def t(self) -> np.ndarray:
         return self.result.ys[:, 2 * self.k + 1]
 
+    @cached_property
+    def samples(self) -> RescaledState:
+        """Every sample as one batch state: X and Y are (m+1, N) views."""
+        k, ys = self.k, self.result.ys
+        return RescaledState(
+            X=ys[:, :k].T,
+            Y=ys[:, k : 2 * k].T,
+            Lc=ys[:, 2 * k],
+            s=self.result.ts,
+            t=ys[:, 2 * k + 1],
+            u=ys[:, 2 * k + 2],
+        )
+
     def rescaled_states(self) -> list[RescaledState]:
+        """The samples as separate states, for code that walks them one by
+        one; the package itself reads ``samples``."""
         k = self.k
         return [
             RescaledState(
@@ -201,9 +221,6 @@ class RescaledTrajectory:
             )
             for s, y in zip(self.result.ts, self.result.ys)
         ]
-
-    def states(self) -> list[SolitonState]:
-        return [from_rescaled(r, self.spec.ansatz) for r in self.rescaled_states()]
 
 
 def rescaled_default_delta(spec: ProblemSpec) -> float:
@@ -263,38 +280,35 @@ class ChartComparison:
     per_field_max: dict
 
 
-def compare_charts(spec, t_max=10.0, rel_tol=1e-11, abs_tol=1e-13, delta=None) -> ChartComparison:
-    """Integrate the same problem in both charts and compare (f, g_i, udot)
-    at the slow-time samples, interpolating the physical run.
+def compare_charts(phys, resc: RescaledTrajectory) -> ChartComparison:
+    """Compare (f, g_i, udot) of a physical-chart run ``phys`` (a
+    ``Trajectory``) and a compact-chart run ``resc`` of the same problem at
+    the slow-time samples, interpolating the physical run.
 
-    Both charts start from the same launch slice (the comparison would be
+    Both runs must start from the same launch slice (the comparison would be
     meaningless otherwise).  Deviations are relative to 1 + |value|.
     """
-    from .trajectory import solve_problem
-
-    delta = rescaled_default_delta(spec) if delta is None else float(delta)
-    phys = solve_problem(spec, t_max=t_max, rel_tol=rel_tol, abs_tol=abs_tol, delta=delta)
-    resc = solve_rescaled(spec, t_max=t_max, rel_tol=rel_tol, abs_tol=abs_tol, delta=delta)
+    if phys.delta != resc.delta:
+        raise ValueError("the two charts must start from the same launch slice")
     t_hi = min(phys.ts[-1], resc.t[-1])
-    worst = 0.0
-    per = {"f": 0.0, "du": 0.0}
-    n = 0
-    for r in resc.rescaled_states():
-        if not (phys.ts[0] <= r.t <= t_hi):
-            continue
-        n += 1
-        ref = phys.state_at(r.t)
-        got = from_rescaled(r, spec.ansatz)
-        dev_f = np.max(np.abs(got.f - ref.f) / (1.0 + np.abs(ref.f)))
-        dev_u = abs(got.du - ref.du) / (1.0 + abs(ref.du))
-        per["f"] = max(per["f"], float(dev_f))
-        per["du"] = max(per["du"], float(dev_u))
-        worst = max(worst, per["f"], per["du"])
+    r = resc.samples
+    sel = (phys.ts[0] <= r.t) & (r.t <= t_hi)
+    got = from_rescaled(
+        RescaledState(r.X[:, sel], r.Y[:, sel], r.Lc[sel], r.s[sel], r.t[sel], r.u[sel]),
+        resc.spec.ansatz,
+    )
+    k = got.f.shape[0]
+    ref = np.array([phys.result.sample_at(t) for t in got.t]).reshape(-1, 2 * k + 2)
+    ref_f, ref_du = ref[:, :k].T, ref[:, 2 * k + 1]
+    per = {
+        "f": float(np.max(np.abs(got.f - ref_f) / (1.0 + np.abs(ref_f)), initial=0.0)),
+        "du": float(np.max(np.abs(got.du - ref_du) / (1.0 + np.abs(ref_du)), initial=0.0)),
+    }
     return ChartComparison(
         anchor="physical and compactified charts describing the same trajectory",
         t_lo=float(phys.ts[0]),
         t_hi=float(t_hi),
-        n_points=n,
-        max_rel_deviation=float(worst),
+        n_points=int(np.count_nonzero(sel)),
+        max_rel_deviation=max(per.values()),
         per_field_max=per,
     )

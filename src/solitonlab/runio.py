@@ -25,15 +25,7 @@ from .rescaled import (
     rescaled_locus_residuals,
     solve_rescaled,
 )
-from .systems import (
-    DancerWangAnsatz,
-    LuPagePopeAnsatz,
-    ProblemSpec,
-    TwoSummandsAnsatz,
-    conservation_residual,
-    conservation_residual_curvature,
-    kahler_residual,
-)
+from .systems import DancerWangAnsatz, LuPagePopeAnsatz, ProblemSpec, TwoSummandsAnsatz
 from .trajectory import Trajectory, solve_problem
 
 __all__ = [
@@ -85,6 +77,17 @@ def _need(doc: dict, field: str, kind, ctx: str = ""):
             raise ConfigError(f"field '{where}' must be an integer")
         return value
     return value
+
+
+def _positive(doc: dict, field: str, kind, default, ctx: str):
+    """A positive number (kind float) or positive integer (kind int), the
+    default when the field is absent."""
+    value = doc.get(field, default)
+    allowed = (int, float) if kind is float else int
+    if not isinstance(value, allowed) or isinstance(value, bool) or not value > 0:
+        noun = "number" if kind is float else "integer"
+        raise ConfigError(f"field '{ctx}.{field}' must be a positive {noun}")
+    return kind(value)
 
 
 def _build_ansatz(system: str, doc: dict):
@@ -171,17 +174,14 @@ def load_config(source) -> RunConfig:
     delta = doc.get("launch_delta")
     if delta is not None and (not isinstance(delta, (int, float)) or delta <= 0):
         raise ConfigError("field 'launch_delta' must be a positive number")
-    t_max = integ.get("t_max", 10.0)
-    if not isinstance(t_max, (int, float)) or t_max <= 0:
-        raise ConfigError("field 'integrator.t_max' must be a positive number")
     return RunConfig(
         spec=spec,
         launch_delta=None if delta is None else float(delta),
-        rel_tol=float(integ.get("rel_tol", 1e-11)),
-        abs_tol=float(integ.get("abs_tol", 1e-13)),
-        t_max=float(t_max),
-        max_steps=int(integ.get("max_steps", 200_000)),
-        max_step=float(integ.get("max_step", np.inf)),
+        rel_tol=_positive(integ, "rel_tol", float, 1e-11, "integrator"),
+        abs_tol=_positive(integ, "abs_tol", float, 1e-13, "integrator"),
+        t_max=_positive(integ, "t_max", float, 10.0, "integrator"),
+        max_steps=_positive(integ, "max_steps", int, 200_000, "integrator"),
+        max_step=_positive(integ, "max_step", float, np.inf, "integrator"),
         chart=chart,
         monitors=monitors,
         expect=expect,
@@ -237,75 +237,50 @@ def write_json(path: str, payload: dict):
 # -- trajectory CSV -----------------------------------------------------------------
 
 
-def _trajectory_columns(traj: Trajectory):
-    spec = traj.spec
-    a = spec.ansatz
-    names = a.component_names
-    cols = ["t"]
-    cols += list(names)
-    cols += [f"d{n}" for n in names]
-    cols += ["u", "du", "udd", "conservation_residual", "conservation_residual_curvature"]
-    cols += ["locus_mean_ratio", "locus_curvature_ratio"]
-    if isinstance(a, TwoSummandsAnsatz):
-        cols += ["omega", "domega"]
-    elif isinstance(a, DancerWangAnsatz):
-        cols += [f"omega{i + 1}" for i in range(a.m)]
-        cols += [f"kahler_res{i + 1}" for i in range(a.m)]
-    else:
-        cols += ["omega1"]
-    return cols
+# rows converted to Python floats at a time: converting a whole table at once
+# holds every value as an object and raises the peak resident set
+_CSV_CHUNK = 256
 
 
-def _trajectory_rows(traj: Trajectory):
-    spec = traj.spec
-    a = spec.ansatz
-    states = traj.states
-    udd = traj.udd
-    for i, st in enumerate(states):
-        row = [st.t]
-        row += list(st.f)
-        row += list(st.df)
-        row += [st.u, st.du, udd[i]]
-        row += [
-            conservation_residual(st, udd[i], spec),
-            conservation_residual_curvature(st, spec),
-        ]
-        loc = mon.locus_membership(st, spec)
-        row += [loc.mean_curvature_ratio, loc.curvature_ratio]
-        if isinstance(a, TwoSummandsAnsatz):
-            omega = st.f[0] / st.f[1]
-            row += [omega, omega * (st.df[0] / st.f[0] - st.df[1] / st.f[1])]
-        elif isinstance(a, DancerWangAnsatz):
-            row += list(st.f[0] / st.f[1:])
-            row += list(kahler_residual(st, a))
+def _write_csv(path: str, columns: dict):
+    """One header line of column names, then one row per sample; a length-N
+    value is one column, an (m, N) value one column per factor, numbered
+    from 1."""
+    names, values = [], []
+    for name, col in columns.items():
+        if np.ndim(col) == 1:
+            names.append(name)
+            values.append(col)
         else:
-            row += [st.f[0] / st.f[1]]
-        yield row
+            names += [f"{name}{i + 1}" for i in range(len(col))]
+            values += list(col)
+    row = ",".join(["{:.17g}"] * len(names))
+    table = np.column_stack(values)
+    lines = [",".join(names)]
+    for start in range(0, len(table), _CSV_CHUNK):
+        lines += [row.format(*r) for r in table[start : start + _CSV_CHUNK].tolist()]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_trajectory_csv(path: str, traj: Trajectory):
-    cols = _trajectory_columns(traj)
-    lines = [",".join(cols)]
-    for row in _trajectory_rows(traj):
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    names = traj.spec.ansatz.component_names
+    columns = {"t": traj.ts}
+    columns |= dict(zip(names, traj.f.T))
+    columns |= {f"d{n}": col for n, col in zip(names, traj.df.T)}
+    columns |= {"u": traj.u, "du": traj.du}
+    _write_csv(path, columns | traj.columns)
 
 
 def write_rescaled_csv(path: str, rtraj):
     a = rtraj.spec.ansatz
-    m = a.m
-    cols = ["s", "t", "u", "Lc"]
-    cols += [f"X{i}" for i in range(m + 1)]
-    cols += [f"Y{i}" for i in range(m + 1)]
-    cols += ["einstein_linear", "einstein_quadratic"]
-    cols += [f"kahler_sq{i + 1}" for i in range(m)] + [f"kahler_slope{i + 1}" for i in range(m)]
-    lines = [",".join(cols)]
-    for r in rtraj.rescaled_states():
-        res = rescaled_locus_residuals(r, a, rtraj.spec.epsilon)
-        row = [r.s, r.t, r.u, r.Lc, *r.X, *r.Y, res.einstein_linear, res.einstein_quadratic]
-        row += list(res.kahler_square) + list(res.kahler_slope)
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    r = rtraj.samples
+    res = rescaled_locus_residuals(r, a, rtraj.spec.epsilon)
+    columns = {"s": r.s, "t": r.t, "u": r.u, "Lc": r.Lc}
+    columns |= {f"X{i}": col for i, col in enumerate(r.X)}
+    columns |= {f"Y{i}": col for i, col in enumerate(r.Y)}
+    columns |= {"einstein_linear": res.einstein_linear, "einstein_quadratic": res.einstein_quadratic}
+    columns |= {"kahler_sq": res.kahler_square, "kahler_slope": res.kahler_slope}
+    _write_csv(path, columns)
 
 
 # -- SVG line plot (no dependencies) --------------------------------------------------
@@ -423,6 +398,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
 
     if cfg.chart in ("physical", "both", "rescaled"):
         emit("trajectory.csv", lambda p: write_trajectory_csv(p, traj))
+    rtraj = None
     if cfg.chart in ("rescaled", "both"):
         rtraj = solve_rescaled(
             cfg.spec,
@@ -433,13 +409,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
         )
         emit("rescaled.csv", lambda p: write_rescaled_csv(p, rtraj))
         if cfg.chart == "both":
-            report["chart_comparison"] = compare_charts(
-                cfg.spec,
-                t_max=cfg.t_max,
-                rel_tol=cfg.rel_tol,
-                abs_tol=cfg.abs_tol,
-                delta=delta,
-            )
+            report["chart_comparison"] = compare_charts(traj, rtraj)
             report["checks"].append(
                 {
                     "name": "chart_comparison",
@@ -479,14 +449,23 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
             "max_locus_einstein_residual": (
                 report["locus"].max_einstein_residual if "locus" in report else None
             ),
-            "n_accepted": traj.result.n_accepted,
-            "n_rejected": traj.result.n_rejected,
+            **_work_counts(traj.result),
         },
         "artifacts": artifacts + ["manifest.json"],
         "wall_time_s": time.monotonic() - started,
     }
+    if rtraj is not None:
+        manifest["key_diagnostics"]["rescaled"] = _work_counts(rtraj.result)
     write_json(os.path.join(outdir, "manifest.json"), manifest)
     return manifest
+
+
+def _work_counts(result) -> dict:
+    return {
+        "n_accepted": result.n_accepted,
+        "n_rejected": result.n_rejected,
+        "n_rhs": result.n_rhs,
+    }
 
 
 def exit_code_for(manifest: dict) -> int:

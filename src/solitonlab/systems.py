@@ -13,6 +13,14 @@ embedding.  The same derivative can be assembled generically from the
 Ricci eigenvalues of an encoded structure-constant decomposition
 (``generic_rhs``); the two routes are kept independent on purpose and
 property-tested against each other.
+
+The closed forms and the residuals built on them evaluate N samples at once.
+Such a batch is a SolitonState whose f and df are (k, N) arrays, one column
+per sample, and whose t, u and udot are length-N arrays; each function then
+returns one value (or one column) per sample.  With the sample axis last,
+f[0] is the collapsing component of every sample and per-sample values
+broadcast against the other components, so a single state is the N = 1 case
+and runs on the same scalars as the integrator's right-hand side.
 """
 
 from __future__ import annotations
@@ -325,14 +333,21 @@ class ProblemSpec:
 # -- shape-operator traces -------------------------------------------------
 
 
-def tr_L(state: SolitonState, ansatz: Ansatz) -> float:
-    d = np.asarray(ansatz.dims, dtype=float)
-    return float(np.dot(d, state.df / state.f))
+def _per_component(c, like) -> np.ndarray:
+    """A per-component constant shaped to broadcast against ``like``: as is
+    for one state, as a column for a (k, N) batch."""
+    c = np.asarray(c, dtype=float)
+    return c if np.ndim(like) == 1 else c[:, None]
 
 
-def tr_L2(state: SolitonState, ansatz: Ansatz) -> float:
+def tr_L(state: SolitonState, ansatz: Ansatz):
     d = np.asarray(ansatz.dims, dtype=float)
-    return float(np.dot(d, (state.df / state.f) ** 2))
+    return np.dot(d, state.df / state.f)
+
+
+def tr_L2(state: SolitonState, ansatz: Ansatz):
+    d = np.asarray(ansatz.dims, dtype=float)
+    return np.dot(d, (state.df / state.f) ** 2)
 
 
 # -- curvature terms of each system ----------------------------------------
@@ -347,6 +362,7 @@ def _ricci_rates_split(f: np.ndarray, ansatz: Ansatz):
     term d0 (d0 - 1) fdot0^2 / f0^2; keeping it separate lets callers fold
     the pair into (1 - fdot0)(1 + fdot0) geo / f0^2, which evaluates without
     catastrophic cancellation.  This is the one closed form of each family.
+    f is one state's components or a (k, N) batch of them.
     """
     a = flow_ansatz(ansatz)
     if isinstance(a, TwoSummandsAnsatz):
@@ -356,10 +372,12 @@ def _ricci_rates_split(f: np.ndarray, ansatz: Ansatz):
         return geo, np.array([c1 / f1sq + c3 * f1sq / f2q, c2 / f2**2 - c4 * f1sq / f2q])
     # circle fibres: d0 = 1, no singular curvature term
     c0, p, c2 = a._rate_coefficients
+    if f.ndim > 1:  # a batch; inline, not _per_component: this runs in every RHS call
+        c0, p, c2 = c0[:, None], p[:, None], c2[:, None]
     ff2, g = f[0] ** 2, f[1:]
     g4 = g**4
     rates = np.empty_like(f)
-    rates[0] = (c0 * ff2 / g4).sum()
+    rates[0] = (c0 * ff2 / g4).sum(axis=0)
     rates[1:] = p / g**2 - c2 * ff2 / g4
     return 0.0, rates
 
@@ -371,10 +389,10 @@ def _ricci_rates(f: np.ndarray, ansatz: Ansatz) -> np.ndarray:
     return rates
 
 
-def tr_ricci(state: SolitonState, ansatz: Ansatz) -> float:
+def tr_ricci(state: SolitonState, ansatz: Ansatz):
     """Scalar curvature of the orbit at this slice."""
     d = np.asarray(ansatz.dims, dtype=float)
-    return float(np.dot(d, _ricci_rates(state.f, ansatz)))
+    return np.dot(d, _ricci_rates(state.f, ansatz))
 
 
 # -- right-hand sides --------------------------------------------------------
@@ -431,7 +449,7 @@ def _second_rates_stable(f, df, du, ansatz: Ansatz, d: np.ndarray, eps: float) -
     d is the ansatz's dims as a float array."""
     z = df / f
     geo, extras = _ricci_rates_split(f, ansatz)
-    t_rest = float(np.dot(d[1:], z[1:]))
+    t_rest = np.dot(d[1:], z[1:])
     T = d[0] * z[0] + t_rest
     H = -du + T
     out = np.empty_like(z)
@@ -445,11 +463,11 @@ def _second_rates_stable(f, df, du, ansatz: Ansatz, d: np.ndarray, eps: float) -
     return out
 
 
-def u_dotdot_stable(state: SolitonState, ansatz: Ansatz, eps: float) -> float:
+def u_dotdot_stable(state: SolitonState, ansatz: Ansatz, eps: float):
     """uddot from the flow, safe to evaluate arbitrarily close to t = 0."""
     d = np.asarray(ansatz.dims, dtype=float)
     w = _second_rates_stable(state.f, state.df, state.du, ansatz, d, eps)
-    return float(np.dot(d, w)) - eps / 2.0
+    return np.dot(d, w) - eps / 2.0
 
 
 # -- vector packing for the integrator ---------------------------------------
@@ -487,13 +505,13 @@ def make_vector_rhs(ansatz: Ansatz, eps: float):
 # -- conserved quantities and identities --------------------------------------
 
 
-def conservation_residual(state: SolitonState, udd: float, spec: ProblemSpec) -> float:
+def conservation_residual(state: SolitonState, udd, spec: ProblemSpec):
     """First-integral residual uddot + (-udot + tr L) udot - C - eps u."""
     H = -state.du + tr_L(state, spec.ansatz)
     return udd + H * state.du - spec.C - spec.epsilon * state.u
 
 
-def conservation_residual_curvature(state: SolitonState, spec: ProblemSpec) -> float:
+def conservation_residual_curvature(state: SolitonState, spec: ProblemSpec):
     """Residual of the curvature form of the same first integral:
     tr r + tr L^2 - (-udot + tr L)^2 + (n-1) eps/2 - C - eps u.
 
@@ -504,13 +522,14 @@ def conservation_residual_curvature(state: SolitonState, spec: ProblemSpec) -> f
     d = np.asarray(a.dims, dtype=float)
     z = state.df / state.f
     geo, extras = _ricci_rates_split(state.f, a)
-    w = d * z
-    T = float(np.sum(w))
+    w = _per_component(d, z) * z
+    T = np.sum(w, axis=0)
     # sum_{i != j} d_i d_j z_i z_j without ever forming T^2
-    outer = np.outer(w, w)
-    np.fill_diagonal(outer, 0.0)
-    cross = float(np.sum(outer))
-    diag_rest = float(np.dot(d[1:] * (d[1:] - 1.0), z[1:] ** 2))
+    outer = w[:, None] * w[None, :]
+    diag = np.arange(len(d))
+    outer[diag, diag] = 0.0
+    cross = np.sum(outer, axis=(0, 1))
+    diag_rest = np.dot(d[1:] * (d[1:] - 1.0), z[1:] ** 2)
     n = spec.orbit_dim
     return (
         geo * (1.0 - state.df[0]) * (1.0 + state.df[0]) / (state.f[0] * state.f[0])
@@ -518,11 +537,24 @@ def conservation_residual_curvature(state: SolitonState, spec: ProblemSpec) -> f
         - diag_rest
         + 2.0 * T * state.du
         - state.du**2
-        + float(np.dot(d, extras))
+        + np.dot(d, extras)
         + (n - 1) * spec.epsilon / 2.0
         - spec.C
         - spec.epsilon * state.u
     )
+
+
+def _locus_ratios(state: SolitonState, spec: ProblemSpec, r4):
+    """The preserved-locus ratios q1 = tr L / H and
+    q2 = (tr L^2 + tr r + (n-1) eps/2) / H^2, H = -udot + tr L, both taken
+    through the conserved combination: q1 = 1 + udot / H and
+    q2 = 1 + (r4 + C + eps u) / H^2 with r4 the curvature residual at the
+    same state(s).  NaN where H <= 0, where neither is defined."""
+    H = -state.du + tr_L(state, spec.ansatz)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q1 = np.where(H > 0, 1.0 + state.du / H, np.nan)
+        q2 = np.where(H > 0, 1.0 + (r4 + spec.C + spec.epsilon * state.u) / (H * H), np.nan)
+    return q1[()], q2[()]
 
 
 def u_second_derivative_identity(state: SolitonState, spec: ProblemSpec) -> float:
@@ -560,4 +592,4 @@ def kahler_residual(state: SolitonState, a: DancerWangAnsatz) -> np.ndarray:
     ff = state.f[0]
     g = state.f[1:]
     dg = state.df[1:]
-    return 2.0 * g * dg + np.asarray(a.q, dtype=float) * ff
+    return 2.0 * g * dg + _per_component(a.q, g) * ff

@@ -23,6 +23,10 @@ from .systems import (
     ProblemSpec,
     SolitonState,
     TwoSummandsAnsatz,
+    _locus_ratios,
+    conservation_residual,
+    conservation_residual_curvature,
+    kahler_residual,
     make_vector_rhs,
     u_dotdot_stable,
     unpack_state,
@@ -149,19 +153,54 @@ class Trajectory:
         return self.result.ys[:, 2 * k + 1]
 
     @cached_property
+    def samples(self) -> SolitonState:
+        """Every sample as one batch state: f and df are (k, N) views, one
+        column per sample; t, u and udot are the length-N columns."""
+        return SolitonState(t=self.ts, f=self.f.T, df=self.df.T, u=self.u, du=self.du)
+
+    @cached_property
     def udd(self) -> np.ndarray:
-        return np.array(
-            [u_dotdot_stable(s, self.spec.ansatz, self.spec.epsilon) for s in self.states]
-        )
+        return u_dotdot_stable(self.samples, self.spec.ansatz, self.spec.epsilon)
+
+    @cached_property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The derived per-sample quantities, each computed once over all
+        samples, in the order and under the names of trajectory.csv.
+
+        A length-N array is one column; an (m, N) array is one column per
+        factor, numbered from 1.  The monitors, the verdict and the CSV all
+        read this table.
+        """
+        spec, s = self.spec, self.samples
+        a = spec.ansatz
+        r4 = conservation_residual_curvature(s, spec)
+        q1, q2 = _locus_ratios(s, spec, r4)
+        cols = {
+            "udd": self.udd,
+            "conservation_residual": conservation_residual(s, self.udd, spec),
+            "conservation_residual_curvature": r4,
+            "locus_mean_ratio": q1,
+            "locus_curvature_ratio": q2,
+        }
+        f, df = s.f, s.df
+        if isinstance(a, TwoSummandsAnsatz):
+            omega = f[0] / f[1]
+            cols["omega"] = omega
+            cols["domega"] = omega * (df[0] / f[0] - df[1] / f[1])
+        elif isinstance(a, DancerWangAnsatz):
+            cols["omega"] = f[0] / f[1:]
+            cols["kahler_res"] = kahler_residual(s, a)
+        else:
+            cols["omega1"] = f[0] / f[1]
+        return cols
 
     @cached_property
     def states(self) -> list[SolitonState]:
+        """The samples as separate states, for code that walks them one by
+        one; the package itself reads ``samples`` and ``columns``."""
         return [
             unpack_state(t, y, self.spec.ansatz) for t, y in zip(self.result.ts, self.result.ys)
         ]
-
-    def state_at(self, t: float) -> SolitonState:
-        return unpack_state(t, self.result.sample_at(t), self.spec.ansatz)
 
     @property
     def reached_horizon(self) -> bool:

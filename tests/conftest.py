@@ -3,6 +3,7 @@ from importlib.resources import files
 
 import pytest
 
+from solitonlab.rescaled import rescaled_default_delta, solve_rescaled
 from solitonlab.runio import load_config
 from solitonlab.trajectory import solve_problem
 
@@ -24,6 +25,12 @@ def decomposition_path(name: str):
 def load_shipped(name: str):
     with config_path(name).open("r") as fh:
         return load_config(json.load(fh))
+
+
+def solve_both_charts(spec, t_max):
+    """The physical and the compact-chart run of spec from one launch slice."""
+    delta = rescaled_default_delta(spec)
+    return solve_problem(spec, t_max=t_max, delta=delta), solve_rescaled(spec, t_max=t_max, delta=delta)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from solitonlab.systems import (
     kahler_residual,
 )
 
-from conftest import CONFIG_NAMES_GRID, load_shipped
+from conftest import CONFIG_NAMES_GRID, load_shipped, solve_both_charts
 from test_geometry import random_decomposition
 
 
@@ -168,7 +168,7 @@ def test_criterion_09_chart_equivalence():
     ok = True
     for name in ("dw_m1_chart.json", "dw_m2_chart.json"):
         cfg = load_shipped(name)
-        cmp = R.compare_charts(cfg.spec, t_max=10.0)
+        cmp = R.compare_charts(*solve_both_charts(cfg.spec, t_max=10.0))
         ok &= cmp.n_points > 100 and cmp.max_rel_deviation <= 1e-6
     # exact critical point: stationary to rounding
     a = load_shipped("dw_m1_chart.json").spec.ansatz

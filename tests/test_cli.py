@@ -82,11 +82,79 @@ class TestSolve:
         assert manifest["reasons"] == ["step_failure"]
         assert "note: inconclusive (step_failure)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rel_tol", "tight"),
+            ("rel_tol", -1),
+            ("abs_tol", 0),
+            ("abs_tol", True),
+            ("max_step", 0),
+            ("max_steps", 0),
+            ("max_steps", 1.5),
+            ("max_steps", True),
+        ],
+    )
+    def test_invalid_integrator_field_is_config_error(self, tmp_path, capsys, field, value):
+        doc = dict(BASE, integrator={"t_max": 5.0, field: value})
+        cfg = write_json(tmp_path, "c.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+        assert f"integrator.{field}" in capsys.readouterr().err
+        code = main(["sweep", "--config", cfg, "--grid", "C=-1:-1:2", "--out", str(tmp_path / "sw")])
+        assert code == 64
+        assert f"integrator.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_plot_flag_writes_svg(self, tmp_path):
         out = tmp_path / "run"
         main(["solve", "--config", write_json(tmp_path, "c.json", BASE), "--out", str(out), "--plot"])
         svg = (out / "trajectory.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+class TestChartBoth:
+    def test_both_charts_reuse_the_written_runs(self, tmp_path, monkeypatch):
+        from solitonlab import integrator, rescaled, trajectory
+
+        calls = []
+
+        def counting(rhs, t0, y0, cfg):
+            result = integrator.integrate(rhs, t0, y0, cfg)
+            calls.append((cfg, result))
+            return result
+
+        monkeypatch.setattr(trajectory, "integrate", counting)
+        monkeypatch.setattr(rescaled, "integrate", counting)
+        doc = json.loads(config_path("dw_m1_chart.json").read_text())
+        doc["integrator"] = dict(doc["integrator"], t_max=2.0, max_step=0.01)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)]) == 0
+        # one physical and one compact-chart integration, and the physical
+        # one is the run written to trajectory.csv, with the config's max_step
+        assert len(calls) == 2
+        (phys_cfg, phys), (_, resc) = calls
+        assert phys_cfg.max_step == 0.01
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + len(phys.ts)
+        kd = json.loads((out / "manifest.json").read_text())["key_diagnostics"]
+        assert (kd["n_accepted"], kd["n_rejected"], kd["n_rhs"]) == (
+            phys.n_accepted,
+            phys.n_rejected,
+            phys.n_rhs,
+        )
+        assert kd["rescaled"] == {
+            "n_accepted": resc.n_accepted,
+            "n_rejected": resc.n_rejected,
+            "n_rhs": resc.n_rhs,
+        }
+        report = json.loads((out / "report.json").read_text())
+        assert report["chart_comparison"]["max_rel_deviation"] <= 1e-6
+
+    def test_physical_chart_manifest_has_no_rescaled_counts(self, tmp_path):
+        out = tmp_path / "o"
+        main(["solve", "--config", write_json(tmp_path, "c.json", BASE), "--out", str(out)])
+        kd = json.loads((out / "manifest.json").read_text())["key_diagnostics"]
+        assert kd["n_rhs"] > 0
+        assert "rescaled" not in kd
 
 
 class TestDeterminism:
@@ -123,6 +191,27 @@ class TestSweep:
         assert len(lines) == 1 + 4
         for i in range(4):
             assert (tmp_path / f"sw/cell_{i:04d}/manifest.json").exists()
+        assert not (tmp_path / "sw/sweep_errors.json").exists()
+
+    def test_failed_cell_keeps_its_error(self, tmp_path, monkeypatch):
+        import solitonlab.cli as cli
+
+        run_cell = cli._run_cell
+
+        def failing(doc, outdir):
+            if outdir.endswith("cell_0001"):
+                raise RuntimeError("no convergence in cell 1")
+            return run_cell(doc, outdir)
+
+        monkeypatch.setattr(cli, "_run_cell", failing)
+        cfg = write_json(tmp_path, "c.json", BASE)
+        code = main(["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:3", "--jobs", "1", "--out", str(tmp_path / "sw")])
+        assert code == 1
+        errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
+        assert errors == {"cell_0001": "RuntimeError: no convergence in cell 1"}
+        rows = (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()
+        assert rows[2].split(",")[1:] == ["cell_0001", "error", "error", "nan", "nan"]
+        assert rows[1].split(",")[2] == "numerically_complete"
 
     def test_bad_grid_spec(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", BASE)

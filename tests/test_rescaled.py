@@ -5,6 +5,8 @@ from solitonlab import rescaled as R
 from solitonlab.launch import launch
 from solitonlab.systems import DancerWangAnsatz, ProblemSpec, SolitonState, rhs, tr_L, tr_L2
 
+from conftest import solve_both_charts
+
 DW1 = DancerWangAnsatz((2,), (2,), (-2,))
 SPEC1 = ProblemSpec(DW1, 0.0, -2.0, (1.0,))
 
@@ -137,7 +139,7 @@ def test_boundedness_inside_admissible_region():
     ids=["m1", "m2"],
 )
 def test_chart_equivalence(spec):
-    cmp = R.compare_charts(spec, t_max=10.0)
+    cmp = R.compare_charts(*solve_both_charts(spec, t_max=10.0))
     assert cmp.n_points > 100
     assert cmp.max_rel_deviation <= 1e-6
 
@@ -158,3 +160,12 @@ def test_rescaled_solver_rejects_other_systems():
     spec = ProblemSpec(TwoSummandsAnsatz(3, 4, 6.0, 48.0, 12.0), 0.0, -1.0, (1.0,))
     with pytest.raises(TypeError, match="circle-bundle"):
         R.solve_rescaled(spec)
+
+
+def test_chart_comparison_needs_one_launch_slice():
+    from solitonlab.trajectory import solve_problem
+
+    phys, resc = solve_both_charts(SPEC1, t_max=1.0)
+    other = solve_problem(SPEC1, t_max=1.0, delta=2.0 * phys.delta)
+    with pytest.raises(ValueError, match="launch slice"):
+        R.compare_charts(other, resc)
