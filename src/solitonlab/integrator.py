@@ -2,8 +2,10 @@
 
 A hand-rolled Dormand-Prince 5(4) pair: fifth-order propagation, embedded
 fourth-order error estimate, PI step-size control, first-same-as-last
-stage reuse.  Dense output is cubic Hermite between accepted steps and is
-used only for event refinement and sampling, never for accuracy claims.
+stage reuse.  Between samples the solution is Dormand-Prince's own
+fourth-order continuous extension (Shampine 1986; Hairer, Norsett and
+Wanner, Solving ODEs I, II.6), built from each step's stages at no extra
+right-hand-side cost.  It serves ``sample_at`` and event location alike.
 Everything is double precision and deterministic: identical inputs walk
 an identical step sequence.
 """
@@ -32,6 +34,12 @@ _A = [
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+# Dense-output weights: r5 = h K^T d is the quartic term of the continuous
+# extension (the last column of Hairer's DOPRI5 ``d`` coefficients).
+_D = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
+])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -43,8 +51,8 @@ _BETA = 0.4 / 5.0
 @dataclass(frozen=True)
 class EventSpec:
     """Named scalar event g(t, y); a sign crossing in the given direction
-    (-1 falling, +1 rising, 0 both) is refined by bisection on the dense
-    output and, if terminal, stops the integration."""
+    (-1 falling, +1 rising, 0 both) is located by bisection on the step's
+    continuous extension and, if terminal, stops the integration."""
 
     name: str
     fn: Callable[[float, np.ndarray], float]
@@ -79,13 +87,19 @@ class IntegratorConfig:
 
 @dataclass
 class IntegrationResult:
-    """Accepted samples (plus event-refined points), termination verdict
-    and step statistics.  ``dys`` holds the derivative at each sample so
-    cubic Hermite interpolation needs no further evaluations."""
+    """One sample per accepted step, termination verdict and step statistics.
+
+    ``dys`` holds the derivative at each sample and ``dense`` the quartic
+    term r5 of each sample interval (one row fewer than ``ts``), so
+    ``sample_at`` evaluates the continuous extension with no further
+    right-hand-side calls.  A terminal event's point is the last sample;
+    a non-terminal one is recorded in ``events`` only.
+    """
 
     ts: np.ndarray
     ys: np.ndarray
     dys: np.ndarray
+    dense: np.ndarray
     termination: str
     events: list[EventHit] = field(default_factory=list)
     terminal_event: EventHit | None = None
@@ -94,33 +108,42 @@ class IntegrationResult:
     n_rhs: int = 0
 
     @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
-
-    @property
     def y_end(self) -> np.ndarray:
         return self.ys[-1]
 
-    def sample_at(self, t: float) -> np.ndarray:
-        """Cubic Hermite interpolation at time t within the covered span."""
+    def sample_at(self, t) -> np.ndarray:
+        """The continuous extension at a time (shape (n,)) or an array of
+        times (shape (len(t), n)) within the covered span."""
         ts = self.ts
-        if t < ts[0] - 1e-12 * (1 + abs(t)) or t > ts[-1] + 1e-12 * (1 + abs(t)):
+        t = np.asarray(t, dtype=float)
+        slack = 1e-12 * (1 + np.abs(t))
+        if np.any(t < ts[0] - slack) or np.any(t > ts[-1] + slack):
             raise ValueError(f"t={t} outside the integrated span [{ts[0]}, {ts[-1]}]")
-        i = int(np.searchsorted(ts, t, side="right") - 1)
-        i = min(max(i, 0), len(ts) - 2)
-        return _hermite(ts[i], self.ys[i], self.dys[i], ts[i + 1], self.ys[i + 1], self.dys[i + 1], t)
+        if len(ts) == 1:  # no step was accepted: the span is the start point
+            return np.broadcast_to(self.ys[0], t.shape + self.ys[0].shape).copy()
+        i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        h = (ts[i + 1] - ts[i])[..., None]
+        theta = (t - ts[i])[..., None] / h
+        ys, dys = self.ys, self.dys
+        return _interpolate(ys[i], ys[i + 1], dys[i], dys[i + 1], self.dense[i], h, theta)
 
 
-def _hermite(t0, y0, f0, t1, y1, f1, t):
-    h = t1 - t0
-    if h == 0.0:
-        return y0.copy()
-    s = (t - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+def _interpolate(y0, y1, f0, f1, r5, h, theta):
+    """Dormand-Prince's continuous extension of one step of size h at the
+    fractions theta of it; with r5 = 0 it is the cubic Hermite interpolant."""
+    dy = y1 - y0
+    a = h * f0 - dy
+    b = dy - h * f1 - a
+    return y0 + theta * (dy + (1.0 - theta) * (a + theta * (b + (1.0 - theta) * r5)))
+
+
+def _slope(y0, y1, f0, f1, r5, h, theta):
+    """Derivative in theta of ``_interpolate``."""
+    dy = y1 - y0
+    a = h * f0 - dy
+    b = dy - h * f1 - a
+    q = a + theta * (b + (1.0 - theta) * r5)
+    return dy + (1.0 - 2.0 * theta) * q + theta * (1.0 - theta) * (b + (1.0 - 2.0 * theta) * r5)
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
@@ -147,11 +170,12 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
 def _dp_step(call, t, y, f, h, rtol, atol):
     """One Dormand-Prince attempt of size h from (t, y) with slope f.
 
-    Returns (y_new, f_new, err) -- the fifth-order solution, its slope
-    (FSAL) and the scaled error norm -- or None when a stage raises or is
-    not finite.  The stages live in a fresh array per attempt: the returned
-    slope becomes the next attempt's first stage, and a shared buffer would
-    let a rejected attempt overwrite it.
+    Returns (y_new, f_new, err, r5) -- the fifth-order solution, its slope
+    (FSAL), the scaled error norm and the quartic term of the step's
+    continuous extension -- or None when a stage raises or is not finite.
+    The stages live in a fresh array per attempt: the returned slope
+    becomes the next attempt's first stage, and a shared buffer would let a
+    rejected attempt overwrite it.
     """
     K = np.empty((7, y.size))
     K[0] = f
@@ -164,26 +188,24 @@ def _dp_step(call, t, y, f, h, rtol, atol):
         if not np.all(np.isfinite(K[i])):
             return None
     # the stage 7 node equals the 5th-order solution
-    return yi, K[6], _error_norm(h * (K.T @ _E), y, yi, rtol, atol)
+    return yi, K[6], _error_norm(h * (K.T @ _E), y, yi, rtol, atol), h * (K.T @ _D)
 
 
 def _crossed(prev, curr, direction):
     if prev is None or not np.isfinite(prev) or not np.isfinite(curr):
         return False
-    if direction >= 0 and prev < 0.0 <= curr:
-        return True
-    if direction <= 0 and prev > 0.0 >= curr:
-        return True
-    return False
+    return (direction >= 0 and prev < 0.0 <= curr) or (direction <= 0 and prev > 0.0 >= curr)
 
 
 def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     """Advance dy/dt = rhs(t, y) from (t0, y0) until t_max, a terminal
     event, step failure or an invalid state.
 
-    Event times are refined by bisection on the dense output to an absolute
-    tolerance of 1e-12 (1 + t).  Statistics count accepted steps, rejected
-    attempts and right-hand-side evaluations.
+    Event times are found by bisection on the step's continuous extension
+    to an absolute tolerance of 1e-12 (1 + t).  A terminal event ends the
+    samples with one extra step from the last accepted point to the event
+    time.  Statistics count accepted steps, rejected attempts and
+    right-hand-side evaluations.
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
@@ -194,7 +216,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         return np.asarray(rhs(tt, yy), dtype=float)
 
     f = call(t, y)
-    ts, ys, dys = [t], [y.copy()], [f.copy()]
+    ts, ys, dys, dense = [t], [y.copy()], [f.copy()], []
     events: list[EventHit] = []
     terminal: EventHit | None = None
     ev_prev = [ev.fn(t, y) for ev in cfg.events]
@@ -220,7 +242,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
             stats["rej"] += 1
             h *= 0.25
             continue
-        y_new, f_new, err = step
+        y_new, f_new, err, r5 = step
         if not np.isfinite(err) or (cfg.validity is not None and not cfg.validity(y_new)):
             stats["rej"] += 1
             rejected_invalid = cfg.validity is not None and not cfg.validity(y_new)
@@ -236,38 +258,39 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         stats["acc"] += 1
         rejected_invalid = False
         t_new = t + h
+        extension = (y, y_new, f, f_new, r5, h)
 
-        hit = None
+        hits = []
         for idx, ev in enumerate(cfg.events):
             val = ev.fn(t_new, y_new)
             if _crossed(ev_prev[idx], val, ev.direction):
-                t_star, y_star = _refine_event(call, ev, t, y, t_new, cfg)
-                if hit is None or t_star < hit[0]:
-                    hit = (t_star, y_star, ev)
+                hits.append((*_refine_event(ev, t, extension), idx))
             ev_prev[idx] = val
 
-        if hit is not None:
-            t_star, y_star, ev = hit
-            record = EventHit(ev.name, t_star, y_star)
-            events.append(record)
+        for t_star, y_star, idx in sorted(hits, key=lambda hit: hit[0]):
+            ev = cfg.events[idx]
+            events.append(EventHit(ev.name, t_star, y_star))
             if ev.terminal:
-                ts.append(t_star)
-                ys.append(y_star)
-                try:
-                    dys.append(call(t_star, y_star))
-                except (ValueError, FloatingPointError, ZeroDivisionError):
-                    dys.append(dys[-1].copy())
-                terminal = record
+                terminal = events[-1]
                 termination = f"event:{ev.name}"
+                # the last sample is a real step's end; should that step
+                # fail, it is the extension restricted to [t, t_star]
+                step = _dp_step(call, t, y, f, t_star - t, cfg.rel_tol, cfg.abs_tol)
+                if step is None:
+                    sigma = (t_star - t) / h
+                    y_new, f_new, r5 = y_star, _slope(*extension, sigma) / h, sigma**4 * r5
+                else:
+                    y_new, f_new, _, r5 = step
+                t_new = t_star
                 break
-            ts.append(t_star)
-            ys.append(y_star)
-            dys.append(call(t_star, y_star))
 
+        ts.append(t_new)
+        ys.append(y_new)
+        dys.append(f_new.copy())
+        dense.append(r5)
+        if terminal is not None:
+            break
         t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y.copy())
-        dys.append(f.copy())
 
         factor = _SAFETY * (err ** -_ALPHA) * (err_prev**_BETA) if err > 0 else _MAX_FACTOR
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
@@ -278,6 +301,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         ts=np.asarray(ts),
         ys=np.asarray(ys),
         dys=np.asarray(dys),
+        dense=np.asarray(dense).reshape(len(dense), y.size),
         termination=termination,
         events=events,
         terminal_event=terminal,
@@ -287,53 +311,20 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     )
 
 
-def _advance(call, t0, y0, t1, rtol, atol):
-    """Mini adaptive advance from (t0, y0) to t1, no events, no samples."""
-    t, y = t0, y0.copy()
-    f = call(t, y)
-    h = t1 - t0
-    while t < t1:
-        h = min(h, t1 - t)
-        if h < 4.0 * np.finfo(float).eps * max(abs(t), 1.0):
-            break
-        step = _dp_step(call, t, y, f, h, rtol, atol)
-        if step is None:
-            h *= 0.25
-            continue
-        y_new, f_new, err = step
-        if not np.isfinite(err) or err > 1.0:
-            h *= max(_MIN_FACTOR, _SAFETY * max(err, 1e-10) ** (-0.2))
-            continue
-        t, y, f = t + h, y_new, f_new
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * max(err, 1e-16) ** (-0.2)))
-    return y
-
-
-def _refine_event(call, ev: EventSpec, t0, y0, t1, cfg: IntegratorConfig):
-    """Bisect the event crossing inside one accepted step.
-
-    Candidate states are produced by re-integrating the bracket rather than
-    interpolating it: the cubic Hermite interpolant of a wide step can
-    misplace a crossing by far more than the 1e-12 (1 + t) target.  The
-    left endpoint advances as the bracket shrinks, so the total work is
-    about one extra step's worth.
-    """
-    rtol = max(cfg.rel_tol * 1e-2, 1e-14)
-    atol = max(cfg.abs_tol * 1e-2, 1e-15)
-    g_lo = ev.fn(t0, y0)
-    t_lo, y_lo = t0, y0
-    t_hi = t1
-    y_star = None
+def _refine_event(ev: EventSpec, t0, extension):
+    """Bisect the event crossing in the accepted step [t0, t0 + h] on its
+    continuous extension (y0, y1, f0, f1, r5, h), with no right-hand-side
+    call; returns the first bisection point past the crossing and its state."""
+    h = extension[-1]
+    g_lo = ev.fn(t0, extension[0])
+    t_lo, t_hi = t0, t0 + h
     for _ in range(200):
         if t_hi - t_lo <= 1e-12 * (1.0 + abs(t_hi)):
             break
         mid = 0.5 * (t_lo + t_hi)
-        y_mid = _advance(call, t_lo, y_lo, mid, rtol, atol)
-        g_mid = ev.fn(mid, y_mid)
+        g_mid = ev.fn(mid, _interpolate(*extension, (mid - t0) / h))
         if _crossed(g_lo, g_mid, ev.direction):
-            t_hi, y_star = mid, y_mid
+            t_hi = mid
         else:
-            t_lo, y_lo, g_lo = mid, y_mid, g_mid
-    if y_star is None:
-        y_star = _advance(call, t_lo, y_lo, t_hi, rtol, atol)
-    return t_hi, y_star
+            t_lo, g_lo = mid, g_mid
+    return t_hi, _interpolate(*extension, (t_hi - t0) / h)

@@ -25,7 +25,10 @@ from .systems import (
     conservation_residual_curvature,
     flow_ansatz,
 )
-from .trajectory import Trajectory, dw_omega_sq_bounds, dw_pair_bound_constant, solve_problem
+from .trajectory import (
+    Trajectory, dw_omega_sq_bounds, dw_pair_bound_constant, lpp_ratio_bound, solve_problem,
+    two_summands_root_squares,
+)
 
 __all__ = [
     "TwoSummandsDiagnostics",
@@ -85,24 +88,19 @@ def quartic_ratio_polynomial(a: TwoSummandsAnsatz, omega: float) -> float:
 
 
 def two_summands_roots(a: TwoSummandsAnsatz) -> TwoSummandsDiagnostics:
-    """Discriminant and the two nonnegative roots of the ratio polynomial.
-
-    D = (A2/(2 A3) d1/(2d1+d2))^2 - (A1/A3) d2/(2d1+d2); for D >= 0 the
-    squared roots are mid -+ sqrt(D).  Also evaluates the classical checks
+    """Discriminant and the two nonnegative roots of the ratio polynomial,
+    from ``two_summands_root_squares``.  Also evaluates the classical checks
     omega1^2 < A2/(4 A3) and omega2^2 < A2/(2 A3).
     """
-    mid = a.A2 / (2.0 * a.A3) * a.d1 / (2.0 * a.d1 + a.d2)
-    D = mid * mid - a.A1 / a.A3 * a.d2 / (2.0 * a.d1 + a.d2)
+    D, w1_sq, w2_sq = two_summands_root_squares(a)
     anchor = "ratio polynomial roots bounding the preserved fibre/base window"
     if D < 0:
-        return TwoSummandsDiagnostics(anchor, float(D), None, None, None, None, None)
-    sq = np.sqrt(D)
-    w1_sq, w2_sq = mid - sq, mid + sq
+        return TwoSummandsDiagnostics(anchor, D, None, None, None, None, None)
     w1 = float(np.sqrt(max(w1_sq, 0.0)))
     w2 = float(np.sqrt(w2_sq))
     return TwoSummandsDiagnostics(
         anchor=anchor,
-        D=float(D),
+        D=D,
         omega1=w1,
         omega2=w2,
         omega1_sq_below_quarter=bool(w1_sq < a.A2 / (4.0 * a.A3)),
@@ -178,24 +176,30 @@ def locus_membership(state: SolitonState, spec: ProblemSpec, tol: float = 1e-7) 
 @dataclass
 class LocusSeriesReport:
     anchor: str
-    classifications: list[str]
+    class_counts: dict[str, int]
     max_einstein_residual: float
     strict_throughout: bool
     einstein_throughout: bool
 
 
 def locus_report(traj: Trajectory, tol: float = 1e-7) -> LocusSeriesReport:
+    """Samples per locus class; the per-sample ratios are trajectory.csv's
+    two locus columns."""
     q1 = traj.columns["locus_mean_ratio"]
     q2 = traj.columns["locus_curvature_ratio"]
     # samples where the ratios are undefined carry no distance to the locus
     eins = np.fmax.reduce(np.fmax(np.abs(q1 - 1.0), np.abs(q2 - 1.0)))
-    cls = _locus_classes(q1, q2, tol).tolist()
+    cls = _locus_classes(q1, q2, tol)
+    counts = {
+        c: int(np.count_nonzero(cls == c))
+        for c in ("einstein", "strict", "outside", "not_classifiable")
+    }
     return LocusSeriesReport(
         anchor="preserved-locus membership along the whole trajectory",
-        classifications=cls,
+        class_counts=counts,
         max_einstein_residual=float(eins),
-        strict_throughout=all(c == "strict" for c in cls),
-        einstein_throughout=all(c == "einstein" for c in cls),
+        strict_throughout=counts["strict"] == cls.size,
+        einstein_throughout=counts["einstein"] == cls.size,
     )
 
 
@@ -465,12 +469,12 @@ def lpp_bound_monitor(traj: Trajectory, tol: float = 1e-9) -> LppBoundReport:
     a = traj.spec.ansatz
     if not isinstance(a, LuPagePopeAnsatz):
         raise TypeError("bound monitor applies to the warped-product system")
-    bound = 4.0 * a.p1 / ((a.d1 + 2.0) * a.q1**2)
+    bound = lpp_ratio_bound(a)
     omega1_sq = traj.columns["omega1"] ** 2
     mx = float(np.max(omega1_sq))
     return LppBoundReport(
         anchor="warped-product ratio bound omega1^2 < 4 p1 / ((d1+2) q1^2)",
-        bound=float(bound),
+        bound=bound,
         max_omega1_sq=mx,
         ok=bool(mx < bound + tol),
     )

@@ -298,7 +298,7 @@ def compare_charts(phys, resc: RescaledTrajectory) -> ChartComparison:
         resc.spec.ansatz,
     )
     k = got.f.shape[0]
-    ref = np.array([phys.result.sample_at(t) for t in got.t]).reshape(-1, 2 * k + 2)
+    ref = phys.result.sample_at(got.t)
     ref_f, ref_du = ref[:, :k].T, ref[:, 2 * k + 1]
     per = {
         "f": float(np.max(np.abs(got.f - ref_f) / (1.0 + np.abs(ref_f)), initial=0.0)),

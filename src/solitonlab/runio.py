@@ -405,6 +405,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
             t_max=cfg.t_max,
             rel_tol=cfg.rel_tol,
             abs_tol=cfg.abs_tol,
+            max_steps=cfg.max_steps,
             delta=delta,
         )
         emit("rescaled.csv", lambda p: write_rescaled_csv(p, rtraj))

@@ -557,31 +557,17 @@ def _locus_ratios(state: SolitonState, spec: ProblemSpec, r4):
     return q1[()], q2[()]
 
 
-def u_second_derivative_identity(state: SolitonState, spec: ProblemSpec) -> float:
+def u_second_derivative_identity(state: SolitonState, spec: ProblemSpec):
     """Twice the potential's second derivative, reconstructed from conserved
     data: C + eps u + udot^2 + tr L^2 - (tr L)^2 + tr r + (n-1) eps / 2.
 
-    Cross-check target for the right-hand side's uddot.  Uses the same
-    cancellation-free grouping of tr L^2 - (tr L)^2 + tr r as the curvature
-    residual.
+    Cross-check target for the right-hand side's uddot.  Exactly the
+    curvature residual plus 2 (C + eps u - H udot), H = -udot + tr L, so it
+    shares that residual's cancellation-free grouping.
     """
-    a = spec.ansatz
-    d = np.asarray(a.dims, dtype=float)
-    z = state.df / state.f
-    geo, extras = _ricci_rates_split(state.f, a)
-    w = d * z
-    outer = np.outer(w, w)
-    np.fill_diagonal(outer, 0.0)
-    n = spec.orbit_dim
-    return (
-        spec.C
-        + spec.epsilon * state.u
-        + state.du**2
-        + geo * (1.0 - state.df[0]) * (1.0 + state.df[0]) / (state.f[0] * state.f[0])
-        - float(np.sum(outer))
-        - float(np.dot(d[1:] * (d[1:] - 1.0), z[1:] ** 2))
-        + float(np.dot(d, extras))
-        + (n - 1) * spec.epsilon / 2.0
+    H = -state.du + tr_L(state, spec.ansatz)
+    return conservation_residual_curvature(state, spec) + 2.0 * (
+        spec.C + spec.epsilon * state.u - H * state.du
     )
 
 

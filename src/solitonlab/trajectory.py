@@ -32,7 +32,10 @@ from .systems import (
     unpack_state,
 )
 
-__all__ = ["Trajectory", "standard_events", "solve_problem", "dw_pair_bound_constant", "dw_omega_sq_bounds"]
+__all__ = [
+    "Trajectory", "standard_events", "solve_problem", "dw_pair_bound_constant",
+    "dw_omega_sq_bounds", "two_summands_root_squares", "lpp_ratio_bound",
+]
 
 
 def dw_pair_bound_constant(a: DancerWangAnsatz, initial) -> float:
@@ -63,24 +66,38 @@ def dw_omega_sq_bounds(a: DancerWangAnsatz, c0: float) -> np.ndarray:
     return out
 
 
+def two_summands_root_squares(a: TwoSummandsAnsatz) -> tuple[float, float, float]:
+    """The discriminant D = mid^2 - (A1/A3) d2/(2d1+d2), mid = A2/(2 A3)
+    d1/(2d1+d2), of the two-summands ratio polynomial and its squared roots
+    mid -+ sqrt(D); the roots are NaN when D < 0 (no preserved window)."""
+    mid = a.A2 / (2.0 * a.A3) * a.d1 / (2.0 * a.d1 + a.d2)
+    D = mid * mid - a.A1 / a.A3 * a.d2 / (2.0 * a.d1 + a.d2)
+    sq = np.sqrt(D) if D >= 0 else np.nan
+    return float(D), mid - sq, mid + sq
+
+
+def lpp_ratio_bound(a: LuPagePopeAnsatz) -> float:
+    """The warped-product ceiling 4 p1 / ((d1+2) q1^2) on omega1^2 = (f/g1)^2."""
+    return 4.0 * a.p1 / ((a.d1 + 2.0) * a.q1**2)
+
+
 def _invariant_margin_fn(spec: ProblemSpec):
     """Scalar margin that is positive while the ansatz's preserved set holds
     and crosses zero on exit; None when the set has no finite description."""
     a = spec.ansatz
     k = len(a.dims)
     if isinstance(a, TwoSummandsAnsatz):
-        mid = a.A2 / (2.0 * a.A3) * a.d1 / (2.0 * a.d1 + a.d2)
-        disc = mid * mid - a.A1 / a.A3 * a.d2 / (2.0 * a.d1 + a.d2)
-        if disc < 0:
+        D, _, w2_sq = two_summands_root_squares(a)
+        if D < 0:
             return None  # no cone-solution roots: no preserved window to watch
-        omega2 = float(np.sqrt(mid + np.sqrt(disc)))
+        omega2 = float(np.sqrt(w2_sq))
 
         def margin(t, y):
             return omega2 - y[0] / y[1]
 
         return margin
     if isinstance(a, LuPagePopeAnsatz):
-        bound = 4.0 * a.p1 / ((a.d1 + 2.0) * a.q1**2)
+        bound = lpp_ratio_bound(a)
 
         def margin(t, y):
             return bound - (y[0] / y[1]) ** 2

@@ -149,6 +149,14 @@ class TestChartBoth:
         report = json.loads((out / "report.json").read_text())
         assert report["chart_comparison"]["max_rel_deviation"] <= 1e-6
 
+    def test_compact_chart_obeys_max_steps(self, tmp_path):
+        doc = json.loads(config_path("dw_m1_chart.json").read_text())
+        doc["integrator"] = dict(doc["integrator"], max_steps=50)
+        out = tmp_path / "o"
+        main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)])
+        resc = json.loads((out / "manifest.json").read_text())["key_diagnostics"]["rescaled"]
+        assert resc["n_accepted"] + resc["n_rejected"] <= 50
+
     def test_physical_chart_manifest_has_no_rescaled_counts(self, tmp_path):
         out = tmp_path / "o"
         main(["solve", "--config", write_json(tmp_path, "c.json", BASE), "--out", str(out)])

@@ -67,12 +67,68 @@ def test_event_reproducible_across_first_step_choices():
     assert max(times) - min(times) < 1e-9
 
 
+def test_terminal_event_costs_one_step_beyond_its_steps():
+    ev = EventSpec("target", lambda t, y: y[0] + 1.0, direction=-1, terminal=True)
+    res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0, events=(ev,)))
+    # the same attempts without the event, stopped where the event run stopped
+    plain = integrate(
+        contracting_rhs(2.0),
+        0.0,
+        [0.0],
+        IntegratorConfig(t_max=5.0, max_steps=res.n_accepted + res.n_rejected),
+    )
+    assert (plain.n_accepted, plain.n_rejected) == (res.n_accepted, res.n_rejected)
+    assert res.n_rhs - plain.n_rhs <= 6
+    assert len(res.ts) == res.n_accepted + 1
+
+
+def test_terminal_event_falls_back_to_the_extension():
+    # the final step to the event time raises, so the last sample is the
+    # accepted step's continuous extension restricted to [t, t_event]
+    ev = EventSpec("target", lambda t, y: y[0] + 1.0, direction=-1, terminal=True)
+    cfg = IntegratorConfig(t_max=5.0, events=(ev,))
+    ref = integrate(contracting_rhs(2.0), 0.0, [0.0], cfg)
+    calls = []
+
+    def failing_last_step(t, y):
+        calls.append(t)
+        if len(calls) > ref.n_rhs - 6:
+            raise ValueError("stage outside the domain")
+        return contracting_rhs(2.0)(t, y)
+
+    res = integrate(failing_last_step, 0.0, [0.0], cfg)
+    assert res.n_rhs == ref.n_rhs - 5  # the final step's first stage raised
+    assert res.termination == "event:target"
+    assert res.terminal_event.t == ref.terminal_event.t
+    np.testing.assert_array_equal(res.ys[-1], res.terminal_event.y)
+    assert res.ys[-1][0] == pytest.approx(-1.0, abs=1e-9)
+    np.testing.assert_array_equal(res.ts, ref.ts)
+    # the last interval still follows the solution
+    t = np.linspace(res.ts[-2], res.ts[-1], 9)
+    exact = comparison_ode_closed_form(2.0, 0.0, 0.0, t)
+    np.testing.assert_allclose(res.sample_at(t)[:, 0], exact, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(res.dys[-1], contracting_rhs(2.0)(0.0, res.ys[-1]), atol=1e-8)
+
+
 def test_non_terminal_event_recorded_and_run_continues():
     ev = EventSpec("marker", lambda t, y: y[0] + 1.0, direction=-1, terminal=False)
     res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=3.0, events=(ev,)))
     assert res.termination == "reached_t_max"
     assert len(res.events) == 1
-    assert np.all(np.diff(res.ts) > 0)  # refined point inserted in order
+    assert res.events[0].y[0] == pytest.approx(-1.0, abs=1e-9)
+    # the event point is not a sample: one sample per accepted step
+    assert len(res.ts) == res.n_accepted + 1
+    assert np.all(np.diff(res.ts) > 0)
+
+
+def test_terminal_event_after_non_terminal_one_in_the_same_step():
+    marker = EventSpec("marker", lambda t, y: y[0] + 1.0 - 1e-9, direction=-1, terminal=False)
+    target = EventSpec("target", lambda t, y: y[0] + 1.0, direction=-1, terminal=True)
+    res = integrate(
+        contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=3.0, events=(target, marker))
+    )
+    assert [e.name for e in res.events] == ["marker", "target"]
+    assert res.termination == "event:target"
 
 
 def test_tolerance_halving_convergence():
@@ -96,10 +152,17 @@ def test_bitwise_determinism():
 
 
 def test_dense_output_between_steps():
+    # DP5's continuous extension; a cubic Hermite interpolant of the same
+    # steps errs by 6.4e-8 here
     res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0))
-    for t in (0.37, 1.94, 4.21):
-        exact = comparison_ode_closed_form(2.0, 0.0, 0.0, t)
-        assert res.sample_at(t)[0] == pytest.approx(exact, abs=1e-7)
+    t = np.linspace(0.0, 5.0, 999)[1:-1]
+    exact = comparison_ode_closed_form(2.0, 0.0, 0.0, t)
+    got = res.sample_at(t)
+    assert got.shape == (997, 1)
+    assert np.max(np.abs(got[:, 0] - exact)) <= 1e-9
+    for i in (0, 411, 996):
+        np.testing.assert_array_equal(res.sample_at(t[i]), got[i])
+    np.testing.assert_array_equal(res.sample_at(res.ts[7]), res.ys[7])
     with pytest.raises(ValueError, match="span"):
         res.sample_at(7.0)
 
@@ -108,6 +171,14 @@ def test_max_steps_reports_step_failure():
     res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0, max_steps=3))
     assert res.termination == "step_failure"
     assert res.n_accepted + res.n_rejected <= 3
+
+
+def test_sample_at_start_when_no_step_was_accepted():
+    cfg = IntegratorConfig(t_max=5.0, max_steps=1, first_step=5.0)
+    res = integrate(contracting_rhs(8.0), 0.0, [0.5], cfg)
+    assert (res.n_accepted, len(res.ts)) == (0, 1)
+    np.testing.assert_array_equal(res.sample_at(0.0), [0.5])
+    np.testing.assert_array_equal(res.sample_at([0.0, 0.0]), [[0.5], [0.5]])
 
 
 def test_validity_callback_flags_invalid_state():
