@@ -203,7 +203,8 @@ def cmd_probe_c0(args) -> int:
     print(
         f"probe: empirical_C0={_fmt(report.empirical_C0)} "
         f"bracket=({report.bracket[0]}, {_fmt(report.bracket[1])}) "
-        f"samples={len(report.samples)} monotone={report.monotone}"
+        f"samples={len(report.samples)} monotone={report.monotone} "
+        f"solves={report.n_solves} n_rhs={report.n_rhs}"
     )
     return EX_OK
 

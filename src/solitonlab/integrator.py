@@ -12,6 +12,7 @@ an identical step sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -147,8 +148,9 @@ def _slope(y0, y1, f0, f1, r5, h, theta):
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    # the RMS of the scaled error; bit-identical to np.sqrt(np.mean(w ** 2))
+    w = err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)))
+    return math.sqrt((w * w).sum() / w.size)
 
 
 def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
@@ -185,14 +187,14 @@ def _dp_step(call, t, y, f, h, rtol, atol):
             K[i] = call(t + _C[i] * h, yi)
         except (ValueError, FloatingPointError, ZeroDivisionError):
             return None
-        if not np.all(np.isfinite(K[i])):
+        if not np.isfinite(K[i]).all():
             return None
     # the stage 7 node equals the 5th-order solution
     return yi, K[6], _error_norm(h * (K.T @ _E), y, yi, rtol, atol), h * (K.T @ _D)
 
 
 def _crossed(prev, curr, direction):
-    if prev is None or not np.isfinite(prev) or not np.isfinite(curr):
+    if prev is None or not math.isfinite(prev) or not math.isfinite(curr):
         return False
     return (direction >= 0 and prev < 0.0 <= curr) or (direction <= 0 and prev > 0.0 >= curr)
 

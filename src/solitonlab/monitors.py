@@ -580,6 +580,10 @@ class GrowthProbeReport:
     samples: list[tuple[float, float]]
     excluded: list[float]
     monotone: bool
+    n_solves: int
+    n_accepted: int
+    n_rejected: int
+    n_rhs: int
 
 
 def curvature_budget_at_launch(spec: ProblemSpec, delta: float | None = None) -> float:
@@ -605,57 +609,61 @@ def growth_probe(
     c_start: float = -0.125,
     c_limit: float = -1e9,
     bracket_rel: float = 0.01,
-    map_fn=map,
 ) -> GrowthProbeReport:
     """Bracket the weakest conservation constant driving -udot(tau) >= c.
 
-    Scans a geometric grid of C values, then bisects in log|C| until the
-    fail/success bracket is 1% tight.  Runs whose shape operator loses
-    positivity before tau are excluded and reported.  ``map_fn`` lets the
-    caller evaluate grid points concurrently; results are merged in grid
-    order either way.
+    Doubles C from ``c_start``, one solve at a time, and stops one grid
+    point past the first C whose slope reaches c; with no success above
+    ``c_limit`` it raises ``ProbeRangeError``.  It then bisects in log|C|
+    between that success and the weakest failing point above it until the
+    bracket is ``bracket_rel`` (1%) tight.  The first success in scan order
+    is the weakest success of the whole grid, so stopping early changes
+    no bracket end.  Runs whose shape operator loses positivity before tau
+    are excluded and reported.
     """
     if c <= 0 or tau <= 0:
         raise ValueError("slope target c and probe time tau must be positive")
 
-    def slope_of(C):
-        t = solve_problem(spec.with_C(C), t_max=tau, rel_tol=rel_tol, abs_tol=abs_tol, delta=delta)
-        if not t.reached_horizon or not np.all(t.df > 0.0):
-            return None
-        return float(-t.du[-1])
-
     samples: dict[float, float] = {}
     excluded: list[float] = []
+    work = {"n_accepted": 0, "n_rejected": 0, "n_rhs": 0}
 
-    def evaluate(cs):
-        cs = [C for C in cs if C not in samples and C not in excluded]
-        for C, s in zip(cs, map_fn(slope_of, cs)):
-            if s is None:
-                excluded.append(C)
-            else:
-                samples[C] = s
+    def slope_of(C):
+        """-udot(tau) of the run at C, or None when it is excluded."""
+        if C in excluded or C in samples:  # a midpoint can land on an excluded grid point
+            return samples.get(C)
+        t = solve_problem(spec.with_C(C), t_max=tau, rel_tol=rel_tol, abs_tol=abs_tol, delta=delta)
+        for key in work:
+            work[key] += getattr(t.result, key)
+        if not t.reached_horizon or not np.all(t.df > 0.0):
+            excluded.append(C)
+            return None
+        samples[C] = float(-t.du[-1])
+        return samples[C]
 
-    grid = []
+    c_success = c_fail = None
     C = c_start
     while C > c_limit:
-        grid.append(C)
+        s = slope_of(C)
+        if c_success is not None:
+            break  # the one point past the first success
+        if s is not None:
+            if s >= c:
+                c_success = C
+            else:
+                c_fail = C
         C *= 2.0
-    evaluate(grid)
-    succ = [C for C, s in samples.items() if s >= c]
-    if not succ:
+    if c_success is None:
         raise ProbeRangeError(
             f"no admissible C in ({c_limit:g}, {c_start:g}] reaches -udot({tau:g}) >= {c:g}"
         )
-    c_success = max(succ)  # weakest (closest to zero) success so far
-    fails = [C for C, s in samples.items() if s < c and C > c_success]
-    c_fail = min(fails) if fails else None
     if c_fail is not None:
         while (c_fail - c_success) > bracket_rel * abs(c_success):
             mid = -np.sqrt(c_fail * c_success)  # geometric midpoint, both negative
-            evaluate([mid])
-            if mid in excluded:
+            s = slope_of(mid)
+            if s is None:
                 break
-            if samples[mid] >= c:
+            if s >= c:
                 c_success = mid
             else:
                 c_fail = mid
@@ -672,4 +680,6 @@ def growth_probe(
         samples=[(float(k), float(v)) for k, v in ordered],
         excluded=sorted(excluded),
         monotone=bool(monotone),
+        n_solves=len(samples) + len(excluded),
+        **work,
     )

@@ -228,13 +228,17 @@ class TestSweep:
 
 
 class TestProbe:
-    def test_probe_writes_report_and_samples(self, tmp_path):
+    def test_probe_writes_report_and_samples(self, tmp_path, capsys):
         cfg = shipped("ts_probe_d1.json", tmp_path)
         out = tmp_path / "probe"
         code = main(["probe-c0", "--config", cfg, "--c", "2.0", "--tau", "0.25", "--out", str(out)])
         assert code == 0
         report = json.loads((out / "probe_report.json").read_text())
         assert report["empirical_C0"] < 0
+        assert report["n_solves"] == len(report["samples"]) + len(report["excluded"])
+        assert report["n_rhs"] >= 6 * report["n_accepted"] > 0
+        line = capsys.readouterr().out
+        assert f"solves={report['n_solves']} n_rhs={report['n_rhs']}" in line
         lines = (out / "probe_samples.csv").read_text().splitlines()
         assert lines[0] == "C,slope_at_tau"
         assert len(lines) - 1 == len(report["samples"])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from solitonlab.integrator import EventSpec, IntegratorConfig, integrate
+from solitonlab.integrator import EventSpec, IntegratorConfig, _error_norm, integrate
 from solitonlab.monitors import comparison_ode_closed_form
 
 
@@ -202,3 +203,29 @@ def test_config_guards():
         IntegratorConfig(t_max=1.0, rel_tol=0.0)
     with pytest.raises(ValueError, match="positive"):
         IntegratorConfig(t_max=-1.0)
+
+
+def _error_norm_oracle(err, y_old, y_new, rtol, atol):
+    """The step error norm as first written, kept as the reference."""
+    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
+    return float(np.sqrt(np.mean((err / scale) ** 2)))
+
+
+_finite = st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    vecs=st.integers(1, 16).flatmap(
+        lambda n: st.tuples(*(st.lists(_finite, min_size=n, max_size=n) for _ in range(3)))
+    ),
+    rtol=st.floats(1e-14, 1e-2),
+    atol=st.floats(1e-300, 1e-2),
+)
+def test_error_norm_is_bitwise_the_reference(vecs, rtol, atol):
+    err, y_old, y_new = (np.array(v) for v in vecs)
+    with np.errstate(over="ignore"):
+        got = _error_norm(err, y_old, y_new, rtol, atol)
+        want = _error_norm_oracle(err, y_old, y_new, rtol, atol)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -1,7 +1,9 @@
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solitonlab import monitors as M
 from solitonlab.systems import (
@@ -246,7 +248,62 @@ class TestClassification:
         assert v.kind != "numerically_complete"
 
 
+def _full_scan_bracket(slope_of, c, c_start=-0.125, c_limit=-1e9, bracket_rel=0.01):
+    """The probe's search as first written: solve the whole doubling grid
+    down to c_limit, then bisect.  Returns (bracket, samples, excluded), or
+    None where no grid point reaches c."""
+    samples, excluded = {}, []
+
+    def evaluate(cs):
+        cs = [C for C in cs if C not in samples and C not in excluded]
+        for C, s in zip(cs, map(slope_of, cs)):
+            if s is None:
+                excluded.append(C)
+            else:
+                samples[C] = s
+
+    grid = []
+    C = c_start
+    while C > c_limit:
+        grid.append(C)
+        C *= 2.0
+    evaluate(grid)
+    succ = [C for C, s in samples.items() if s >= c]
+    if not succ:
+        return None
+    c_success = max(succ)
+    fails = [C for C, s in samples.items() if s < c and C > c_success]
+    c_fail = min(fails) if fails else None
+    if c_fail is not None:
+        while (c_fail - c_success) > bracket_rel * abs(c_success):
+            mid = -np.sqrt(c_fail * c_success)
+            evaluate([mid])
+            if mid in excluded:
+                break
+            if samples[mid] >= c:
+                c_success = mid
+            else:
+                c_fail = mid
+    return (c_fail, c_success), samples, excluded
+
+
 class TestGrowthProbe:
+    @staticmethod
+    def _count_solves(monkeypatch):
+        """Record the C and the step counts of every solve the probe makes
+        through the module's ``solve_problem``."""
+        solved, work = [], []
+        solve = M.solve_problem
+
+        def counted(spec, *args, **kwargs):
+            traj = solve(spec, *args, **kwargs)
+            solved.append(spec.C)
+            work.append((traj.result.n_accepted, traj.result.n_rejected, traj.result.n_rhs))
+            return traj
+
+        monkeypatch.setattr(M, "solve_problem", counted)
+        return solved, work
+
     def test_probe_brackets_threshold(self, shipped_runs):
         spec = shipped_runs["ts_probe_d1.json"].spec
         rep = M.growth_probe(spec, c=5.0, tau=0.5)
@@ -263,7 +320,68 @@ class TestGrowthProbe:
         with pytest.raises(ValueError, match="positive"):
             M.growth_probe(spec, c=-1.0, tau=0.5)
 
-    def test_probe_range_error(self, shipped_runs):
+    def test_probe_range_error(self, shipped_runs, monkeypatch):
         spec = shipped_runs["ts_probe_d1.json"].spec
+        solved, _ = self._count_solves(monkeypatch)
         with pytest.raises(M.ProbeRangeError, match="no admissible"):
             M.growth_probe(spec, c=50.0, tau=0.5, c_limit=-1.0)
+        assert solved == [-0.125, -0.25, -0.5]  # the whole grid above c_limit
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        nodes=st.lists(st.floats(0.0, 10.0), min_size=34, max_size=34),
+        holes=st.sets(st.integers(0, 33), max_size=6),
+        c=st.floats(0.5, 9.5),
+    )
+    def test_early_stop_keeps_the_full_scan_bracket(self, shipped_runs, nodes, holes, c):
+        """On slopes that need not be monotone, with excluded runs around some
+        grid points (a bisection midpoint can land on one), the probe returns
+        the full scan's bracket and a subset of its samples."""
+        spec = shipped_runs["ts_probe_d1.json"].spec
+
+        def slope_of(C):
+            x = float(np.log2(C / -0.125))  # the grid index, exact on grid points
+            if round(x) in holes and abs(x - round(x)) < 0.25:
+                return None
+            return float(np.interp(x, np.arange(34), nodes))
+
+        solved = []
+
+        def fake_solve(spec, **kwargs):
+            solved.append(spec.C)
+            s = slope_of(spec.C)
+            return SimpleNamespace(
+                reached_horizon=s is not None,
+                df=np.ones((1, 2)),
+                du=np.array([0.0 if s is None else -s]),
+                result=SimpleNamespace(n_accepted=1, n_rejected=0, n_rhs=6),
+            )
+
+        want = _full_scan_bracket(slope_of, c)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "solve_problem", fake_solve)
+            if want is None:
+                with pytest.raises(M.ProbeRangeError):
+                    M.growth_probe(spec, c=c, tau=0.5)
+                assert len(solved) == 33
+                return
+            rep = M.growth_probe(spec, c=c, tau=0.5)
+        bracket, samples, excluded = want
+        assert rep.bracket == bracket
+        assert all(samples[C] == s for C, s in rep.samples)
+        assert set(rep.excluded) <= set(excluded) and len(set(rep.excluded)) == len(rep.excluded)
+        assert rep.n_solves == len(solved) == len(set(solved))
+        assert rep.n_rhs == 6 * len(solved)
+
+    def test_probe_scan_stops_one_point_past_first_success(self, shipped_runs, monkeypatch):
+        spec = shipped_runs["ts_probe_d1.json"].spec
+        solved, work = self._count_solves(monkeypatch)
+        rep = M.growth_probe(spec, c=5.0, tau=0.5)
+        # grid -0.125 ... -128 (first success -64, one point past it), then 7 midpoints
+        assert len(solved) == 18
+        assert solved[:11] == [-0.125 * 2.0**k for k in range(11)]
+        assert rep.bracket == (-34.14849282165835, -34.33391576083122)
+        assert rep.excluded == []
+        assert sorted(C for C, _ in rep.samples) == sorted(solved)
+        assert rep.n_solves == 18
+        assert (rep.n_accepted, rep.n_rejected, rep.n_rhs) == tuple(map(sum, zip(*work)))
