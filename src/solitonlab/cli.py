@@ -200,9 +200,10 @@ def cmd_probe_c0(args) -> int:
     lines = ["C,slope_at_tau"]
     lines += [",".join((_fmt(c), _fmt(s))) for c, s in report.samples]
     _atomic_write(os.path.join(args.out, "probe_samples.csv"), "\n".join(lines) + "\n")
+    c_fail, c_success = report.bracket
     print(
         f"probe: empirical_C0={_fmt(report.empirical_C0)} "
-        f"bracket=({report.bracket[0]}, {_fmt(report.bracket[1])}) "
+        f"bracket=({'None' if c_fail is None else _fmt(c_fail)}, {_fmt(c_success)}) "
         f"samples={len(report.samples)} monotone={report.monotone} "
         f"solves={report.n_solves} n_rhs={report.n_rhs}"
     )

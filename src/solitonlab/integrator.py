@@ -6,57 +6,66 @@ stage reuse.  Between samples the solution is Dormand-Prince's own
 fourth-order continuous extension (Shampine 1986; Hairer, Norsett and
 Wanner, Solving ODEs I, II.6), built from each step's stages at no extra
 right-hand-side cost.  It serves ``sample_at`` and event location alike.
-Everything is double precision and deterministic: identical inputs walk
-an identical step sequence.
+
+The step runs on Python floats: the state and each stage are lists, and
+every stage combination, the error vector and the dense-output term is an
+explicit sum in a fixed order.  The error norm sums in numpy's pairwise
+order, so it equals the array formula bit for bit.  No rounding on the step
+depends on the BLAS or SIMD kernels numpy picks at run time, and identical
+inputs walk an identical step sequence on any such kernel.  Accepted samples
+go to flat double buffers that become the result's arrays.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = ["EventSpec", "EventHit", "IntegratorConfig", "IntegrationResult", "integrate"]
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-# 5th-order weights equal the last A row (FSAL); E = b5 - b4.
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+# Dormand-Prince 5(4) tableau: nodes _Ci, stage weights _Aij; the 5th-order
+# weights equal the last row _A7j (FSAL), and _Ej = b5_j - b4_j.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A72, _A73, _A74, _A75, _A76 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 )
-# Dense-output weights: r5 = h K^T d is the quartic term of the continuous
-# extension (the last column of Hairer's DOPRI5 ``d`` coefficients).
-_D = np.array([
+# Dense-output weights: r5 = h sum_j k_j _Dj is the quartic term of the
+# continuous extension (the last column of Hairer's DOPRI5 ``d`` coefficients).
+_D1, _D2, _D3, _D4, _D5, _D6, _D7 = (
     -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
-])
+)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ALPHA = 0.7 / 5.0  # PI controller exponents
 _BETA = 0.4 / 5.0
+# smallest step, relative to max(|t|, 1)
+_H_FLOOR = 16.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class EventSpec:
     """Named scalar event g(t, y); a sign crossing in the given direction
     (-1 falling, +1 rising, 0 both) is located by bisection on the step's
-    continuous extension and, if terminal, stops the integration."""
+    continuous extension and, if terminal, stops the integration.  y is a
+    list of floats at accepted points and an array on the extension, so g
+    should index and use builtins (min, max, abs) that serve both."""
 
     name: str
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[float, Sequence[float]], float]
     direction: int = -1
     terminal: bool = True
 
@@ -77,7 +86,7 @@ class IntegratorConfig:
     max_steps: int = 200_000
     first_step: float | None = None
     events: tuple[EventSpec, ...] = ()
-    validity: Callable[[np.ndarray], bool] | None = None
+    validity: Callable[[list[float]], bool] | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -147,21 +156,49 @@ def _slope(y0, y1, f0, f1, r5, h, theta):
     return dy + (1.0 - 2.0 * theta) * q + theta * (1.0 - theta) * (b + (1.0 - 2.0 * theta) * r5)
 
 
+def _pairwise_sum(a):
+    """Sum of the floats a in numpy's pairwise order, which holds up to 128
+    terms: in sequence below 8, else eight interleaved accumulators and a
+    sequential tail."""
+    n = len(a)
+    if n < 8:
+        s = 0.0
+        for v in a:
+            s += v
+        return s
+    r = list(a[:8])
+    end = n - n % 8
+    for i in range(8, end, 8):
+        for j in range(8):
+            r[j] += a[i + j]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in a[end:]:
+        s += v
+    return s
+
+
+def _rms(w):
+    """sqrt(mean(w^2)), bit-identical to np.sqrt(np.mean(w ** 2))."""
+    return math.sqrt(_pairwise_sum([v * v for v in w]) / len(w))
+
+
 def _error_norm(err, y_old, y_new, rtol, atol):
-    # the RMS of the scaled error; bit-identical to np.sqrt(np.mean(w ** 2))
-    w = err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)))
-    return math.sqrt((w * w).sum() / w.size)
+    """The RMS of err scaled by atol + rtol max(|y_old|, |y_new|), with
+    numpy's NaN-propagating maximum."""
+    return _rms([
+        e / (atol + rtol * (a if a > b or a != a else b))
+        for e, a, b in zip(err, map(abs, y_old), map(abs, y_new))
+    ])
 
 
-def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
+def _initial_step(call, t0, y0, f0, rtol, atol, max_step):
     # standard two-trial heuristic for the starting step
-    scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    scale = [atol + rtol * abs(v) for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = rhs(t0 + h0, y1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    f1 = call(t0 + h0, [v + h0 * g for v, g in zip(y0, f0)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -169,28 +206,74 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
     return min(100 * h0, h1, max_step)
 
 
+# what a stage may raise where numpy would return inf or NaN
+_STAGE_ERRORS = (ValueError, FloatingPointError, ZeroDivisionError, OverflowError)
+
+
 def _dp_step(call, t, y, f, h, rtol, atol):
-    """One Dormand-Prince attempt of size h from (t, y) with slope f.
+    """One Dormand-Prince attempt of size h from (t, y) with slope f, each a
+    list of floats.
 
     Returns (y_new, f_new, err, r5) -- the fifth-order solution, its slope
     (FSAL), the scaled error norm and the quartic term of the step's
     continuous extension -- or None when a stage raises or is not finite.
-    The stages live in a fresh array per attempt: the returned slope
-    becomes the next attempt's first stage, and a shared buffer would let a
-    rejected attempt overwrite it.
+    Every combination of stages is y_j + h * (k1_j a1 + k2_j a2 + ...),
+    summed left to right with zero weights included, so its rounding is
+    fixed.  Each stage is checked before the next one is evaluated.
     """
-    K = np.empty((7, y.size))
-    K[0] = f
-    for i in range(1, 7):
-        yi = y + h * (K[:i].T @ _A[i])
-        try:
-            K[i] = call(t + _C[i] * h, yi)
-        except (ValueError, FloatingPointError, ZeroDivisionError):
+    k1 = f
+    try:
+        k2 = call(t + _C2 * h, [yj + h * (a * _A21) for yj, a in zip(y, k1)])
+        if not all(map(math.isfinite, k2)):
             return None
-        if not np.isfinite(K[i]).all():
+        k3 = call(
+            t + _C3 * h, [yj + h * (a * _A31 + b * _A32) for yj, a, b in zip(y, k1, k2)]
+        )
+        if not all(map(math.isfinite, k3)):
             return None
-    # the stage 7 node equals the 5th-order solution
-    return yi, K[6], _error_norm(h * (K.T @ _E), y, yi, rtol, atol), h * (K.T @ _D)
+        k4 = call(
+            t + _C4 * h,
+            [yj + h * (a * _A41 + b * _A42 + c * _A43) for yj, a, b, c in zip(y, k1, k2, k3)],
+        )
+        if not all(map(math.isfinite, k4)):
+            return None
+        k5 = call(
+            t + _C5 * h,
+            [
+                yj + h * (a * _A51 + b * _A52 + c * _A53 + d * _A54)
+                for yj, a, b, c, d in zip(y, k1, k2, k3, k4)
+            ],
+        )
+        if not all(map(math.isfinite, k5)):
+            return None
+        k6 = call(
+            t + h,
+            [
+                yj + h * (a * _A61 + b * _A62 + c * _A63 + d * _A64 + e * _A65)
+                for yj, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+            ],
+        )
+        if not all(map(math.isfinite, k6)):
+            return None
+        # the stage 7 node is the 5th-order solution
+        y_new = [
+            yj + h * (a * _A71 + b * _A72 + c * _A73 + d * _A74 + e * _A75 + g * _A76)
+            for yj, a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5, k6)
+        ]
+        k7 = call(t + h, y_new)
+        if not all(map(math.isfinite, k7)):
+            return None
+    except _STAGE_ERRORS:
+        return None
+    err = [
+        h * (a * _E1 + b * _E2 + c * _E3 + d * _E4 + e * _E5 + g * _E6 + k * _E7)
+        for a, b, c, d, e, g, k in zip(k1, k2, k3, k4, k5, k6, k7)
+    ]
+    r5 = [
+        h * (a * _D1 + b * _D2 + c * _D3 + d * _D4 + e * _D5 + g * _D6 + k * _D7)
+        for a, b, c, d, e, g, k in zip(k1, k2, k3, k4, k5, k6, k7)
+    ]
+    return y_new, k7, _error_norm(err, y, y_new, rtol, atol), r5
 
 
 def _crossed(prev, curr, direction):
@@ -203,69 +286,78 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     """Advance dy/dt = rhs(t, y) from (t0, y0) until t_max, a terminal
     event, step failure or an invalid state.
 
-    Event times are found by bisection on the step's continuous extension
-    to an absolute tolerance of 1e-12 (1 + t).  A terminal event ends the
-    samples with one extra step from the last accepted point to the event
-    time.  Statistics count accepted steps, rejected attempts and
-    right-hand-side evaluations.
+    ``rhs`` receives the state as a list of floats and returns the
+    derivative as a sequence of as many floats; a list is used as it is,
+    anything else is converted.  Event times are found by bisection on the
+    step's continuous extension to an absolute tolerance of 1e-12 (1 + t).
+    A terminal event ends the samples with one extra step from the last
+    accepted point to the event time.  Statistics count accepted steps,
+    rejected attempts and right-hand-side evaluations.
     """
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).tolist()
+    n = len(y)
     t = float(t0)
-    stats = {"acc": 0, "rej": 0, "rhs": 0}
+    n_acc = n_rej = n_rhs = 0
+    rtol, atol, validity = cfg.rel_tol, cfg.abs_tol, cfg.validity
 
     def call(tt, yy):
-        stats["rhs"] += 1
-        return np.asarray(rhs(tt, yy), dtype=float)
+        nonlocal n_rhs
+        n_rhs += 1
+        out = rhs(tt, yy)
+        return out if type(out) is list else np.asarray(out, dtype=float).tolist()
 
     f = call(t, y)
-    ts, ys, dys, dense = [t], [y.copy()], [f.copy()], []
+    # one flat buffer per sampled quantity, n values per sample
+    ts, ys, dys, dense = array("d", [t]), array("d", y), array("d", f), array("d")
     events: list[EventHit] = []
     terminal: EventHit | None = None
     ev_prev = [ev.fn(t, y) for ev in cfg.events]
 
-    h = cfg.first_step or _initial_step(call, t, y, f, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
+    h = cfg.first_step or _initial_step(call, t, y, f, rtol, atol, cfg.max_step)
     h = min(h, cfg.max_step, cfg.t_max - t)
     err_prev = 1.0
     termination = "reached_t_max"
     rejected_invalid = False
 
     while t < cfg.t_max:
-        if stats["acc"] + stats["rej"] >= cfg.max_steps:
+        if n_acc + n_rej >= cfg.max_steps:
             termination = "step_failure"
             break
         h = min(h, cfg.t_max - t)
-        h_floor = 16.0 * np.finfo(float).eps * max(abs(t), 1.0)
-        if h < h_floor:
+        if h < _H_FLOOR * max(abs(t), 1.0):
             termination = "state_invalid" if rejected_invalid else "step_failure"
             break
 
-        step = _dp_step(call, t, y, f, h, cfg.rel_tol, cfg.abs_tol)
+        step = _dp_step(call, t, y, f, h, rtol, atol)
         if step is None:
-            stats["rej"] += 1
+            n_rej += 1
             h *= 0.25
             continue
         y_new, f_new, err, r5 = step
-        if not np.isfinite(err) or (cfg.validity is not None and not cfg.validity(y_new)):
-            stats["rej"] += 1
-            rejected_invalid = cfg.validity is not None and not cfg.validity(y_new)
+        invalid = validity is not None and not validity(y_new)
+        if invalid or not math.isfinite(err):
+            n_rej += 1
+            rejected_invalid = invalid
             h *= 0.25
             continue
         if err > 1.0:
-            stats["rej"] += 1
+            n_rej += 1
             rejected_invalid = False
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
             continue
 
         # accepted
-        stats["acc"] += 1
+        n_acc += 1
         rejected_invalid = False
         t_new = t + h
-        extension = (y, y_new, f, f_new, r5, h)
 
         hits = []
+        extension = None
         for idx, ev in enumerate(cfg.events):
             val = ev.fn(t_new, y_new)
             if _crossed(ev_prev[idx], val, ev.direction):
+                if extension is None:
+                    extension = (*map(np.array, (y, y_new, f, f_new, r5)), h)
                 hits.append((*_refine_event(ev, t, extension), idx))
             ev_prev[idx] = val
 
@@ -277,19 +369,20 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
                 termination = f"event:{ev.name}"
                 # the last sample is a real step's end; should that step
                 # fail, it is the extension restricted to [t, t_star]
-                step = _dp_step(call, t, y, f, t_star - t, cfg.rel_tol, cfg.abs_tol)
+                step = _dp_step(call, t, y, f, t_star - t, rtol, atol)
                 if step is None:
                     sigma = (t_star - t) / h
-                    y_new, f_new, r5 = y_star, _slope(*extension, sigma) / h, sigma**4 * r5
+                    y_new, f_new = y_star, _slope(*extension, sigma) / h
+                    r5 = (sigma * sigma) * (sigma * sigma) * extension[4]
                 else:
                     y_new, f_new, _, r5 = step
                 t_new = t_star
                 break
 
         ts.append(t_new)
-        ys.append(y_new)
-        dys.append(f_new.copy())
-        dense.append(r5)
+        ys.extend(y_new)
+        dys.extend(f_new)
+        dense.extend(r5)
         if terminal is not None:
             break
         t, y, f = t_new, y_new, f_new
@@ -300,16 +393,16 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         err_prev = max(err, 1e-4)
 
     return IntegrationResult(
-        ts=np.asarray(ts),
-        ys=np.asarray(ys),
-        dys=np.asarray(dys),
-        dense=np.asarray(dense).reshape(len(dense), y.size),
+        ts=np.frombuffer(ts),
+        ys=np.frombuffer(ys).reshape(-1, n),
+        dys=np.frombuffer(dys).reshape(-1, n),
+        dense=np.frombuffer(dense).reshape(-1, n),
         termination=termination,
         events=events,
         terminal_event=terminal,
-        n_accepted=stats["acc"],
-        n_rejected=stats["rej"],
-        n_rhs=stats["rhs"],
+        n_accepted=n_acc,
+        n_rejected=n_rej,
+        n_rhs=n_rhs,
     )
 
 

@@ -118,7 +118,7 @@ def launch(spec: ProblemSpec, delta: float | None = None, project: bool = True) 
     with np.errstate(divide="ignore", invalid="ignore"):
         # the collapsing component's rate is singular there and unused
         _, r = _ricci_rates_split(np.concatenate(([0.0], fbar)), spec.ansatz)
-    fdd = fbar * (spec.epsilon / 2.0 + r[1:]) / (spec.d_S + 1.0)
+    fdd = fbar * (spec.epsilon / 2.0 + np.array(r[1:])) / (spec.d_S + 1.0)
     udd0 = spec.C / (spec.d_S + 1.0)
     state = SolitonState(
         t=delta,

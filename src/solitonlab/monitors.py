@@ -441,7 +441,7 @@ def dw_apriori_monitor(traj: Trajectory, tol: float = 1e-9) -> DWBoundReport:
 
     p = np.asarray(a.p, dtype=float)
     d = np.asarray(a.d, dtype=float)
-    lhs = _ricci_rates_split(traj.samples.f, a)[1][1:].T  # the rates r_gi
+    lhs = np.array(_ricci_rates_split(traj.samples.f, a)[1][1:]).T  # the rates r_gi
     rhs = d * p / (d + 2.0) / g**2
     key_ok = bool(np.all(lhs[bound_ok] >= rhs[bound_ok] - tol))
     return DWBoundReport(

@@ -11,7 +11,10 @@ which keeps the recovered t at integrator accuracy.
 State vector layout: [X_0..X_m, Y_0..Y_m, Lc, t, u].  As in ``systems``, a
 RescaledState whose X and Y are (m+1, N) arrays and whose Lc, s, t and u are
 length-N arrays holds N samples, and the chart inversion and the locus
-residuals return one value (or column) per sample.
+residuals return one value (or row) per sample.  The polynomial system and
+the locus residuals are written once over sequences of components with
++ - * / and left-to-right sums only, so the integrator's right-hand side
+(floats) and the CSV columns ((N,) arrays) round alike on any numpy kernel.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import math
+
 import numpy as np
 
 from .integrator import EventSpec, IntegrationResult, IntegratorConfig, integrate
 from .launch import launch
-from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, _per_component, tr_L
+from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, _dot, _sum, tr_L
 
 __all__ = [
     "RescaledState",
@@ -72,10 +77,9 @@ def from_rescaled(r: RescaledState, ansatz: DancerWangAnsatz) -> SolitonState:
     udot = (sum d_j X_j - 1) / Lc."""
     if np.any(r.Lc <= 0) or np.any(r.Y <= 0):
         raise ValueError("chart inversion requires positive Lc and Y")
-    d = np.asarray(ansatz.dims, dtype=float)
     f = r.Lc / r.Y
     df = f * r.X / r.Lc
-    du = (np.dot(d, r.X) - 1.0) / r.Lc
+    du = (_dot(ansatz.dims, r.X) - 1.0) / r.Lc
     return SolitonState(t=r.t, f=f, df=df, u=r.u, du=du)
 
 
@@ -89,48 +93,54 @@ def critical_point(ansatz: DancerWangAnsatz) -> RescaledState:
 
 
 def _polynomial_rates(X, Y, Lc, a: DancerWangAnsatz, eps: float):
-    d = np.asarray(a.dims, dtype=float)
-    p = np.asarray(a.p, dtype=float)
-    q = np.asarray(a.q, dtype=float)
-    drag = float(np.dot(d, X * X)) - eps / 2.0 * Lc * Lc
-    curv0 = float(np.sum(d[1:] * q**2 / 4.0 * Y[1:] ** 4 / Y[0] ** 2))
-    curv = p * Y[1:] ** 2 - q**2 / 2.0 * Y[1:] ** 4 / Y[0] ** 2
-    dX = X * (drag - 1.0) + eps / 2.0 * Lc * Lc
-    dX[0] += curv0
-    dX[1:] += curv
-    dY = Y * (drag - X)
-    dLc = Lc * drag
-    return dX, dY, dLc, drag
+    """(dX/ds, dY/ds, dLc/ds) of the polynomial system: the circle-bundle
+    closed form in chart variables, with the Ricci rate coefficients of
+    ``DancerWangAnsatz``.  X and Y are sequences of components, each a float
+    or an (N,) array; only + - * / are used, summed left to right."""
+    c0, p, c2 = a._rate_coefficients
+    soliton = eps / 2.0 * Lc * Lc
+    drag = _dot(a.dims, [x * x for x in X]) - soliton
+    y0sq = Y[0] * Y[0]
+    dX, dY = [0.0], [Y[0] * (drag - X[0])]
+    for i in range(len(p)):
+        x, y = X[i + 1], Y[i + 1]
+        y2 = y * y
+        y4 = y2 * y2
+        term = c0[i] * y4 / y0sq
+        curv0 = term if i == 0 else curv0 + term
+        dX.append(x * (drag - 1.0) + soliton + (p[i] * y2 - c2[i] * y4 / y0sq))
+        dY.append(y * (drag - x))
+    dX[0] = X[0] * (drag - 1.0) + soliton + curv0
+    return dX, dY, Lc * drag
 
 
 def rhs_rescaled(r: RescaledState, a: DancerWangAnsatz, eps: float):
     """Slow-time derivatives (dX/ds, dY/ds, dLc/ds) of the polynomial system."""
-    dX, dY, dLc, _ = _polynomial_rates(r.X, r.Y, r.Lc, a, eps)
-    return dX, dY, dLc
+    return _polynomial_rates(r.X, r.Y, r.Lc, a, eps)
 
 
 def make_rescaled_vector_rhs(a: DancerWangAnsatz, eps: float):
+    """Flattened d/ds of [X..., Y..., Lc, t, u] as a list of floats."""
     k = a.m + 1
+    d = a.dims
 
     def fn(s, y):
         X, Y, Lc = y[:k], y[k : 2 * k], y[2 * k]
-        dX, dY, dLc, _ = _polynomial_rates(X, Y, Lc, a, eps)
-        out = np.empty_like(y)
-        out[:k] = dX
-        out[k : 2 * k] = dY
-        out[2 * k] = dLc
-        out[2 * k + 1] = Lc  # dt/ds
-        out[2 * k + 2] = float(np.dot(np.asarray(a.dims, float), X)) - 1.0  # du/ds
-        return out
+        dX, dY, dLc = _polynomial_rates(X, Y, Lc, a, eps)
+        return [*dX, *dY, dLc, Lc, _dot(d, X) - 1.0]  # ..., dt/ds, du/ds
 
     return fn
 
 
-def _fourth_ratio(Y):
-    """Y_i^4 / Y_0^2 with the sphere-at-infinity limit Y_i = Y_0 = 0 -> 0."""
-    out = np.zeros_like(Y[1:])
-    nz = Y[1:] != 0.0
-    out[nz] = Y[1:][nz] ** 4 / np.broadcast_to(Y[0] ** 2, nz.shape)[nz]
+def _fourth_ratios(Y) -> list:
+    """Y_i^4 / Y_0^2 for i >= 1, with the sphere-at-infinity limit
+    Y_i = Y_0 = 0 -> 0."""
+    y0sq = Y[0] * Y[0]
+    out = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for y in Y[1:]:
+            y2 = y * y
+            out.append(np.where(y != 0.0, y2 * y2 / y0sq, 0.0))
     return out
 
 
@@ -156,21 +166,23 @@ def rescaled_locus_residuals(r: RescaledState, a: DancerWangAnsatz, eps: float) 
     polynomial system forces it, and without it the locus would not be
     preserved for eps > 0 (for steady runs the two conventions coincide).
     """
-    d = np.asarray(a.dims, dtype=float)
-    p = np.asarray(a.p, dtype=float)
-    q = np.asarray(a.q, dtype=float)
-    n = float(np.sum(d))
-    fourth = _fourth_ratio(r.Y)
-    lin = np.dot(d, r.X) - 1.0
+    d = a.dims
+    c0 = a._rate_coefficients[0]  # d_i q_i^2 / 4
+    X, Y = r.X, r.Y
+    lc2 = r.Lc * r.Lc
+    fourth = _fourth_ratios(Y)
+    lin = _dot(d, X) - 1.0
     quad = (
-        np.dot(d, r.X * r.X)
-        + np.sum(_per_component(d[1:] * p, fourth) * r.Y[1:] ** 2, axis=0)
-        - np.sum(_per_component(d[1:] * q**2 / 4.0, fourth) * fourth, axis=0)
-        + (n - 1.0) * eps / 2.0 * r.Lc**2
+        _dot(d, [x * x for x in X])
+        + _sum([di * pi * (y * y) for di, pi, y in zip(d[1:], a.p, Y[1:])])
+        - _dot(c0, fourth)
+        + (sum(d) - 1.0) * eps / 2.0 * lc2
         - 1.0
     )
-    k_sq = r.X[1:] ** 2 - _per_component(q**2 / 4.0, fourth) * fourth
-    k_sl = r.X[1:] * (r.X[0] + 1.0) - _per_component(p, fourth) * r.Y[1:] ** 2 - eps / 2.0 * r.Lc**2
+    k_sq = np.array([x * x - q * q / 4.0 * v for x, q, v in zip(X[1:], a.q, fourth)])
+    k_sl = np.array([
+        x * (X[0] + 1.0) - pi * (y * y) - eps / 2.0 * lc2 for x, pi, y in zip(X[1:], a.p, Y[1:])
+    ])
     return LocusResiduals(
         anchor="preserved Einstein and Kaehler loci in the compactified chart",
         einstein_linear=lin,
@@ -254,8 +266,8 @@ def solve_rescaled(
     y0 = np.concatenate((r0.X, r0.Y, [r0.Lc, r0.t, r0.u]))
     events = (
         EventSpec("t_target", lambda s, y: t_max - y[2 * k + 1], direction=-1, terminal=True),
-        EventSpec("chart_degenerate", lambda s, y: float(np.min(y[k : 2 * k + 1])), -1, True),
-        EventSpec("overflow", lambda s, y: 1e12 - float(np.max(np.abs(y))), -1, True),
+        EventSpec("chart_degenerate", lambda s, y: min(y[k : 2 * k + 1]), -1, True),
+        EventSpec("overflow", lambda s, y: 1e12 - max(map(abs, y)), -1, True),
     )
     cfg = IntegratorConfig(
         t_max=s_max,
@@ -263,7 +275,7 @@ def solve_rescaled(
         abs_tol=abs_tol,
         max_steps=max_steps,
         events=events,
-        validity=lambda y: bool(np.all(np.isfinite(y))),
+        validity=lambda y: all(map(math.isfinite, y)),
     )
     rhs = make_rescaled_vector_rhs(a, spec.epsilon)
     result = integrate(rhs, 0.0, y0, cfg)

@@ -462,10 +462,14 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
 
 
 def _work_counts(result) -> dict:
+    """Work done and the range of accepted step sizes (None without a step)."""
+    steps = np.diff(result.ts)
     return {
         "n_accepted": result.n_accepted,
         "n_rejected": result.n_rejected,
         "n_rhs": result.n_rhs,
+        "h_min": float(steps.min()) if steps.size else None,
+        "h_max": float(steps.max()) if steps.size else None,
     }
 
 

@@ -14,19 +14,24 @@ Ricci eigenvalues of an encoded structure-constant decomposition
 (``generic_rhs``); the two routes are kept independent on purpose and
 property-tested against each other.
 
-The closed forms and the residuals built on them evaluate N samples at once.
-Such a batch is a SolitonState whose f and df are (k, N) arrays, one column
-per sample, and whose t, u and udot are length-N arrays; each function then
-returns one value (or one column) per sample.  With the sample axis last,
-f[0] is the collapsing component of every sample and per-sample values
-broadcast against the other components, so a single state is the N = 1 case
-and runs on the same scalars as the integrator's right-hand side.
+The closed forms and the residuals built on them take the components as a
+sequence, f[i] being one component: a float for one state or an (N,) array
+for N samples.  The integrator's right-hand side passes lists of floats.
+The column table passes a batch, a SolitonState whose f and df are (k, N)
+arrays, one row per component and one column per sample, and whose t, u
+and udot are length-N arrays; each function then returns one value (or one
+row) per sample.  Only + - * / are used, integer powers are products, and
+every sum over components runs left to right (``_sum``, ``_dot``).  Each
+of these operations rounds the same way on a float and on an array element,
+so the right-hand side and the columns agree bit for bit, whichever BLAS or
+SIMD kernels numpy picked at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add, mul, truediv
 
 import numpy as np
 
@@ -188,13 +193,14 @@ class DancerWangAnsatz:
         return IsotropyDecomposition(d=self.dims, b=b, triples=t)
 
     @cached_property
-    def _rate_coefficients(self) -> tuple[np.ndarray, ...]:
+    def _rate_coefficients(self) -> tuple[tuple[float, ...], ...]:
         """(c0, p, c2) of the rates r_f = sum c0 f^2 / g^4 and
-        r_gi = p_i / g_i^2 - c2_i f^2 / g_i^4."""
-        d = np.asarray(self.d, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        return d * q**2 / 4.0, p, q**2 / 2.0
+        r_gi = p_i / g_i^2 - c2_i f^2 / g_i^4, one float per factor."""
+        return (
+            tuple(d * (q * q) / 4.0 for d, q in zip(self.d, self.q)),
+            tuple(float(p) for p in self.p),
+            tuple((q * q) / 2.0 for q in self.q),
+        )
 
 
 @dataclass(frozen=True)
@@ -333,27 +339,37 @@ class ProblemSpec:
 # -- shape-operator traces -------------------------------------------------
 
 
-def _per_component(c, like) -> np.ndarray:
-    """A per-component constant shaped to broadcast against ``like``: as is
-    for one state, as a column for a (k, N) batch."""
-    c = np.asarray(c, dtype=float)
-    return c if np.ndim(like) == 1 else c[:, None]
+def _sum(xs):
+    """x_0 + x_1 + ..., left to right: the one order every sum over
+    components is taken in, for floats and for (N,) sample columns alike."""
+    return reduce(add, xs)
+
+
+def _dot(c, x):
+    """c_0 x_0 + c_1 x_1 + ..., summed as ``_sum``."""
+    s = c[0] * x[0]
+    for i in range(1, len(c)):
+        s = s + c[i] * x[i]
+    return s
+
+
+def _ratios(df, f) -> list:
+    """The shape-operator eigenvalues fdot_i / f_i, one per component."""
+    return list(map(truediv, df, f))
 
 
 def tr_L(state: SolitonState, ansatz: Ansatz):
-    d = np.asarray(ansatz.dims, dtype=float)
-    return np.dot(d, state.df / state.f)
+    return _dot(ansatz.dims, _ratios(state.df, state.f))
 
 
 def tr_L2(state: SolitonState, ansatz: Ansatz):
-    d = np.asarray(ansatz.dims, dtype=float)
-    return np.dot(d, (state.df / state.f) ** 2)
+    return _dot(ansatz.dims, [z * z for z in _ratios(state.df, state.f)])
 
 
 # -- curvature terms of each system ----------------------------------------
 
 
-def _ricci_rates_split(f: np.ndarray, ansatz: Ansatz):
+def _ricci_rates_split(f, ansatz: Ansatz):
     """Ricci rates with the collapsing component's singular part split off.
 
     Returns (geo, extras) with rates = geo / (d0 f0^2) * e_0 + extras and
@@ -362,37 +378,43 @@ def _ricci_rates_split(f: np.ndarray, ansatz: Ansatz):
     term d0 (d0 - 1) fdot0^2 / f0^2; keeping it separate lets callers fold
     the pair into (1 - fdot0)(1 + fdot0) geo / f0^2, which evaluates without
     catastrophic cancellation.  This is the one closed form of each family.
-    f is one state's components or a (k, N) batch of them.
+
+    f is a sequence of components and extras a list with one rate per
+    component.  A component is a float for one state (the integrator's
+    right-hand side) or an (N,) array for N samples (the column table); the
+    closed form uses only + - * /, which round the same way on both, so
+    the two agree bit for bit.
     """
     a = flow_ansatz(ansatz)
     if isinstance(a, TwoSummandsAnsatz):
         geo, c1, c3, c2, c4 = a._rate_coefficients
-        f1, f2 = f
-        f1sq, f2q = f1**2, f2**4
-        return geo, np.array([c1 / f1sq + c3 * f1sq / f2q, c2 / f2**2 - c4 * f1sq / f2q])
+        f1, f2 = f[0], f[1]
+        f1sq, f2sq = f1 * f1, f2 * f2
+        f2q = f2sq * f2sq
+        return geo, [c1 / f1sq + c3 * f1sq / f2q, c2 / f2sq - c4 * f1sq / f2q]
     # circle fibres: d0 = 1, no singular curvature term
     c0, p, c2 = a._rate_coefficients
-    if f.ndim > 1:  # a batch; inline, not _per_component: this runs in every RHS call
-        c0, p, c2 = c0[:, None], p[:, None], c2[:, None]
-    ff2, g = f[0] ** 2, f[1:]
-    g4 = g**4
-    rates = np.empty_like(f)
-    rates[0] = (c0 * ff2 / g4).sum(axis=0)
-    rates[1:] = p / g**2 - c2 * ff2 / g4
+    ff2 = f[0] * f[0]
+    rates = [0.0]
+    for i in range(len(p)):
+        g2 = f[i + 1] * f[i + 1]
+        g4 = g2 * g2
+        term = c0[i] * ff2 / g4
+        rates[0] = term if i == 0 else rates[0] + term
+        rates.append(p[i] / g2 - c2[i] * ff2 / g4)
     return 0.0, rates
 
 
 def _ricci_rates(f: np.ndarray, ansatz: Ansatz) -> np.ndarray:
     """Ricci eigenvalues of the orbit metric with components f."""
     geo, rates = _ricci_rates_split(f, ansatz)
-    rates[0] += geo / (ansatz.dims[0] * f[0] ** 2)
-    return rates
+    rates[0] = rates[0] + geo / (ansatz.dims[0] * (f[0] * f[0]))
+    return np.array(rates)
 
 
 def tr_ricci(state: SolitonState, ansatz: Ansatz):
     """Scalar curvature of the orbit at this slice."""
-    d = np.asarray(ansatz.dims, dtype=float)
-    return np.dot(d, _ricci_rates(state.f, ansatz))
+    return _dot(ansatz.dims, _ricci_rates(state.f, ansatz))
 
 
 # -- right-hand sides --------------------------------------------------------
@@ -403,12 +425,12 @@ def _assemble(state: SolitonState, ansatz: Ansatz, eps: float, rates_of):
     if np.any(state.f <= 0.0):
         raise ValueError("metric components must be positive to evaluate the flow")
     rates = rates_of(state.f)
-    d = np.asarray(ansatz.dims, dtype=float)
+    d = ansatz.dims
     z = state.df / state.f
-    H = -state.du + float(np.dot(d, z))
+    H = -state.du + _dot(d, z)
     dz = -H * z + eps / 2.0 + rates
     ddf = state.f * (dz + z * z)
-    udd = float(np.dot(d, dz + z * z)) - eps / 2.0
+    udd = float(_dot(d, dz + z * z)) - eps / 2.0
     return StateDerivative(df=state.df.copy(), ddf=ddf, du=state.du, udd=udd)
 
 
@@ -444,30 +466,30 @@ def generic_rhs(
 # where geo = d0 (d0 - 1) and T_r is tr L without the collapsing component.
 
 
-def _second_rates_stable(f, df, du, ansatz: Ansatz, d: np.ndarray, eps: float) -> np.ndarray:
+def _second_rates_stable(f, df, du, ansatz: Ansatz, d, eps: float) -> list:
     """Per-component values of fddot_i / f_i, grouped to avoid cancellation;
-    d is the ansatz's dims as a float array."""
-    z = df / f
+    d is the ansatz's dims.  Components are floats or (N,) arrays, as in
+    ``_ricci_rates_split``."""
+    z = _ratios(df, f)
     geo, extras = _ricci_rates_split(f, ansatz)
-    t_rest = np.dot(d[1:], z[1:])
-    T = d[0] * z[0] + t_rest
-    H = -du + T
-    out = np.empty_like(z)
-    out[0] = (
+    t_rest = _dot(d[1:], z[1:])
+    H = -du + (d[0] * z[0] + t_rest)
+    half = eps / 2.0
+    out = [
         geo * (1.0 - df[0]) * (1.0 + df[0]) / (f[0] * f[0]) / d[0]
         + z[0] * (du - t_rest)
-        + eps / 2.0
+        + half
         + extras[0]
-    )
-    out[1:] = z[1:] * (z[1:] - H) + eps / 2.0 + extras[1:]
+    ]
+    for i in range(1, len(z)):
+        out.append(z[i] * (z[i] - H) + half + extras[i])
     return out
 
 
 def u_dotdot_stable(state: SolitonState, ansatz: Ansatz, eps: float):
     """uddot from the flow, safe to evaluate arbitrarily close to t = 0."""
-    d = np.asarray(ansatz.dims, dtype=float)
-    w = _second_rates_stable(state.f, state.df, state.du, ansatz, d, eps)
-    return np.dot(d, w) - eps / 2.0
+    d = ansatz.dims
+    return _dot(d, _second_rates_stable(state.f, state.df, state.du, ansatz, d, eps)) - eps / 2.0
 
 
 # -- vector packing for the integrator ---------------------------------------
@@ -483,21 +505,17 @@ def unpack_state(t: float, y: np.ndarray, ansatz: Ansatz) -> SolitonState:
 
 
 def make_vector_rhs(ansatz: Ansatz, eps: float):
-    """Flattened dy/dt for y = [f..., df..., u, du] (stable grouping)."""
+    """Flattened dy/dt for y = [f..., df..., u, du] (stable grouping), as a
+    list of floats; the same closed form as ``u_dotdot_stable``."""
     k = len(ansatz.dims)
-    d = np.asarray(ansatz.dims, dtype=float)
+    d = ansatz.dims
 
     def fn(t, y):
         f = y[:k]
         df = y[k : 2 * k]
         du = y[2 * k + 1]
         w = _second_rates_stable(f, df, du, ansatz, d, eps)
-        out = np.empty_like(y)
-        out[:k] = df
-        out[k : 2 * k] = f * w
-        out[2 * k] = du
-        out[2 * k + 1] = float(np.dot(d, w)) - eps / 2.0
-        return out
+        return [*df, *map(mul, f, w), du, _dot(d, w) - eps / 2.0]
 
     return fn
 
@@ -519,25 +537,24 @@ def conservation_residual_curvature(state: SolitonState, spec: ProblemSpec):
     cancel analytically instead of in floating point.
     """
     a = spec.ansatz
-    d = np.asarray(a.dims, dtype=float)
-    z = state.df / state.f
-    geo, extras = _ricci_rates_split(state.f, a)
-    w = _per_component(d, z) * z
-    T = np.sum(w, axis=0)
-    # sum_{i != j} d_i d_j z_i z_j without ever forming T^2
-    outer = w[:, None] * w[None, :]
-    diag = np.arange(len(d))
-    outer[diag, diag] = 0.0
-    cross = np.sum(outer, axis=(0, 1))
-    diag_rest = np.dot(d[1:] * (d[1:] - 1.0), z[1:] ** 2)
+    d = a.dims
+    k = len(d)
+    f, df, du = state.f, state.df, state.du
+    z = _ratios(df, f)
+    geo, extras = _ricci_rates_split(f, a)
+    w = [d[i] * z[i] for i in range(k)]
+    T = _sum(w)
+    # sum_{i != j} d_i d_j z_i z_j = 2 sum_{i < j}, without ever forming T^2
+    cross = _sum([w[i] * w[j] for i in range(k) for j in range(i + 1, k)])
+    diag_rest = _dot([di * (di - 1.0) for di in d[1:]], [zi * zi for zi in z[1:]])
     n = spec.orbit_dim
     return (
-        geo * (1.0 - state.df[0]) * (1.0 + state.df[0]) / (state.f[0] * state.f[0])
-        - cross
+        geo * (1.0 - df[0]) * (1.0 + df[0]) / (f[0] * f[0])
+        - 2.0 * cross
         - diag_rest
-        + 2.0 * T * state.du
-        - state.du**2
-        + np.dot(d, extras)
+        + 2.0 * T * du
+        - du * du
+        + _dot(d, extras)
         + (n - 1) * spec.epsilon / 2.0
         - spec.C
         - spec.epsilon * state.u
@@ -575,7 +592,5 @@ def kahler_residual(state: SolitonState, a: DancerWangAnsatz) -> np.ndarray:
     """Per-factor residual 2 g_i gdot_i + q_i f of the Kaehler condition
     d/dt g_i^2 = -q_i f.  All zeros exactly on the Kaehler locus, which
     requires every q_i < 0 once the metric is moving."""
-    ff = state.f[0]
-    g = state.f[1:]
-    dg = state.df[1:]
-    return 2.0 * g * dg + _per_component(a.q, g) * ff
+    ff, g, dg = state.f[0], state.f[1:], state.df[1:]
+    return np.array([2.0 * g[i] * dg[i] + float(a.q[i]) * ff for i in range(a.m)])

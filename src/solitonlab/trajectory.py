@@ -10,6 +10,7 @@ monitors reason about.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,21 +101,21 @@ def _invariant_margin_fn(spec: ProblemSpec):
         bound = lpp_ratio_bound(a)
 
         def margin(t, y):
-            return bound - (y[0] / y[1]) ** 2
+            w = y[0] / y[1]
+            return bound - w * w
 
         return margin
     if isinstance(a, DancerWangAnsatz):
         c0 = dw_pair_bound_constant(a, spec.initial)
-        w_bounds = dw_omega_sq_bounds(a, c0)
+        w_bounds = dw_omega_sq_bounds(a, c0).tolist()
 
         def margin(t, y):
             f = y[0]
             g = y[1:k]
-            m_w = float(np.min(w_bounds - (f / g) ** 2))
+            m_w = min(b - (f / gi) * (f / gi) for b, gi in zip(w_bounds, g))
             if a.m == 1:
                 return m_w
-            ratios = g[:, None] / g[None, :]
-            return min(m_w, float(np.min(c0 - ratios)))
+            return min(m_w, min(c0 - gi / gj for gi in g for gj in g))
 
         return margin
     raise TypeError(f"unknown ansatz type {type(a)!r}")
@@ -123,9 +124,9 @@ def _invariant_margin_fn(spec: ProblemSpec):
 def standard_events(spec: ProblemSpec) -> tuple[EventSpec, ...]:
     k = len(spec.ansatz.dims)
     events = [
-        EventSpec("metric_degenerate", lambda t, y: float(np.min(y[:k])), -1, True),
-        EventSpec("shape_exit", lambda t, y: float(np.min(y[k : 2 * k])), -1, True),
-        EventSpec("overflow", lambda t, y: 1e12 - float(np.max(np.abs(y))), -1, True),
+        EventSpec("metric_degenerate", lambda t, y: min(y[:k]), -1, True),
+        EventSpec("shape_exit", lambda t, y: min(y[k : 2 * k]), -1, True),
+        EventSpec("overflow", lambda t, y: 1e12 - max(map(abs, y)), -1, True),
     ]
     margin = _invariant_margin_fn(spec)
     if margin is not None:
@@ -245,7 +246,7 @@ def solve_problem(
         max_step=max_step,
         max_steps=max_steps,
         events=standard_events(spec) if events is None else events,
-        validity=lambda y: bool(np.all(np.isfinite(y)) and np.all(y[:k] > 0.0)),
+        validity=lambda y: all(map(math.isfinite, y)) and min(y[:k]) > 0.0,
     )
     rhs = make_vector_rhs(spec.ansatz, spec.epsilon)
     y0 = np.concatenate((state0.f, state0.df, [state0.u, state0.du]))

@@ -1,9 +1,11 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from solitonlab.cli import main
+from solitonlab.runio import _fmt
 
 from conftest import config_path, decomposition_path
 
@@ -145,7 +147,14 @@ class TestChartBoth:
             "n_accepted": resc.n_accepted,
             "n_rejected": resc.n_rejected,
             "n_rhs": resc.n_rhs,
+            "h_min": float(np.min(np.diff(resc.ts))),
+            "h_max": float(np.max(np.diff(resc.ts))),
         }
+        # the step-size range is the physical run's, and a manifest value only
+        assert (kd["h_min"], kd["h_max"]) == (np.min(np.diff(phys.ts)), np.max(np.diff(phys.ts)))
+        assert 0.0 < kd["h_min"] <= kd["h_max"] <= 0.01 * (1.0 + 1e-12)  # sample spacing
+        for csv in ("trajectory.csv", "rescaled.csv"):
+            assert "h_m" not in (out / csv).read_text().splitlines()[0]
         report = json.loads((out / "report.json").read_text())
         assert report["chart_comparison"]["max_rel_deviation"] <= 1e-6
 
@@ -242,6 +251,16 @@ class TestProbe:
         lines = (out / "probe_samples.csv").read_text().splitlines()
         assert lines[0] == "C,slope_at_tau"
         assert len(lines) - 1 == len(report["samples"])
+
+    @pytest.mark.parametrize("c, tau, has_fail_end", [(5.0, 0.5, True), (0.01, 0.25, False)])
+    def test_bracket_ends_print_alike(self, tmp_path, capsys, c, tau, has_fail_end):
+        cfg = shipped("ts_probe_d1.json", tmp_path)
+        out = tmp_path / "probe"
+        assert main(["probe-c0", "--config", cfg, "--c", str(c), "--tau", str(tau), "--out", str(out)]) == 0
+        c_fail, c_success = json.loads((out / "probe_report.json").read_text())["bracket"]
+        assert (c_fail is not None) == has_fail_end
+        printed = capsys.readouterr().out.split("bracket=(")[1].split(")")[0].split(", ")
+        assert printed == [_fmt(c_fail) if has_fail_end else "None", _fmt(c_success)]
 
     def test_unreachable_target_exits_three(self, tmp_path, capsys):
         doc = dict(BASE, C=-1.0)

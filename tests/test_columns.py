@@ -18,9 +18,11 @@ from solitonlab.systems import (
     TwoSummandsAnsatz,
     conservation_residual,
     conservation_residual_curvature,
+    make_vector_rhs,
     tr_L,
     u_dotdot_stable,
 )
+from solitonlab.systems import _second_rates_stable
 
 from conftest import CONFIG_NAMES_GRID, load_shipped, solve_both_charts
 
@@ -165,6 +167,23 @@ def test_monitors_match_per_state_loops(name, shipped_runs):
     if isinstance(spec.ansatz, DancerWangAnsatz):
         res = np.array([kahler_residual_oracle(s, spec.ansatz) for s in traj.states])
         assert M.kahler_report(traj).per_factor_max == list(np.max(np.abs(res), axis=0))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_float_rhs_is_the_column_closed_form(name, shipped_runs):
+    # at every sample, the integrator's right-hand side on floats gives the
+    # rates fddot_i / f_i, fddot_i and uddot of the column table bit for bit
+    traj = shipped_runs[name]
+    a, eps = traj.spec.ansatz, traj.spec.epsilon
+    k, s = len(a.dims), traj.samples
+    rates = np.array(_second_rates_stable(s.f, s.df, s.du, a, a.dims, eps))
+    fn = make_vector_rhs(a, eps)
+    ys = traj.result.ys.tolist()
+    out = np.array([fn(t, y) for t, y in zip(traj.ts.tolist(), ys)])
+    w = np.array([_second_rates_stable(y[:k], y[k : 2 * k], y[2 * k + 1], a, a.dims, eps) for y in ys])
+    assert w.tobytes() == rates.T.tobytes()
+    assert out[:, k : 2 * k].tobytes() == (s.f * rates).T.tobytes()
+    assert out[:, 2 * k + 1].tobytes() == traj.udd.tobytes()
 
 
 def test_rescaled_csv_matches_per_state_rows(tmp_path):

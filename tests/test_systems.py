@@ -22,6 +22,7 @@ from solitonlab.systems import (
     u_second_derivative_identity,
     unpack_state,
 )
+from solitonlab.systems import _second_rates_stable
 
 HOPF = TwoSummandsAnsatz(3, 4, 6.0, 48.0, 12.0)
 DW1 = DancerWangAnsatz((2,), (2,), (1,))
@@ -290,3 +291,41 @@ class TestValidation:
         spec = ProblemSpec(HOPF, 0.0, -1.0, (1.0,))
         assert spec.d_S == 3 and spec.orbit_dim == 7
         assert ProblemSpec(DW1, 0.0, -1.0, (1.0,)).d_S == 1
+
+
+def float_bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    states=st.lists(
+        st.tuples(
+            st.lists(st.floats(0.05, 5.0), min_size=3, max_size=3),
+            st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+            st.floats(-2.0, 2.0),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    eps=st.floats(0.0, 2.0),
+)
+def test_float_rhs_and_sample_batches_share_one_closed_form(states, eps):
+    # the integrator's right-hand side on floats and the (k, N) batch path
+    # of the column table are one closed form: equal bit for bit
+    for ansatz in (HOPF, DW1, DW2, LPP, LPP_D2_ONE):
+        k = len(ansatz.dims)
+        f = np.array([s[0][:k] for s in states]).T
+        df = np.array([s[1][:k] for s in states]).T
+        du = np.array([s[2] for s in states])
+        rates = _second_rates_stable(f, df, du, ansatz, ansatz.dims, eps)
+        udd = u_dotdot_stable(SolitonState(0.0, f, df, 0.0 * du, du), ansatz, eps)
+        fn = make_vector_rhs(ansatz, eps)
+        for j in range(len(states)):
+            y = f[:, j].tolist() + df[:, j].tolist() + [0.0, float(du[j])]
+            out = fn(0.0, y)
+            assert all(type(v) is float for v in out)
+            w = _second_rates_stable(y[:k], y[k : 2 * k], y[2 * k + 1], ansatz, ansatz.dims, eps)
+            assert float_bits(w) == float_bits([r[j] for r in rates])
+            assert float_bits(out[k : 2 * k]) == float_bits(f[:, j] * [r[j] for r in rates])
+            assert float_bits(out[2 * k + 1]) == float_bits(udd[j])

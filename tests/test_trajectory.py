@@ -126,3 +126,18 @@ def test_monitor_toggles_limit_report(tmp_path):
     run_solve(cfg, str(tmp_path))
     report = json.loads((tmp_path / "report.json").read_text())
     assert "conservation" in report and "potential" not in report
+
+
+# (accepted steps, rejected attempts, right-hand-side calls) at t_max = 100:
+# the stepper's rounding may move, its step sequence may not
+COMPLETE_STEADY_COUNTS = {
+    "ts_complete_steady.json": (2772, 2, 16646),
+    "dw_complete_steady.json": (3415, 2, 20504),
+    "lpp_complete_steady.json": (2269, 2, 13628),
+}
+
+
+@pytest.mark.parametrize("name", COMPLETE_STEADY_COUNTS)
+def test_complete_steady_step_counts(name, shipped_runs):
+    res = shipped_runs[name].result
+    assert (res.n_accepted, res.n_rejected, res.n_rhs) == COMPLETE_STEADY_COUNTS[name]
