@@ -169,7 +169,7 @@ def cmd_sweep(args) -> int:
                 ]
             )
         )
-    _atomic_write(os.path.join(args.out, "sweep_summary.csv"), "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(args.out, "sweep_summary.csv"), lines)
     if errors:
         write_json(os.path.join(args.out, "sweep_errors.json"), errors)
     note = f", errors in {args.out}/sweep_errors.json" if errors else ""
@@ -199,7 +199,7 @@ def cmd_probe_c0(args) -> int:
     write_json(os.path.join(args.out, "probe_report.json"), report)
     lines = ["C,slope_at_tau"]
     lines += [",".join((_fmt(c), _fmt(s))) for c, s in report.samples]
-    _atomic_write(os.path.join(args.out, "probe_samples.csv"), "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(args.out, "probe_samples.csv"), lines)
     c_fail, c_success = report.bracket
     print(
         f"probe: empirical_C0={_fmt(report.empirical_C0)} "

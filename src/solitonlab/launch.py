@@ -107,24 +107,28 @@ def _project_conservation(state: SolitonState, spec: ProblemSpec) -> SolitonStat
     return _zero_residual_in(out, spec, "du", scale)
 
 
-def launch(spec: ProblemSpec, delta: float | None = None, project: bool = True) -> SolitonState:
-    """State at t = delta from the series data, closed against the
-    conservation integral unless ``project`` is False."""
-    delta = default_delta(spec) if delta is None else float(delta)
-    if delta <= 0:
-        raise ValueError("launch delta must be positive")
-    # C <= 0, eps >= 0, sizes > 0 are enforced by ProblemSpec itself.
+def _series_state(spec: ProblemSpec, delta: float) -> SolitonState:
+    """The truncated series data at t = delta, before the projection."""
     fbar = np.asarray(spec.initial, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the collapsing component's rate is singular there and unused
         _, r = _ricci_rates_split(np.concatenate(([0.0], fbar)), spec.ansatz)
     fdd = fbar * (spec.epsilon / 2.0 + np.array(r[1:])) / (spec.d_S + 1.0)
     udd0 = spec.C / (spec.d_S + 1.0)
-    state = SolitonState(
+    return SolitonState(
         t=delta,
         f=np.concatenate(([delta], fbar + 0.5 * delta**2 * fdd)),
         df=np.concatenate(([1.0], delta * fdd)),
         u=0.5 * delta**2 * udd0,
         du=delta * udd0,
     )
-    return _project_conservation(state, spec) if project else state
+
+
+def launch(spec: ProblemSpec, delta: float | None = None) -> SolitonState:
+    """State at t = delta from the series data, closed against the
+    conservation integral."""
+    delta = default_delta(spec) if delta is None else float(delta)
+    if delta <= 0:
+        raise ValueError("launch delta must be positive")
+    # C <= 0, eps >= 0, sizes > 0 are enforced by ProblemSpec itself.
+    return _project_conservation(_series_state(spec, delta), spec)

@@ -18,11 +18,8 @@ from .systems import (
     DancerWangAnsatz,
     LuPagePopeAnsatz,
     ProblemSpec,
-    SolitonState,
     TwoSummandsAnsatz,
-    _locus_ratios,
     _ricci_rates_split,
-    conservation_residual_curvature,
     flow_ansatz,
 )
 from .trajectory import (
@@ -35,9 +32,6 @@ __all__ = [
     "two_summands_roots",
     "quartic_ratio_polynomial",
     "c0_zero_predicates",
-    "comparison_ode_closed_form",
-    "LocusReport",
-    "locus_membership",
     "locus_report",
     "PotentialReport",
     "potential_report",
@@ -60,6 +54,17 @@ __all__ = [
     "ProbeRangeError",
     "curvature_budget_at_launch",
 ]
+
+_LOCUS_TOL = 1e-7  # both locus ratios this close to 1: the Einstein locus
+_L_NONZERO_TOL = 1e-12  # every |fdot_i / f_i| below this: a steady run skips concavity
+_MAX_T0_GRID = 256  # most grid times the windowed lower bound is checked at
+# the conservation budget 1e-8 (1 + |C|), one for the report and the verdict
+_CONSERVATION_TOL_SCALE = 1e-8
+_OMEGA_TOL = 1e-6  # relative slack on the two-summands ratio-slope cap
+_BOUND_TOL = 1e-9  # absolute slack on the circle-bundle and warped-product bounds
+_KAHLER_TOL = 1e-6  # largest Kaehler residual still on the locus
+_C_START = -0.125  # the growth probe's first grid point
+_BRACKET_REL = 0.01  # the relative width the probe's bracket is bisected to
 
 
 # -- two-summands root structure ---------------------------------------------
@@ -123,54 +128,17 @@ def c0_zero_predicates(a: TwoSummandsAnsatz) -> dict:
     }
 
 
-def comparison_ode_closed_form(a: float, y_star: float, s_star: float, s) -> float | np.ndarray:
-    """Solution of y' = -a + y^2/2, y(s_star) = y_star:
-    sqrt(2a) tanh(sqrt(a/2)(s_star - s) + arctanh(y_star / sqrt(2a))).
-    Requires a > 0 and -a + y_star^2/2 < 0."""
-    if a <= 0:
-        raise ValueError("comparison coefficient a must be positive")
-    if -a + y_star**2 / 2.0 >= 0:
-        raise ValueError("initial value outside the contracting branch")
-    root = np.sqrt(2.0 * a)
-    return root * np.tanh(np.sqrt(a / 2.0) * (s_star - s) + np.arctanh(y_star / root))
-
-
 # -- locus membership ----------------------------------------------------------
 
 
-@dataclass
-class LocusReport:
-    anchor: str
-    mean_curvature_ratio: float | np.ndarray
-    curvature_ratio: float | np.ndarray
-    classification: str | np.ndarray
-    tol: float
-
-
-def _locus_classes(q1, q2, tol: float):
+def _locus_classes(q1, q2):
     """einstein / strict / outside per sample, not_classifiable where the
     ratios are undefined."""
-    einstein = (np.abs(q1 - 1.0) <= tol) & (np.abs(q2 - 1.0) <= tol)
+    einstein = (np.abs(q1 - 1.0) <= _LOCUS_TOL) & (np.abs(q2 - 1.0) <= _LOCUS_TOL)
     strict = (q1 < 1.0) & (q2 < 1.0)
     return np.select(
         [np.isnan(q1), einstein, strict], ["not_classifiable", "einstein", "strict"], "outside"
     )
-
-
-def locus_membership(state: SolitonState, spec: ProblemSpec, tol: float = 1e-7) -> LocusReport:
-    """Position relative to the preserved trajectory loci.
-
-    Evaluates q1 = tr L / (-udot + tr L) and
-    q2 = (tr L^2 + tr r)/(-udot + tr L)^2 + (n-1)(eps/2)/( -udot + tr L)^2
-    and classifies: both < 1 exactly characterises the locus holding every
-    complete steady/expanding trajectory, both = 1 the nonpositively-curved
-    Einstein one.  Both are computed through the conserved combination so
-    they stay meaningful arbitrarily close to the singular orbit.  A batch
-    state gives one ratio and one classification per sample.
-    """
-    anchor = "membership of the preserved strict-soliton / Einstein trajectory loci"
-    q1, q2 = _locus_ratios(state, spec, conservation_residual_curvature(state, spec))
-    return LocusReport(anchor, q1, q2, _locus_classes(q1, q2, tol)[()], tol)
 
 
 @dataclass
@@ -182,14 +150,14 @@ class LocusSeriesReport:
     einstein_throughout: bool
 
 
-def locus_report(traj: Trajectory, tol: float = 1e-7) -> LocusSeriesReport:
+def locus_report(traj: Trajectory) -> LocusSeriesReport:
     """Samples per locus class; the per-sample ratios are trajectory.csv's
     two locus columns."""
     q1 = traj.columns["locus_mean_ratio"]
     q2 = traj.columns["locus_curvature_ratio"]
     # samples where the ratios are undefined carry no distance to the locus
     eins = np.fmax.reduce(np.fmax(np.abs(q1 - 1.0), np.abs(q2 - 1.0)))
-    cls = _locus_classes(q1, q2, tol)
+    cls = _locus_classes(q1, q2)
     counts = {
         c: int(np.count_nonzero(cls == c))
         for c in ("einstein", "strict", "outside", "not_classifiable")
@@ -217,7 +185,7 @@ class PotentialReport:
         return not self.violations
 
 
-def potential_report(traj: Trajectory, l_nonzero_tol: float = 1e-12) -> PotentialReport:
+def potential_report(traj: Trajectory) -> PotentialReport:
     """For C < 0 (and eps >= 0): u < 0 and udot < 0 at every sample past the
     launch slice, and uddot < 0 whenever eps > 0, or eps = 0 with a
     nonvanishing shape operator."""
@@ -227,23 +195,20 @@ def potential_report(traj: Trajectory, l_nonzero_tol: float = 1e-12) -> Potentia
         # a C = 0 seed keeps u identically zero up to integration residue
         trivial = bool(np.max(np.abs(traj.du)) <= 1e-7 and np.max(np.abs(traj.u)) <= 1e-7)
         return PotentialReport(anchor=anchor, trivial_potential=trivial)
-    report = PotentialReport(anchor=anchor, trivial_potential=False)
+    past = traj.ts > traj.delta
     zmax = np.max(np.abs(traj.df / traj.f), axis=1)
-    for i, t in enumerate(traj.ts):
-        if t <= traj.delta:
-            continue
-        bad = {}
-        if traj.u[i] >= 0:
-            bad["u"] = float(traj.u[i])
-        if traj.du[i] >= 0:
-            bad["du"] = float(traj.du[i])
-        concavity_applies = spec.epsilon > 0 or zmax[i] > l_nonzero_tol
-        if concavity_applies and traj.udd[i] >= 0:
-            bad["udd"] = float(traj.udd[i])
-        if bad:
-            bad["t"] = float(t)
-            report.violations.append(bad)
-    return report
+    concavity_applies = (spec.epsilon > 0) | (zmax > _L_NONZERO_TOL)
+    checks = (
+        ("u", traj.u, past & (traj.u >= 0)),
+        ("du", traj.du, past & (traj.du >= 0)),
+        ("udd", traj.udd, past & concavity_applies & (traj.udd >= 0)),
+    )
+    rows = np.flatnonzero(np.logical_or.reduce([bad for _, _, bad in checks]))
+    violations = [
+        {key: float(col[i]) for key, col, bad in checks if bad[i]} | {"t": float(traj.ts[i])}
+        for i in rows
+    ]
+    return PotentialReport(anchor=anchor, trivial_potential=False, violations=violations)
 
 
 # -- asymptotics -----------------------------------------------------------------
@@ -262,7 +227,7 @@ class AsymptoteReport:
     lower_bound_window_start: float | None = None
 
 
-def asymptote_check(traj: Trajectory, max_t0_grid: int = 256) -> AsymptoteReport:
+def asymptote_check(traj: Trajectory) -> AsymptoteReport:
     """Steady runs: how far -udot(t_end) sits from sqrt(-C) and how flat
     uddot has become.  Expanding runs: the bound
     -udot(t) < (eps/2) t + sqrt(-C) at every sample, plus the windowed
@@ -291,7 +256,7 @@ def asymptote_check(traj: Trajectory, max_t0_grid: int = 256) -> AsymptoteReport
     n_lower = 0
     if idx.size:
         suffix_min = np.minimum.accumulate(phi[::-1])[::-1]
-        sel = idx if idx.size <= max_t0_grid else idx[:: max(1, idx.size // max_t0_grid)]
+        sel = idx if idx.size <= _MAX_T0_GRID else idx[:: max(1, idx.size // _MAX_T0_GRID)]
         n_lower = int(np.sum(suffix_min[sel] < 0.9 * phi[sel]))
     return AsymptoteReport(
         anchor="expanding potential slope pinched between the linear barrier and its windowed fraction",
@@ -315,11 +280,11 @@ class ConservationReport:
     ok: bool
 
 
-def conservation_report(traj: Trajectory, tol_scale: float = 1e-8) -> ConservationReport:
+def conservation_report(traj: Trajectory) -> ConservationReport:
     spec = traj.spec
     r3 = traj.columns["conservation_residual"]
     r4 = traj.columns["conservation_residual_curvature"]
-    tol = tol_scale * (1.0 + abs(spec.C))
+    tol = _CONSERVATION_TOL_SCALE * (1.0 + abs(spec.C))
     m3 = float(np.max(np.abs(r3)))
     return ConservationReport(
         anchor="first integral uddot + (-udot + tr L) udot - C - eps u vanishing along the flow",
@@ -346,7 +311,7 @@ class OmegaReport:
     below_root_throughout: bool | None
 
 
-def two_summands_omega_monitor(traj: Trajectory, tol: float = 1e-6) -> OmegaReport:
+def two_summands_omega_monitor(traj: Trajectory) -> OmegaReport:
     """Ratio omega = f1/f2: slope never exceeding its launch value 1/fbar
     while omega sits in [0, omega2], and omega staying below omega2."""
     a = traj.spec.ansatz
@@ -377,7 +342,7 @@ def two_summands_omega_monitor(traj: Trajectory, tol: float = 1e-6) -> OmegaRepo
         max_omega=float(np.max(omega)),
         max_domega=max_do,
         domega_bound=bound,
-        domega_ok=bool(max_do <= bound * (1.0 + tol)),
+        domega_ok=bool(max_do <= bound * (1.0 + _OMEGA_TOL)),
         below_root_throughout=bool(np.max(omega) < diag.omega2),
     )
 
@@ -395,7 +360,7 @@ class DWBoundReport:
     key_estimate_ok: bool
 
 
-def dw_apriori_monitor(traj: Trajectory, tol: float = 1e-9) -> DWBoundReport:
+def dw_apriori_monitor(traj: Trajectory) -> DWBoundReport:
     """Circle-bundle a priori bounds: omega_i^2 below its ceiling and all
     ratios g_i/g_j below the pair constant, the ratio-slope ceiling
     sqrt(p_i / ((d_i - 1) g_j(0)^2)), and the key curvature estimate
@@ -410,10 +375,10 @@ def dw_apriori_monitor(traj: Trajectory, tol: float = 1e-9) -> DWBoundReport:
     g = traj.f[:, 1:]
     dg = traj.df[:, 1:]
     omega_sq = traj.columns["omega"].T ** 2
-    ok_w = np.all(omega_sq <= w_bounds[None, :] + tol, axis=1)
+    ok_w = np.all(omega_sq <= w_bounds[None, :] + _BOUND_TOL, axis=1)
     if a.m > 1:
         ratios = g[:, :, None] / g[:, None, :]
-        ok_q = np.all(ratios <= c0 + tol, axis=(1, 2))
+        ok_q = np.all(ratios <= c0 + _BOUND_TOL, axis=(1, 2))
     else:
         ok_q = np.ones(len(g), dtype=bool)
     bound_ok = ok_w & ok_q
@@ -437,13 +402,13 @@ def dw_apriori_monitor(traj: Trajectory, tol: float = 1e-9) -> DWBoundReport:
             worst = int(np.argmin(margins))
             max_qdot = float(rates[worst])
             qdot_ceiling = float(ceilings[worst])
-            qdot_ok = bool(margins[worst] >= -tol)
+            qdot_ok = bool(margins[worst] >= -_BOUND_TOL)
 
     p = np.asarray(a.p, dtype=float)
     d = np.asarray(a.d, dtype=float)
     lhs = np.array(_ricci_rates_split(traj.samples.f, a)[1][1:]).T  # the rates r_gi
     rhs = d * p / (d + 2.0) / g**2
-    key_ok = bool(np.all(lhs[bound_ok] >= rhs[bound_ok] - tol))
+    key_ok = bool(np.all(lhs[bound_ok] >= rhs[bound_ok] - _BOUND_TOL))
     return DWBoundReport(
         anchor="circle-bundle a priori bounds on f/g_i and g_i/g_j with slope and curvature consequences",
         c0=float(c0),
@@ -465,7 +430,7 @@ class LppBoundReport:
     ok: bool
 
 
-def lpp_bound_monitor(traj: Trajectory, tol: float = 1e-9) -> LppBoundReport:
+def lpp_bound_monitor(traj: Trajectory) -> LppBoundReport:
     a = traj.spec.ansatz
     if not isinstance(a, LuPagePopeAnsatz):
         raise TypeError("bound monitor applies to the warped-product system")
@@ -476,7 +441,7 @@ def lpp_bound_monitor(traj: Trajectory, tol: float = 1e-9) -> LppBoundReport:
         anchor="warped-product ratio bound omega1^2 < 4 p1 / ((d1+2) q1^2)",
         bound=bound,
         max_omega1_sq=mx,
-        ok=bool(mx < bound + tol),
+        ok=bool(mx < bound + _BOUND_TOL),
     )
 
 
@@ -488,7 +453,7 @@ class KahlerReport:
     on_locus: bool
 
 
-def kahler_report(traj: Trajectory, tol: float = 1e-6) -> KahlerReport:
+def kahler_report(traj: Trajectory) -> KahlerReport:
     a = traj.spec.ansatz
     if not isinstance(a, DancerWangAnsatz):
         raise TypeError("Kaehler residual applies to the circle-bundle system")
@@ -497,7 +462,7 @@ def kahler_report(traj: Trajectory, tol: float = 1e-6) -> KahlerReport:
         anchor="first-order condition d/dt g_i^2 = -q_i f cutting the preserved Kaehler locus",
         max_abs_residual=float(np.max(per)),
         per_factor_max=[float(v) for v in per],
-        on_locus=bool(np.max(per) <= tol),
+        on_locus=bool(np.max(per) <= _KAHLER_TOL),
     )
 
 
@@ -519,7 +484,7 @@ class Verdict:
         return self.kind == "numerically_complete"
 
 
-def classify_completeness(traj: Trajectory, conservation_tol_scale: float = 1e-8) -> Verdict:
+def classify_completeness(traj: Trajectory) -> Verdict:
     """Sort a finished run into numerically_complete / invariant_set_exit /
     metric_degenerate / inconclusive.
 
@@ -537,7 +502,7 @@ def classify_completeness(traj: Trajectory, conservation_tol_scale: float = 1e-8
         return Verdict("inconclusive", float(traj.ts[-1]), [term])
 
     reasons = []
-    tol = conservation_tol_scale * (1.0 + abs(spec.C))
+    tol = _CONSERVATION_TOL_SCALE * (1.0 + abs(spec.C))
     worst = float(np.max(np.abs(traj.columns["conservation_residual"])))
     if not worst <= tol:
         reasons.append(f"conservation residual {worst:.3e} above {tol:.3e}")
@@ -606,19 +571,16 @@ def growth_probe(
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-13,
     delta: float | None = None,
-    c_start: float = -0.125,
     c_limit: float = -1e9,
-    bracket_rel: float = 0.01,
 ) -> GrowthProbeReport:
     """Bracket the weakest conservation constant driving -udot(tau) >= c.
 
-    Doubles C from ``c_start``, one solve at a time, and stops one grid
-    point past the first C whose slope reaches c; with no success above
-    ``c_limit`` it raises ``ProbeRangeError``.  It then bisects in log|C|
-    between that success and the weakest failing point above it until the
-    bracket is ``bracket_rel`` (1%) tight.  The first success in scan order
-    is the weakest success of the whole grid, so stopping early changes
-    no bracket end.  Runs whose shape operator loses positivity before tau
+    Doubles C from -1/8, one solve at a time, and stops one grid point past
+    the first C whose slope reaches c; with no success above ``c_limit`` it
+    raises ``ProbeRangeError``.  It then bisects in log|C| between that
+    success and the weakest failing point above it until the bracket is 1%
+    tight.  The first success in scan order is the weakest success of the
+    whole grid, so stopping early changes no bracket end.  Runs whose shape operator loses positivity before tau
     are excluded and reported.
     """
     if c <= 0 or tau <= 0:
@@ -642,7 +604,7 @@ def growth_probe(
         return samples[C]
 
     c_success = c_fail = None
-    C = c_start
+    C = _C_START
     while C > c_limit:
         s = slope_of(C)
         if c_success is not None:
@@ -655,10 +617,10 @@ def growth_probe(
         C *= 2.0
     if c_success is None:
         raise ProbeRangeError(
-            f"no admissible C in ({c_limit:g}, {c_start:g}] reaches -udot({tau:g}) >= {c:g}"
+            f"no admissible C in ({c_limit:g}, {_C_START:g}] reaches -udot({tau:g}) >= {c:g}"
         )
     if c_fail is not None:
-        while (c_fail - c_success) > bracket_rel * abs(c_success):
+        while (c_fail - c_success) > _BRACKET_REL * abs(c_success):
             mid = -np.sqrt(c_fail * c_success)  # geometric midpoint, both negative
             s = slope_of(mid)
             if s is None:

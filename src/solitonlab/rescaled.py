@@ -34,8 +34,6 @@ __all__ = [
     "RescaledState",
     "to_rescaled",
     "from_rescaled",
-    "critical_point",
-    "rhs_rescaled",
     "make_rescaled_vector_rhs",
     "LocusResiduals",
     "rescaled_locus_residuals",
@@ -83,15 +81,6 @@ def from_rescaled(r: RescaledState, ansatz: DancerWangAnsatz) -> SolitonState:
     return SolitonState(t=r.t, f=f, df=df, u=r.u, du=du)
 
 
-def critical_point(ansatz: DancerWangAnsatz) -> RescaledState:
-    """The image of the singular orbit: X_0 = Y_0 = 1, X_i = Y_i = 0, Lc = 0."""
-    m = ansatz.m
-    X = np.zeros(m + 1)
-    Y = np.zeros(m + 1)
-    X[0] = Y[0] = 1.0
-    return RescaledState(X=X, Y=Y, Lc=0.0, s=0.0, t=0.0, u=0.0)
-
-
 def _polynomial_rates(X, Y, Lc, a: DancerWangAnsatz, eps: float):
     """(dX/ds, dY/ds, dLc/ds) of the polynomial system: the circle-bundle
     closed form in chart variables, with the Ricci rate coefficients of
@@ -112,11 +101,6 @@ def _polynomial_rates(X, Y, Lc, a: DancerWangAnsatz, eps: float):
         dY.append(y * (drag - x))
     dX[0] = X[0] * (drag - 1.0) + soliton + curv0
     return dX, dY, Lc * drag
-
-
-def rhs_rescaled(r: RescaledState, a: DancerWangAnsatz, eps: float):
-    """Slow-time derivatives (dX/ds, dY/ds, dLc/ds) of the polynomial system."""
-    return _polynomial_rates(r.X, r.Y, r.Lc, a, eps)
 
 
 def make_rescaled_vector_rhs(a: DancerWangAnsatz, eps: float):
@@ -223,17 +207,6 @@ class RescaledTrajectory:
             u=ys[:, 2 * k + 2],
         )
 
-    def rescaled_states(self) -> list[RescaledState]:
-        """The samples as separate states, for code that walks them one by
-        one; the package itself reads ``samples``."""
-        k = self.k
-        return [
-            RescaledState(
-                X=y[:k], Y=y[k : 2 * k], Lc=y[2 * k], s=s, t=y[2 * k + 1], u=y[2 * k + 2]
-            )
-            for s, y in zip(self.result.ts, self.result.ys)
-        ]
-
 
 def rescaled_default_delta(spec: ProblemSpec) -> float:
     """Launch offset for compact-chart runs.
@@ -246,10 +219,14 @@ def rescaled_default_delta(spec: ProblemSpec) -> float:
     return 1e-3 * min(1.0, min(spec.initial))
 
 
+# slow-time cap of a compact-chart run; the t_target event normally ends it
+# first (the shipped runs reach their physical horizon by s = 77)
+_S_MAX = 400.0
+
+
 def solve_rescaled(
     spec: ProblemSpec,
     t_max: float = 10.0,
-    s_max: float = 400.0,
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-13,
     max_steps: int = 200_000,
@@ -270,7 +247,7 @@ def solve_rescaled(
         EventSpec("overflow", lambda s, y: 1e12 - max(map(abs, y)), -1, True),
     )
     cfg = IntegratorConfig(
-        t_max=s_max,
+        t_max=_S_MAX,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         max_steps=max_steps,

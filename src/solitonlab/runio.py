@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -201,12 +202,17 @@ def run_id_of(config_doc: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, lines):
+    """Write each string of ``lines`` and a newline after it to a temporary
+    file beside ``path``, then move it over ``path``.  ``lines`` may be a
+    generator: each string is written as it is made."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -231,14 +237,14 @@ def _jsonable(obj):
 
 
 def write_json(path: str, payload: dict):
-    _atomic_write(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(_jsonable(payload), indent=2, sort_keys=True)])
 
 
 # -- trajectory CSV -----------------------------------------------------------------
 
 
-# rows converted to Python floats at a time: converting a whole table at once
-# holds every value as an object and raises the peak resident set
+# rows converted to Python floats, formatted and written at a time: the whole
+# table held as objects or as text would set the run's memory peak
 _CSV_CHUNK = 256
 
 
@@ -256,10 +262,11 @@ def _write_csv(path: str, columns: dict):
             values += list(col)
     row = ",".join(["{:.17g}"] * len(names))
     table = np.column_stack(values)
-    lines = [",".join(names)]
-    for start in range(0, len(table), _CSV_CHUNK):
-        lines += [row.format(*r) for r in table[start : start + _CSV_CHUNK].tolist()]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    chunks = (
+        "\n".join([row.format(*r) for r in table[start : start + _CSV_CHUNK].tolist()])
+        for start in range(0, len(table), _CSV_CHUNK)
+    )
+    _atomic_write(path, itertools.chain([",".join(names)], chunks))
 
 
 def write_trajectory_csv(path: str, traj: Trajectory):
@@ -325,7 +332,7 @@ def write_svg_plot(path: str, xs, series: dict, title: str = "", width=900, heig
             f'<text x="{width - pad + 4}" y="{pad + 16 * i}" font-size="11" fill="{color}">{name}</text>'
         )
     parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
+    _atomic_write(path, parts)
 
 
 # -- full solve pipeline ----------------------------------------------------------------

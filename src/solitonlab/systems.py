@@ -45,17 +45,13 @@ __all__ = [
     "StateDerivative",
     "ProblemSpec",
     "flow_ansatz",
-    "rhs",
     "generic_rhs",
     "make_vector_rhs",
     "pack_state",
     "unpack_state",
     "tr_L",
-    "tr_L2",
-    "tr_ricci",
     "conservation_residual",
     "conservation_residual_curvature",
-    "u_second_derivative_identity",
     "kahler_residual",
 ]
 
@@ -284,11 +280,6 @@ class SolitonState:
         if self.f.shape != self.df.shape:
             raise ValueError("f and df must have matching shapes")
 
-    @property
-    def shape_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues fdot_i / f_i of the shape operator (one per summand)."""
-        return self.df / self.f
-
 
 @dataclass
 class StateDerivative:
@@ -362,10 +353,6 @@ def tr_L(state: SolitonState, ansatz: Ansatz):
     return _dot(ansatz.dims, _ratios(state.df, state.f))
 
 
-def tr_L2(state: SolitonState, ansatz: Ansatz):
-    return _dot(ansatz.dims, [z * z for z in _ratios(state.df, state.f)])
-
-
 # -- curvature terms of each system ----------------------------------------
 
 
@@ -405,26 +392,19 @@ def _ricci_rates_split(f, ansatz: Ansatz):
     return 0.0, rates
 
 
-def _ricci_rates(f: np.ndarray, ansatz: Ansatz) -> np.ndarray:
-    """Ricci eigenvalues of the orbit metric with components f."""
-    geo, rates = _ricci_rates_split(f, ansatz)
-    rates[0] = rates[0] + geo / (ansatz.dims[0] * (f[0] * f[0]))
-    return np.array(rates)
-
-
-def tr_ricci(state: SolitonState, ansatz: Ansatz):
-    """Scalar curvature of the orbit at this slice."""
-    return _dot(ansatz.dims, _ricci_rates(state.f, ansatz))
-
-
 # -- right-hand sides --------------------------------------------------------
 
 
-def _assemble(state: SolitonState, ansatz: Ansatz, eps: float, rates_of):
-    """The flow at one state, with the Ricci rates rates_of(f)."""
+def generic_rhs(state: SolitonState, ansatz: Ansatz, eps: float) -> StateDerivative:
+    """Assemble the flow from the general soliton equations instead.
+
+    The Ricci term comes from :func:`geometry.ricci_eigenvalues` on the
+    ansatz's encoded decomposition (metric scalings x_i = f_i^2).  Used as a
+    cross-check of the specialized right-hand sides, never at solve time.
+    """
     if np.any(state.f <= 0.0):
         raise ValueError("metric components must be positive to evaluate the flow")
-    rates = rates_of(state.f)
+    rates = ricci_eigenvalues(flow_ansatz(ansatz).decomposition(), state.f**2)
     d = ansatz.dims
     z = state.df / state.f
     H = -state.du + _dot(d, z)
@@ -432,24 +412,6 @@ def _assemble(state: SolitonState, ansatz: Ansatz, eps: float, rates_of):
     ddf = state.f * (dz + z * z)
     udd = float(_dot(d, dz + z * z)) - eps / 2.0
     return StateDerivative(df=state.df.copy(), ddf=ddf, du=state.du, udd=udd)
-
-
-def rhs(state: SolitonState, ansatz: Ansatz, eps: float) -> StateDerivative:
-    """The flow at one state, from the closed-form Ricci rates."""
-    return _assemble(state, ansatz, eps, lambda f: _ricci_rates(f, ansatz))
-
-
-def generic_rhs(
-    state: SolitonState, ansatz: Ansatz, eps: float, dec: IsotropyDecomposition | None = None
-) -> StateDerivative:
-    """Assemble the flow from the general soliton equations instead.
-
-    The Ricci term comes from :func:`geometry.ricci_eigenvalues` on the
-    ansatz's encoded decomposition (metric scalings x_i = f_i^2).  Used as a
-    cross-check of the specialized right-hand sides, never at solve time.
-    """
-    dec = dec if dec is not None else flow_ansatz(ansatz).decomposition()
-    return _assemble(state, ansatz, eps, lambda f: ricci_eigenvalues(dec, f**2))
 
 
 # -- cancellation-free assembly near the singular orbit -----------------------
@@ -572,20 +534,6 @@ def _locus_ratios(state: SolitonState, spec: ProblemSpec, r4):
         q1 = np.where(H > 0, 1.0 + state.du / H, np.nan)
         q2 = np.where(H > 0, 1.0 + (r4 + spec.C + spec.epsilon * state.u) / (H * H), np.nan)
     return q1[()], q2[()]
-
-
-def u_second_derivative_identity(state: SolitonState, spec: ProblemSpec):
-    """Twice the potential's second derivative, reconstructed from conserved
-    data: C + eps u + udot^2 + tr L^2 - (tr L)^2 + tr r + (n-1) eps / 2.
-
-    Cross-check target for the right-hand side's uddot.  Exactly the
-    curvature residual plus 2 (C + eps u - H udot), H = -udot + tr L, so it
-    shares that residual's cancellation-free grouping.
-    """
-    H = -state.du + tr_L(state, spec.ansatz)
-    return conservation_residual_curvature(state, spec) + 2.0 * (
-        spec.C + spec.epsilon * state.u - H * state.du
-    )
 
 
 def kahler_residual(state: SolitonState, a: DancerWangAnsatz) -> np.ndarray:

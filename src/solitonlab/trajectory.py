@@ -233,7 +233,6 @@ def solve_problem(
     max_steps: int = 200_000,
     max_step: float = np.inf,
     delta: float | None = None,
-    events: tuple[EventSpec, ...] | None = None,
 ) -> Trajectory:
     """Launch at small t = delta and integrate with the standard event set."""
     delta = default_delta(spec) if delta is None else float(delta)
@@ -245,7 +244,7 @@ def solve_problem(
         abs_tol=abs_tol,
         max_step=max_step,
         max_steps=max_steps,
-        events=standard_events(spec) if events is None else events,
+        events=standard_events(spec),
         validity=lambda y: all(map(math.isfinite, y)) and min(y[:k]) > 0.0,
     )
     rhs = make_vector_rhs(spec.ansatz, spec.epsilon)

@@ -20,7 +20,7 @@ from solitonlab.systems import (
     kahler_residual,
 )
 
-from conftest import CONFIG_NAMES_GRID, load_shipped, solve_both_charts
+from conftest import CONFIG_NAMES_GRID, comparison_ode_closed_form, load_shipped, solve_both_charts
 from test_geometry import random_decomposition
 
 
@@ -82,7 +82,7 @@ def test_criterion_03_integrator_oracle():
     for a in (0.5, 1.0, 2.0, 8.0):
         rhs = lambda t, y, a=a: np.array([-a + y[0] ** 2 / 2.0])
         res = integrate(rhs, 0.0, [0.0], IntegratorConfig(t_max=5.0))
-        exact = M.comparison_ode_closed_form(a, 0.0, 0.0, 5.0)
+        exact = comparison_ode_closed_form(a, 0.0, 0.0, 5.0)
         ok &= abs(res.y_end[0] - exact) <= 1e-9
         y_t = -0.5 * np.sqrt(2.0 * a)
         ev = EventSpec("target", lambda t, y, y_t=y_t: y[0] - y_t, -1, True)
@@ -166,19 +166,17 @@ def test_criterion_08_invariant_set_preservation(shipped_runs):
 
 def test_criterion_09_chart_equivalence():
     ok = True
-    for name in ("dw_m1_chart.json", "dw_m2_chart.json"):
+    for name in ("dw_kahler.json", "dw_m2_chart.json"):
         cfg = load_shipped(name)
         cmp = R.compare_charts(*solve_both_charts(cfg.spec, t_max=10.0))
         ok &= cmp.n_points > 100 and cmp.max_rel_deviation <= 1e-6
-    # exact critical point: stationary to rounding
-    a = load_shipped("dw_m1_chart.json").spec.ansatz
-    cp = R.critical_point(a)
-    dX, dY, dLc = R.rhs_rescaled(cp, a, 0.0)
-    ok &= max(np.max(np.abs(dX)), np.max(np.abs(dY)), abs(dLc)) <= 1e-12
+    # exact critical point [X0, X1, Y0, Y1, Lc, t, u]: stationary to rounding
+    spec = load_shipped("dw_kahler.json").spec
+    cp = [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    ok &= max(map(abs, R.make_rescaled_vector_rhs(spec.ansatz, 0.0)(0.0, cp)[:5])) <= 1e-12
     # the launch seed lands within O(delta) of it
-    spec = load_shipped("dw_m1_chart.json").spec
     r0 = R.to_rescaled(launch(spec, 1e-4), spec)
-    ok &= max(np.max(np.abs(r0.X - cp.X)), np.max(np.abs(r0.Y - cp.Y)), r0.Lc) <= 1e-3
+    ok &= max(np.max(np.abs(r0.X - cp[0:2])), np.max(np.abs(r0.Y - cp[2:4])), r0.Lc) <= 1e-3
     report(9, "both charts agree to 1e-6 on [delta, 10]; singular seed is the critical point", ok)
 
 
@@ -197,10 +195,9 @@ def test_criterion_10_kahler_locus(shipped_runs):
         ok &= np.max(np.abs(res.kahler_slope)) <= 1e-6
     # compact chart
     rt = R.solve_rescaled(spec, t_max=10.0)
-    for r in rt.rescaled_states():
-        res = R.rescaled_locus_residuals(r, a, spec.epsilon)
-        ok &= np.max(np.abs(res.kahler_square)) <= 1e-6
-        ok &= np.max(np.abs(res.kahler_slope)) <= 1e-6
+    res = R.rescaled_locus_residuals(rt.samples, a, spec.epsilon)
+    ok &= np.max(np.abs(res.kahler_square)) <= 1e-6
+    ok &= np.max(np.abs(res.kahler_slope)) <= 1e-6
     report(10, "Kaehler-locus residual families stay under 1e-6 in both charts", ok)
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import shutil
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -8,6 +10,17 @@ from solitonlab.cli import main
 from solitonlab.runio import _fmt
 
 from conftest import config_path, decomposition_path
+
+
+def test_shipped_configs_are_distinct():
+    # a copied config makes every check that walks them solve one run twice
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (files("solitonlab") / "configs").iterdir()
+        if path.name.endswith(".json")
+    }
+    assert len(digests) > 1
+    assert len(set(digests.values())) == len(digests), sorted(digests.items(), key=lambda kv: kv[1])
 
 
 def shipped(name, tmp_path):
@@ -127,7 +140,7 @@ class TestChartBoth:
 
         monkeypatch.setattr(trajectory, "integrate", counting)
         monkeypatch.setattr(rescaled, "integrate", counting)
-        doc = json.loads(config_path("dw_m1_chart.json").read_text())
+        doc = json.loads(config_path("dw_kahler.json").read_text())
         doc["integrator"] = dict(doc["integrator"], t_max=2.0, max_step=0.01)
         out = tmp_path / "o"
         assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)]) == 0
@@ -159,7 +172,7 @@ class TestChartBoth:
         assert report["chart_comparison"]["max_rel_deviation"] <= 1e-6
 
     def test_compact_chart_obeys_max_steps(self, tmp_path):
-        doc = json.loads(config_path("dw_m1_chart.json").read_text())
+        doc = json.loads(config_path("dw_kahler.json").read_text())
         doc["integrator"] = dict(doc["integrator"], max_steps=50)
         out = tmp_path / "o"
         main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)])

@@ -2,8 +2,8 @@
 
 Each oracle below is the loop the package ran before its closed forms took
 batches of samples: one SolitonState at a time, with the scalar bodies of
-``locus_membership``, ``kahler_residual`` and ``rescaled_locus_residuals``
-copied as they were.  Integrated columns and the derived columns that
+the former per-state locus classification, ``kahler_residual`` and
+``rescaled_locus_residuals`` copied as they were.  Integrated columns and the derived columns that
 involve no power must match them bit for bit; the others may differ by the
 rounding of a batched power or dot product, bounded by 1e-12 (1 + |value|).
 """
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from solitonlab import monitors as M
+from solitonlab import rescaled as R
 from solitonlab.runio import run_solve, write_rescaled_csv, write_trajectory_csv
 from solitonlab.systems import (
     DancerWangAnsatz,
@@ -113,6 +114,13 @@ def rescaled_locus_residuals_oracle(r, a, eps):
     return [lin, quad, *k_sq, *k_sl]
 
 
+def rescaled_states(rt):
+    """The compact-chart samples as separate states, one at a time."""
+    r = rt.samples
+    for j in range(len(r.s)):
+        yield R.RescaledState(r.X[:, j], r.Y[:, j], r.Lc[j], r.s[j], r.t[j], r.u[j])
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
@@ -195,7 +203,7 @@ def test_rescaled_csv_matches_per_state_rows(tmp_path):
         [
             [r.s, r.t, r.u, r.Lc, *r.X, *r.Y]
             + rescaled_locus_residuals_oracle(r, spec.ansatz, spec.epsilon)
-            for r in rt.rescaled_states()
+            for r in rescaled_states(rt)
         ]
     )
     n_state = 4 + 2 * (spec.ansatz.m + 1)  # s, t, u, Lc, X, Y
@@ -204,12 +212,13 @@ def test_rescaled_csv_matches_per_state_rows(tmp_path):
 
 def test_batch_locus_membership_is_the_per_state_one(shipped_runs):
     traj = shipped_runs["ts_e0_c1.json"]
-    batch = M.locus_membership(traj.samples, traj.spec)
+    q1, q2 = traj.columns["locus_mean_ratio"], traj.columns["locus_curvature_ratio"]
+    classes = M._locus_classes(q1, q2)
     for i in (0, len(traj.ts) // 2, len(traj.ts) - 1):
-        one = M.locus_membership(traj.states[i], traj.spec)
-        assert one.classification == batch.classification[i]
-        assert one.mean_curvature_ratio == pytest.approx(batch.mean_curvature_ratio[i], rel=1e-14)
-        assert one.curvature_ratio == pytest.approx(batch.curvature_ratio[i], rel=1e-14)
+        one_q1, one_q2, one_class = locus_membership_oracle(traj.states[i], traj.spec)
+        assert one_class == classes[i]
+        assert one_q1 == pytest.approx(q1[i], rel=1e-14)
+        assert one_q2 == pytest.approx(q2[i], rel=1e-14)
 
 
 def test_run_solve_makes_one_conservation_report(tmp_path, monkeypatch):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solitonlab.integrator import EventSpec, IntegratorConfig, _error_norm, integrate
-from solitonlab.monitors import comparison_ode_closed_form
+
+from conftest import comparison_ode_closed_form
 
 
 def contracting_rhs(a):

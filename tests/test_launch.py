@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from solitonlab.launch import default_delta, launch
+from solitonlab.launch import _series_state, default_delta, launch
 from solitonlab.systems import (
     DancerWangAnsatz,
     LuPagePopeAnsatz,
@@ -21,20 +21,20 @@ def residual_at(state, spec):
 
 def test_two_summands_series_values():
     spec = ProblemSpec(TwoSummandsAnsatz(3, 4, 6.0, 8.0, 3.0), 0.0, -2.0, (1.0,))
-    st = launch(spec, 1e-3, project=False)
+    st = _series_state(spec, 1e-3)
     assert st.u == pytest.approx(-2.5e-7, rel=1e-12)
     assert st.du == pytest.approx(-5e-4, rel=1e-12)
     assert st.f[0] == 1e-3 and st.df[0] == 1.0
     # fddot2(0) = (A2/d2)/ (d1+1) for fbar = 1, eps = 0
     spec0 = ProblemSpec(TwoSummandsAnsatz(3, 4, 6.0, 8.0, 3.0), 0.0, 0.0, (1.0,))
-    st0 = launch(spec0, 1e-3, project=False)
+    st0 = _series_state(spec0, 1e-3)
     assert st0.f[1] == pytest.approx(1.0 + 2.5e-7, rel=1e-12)
     assert st0.u == 0.0 and st0.du == 0.0  # Einstein seed
 
 
 def test_dancer_wang_series_values():
     spec = ProblemSpec(DancerWangAnsatz((2,), (2,), (1,)), 0.0, -1.0, (2.0,))
-    st = launch(spec, 1e-3, project=False)
+    st = _series_state(spec, 1e-3)
     assert st.f[1] == pytest.approx(2.0 * (1.0 + 1.25e-7), rel=1e-13)
     assert st.du == pytest.approx(-0.5e-3, rel=1e-12)
     assert st.u == pytest.approx(-2.5e-7, rel=1e-12)
@@ -42,17 +42,17 @@ def test_dancer_wang_series_values():
 
 def test_lpp_series_values():
     spec = ProblemSpec(LuPagePopeAnsatz(2, 2, 1, 3), 0.0, -1.0, (1.0, 1.0))
-    st = launch(spec, 1e-3, project=False)
+    st = _series_state(spec, 1e-3)
     assert st.f[2] == pytest.approx(1.0 + 5e-7, rel=1e-13)
     # d2 = 1 keeps the warped factor flat through this order
     spec1 = ProblemSpec(LuPagePopeAnsatz(2, 2, 1, 1), 0.0, -1.0, (1.0, 1.0))
-    st1 = launch(spec1, 1e-3, project=False)
+    st1 = _series_state(spec1, 1e-3)
     assert st1.f[2] == 1.0 and st1.df[2] == 0.0
 
 
 def test_parity_scaling():
     spec = ProblemSpec(HOPF, 0.0, -1.0, (1.0,))
-    small, large = (launch(spec, d, project=False) for d in (1e-4, 2e-4))
+    small, large = (_series_state(spec, d) for d in (1e-4, 2e-4))
     # odd component vanishes linearly, even components' derivatives vanish linearly
     assert large.f[0] / small.f[0] == pytest.approx(2.0, rel=1e-12)
     assert large.df[1] / small.df[1] == pytest.approx(2.0, rel=1e-12)
@@ -62,7 +62,7 @@ def test_parity_scaling():
 
 def test_ratio_slope_at_launch():
     spec = ProblemSpec(DancerWangAnsatz((2,), (2,), (1,)), 0.0, -1.0, (2.0,))
-    st = launch(spec, 1e-4, project=False)
+    st = _series_state(spec, 1e-4)
     omega = st.f[0] / st.f[1]
     domega = omega * (st.df[0] / st.f[0] - st.df[1] / st.f[1])
     assert omega == pytest.approx(1e-4 / 2.0, rel=1e-6)
@@ -80,7 +80,7 @@ def test_projection_zeroes_the_first_integral():
         st = launch(spec)
         assert abs(residual_at(st, spec)) < 1e-10
         # the projection is an O(delta^2)-relative nudge of the series data
-        raw = launch(spec, project=False)
+        raw = _series_state(spec, default_delta(spec))
         assert st.df[0] == pytest.approx(raw.df[0], rel=1e-4)
         assert st.du == pytest.approx(raw.du, rel=1e-4, abs=1e-10)
 
@@ -89,8 +89,8 @@ def test_circle_fibre_series_residual_order():
     # without projection the circle-fibre series already satisfies the first
     # integral to O(delta^2)
     spec = ProblemSpec(DancerWangAnsatz((2,), (2,), (1,)), 0.0, -1.0, (2.0,))
-    r1 = abs(residual_at(launch(spec, 1e-3, project=False), spec))
-    r2 = abs(residual_at(launch(spec, 1e-4, project=False), spec))
+    r1 = abs(residual_at(_series_state(spec, 1e-3), spec))
+    r2 = abs(residual_at(_series_state(spec, 1e-4), spec))
     assert r2 < r1 * 0.05
 
 

@@ -6,13 +6,49 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solitonlab import monitors as M
+from solitonlab.integrator import IntegrationResult
 from solitonlab.systems import (
     DancerWangAnsatz,
     ProblemSpec,
     SolitonState,
     TwoSummandsAnsatz,
+    pack_state,
 )
-from solitonlab.trajectory import solve_problem
+from solitonlab.trajectory import Trajectory, solve_problem
+
+from conftest import comparison_ode_closed_form
+
+
+def one_sample_run(state, spec):
+    """A run holding the single sample ``state``: its columns and reports are
+    those the package computes for every sample of a real run."""
+    ys = pack_state(state)[None, :]
+    result = IntegrationResult(
+        ts=np.array([state.t]), ys=ys, dys=np.zeros_like(ys), dense=ys[:0], termination="reached_t_max"
+    )
+    return Trajectory(spec=spec, delta=0.0, result=result)
+
+
+def potential_violations_oracle(traj, l_nonzero_tol=1e-12):
+    """potential_report's violations as its per-sample loop computed them."""
+    spec = traj.spec
+    out = []
+    zmax = np.max(np.abs(traj.df / traj.f), axis=1)
+    for i, t in enumerate(traj.ts):
+        if t <= traj.delta:
+            continue
+        bad = {}
+        if traj.u[i] >= 0:
+            bad["u"] = float(traj.u[i])
+        if traj.du[i] >= 0:
+            bad["du"] = float(traj.du[i])
+        concavity_applies = spec.epsilon > 0 or zmax[i] > l_nonzero_tol
+        if concavity_applies and traj.udd[i] >= 0:
+            bad["udd"] = float(traj.udd[i])
+        if bad:
+            bad["t"] = float(t)
+            out.append(bad)
+    return out
 
 
 class TestRoots:
@@ -81,25 +117,25 @@ class TestPredicatesAndClosedForm:
             assert pred["general"] == pred["circle_fibre"]
 
     def test_comparison_closed_form_values(self):
-        assert M.comparison_ode_closed_form(2.0, 0.0, 0.0, 1.0) == pytest.approx(
+        assert comparison_ode_closed_form(2.0, 0.0, 0.0, 1.0) == pytest.approx(
             -1.5231883119115297, rel=1e-12
         )
-        assert M.comparison_ode_closed_form(2.0, 0.0, 0.0, 0.0) == 0.0
+        assert comparison_ode_closed_form(2.0, 0.0, 0.0, 0.0) == 0.0
         ss = np.linspace(0.0, 4.0, 41)
-        ys = M.comparison_ode_closed_form(1.0, -0.3, 0.0, ss)
+        ys = comparison_ode_closed_form(1.0, -0.3, 0.0, ss)
         assert np.all(np.diff(ys) < 0)  # monotone decreasing for y* <= 0
 
     def test_comparison_closed_form_preconditions(self):
         with pytest.raises(ValueError, match="positive"):
-            M.comparison_ode_closed_form(0.0, 0.0, 0.0, 1.0)
+            comparison_ode_closed_form(0.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="branch"):
-            M.comparison_ode_closed_form(1.0, 2.0, 0.0, 1.0)
+            comparison_ode_closed_form(1.0, 2.0, 0.0, 1.0)
 
     def test_growth_threshold_exists_on_comparison_surrogate(self):
         # for the surrogate there is a threshold a0(c, s0) with -y(s0) >= c
         # for every a above it
         c, s0 = 2.0, 1.0
-        met = lambda a: -M.comparison_ode_closed_form(a, 0.0, 0.0, s0) >= c
+        met = lambda a: -comparison_ode_closed_form(a, 0.0, 0.0, s0) >= c
         lo, hi = 1e-3, 1e6
         assert not met(lo) and met(hi)
         for _ in range(200):
@@ -114,13 +150,13 @@ class TestLocus:
     def test_zero_potential_slope_sits_on_locus_boundary(self):
         spec = ProblemSpec(TwoSummandsAnsatz(3, 4, 6.0, 48.0, 12.0), 0.0, 0.0, (1.0,))
         st = SolitonState(1.0, [0.5, 1.2], [0.4, 0.3], 0.0, 0.0)
-        rep = M.locus_membership(st, spec)
-        assert rep.mean_curvature_ratio == 1.0  # exact: tr L / (tr L - 0)
+        q1 = one_sample_run(st, spec).columns["locus_mean_ratio"]
+        assert q1[0] == 1.0  # exact: tr L / (tr L - 0)
 
     def test_nonpositive_denominator_not_classifiable(self):
         spec = ProblemSpec(TwoSummandsAnsatz(3, 4, 6.0, 48.0, 12.0), 0.0, -1.0, (1.0,))
         st = SolitonState(1.0, [1.0, 1.0], [-1.0, -1.0], -0.1, 0.5)
-        assert M.locus_membership(st, spec).classification == "not_classifiable"
+        assert M.locus_report(one_sample_run(st, spec)).class_counts["not_classifiable"] == 1
 
     def test_strict_locus_for_negative_constant(self, shipped_runs):
         rep = M.locus_report(shipped_runs["ts_complete_steady.json"])
@@ -148,14 +184,25 @@ class TestPotential:
         src = shipped_runs["ts_e0_c1.json"]
         result = copy.deepcopy(src.result)
         k = len(src.spec.ansatz.dims)
-        idx = len(result.ts) // 2
+        n = len(result.ts)
+        idx = n // 2
         result.ys[idx, 2 * k + 1] = +0.01  # udot forced positive at one sample
-        from solitonlab.trajectory import Trajectory
-
+        # u, udot and uddot violations alone and together, and all three on
+        # the launch slice t = delta, which the report skips
+        result.ys[[0, n // 4, n // 3], 2 * k] = +0.02
+        result.ys[[0, n // 4], 2 * k + 1] = +0.03
+        result.ys[2 * n // 3, 2 * k + 1] = 0.0  # the boundary counts as a violation
         corrupted = Trajectory(spec=src.spec, delta=src.delta, result=result)
+        assert corrupted.ts[0] <= corrupted.delta
+        udd = corrupted.udd.copy()
+        udd[[0, n // 4, idx, n - 1]] = 0.5
+        corrupted.udd = udd
         rep = M.potential_report(corrupted)
         assert not rep.ok
         assert any(v["t"] == result.ts[idx] and "du" in v for v in rep.violations)
+        want = potential_violations_oracle(corrupted)
+        assert [list(v.items()) for v in rep.violations] == [list(v.items()) for v in want]
+        assert len(want) == 5 and {"u", "du", "udd"} <= set(want[0])
 
 
 class TestAsymptotics:
@@ -227,8 +274,6 @@ class TestClassification:
         src = shipped_runs["ts_e0_c1.json"]
         result = copy.deepcopy(src.result)
         result.termination = "event:metric_degenerate"
-        from solitonlab.trajectory import Trajectory
-
         v = M.classify_completeness(Trajectory(spec=src.spec, delta=src.delta, result=result))
         assert v.kind == "metric_degenerate"
 

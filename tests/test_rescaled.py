@@ -3,12 +3,32 @@ import pytest
 
 from solitonlab import rescaled as R
 from solitonlab.launch import launch
-from solitonlab.systems import DancerWangAnsatz, ProblemSpec, SolitonState, rhs, tr_L, tr_L2
+from solitonlab.systems import (
+    DancerWangAnsatz,
+    ProblemSpec,
+    SolitonState,
+    make_vector_rhs,
+    pack_state,
+    tr_L,
+)
 
 from conftest import solve_both_charts
 
 DW1 = DancerWangAnsatz((2,), (2,), (-2,))
 SPEC1 = ProblemSpec(DW1, 0.0, -2.0, (1.0,))
+
+
+def rescaled_rates(r, a, eps):
+    """(dX/ds, dY/ds, dLc/ds) at one compact-chart state from the
+    right-hand side the integrator runs."""
+    k = a.m + 1
+    y = np.concatenate((r.X, r.Y, [r.Lc, r.t, r.u])).tolist()
+    out = R.make_rescaled_vector_rhs(a, eps)(r.s, y)
+    return np.array(out[:k]), np.array(out[k : 2 * k]), out[2 * k]
+
+
+# the image of the singular orbit: X_0 = Y_0 = 1, X_1 = Y_1 = 0, Lc = 0
+CRITICAL_POINT = R.RescaledState(X=[1.0, 0.0], Y=[1.0, 0.0], Lc=0.0, s=0.0, t=0.0, u=0.0)
 
 
 def random_moving_state(rng, m):
@@ -49,8 +69,8 @@ def test_round_trip_preconditions():
 
 
 def test_singular_seed_is_the_critical_point():
-    cp = R.critical_point(DW1)
-    dX, dY, dLc = R.rhs_rescaled(cp, DW1, 0.0)
+    cp = CRITICAL_POINT
+    dX, dY, dLc = rescaled_rates(cp, DW1, 0.0)
     assert max(np.max(np.abs(dX)), np.max(np.abs(dY)), abs(dLc)) <= 1e-12
     # the launch state maps within O(delta) of it
     for delta in (1e-3, 1e-4):
@@ -64,7 +84,7 @@ def test_lc_growth_is_positive_off_equilibrium():
     for _ in range(20):
         st = random_moving_state(rng, 1)
         r = R.to_rescaled(st, SPEC1)
-        _, _, dLc = R.rhs_rescaled(r, DW1, 0.0)
+        _, _, dLc = rescaled_rates(r, DW1, 0.0)
         # eps = 0: dLc/ds = Lc sum d_j X_j^2 > 0 whenever the shape operator moves
         assert dLc > 0
 
@@ -78,15 +98,16 @@ def test_chain_rule_against_physical_flow():
             for _ in range(15):
                 st = random_moving_state(rng, m)
                 rr = R.to_rescaled(st, spec)
-                der = rhs(st, a, eps)
+                k = m + 1
+                ddf = np.array(make_vector_rhs(a, eps)(st.t, pack_state(st).tolist())[k : 2 * k])
                 z = st.df / st.f
                 H = -st.du + tr_L(st, a)
-                dz_dt = der.ddf / st.f - z * z
-                dH_dt = eps / 2.0 - tr_L2(st, a)
+                dz_dt = ddf / st.f - z * z
+                dH_dt = eps / 2.0 - float(np.dot(a.dims, z * z))
                 dLc_dt = -dH_dt / H**2
                 dX_dt = dLc_dt * z + dz_dt / H
                 dY_dt = dLc_dt / st.f - st.df / (st.f**2 * H)
-                dXs, dYs, dLs = R.rhs_rescaled(rr, a, eps)
+                dXs, dYs, dLs = rescaled_rates(rr, a, eps)
                 np.testing.assert_allclose(dX_dt / H, dXs, rtol=1e-10, atol=1e-12)
                 np.testing.assert_allclose(dY_dt / H, dYs, rtol=1e-10, atol=1e-12)
                 assert dLc_dt / H == pytest.approx(dLs, rel=1e-10, abs=1e-12)
@@ -103,16 +124,16 @@ def test_locus_residuals_zero_cases():
 def test_einstein_run_stays_on_locus():
     spec = ProblemSpec(DW1, 0.0, 0.0, (1.0,))
     rt = R.solve_rescaled(spec, t_max=10.0)
-    residuals = [R.rescaled_locus_residuals(r, DW1, 0.0) for r in rt.rescaled_states()]
-    assert max(abs(x.einstein_linear) for x in residuals) <= 1e-7
-    assert max(abs(x.einstein_quadratic) for x in residuals) <= 1e-7
+    res = R.rescaled_locus_residuals(rt.samples, DW1, 0.0)
+    assert np.max(np.abs(res.einstein_linear)) <= 1e-7
+    assert np.max(np.abs(res.einstein_quadratic)) <= 1e-7
 
 
 def test_strict_locus_preserved_for_negative_constant():
     rt = R.solve_rescaled(SPEC1, t_max=10.0)
     d = np.asarray(DW1.dims, dtype=float)
-    lin = [float(np.dot(d, r.X)) for r in rt.rescaled_states()]
-    assert max(lin) < 1.0
+    lin = d @ rt.samples.X
+    assert np.max(lin) < 1.0
 
 
 def test_boundedness_inside_admissible_region():
@@ -123,14 +144,10 @@ def test_boundedness_inside_admissible_region():
     p = np.asarray(a.p, dtype=float)
     q = np.asarray(a.q, dtype=float)
     n = float(np.sum(d))
-    for r in rt.rescaled_states():
-        assert np.all(r.Y[1:] ** 2 / r.Y[0] ** 2 < 2.0 * p / q**2)
-        value = (
-            float(np.dot(d, r.X**2))
-            + float(np.sum(d[1:] * p / 2.0 * r.Y[1:] ** 2))
-            + (n - 1) * spec.epsilon / 2.0 * r.Lc**2
-        )
-        assert value <= 1.0 + 1e-8
+    r = rt.samples
+    assert np.all(r.Y[1:] ** 2 / r.Y[0] ** 2 < (2.0 * p / q**2)[:, None])
+    value = d @ r.X**2 + (d[1:] * p / 2.0) @ r.Y[1:] ** 2 + (n - 1) * spec.epsilon / 2.0 * r.Lc**2
+    assert np.all(value <= 1.0 + 1e-8)
 
 
 @pytest.mark.parametrize(
@@ -148,10 +165,9 @@ def test_kahler_locus_preserved_in_both_charts():
     # q = -p steady seed lies on the Kaehler locus; both residual families
     # stay small along the rescaled flow
     rt = R.solve_rescaled(SPEC1, t_max=10.0)
-    for r in rt.rescaled_states():
-        res = R.rescaled_locus_residuals(r, DW1, 0.0)
-        assert np.max(np.abs(res.kahler_square)) <= 1e-6
-        assert np.max(np.abs(res.kahler_slope)) <= 1e-6
+    res = R.rescaled_locus_residuals(rt.samples, DW1, 0.0)
+    assert np.max(np.abs(res.kahler_square)) <= 1e-6
+    assert np.max(np.abs(res.kahler_slope)) <= 1e-6
 
 
 def test_rescaled_solver_rejects_other_systems():

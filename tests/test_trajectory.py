@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from solitonlab.geometry import killing_curvature_bound
+from solitonlab.geometry import killing_curvature_bound, scalar_curvature
 from solitonlab.launch import launch
 from solitonlab.monitors import classify_completeness, dw_apriori_monitor
 from solitonlab.runio import build_report, load_config, run_solve
@@ -14,12 +14,10 @@ from solitonlab.systems import (
     flow_ansatz,
     make_vector_rhs,
     pack_state,
-    tr_ricci,
-    u_second_derivative_identity,
 )
 from solitonlab.trajectory import solve_problem, standard_events
 
-from conftest import load_shipped
+from conftest import load_shipped, u_second_derivative_identity
 
 
 def test_samples_are_strictly_increasing_and_valid(shipped_runs):
@@ -35,14 +33,14 @@ def test_scalar_curvature_bound_along_trajectories(shipped_runs):
         dec = flow_ansatz(traj.spec.ansatz).decomposition()
         for st in traj.states[:: max(1, len(traj.states) // 200)]:
             bound = killing_curvature_bound(dec, st.f**2)
-            assert tr_ricci(st, traj.spec.ansatz) <= bound + 1e-10 * (1 + abs(bound))
+            assert scalar_curvature(dec, st.f**2) <= bound + 1e-10 * (1 + abs(bound))
 
 
 def test_uddot_identity_along_trajectory(shipped_runs):
     traj = shipped_runs["ts_e0_c1.json"]
-    for st, udd in zip(traj.states, traj.udd):
-        ident = u_second_derivative_identity(st, traj.spec)
-        assert ident == pytest.approx(2.0 * udd, abs=1e-8 * (1.0 + 2.0 * abs(udd)))
+    ident = u_second_derivative_identity(traj.samples, traj.spec)
+    udd = traj.columns["udd"]
+    assert np.all(np.abs(ident - 2.0 * udd) <= 1e-8 * (1.0 + 2.0 * np.abs(udd)))
 
 
 @pytest.mark.parametrize("name", ["ts_e1_c1.json", "dw_e1_c1.json", "lpp_e1_c1.json"])
