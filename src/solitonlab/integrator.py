@@ -14,6 +14,10 @@ order, so it equals the array formula bit for bit.  No rounding on the step
 depends on the BLAS or SIMD kernels numpy picks at run time, and identical
 inputs walk an identical step sequence on any such kernel.  Accepted samples
 go to flat double buffers that become the result's arrays.
+
+One attempt is straight-line code generated from the tableau rows for the
+state length at hand (``_dp_kernel``): scalar locals, no per-component
+loops.  It is compiled on first use and cached per length.
 """
 
 from __future__ import annotations
@@ -22,9 +26,12 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .codegen import Tape, compile_function
 
 __all__ = ["EventSpec", "EventHit", "IntegratorConfig", "IntegrationResult", "integrate"]
 
@@ -193,12 +200,11 @@ def _error_norm(err, y_old, y_new, rtol, atol):
 
 def _initial_step(call, t0, y0, f0, rtol, atol, max_step):
     # standard two-trial heuristic for the starting step
-    scale = [atol + rtol * abs(v) for v in y0]
-    d0 = _rms([v / s for v, s in zip(y0, scale)])
-    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    d0 = _error_norm(y0, y0, y0, rtol, atol)
+    d1 = _error_norm(f0, y0, y0, rtol, atol)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     f1 = call(t0 + h0, [v + h0 * g for v, g in zip(y0, f0)])
-    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    d2 = _error_norm([b - a for a, b in zip(f0, f1)], y0, y0, rtol, atol) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -209,71 +215,75 @@ def _initial_step(call, t0, y0, f0, rtol, atol, max_step):
 # what a stage may raise where numpy would return inf or NaN
 _STAGE_ERRORS = (ValueError, FloatingPointError, ZeroDivisionError, OverflowError)
 
+# (node, weights) of stages 2..7; the stage 7 node is the 5th-order solution
+_STAGES = (
+    (_C2, (_A21,)),
+    (_C3, (_A31, _A32)),
+    (_C4, (_A41, _A42, _A43)),
+    (_C5, (_A51, _A52, _A53, _A54)),
+    (1.0, (_A61, _A62, _A63, _A64, _A65)),
+    (1.0, (_A71, _A72, _A73, _A74, _A75, _A76)),
+)
 
-def _dp_step(call, t, y, f, h, rtol, atol):
-    """One Dormand-Prince attempt of size h from (t, y) with slope f, each a
-    list of floats.
+
+@lru_cache(maxsize=None)
+def _dp_kernel(n: int):
+    """One Dormand-Prince attempt on states of n floats, compiled from the
+    tableau rows: ``step(call, t, y, f, h, rtol, atol)`` steps by h from
+    (t, y) with slope f, each y and f a sequence of n floats.
 
     Returns (y_new, f_new, err, r5) -- the fifth-order solution, its slope
     (FSAL), the scaled error norm and the quartic term of the step's
-    continuous extension -- or None when a stage raises or is not finite.
+    continuous extension -- or None when a stage raises one of
+    ``_STAGE_ERRORS`` or is not finite.  Each stage is checked before the
+    next one is evaluated; a stage of the wrong length raises ValueError.
     Every combination of stages is y_j + h * (k1_j a1 + k2_j a2 + ...),
     summed left to right with zero weights included, so its rounding is
-    fixed.  Each stage is checked before the next one is evaluated.
+    fixed.  The error norm is ``_error_norm`` unrolled, summed in
+    ``_pairwise_sum``'s order.  The source is registered with linecache as
+    ``<solitonlab dp5 n=...>``.
     """
-    k1 = f
-    try:
-        k2 = call(t + _C2 * h, [yj + h * (a * _A21) for yj, a in zip(y, k1)])
-        if not all(map(math.isfinite, k2)):
-            return None
-        k3 = call(
-            t + _C3 * h, [yj + h * (a * _A31 + b * _A32) for yj, a, b in zip(y, k1, k2)]
-        )
-        if not all(map(math.isfinite, k3)):
-            return None
-        k4 = call(
-            t + _C4 * h,
-            [yj + h * (a * _A41 + b * _A42 + c * _A43) for yj, a, b, c in zip(y, k1, k2, k3)],
-        )
-        if not all(map(math.isfinite, k4)):
-            return None
-        k5 = call(
-            t + _C5 * h,
-            [
-                yj + h * (a * _A51 + b * _A52 + c * _A53 + d * _A54)
-                for yj, a, b, c, d in zip(y, k1, k2, k3, k4)
-            ],
-        )
-        if not all(map(math.isfinite, k5)):
-            return None
-        k6 = call(
-            t + h,
-            [
-                yj + h * (a * _A61 + b * _A62 + c * _A63 + d * _A64 + e * _A65)
-                for yj, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-            ],
-        )
-        if not all(map(math.isfinite, k6)):
-            return None
-        # the stage 7 node is the 5th-order solution
-        y_new = [
-            yj + h * (a * _A71 + b * _A72 + c * _A73 + d * _A74 + e * _A75 + g * _A76)
-            for yj, a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5, k6)
+    J = range(n)
+    err_weights = (_E1, _E2, _E3, _E4, _E5, _E6, _E7)
+    dense_weights = (_D1, _D2, _D3, _D4, _D5, _D6, _D7)
+
+    def names(prefix):
+        return "".join(f"{prefix}{j}, " for j in J)
+
+    def combined(weights, j):
+        return " + ".join(f"k{i}_{j} * {w!r}" for i, w in enumerate(weights, 1))
+
+    def check(stage):
+        finite = " and ".join(f"isfinite(k{stage}_{j})" for j in J)
+        return [f"        if not ({finite}):", "            return None"]
+
+    src = ["def dp5(call, t, y, f, h, rtol, atol):", f"    {names('y')}= y", f"    {names('k1_')}= f"]
+    for stage, (node, weights) in enumerate(_STAGES, 2):
+        x = ", ".join(f"y{j} + h * ({combined(weights, j)})" for j in J)
+        t_node = "t + h" if node == 1.0 else f"t + {node!r} * h"
+        src.append("    try:")
+        if stage > 2:
+            src += check(stage - 1)
+        if stage < 7:
+            src.append(f"        k = call({t_node}, [{x}])")
+        else:
+            src += [f"        y_new = [{x}]", f"        k = call({t_node}, y_new)"]
+        src += ["    except _STAGE_ERRORS:", "        return None", f"    {names(f'k{stage}_')}= k"]
+    src += ["    try:", *check(7), "    except _STAGE_ERRORS:", "        return None"]
+    src.append(f"    {names('yn')}= y_new")
+    for j in J:
+        src += [
+            f"    a = abs(y{j})",
+            f"    b = abs(yn{j})",
+            f"    w{j} = h * ({combined(err_weights, j)}) / (atol + rtol * (a if a > b or a != a else b))",
         ]
-        k7 = call(t + h, y_new)
-        if not all(map(math.isfinite, k7)):
-            return None
-    except _STAGE_ERRORS:
-        return None
-    err = [
-        h * (a * _E1 + b * _E2 + c * _E3 + d * _E4 + e * _E5 + g * _E6 + k * _E7)
-        for a, b, c, d, e, g, k in zip(k1, k2, k3, k4, k5, k6, k7)
-    ]
-    r5 = [
-        h * (a * _D1 + b * _D2 + c * _D3 + d * _D4 + e * _D5 + g * _D6 + k * _D7)
-        for a, b, c, d, e, g, k in zip(k1, k2, k3, k4, k5, k6, k7)
-    ]
-    return y_new, k7, _error_norm(err, y, y_new, rtol, atol), r5
+    tape = Tape()
+    total = _pairwise_sum([w * w for w in (tape.var(f"w{j}") for j in J)])
+    src += [f"    {line}" for line in tape.lines]
+    r5 = ", ".join(f"h * ({combined(dense_weights, j)})" for j in J)
+    src.append(f"    return y_new, k, sqrt({total.name} / {n}), [{r5}]")
+    namespace = {"_STAGE_ERRORS": _STAGE_ERRORS, "isfinite": math.isfinite, "sqrt": math.sqrt}
+    return compile_function("dp5", "\n".join(src) + "\n", f"<solitonlab dp5 n={n}>", namespace)
 
 
 def _crossed(prev, curr, direction):
@@ -299,6 +309,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     t = float(t0)
     n_acc = n_rej = n_rhs = 0
     rtol, atol, validity = cfg.rel_tol, cfg.abs_tol, cfg.validity
+    dp_step = _dp_kernel(n)
 
     def call(tt, yy):
         nonlocal n_rhs
@@ -328,7 +339,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
             termination = "state_invalid" if rejected_invalid else "step_failure"
             break
 
-        step = _dp_step(call, t, y, f, h, rtol, atol)
+        step = dp_step(call, t, y, f, h, rtol, atol)
         if step is None:
             n_rej += 1
             h *= 0.25
@@ -369,7 +380,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
                 termination = f"event:{ev.name}"
                 # the last sample is a real step's end; should that step
                 # fail, it is the extension restricted to [t, t_star]
-                step = _dp_step(call, t, y, f, t_star - t, rtol, atol)
+                step = dp_step(call, t, y, f, t_star - t, rtol, atol)
                 if step is None:
                     sigma = (t_star - t) / h
                     y_new, f_new = y_star, _slope(*extension, sigma) / h

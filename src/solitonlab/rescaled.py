@@ -15,17 +15,19 @@ residuals return one value (or row) per sample.  The polynomial system and
 the locus residuals are written once over sequences of components with
 + - * / and left-to-right sums only, so the integrator's right-hand side
 (floats) and the CSV columns ((N,) arrays) round alike on any numpy kernel.
+The right-hand side is the polynomial system traced once into straight-line
+code and compiled (see ``codegen``), cached per ansatz and eps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .codegen import trace_function
 from .integrator import EventSpec, IntegrationResult, IntegratorConfig, integrate
 from .launch import launch
 from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, _dot, _sum, tr_L
@@ -103,17 +105,28 @@ def _polynomial_rates(X, Y, Lc, a: DancerWangAnsatz, eps: float):
     return dX, dY, Lc * drag
 
 
-def make_rescaled_vector_rhs(a: DancerWangAnsatz, eps: float):
-    """Flattened d/ds of [X..., Y..., Lc, t, u] as a list of floats."""
+def _rescaled_rates(y, a: DancerWangAnsatz, eps: float) -> list:
+    """d/ds of [X..., Y..., Lc, t, u]: the formula ``make_rescaled_vector_rhs``
+    compiles."""
     k = a.m + 1
-    d = a.dims
+    X, Y, Lc = y[:k], y[k : 2 * k], y[2 * k]
+    dX, dY, dLc = _polynomial_rates(X, Y, Lc, a, eps)
+    return [*dX, *dY, dLc, Lc, _dot(a.dims, X) - 1.0]  # ..., dt/ds, du/ds
 
-    def fn(s, y):
-        X, Y, Lc = y[:k], y[k : 2 * k], y[2 * k]
-        dX, dY, dLc = _polynomial_rates(X, Y, Lc, a, eps)
-        return [*dX, *dY, dLc, Lc, _dot(d, X) - 1.0]  # ..., dt/ds, du/ds
 
-    return fn
+def make_rescaled_vector_rhs(a: DancerWangAnsatz, eps: float):
+    """Flattened d/ds of [X..., Y..., Lc, t, u] as a list of floats:
+    ``_rescaled_rates`` traced into straight-line code, compiled once per
+    ansatz and eps (see ``codegen``)."""
+    # keyed on eps's sign as well: 0.0 == -0.0, but they round differently
+    return _rescaled_kernel(a, eps, math.copysign(1.0, eps))
+
+
+@lru_cache(maxsize=32)
+def _rescaled_kernel(a: DancerWangAnsatz, eps: float, _sign: float):
+    n = 2 * (a.m + 1) + 3
+    name = f"<solitonlab rescaled rhs {a!r} eps={eps!r}>"
+    return trace_function(lambda y: _rescaled_rates(y, a, eps), n, name)
 
 
 def _fourth_ratios(Y) -> list:

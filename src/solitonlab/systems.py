@@ -25,16 +25,24 @@ every sum over components runs left to right (``_sum``, ``_dot``).  Each
 of these operations rounds the same way on a float and on an array element,
 so the right-hand side and the columns agree bit for bit, whichever BLAS or
 SIMD kernels numpy picked at run time.
+
+The integrator's right-hand side is that closed form compiled: on first
+use, ``make_vector_rhs`` runs ``_vector_rates`` once on traced values, and
+``codegen`` turns the recorded operations into one straight-line function,
+cached per flow ansatz and eps.  It returns the interpreted closed form's
+floats bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import add, mul, truediv
 
 import numpy as np
 
+from .codegen import trace_function
 from .geometry import IsotropyDecomposition, ricci_eigenvalues
 
 __all__ = [
@@ -223,10 +231,6 @@ class LuPagePopeAnsatz:
             raise ValueError("q1 must be nonzero")
         if self.d2 < 1:
             raise ValueError("d2 must be positive")
-
-    @property
-    def einstein_constant(self) -> int:
-        return self.d2 - 1
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -466,20 +470,28 @@ def unpack_state(t: float, y: np.ndarray, ansatz: Ansatz) -> SolitonState:
     return SolitonState(t=t, f=y[:k].copy(), df=y[k : 2 * k].copy(), u=y[2 * k], du=y[2 * k + 1])
 
 
+def _vector_rates(y, a: TwoSummandsAnsatz | DancerWangAnsatz, eps: float) -> list:
+    """dy/dt for y = [f..., df..., u, du] in the stable grouping: the formula
+    ``make_vector_rhs`` compiles, the same closed form as ``u_dotdot_stable``."""
+    d = a.dims
+    k = len(d)
+    f, df, du = y[:k], y[k : 2 * k], y[2 * k + 1]
+    w = _second_rates_stable(f, df, du, a, d, eps)
+    return [*df, *map(mul, f, w), du, _dot(d, w) - eps / 2.0]
+
+
 def make_vector_rhs(ansatz: Ansatz, eps: float):
-    """Flattened dy/dt for y = [f..., df..., u, du] (stable grouping), as a
-    list of floats; the same closed form as ``u_dotdot_stable``."""
-    k = len(ansatz.dims)
-    d = ansatz.dims
+    """Flattened dy/dt for y = [f..., df..., u, du] as a list of floats:
+    ``_vector_rates`` traced into straight-line code, compiled once per
+    flow ansatz and eps (see ``codegen``)."""
+    # keyed on eps's sign as well: 0.0 == -0.0, but they round differently
+    return _vector_kernel(flow_ansatz(ansatz), eps, math.copysign(1.0, eps))
 
-    def fn(t, y):
-        f = y[:k]
-        df = y[k : 2 * k]
-        du = y[2 * k + 1]
-        w = _second_rates_stable(f, df, du, ansatz, d, eps)
-        return [*df, *map(mul, f, w), du, _dot(d, w) - eps / 2.0]
 
-    return fn
+@lru_cache(maxsize=32)
+def _vector_kernel(a: TwoSummandsAnsatz | DancerWangAnsatz, eps: float, _sign: float):
+    n = 2 * len(a.dims) + 2
+    return trace_function(lambda y: _vector_rates(y, a, eps), n, f"<solitonlab rhs {a!r} eps={eps!r}>")
 
 
 # -- conserved quantities and identities --------------------------------------
