@@ -4,28 +4,38 @@ A closed form written over a sequence of components (see ``systems``) runs
 unchanged on ``Traced`` values: each + - * / and unary minus it performs is
 appended to a ``Tape`` in evaluation order, as one assignment to a fresh
 local.  The tape then becomes the body of a function that is compiled once
-and called on floats.  Nothing is simplified.  An operation between two
-constants is done by Python while tracing, exactly as the interpreted
-closed form does it; every other operation is replayed as written, with the
-same operands in the same order.  Each float operation rounds the same way
-wherever it runs, so the compiled function returns the interpreted closed
-form's values bit for bit.
+and called on floats.  An operation between two constants is done by Python
+while tracing, exactly as the interpreted closed form does it; every other
+operation is replayed with the same operands in the same order, except for
+three reductions that keep every value's bits: an operation recorded again
+with the same operands reuses the first one's local (IEEE operations are
+deterministic, and if the first raises the second is never reached);
+``x * 1``, ``1 * x``, ``x / 1`` and ``x - 0.0`` are x itself, for +-0,
++-inf and NaN too; and an int operand is written as the float it converts
+to (exactly, below 2**53), which lets CPython specialize the operation.
+``x + 0.0`` stays (it turns -0.0 into +0.0), and so does ``0.0 * x`` (NaN
+for infinite x, -0.0 for negative x).  So the compiled function returns
+the interpreted closed form's values bit for bit.
 
 Any other use of a traced value -- truth testing, comparison, ``abs``,
 ``float``, a power -- raises TypeError, so a closed form that branched on
 its input fails while tracing instead of being frozen into one branch.
 
-Generated sources are registered with ``linecache`` under a readable name
-such as ``<solitonlab dp5 n=6>``, so tracebacks and ``inspect.getsource``
-show the kernel's lines.
+``traced`` gives the ``Trace`` of a function ``trace_function`` compiled,
+by the identity of the function object, so the integrator can inline the
+body.  Generated sources are registered with ``linecache`` under a
+readable name such as ``<solitonlab dp5 n=6>``, so tracebacks and
+``inspect.getsource`` show the kernel's lines.
 """
 
 from __future__ import annotations
 
 import linecache
 import math
+import weakref
+from dataclasses import dataclass
 
-__all__ = ["Tape", "Traced", "compile_function", "trace_function"]
+__all__ = ["Tape", "Trace", "Traced", "compile_function", "trace_function", "traced"]
 
 
 class Tape:
@@ -36,7 +46,7 @@ class Tape:
     def __init__(self):
         self.lines: list[str] = []
         self.namespace: dict = {}
-        self._temps = 0
+        self._records: dict[str, Traced] = {}  # expression -> its local
 
     def var(self, name: str) -> Traced:
         """A traced value held in the generated local ``name``."""
@@ -56,18 +66,32 @@ class Tape:
         return name
 
     def record(self, text: str) -> Traced:
-        """Assign the expression ``text`` to a fresh local; its traced value."""
-        self._temps += 1
-        name = f"_{self._temps}"
-        self.lines.append(f"{name} = {text}")
-        return Traced(self, name)
+        """The traced value of the expression ``text``: a fresh local, or
+        the one an identical earlier record assigned."""
+        value = self._records.get(text)
+        if value is None:
+            name = f"_{len(self._records) + 1}"
+            self.lines.append(f"{name} = {text}")
+            value = self._records[text] = Traced(self, name)
+        return value
+
+
+# (op, repr of a right operand) that give the left operand bit for bit:
+# x * 1, x / 1 and x - 0.0, but not x - -0.0, which is x + 0.0
+_RIGHT_IDENTITIES = {("*", "1.0"), ("/", "1.0"), ("-", "0.0")}
 
 
 def _binary(op: str, swap: bool = False):
     def method(self, other):
         if not isinstance(other, (Traced, int, float)):
             return NotImplemented
+        if type(other) is int and abs(other) <= 2**53:
+            other = float(other)  # the conversion the float operation makes
         left, right = (other, self) if swap else (self, other)
+        if type(right) is float and (op, repr(right)) in _RIGHT_IDENTITIES:
+            return left
+        if type(left) is float and left == 1.0 and op == "*":
+            return right
         return self.tape.record(f"{self.tape.ref(left)} {op} {self.tape.ref(right)}")
 
     return method
@@ -116,14 +140,42 @@ def compile_function(name: str, source: str, filename: str, namespace: dict):
     return namespace[name]
 
 
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A traced formula: the names of its n inputs, the recorded lines that
+    compute from them, the source text of each output and the constants the
+    lines bind by name."""
+
+    filename: str
+    inputs: tuple[str, ...]
+    lines: tuple[str, ...]
+    outputs: tuple[str, ...]
+    namespace: dict
+
+
+# id of each live function trace_function compiled -> its Trace; an entry
+# goes when its function is collected, before the id can be reused
+_TRACES: dict[int, Trace] = {}
+
+
+def traced(fn) -> Trace | None:
+    """The Trace ``fn`` was compiled from, if ``trace_function`` returned
+    this very object; a wrapper around it, even one that copies its
+    attributes, has none."""
+    return _TRACES.get(id(fn))
+
+
 def trace_function(formula, n: int, filename: str):
     """Trace ``formula(y)``, a function of a sequence of n components that
     returns a list, into a compiled ``fn(t, y)`` returning a list of the
     same values for a state y of n floats."""
     tape = Tape()
     y = [tape.var(f"y{j}") for j in range(n)]
-    out = formula(y)
-    body = [f"{', '.join(v.name for v in y)}, = y", *tape.lines]
-    body.append(f"return [{', '.join(map(tape.ref, out))}]")
+    out = [tape.ref(v) for v in formula(y)]
+    trace = Trace(filename, tuple(v.name for v in y), tuple(tape.lines), tuple(out), tape.namespace)
+    body = [f"{', '.join(trace.inputs)}, = y", *trace.lines, f"return [{', '.join(out)}]"]
     source = "def fn(t, y):\n" + "".join(f"    {line}\n" for line in body)
-    return compile_function("fn", source, filename, tape.namespace)
+    fn = compile_function("fn", source, filename, tape.namespace)
+    _TRACES[id(fn)] = trace
+    weakref.finalize(fn, _TRACES.pop, id(fn), None)
+    return fn

@@ -17,7 +17,14 @@ go to flat double buffers that become the result's arrays.
 
 One attempt is straight-line code generated from the tableau rows for the
 state length at hand (``_dp_kernel``): scalar locals, no per-component
-loops.  It is compiled on first use and cached per length.
+loops.  A right-hand side compiled by ``codegen`` (found by the identity
+of the function object, so a profiler's wrapper is called like any other
+callable) is fused in: each stage is its traced body inlined, and the
+attempt counts its own evaluations.  Every stage reuses the body's local
+names.  With names of its own per stage the attempt has some 420 locals;
+CPython reaches a local past the 256th only through an extended
+instruction, and so built the attempt ran no faster than the calling one.
+Attempts are compiled on first use and cached.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .codegen import Tape, compile_function
+from .codegen import Tape, Trace, compile_function, traced
 
 __all__ = ["EventSpec", "EventHit", "IntegratorConfig", "IntegrationResult", "integrate"]
 
@@ -226,21 +233,27 @@ _STAGES = (
 )
 
 
-@lru_cache(maxsize=None)
-def _dp_kernel(n: int):
+@lru_cache(maxsize=64)
+def _dp_kernel(n: int, rhs: Trace | None = None):
     """One Dormand-Prince attempt on states of n floats, compiled from the
     tableau rows: ``step(call, t, y, f, h, rtol, atol)`` steps by h from
     (t, y) with slope f, each y and f a sequence of n floats.
 
     Returns (y_new, f_new, err, r5) -- the fifth-order solution, its slope
     (FSAL), the scaled error norm and the quartic term of the step's
-    continuous extension -- or None when a stage raises one of
+    continuous extension -- or a failure when a stage raises one of
     ``_STAGE_ERRORS`` or is not finite.  Each stage is checked before the
-    next one is evaluated; a stage of the wrong length raises ValueError.
-    Every combination of stages is y_j + h * (k1_j a1 + k2_j a2 + ...),
-    summed left to right with zero weights included, so its rounding is
-    fixed.  The error norm is ``_error_norm`` unrolled, summed in
-    ``_pairwise_sum``'s order.  The source is registered with linecache as
+    next one is evaluated.  Every combination of stages is
+    y_j + h * (k1_j a1 + k2_j a2 + ...), summed left to right with zero
+    weights included, so its rounding is fixed.  The error norm is
+    ``_error_norm`` unrolled, summed in ``_pairwise_sum``'s order.
+
+    Without ``rhs`` each stage is ``call(t_i, x)``, a failure returns None,
+    and a stage of the wrong length raises ValueError.  With the Trace of a
+    compiled right-hand side each stage is its traced body inlined, in the
+    body's own local names, and ``call`` is not used: a failure returns the
+    number of right-hand sides evaluated, and a completed attempt evaluated
+    ``len(_STAGES)``.  The source is registered with linecache as
     ``<solitonlab dp5 n=...>``.
     """
     J = range(n)
@@ -253,27 +266,33 @@ def _dp_kernel(n: int):
     def combined(weights, j):
         return " + ".join(f"k{i}_{j} * {w!r}" for i, w in enumerate(weights, 1))
 
-    def check(stage):
+    def check(stage, failure):
         finite = " and ".join(f"isfinite(k{stage}_{j})" for j in J)
-        return [f"        if not ({finite}):", "            return None"]
+        return [f"        if not ({finite}):", f"            return {failure}"]
 
-    src = ["def dp5(call, t, y, f, h, rtol, atol):", f"    {names('y')}= y", f"    {names('k1_')}= f"]
+    src = ["def dp5(call, t, y, f, h, rtol, atol):", f"    {names('y_')}= y", f"    {names('k1_')}= f"]
     for stage, (node, weights) in enumerate(_STAGES, 2):
-        x = ", ".join(f"y{j} + h * ({combined(weights, j)})" for j in J)
-        t_node = "t + h" if node == 1.0 else f"t + {node!r} * h"
+        x = [f"y_{j} + h * ({combined(weights, j)})" for j in J]
         src.append("    try:")
-        if stage > 2:
-            src += check(stage - 1)
-        if stage < 7:
-            src.append(f"        k = call({t_node}, [{x}])")
+        if stage == 7:  # the 5th-order solution, the last stage's node
+            src += [f"        yn{j} = {x[j]}" for j in J] + [f"        y_new = [{names('yn')}]"]
+            x = [f"yn{j}" for j in J]
+        if rhs is None:
+            t_node = "t + h" if node == 1.0 else f"t + {node!r} * h"
+            arg = "y_new" if stage == 7 else f"[{', '.join(x)}]"
+            src.append(f"        k = call({t_node}, {arg})")
+            stage_k = [f"    {names(f'k{stage}_')}= k"]
+            failure = None
         else:
-            src += [f"        y_new = [{x}]", f"        k = call({t_node}, y_new)"]
-        src += ["    except _STAGE_ERRORS:", "        return None", f"    {names(f'k{stage}_')}= k"]
-    src += ["    try:", *check(7), "    except _STAGE_ERRORS:", "        return None"]
-    src.append(f"    {names('yn')}= y_new")
+            src += [f"        {v} = {e}" for v, e in zip(rhs.inputs, x)]
+            src += [f"        {line}" for line in rhs.lines]
+            stage_k = [f"    k{stage}_{j} = {out}" for j, out in zip(J, rhs.outputs)]
+            failure = stage - 1  # the right-hand sides evaluated
+        caught = ["    except _STAGE_ERRORS:", f"        return {failure}"]
+        src += [*caught, *stage_k, "    try:", *check(stage, failure), *caught]
     for j in J:
         src += [
-            f"    a = abs(y{j})",
+            f"    a = abs(y_{j})",
             f"    b = abs(yn{j})",
             f"    w{j} = h * ({combined(err_weights, j)}) / (atol + rtol * (a if a > b or a != a else b))",
         ]
@@ -281,9 +300,16 @@ def _dp_kernel(n: int):
     total = _pairwise_sum([w * w for w in (tape.var(f"w{j}") for j in J)])
     src += [f"    {line}" for line in tape.lines]
     r5 = ", ".join(f"h * ({combined(dense_weights, j)})" for j in J)
-    src.append(f"    return y_new, k, sqrt({total.name} / {n}), [{r5}]")
+    f_new = "k" if rhs is None else f"[{names('k7_')}]"
+    src.append(f"    return y_new, {f_new}, sqrt({total.name} / {n}), [{r5}]")
     namespace = {"_STAGE_ERRORS": _STAGE_ERRORS, "isfinite": math.isfinite, "sqrt": math.sqrt}
-    return compile_function("dp5", "\n".join(src) + "\n", f"<solitonlab dp5 n={n}>", namespace)
+    filename = f"<solitonlab dp5 n={n}>"
+    if rhs is not None:
+        if (len(rhs.inputs), len(rhs.outputs)) != (n, n):
+            raise ValueError(f"{rhs.filename} does not map {n} values to {n}")
+        namespace |= rhs.namespace
+        filename = f"<solitonlab dp5 n={n} inlining {rhs.filename[1:-1]}>"
+    return compile_function("dp5", "\n".join(src) + "\n", filename, namespace)
 
 
 def _crossed(prev, curr, direction):
@@ -309,7 +335,12 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     t = float(t0)
     n_acc = n_rej = n_rhs = 0
     rtol, atol, validity = cfg.rel_tol, cfg.abs_tol, cfg.validity
-    dp_step = _dp_kernel(n)
+    # a compiled right-hand side is inlined into the attempt, which counts
+    # its own evaluations: ``inlined`` when it completes, the number it
+    # returns when it fails; ``call`` counts every other evaluation
+    trace = traced(rhs)
+    dp_step = _dp_kernel(n, trace)
+    inlined = len(_STAGES) if trace is not None else 0
 
     def call(tt, yy):
         nonlocal n_rhs
@@ -340,10 +371,12 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
             break
 
         step = dp_step(call, t, y, f, h, rtol, atol)
-        if step is None:
+        if type(step) is not tuple:
+            n_rhs += step or 0
             n_rej += 1
             h *= 0.25
             continue
+        n_rhs += inlined
         y_new, f_new, err, r5 = step
         invalid = validity is not None and not validity(y_new)
         if invalid or not math.isfinite(err):
@@ -366,13 +399,15 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         extension = None
         for idx, ev in enumerate(cfg.events):
             val = ev.fn(t_new, y_new)
-            if _crossed(ev_prev[idx], val, ev.direction):
+            prev = ev_prev[idx]
+            # a crossing needs a value <= 0 on one side; NaN has none
+            if (val <= 0.0 or prev <= 0.0) and _crossed(prev, val, ev.direction):
                 if extension is None:
                     extension = (*map(np.array, (y, y_new, f, f_new, r5)), h)
                 hits.append((*_refine_event(ev, t, extension), idx))
             ev_prev[idx] = val
 
-        for t_star, y_star, idx in sorted(hits, key=lambda hit: hit[0]):
+        for t_star, y_star, idx in sorted(hits, key=lambda hit: hit[0]) if hits else ():
             ev = cfg.events[idx]
             events.append(EventHit(ev.name, t_star, y_star))
             if ev.terminal:
@@ -381,12 +416,14 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
                 # the last sample is a real step's end; should that step
                 # fail, it is the extension restricted to [t, t_star]
                 step = dp_step(call, t, y, f, t_star - t, rtol, atol)
-                if step is None:
+                if type(step) is tuple:
+                    n_rhs += inlined
+                    y_new, f_new, _, r5 = step
+                else:
+                    n_rhs += step or 0
                     sigma = (t_star - t) / h
                     y_new, f_new = y_star, _slope(*extension, sigma) / h
                     r5 = (sigma * sigma) * (sigma * sigma) * extension[4]
-                else:
-                    y_new, f_new, _, r5 = step
                 t_new = t_star
                 break
 

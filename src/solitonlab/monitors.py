@@ -20,6 +20,7 @@ from .systems import (
     ProblemSpec,
     TwoSummandsAnsatz,
     _ricci_rates_split,
+    _sum,
     flow_ansatz,
 )
 from .trajectory import (
@@ -561,7 +562,8 @@ def curvature_budget_at_launch(spec: ProblemSpec, delta: float | None = None) ->
     if isinstance(a, TwoSummandsAnsatz):
         state = launch(spec, default_delta(spec) if delta is None else delta)
         return float(a.A1 / state.f[0] ** 2 + a.A2 / state.f[1] ** 2)
-    return float(sum(d * p / g**2 for d, p, g in zip(a.d, a.p, spec.initial)))
+    # left to right, as on Python < 3.12, whose builtin sum is not compensated
+    return float(_sum([d * p / g**2 for d, p, g in zip(a.d, a.p, spec.initial)]))
 
 
 def growth_probe(

@@ -260,13 +260,11 @@ def _write_csv(path: str, columns: dict):
         else:
             names += [f"{name}{i + 1}" for i in range(len(col))]
             values += list(col)
-    row = ",".join(["{:.17g}"] * len(names))
+    row = ",".join(["%.17g"] * len(names))
     table = np.column_stack(values)
-    chunks = (
-        "\n".join([row.format(*r) for r in table[start : start + _CSV_CHUNK].tolist()])
-        for start in range(0, len(table), _CSV_CHUNK)
-    )
-    _atomic_write(path, itertools.chain([",".join(names)], chunks))
+    chunks = (table[start : start + _CSV_CHUNK] for start in range(0, len(table), _CSV_CHUNK))
+    text = ("\n".join([row] * len(rows)) % tuple(rows.ravel().tolist()) for rows in chunks)
+    _atomic_write(path, itertools.chain([",".join(names)], text))
 
 
 def write_trajectory_csv(path: str, traj: Trajectory):

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .codegen import Tape, compile_function
 from .integrator import EventSpec, IntegrationResult, IntegratorConfig, integrate
 from .launch import default_delta, launch
 from .systems import (
@@ -86,7 +87,6 @@ def _invariant_margin_fn(spec: ProblemSpec):
     """Scalar margin that is positive while the ansatz's preserved set holds
     and crosses zero on exit; None when the set has no finite description."""
     a = spec.ansatz
-    k = len(a.dims)
     if isinstance(a, TwoSummandsAnsatz):
         D, _, w2_sq = two_summands_root_squares(a)
         if D < 0:
@@ -107,18 +107,34 @@ def _invariant_margin_fn(spec: ProblemSpec):
         return margin
     if isinstance(a, DancerWangAnsatz):
         c0 = dw_pair_bound_constant(a, spec.initial)
-        w_bounds = dw_omega_sq_bounds(a, c0).tolist()
-
-        def margin(t, y):
-            f = y[0]
-            g = y[1:k]
-            m_w = min(b - (f / gi) * (f / gi) for b, gi in zip(w_bounds, g))
-            if a.m == 1:
-                return m_w
-            return min(m_w, min(c0 - gi / gj for gi in g for gj in g))
-
-        return margin
+        return _dw_margin(dw_omega_sq_bounds(a, c0).tolist(), c0)
     raise TypeError(f"unknown ansatz type {type(a)!r}")
+
+
+def _dw_margin(w_bounds: list, c0: float):
+    """The circle-bundle margin min_i (b_i - (f/g_i)^2), and for m > 1 the
+    smaller of that and min_ij (c0 - g_i/g_j), compiled as straight-line
+    code.  Each minimum is taken as ``min`` takes it, in the loops' order,
+    i then j: the first candidate, replaced by each later one that is
+    smaller.  So it returns the same value, NaN included, on a list of
+    floats and on an array."""
+    tape = Tape()  # writes the constants: a bound may be inf
+    g = range(1, len(w_bounds) + 1)
+    lines = ["f = y[0]", *(f"g{i} = y[{i}]" for i in g), *(f"w{i} = f / g{i}" for i in g)]
+
+    def minimum(name, candidates):
+        out = [f"{name} = {candidates[0]}"]
+        for c in candidates[1:]:
+            out += [f"c = {c}", f"if c < {name}:", f"    {name} = c"]
+        return out
+
+    lines += minimum("m_w", [f"{tape.ref(b)} - w{i} * w{i}" for i, b in zip(g, w_bounds)])
+    if len(g) > 1:
+        lines += minimum("m_p", [f"{tape.ref(c0)} - g{i} / g{j}" for i in g for j in g])
+        lines += ["if m_p < m_w:", "    m_w = m_p"]
+    source = "def margin(t, y):\n" + "".join(f"    {line}\n" for line in [*lines, "return m_w"])
+    name = f"<solitonlab dw margin bounds={w_bounds!r} c0={c0!r}>"
+    return compile_function("margin", source, name, tape.namespace)
 
 
 def standard_events(spec: ProblemSpec) -> tuple[EventSpec, ...]:

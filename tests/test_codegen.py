@@ -2,12 +2,16 @@
 
 The DP5 attempt is compared with the list-comprehension step it replaced,
 kept here verbatim as the oracle; each traced right-hand side is compared
-with its formula interpreted on floats.  Both must agree bit for bit.
+with its formula interpreted on floats; the attempt with a compiled
+right-hand side inlined is compared with the attempt that calls it.  All
+must agree bit for bit.
 """
 
+import gc
 import inspect
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -26,7 +30,7 @@ from solitonlab.integrator import (
     _A61, _A62, _A63, _A64, _A65, _A71, _A72, _A73, _A74, _A75, _A76,
     _C2, _C3, _C4, _C5, _D1, _D2, _D3, _D4, _D5, _D6, _D7,
     _E1, _E2, _E3, _E4, _E5, _E6, _E7,
-    _STAGE_ERRORS, _dp_kernel, _error_norm,
+    _STAGE_ERRORS, _STAGES, _dp_kernel, _error_norm,
 )
 from solitonlab.systems import DancerWangAnsatz, LuPagePopeAnsatz, TwoSummandsAnsatz
 
@@ -288,3 +292,176 @@ def test_nothing_is_compiled_at_import():
     )
     src = os.path.dirname(os.path.dirname(solitonlab.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+# -- tape reductions -----------------------------------------------------------
+
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1.5, -2.25)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda x: x * 1, lambda x: 1 * x, lambda x: x / 1, lambda x: x - 0.0,
+        lambda x: x * 1.0, lambda x: 1.0 * x, lambda x: x / 1.0, lambda x: x - 0,
+    ],
+)
+def test_identities_are_not_recorded_and_keep_every_bit(op):
+    fn = trace_function(lambda y: [op(y[0])], 1, "<test identity>")
+    assert codegen.traced(fn).lines == ()
+    for x in _SPECIAL:
+        assert bits(fn(0.0, [x])) == bits([op(x)])
+
+
+@pytest.mark.parametrize(
+    "op, line",
+    [
+        (lambda x: x + 0.0, "_1 = y0 + 0.0"),
+        (lambda x: 0.0 + x, "_1 = 0.0 + y0"),
+        (lambda x: 0.0 * x, "_1 = 0.0 * y0"),
+        (lambda x: x * 0.0, "_1 = y0 * 0.0"),
+        (lambda x: x - -0.0, "_1 = y0 - _const0"),
+        (lambda x: 0.0 - x, "_1 = 0.0 - y0"),
+        (lambda x: 1.0 / x, "_1 = 1.0 / y0"),
+    ],
+)
+def test_operations_that_change_a_bit_are_kept(op, line):
+    # -0.0 + 0.0 is +0.0, and 0.0 * x is NaN for infinite x and -0.0 for
+    # negative x
+    fn = trace_function(lambda y: [op(y[0])], 1, "<test kept>")
+    assert codegen.traced(fn).lines == (line,)
+    for x in _SPECIAL:
+        if x == 0.0 and line.endswith("/ y0"):
+            continue
+        assert bits(fn(0.0, [x])) == bits([op(x)])
+
+
+def test_a_repeated_operation_is_recorded_once():
+    def formula(y):
+        a, b = y
+        return [a * b + a * b, -a * -a, (a * b) / (a * b)]
+
+    fn = trace_function(formula, 2, "<test repeated>")
+    assert codegen.traced(fn).lines == (
+        "_1 = y0 * y1", "_2 = _1 + _1", "_3 = -y0", "_4 = _3 * _3", "_5 = _1 / _1",
+    )
+    for a in _SPECIAL[2:]:
+        for b in (3.0, -0.5, math.inf):
+            assert bits(fn(0.0, [a, b])) == bits(formula([a, b]))
+    with pytest.raises(ZeroDivisionError):
+        fn(0.0, [-0.0, 1.0])
+
+
+def test_int_operands_become_float_literals_below_2_to_the_53():
+    big = 2**60 + 1
+
+    def formula(y):
+        return [3 * y[0], y[0] / -7, y[0] - 2, big * y[0], 4]
+
+    fn = trace_function(formula, 1, "<test ints>")
+    assert codegen.traced(fn).lines == (
+        "_1 = 3.0 * y0", "_2 = y0 / (-7.0)", "_3 = y0 - 2.0", f"_4 = {big} * y0",
+    )
+    for x in _SPECIAL:
+        got, want = fn(0.0, [x]), formula([x])
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert bits([float(v) for v in got]) == bits([float(v) for v in want])
+
+
+# -- the attempt with the right-hand side inlined ------------------------------
+
+# the compiled right-hand sides the integrator inlines: each physical flow
+# and the compact chart of each circle bundle
+SYSTEMS = [*PHYSICAL, *(("chart", a) for a in DW)]
+
+
+def _compiled_rhs(system, eps):
+    if isinstance(system, tuple):
+        return R.make_rescaled_vector_rhs(system[1], eps)
+    return S.make_vector_rhs(system, eps)
+
+
+def _both_attempts(fn, y, f, h, rtol=1e-8, atol=1e-10):
+    """The inlined and the calling attempt on the compiled right-hand side
+    fn: (result, right-hand sides evaluated, stages that raised) each."""
+    n = len(y)
+    calls, raised = [], []
+
+    def call(t, x):
+        calls.append(t)
+        try:
+            return fn(t, x)
+        except _STAGE_ERRORS:
+            raised.append(len(calls))
+            raise
+
+    want = _dp_kernel(n)(call, 0.0, y, f, h, rtol, atol)
+    got = _dp_kernel(n, codegen.traced(fn))(None, 0.0, y, f, h, rtol, atol)
+    return (got, got if type(got) is int else len(_STAGES)), (want, len(calls)), raised
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    system=st.sampled_from(SYSTEMS),
+    eps=st.sampled_from([0.0, 0.5, 2.0]),
+    y=st.lists(_value, min_size=11, max_size=11),
+    h=st.one_of(st.floats(1e-8, 1.0), st.floats(1.0, 1e4)),
+    slope=st.lists(st.floats(-3.0, 3.0), min_size=11, max_size=11),
+)
+def test_inlined_attempt_is_the_calling_attempt_bit_for_bit(system, eps, y, h, slope):
+    fn = _compiled_rhs(system, eps)
+    n = len(codegen.traced(fn).inputs)
+    y = y[:n]
+    try:
+        f = fn(0.0, y)
+    except ZeroDivisionError:
+        f = slope[:n]
+    (got, got_rhs), (want, want_rhs), _ = _both_attempts(fn, y, f, h)
+    assert got_rhs == want_rhs
+    if want is None:
+        assert type(got) is int
+    else:
+        assert type(got) is tuple
+        assert bits(list(got)) == bits(list(want))
+
+
+def _system_id(system):
+    return f"chart-m{system[1].m}" if isinstance(system, tuple) else repr(system)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=_system_id)
+def test_inlined_attempt_fails_at_every_stage_as_the_calling_one(system):
+    # states from O(1) to 1e160 with exact zeros: stages overflow or divide
+    # by zero at every depth of the attempt
+    fn = _compiled_rhs(system, 0.5)
+    n = len(codegen.traced(fn).inputs)
+    rng = random.Random(11)
+    failed_after, raised = set(), set()
+    for _ in range(600):
+        scale = 10.0 ** rng.uniform(-3.0, 160.0)
+        pick = (0.0, -0.0, 1.0, rng.uniform(-3.0, 3.0), rng.uniform(-scale, scale))
+        y = [rng.choice(pick) for _ in range(n)]
+        try:
+            f = fn(0.0, y)
+        except ZeroDivisionError:  # a zero slope keeps the zero in the stages
+            f = [rng.choice((0.0, rng.uniform(-3.0, 3.0))) for _ in range(n)]
+        h = 10.0 ** rng.uniform(-8.0, 3.0)
+        (got, got_rhs), (want, want_rhs), stage_raised = _both_attempts(fn, y, f, h)
+        assert got_rhs == want_rhs
+        assert (want is None) == (type(got) is int)
+        if want is None:
+            failed_after.add(want_rhs)
+            raised.update(stage_raised)
+        else:
+            assert bits(list(got)) == bits(list(want))
+    assert failed_after == {1, 2, 3, 4, 5, 6}
+    assert raised
+
+
+def test_a_collected_function_leaves_the_registry():
+    fn = trace_function(lambda y: [y[0] * y[0]], 1, "<test collected>")
+    key = id(fn)
+    assert codegen.traced(fn) is not None and key in codegen._TRACES
+    del fn
+    gc.collect()
+    assert key not in codegen._TRACES

@@ -13,6 +13,7 @@ import pytest
 
 from solitonlab import monitors as M
 from solitonlab import rescaled as R
+from solitonlab.runio import _write_csv as write_csv
 from solitonlab.runio import run_solve, write_rescaled_csv, write_trajectory_csv
 from solitonlab.systems import (
     DancerWangAnsatz,
@@ -233,3 +234,18 @@ def test_run_solve_makes_one_conservation_report(tmp_path, monkeypatch):
     manifest = run_solve(load_shipped("dw_e0_c1.json"), str(tmp_path / "o"))
     assert manifest["verdict"] == "numerically_complete"
     assert len(calls) == 1
+
+
+def test_csv_text_is_the_per_row_format_writer(tmp_path):
+    # 600 rows cross two chunk boundaries; the values include every class
+    # of float the format spells differently
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1e17, -1e-300, 0.1, 123456789.0]
+    t = np.arange(600.0)
+    cols = {"t": t, "x": rng.standard_normal(600) * 10.0 ** rng.integers(-300, 300, 600)}
+    cols["s"] = np.resize(special, 600)
+    cols["w"] = np.stack([cols["x"][::-1], 1.0 / (t + 1.0)])  # an (m, N) value: w1, w2
+    write_csv(str(tmp_path / "a.csv"), cols)
+    table = np.column_stack([t, cols["x"], cols["s"], *cols["w"]])
+    want = ["t,x,s,w1,w2"] + [",".join("{:.17g}".format(v) for v in row) for row in table.tolist()]
+    assert (tmp_path / "a.csv").read_text() == "\n".join(want) + "\n"

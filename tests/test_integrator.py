@@ -1,10 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solitonlab import codegen, integrator, trajectory
 from solitonlab.integrator import EventSpec, IntegratorConfig, _error_norm, integrate
 
-from conftest import comparison_ode_closed_form
+from conftest import comparison_ode_closed_form, load_shipped
 
 
 def contracting_rhs(a):
@@ -230,3 +233,72 @@ def test_error_norm_is_bitwise_the_reference(vecs, rtol, atol):
         want = _error_norm_oracle(err, y_old, y_new, rtol, atol)
     assert type(got) is float
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _wrapped(fn):
+    """fn behind a functools.wraps wrapper (which copies fn's attributes)
+    that counts its calls, as a profiler would wrap it."""
+    calls = []
+
+    @functools.wraps(fn)
+    def wrapper(t, y):
+        calls.append(t)
+        return fn(t, y)
+
+    return wrapper, calls
+
+
+def _same_run(a, b):
+    assert (a.termination, a.n_accepted, a.n_rejected, a.n_rhs) == (
+        b.termination, b.n_accepted, b.n_rejected, b.n_rhs,
+    )
+    for name in ("ts", "ys", "dys", "dense"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_compiled_rhs_is_inlined_and_a_wrapped_one_is_called(monkeypatch):
+    # y' = y^2 from y = 1e100 blows up at t = 1e-100: every attempt's
+    # stages overflow, until the step falls below its floor
+    fn = codegen.trace_function(lambda y: [y[0] * y[0], 0.5 * y[1]], 2, "<test blow-up>")
+    wrapper, calls = _wrapped(fn)
+    kernels, original = [], integrator._dp_kernel
+    monkeypatch.setattr(integrator, "_dp_kernel", lambda *key: kernels.append(key) or original(*key))
+    cfg = IntegratorConfig(t_max=2.0, first_step=1.0)
+    inlined = integrate(fn, 0.0, [1e100, 1.0], cfg)
+    called = integrate(wrapper, 0.0, [1e100, 1.0], cfg)
+    assert kernels == [(2, codegen.traced(fn)), (2, None)]
+    assert called.termination == "step_failure" and called.n_rejected > 20
+    assert called.n_rhs == len(calls)
+    _same_run(inlined, called)
+
+
+def test_a_wrapped_rhs_is_called_once_per_counted_evaluation(monkeypatch):
+    # a run that ends in a terminal event, so the last step is the extra
+    # attempt to the event time
+    spec = load_shipped("ts_exit_einstein.json").spec
+    inlined = trajectory.solve_problem(spec, t_max=20.0).result
+    wrapped = []
+    factory = trajectory.make_vector_rhs
+
+    def wrapping_factory(ansatz, eps):
+        wrapped.append(_wrapped(factory(ansatz, eps)))
+        return wrapped[-1][0]
+
+    monkeypatch.setattr(trajectory, "make_vector_rhs", wrapping_factory)
+    called = trajectory.solve_problem(spec, t_max=20.0).result
+    assert called.terminal_event is not None
+    assert called.n_rhs == len(wrapped[0][1])
+    _same_run(inlined, called)
+
+
+@pytest.mark.parametrize(
+    "before, after, direction",
+    [(1.0, 0.0, -1), (1.0, -0.0, 0), (-1.0, 0.0, 1), (-1.0, 0.0, 0)],
+)
+def test_an_event_that_lands_exactly_on_zero_is_a_crossing(before, after, direction):
+    # the sign test at accepted points is skipped only when neither side is
+    # <= 0; a value of exactly zero still counts
+    ev = EventSpec("step", lambda t, y: before if t < 0.5 else after, direction, True)
+    res = integrate(lambda t, y: [1.0], 0.0, [0.0], IntegratorConfig(t_max=1.0, events=(ev,)))
+    assert res.termination == "event:step"
+    assert res.terminal_event.t == pytest.approx(0.5, abs=1e-9)

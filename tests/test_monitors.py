@@ -1,4 +1,5 @@
 import copy
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -430,3 +431,18 @@ class TestGrowthProbe:
         assert sorted(C for C, _ in rep.samples) == sorted(solved)
         assert rep.n_solves == 18
         assert (rep.n_accepted, rep.n_rejected, rep.n_rhs) == tuple(map(sum, zip(*work)))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_curvature_budget_sums_left_to_right(m):
+    # one O(1) term and O(1e-16) ones: a compensated sum (builtin sum from
+    # Python 3.12 on) keeps the small terms, a left-to-right one drops them
+    a = DancerWangAnsatz((2,) * m, (1,) * m, (1,) * m)
+    initial = (1.0,) + (1.15e8,) * (m - 1)
+    spec = ProblemSpec(a, 0.0, -1.0, initial)
+    terms = [d * p / g**2 for d, p, g in zip(a.d, a.p, initial)]
+    want = terms[0]
+    for term in terms[1:]:
+        want += term
+    assert math.fsum(terms) != want
+    assert np.float64(M.curvature_budget_at_launch(spec)).tobytes() == np.float64(want).tobytes()

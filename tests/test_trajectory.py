@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solitonlab.geometry import killing_curvature_bound, scalar_curvature
 from solitonlab.launch import launch
@@ -15,6 +17,7 @@ from solitonlab.systems import (
     make_vector_rhs,
     pack_state,
 )
+from solitonlab import trajectory
 from solitonlab.trajectory import solve_problem, standard_events
 
 from conftest import load_shipped, u_second_derivative_identity
@@ -139,3 +142,76 @@ COMPLETE_STEADY_COUNTS = {
 def test_complete_steady_step_counts(name, shipped_runs):
     res = shipped_runs[name].result
     assert (res.n_accepted, res.n_rejected, res.n_rhs) == COMPLETE_STEADY_COUNTS[name]
+
+
+def dw_margin_oracle(w_bounds, c0):
+    """The circle-bundle margin as first written, as a closure over
+    generators, kept as the reference for the compiled one."""
+    m = len(w_bounds)
+
+    def margin(t, y):
+        f = y[0]
+        g = y[1 : m + 1]
+        m_w = min(b - (f / gi) * (f / gi) for b, gi in zip(w_bounds, g))
+        if m == 1:
+            return m_w
+        return min(m_w, min(c0 - gi / gj for gi in g for gj in g))
+
+    return margin
+
+
+_margin_value = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(1e-3, 1e200),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    bounds=st.lists(st.one_of(st.floats(0.0, 10.0), st.just(math.inf)), min_size=3, max_size=3),
+    c0=st.floats(1.0, 5.0),
+    y=st.lists(_margin_value, min_size=7, max_size=7),
+)
+def test_dw_margin_is_the_closure_on_floats_and_arrays(m, bounds, c0, y):
+    got, want = trajectory._dw_margin(bounds[:m], c0), dw_margin_oracle(bounds[:m], c0)
+    y = y[: 2 * m + 4]
+    try:
+        expected = want(0.0, y)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            got(0.0, y)
+    else:
+        value = got(0.0, y)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+    arr = np.array(y)  # the continuous extension's states
+    with np.errstate(all="ignore"):
+        value, expected = got(0.0, arr), want(0.0, arr)
+    assert type(value) is type(expected)
+    assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_dw_margin_keeps_the_two_minima_apart(m):
+    # g1 = inf: the first pair candidate c0 - g1/g1 is NaN, so the pair
+    # minimum is NaN and min(m_w, NaN) is m_w = 4; one flat minimum would
+    # go on to c0 - g1/g2 = -inf
+    bounds, c0 = [5.0] * m, 2.0
+    y = [1.0, math.inf] + [1.0] * (m - 1) + [0.0] * (m + 3)
+    for state in (y, np.array(y)):
+        with np.errstate(invalid="ignore"):
+            got = trajectory._dw_margin(bounds, c0)(0.0, state)
+            want = dw_margin_oracle(bounds, c0)(0.0, state)
+        assert got == want == 4.0
+
+
+def test_dw_event_margin_is_compiled_from_the_spec():
+    spec = load_shipped("dw_complete_steady.json").spec
+    a = spec.ansatz
+    c0 = trajectory.dw_pair_bound_constant(a, spec.initial)
+    want = dw_margin_oracle(trajectory.dw_omega_sq_bounds(a, c0).tolist(), c0)
+    (event,) = [e for e in standard_events(spec) if e.name == "invariant_exit"]
+    for y in ([1.0, 0.5, 2.0, 0, 0, 0, 0, 0], [0.3, 1.0, 0.01, 0, 0, 0, 0, 0]):
+        assert event.fn(0.0, y) == want(0.0, y)
