@@ -21,6 +21,9 @@ Any other use of a traced value -- truth testing, comparison, ``abs``,
 ``float``, a power -- raises TypeError, so a closed form that branched on
 its input fails while tracing instead of being frozen into one branch.
 
+``extremum`` writes a min or max over expressions as straight-line code
+that compares the candidates in the order the builtin does.
+
 ``traced`` gives the ``Trace`` of a function ``trace_function`` compiled,
 by the identity of the function object, so the integrator can inline the
 body.  Generated sources are registered with ``linecache`` under a
@@ -35,7 +38,9 @@ import math
 import weakref
 from dataclasses import dataclass
 
-__all__ = ["Tape", "Trace", "Traced", "compile_function", "trace_function", "traced"]
+__all__ = [
+    "Tape", "Trace", "Traced", "compile_function", "extremum", "trace_function", "traced",
+]
 
 
 class Tape:
@@ -138,6 +143,20 @@ def compile_function(name: str, source: str, filename: str, namespace: dict):
     namespace = {"__name__": __name__, **namespace}
     exec(code, namespace)
     return namespace[name]
+
+
+def extremum(name: str, candidates, op: str = "<") -> list[str]:
+    """Lines of source that set ``name`` to the min (``op`` "<") or the max
+    (">") of the candidate expressions as the builtin takes it: the first
+    candidate, replaced by each later one that is strictly smaller (larger).
+    A tie keeps the earlier candidate, which fixes the sign of a zero, and a
+    NaN stays only as the first candidate, as with the builtin.  Each later
+    candidate is evaluated once, in order, into the local ``c``."""
+    first, *rest = candidates
+    lines = [f"{name} = {first}"]
+    for c in rest:
+        lines += [f"c = {c}", f"if c {op} {name}:", f"    {name} = c"]
+    return lines
 
 
 @dataclass(frozen=True, eq=False)

@@ -335,6 +335,9 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     t = float(t0)
     n_acc = n_rej = n_rhs = 0
     rtol, atol, validity = cfg.rel_tol, cfg.abs_tol, cfg.validity
+    t_max, max_steps, max_step = cfg.t_max, cfg.max_steps, cfg.max_step
+    event_fns = [ev.fn for ev in cfg.events]
+    isfinite = math.isfinite
     # a compiled right-hand side is inlined into the attempt, which counts
     # its own evaluations: ``inlined`` when it completes, the number it
     # returns when it fails; ``call`` counts every other evaluation
@@ -353,19 +356,19 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     ts, ys, dys, dense = array("d", [t]), array("d", y), array("d", f), array("d")
     events: list[EventHit] = []
     terminal: EventHit | None = None
-    ev_prev = [ev.fn(t, y) for ev in cfg.events]
+    ev_prev = [fn(t, y) for fn in event_fns]
 
-    h = cfg.first_step or _initial_step(call, t, y, f, rtol, atol, cfg.max_step)
-    h = min(h, cfg.max_step, cfg.t_max - t)
+    h = cfg.first_step or _initial_step(call, t, y, f, rtol, atol, max_step)
+    h = min(h, max_step, t_max - t)
     err_prev = 1.0
     termination = "reached_t_max"
     rejected_invalid = False
 
-    while t < cfg.t_max:
-        if n_acc + n_rej >= cfg.max_steps:
+    while t < t_max:
+        if n_acc + n_rej >= max_steps:
             termination = "step_failure"
             break
-        h = min(h, cfg.t_max - t)
+        h = min(h, t_max - t)
         if h < _H_FLOOR * max(abs(t), 1.0):
             termination = "state_invalid" if rejected_invalid else "step_failure"
             break
@@ -379,7 +382,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         n_rhs += inlined
         y_new, f_new, err, r5 = step
         invalid = validity is not None and not validity(y_new)
-        if invalid or not math.isfinite(err):
+        if invalid or not isfinite(err):
             n_rej += 1
             rejected_invalid = invalid
             h *= 0.25
@@ -397,14 +400,14 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
 
         hits = []
         extension = None
-        for idx, ev in enumerate(cfg.events):
-            val = ev.fn(t_new, y_new)
+        for idx, fn in enumerate(event_fns):
+            val = fn(t_new, y_new)
             prev = ev_prev[idx]
             # a crossing needs a value <= 0 on one side; NaN has none
-            if (val <= 0.0 or prev <= 0.0) and _crossed(prev, val, ev.direction):
+            if (val <= 0.0 or prev <= 0.0) and _crossed(prev, val, cfg.events[idx].direction):
                 if extension is None:
                     extension = (*map(np.array, (y, y_new, f, f_new, r5)), h)
-                hits.append((*_refine_event(ev, t, extension), idx))
+                hits.append((*_refine_event(cfg.events[idx], t, extension), idx))
             ev_prev[idx] = val
 
         for t_star, y_star, idx in sorted(hits, key=lambda hit: hit[0]) if hits else ():
@@ -437,7 +440,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
 
         factor = _SAFETY * (err ** -_ALPHA) * (err_prev**_BETA) if err > 0 else _MAX_FACTOR
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        h = min(h, cfg.max_step)
+        h = min(h, max_step)
         err_prev = max(err, 1e-4)
 
     return IntegrationResult(

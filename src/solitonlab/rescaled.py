@@ -16,7 +16,10 @@ the locus residuals are written once over sequences of components with
 + - * / and left-to-right sums only, so the integrator's right-hand side
 (floats) and the CSV columns ((N,) arrays) round alike on any numpy kernel.
 The right-hand side is the polynomial system traced once into straight-line
-code and compiled (see ``codegen``), cached per ansatz and eps.
+code and compiled (see ``codegen``), cached per ansatz and eps.  The
+``chart_degenerate`` and ``overflow`` events and the all-finite validity
+test are the physical chart's compiled state tests (see ``trajectory``),
+cached per component count, with each min and max in the builtin's order.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .codegen import trace_function
 from .integrator import EventSpec, IntegrationResult, IntegratorConfig, integrate
 from .launch import launch
 from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, _dot, _sum, tr_L
+from .trajectory import _min_of, _overflow, _validity
 
 __all__ = [
     "RescaledState",
@@ -256,8 +260,8 @@ def solve_rescaled(
     y0 = np.concatenate((r0.X, r0.Y, [r0.Lc, r0.t, r0.u]))
     events = (
         EventSpec("t_target", lambda s, y: t_max - y[2 * k + 1], direction=-1, terminal=True),
-        EventSpec("chart_degenerate", lambda s, y: min(y[k : 2 * k + 1]), -1, True),
-        EventSpec("overflow", lambda s, y: 1e12 - max(map(abs, y)), -1, True),
+        EventSpec("chart_degenerate", _min_of(k, 2 * k + 1), -1, True),
+        EventSpec("overflow", _overflow(len(y0)), -1, True),
     )
     cfg = IntegratorConfig(
         t_max=_S_MAX,
@@ -265,7 +269,7 @@ def solve_rescaled(
         abs_tol=abs_tol,
         max_steps=max_steps,
         events=events,
-        validity=lambda y: all(map(math.isfinite, y)),
+        validity=_validity(len(y0), 0),
     )
     rhs = make_rescaled_vector_rhs(a, spec.epsilon)
     result = integrate(rhs, 0.0, y0, cfg)

@@ -7,10 +7,12 @@ atomically and last, after every data file it lists.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import tempfile
 import time
@@ -64,15 +66,29 @@ class RunConfig:
     raw: dict
 
 
+def _number(value, finite: bool = True) -> float | None:
+    """value as a float; None if it is not a number (a bool is not one) or,
+    unless ``finite`` is False, not finite.  JSON admits NaN and Infinity,
+    and an integer too large for a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if not finite or math.isfinite(value) else None
+
+
 def _need(doc: dict, field: str, kind, ctx: str = ""):
     where = f"{ctx}.{field}" if ctx else field
     if field not in doc:
         raise ConfigError(f"missing field '{where}'")
     value = doc[field]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"field '{where}' must be a number")
-        return float(value)
+        number = _number(value)
+        if number is None:
+            raise ConfigError(f"field '{where}' must be a finite number")
+        return number
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"field '{where}' must be an integer")
@@ -80,15 +96,20 @@ def _need(doc: dict, field: str, kind, ctx: str = ""):
     return value
 
 
-def _positive(doc: dict, field: str, kind, default, ctx: str):
-    """A positive number (kind float) or positive integer (kind int), the
-    default when the field is absent."""
+def _positive(doc: dict, field: str, kind, default, ctx: str = "", finite: bool = True):
+    """A positive finite number (kind float; +inf too when ``finite`` is
+    False) or positive integer (kind int), the default when the field is
+    absent."""
     value = doc.get(field, default)
-    allowed = (int, float) if kind is float else int
-    if not isinstance(value, allowed) or isinstance(value, bool) or not value > 0:
-        noun = "number" if kind is float else "integer"
-        raise ConfigError(f"field '{ctx}.{field}' must be a positive {noun}")
-    return kind(value)
+    if kind is float:
+        value = _number(value, finite)
+    elif not isinstance(value, int) or isinstance(value, bool):
+        value = None
+    if value is None or not value > 0:
+        noun = "integer" if kind is int else "finite number" if finite else "number"
+        where = f"{ctx}.{field}" if ctx else field
+        raise ConfigError(f"field '{where}' must be a positive {noun}")
+    return value
 
 
 def _build_ansatz(system: str, doc: dict):
@@ -137,12 +158,9 @@ def load_config(source) -> RunConfig:
         raise ConfigError(f"field 'system' must be one of {_SYSTEMS}, got {system!r}")
     ansatz = _build_ansatz(system, _need(doc, "ansatz", dict))
     initial = doc.get("initial")
-    if isinstance(initial, (int, float)) and not isinstance(initial, bool):
-        initial = (float(initial),)
-    elif isinstance(initial, list):
-        initial = tuple(initial)
-    else:
-        raise ConfigError("field 'initial' must be a number or a list of numbers")
+    initial = tuple(map(_number, initial)) if isinstance(initial, list) else (_number(initial),)
+    if None in initial:
+        raise ConfigError("field 'initial' must be a finite number or a list of finite numbers")
     try:
         spec = ProblemSpec(
             ansatz=ansatz,
@@ -173,16 +191,14 @@ def load_config(source) -> RunConfig:
     ):
         raise ConfigError(f"field 'expect': unknown verdict {expect!r}")
     delta = doc.get("launch_delta")
-    if delta is not None and (not isinstance(delta, (int, float)) or delta <= 0):
-        raise ConfigError("field 'launch_delta' must be a positive number")
     return RunConfig(
         spec=spec,
-        launch_delta=None if delta is None else float(delta),
+        launch_delta=None if delta is None else _positive(doc, "launch_delta", float, None),
         rel_tol=_positive(integ, "rel_tol", float, 1e-11, "integrator"),
         abs_tol=_positive(integ, "abs_tol", float, 1e-13, "integrator"),
         t_max=_positive(integ, "t_max", float, 10.0, "integrator"),
         max_steps=_positive(integ, "max_steps", int, 200_000, "integrator"),
-        max_step=_positive(integ, "max_step", float, np.inf, "integrator"),
+        max_step=_positive(integ, "max_step", float, np.inf, "integrator", finite=False),
         chart=chart,
         monitors=monitors,
         expect=expect,
@@ -376,46 +392,61 @@ def build_report(traj: Trajectory, cfg: RunConfig) -> dict:
     return report
 
 
+@contextlib.contextmanager
+def _timed(timings: dict, key: str):
+    """Record the wall seconds the block takes as ``timings[key]``."""
+    start = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - start
+
+
 def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
-    """Execute one config: solve, monitor, persist.  Returns the manifest."""
+    """Execute one config: solve, monitor, persist.  Returns the manifest,
+    whose ``timings`` give the wall seconds of each step."""
     os.makedirs(outdir, exist_ok=True)
-    started = time.monotonic()
+    started = time.perf_counter()
+    timings: dict[str, float] = {}
     # both charts must share one launch slice, so resolve delta up front
     delta = cfg.launch_delta
     if delta is None and cfg.chart != "physical":
         delta = rescaled_default_delta(cfg.spec)
-    traj = solve_problem(
-        cfg.spec,
-        t_max=cfg.t_max,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_steps=cfg.max_steps,
-        max_step=cfg.max_step,
-        delta=delta,
-    )
-    report = build_report(traj, cfg)
+    with _timed(timings, "solve"):
+        traj = solve_problem(
+            cfg.spec,
+            t_max=cfg.t_max,
+            rel_tol=cfg.rel_tol,
+            abs_tol=cfg.abs_tol,
+            max_steps=cfg.max_steps,
+            max_step=cfg.max_step,
+            delta=delta,
+        )
+    with _timed(timings, "report"):
+        report = build_report(traj, cfg)
     artifacts = []
 
     def emit(name, writer):
         path = os.path.join(outdir, name)
-        writer(path)
+        with _timed(timings, f"write {name}"):
+            writer(path)
         artifacts.append(name)
 
     if cfg.chart in ("physical", "both", "rescaled"):
         emit("trajectory.csv", lambda p: write_trajectory_csv(p, traj))
     rtraj = None
     if cfg.chart in ("rescaled", "both"):
-        rtraj = solve_rescaled(
-            cfg.spec,
-            t_max=cfg.t_max,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            max_steps=cfg.max_steps,
-            delta=delta,
-        )
+        with _timed(timings, "solve_rescaled"):
+            rtraj = solve_rescaled(
+                cfg.spec,
+                t_max=cfg.t_max,
+                rel_tol=cfg.rel_tol,
+                abs_tol=cfg.abs_tol,
+                max_steps=cfg.max_steps,
+                delta=delta,
+            )
         emit("rescaled.csv", lambda p: write_rescaled_csv(p, rtraj))
         if cfg.chart == "both":
-            report["chart_comparison"] = compare_charts(traj, rtraj)
+            with _timed(timings, "compare_charts"):
+                report["chart_comparison"] = compare_charts(traj, rtraj)
             report["checks"].append(
                 {
                     "name": "chart_comparison",
@@ -458,7 +489,8 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
             **_work_counts(traj.result),
         },
         "artifacts": artifacts + ["manifest.json"],
-        "wall_time_s": time.monotonic() - started,
+        "timings": timings,
+        "wall_time_s": time.perf_counter() - started,
     }
     if rtraj is not None:
         manifest["key_diagnostics"]["rescaled"] = _work_counts(rtraj.result)

@@ -6,17 +6,24 @@ loss of shape-operator positivity, exit from the ansatz's preserved set
 the warped-product ratio bound), and state overflow.  All of them are
 terminal: past any of these the run no longer tracks the construction the
 monitors reason about.
+
+The events and the validity test every attempt passes are compiled into
+straight-line code, once per component count (``_min_of``, ``_overflow``,
+``_validity``, ``_dw_margin``), and cached: each min and max is taken as
+the builtin takes it (``codegen.extremum``), so the same floats are compared
+in the same order as by ``min``/``max`` over the components, on a list of
+floats at accepted points and on an array on the continuous extension.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .codegen import Tape, compile_function
+from .codegen import Tape, compile_function, extremum
 from .integrator import EventSpec, IntegrationResult, IntegratorConfig, integrate
 from .launch import default_delta, launch
 from .systems import (
@@ -121,28 +128,52 @@ def _dw_margin(w_bounds: list, c0: float):
     tape = Tape()  # writes the constants: a bound may be inf
     g = range(1, len(w_bounds) + 1)
     lines = ["f = y[0]", *(f"g{i} = y[{i}]" for i in g), *(f"w{i} = f / g{i}" for i in g)]
-
-    def minimum(name, candidates):
-        out = [f"{name} = {candidates[0]}"]
-        for c in candidates[1:]:
-            out += [f"c = {c}", f"if c < {name}:", f"    {name} = c"]
-        return out
-
-    lines += minimum("m_w", [f"{tape.ref(b)} - w{i} * w{i}" for i, b in zip(g, w_bounds)])
+    lines += extremum("m_w", [f"{tape.ref(b)} - w{i} * w{i}" for i, b in zip(g, w_bounds)])
     if len(g) > 1:
-        lines += minimum("m_p", [f"{tape.ref(c0)} - g{i} / g{j}" for i in g for j in g])
+        lines += extremum("m_p", [f"{tape.ref(c0)} - g{i} / g{j}" for i in g for j in g])
         lines += ["if m_p < m_w:", "    m_w = m_p"]
-    source = "def margin(t, y):\n" + "".join(f"    {line}\n" for line in [*lines, "return m_w"])
-    name = f"<solitonlab dw margin bounds={w_bounds!r} c0={c0!r}>"
-    return compile_function("margin", source, name, tape.namespace)
+    label = f"dw margin bounds={w_bounds!r} c0={c0!r}"
+    return _state_test(label, "t, y", lines, "m_w", tape.namespace)
+
+
+def _state_test(label: str, args: str, lines: list[str], result: str, namespace=None):
+    """Compile ``def test(args)``, the lines then ``return result``, as
+    ``<solitonlab label>``, with ``isfinite`` and the namespace as globals."""
+    body = "".join(f"    {line}\n" for line in [*lines, f"return {result}"])
+    source = f"def test({args}):\n{body}"
+    namespace = {"isfinite": math.isfinite, **(namespace or {})}
+    return compile_function("test", source, f"<solitonlab {label}>", namespace)
+
+
+@lru_cache(maxsize=None)
+def _min_of(lo: int, hi: int):
+    """``fn(t, y)``: min(y[lo:hi])."""
+    lines = extremum("m", [f"y[{j}]" for j in range(lo, hi)])
+    return _state_test(f"min y[{lo}:{hi}]", "t, y", lines, "m")
+
+
+@lru_cache(maxsize=None)
+def _overflow(n: int):
+    """``fn(t, y)``: 1e12 - max(map(abs, y)) for a state of n components."""
+    lines = extremum("m", [f"abs(y[{j}])" for j in range(n)], ">")
+    return _state_test(f"overflow n={n}", "t, y", lines, "1e12 - m")
+
+
+@lru_cache(maxsize=None)
+def _validity(n: int, k: int):
+    """``fn(y)`` for a list y of n floats: all finite, and the first k
+    positive.  Once all are finite this is min(y[:k]) > 0.0."""
+    y = [f"y{j}" for j in range(n)]
+    tests = [f"isfinite({v})" for v in y] + [f"{v} > 0.0" for v in y[:k]]
+    return _state_test(f"validity n={n} k={k}", "y", [f"{', '.join(y)}, = y"], " and ".join(tests))
 
 
 def standard_events(spec: ProblemSpec) -> tuple[EventSpec, ...]:
     k = len(spec.ansatz.dims)
     events = [
-        EventSpec("metric_degenerate", lambda t, y: min(y[:k]), -1, True),
-        EventSpec("shape_exit", lambda t, y: min(y[k : 2 * k]), -1, True),
-        EventSpec("overflow", lambda t, y: 1e12 - max(map(abs, y)), -1, True),
+        EventSpec("metric_degenerate", _min_of(0, k), -1, True),
+        EventSpec("shape_exit", _min_of(k, 2 * k), -1, True),
+        EventSpec("overflow", _overflow(2 * k + 2), -1, True),
     ]
     margin = _invariant_margin_fn(spec)
     if margin is not None:
@@ -261,7 +292,7 @@ def solve_problem(
         max_step=max_step,
         max_steps=max_steps,
         events=standard_events(spec),
-        validity=lambda y: all(map(math.isfinite, y)) and min(y[:k]) > 0.0,
+        validity=_validity(2 * k + 2, k),
     )
     rhs = make_vector_rhs(spec.ansatz, spec.epsilon)
     y0 = np.concatenate((state0.f, state0.df, [state0.u, state0.du]))

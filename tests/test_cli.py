@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import math
 import shutil
 from importlib.resources import files
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from solitonlab.cli import main
-from solitonlab.runio import _fmt
+from solitonlab.runio import _fmt, load_config
 
 from conftest import config_path, decomposition_path
 
@@ -119,6 +121,60 @@ class TestSolve:
         assert code == 64
         assert f"integrator.{field}" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("C", math.nan),
+            ("C", -math.inf),
+            ("epsilon", math.nan),
+            pytest.param("epsilon", 10**400, id="epsilon-int-beyond-float"),
+            ("initial", math.nan),
+            ("initial", [math.inf]),
+            ("ansatz.A1", math.nan),
+            ("ansatz.A3", math.inf),
+            ("integrator.t_max", math.inf),
+            ("integrator.rel_tol", math.inf),
+            ("integrator.abs_tol", math.nan),
+            ("integrator.max_step", math.nan),
+            ("launch_delta", math.nan),
+            ("launch_delta", math.inf),
+            ("launch_delta", True),
+        ],
+    )
+    def test_non_finite_or_bool_number_is_config_error(self, tmp_path, capsys, field, value):
+        doc = copy.deepcopy(BASE)
+        *outer, name = field.split(".")
+        target = doc[outer[0]] if outer else doc
+        target[name] = value
+        cfg = write_json(tmp_path, "c.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unbounded_max_step_and_integer_launch_delta_are_accepted(self, tmp_path):
+        doc = dict(BASE, integrator={"t_max": 5.0, "max_step": math.inf})
+        assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(tmp_path / "o")]) == 0
+        cfg = load_config(dict(doc, launch_delta=1))
+        assert (cfg.max_step, type(cfg.launch_delta), cfg.launch_delta) == (math.inf, float, 1.0)
+
+    def test_manifest_times_each_step(self, tmp_path):
+        doc = json.loads(config_path("dw_kahler.json").read_text())
+        doc["integrator"] = dict(doc["integrator"], t_max=2.0)
+        out = tmp_path / "o"
+        main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out), "--plot"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings = manifest["timings"]
+        written = [f"write {name}" for name in manifest["artifacts"][:-1]]
+        assert sorted(timings) == sorted(
+            ["solve", "report", "solve_rescaled", "compare_charts", *written]
+        )
+        names = ["trajectory.csv", "rescaled.csv", "trajectory.svg", "report.json"]
+        assert written == [f"write {name}" for name in names]
+        assert all(type(v) is float and v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= manifest["wall_time_s"]
+        for name in ("trajectory.csv", "rescaled.csv", "report.json"):
+            assert "timings" not in (out / name).read_text()
 
     def test_plot_flag_writes_svg(self, tmp_path):
         out = tmp_path / "run"
@@ -242,6 +298,12 @@ class TestSweep:
         rows = (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()
         assert rows[2].split(",")[1:] == ["cell_0001", "error", "error", "nan", "nan"]
         assert rows[1].split(",")[2] == "numerically_complete"
+
+    def test_non_finite_grid_value_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", BASE)
+        assert main(["sweep", "--config", cfg, "--grid", "C=nan:1:2", "--out", str(tmp_path / "sw")]) == 64
+        assert "'C'" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_bad_grid_spec(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", BASE)

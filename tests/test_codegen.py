@@ -465,3 +465,27 @@ def test_a_collected_function_leaves_the_registry():
     del fn
     gc.collect()
     assert key not in codegen._TRACES
+
+
+# -- min and max as the builtins take them -------------------------------------
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    op=st.sampled_from(["<", ">"]),
+)
+def test_extremum_is_the_builtin_bit_for_bit(values, op):
+    names = [f"x{j}" for j in range(len(values))]
+    lines = [f"{', '.join(names)}, = xs", *codegen.extremum("m", names, op), "return m"]
+    source = "def pick(xs):\n" + "".join(f"    {line}\n" for line in lines)
+    pick = codegen.compile_function("pick", source, "<test extremum>", {})
+    builtin = min if op == "<" else max
+    assert bits(pick(values)) == bits(builtin(values))

@@ -136,6 +136,17 @@ def test_terminal_event_after_non_terminal_one_in_the_same_step():
     assert res.termination == "event:target"
 
 
+def test_each_event_crosses_in_its_own_direction():
+    # y falls from 0: y + 1 falls through zero, -y - 1 rises through it
+    falling = EventSpec("falling", lambda t, y: y[0] + 1.0, direction=-1, terminal=False)
+    rising = EventSpec("rising", lambda t, y: -y[0] - 1.0, direction=+1, terminal=False)
+    wrong = EventSpec("wrong_way", lambda t, y: y[0] + 1.0, direction=+1, terminal=False)
+    cfg = IntegratorConfig(t_max=3.0, events=(falling, rising, wrong))
+    res = integrate(contracting_rhs(2.0), 0.0, [0.0], cfg)
+    assert [e.name for e in res.events] == ["falling", "rising"]
+    assert res.events[0].t == res.events[1].t
+
+
 def test_tolerance_halving_convergence():
     r1 = integrate(
         contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0, rel_tol=1e-10, abs_tol=1e-12)

@@ -215,3 +215,120 @@ def test_dw_event_margin_is_compiled_from_the_spec():
     (event,) = [e for e in standard_events(spec) if e.name == "invariant_exit"]
     for y in ([1.0, 0.5, 2.0, 0, 0, 0, 0, 0], [0.3, 1.0, 0.01, 0, 0, 0, 0, 0]):
         assert event.fn(0.0, y) == want(0.0, y)
+
+
+# -- the compiled standard events and validity tests ---------------------------
+
+
+def state_test_oracles(k, chart):
+    """The events and the validity test as first written, closures over
+    slices and builtins, kept as the reference for the compiled ones: those
+    of the physical chart for k = len(dims), those of the compact chart for
+    k = m + 1."""
+
+    def overflow(t, y):
+        return 1e12 - max(map(abs, y))
+
+    if chart:
+        events = {"chart_degenerate": lambda s, y: min(y[k : 2 * k + 1]), "overflow": overflow}
+        return events, lambda y: all(map(math.isfinite, y))
+    events = {
+        "metric_degenerate": lambda t, y: min(y[:k]),
+        "shape_exit": lambda t, y: min(y[k : 2 * k]),
+        "overflow": overflow,
+    }
+    return events, lambda y: all(map(math.isfinite, y)) and min(y[:k]) > 0.0
+
+
+def compiled_state_tests(k, chart):
+    """The compiled events and validity test that ``standard_events`` and
+    ``solve_problem`` (or ``solve_rescaled``) use for k components."""
+    if chart:
+        n = 2 * k + 3
+        events = {"chart_degenerate": trajectory._min_of(k, 2 * k + 1)}
+        return events | {"overflow": trajectory._overflow(n)}, trajectory._validity(n, 0)
+    n = 2 * k + 2
+    events = {
+        "metric_degenerate": trajectory._min_of(0, k),
+        "shape_exit": trajectory._min_of(k, 2 * k),
+    }
+    return events | {"overflow": trajectory._overflow(n)}, trajectory._validity(n, k)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# ts and dw m = 1 have k = 2 components, lpp and dw m = 2 have 3, dw m = 3
+# has 4; the compact chart of dw m has k = m + 1
+_SHAPES = [(k, False) for k in (2, 3, 4)] + [(m + 1, True) for m in (1, 2, 3)]
+# a small pool makes ties, signed zeros and non-finite values common
+_state_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@pytest.mark.parametrize("k, chart", _SHAPES)
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_compiled_state_tests_are_the_closures_bit_for_bit(k, chart, data):
+    n = 2 * k + 3 if chart else 2 * k + 2
+    y = data.draw(st.lists(_state_value, min_size=n, max_size=n))
+    events, validity = compiled_state_tests(k, chart)
+    oracles, validity_oracle = state_test_oracles(k, chart)
+    assert events.keys() == oracles.keys()
+    for name, fn in events.items():
+        assert_same_bits(fn(0.0, y), oracles[name](0.0, y))
+        arr = np.array(y)  # the continuous extension's states
+        assert_same_bits(fn(0.0, arr), oracles[name](0.0, arr))
+    assert validity(y) is validity_oracle(y)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, -0.0],
+        [-0.0, 0.0],
+        [math.nan, 1.0],
+        [1.0, math.nan],
+        [1.0, math.nan, -1.0],
+        [-0.0, 1.0, 0.0, -0.0],
+        [math.inf, -math.inf, -math.inf],
+    ],
+)
+def test_compiled_minimum_breaks_ties_and_nans_as_min(values):
+    k = len(values)
+    fn = trajectory._min_of(0, k)
+    y = values + [1.0] * (k + 2)
+    for state in (y, np.array(y)):
+        assert_same_bits(fn(0.0, state), min(state[:k]))
+
+
+def test_specs_with_one_component_count_share_the_compiled_tests(monkeypatch):
+    from solitonlab import integrator, rescaled
+
+    configs = []
+
+    def capture(rhs, t0, y0, cfg):
+        configs.append(cfg)
+        return integrator.integrate(rhs, t0, y0, cfg)
+
+    monkeypatch.setattr(trajectory, "integrate", capture)
+    monkeypatch.setattr(rescaled, "integrate", capture)
+    # ts and dw m = 1 both have k = 2; dw_kahler and dw_e1_c10 are dw m = 1
+    names = ("ts_e0_c1.json", "dw_e1_c10.json", "dw_kahler.json")
+    specs = [load_shipped(name).spec for name in names]
+    for spec in specs:
+        solve_problem(spec, t_max=0.01)
+    for spec in specs[1:]:
+        rescaled.solve_rescaled(spec, t_max=0.01)
+    phys, chart = configs[:3], configs[3:]
+    for cfgs, (k, is_chart) in ((phys, (2, False)), (chart, (2, True))):
+        events, validity = compiled_state_tests(k, is_chart)
+        for cfg in cfgs:
+            assert cfg.validity is validity
+            by_name = {ev.name: ev.fn for ev in cfg.events}
+            for name, fn in events.items():
+                assert by_name[name] is fn
