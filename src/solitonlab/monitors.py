@@ -24,8 +24,8 @@ from .systems import (
     flow_ansatz,
 )
 from .trajectory import (
-    Trajectory, dw_omega_sq_bounds, dw_pair_bound_constant, lpp_ratio_bound, solve_problem,
-    two_summands_root_squares,
+    _BOUND_TOL, Trajectory, dw_omega_sq_bounds, dw_pair_bound_constant, lpp_ratio_bound,
+    solve_problem, two_summands_root_squares,
 )
 
 __all__ = [
@@ -62,7 +62,6 @@ _MAX_T0_GRID = 256  # most grid times the windowed lower bound is checked at
 # the conservation budget 1e-8 (1 + |C|), one for the report and the verdict
 _CONSERVATION_TOL_SCALE = 1e-8
 _OMEGA_TOL = 1e-6  # relative slack on the two-summands ratio-slope cap
-_BOUND_TOL = 1e-9  # absolute slack on the circle-bundle and warped-product bounds
 _KAHLER_TOL = 1e-6  # largest Kaehler residual still on the locus
 _C_START = -0.125  # the growth probe's first grid point
 _BRACKET_REL = 0.01  # the relative width the probe's bracket is bisected to
@@ -318,33 +317,22 @@ def two_summands_omega_monitor(traj: Trajectory) -> OmegaReport:
     a = traj.spec.ansatz
     if not isinstance(a, TwoSummandsAnsatz):
         raise TypeError("omega monitor applies to the two-summands system")
-    fbar = traj.spec.initial[0]
     diag = two_summands_roots(a)
+    no_root = diag.D < 0
     omega, domega = traj.columns["omega"], traj.columns["domega"]
-    bound = 1.0 / fbar
-    anchor = "fibre/base ratio slope capped by its launch value inside the preserved window"
-    if diag.D < 0:
-        return OmegaReport(
-            anchor=anchor,
-            no_root_regime=True,
-            omega2=None,
-            max_omega=float(np.max(omega)),
-            max_domega=float(np.max(domega)),
-            domega_bound=bound,
-            domega_ok=None,
-            below_root_throughout=None,
-        )
-    in_window = (omega >= 0.0) & (omega <= diag.omega2)
+    bound = 1.0 / traj.spec.initial[0]  # 1 / fbar
+    window = traj.margins["invariant_exit"]
+    in_window = (omega >= 0.0) & (window.values >= 0.0)  # omega in [0, omega2]
     max_do = float(np.max(domega[in_window])) if np.any(in_window) else -np.inf
     return OmegaReport(
-        anchor=anchor,
-        no_root_regime=False,
+        anchor="fibre/base ratio slope capped by its launch value inside the preserved window",
+        no_root_regime=no_root,
         omega2=diag.omega2,
         max_omega=float(np.max(omega)),
-        max_domega=max_do,
+        max_domega=float(np.max(domega)) if no_root else max_do,
         domega_bound=bound,
-        domega_ok=bool(max_do <= bound * (1.0 + _OMEGA_TOL)),
-        below_root_throughout=bool(np.max(omega) < diag.omega2),
+        domega_ok=None if no_root else bool(max_do <= bound * (1.0 + _OMEGA_TOL)),
+        below_root_throughout=None if no_root else window.holds,
     )
 
 
@@ -372,17 +360,9 @@ def dw_apriori_monitor(traj: Trajectory) -> DWBoundReport:
     if not isinstance(a, DancerWangAnsatz):
         raise TypeError("a priori bound monitor applies to the circle-bundle system")
     c0 = dw_pair_bound_constant(a, spec.initial)
-    w_bounds = dw_omega_sq_bounds(a, c0)
     g = traj.f[:, 1:]
     dg = traj.df[:, 1:]
-    omega_sq = traj.columns["omega"].T ** 2
-    ok_w = np.all(omega_sq <= w_bounds[None, :] + _BOUND_TOL, axis=1)
-    if a.m > 1:
-        ratios = g[:, :, None] / g[:, None, :]
-        ok_q = np.all(ratios <= c0 + _BOUND_TOL, axis=(1, 2))
-    else:
-        ok_q = np.ones(len(g), dtype=bool)
-    bound_ok = ok_w & ok_q
+    bound_ok = traj.margins["invariant_exit"].inside
     first_bad = None if bool(np.all(bound_ok)) else float(traj.ts[int(np.argmin(bound_ok))])
 
     max_qdot = qdot_ceiling = qdot_ok = None
@@ -413,7 +393,7 @@ def dw_apriori_monitor(traj: Trajectory) -> DWBoundReport:
     return DWBoundReport(
         anchor="circle-bundle a priori bounds on f/g_i and g_i/g_j with slope and curvature consequences",
         c0=float(c0),
-        omega_sq_bounds=[float(v) for v in w_bounds],
+        omega_sq_bounds=[float(v) for v in dw_omega_sq_bounds(a, c0)],
         bound_ok_throughout=bool(np.all(bound_ok)),
         first_violation_t=first_bad,
         max_qdot=max_qdot,
@@ -435,14 +415,11 @@ def lpp_bound_monitor(traj: Trajectory) -> LppBoundReport:
     a = traj.spec.ansatz
     if not isinstance(a, LuPagePopeAnsatz):
         raise TypeError("bound monitor applies to the warped-product system")
-    bound = lpp_ratio_bound(a)
-    omega1_sq = traj.columns["omega1"] ** 2
-    mx = float(np.max(omega1_sq))
     return LppBoundReport(
         anchor="warped-product ratio bound omega1^2 < 4 p1 / ((d1+2) q1^2)",
-        bound=bound,
-        max_omega1_sq=mx,
-        ok=bool(mx < bound + _BOUND_TOL),
+        bound=lpp_ratio_bound(a),
+        max_omega1_sq=float(np.max(traj.columns["omega1"] ** 2)),
+        ok=traj.margins["invariant_exit"].holds,
     )
 
 
@@ -489,9 +466,9 @@ def classify_completeness(traj: Trajectory) -> Verdict:
     """Sort a finished run into numerically_complete / invariant_set_exit /
     metric_degenerate / inconclusive.
 
-    Completeness requires the horizon, the ansatz's preserved set at every
-    sample, strictly positive shape eigenvalues, and the conservation
-    residual within tolerance.
+    Completeness requires the horizon, the conservation residual within
+    tolerance, and every row of the invariant table (strictly positive
+    shape eigenvalues, the ansatz's preserved set) holding at every sample.
     """
     spec = traj.spec
     term = traj.termination
@@ -507,22 +484,7 @@ def classify_completeness(traj: Trajectory) -> Verdict:
     worst = float(np.max(np.abs(traj.columns["conservation_residual"])))
     if not worst <= tol:
         reasons.append(f"conservation residual {worst:.3e} above {tol:.3e}")
-    if not np.all(traj.df > 0.0):
-        reasons.append("shape operator lost positivity at some sample")
-    a = spec.ansatz
-    if isinstance(a, TwoSummandsAnsatz):
-        diag = two_summands_roots(a)
-        if diag.D < 0:
-            reasons.append("no preserved window exists (negative discriminant)")
-        else:
-            if not bool(np.max(traj.columns["omega"]) < diag.omega2):
-                reasons.append("fibre/base ratio reached its root")
-    elif isinstance(a, DancerWangAnsatz):
-        if not dw_apriori_monitor(traj).bound_ok_throughout:
-            reasons.append("a priori bound violated at some sample")
-    elif isinstance(a, LuPagePopeAnsatz):
-        if not lpp_bound_monitor(traj).ok:
-            reasons.append("ratio bound violated at some sample")
+    reasons += [m.row.reason for m in traj.margins.values() if not m.holds]
     if reasons:
         return Verdict("inconclusive", None, reasons)
     return Verdict("numerically_complete", None, [])

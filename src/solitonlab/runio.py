@@ -112,6 +112,17 @@ def _positive(doc: dict, field: str, kind, default, ctx: str = "", finite: bool 
     return value
 
 
+def _integers(doc: dict, field: str) -> tuple[int, ...]:
+    """The list ``ansatz.field``, each entry a JSON integer (a bool is not one)."""
+    values = _need(doc, field, list, "ansatz")
+    if not isinstance(values, list):
+        raise ConfigError(f"field 'ansatz.{field}' must be a list of integers")
+    for i, value in enumerate(values):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"field 'ansatz.{field}[{i}]' must be an integer")
+    return tuple(values)
+
+
 def _build_ansatz(system: str, doc: dict):
     try:
         if system == "two_summands":
@@ -123,11 +134,8 @@ def _build_ansatz(system: str, doc: dict):
                 A3=_need(doc, "A3", float, "ansatz"),
             )
         if system == "dancer_wang":
-            return DancerWangAnsatz(
-                d=tuple(_need(doc, "d", list, "ansatz")),
-                p=tuple(_need(doc, "p", list, "ansatz")),
-                q=tuple(_need(doc, "q", list, "ansatz")),
-            )
+            d, p, q = (_integers(doc, field) for field in "dpq")
+            return DancerWangAnsatz(d=d, p=p, q=q)
         return LuPagePopeAnsatz(
             d1=_need(doc, "d1", int, "ansatz"),
             p1=_need(doc, "p1", int, "ansatz"),
@@ -358,6 +366,13 @@ def build_report(traj: Trajectory, cfg: RunConfig) -> dict:
     report: dict = {"checks": []}
     verdict = mon.classify_completeness(traj)
     report["verdict"] = verdict
+    # each invariant row's closest approach: its smallest margin, the time
+    # of that sample and the candidate that attains it
+    report["margins"] = {
+        event: dict(margin=float(m.values[i]), t=float(traj.ts[i]), candidate=str(m.binding[i]))
+        for event, m in traj.margins.items()
+        for i in [int(np.argmin(m.values))]
+    }
 
     def add(name, payload, ok=None):
         report[name] = payload
@@ -469,6 +484,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
 
     verdict = report["verdict"]
     cons = report.get("conservation")
+    binding, closest = min(report["margins"].items(), key=lambda item: item[1]["margin"])
     manifest = {
         "run_id": run_id_of(cfg.raw),
         "tool_version": __version__,
@@ -486,6 +502,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
             "max_locus_einstein_residual": (
                 report["locus"].max_einstein_residual if "locus" in report else None
             ),
+            "binding_invariant": {"name": binding, "margin": closest["margin"], "t": closest["t"]},
             **_work_counts(traj.result),
         },
         "artifacts": artifacts + ["manifest.json"],

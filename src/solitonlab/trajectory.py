@@ -7,23 +7,32 @@ the warped-product ratio bound), and state overflow.  All of them are
 terminal: past any of these the run no longer tracks the construction the
 monitors reason about.
 
+Each state invariant is declared once, as a row of ``invariants(spec)``.
+The row is traced into its event and evaluated on all samples as
+``Trajectory.margins``, which the verdict, the monitors' ``ok`` fields and
+report.json's ``margins`` read under one rule: a row holds when every
+sample's margin, the minimum of its candidates, exceeds -slack.
+
 The events and the validity test every attempt passes are compiled into
-straight-line code, once per component count (``_min_of``, ``_overflow``,
-``_validity``, ``_dw_margin``), and cached: each min and max is taken as
-the builtin takes it (``codegen.extremum``), so the same floats are compared
-in the same order as by ``min``/``max`` over the components, on a list of
-floats at accepted points and on an array on the continuous extension.
+straight-line code and cached, per component count (``_min_of``,
+``_overflow``, ``_validity``) or per ansatz and initial orbit sizes
+(``_row_events``).  Each min and max is taken as the builtin takes it
+(``codegen.extremum``), so the same floats are compared in the same order
+as by ``min``/``max`` over the candidates, on a list of floats at accepted
+points and on an array on the continuous extension.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .codegen import Tape, compile_function, extremum
+from .codegen import Tape, Traced, compile_function, extremum
 from .integrator import EventSpec, IntegrationResult, IntegratorConfig, integrate
 from .launch import default_delta, launch
 from .systems import (
@@ -42,8 +51,8 @@ from .systems import (
 )
 
 __all__ = [
-    "Trajectory", "standard_events", "solve_problem", "dw_pair_bound_constant",
-    "dw_omega_sq_bounds", "two_summands_root_squares", "lpp_ratio_bound",
+    "Trajectory", "Invariant", "Margin", "invariants", "standard_events", "solve_problem",
+    "dw_pair_bound_constant", "dw_omega_sq_bounds", "two_summands_root_squares", "lpp_ratio_bound",
 ]
 
 
@@ -90,50 +99,103 @@ def lpp_ratio_bound(a: LuPagePopeAnsatz) -> float:
     return 4.0 * a.p1 / ((a.d1 + 2.0) * a.q1**2)
 
 
-def _invariant_margin_fn(spec: ProblemSpec):
-    """Scalar margin that is positive while the ansatz's preserved set holds
-    and crosses zero on exit; None when the set has no finite description."""
-    a = spec.ansatz
+_BOUND_TOL = 1e-9  # absolute slack on the circle-bundle and warped-product bounds
+
+
+class Invariant(NamedTuple):
+    """A row of the invariant table: the terminal event that watches a set,
+    the verdict reason for a run that leaves it, the slack, and
+    ``candidates(y)``, labelled closed forms over the state components y
+    (floats, (N,) arrays or traced values).  A state is inside while every
+    candidate exceeds -slack."""
+
+    event: str
+    reason: str
+    slack: float
+    candidates: Callable[[Sequence], dict]
+
+
+def invariants(spec: ProblemSpec) -> tuple[Invariant, ...]:
+    """The state invariants of spec's ansatz, each declared once: every
+    fdot_i > 0, then the preserved set (the two-summands ratio window, the
+    warped-product ratio bound or the circle-bundle a priori bounds)."""
+    return _invariants(spec.ansatz, spec.initial)
+
+
+@lru_cache(maxsize=None)
+def _invariants(a, initial: tuple[float, ...]) -> tuple[Invariant, ...]:
+    k = len(a.dims)
+    shape = Invariant(
+        "shape_exit", "shape operator lost positivity at some sample", 0.0,
+        lambda y: {f"d{name}": y[k + i] for i, name in enumerate(a.component_names)},
+    )
     if isinstance(a, TwoSummandsAnsatz):
         D, _, w2_sq = two_summands_root_squares(a)
-        if D < 0:
-            return None  # no cone-solution roots: no preserved window to watch
+        if D < 0:  # no window: the margin is D, which no state moves and no event watches
+            return shape, Invariant(
+                "invariant_exit", "no preserved window exists (negative discriminant)", 0.0,
+                lambda y: {"D": D},
+            )
         omega2 = float(np.sqrt(w2_sq))
-
-        def margin(t, y):
-            return omega2 - y[0] / y[1]
-
-        return margin
+        return shape, Invariant(
+            "invariant_exit", "fibre/base ratio reached its root", 0.0,
+            lambda y: {"omega2 - f1/f2": omega2 - y[0] / y[1]},
+        )
     if isinstance(a, LuPagePopeAnsatz):
         bound = lpp_ratio_bound(a)
+        return shape, Invariant(
+            "invariant_exit", "ratio bound violated at some sample", _BOUND_TOL,
+            lambda y: {"bound - (f/g1)^2": bound - (y[0] / y[1]) * (y[0] / y[1])},
+        )
+    if not isinstance(a, DancerWangAnsatz):
+        raise TypeError(f"unknown ansatz type {type(a)!r}")
+    c0 = dw_pair_bound_constant(a, initial)
+    b = dw_omega_sq_bounds(a, c0).tolist()
+    g = range(1, a.m + 1)
+    pairs = [(i, j) for i in g for j in g] if a.m > 1 else []
+    return shape, Invariant(
+        "invariant_exit", "a priori bound violated at some sample", _BOUND_TOL,
+        lambda y: {
+            **{f"b{i} - (f/g{i})^2": b[i - 1] - (y[0] / y[i]) * (y[0] / y[i]) for i in g},
+            **{f"c0 - g{i}/g{j}": c0 - y[i] / y[j] for i, j in pairs},
+        },
+    )
 
-        def margin(t, y):
-            w = y[0] / y[1]
-            return bound - w * w
 
-        return margin
-    if isinstance(a, DancerWangAnsatz):
-        c0 = dw_pair_bound_constant(a, spec.initial)
-        return _dw_margin(dw_omega_sq_bounds(a, c0).tolist(), c0)
-    raise TypeError(f"unknown ansatz type {type(a)!r}")
+@lru_cache(maxsize=None)
+def _row_events(a, initial: tuple[float, ...]) -> tuple[EventSpec, ...]:
+    """Each invariant row traced into a terminal event: the minimum of its
+    candidates, taken as ``min`` takes it.  A margin no state moves never
+    crosses zero and gets none."""
+    events = []
+    for row in _invariants(a, initial):
+        tape = Tape()
+        # each component is read from the state where the traced code uses it
+        y = [tape.var(f"y[{j}]") for j in range(2 * len(a.dims) + 2)]
+        values = list(row.candidates(y).values())
+        if any(isinstance(v, Traced) for v in values):
+            lines = [*tape.lines, *extremum("m", [tape.ref(v) for v in values])]
+            fn = _state_test(f"{row.event} {a!r} {initial!r}", "t, y", lines, "m", tape.namespace)
+            events.append(EventSpec(row.event, fn, -1, True))
+    return tuple(events)
 
 
-def _dw_margin(w_bounds: list, c0: float):
-    """The circle-bundle margin min_i (b_i - (f/g_i)^2), and for m > 1 the
-    smaller of that and min_ij (c0 - g_i/g_j), compiled as straight-line
-    code.  Each minimum is taken as ``min`` takes it, in the loops' order,
-    i then j: the first candidate, replaced by each later one that is
-    smaller.  So it returns the same value, NaN included, on a list of
-    floats and on an array."""
-    tape = Tape()  # writes the constants: a bound may be inf
-    g = range(1, len(w_bounds) + 1)
-    lines = ["f = y[0]", *(f"g{i} = y[{i}]" for i in g), *(f"w{i} = f / g{i}" for i in g)]
-    lines += extremum("m_w", [f"{tape.ref(b)} - w{i} * w{i}" for i, b in zip(g, w_bounds)])
-    if len(g) > 1:
-        lines += extremum("m_p", [f"{tape.ref(c0)} - g{i} / g{j}" for i in g for j in g])
-        lines += ["if m_p < m_w:", "    m_w = m_p"]
-    label = f"dw margin bounds={w_bounds!r} c0={c0!r}"
-    return _state_test(label, "t, y", lines, "m_w", tape.namespace)
+class Margin(NamedTuple):
+    """An invariant row on a run's samples: per sample, the smallest
+    candidate and the label of the first candidate that attains it."""
+
+    row: Invariant
+    values: np.ndarray
+    binding: np.ndarray
+
+    @property
+    def inside(self) -> np.ndarray:
+        """The one rule, per sample: the margin exceeds -slack."""
+        return self.values > -self.row.slack
+
+    @property
+    def holds(self) -> bool:
+        return bool(np.all(self.inside))
 
 
 def _state_test(label: str, args: str, lines: list[str], result: str, namespace=None):
@@ -170,15 +232,11 @@ def _validity(n: int, k: int):
 
 def standard_events(spec: ProblemSpec) -> tuple[EventSpec, ...]:
     k = len(spec.ansatz.dims)
-    events = [
+    return (
         EventSpec("metric_degenerate", _min_of(0, k), -1, True),
-        EventSpec("shape_exit", _min_of(k, 2 * k), -1, True),
+        *_row_events(spec.ansatz, spec.initial),
         EventSpec("overflow", _overflow(2 * k + 2), -1, True),
-    ]
-    margin = _invariant_margin_fn(spec)
-    if margin is not None:
-        events.insert(2, EventSpec("invariant_exit", margin, -1, True))
-    return tuple(events)
+    )
 
 
 @dataclass
@@ -258,6 +316,18 @@ class Trajectory:
         else:
             cols["omega1"] = f[0] / f[1]
         return cols
+
+    @cached_property
+    def margins(self) -> dict[str, Margin]:
+        """Each row of ``invariants(spec)`` on all samples, by event name."""
+        y, out = list(self.result.ys.T), {}
+        for row in invariants(self.spec):
+            candidates = row.candidates(y)
+            table = np.array([np.broadcast_to(v, self.ts.shape) for v in candidates.values()])
+            first = np.argmin(table, axis=0)
+            values = table[first, np.arange(len(self.ts))]
+            out[row.event] = Margin(row, values, np.array(list(candidates))[first])
+        return out
 
     @cached_property
     def states(self) -> list[SolitonState]:

@@ -1,20 +1,34 @@
 import json
+import math
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
+from solitonlab.codegen import Tape, compile_function, extremum
 from solitonlab.geometry import scalar_curvature
 from solitonlab.rescaled import rescaled_default_delta, solve_rescaled
 from solitonlab.runio import load_config
-from solitonlab.systems import flow_ansatz
-from solitonlab.trajectory import solve_problem
+from solitonlab.systems import DancerWangAnsatz, LuPagePopeAnsatz, TwoSummandsAnsatz, flow_ansatz
+from solitonlab.trajectory import (
+    dw_omega_sq_bounds,
+    dw_pair_bound_constant,
+    lpp_ratio_bound,
+    solve_problem,
+    two_summands_root_squares,
+)
 
 CONFIG_NAMES_GRID = [
     f"{system}_{tag}.json"
     for system in ("ts", "dw", "lpp")
     for tag in ("e0_c0", "e0_c1", "e1_c1", "e1_c10")
 ]
+
+
+# every shipped config, the 18 above and dw_m2_chart.json
+SHIPPED_CONFIG_NAMES = sorted(
+    path.name for path in (files("solitonlab") / "configs").iterdir() if path.name.endswith(".json")
+)
 
 
 def config_path(name: str):
@@ -85,3 +99,103 @@ def shipped_runs():
             delta=cfg.launch_delta,
         )
     return cache
+
+
+# -- the preserved sets as written before the invariant table ------------------
+# Kept as the oracles of ``trajectory.invariants``: its events must give these
+# margins bit for bit on the states the validity test admits, and
+# ``classify_completeness`` these verdicts.
+
+_BOUND_TOL = 1e-9
+
+
+def invariant_margin_fn(spec):
+    """Scalar margin that is positive while the ansatz's preserved set holds
+    and crosses zero on exit; None when the set has no finite description."""
+    a = spec.ansatz
+    if isinstance(a, TwoSummandsAnsatz):
+        D, _, w2_sq = two_summands_root_squares(a)
+        if D < 0:
+            return None  # no cone-solution roots: no preserved window to watch
+        omega2 = float(np.sqrt(w2_sq))
+
+        def margin(t, y):
+            return omega2 - y[0] / y[1]
+
+        return margin
+    if isinstance(a, LuPagePopeAnsatz):
+        bound = lpp_ratio_bound(a)
+
+        def margin(t, y):
+            w = y[0] / y[1]
+            return bound - w * w
+
+        return margin
+    if isinstance(a, DancerWangAnsatz):
+        c0 = dw_pair_bound_constant(a, spec.initial)
+        return compiled_dw_margin(dw_omega_sq_bounds(a, c0).tolist(), c0)
+    raise TypeError(f"unknown ansatz type {type(a)!r}")
+
+
+def compiled_dw_margin(w_bounds: list, c0: float):
+    """The circle-bundle margin min_i (b_i - (f/g_i)^2), and for m > 1 the
+    smaller of that and min_ij (c0 - g_i/g_j), compiled as straight-line
+    code.  Each minimum is taken as ``min`` takes it, in the loops' order,
+    i then j: the first candidate, replaced by each later one that is
+    smaller.  So it returns the same value, NaN included, on a list of
+    floats and on an array."""
+    tape = Tape()  # writes the constants: a bound may be inf
+    g = range(1, len(w_bounds) + 1)
+    lines = ["f = y[0]", *(f"g{i} = y[{i}]" for i in g), *(f"w{i} = f / g{i}" for i in g)]
+    lines += extremum("m_w", [f"{tape.ref(b)} - w{i} * w{i}" for i, b in zip(g, w_bounds)])
+    if len(g) > 1:
+        lines += extremum("m_p", [f"{tape.ref(c0)} - g{i} / g{j}" for i in g for j in g])
+        lines += ["if m_p < m_w:", "    m_w = m_p"]
+    body = "".join(f"    {line}\n" for line in [*lines, "return m_w"])
+    namespace = {"isfinite": math.isfinite, **tape.namespace}
+    return compile_function("test", f"def test(t, y):\n{body}", "<oracle dw margin>", namespace)
+
+
+def classify_oracle(traj):
+    """(kind, t_star, reasons) of ``classify_completeness`` as it read the
+    preserved sets before the invariant table: the two-summands window
+    against omega2 (strict), and the comparisons the dw a priori monitor
+    (non-strict, with slack) and the lpp bound monitor (strict, with slack)
+    made for their ``ok`` fields."""
+    spec, term = traj.spec, traj.termination
+    if term == "event:metric_degenerate" or term == "state_invalid":
+        return "metric_degenerate", float(traj.ts[-1]), [term]
+    if term in ("event:shape_exit", "event:invariant_exit"):
+        return "invariant_set_exit", float(traj.ts[-1]), [term]
+    if term != "reached_t_max":
+        return "inconclusive", float(traj.ts[-1]), [term]
+    reasons = []
+    tol = 1e-8 * (1.0 + abs(spec.C))
+    worst = float(np.max(np.abs(traj.columns["conservation_residual"])))
+    if not worst <= tol:
+        reasons.append(f"conservation residual {worst:.3e} above {tol:.3e}")
+    if not np.all(traj.df > 0.0):
+        reasons.append("shape operator lost positivity at some sample")
+    a = spec.ansatz
+    if isinstance(a, TwoSummandsAnsatz):
+        D, _, w2_sq = two_summands_root_squares(a)
+        if D < 0:
+            reasons.append("no preserved window exists (negative discriminant)")
+        elif not bool(np.max(traj.f[:, 0] / traj.f[:, 1]) < float(np.sqrt(w2_sq))):
+            reasons.append("fibre/base ratio reached its root")
+    elif isinstance(a, DancerWangAnsatz):
+        c0 = dw_pair_bound_constant(a, spec.initial)
+        g = traj.f[:, 1:]
+        omega_sq = (traj.f[:, :1] / g) ** 2
+        ok = np.all(omega_sq <= dw_omega_sq_bounds(a, c0)[None, :] + _BOUND_TOL)
+        if a.m > 1:
+            ok &= np.all(g[:, :, None] / g[:, None, :] <= c0 + _BOUND_TOL)
+        if not ok:
+            reasons.append("a priori bound violated at some sample")
+    elif isinstance(a, LuPagePopeAnsatz):
+        omega1_sq = (traj.f[:, 0] / traj.f[:, 1]) ** 2
+        if not float(np.max(omega1_sq)) < lpp_ratio_bound(a) + _BOUND_TOL:
+            reasons.append("ratio bound violated at some sample")
+    if reasons:
+        return "inconclusive", None, reasons
+    return "numerically_complete", None, []

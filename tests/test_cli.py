@@ -152,6 +152,31 @@ class TestSolve:
         assert f"'{field}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "field, entries, where",
+        [
+            ("d", [2.9], "ansatz.d[0]"),
+            ("p", [True], "ansatz.p[0]"),
+            ("q", ["-2"], "ansatz.q[0]"),
+            ("d", [2, 2.0], "ansatz.d[1]"),
+            ("q", -2, "ansatz.q"),
+            ("d", [2], None),
+        ],
+    )
+    def test_dancer_wang_entries_must_be_integers(self, tmp_path, capsys, field, entries, where):
+        # int() would truncate 2.9 to 2 and read true as 1: a typo would run another ansatz
+        doc = json.loads(config_path("dw_e0_c1.json").read_text())
+        doc["ansatz"][field] = entries
+        doc["integrator"]["t_max"] = 0.5
+        cfg = write_json(tmp_path, "c.json", doc)
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+        if where is None:
+            assert code == 0
+            assert load_config(doc).spec.ansatz.d == (2,)
+            return
+        assert code == 64
+        assert f"'{where}'" in capsys.readouterr().err
+
     def test_unbounded_max_step_and_integer_launch_delta_are_accepted(self, tmp_path):
         doc = dict(BASE, integrator={"t_max": 5.0, "max_step": math.inf})
         assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(tmp_path / "o")]) == 0

@@ -8,6 +8,8 @@ involve no power must match them bit for bit; the others may differ by the
 rounding of a batched power or dot product, bounded by 1e-12 (1 + |value|).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -249,3 +251,42 @@ def test_csv_text_is_the_per_row_format_writer(tmp_path):
     table = np.column_stack([t, cols["x"], cols["s"], *cols["w"]])
     want = ["t,x,s,w1,w2"] + [",".join("{:.17g}".format(v) for v in row) for row in table.tolist()]
     assert (tmp_path / "a.csv").read_text() == "\n".join(want) + "\n"
+
+
+def test_each_invariant_monitor_runs_at_most_once_per_solve(tmp_path, monkeypatch, shipped_runs):
+    monitors = ("two_summands_omega_monitor", "dw_apriori_monitor", "lpp_bound_monitor")
+    calls = []
+    for name in (*monitors, "two_summands_roots", "conservation_report"):
+        original = getattr(M, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(M, name, counting)
+    for name in ("ts_e0_c1.json", "dw_e0_c1.json", "lpp_e0_c1.json"):
+        M.classify_completeness(shipped_runs[name])
+        assert calls == []  # the verdict reads the invariant table, not the monitors
+        run_solve(load_shipped(name), str(tmp_path / name))
+        assert [calls.count(m) for m in monitors] == [int(name.startswith(p)) for p in ("ts", "dw", "lpp")]
+        calls.clear()
+
+
+@pytest.mark.parametrize(
+    "name, event, candidate, margin, t",
+    [
+        ("dw_e0_c0.json", "invariant_exit", "b1 - (f/g1)^2", 1.4460e-4, 10.0),
+        ("dw_complete_steady.json", "shape_exit", "df", 8.235e-7, 100.0),
+    ],
+)
+def test_report_gives_each_invariant_its_closest_approach(tmp_path, name, event, candidate, margin, t):
+    manifest = run_solve(load_shipped(name), str(tmp_path))
+    closest = json.loads((tmp_path / "report.json").read_text())["margins"]
+    assert sorted(closest) == ["invariant_exit", "shape_exit"]
+    assert closest[event]["candidate"] == candidate
+    assert closest[event]["margin"] == pytest.approx(margin, rel=1e-3)
+    assert closest[event]["t"] == t
+    tightest = min(closest, key=lambda e: closest[e]["margin"])
+    binding = {"name": tightest, "margin": closest[tightest]["margin"], "t": closest[tightest]["t"]}
+    assert manifest["key_diagnostics"]["binding_invariant"] == binding
+    assert "margin" not in (tmp_path / "trajectory.csv").read_text().splitlines()[0]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -15,9 +16,9 @@ from solitonlab.systems import (
     TwoSummandsAnsatz,
     pack_state,
 )
-from solitonlab.trajectory import Trajectory, solve_problem
+from solitonlab.trajectory import Trajectory, dw_pair_bound_constant, lpp_ratio_bound, solve_problem
 
-from conftest import comparison_ode_closed_form
+from conftest import SHIPPED_CONFIG_NAMES, classify_oracle, comparison_ode_closed_form, load_shipped
 
 
 def one_sample_run(state, spec):
@@ -292,6 +293,64 @@ class TestClassification:
         traj = solve_problem(spec, t_max=5.0)
         v = M.classify_completeness(traj)
         assert v.kind != "numerically_complete"
+
+
+    @pytest.mark.parametrize("name", SHIPPED_CONFIG_NAMES)
+    def test_verdict_is_the_oracle_on_every_shipped_config(self, shipped_runs, name):
+        traj = shipped_runs.get(name)
+        if traj is None:
+            cfg = load_shipped(name)
+            traj = solve_problem(cfg.spec, t_max=cfg.t_max, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+        v = M.classify_completeness(traj)
+        assert (v.kind, v.t_star, v.reasons) == classify_oracle(traj)
+
+    @pytest.mark.parametrize(
+        "family, margin, holds",
+        [
+            ("dw", 0.0, True),
+            ("dw", -0.5e-9, True),
+            ("dw", -2e-9, False),
+            ("lpp", -0.5e-9, True),
+            ("lpp", -2e-9, False),
+            ("ts", 0.0, False),
+            ("shape", 0.0, False),
+        ],
+    )
+    def test_a_row_holds_while_its_margin_exceeds_minus_slack(self, family, margin, holds):
+        """One sample bent so that a row's worst candidate is ``margin``: the
+        verdict, the monitor's ok field and the oracle agree on the rule
+        margin > -slack, with slack 1e-9 for the dw and lpp bounds and 0 for
+        the ts window and the shape row."""
+        name = {"dw": "dw_m2_chart.json", "lpp": "lpp_e0_c1.json"}.get(family, "ts_e0_c1.json")
+        spec = load_shipped(name).spec
+        a = spec.ansatz
+        if family == "dw":
+            c0 = dw_pair_bound_constant(a, spec.initial)
+            bend, label = {0: 0.1, 1: c0 - margin, 2: 1.0}, "c0 - g1/g2"  # g2 = 1: the ratio is g1
+        elif family == "lpp":
+            bend, label = {0: math.sqrt(lpp_ratio_bound(a) - margin), 1: 1.0}, "bound - (f/g1)^2"
+        elif family == "ts":
+            bend, label = {0: M.two_summands_roots(a).omega2, 1: 1.0}, "omega2 - f1/f2"
+        else:
+            bend, label = {3: 0.0}, "df2"
+        traj = solve_problem(spec, t_max=1.0)
+        i = len(traj.ts) // 2
+        ys = traj.result.ys.copy()
+        for j, value in bend.items():
+            ys[i, j] = value
+        bent = Trajectory(spec=spec, delta=traj.delta, result=dataclasses.replace(traj.result, ys=ys))
+        worst = bent.margins["shape_exit" if family == "shape" else "invariant_exit"]
+        assert worst.values[i] == pytest.approx(margin, abs=1e-15) and worst.binding[i] == label
+        assert worst.values[i] == worst.values.min() and worst.holds is holds
+        v = M.classify_completeness(bent)
+        assert (v.kind, v.t_star, v.reasons) == classify_oracle(bent)
+        assert (worst.row.reason not in v.reasons) is holds
+        if family == "dw":
+            assert M.dw_apriori_monitor(bent).bound_ok_throughout is holds
+        elif family == "lpp":
+            assert M.lpp_bound_monitor(bent).ok is holds
+        elif family == "ts":
+            assert M.two_summands_omega_monitor(bent).below_root_throughout is holds
 
 
 def _full_scan_bracket(slope_of, c, c_start=-0.125, c_limit=-1e9, bracket_rel=0.01):

@@ -20,7 +20,7 @@ from solitonlab.systems import (
 from solitonlab import trajectory
 from solitonlab.trajectory import solve_problem, standard_events
 
-from conftest import load_shipped, u_second_derivative_identity
+from conftest import compiled_dw_margin, invariant_margin_fn, load_shipped, u_second_derivative_identity
 
 
 def test_samples_are_strictly_increasing_and_valid(shipped_runs):
@@ -175,7 +175,9 @@ _margin_value = st.one_of(
     y=st.lists(_margin_value, min_size=7, max_size=7),
 )
 def test_dw_margin_is_the_closure_on_floats_and_arrays(m, bounds, c0, y):
-    got, want = trajectory._dw_margin(bounds[:m], c0), dw_margin_oracle(bounds[:m], c0)
+    # the compiled margin the events used before the invariant table, now
+    # the oracle of the table's events, against the first closure
+    got, want = compiled_dw_margin(bounds[:m], c0), dw_margin_oracle(bounds[:m], c0)
     y = y[: 2 * m + 4]
     try:
         expected = want(0.0, y)
@@ -202,7 +204,7 @@ def test_dw_margin_keeps_the_two_minima_apart(m):
     y = [1.0, math.inf] + [1.0] * (m - 1) + [0.0] * (m + 3)
     for state in (y, np.array(y)):
         with np.errstate(invalid="ignore"):
-            got = trajectory._dw_margin(bounds, c0)(0.0, state)
+            got = compiled_dw_margin(bounds, c0)(0.0, state)
             want = dw_margin_oracle(bounds, c0)(0.0, state)
         assert got == want == 4.0
 
@@ -224,7 +226,8 @@ def state_test_oracles(k, chart):
     """The events and the validity test as first written, closures over
     slices and builtins, kept as the reference for the compiled ones: those
     of the physical chart for k = len(dims), those of the compact chart for
-    k = m + 1."""
+    k = m + 1.  shape_exit is compiled per ansatz from the invariant table
+    and has its own test, against the same closure."""
 
     def overflow(t, y):
         return 1e12 - max(map(abs, y))
@@ -232,11 +235,7 @@ def state_test_oracles(k, chart):
     if chart:
         events = {"chart_degenerate": lambda s, y: min(y[k : 2 * k + 1]), "overflow": overflow}
         return events, lambda y: all(map(math.isfinite, y))
-    events = {
-        "metric_degenerate": lambda t, y: min(y[:k]),
-        "shape_exit": lambda t, y: min(y[k : 2 * k]),
-        "overflow": overflow,
-    }
+    events = {"metric_degenerate": lambda t, y: min(y[:k]), "overflow": overflow}
     return events, lambda y: all(map(math.isfinite, y)) and min(y[:k]) > 0.0
 
 
@@ -248,10 +247,7 @@ def compiled_state_tests(k, chart):
         events = {"chart_degenerate": trajectory._min_of(k, 2 * k + 1)}
         return events | {"overflow": trajectory._overflow(n)}, trajectory._validity(n, 0)
     n = 2 * k + 2
-    events = {
-        "metric_degenerate": trajectory._min_of(0, k),
-        "shape_exit": trajectory._min_of(k, 2 * k),
-    }
+    events = {"metric_degenerate": trajectory._min_of(0, k)}
     return events | {"overflow": trajectory._overflow(n)}, trajectory._validity(n, k)
 
 
@@ -304,6 +300,51 @@ def test_compiled_minimum_breaks_ties_and_nans_as_min(values):
     y = values + [1.0] * (k + 2)
     for state in (y, np.array(y)):
         assert_same_bits(fn(0.0, state), min(state[:k]))
+
+
+def _row_spec(name):
+    if name == "dw_m3":
+        a = DancerWangAnsatz((2, 4, 2), (1, 2, 3), (1, -1, 2))
+        return ProblemSpec(a, 0.0, -1.0, (1.0, 0.7, 1.3))
+    return load_shipped(name).spec
+
+
+# the validity test lets the events see only metric components that are
+# finite and positive, and the preserved sets read no others; the shape row
+# reads the rest, drawn from the whole pool above
+_positive_value = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+
+
+# ts, lpp, and dw with m = 1, 2 and 3
+@pytest.mark.parametrize(
+    "name", ["ts_e0_c1.json", "lpp_e0_c1.json", "dw_e0_c1.json", "dw_m2_chart.json", "dw_m3"]
+)
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_invariant_events_are_the_oracle_margins_bit_for_bit(name, data):
+    spec = _row_spec(name)
+    k = len(spec.ansatz.dims)
+    y = data.draw(st.lists(_positive_value, min_size=k, max_size=k))
+    y += data.draw(st.lists(_state_value, min_size=k + 2, max_size=k + 2))
+    events = {e.name: e.fn for e in standard_events(spec)}
+    margin = invariant_margin_fn(spec)
+    with np.errstate(all="ignore"):
+        for state in (y, np.array(y)):  # accepted points, the continuous extension
+            assert_same_bits(events["shape_exit"](0.0, state), min(state[k : 2 * k]))
+            assert_same_bits(events["invariant_exit"](0.0, state), margin(0.0, state))
+
+
+def test_invariant_events_are_compiled_once_per_ansatz_and_sizes():
+    spec = load_shipped("dw_m2_chart.json").spec
+    events = standard_events(spec)[1:3]
+    assert [e.name for e in events] == ["shape_exit", "invariant_exit"]
+    for other in (spec.with_C(-7.0), ProblemSpec(spec.ansatz, 1.0, spec.C, spec.initial)):
+        assert all(a.fn is b.fn for a, b in zip(events, standard_events(other)[1:3]))
+    resized = ProblemSpec(spec.ansatz, spec.epsilon, spec.C, (2.0, 1.0))
+    assert standard_events(resized)[2].fn is not events[1].fn
 
 
 def test_specs_with_one_component_count_share_the_compiled_tests(monkeypatch):
