@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import json
 import os
@@ -138,6 +137,7 @@ def cmd_sweep(args) -> int:
             except Exception as exc:  # keep sweeping past individual failures
                 errors[f"cell_{i:04d}"] = f"{type(exc).__name__}: {exc}"
     else:
+        import concurrent.futures  # only a worker pool needs it
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(_run_cell, doc, cell_dirs[i]) for i, (doc, _) in enumerate(cells)

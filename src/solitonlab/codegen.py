@@ -151,11 +151,15 @@ def extremum(name: str, candidates, op: str = "<") -> list[str]:
     candidate, replaced by each later one that is strictly smaller (larger).
     A tie keeps the earlier candidate, which fixes the sign of a zero, and a
     NaN stays only as the first candidate, as with the builtin.  Each later
-    candidate is evaluated once, in order, into the local ``c``."""
+    candidate is evaluated once, in order: a local is compared as it is, any
+    other expression is first assigned to the local ``c``."""
     first, *rest = candidates
     lines = [f"{name} = {first}"]
     for c in rest:
-        lines += [f"c = {c}", f"if c {op} {name}:", f"    {name} = c"]
+        if not c.isidentifier():
+            lines.append(f"c = {c}")
+            c = "c"
+        lines += [f"if {c} {op} {name}:", f"    {name} = {c}"]
     return lines
 
 

@@ -15,9 +15,11 @@ computation in :mod:`solitonlab.lie_bases`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from . import Report
 
 __all__ = [
     "IsotropyDecomposition",
@@ -61,13 +63,12 @@ class IsotropyDecomposition:
         return len(self.d)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Report):
     """Report-only result of :func:`validate`; never raised."""
 
-    symmetry_violations: list[str] = field(default_factory=list)
-    negativity_violations: list[str] = field(default_factory=list)
-    wang_ziller_residuals: list[float] | None = None
+    symmetry_violations: list[str]
+    negativity_violations: list[str]
+    wang_ziller_residuals: list[float] | None
 
     @property
     def ok(self) -> bool:
@@ -125,7 +126,7 @@ def validate(dec: IsotropyDecomposition, tol: float = 1e-12) -> ValidationReport
     ``sum_{j,k} [ijk] - d_i (b_i - 2 c_i)``; it is only computed when the
     Casimir constants are present.
     """
-    report = ValidationReport()
+    report = ValidationReport(symmetry_violations=[], negativity_violations=[])
     t = dec.triples
     s = dec.s
     for i in range(s):

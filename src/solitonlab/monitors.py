@@ -10,10 +10,11 @@ monitored invariant intact -- never a claim of mathematical completeness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import Report
 from .systems import (
     DancerWangAnsatz,
     LuPagePopeAnsatz,
@@ -29,31 +30,12 @@ from .trajectory import (
 )
 
 __all__ = [
-    "TwoSummandsDiagnostics",
-    "two_summands_roots",
-    "quartic_ratio_polynomial",
-    "c0_zero_predicates",
-    "locus_report",
-    "PotentialReport",
-    "potential_report",
-    "AsymptoteReport",
-    "asymptote_check",
-    "ConservationReport",
-    "conservation_report",
-    "OmegaReport",
-    "two_summands_omega_monitor",
-    "DWBoundReport",
-    "dw_apriori_monitor",
-    "LppBoundReport",
-    "lpp_bound_monitor",
-    "KahlerReport",
-    "kahler_report",
-    "Verdict",
-    "classify_completeness",
-    "GrowthProbeReport",
-    "growth_probe",
-    "ProbeRangeError",
-    "curvature_budget_at_launch",
+    "TwoSummandsDiagnostics", "two_summands_roots", "quartic_ratio_polynomial",
+    "c0_zero_predicates", "locus_report", "PotentialReport", "potential_report", "AsymptoteReport",
+    "asymptote_check", "ConservationReport", "conservation_report", "OmegaReport",
+    "two_summands_omega_monitor", "DWBoundReport", "dw_apriori_monitor", "LppBoundReport",
+    "lpp_bound_monitor", "KahlerReport", "kahler_report", "Verdict", "classify_completeness",
+    "GrowthProbeReport", "growth_probe", "ProbeRangeError", "curvature_budget_at_launch",
 ]
 
 _LOCUS_TOL = 1e-7  # both locus ratios this close to 1: the Einstein locus
@@ -70,8 +52,7 @@ _BRACKET_REL = 0.01  # the relative width the probe's bracket is bisected to
 # -- two-summands root structure ---------------------------------------------
 
 
-@dataclass
-class TwoSummandsDiagnostics:
+class TwoSummandsDiagnostics(Report):
     anchor: str
     D: float
     omega1: float | None
@@ -100,7 +81,7 @@ def two_summands_roots(a: TwoSummandsAnsatz) -> TwoSummandsDiagnostics:
     D, w1_sq, w2_sq = two_summands_root_squares(a)
     anchor = "ratio polynomial roots bounding the preserved fibre/base window"
     if D < 0:
-        return TwoSummandsDiagnostics(anchor, D, None, None, None, None, None)
+        return TwoSummandsDiagnostics(anchor=anchor, D=D)
     w1 = float(np.sqrt(max(w1_sq, 0.0)))
     w2 = float(np.sqrt(w2_sq))
     return TwoSummandsDiagnostics(
@@ -141,8 +122,7 @@ def _locus_classes(q1, q2):
     )
 
 
-@dataclass
-class LocusSeriesReport:
+class LocusSeriesReport(Report):
     anchor: str
     class_counts: dict[str, int]
     max_einstein_residual: float
@@ -174,11 +154,10 @@ def locus_report(traj: Trajectory) -> LocusSeriesReport:
 # -- potential monotonicity ------------------------------------------------------
 
 
-@dataclass
-class PotentialReport:
+class PotentialReport(Report):
     anchor: str
     trivial_potential: bool
-    violations: list[dict] = field(default_factory=list)
+    violations: list[dict]
 
     @property
     def ok(self) -> bool:
@@ -194,7 +173,7 @@ def potential_report(traj: Trajectory) -> PotentialReport:
     if spec.C >= 0:
         # a C = 0 seed keeps u identically zero up to integration residue
         trivial = bool(np.max(np.abs(traj.du)) <= 1e-7 and np.max(np.abs(traj.u)) <= 1e-7)
-        return PotentialReport(anchor=anchor, trivial_potential=trivial)
+        return PotentialReport(anchor=anchor, trivial_potential=trivial, violations=[])
     past = traj.ts > traj.delta
     zmax = np.max(np.abs(traj.df / traj.f), axis=1)
     concavity_applies = (spec.epsilon > 0) | (zmax > _L_NONZERO_TOL)
@@ -214,17 +193,16 @@ def potential_report(traj: Trajectory) -> PotentialReport:
 # -- asymptotics -----------------------------------------------------------------
 
 
-@dataclass
-class AsymptoteReport:
+class AsymptoteReport(Report):
     anchor: str
     kind: str
-    terminal_slope: float | None = None
-    terminal_slope_target: float | None = None
-    terminal_slope_abs_error: float | None = None
-    terminal_udd: float | None = None
-    upper_bound_violations: int | None = None
-    lower_bound_violations: int | None = None
-    lower_bound_window_start: float | None = None
+    terminal_slope: float | None
+    terminal_slope_target: float | None
+    terminal_slope_abs_error: float | None
+    terminal_udd: float | None
+    upper_bound_violations: int | None
+    lower_bound_violations: int | None
+    lower_bound_window_start: float | None
 
 
 def asymptote_check(traj: Trajectory) -> AsymptoteReport:
@@ -270,8 +248,7 @@ def asymptote_check(traj: Trajectory) -> AsymptoteReport:
 # -- conservation ---------------------------------------------------------------
 
 
-@dataclass
-class ConservationReport:
+class ConservationReport(Report):
     anchor: str
     max_abs_residual: float
     max_abs_residual_curvature: float
@@ -299,8 +276,7 @@ def conservation_report(traj: Trajectory) -> ConservationReport:
 # -- ansatz-specific invariant sets -----------------------------------------------
 
 
-@dataclass
-class OmegaReport:
+class OmegaReport(Report):
     anchor: str
     no_root_regime: bool
     omega2: float | None
@@ -336,8 +312,7 @@ def two_summands_omega_monitor(traj: Trajectory) -> OmegaReport:
     )
 
 
-@dataclass
-class DWBoundReport:
+class DWBoundReport(Report):
     anchor: str
     c0: float
     omega_sq_bounds: list[float]
@@ -403,8 +378,7 @@ def dw_apriori_monitor(traj: Trajectory) -> DWBoundReport:
     )
 
 
-@dataclass
-class LppBoundReport:
+class LppBoundReport(Report):
     anchor: str
     bound: float
     max_omega1_sq: float
@@ -423,8 +397,7 @@ def lpp_bound_monitor(traj: Trajectory) -> LppBoundReport:
     )
 
 
-@dataclass
-class KahlerReport:
+class KahlerReport(Report):
     anchor: str
     max_abs_residual: float
     per_factor_max: list[float]
@@ -497,8 +470,7 @@ class ProbeRangeError(RuntimeError):
     """No sampled conservation constant reached the requested slope."""
 
 
-@dataclass
-class GrowthProbeReport:
+class GrowthProbeReport(Report):
     anchor: str
     c: float
     tau: float

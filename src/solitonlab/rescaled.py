@@ -30,6 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import Report
 from .codegen import trace_function
 from .integrator import EventSpec, IntegrationResult, IntegratorConfig, integrate
 from .launch import launch
@@ -145,8 +146,7 @@ def _fourth_ratios(Y) -> list:
     return out
 
 
-@dataclass
-class LocusResiduals:
+class LocusResiduals(Report):
     anchor: str
     einstein_linear: float | np.ndarray
     einstein_quadratic: float | np.ndarray
@@ -276,8 +276,7 @@ def solve_rescaled(
     return RescaledTrajectory(spec=spec, delta=delta, result=result)
 
 
-@dataclass
-class ChartComparison:
+class ChartComparison(Report):
     anchor: str
     t_lo: float
     t_hi: float

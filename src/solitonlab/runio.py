@@ -9,25 +9,19 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
+import functools
 import itertools
 import json
 import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import Report, __version__
 from . import monitors as mon
-from .rescaled import (
-    compare_charts,
-    rescaled_default_delta,
-    rescaled_locus_residuals,
-    solve_rescaled,
-)
+from .launch import default_delta
 from .systems import DancerWangAnsatz, LuPagePopeAnsatz, ProblemSpec, TwoSummandsAnsatz
 from .trajectory import Trajectory, solve_problem
 
@@ -51,7 +45,7 @@ _SYSTEMS = ("two_summands", "dancer_wang", "lpp")
 _MONITOR_NAMES = ("conservation", "potential", "locus", "asymptote", "invariant", "kahler")
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     spec: ProblemSpec
     launch_delta: float | None
@@ -178,6 +172,9 @@ def load_config(source) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    delta = doc.get("launch_delta")
+    if delta is None and not default_delta(spec) > 0:
+        raise ConfigError("field 'initial': sizes this small leave no positive launch offset")
     integ = doc.get("integrator", {})
     if not isinstance(integ, dict):
         raise ConfigError("field 'integrator' must be an object")
@@ -186,7 +183,9 @@ def load_config(source) -> RunConfig:
         raise ConfigError("field 'chart' must be physical, rescaled or both")
     if chart != "physical" and not isinstance(ansatz, DancerWangAnsatz):
         raise ConfigError("field 'chart': the rescaled chart exists only for dancer_wang")
-    monitors = tuple(doc.get("monitors", _MONITOR_NAMES))
+    monitors = doc.get("monitors", _MONITOR_NAMES)
+    if not isinstance(monitors, (list, tuple)):
+        raise ConfigError("field 'monitors' must be a list of monitor names")
     for name in monitors:
         if name not in _MONITOR_NAMES:
             raise ConfigError(f"field 'monitors': unknown monitor {name!r}")
@@ -198,7 +197,6 @@ def load_config(source) -> RunConfig:
         "inconclusive",
     ):
         raise ConfigError(f"field 'expect': unknown verdict {expect!r}")
-    delta = doc.get("launch_delta")
     return RunConfig(
         spec=spec,
         launch_delta=None if delta is None else _positive(doc, "launch_delta", float, None),
@@ -208,7 +206,7 @@ def load_config(source) -> RunConfig:
         max_steps=_positive(integ, "max_steps", int, 200_000, "integrator"),
         max_step=_positive(integ, "max_step", float, np.inf, "integrator", finite=False),
         chart=chart,
-        monitors=monitors,
+        monitors=tuple(monitors),
         expect=expect,
         raw=doc,
     )
@@ -222,6 +220,7 @@ def _fmt(x: float) -> str:
 
 
 def run_id_of(config_doc: dict) -> str:
+    import hashlib  # only run ids need it
     blob = json.dumps(config_doc, sort_keys=True, separators=(",", ":")) + "|" + __version__
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -245,8 +244,10 @@ def _atomic_write(path: str, lines):
 
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    if isinstance(obj, Report):
+        obj = vars(obj)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -301,6 +302,7 @@ def write_trajectory_csv(path: str, traj: Trajectory):
 
 
 def write_rescaled_csv(path: str, rtraj):
+    from .rescaled import rescaled_locus_residuals  # only the compact chart needs it
     a = rtraj.spec.ansatz
     r = rtraj.samples
     res = rescaled_locus_residuals(r, a, rtraj.spec.epsilon)
@@ -360,6 +362,16 @@ def write_svg_plot(path: str, xs, series: dict, title: str = "", width=900, heig
 # -- full solve pipeline ----------------------------------------------------------------
 
 
+def _add_check(report: dict, name: str, payload, ok=None):
+    """Put ``payload`` in the report under ``name`` and list it among the
+    checks with its anchor and, when given, whether it passed."""
+    report[name] = payload
+    entry = {"name": name, "anchor": getattr(payload, "anchor", None)}
+    if ok is not None:
+        entry["ok"] = bool(ok)
+    report["checks"].append(entry)
+
+
 def build_report(traj: Trajectory, cfg: RunConfig) -> dict:
     spec = traj.spec
     a = spec.ansatz
@@ -374,13 +386,7 @@ def build_report(traj: Trajectory, cfg: RunConfig) -> dict:
         for i in [int(np.argmin(m.values))]
     }
 
-    def add(name, payload, ok=None):
-        report[name] = payload
-        entry = {"name": name, "anchor": getattr(payload, "anchor", None)}
-        if ok is not None:
-            entry["ok"] = bool(ok)
-        report["checks"].append(entry)
-
+    add = functools.partial(_add_check, report)
     if "conservation" in cfg.monitors:
         c = mon.conservation_report(traj)
         add("conservation", c, c.ok)
@@ -423,8 +429,10 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
     timings: dict[str, float] = {}
     # both charts must share one launch slice, so resolve delta up front
     delta = cfg.launch_delta
-    if delta is None and cfg.chart != "physical":
-        delta = rescaled_default_delta(cfg.spec)
+    if cfg.chart != "physical":
+        from . import rescaled  # only the compact chart needs it
+        if delta is None:
+            delta = rescaled.rescaled_default_delta(cfg.spec)
     with _timed(timings, "solve"):
         traj = solve_problem(
             cfg.spec,
@@ -450,7 +458,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
     rtraj = None
     if cfg.chart in ("rescaled", "both"):
         with _timed(timings, "solve_rescaled"):
-            rtraj = solve_rescaled(
+            rtraj = rescaled.solve_rescaled(
                 cfg.spec,
                 t_max=cfg.t_max,
                 rel_tol=cfg.rel_tol,
@@ -461,14 +469,9 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
         emit("rescaled.csv", lambda p: write_rescaled_csv(p, rtraj))
         if cfg.chart == "both":
             with _timed(timings, "compare_charts"):
-                report["chart_comparison"] = compare_charts(traj, rtraj)
-            report["checks"].append(
-                {
-                    "name": "chart_comparison",
-                    "anchor": report["chart_comparison"].anchor,
-                    "ok": bool(report["chart_comparison"].max_rel_deviation <= 1e-6),
-                }
-            )
+                comparison = rescaled.compare_charts(traj, rtraj)
+            ok = comparison.max_rel_deviation <= 1e-6
+            _add_check(report, "chart_comparison", comparison, ok)
     if plot:
         emit(
             "trajectory.svg",

@@ -25,6 +25,7 @@ points and on an array on the continuous extension.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -170,11 +171,13 @@ def _row_events(a, initial: tuple[float, ...]) -> tuple[EventSpec, ...]:
     events = []
     for row in _invariants(a, initial):
         tape = Tape()
-        # each component is read from the state where the traced code uses it
-        y = [tape.var(f"y[{j}]") for j in range(2 * len(a.dims) + 2)]
+        y = [tape.var(f"y{j}") for j in range(2 * len(a.dims) + 2)]
         values = list(row.candidates(y).values())
         if any(isinstance(v, Traced) for v in values):
             lines = [*tape.lines, *extremum("m", [tape.ref(v) for v in values])]
+            # each component the row uses is read from the state once, first
+            used = set(re.findall(r"\w+", "\n".join(lines)))
+            lines = [f"{v.name} = y[{j}]" for j, v in enumerate(y) if v.name in used] + lines
             fn = _state_test(f"{row.event} {a!r} {initial!r}", "t, y", lines, "m", tape.namespace)
             events.append(EventSpec(row.event, fn, -1, True))
     return tuple(events)

@@ -199,3 +199,62 @@ def classify_oracle(traj):
     if reasons:
         return "inconclusive", None, reasons
     return "numerically_complete", None, []
+
+
+# -- the report records as dataclasses declared them ---------------------------
+# The fields of each report type, in order, as its dataclass listed them before
+# the reports became ``solitonlab.Report`` records.  ``dataclasses.asdict``
+# emitted exactly these keys, defaults included, so report.json,
+# probe_report.json and the curvature check's report must keep them.
+
+REPORT_FIELDS = {
+    name: tuple(fields.split())
+    for name, fields in {
+        "TwoSummandsDiagnostics": "anchor D omega1 omega2 omega1_sq_below_quarter "
+        "omega2_sq_below_half quartic_residuals",
+        "LocusSeriesReport": "anchor class_counts max_einstein_residual strict_throughout "
+        "einstein_throughout",
+        "PotentialReport": "anchor trivial_potential violations",
+        "AsymptoteReport": "anchor kind terminal_slope terminal_slope_target "
+        "terminal_slope_abs_error terminal_udd upper_bound_violations "
+        "lower_bound_violations lower_bound_window_start",
+        "ConservationReport": "anchor max_abs_residual max_abs_residual_curvature "
+        "max_variant_disagreement tolerance ok",
+        "OmegaReport": "anchor no_root_regime omega2 max_omega max_domega domega_bound "
+        "domega_ok below_root_throughout",
+        "DWBoundReport": "anchor c0 omega_sq_bounds bound_ok_throughout first_violation_t "
+        "max_qdot qdot_ceiling qdot_ok key_estimate_ok",
+        "LppBoundReport": "anchor bound max_omega1_sq ok",
+        "KahlerReport": "anchor max_abs_residual per_factor_max on_locus",
+        "GrowthProbeReport": "anchor c tau c_star empirical_C0 bracket samples excluded "
+        "monotone n_solves n_accepted n_rejected n_rhs",
+        "Verdict": "kind t_star reasons note",
+        "ValidationReport": "symmetry_violations negativity_violations wang_ziller_residuals",
+        "LocusResiduals": "anchor einstein_linear einstein_quadratic kahler_square "
+        "kahler_slope",
+        "ChartComparison": "anchor t_lo t_hi n_points max_rel_deviation per_field_max",
+    }.items()
+}
+
+# report.json's blocks and the report type each one holds
+REPORT_BLOCKS = {
+    "verdict": "Verdict",
+    "conservation": "ConservationReport",
+    "potential": "PotentialReport",
+    "locus": "LocusSeriesReport",
+    "asymptote": "AsymptoteReport",
+    "roots": "TwoSummandsDiagnostics",
+    "ratio_window": "OmegaReport",
+    "a_priori_bounds": "DWBoundReport",
+    "ratio_bound": "LppBoundReport",
+    "kahler": "KahlerReport",
+    "chart_comparison": "ChartComparison",
+}
+
+# sha256 of report.json as the dataclass reports wrote it (within one C
+# library, like the CSVs: the step-size controller calls libm's pow)
+REPORT_DIGESTS = {
+    "ts_e1_c1.json": "fa6225cea481ff02e5a92660dae602b6fdf80a04c1ee5dc79c3e2be30385cf28",
+    "dw_m2_chart.json": "6331658e3447e862528f76c39b39c8f4ff146a0415d9c56e6134dd62f6cf1f1c",
+    "lpp_complete_steady.json": "22c975f25c5e6b4b9ceeac532a80bf46d30195d737cbcd7b95b1cbd320b1d2df",
+}

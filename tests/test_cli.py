@@ -1,15 +1,20 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
+import re
 import shutil
+import warnings
 from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solitonlab.cli import main
-from solitonlab.runio import _fmt, load_config
+from solitonlab.runio import ConfigError, _fmt, load_config
 
 from conftest import config_path, decomposition_path
 
@@ -82,6 +87,13 @@ class TestSolve:
         code = main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(tmp_path / "o")])
         assert code == 64
         assert "system" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("monitors", [5, "conservation", ["conservation", "nope"]])
+    def test_monitors_must_be_a_list_of_names(self, tmp_path, capsys, monitors):
+        doc = dict(BASE, monitors=monitors)
+        code = main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(tmp_path / "o")])
+        assert code == 64
+        assert "'monitors'" in capsys.readouterr().err
 
     def test_rescaled_chart_rejected_off_circle_bundle(self, tmp_path, capsys):
         doc = dict(BASE, chart="both")
@@ -206,6 +218,76 @@ class TestSolve:
         main(["solve", "--config", write_json(tmp_path, "c.json", BASE), "--out", str(out), "--plot"])
         svg = (out / "trajectory.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+# -- configs at the family edges ------------------------------------------------
+# d2 = 1 (lpp then embeds as dancer_wang with p2 = 0), q = 0, odd d, p = 0 with
+# and without an allow_degenerate key (the loader reads none), extreme C and
+# extreme orbit sizes.  Each config varies one field from a shipped one; it must
+# load, or raise a ConfigError naming that field (exit 64).  A loaded config
+# must solve or end with a documented exit code.
+
+_EDGE_BASE = {"two_summands": "ts_e0_c1.json", "dancer_wang": "dw_e0_c1.json", "lpp": "lpp_e0_c1.json"}
+_edge_int = st.integers(-1, 4)
+_EDGE_C = [0.0, -0.0, -5e-324, -1e-300, -1.0, -1e300, -1.7976931348623157e308, 5e-324, 1.0]
+_EDGE_SIZES = [5e-324, 1e-320, 1e-300, 1.0, 1e300, 1.7976931348623157e308]
+
+
+def _edge_doc(system: str, field: str, data) -> dict:
+    doc = json.loads(config_path(_EDGE_BASE[system]).read_text())
+    doc["integrator"] = {"t_max": 0.01, "max_steps": 500}
+    if field == "C":
+        doc["C"] = data.draw(st.sampled_from(_EDGE_C))
+    elif field == "initial":
+        sizes = data.draw(st.lists(st.sampled_from(_EDGE_SIZES), min_size=2, max_size=2))
+        doc["initial"] = sizes[0] if system == "two_summands" else sizes[: len(doc["initial"])]
+    elif system == "dancer_wang":
+        m = data.draw(st.integers(1, 3))
+        draw = st.lists(_edge_int, min_size=m, max_size=m)
+        doc["ansatz"] = {"d": data.draw(draw), "p": data.draw(draw), "q": data.draw(draw)}
+        if data.draw(st.booleans()):
+            doc["ansatz"]["allow_degenerate"] = True
+        doc["initial"] = [1.0] * m
+    else:
+        doc["ansatz"] |= {name: data.draw(_edge_int) for name in doc["ansatz"] if name[0] in "dpq"}
+    return doc
+
+
+@pytest.mark.parametrize("system", sorted(_EDGE_BASE))
+@pytest.mark.parametrize("field", ["ansatz", "C", "initial"])
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_edge_configs_load_or_name_the_field(system, field, data, tmp_path_factory):
+    doc = _edge_doc(system, field, data)
+    try:
+        load_config(doc)
+    except ConfigError as exc:
+        assert re.search(rf"\b{field}\b", str(exc)), str(exc)
+        expected = (64,)
+    else:
+        # p_i = 0 is the warped-product embedding's device, never a config's
+        assert not (system == "dancer_wang" and 0 in doc["ansatz"]["p"])
+        expected = (0, 2, 70)
+    tmp = tmp_path_factory.mktemp("edge")
+    path = write_json(tmp, "c.json", doc)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow on the way to exit 70
+            code = main(["solve", "--config", path, "--out", str(tmp / "o")])
+    assert code in expected, doc
+
+
+def test_lpp_with_a_flat_warped_circle_solves(tmp_path):
+    # d2 = 1 embeds as dancer_wang with (p2, q2) = (0, 0); on a steady run the
+    # flat circle's g2 starts with zero slope, so the shape row fails at launch
+    doc = json.loads(config_path("lpp_e0_c1.json").read_text())
+    doc["ansatz"]["d2"] = 1
+    assert load_config(doc).spec.ansatz.as_dancer_wang().p == (2, 0)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["termination"] == "reached_t_max"
+    assert manifest["reasons"] == ["shape operator lost positivity at some sample"]
 
 
 class TestChartBoth:
