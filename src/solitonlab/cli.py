@@ -165,7 +165,7 @@ def cmd_sweep(args) -> int:
                     manifest["verdict"],
                     manifest["termination"],
                     _fmt(key["terminal_du"]),
-                    _fmt(key["max_conservation_residual"] or float("nan")),
+                    _fmt(key["max_conservation_residual"]),
                 ]
             )
         )

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from .codegen import Tape, Trace, compile_function, traced
 
-__all__ = ["EventSpec", "EventHit", "IntegratorConfig", "IntegrationResult", "integrate"]
+__all__ = ["EventSpec", "IntegratorConfig", "IntegrationResult", "integrate"]
 
 # Dormand-Prince 5(4) tableau: nodes _Ci, stage weights _Aij; the 5th-order
 # weights equal the last row _A7j (FSAL), and _Ej = b5_j - b4_j.
@@ -72,23 +72,14 @@ _H_FLOOR = 16.0 * sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Named scalar event g(t, y); a sign crossing in the given direction
-    (-1 falling, +1 rising, 0 both) is located by bisection on the step's
-    continuous extension and, if terminal, stops the integration.  y is a
-    list of floats at accepted points and an array on the extension, so g
-    should index and use builtins (min, max, abs) that serve both."""
+    """Named scalar event g(t, y) that ends the integration where it falls
+    through zero: a finite value above 0, then a finite value at or below 0.
+    The crossing is located by bisection on the step's continuous extension.
+    y is a list of floats at accepted points and an array on the extension,
+    so g should index and use builtins (min, max, abs) that serve both."""
 
     name: str
     fn: Callable[[float, Sequence[float]], float]
-    direction: int = -1
-    terminal: bool = True
-
-
-@dataclass
-class EventHit:
-    name: str
-    t: float
-    y: np.ndarray
 
 
 @dataclass
@@ -98,7 +89,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     max_step: float = np.inf
     max_steps: int = 200_000
-    first_step: float | None = None
     events: tuple[EventSpec, ...] = ()
     validity: Callable[[list[float]], bool] | None = None
 
@@ -116,8 +106,8 @@ class IntegrationResult:
     ``dys`` holds the derivative at each sample and ``dense`` the quartic
     term r5 of each sample interval (one row fewer than ``ts``), so
     ``sample_at`` evaluates the continuous extension with no further
-    right-hand-side calls.  A terminal event's point is the last sample;
-    a non-terminal one is recorded in ``events`` only.
+    right-hand-side calls.  An event's point is the last sample, and
+    ``termination`` names it.
     """
 
     ts: np.ndarray
@@ -125,8 +115,6 @@ class IntegrationResult:
     dys: np.ndarray
     dense: np.ndarray
     termination: str
-    events: list[EventHit] = field(default_factory=list)
-    terminal_event: EventHit | None = None
     n_accepted: int = 0
     n_rejected: int = 0
     n_rhs: int = 0
@@ -312,23 +300,23 @@ def _dp_kernel(n: int, rhs: Trace | None = None):
     return compile_function("dp5", "\n".join(src) + "\n", filename, namespace)
 
 
-def _crossed(prev, curr, direction):
-    if prev is None or not math.isfinite(prev) or not math.isfinite(curr):
-        return False
-    return (direction >= 0 and prev < 0.0 <= curr) or (direction <= 0 and prev > 0.0 >= curr)
+def _crossed(prev, curr):
+    """A fall through zero: a finite value above 0, then one at or below 0."""
+    return math.isfinite(prev) and math.isfinite(curr) and prev > 0.0 >= curr
 
 
 def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
-    """Advance dy/dt = rhs(t, y) from (t0, y0) until t_max, a terminal
-    event, step failure or an invalid state.
+    """Advance dy/dt = rhs(t, y) from (t0, y0) until t_max, an event, step
+    failure or an invalid state.
 
     ``rhs`` receives the state as a list of floats and returns the
     derivative as a sequence of as many floats; a list is used as it is,
     anything else is converted.  Event times are found by bisection on the
     step's continuous extension to an absolute tolerance of 1e-12 (1 + t).
-    A terminal event ends the samples with one extra step from the last
-    accepted point to the event time.  Statistics count accepted steps,
-    rejected attempts and right-hand-side evaluations.
+    The earliest crossing in a step ends the run, the first event in order
+    on a tie, with one extra step from the last accepted point to its time.
+    Statistics count accepted steps, rejected attempts and right-hand-side
+    evaluations.
     """
     y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
@@ -336,7 +324,8 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     n_acc = n_rej = n_rhs = 0
     rtol, atol, validity = cfg.rel_tol, cfg.abs_tol, cfg.validity
     t_max, max_steps, max_step = cfg.t_max, cfg.max_steps, cfg.max_step
-    event_fns = [ev.fn for ev in cfg.events]
+    events = cfg.events
+    event_fns = [ev.fn for ev in events]
     isfinite = math.isfinite
     # a compiled right-hand side is inlined into the attempt, which counts
     # its own evaluations: ``inlined`` when it completes, the number it
@@ -354,12 +343,9 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     f = call(t, y)
     # one flat buffer per sampled quantity, n values per sample
     ts, ys, dys, dense = array("d", [t]), array("d", y), array("d", f), array("d")
-    events: list[EventHit] = []
-    terminal: EventHit | None = None
     ev_prev = [fn(t, y) for fn in event_fns]
 
-    h = cfg.first_step or _initial_step(call, t, y, f, rtol, atol, max_step)
-    h = min(h, max_step, t_max - t)
+    h = min(_initial_step(call, t, y, f, rtol, atol, max_step), t_max - t)
     err_prev = 1.0
     termination = "reached_t_max"
     rejected_invalid = False
@@ -398,43 +384,39 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         rejected_invalid = False
         t_new = t + h
 
-        hits = []
-        extension = None
+        hit = extension = None
         for idx, fn in enumerate(event_fns):
             val = fn(t_new, y_new)
-            prev = ev_prev[idx]
-            # a crossing needs a value <= 0 on one side; NaN has none
-            if (val <= 0.0 or prev <= 0.0) and _crossed(prev, val, cfg.events[idx].direction):
+            # a crossing needs a value <= 0 after it; NaN has none
+            if val <= 0.0 and _crossed(ev_prev[idx], val):
                 if extension is None:
                     extension = (*map(np.array, (y, y_new, f, f_new, r5)), h)
-                hits.append((*_refine_event(cfg.events[idx], t, extension), idx))
+                t_star, y_star = _refine_event(events[idx], t, extension)
+                if hit is None or t_star < hit[0]:
+                    hit = t_star, y_star, events[idx].name
             ev_prev[idx] = val
 
-        for t_star, y_star, idx in sorted(hits, key=lambda hit: hit[0]) if hits else ():
-            ev = cfg.events[idx]
-            events.append(EventHit(ev.name, t_star, y_star))
-            if ev.terminal:
-                terminal = events[-1]
-                termination = f"event:{ev.name}"
-                # the last sample is a real step's end; should that step
-                # fail, it is the extension restricted to [t, t_star]
-                step = dp_step(call, t, y, f, t_star - t, rtol, atol)
-                if type(step) is tuple:
-                    n_rhs += inlined
-                    y_new, f_new, _, r5 = step
-                else:
-                    n_rhs += step or 0
-                    sigma = (t_star - t) / h
-                    y_new, f_new = y_star, _slope(*extension, sigma) / h
-                    r5 = (sigma * sigma) * (sigma * sigma) * extension[4]
-                t_new = t_star
-                break
+        if hit is not None:
+            t_star, y_star, name = hit
+            termination = f"event:{name}"
+            # the last sample is a real step's end; should that step fail,
+            # it is the extension restricted to [t, t_star]
+            step = dp_step(call, t, y, f, t_star - t, rtol, atol)
+            if type(step) is tuple:
+                n_rhs += inlined
+                y_new, f_new, _, r5 = step
+            else:
+                n_rhs += step or 0
+                sigma = (t_star - t) / h
+                y_new, f_new = y_star, _slope(*extension, sigma) / h
+                r5 = (sigma * sigma) * (sigma * sigma) * extension[4]
+            t_new = t_star
 
         ts.append(t_new)
         ys.extend(y_new)
         dys.extend(f_new)
         dense.extend(r5)
-        if terminal is not None:
+        if hit is not None:
             break
         t, y, f = t_new, y_new, f_new
 
@@ -449,8 +431,6 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         dys=np.frombuffer(dys).reshape(-1, n),
         dense=np.frombuffer(dense).reshape(-1, n),
         termination=termination,
-        events=events,
-        terminal_event=terminal,
         n_accepted=n_acc,
         n_rejected=n_rej,
         n_rhs=n_rhs,
@@ -469,7 +449,7 @@ def _refine_event(ev: EventSpec, t0, extension):
             break
         mid = 0.5 * (t_lo + t_hi)
         g_mid = ev.fn(mid, _interpolate(*extension, (mid - t0) / h))
-        if _crossed(g_lo, g_mid, ev.direction):
+        if _crossed(g_lo, g_mid):
             t_hi = mid
         else:
             t_lo, g_lo = mid, g_mid

@@ -46,6 +46,7 @@ _CONSERVATION_TOL_SCALE = 1e-8
 _OMEGA_TOL = 1e-6  # relative slack on the two-summands ratio-slope cap
 _KAHLER_TOL = 1e-6  # largest Kaehler residual still on the locus
 _C_START = -0.125  # the growth probe's first grid point
+_C_LIMIT = -1e9  # the probe's scan gives up at or below this C
 _BRACKET_REL = 0.01  # the relative width the probe's bracket is bisected to
 
 
@@ -445,7 +446,7 @@ def classify_completeness(traj: Trajectory) -> Verdict:
     """
     spec = traj.spec
     term = traj.termination
-    if term == "event:metric_degenerate" or term == "state_invalid":
+    if term == "state_invalid":
         return Verdict("metric_degenerate", float(traj.ts[-1]), [term])
     if term in ("event:shape_exit", "event:invariant_exit"):
         return Verdict("invariant_set_exit", float(traj.ts[-1]), [term])
@@ -507,12 +508,11 @@ def growth_probe(
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-13,
     delta: float | None = None,
-    c_limit: float = -1e9,
 ) -> GrowthProbeReport:
     """Bracket the weakest conservation constant driving -udot(tau) >= c.
 
     Doubles C from -1/8, one solve at a time, and stops one grid point past
-    the first C whose slope reaches c; with no success above ``c_limit`` it
+    the first C whose slope reaches c; with no success above ``_C_LIMIT`` it
     raises ``ProbeRangeError``.  It then bisects in log|C| between that
     success and the weakest failing point above it until the bracket is 1%
     tight.  The first success in scan order is the weakest success of the
@@ -541,7 +541,7 @@ def growth_probe(
 
     c_success = c_fail = None
     C = _C_START
-    while C > c_limit:
+    while C > _C_LIMIT:
         s = slope_of(C)
         if c_success is not None:
             break  # the one point past the first success
@@ -553,7 +553,7 @@ def growth_probe(
         C *= 2.0
     if c_success is None:
         raise ProbeRangeError(
-            f"no admissible C in ({c_limit:g}, {_C_START:g}] reaches -udot({tau:g}) >= {c:g}"
+            f"no admissible C in ({_C_LIMIT:g}, {_C_START:g}] reaches -udot({tau:g}) >= {c:g}"
         )
     if c_fail is not None:
         while (c_fail - c_success) > _BRACKET_REL * abs(c_success):

@@ -70,11 +70,17 @@ class RescaledState:
 
 
 def to_rescaled(state: SolitonState, spec: ProblemSpec, s: float = 0.0) -> RescaledState:
+    """The chart's coordinates of one state.  Raises ValueError when
+    H = -udot + tr L is not positive, and ArithmeticError when a coordinate
+    is not finite or Lc or some Y_i is not positive (f H overflowed)."""
     H = -state.du + tr_L(state, spec.ansatz)
     if H <= 0:
         raise ValueError("rescaling requires -udot + tr L > 0")
     z = state.df / state.f
-    return RescaledState(X=z / H, Y=1.0 / (state.f * H), Lc=1.0 / H, s=s, t=state.t, u=state.u)
+    r = RescaledState(X=z / H, Y=1.0 / (state.f * H), Lc=1.0 / H, s=s, t=state.t, u=state.u)
+    if not (np.all(np.isfinite([*r.X, *r.Y, r.Lc])) and r.Lc > 0 and np.all(r.Y > 0)):
+        raise ArithmeticError("the state maps outside the compact chart (Lc, Y_i > 0, all finite)")
+    return r
 
 
 def from_rescaled(r: RescaledState, ansatz: DancerWangAnsatz) -> SolitonState:
@@ -259,9 +265,9 @@ def solve_rescaled(
     k = a.m + 1
     y0 = np.concatenate((r0.X, r0.Y, [r0.Lc, r0.t, r0.u]))
     events = (
-        EventSpec("t_target", lambda s, y: t_max - y[2 * k + 1], direction=-1, terminal=True),
-        EventSpec("chart_degenerate", _min_of(k, 2 * k + 1), -1, True),
-        EventSpec("overflow", _overflow(len(y0)), -1, True),
+        EventSpec("t_target", lambda s, y: t_max - y[2 * k + 1]),
+        EventSpec("chart_degenerate", _min_of(k, 2 * k + 1)),
+        EventSpec("overflow", _overflow(len(y0))),
     )
     cfg = IntegratorConfig(
         t_max=_S_MAX,
@@ -291,13 +297,14 @@ def compare_charts(phys, resc: RescaledTrajectory) -> ChartComparison:
     the slow-time samples, interpolating the physical run.
 
     Both runs must start from the same launch slice (the comparison would be
-    meaningless otherwise).  Deviations are relative to 1 + |value|.
+    meaningless otherwise).  Only samples inside the chart (Lc > 0 and every
+    Y_i > 0) are compared.  Deviations are relative to 1 + |value|.
     """
     if phys.delta != resc.delta:
         raise ValueError("the two charts must start from the same launch slice")
     t_hi = min(phys.ts[-1], resc.t[-1])
     r = resc.samples
-    sel = (phys.ts[0] <= r.t) & (r.t <= t_hi)
+    sel = (phys.ts[0] <= r.t) & (r.t <= t_hi) & (r.Lc > 0) & np.all(r.Y > 0, axis=0)
     got = from_rescaled(
         RescaledState(r.X[:, sel], r.Y[:, sel], r.Lc[sel], r.s[sel], r.t[sel], r.u[sel]),
         resc.spec.ansatz,

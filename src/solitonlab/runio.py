@@ -41,8 +41,16 @@ class ConfigError(ValueError):
     """Malformed run configuration; the message names the offending field."""
 
 
-_SYSTEMS = ("two_summands", "dancer_wang", "lpp")
-_MONITOR_NAMES = ("conservation", "potential", "locus", "asymptote", "invariant", "kahler")
+# each system's ansatz type and the fields it reads, each an integer, a
+# finite number or (tuple) a list of integers
+_ANSATZ = {
+    "two_summands": (TwoSummandsAnsatz, dict(d1=int, d2=int, A1=float, A2=float, A3=float)),
+    "dancer_wang": (DancerWangAnsatz, dict(d=tuple, p=tuple, q=tuple)),
+    "lpp": (LuPagePopeAnsatz, dict(d1=int, p1=int, q1=int, d2=int)),
+}
+_SYSTEMS = tuple(_ANSATZ)
+_FIELDS = ("system", "ansatz", "epsilon", "C", "initial", "launch_delta", "integrator", "chart", "expect")
+_INTEGRATOR_FIELDS = ("rel_tol", "abs_tol", "t_max", "max_steps", "max_step")
 
 
 @dataclasses.dataclass
@@ -55,7 +63,6 @@ class RunConfig:
     max_steps: int
     max_step: float
     chart: str
-    monitors: tuple[str, ...]
     expect: str | None
     raw: dict
 
@@ -117,25 +124,24 @@ def _integers(doc: dict, field: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _only(doc: dict, fields, ctx: str = ""):
+    """Refuse a field of doc that the loader does not read."""
+    for field in doc:
+        if field not in fields:
+            where = f"{ctx}.{field}" if ctx else field
+            raise ConfigError(f"unknown field '{where}'")
+
+
 def _build_ansatz(system: str, doc: dict):
+    cls, fields = _ANSATZ[system]
+    if not isinstance(doc, dict):
+        raise ConfigError("field 'ansatz' must be an object")
+    _only(doc, fields, "ansatz")
     try:
-        if system == "two_summands":
-            return TwoSummandsAnsatz(
-                d1=_need(doc, "d1", int, "ansatz"),
-                d2=_need(doc, "d2", int, "ansatz"),
-                A1=_need(doc, "A1", float, "ansatz"),
-                A2=_need(doc, "A2", float, "ansatz"),
-                A3=_need(doc, "A3", float, "ansatz"),
-            )
-        if system == "dancer_wang":
-            d, p, q = (_integers(doc, field) for field in "dpq")
-            return DancerWangAnsatz(d=d, p=p, q=q)
-        return LuPagePopeAnsatz(
-            d1=_need(doc, "d1", int, "ansatz"),
-            p1=_need(doc, "p1", int, "ansatz"),
-            q1=_need(doc, "q1", int, "ansatz"),
-            d2=_need(doc, "d2", int, "ansatz"),
-        )
+        return cls(**{
+            field: _integers(doc, field) if kind is tuple else _need(doc, field, kind, "ansatz")
+            for field, kind in fields.items()
+        })
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'ansatz' for system '{system}': {exc}") from exc
 
@@ -155,6 +161,7 @@ def load_config(source) -> RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    _only(doc, _FIELDS)
     system = _need(doc, "system", str)
     if system not in _SYSTEMS:
         raise ConfigError(f"field 'system' must be one of {_SYSTEMS}, got {system!r}")
@@ -178,17 +185,12 @@ def load_config(source) -> RunConfig:
     integ = doc.get("integrator", {})
     if not isinstance(integ, dict):
         raise ConfigError("field 'integrator' must be an object")
+    _only(integ, _INTEGRATOR_FIELDS, "integrator")
     chart = doc.get("chart", "physical")
-    if chart not in ("physical", "rescaled", "both"):
-        raise ConfigError("field 'chart' must be physical, rescaled or both")
-    if chart != "physical" and not isinstance(ansatz, DancerWangAnsatz):
+    if chart not in ("physical", "both"):
+        raise ConfigError("field 'chart' must be physical or both")
+    if chart == "both" and not isinstance(ansatz, DancerWangAnsatz):
         raise ConfigError("field 'chart': the rescaled chart exists only for dancer_wang")
-    monitors = doc.get("monitors", _MONITOR_NAMES)
-    if not isinstance(monitors, (list, tuple)):
-        raise ConfigError("field 'monitors' must be a list of monitor names")
-    for name in monitors:
-        if name not in _MONITOR_NAMES:
-            raise ConfigError(f"field 'monitors': unknown monitor {name!r}")
     expect = doc.get("expect")
     if expect is not None and expect not in (
         "numerically_complete",
@@ -206,7 +208,6 @@ def load_config(source) -> RunConfig:
         max_steps=_positive(integ, "max_steps", int, 200_000, "integrator"),
         max_step=_positive(integ, "max_step", float, np.inf, "integrator", finite=False),
         chart=chart,
-        monitors=tuple(monitors),
         expect=expect,
         raw=doc,
     )
@@ -372,7 +373,7 @@ def _add_check(report: dict, name: str, payload, ok=None):
     report["checks"].append(entry)
 
 
-def build_report(traj: Trajectory, cfg: RunConfig) -> dict:
+def build_report(traj: Trajectory) -> dict:
     spec = traj.spec
     a = spec.ansatz
     report: dict = {"checks": []}
@@ -387,29 +388,23 @@ def build_report(traj: Trajectory, cfg: RunConfig) -> dict:
     }
 
     add = functools.partial(_add_check, report)
-    if "conservation" in cfg.monitors:
-        c = mon.conservation_report(traj)
-        add("conservation", c, c.ok)
-    if "potential" in cfg.monitors:
-        p = mon.potential_report(traj)
-        add("potential", p, p.ok)
-    if "locus" in cfg.monitors:
-        add("locus", mon.locus_report(traj))
-    if "asymptote" in cfg.monitors:
-        add("asymptote", mon.asymptote_check(traj))
-    if "invariant" in cfg.monitors:
-        if isinstance(a, TwoSummandsAnsatz):
-            add("roots", mon.two_summands_roots(a))
-            add("ratio_window", mon.two_summands_omega_monitor(traj))
-            add("zero_constant_windows", mon.c0_zero_predicates(a))
-        elif isinstance(a, DancerWangAnsatz):
-            d = mon.dw_apriori_monitor(traj)
-            add("a_priori_bounds", d, d.bound_ok_throughout)
-        else:
-            b = mon.lpp_bound_monitor(traj)
-            add("ratio_bound", b, b.ok)
-    if "kahler" in cfg.monitors and isinstance(a, DancerWangAnsatz):
+    c = mon.conservation_report(traj)
+    add("conservation", c, c.ok)
+    p = mon.potential_report(traj)
+    add("potential", p, p.ok)
+    add("locus", mon.locus_report(traj))
+    add("asymptote", mon.asymptote_check(traj))
+    if isinstance(a, TwoSummandsAnsatz):
+        add("roots", mon.two_summands_roots(a))
+        add("ratio_window", mon.two_summands_omega_monitor(traj))
+        add("zero_constant_windows", mon.c0_zero_predicates(a))
+    elif isinstance(a, DancerWangAnsatz):
+        d = mon.dw_apriori_monitor(traj)
+        add("a_priori_bounds", d, d.bound_ok_throughout)
         add("kahler", mon.kahler_report(traj))
+    else:
+        b = mon.lpp_bound_monitor(traj)
+        add("ratio_bound", b, b.ok)
     return report
 
 
@@ -429,7 +424,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
     timings: dict[str, float] = {}
     # both charts must share one launch slice, so resolve delta up front
     delta = cfg.launch_delta
-    if cfg.chart != "physical":
+    if cfg.chart == "both":
         from . import rescaled  # only the compact chart needs it
         if delta is None:
             delta = rescaled.rescaled_default_delta(cfg.spec)
@@ -444,7 +439,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
             delta=delta,
         )
     with _timed(timings, "report"):
-        report = build_report(traj, cfg)
+        report = build_report(traj)
     artifacts = []
 
     def emit(name, writer):
@@ -453,10 +448,9 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
             writer(path)
         artifacts.append(name)
 
-    if cfg.chart in ("physical", "both", "rescaled"):
-        emit("trajectory.csv", lambda p: write_trajectory_csv(p, traj))
+    emit("trajectory.csv", lambda p: write_trajectory_csv(p, traj))
     rtraj = None
-    if cfg.chart in ("rescaled", "both"):
+    if cfg.chart == "both":
         with _timed(timings, "solve_rescaled"):
             rtraj = rescaled.solve_rescaled(
                 cfg.spec,
@@ -467,11 +461,10 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
                 delta=delta,
             )
         emit("rescaled.csv", lambda p: write_rescaled_csv(p, rtraj))
-        if cfg.chart == "both":
-            with _timed(timings, "compare_charts"):
-                comparison = rescaled.compare_charts(traj, rtraj)
-            ok = comparison.max_rel_deviation <= 1e-6
-            _add_check(report, "chart_comparison", comparison, ok)
+        with _timed(timings, "compare_charts"):
+            comparison = rescaled.compare_charts(traj, rtraj)
+        ok = comparison.max_rel_deviation <= 1e-6
+        _add_check(report, "chart_comparison", comparison, ok)
     if plot:
         emit(
             "trajectory.svg",
@@ -486,7 +479,6 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
     emit("report.json", lambda p: write_json(p, report))
 
     verdict = report["verdict"]
-    cons = report.get("conservation")
     binding, closest = min(report["margins"].items(), key=lambda item: item[1]["margin"])
     manifest = {
         "run_id": run_id_of(cfg.raw),
@@ -501,10 +493,8 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
         "key_diagnostics": {
             "t_end": float(traj.ts[-1]),
             "terminal_du": float(traj.du[-1]),
-            "max_conservation_residual": None if cons is None else cons.max_abs_residual,
-            "max_locus_einstein_residual": (
-                report["locus"].max_einstein_residual if "locus" in report else None
-            ),
+            "max_conservation_residual": report["conservation"].max_abs_residual,
+            "max_locus_einstein_residual": report["locus"].max_einstein_residual,
             "binding_invariant": {"name": binding, "margin": closest["margin"], "t": closest["t"]},
             **_work_counts(traj.result),
         },

@@ -1,11 +1,12 @@
 """Launch + integrate composition with the standard event set.
 
-The default events watch for metric degeneration (some f_i reaching zero),
-loss of shape-operator positivity, exit from the ansatz's preserved set
-(fibre/base ratio crossing its root, the circle-bundle a priori bounds, or
-the warped-product ratio bound), and state overflow.  All of them are
-terminal: past any of these the run no longer tracks the construction the
-monitors reason about.
+The default events watch for loss of shape-operator positivity, exit from
+the ansatz's preserved set (fibre/base ratio crossing its root, the
+circle-bundle a priori bounds, or the warped-product ratio bound), and state
+overflow.  Each ends the run: past any of these the run no longer tracks the
+construction the monitors reason about.  A metric component reaching zero
+needs no event: the validity test rejects every attempt with some f_i <= 0,
+so such a run ends as ``state_invalid``.
 
 Each state invariant is declared once, as a row of ``invariants(spec)``.
 The row is traced into its event and evaluated on all samples as
@@ -104,7 +105,7 @@ _BOUND_TOL = 1e-9  # absolute slack on the circle-bundle and warped-product boun
 
 
 class Invariant(NamedTuple):
-    """A row of the invariant table: the terminal event that watches a set,
+    """A row of the invariant table: the event that watches a set,
     the verdict reason for a run that leaves it, the slack, and
     ``candidates(y)``, labelled closed forms over the state components y
     (floats, (N,) arrays or traced values).  A state is inside while every
@@ -165,7 +166,7 @@ def _invariants(a, initial: tuple[float, ...]) -> tuple[Invariant, ...]:
 
 @lru_cache(maxsize=None)
 def _row_events(a, initial: tuple[float, ...]) -> tuple[EventSpec, ...]:
-    """Each invariant row traced into a terminal event: the minimum of its
+    """Each invariant row traced into an event: the minimum of its
     candidates, taken as ``min`` takes it.  A margin no state moves never
     crosses zero and gets none."""
     events = []
@@ -179,7 +180,7 @@ def _row_events(a, initial: tuple[float, ...]) -> tuple[EventSpec, ...]:
             used = set(re.findall(r"\w+", "\n".join(lines)))
             lines = [f"{v.name} = y[{j}]" for j, v in enumerate(y) if v.name in used] + lines
             fn = _state_test(f"{row.event} {a!r} {initial!r}", "t, y", lines, "m", tape.namespace)
-            events.append(EventSpec(row.event, fn, -1, True))
+            events.append(EventSpec(row.event, fn))
     return tuple(events)
 
 
@@ -235,11 +236,7 @@ def _validity(n: int, k: int):
 
 def standard_events(spec: ProblemSpec) -> tuple[EventSpec, ...]:
     k = len(spec.ansatz.dims)
-    return (
-        EventSpec("metric_degenerate", _min_of(0, k), -1, True),
-        *_row_events(spec.ansatz, spec.initial),
-        EventSpec("overflow", _overflow(2 * k + 2), -1, True),
-    )
+    return (*_row_events(spec.ansatz, spec.initial), EventSpec("overflow", _overflow(2 * k + 2)))
 
 
 @dataclass

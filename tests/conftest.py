@@ -163,7 +163,7 @@ def classify_oracle(traj):
     (non-strict, with slack) and the lpp bound monitor (strict, with slack)
     made for their ``ok`` fields."""
     spec, term = traj.spec, traj.termination
-    if term == "event:metric_degenerate" or term == "state_invalid":
+    if term == "state_invalid":
         return "metric_degenerate", float(traj.ts[-1]), [term]
     if term in ("event:shape_exit", "event:invariant_exit"):
         return "invariant_set_exit", float(traj.ts[-1]), [term]

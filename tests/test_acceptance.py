@@ -85,10 +85,10 @@ def test_criterion_03_integrator_oracle():
         exact = comparison_ode_closed_form(a, 0.0, 0.0, 5.0)
         ok &= abs(res.y_end[0] - exact) <= 1e-9
         y_t = -0.5 * np.sqrt(2.0 * a)
-        ev = EventSpec("target", lambda t, y, y_t=y_t: y[0] - y_t, -1, True)
+        ev = EventSpec("target", lambda t, y, y_t=y_t: y[0] - y_t)
         res = integrate(rhs, 0.0, [0.0], IntegratorConfig(t_max=5.0, events=(ev,)))
         t_exact = np.arctanh(0.5) / np.sqrt(a / 2.0)
-        ok &= abs(res.terminal_event.t - t_exact) <= 1e-9
+        ok &= abs(res.ts[-1] - t_exact) <= 1e-9
     report(3, "comparison flow matches its closed form to 1e-9, events included", ok)
 
 

@@ -88,12 +88,32 @@ class TestSolve:
         assert code == 64
         assert "system" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("monitors", [5, "conservation", ["conservation", "nope"]])
+    # the report holds every check of the run's family, so a config that
+    # still names monitors is refused like any field the loader does not read
+    @pytest.mark.parametrize("monitors", [5, "conservation", ["conservation", "nope"], ["conservation"]])
     def test_monitors_must_be_a_list_of_names(self, tmp_path, capsys, monitors):
         doc = dict(BASE, monitors=monitors)
         code = main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(tmp_path / "o")])
         assert code == 64
         assert "'monitors'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, field", [(None, "epsilom"), ("ansatz", "d3"), ("integrator", "tmax")]
+    )
+    def test_unknown_field_is_config_error(self, tmp_path, capsys, where, field):
+        doc = copy.deepcopy(BASE)
+        (doc if where is None else doc[where])[field] = 100
+        code = main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(tmp_path / "o")])
+        assert code == 64
+        name = field if where is None else f"{where}.{field}"
+        assert f"unknown field '{name}'" in capsys.readouterr().err
+
+    def test_chart_is_physical_or_both(self, tmp_path, capsys):
+        doc = json.loads(config_path("dw_m2_chart.json").read_text())
+        doc["chart"] = "rescaled"
+        code = main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(tmp_path / "o")])
+        assert code == 64
+        assert "'chart' must be physical or both" in capsys.readouterr().err
 
     def test_rescaled_chart_rejected_off_circle_bundle(self, tmp_path, capsys):
         doc = dict(BASE, chart="both")
@@ -222,7 +242,7 @@ class TestSolve:
 
 # -- configs at the family edges ------------------------------------------------
 # d2 = 1 (lpp then embeds as dancer_wang with p2 = 0), q = 0, odd d, p = 0 with
-# and without an allow_degenerate key (the loader reads none), extreme C and
+# and without an allow_degenerate key (the loader refuses it), extreme C and
 # extreme orbit sizes.  Each config varies one field from a shipped one; it must
 # load, or raise a ConfigError naming that field (exit 64).  A loaded config
 # must solve or end with a documented exit code.
@@ -341,6 +361,16 @@ class TestChartBoth:
         main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)])
         resc = json.loads((out / "manifest.json").read_text())["key_diagnostics"]["rescaled"]
         assert resc["n_accepted"] + resc["n_rejected"] <= 50
+
+    def test_a_launch_outside_the_compact_chart_exits_70(self, tmp_path, capsys):
+        # f H overflows at launch, so Y is 0 there and the chart cannot start
+        doc = json.loads(config_path("dw_m2_chart.json").read_text())
+        doc |= {"initial": [1e308], "ansatz": {"d": [10**20], "p": [10**20], "q": [1]}}
+        path = write_json(tmp_path, "c.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 70
+        assert "outside the compact chart" in capsys.readouterr().err
 
     def test_physical_chart_manifest_has_no_rescaled_counts(self, tmp_path):
         out = tmp_path / "o"

@@ -52,28 +52,28 @@ def test_zero_rhs_is_constant():
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 8.0])
 def test_event_time_matches_closed_form_inversion(a):
     y_target = -0.5 * np.sqrt(2.0 * a)
-    ev = EventSpec("target", lambda t, y: y[0] - y_target, direction=-1, terminal=True)
+    ev = EventSpec("target", lambda t, y: y[0] - y_target)
     res = integrate(contracting_rhs(a), 0.0, [0.0], IntegratorConfig(t_max=5.0, events=(ev,)))
     assert res.termination == "event:target"
-    t_exact = np.arctanh(0.5) / np.sqrt(a / 2.0)
-    assert res.terminal_event.t == pytest.approx(t_exact, abs=1e-9)
     # the event point is the final sample
-    assert res.ts[-1] == res.terminal_event.t
+    t_exact = np.arctanh(0.5) / np.sqrt(a / 2.0)
+    assert res.ts[-1] == pytest.approx(t_exact, abs=1e-9)
+    assert res.ys[-1][0] == pytest.approx(y_target, abs=1e-9)
 
 
-def test_event_reproducible_across_first_step_choices():
-    ev = EventSpec("target", lambda t, y: y[0] + 1.0, direction=-1, terminal=True)
+def test_event_reproducible_across_first_step_choices(monkeypatch):
+    ev = EventSpec("target", lambda t, y: y[0] + 1.0)
+    initial_step = integrator._initial_step
     times = []
     for h0 in (None, 1e-6, 3e-5, 1e-4):
-        res = integrate(
-            contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0, events=(ev,), first_step=h0)
-        )
-        times.append(res.terminal_event.t)
+        monkeypatch.setattr(integrator, "_initial_step", lambda *args: h0 or initial_step(*args))
+        res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0, events=(ev,)))
+        times.append(res.ts[-1])
     assert max(times) - min(times) < 1e-9
 
 
 def test_terminal_event_costs_one_step_beyond_its_steps():
-    ev = EventSpec("target", lambda t, y: y[0] + 1.0, direction=-1, terminal=True)
+    ev = EventSpec("target", lambda t, y: y[0] + 1.0)
     res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0, events=(ev,)))
     # the same attempts without the event, stopped where the event run stopped
     plain = integrate(
@@ -90,7 +90,7 @@ def test_terminal_event_costs_one_step_beyond_its_steps():
 def test_terminal_event_falls_back_to_the_extension():
     # the final step to the event time raises, so the last sample is the
     # accepted step's continuous extension restricted to [t, t_event]
-    ev = EventSpec("target", lambda t, y: y[0] + 1.0, direction=-1, terminal=True)
+    ev = EventSpec("target", lambda t, y: y[0] + 1.0)
     cfg = IntegratorConfig(t_max=5.0, events=(ev,))
     ref = integrate(contracting_rhs(2.0), 0.0, [0.0], cfg)
     calls = []
@@ -104,8 +104,7 @@ def test_terminal_event_falls_back_to_the_extension():
     res = integrate(failing_last_step, 0.0, [0.0], cfg)
     assert res.n_rhs == ref.n_rhs - 5  # the final step's first stage raised
     assert res.termination == "event:target"
-    assert res.terminal_event.t == ref.terminal_event.t
-    np.testing.assert_array_equal(res.ys[-1], res.terminal_event.y)
+    assert res.ts[-1] == ref.ts[-1]
     assert res.ys[-1][0] == pytest.approx(-1.0, abs=1e-9)
     np.testing.assert_array_equal(res.ts, ref.ts)
     # the last interval still follows the solution
@@ -115,36 +114,31 @@ def test_terminal_event_falls_back_to_the_extension():
     np.testing.assert_allclose(res.dys[-1], contracting_rhs(2.0)(0.0, res.ys[-1]), atol=1e-8)
 
 
-def test_non_terminal_event_recorded_and_run_continues():
-    ev = EventSpec("marker", lambda t, y: y[0] + 1.0, direction=-1, terminal=False)
-    res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=3.0, events=(ev,)))
-    assert res.termination == "reached_t_max"
-    assert len(res.events) == 1
-    assert res.events[0].y[0] == pytest.approx(-1.0, abs=1e-9)
-    # the event point is not a sample: one sample per accepted step
-    assert len(res.ts) == res.n_accepted + 1
-    assert np.all(np.diff(res.ts) > 0)
+def test_the_earliest_crossing_in_a_step_ends_the_run(monkeypatch):
+    # y falls from 0 and passes -1 + 1e-9 just before -1: both events cross
+    # in one step, and the earlier one ends the run whatever their order
+    target = EventSpec("target", lambda t, y: y[0] + 1.0)
+    marker = EventSpec("marker", lambda t, y: y[0] + 1.0 - 1e-9)
+    refined, refine = [], integrator._refine_event
+    monkeypatch.setattr(integrator, "_refine_event", lambda ev, *a: refined.append(ev) or refine(ev, *a))
+    for events in ((target, marker), (marker, target)):
+        refined.clear()
+        res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=3.0, events=events))
+        assert refined == list(events)
+        assert res.termination == "event:marker"
+        assert res.ys[-1][0] == pytest.approx(-1.0 + 1e-9, abs=1e-10)
 
 
-def test_terminal_event_after_non_terminal_one_in_the_same_step():
-    marker = EventSpec("marker", lambda t, y: y[0] + 1.0 - 1e-9, direction=-1, terminal=False)
-    target = EventSpec("target", lambda t, y: y[0] + 1.0, direction=-1, terminal=True)
-    res = integrate(
-        contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=3.0, events=(target, marker))
-    )
-    assert [e.name for e in res.events] == ["marker", "target"]
-    assert res.termination == "event:target"
-
-
-def test_each_event_crosses_in_its_own_direction():
-    # y falls from 0: y + 1 falls through zero, -y - 1 rises through it
-    falling = EventSpec("falling", lambda t, y: y[0] + 1.0, direction=-1, terminal=False)
-    rising = EventSpec("rising", lambda t, y: -y[0] - 1.0, direction=+1, terminal=False)
-    wrong = EventSpec("wrong_way", lambda t, y: y[0] + 1.0, direction=+1, terminal=False)
-    cfg = IntegratorConfig(t_max=3.0, events=(falling, rising, wrong))
+def test_a_tie_goes_to_the_first_event_and_a_rise_is_no_crossing():
+    # -y - 1 rises through zero where y + 1 falls through it
+    first = EventSpec("first", lambda t, y: y[0] + 1.0)
+    second = EventSpec("second", lambda t, y: y[0] + 1.0)
+    rising = EventSpec("rising", lambda t, y: -y[0] - 1.0)
+    cfg = IntegratorConfig(t_max=3.0, events=(rising, first, second))
     res = integrate(contracting_rhs(2.0), 0.0, [0.0], cfg)
-    assert [e.name for e in res.events] == ["falling", "rising"]
-    assert res.events[0].t == res.events[1].t
+    assert res.termination == "event:first"
+    res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=3.0, events=(rising,)))
+    assert res.termination == "reached_t_max"
 
 
 def test_tolerance_halving_convergence():
@@ -189,8 +183,9 @@ def test_max_steps_reports_step_failure():
     assert res.n_accepted + res.n_rejected <= 3
 
 
-def test_sample_at_start_when_no_step_was_accepted():
-    cfg = IntegratorConfig(t_max=5.0, max_steps=1, first_step=5.0)
+def test_sample_at_start_when_no_step_was_accepted(monkeypatch):
+    monkeypatch.setattr(integrator, "_initial_step", lambda *args: 5.0)
+    cfg = IntegratorConfig(t_max=5.0, max_steps=1)
     res = integrate(contracting_rhs(8.0), 0.0, [0.5], cfg)
     assert (res.n_accepted, len(res.ts)) == (0, 1)
     np.testing.assert_array_equal(res.sample_at(0.0), [0.5])
@@ -274,7 +269,8 @@ def test_compiled_rhs_is_inlined_and_a_wrapped_one_is_called(monkeypatch):
     wrapper, calls = _wrapped(fn)
     kernels, original = [], integrator._dp_kernel
     monkeypatch.setattr(integrator, "_dp_kernel", lambda *key: kernels.append(key) or original(*key))
-    cfg = IntegratorConfig(t_max=2.0, first_step=1.0)
+    monkeypatch.setattr(integrator, "_initial_step", lambda *args: 1.0)
+    cfg = IntegratorConfig(t_max=2.0)
     inlined = integrate(fn, 0.0, [1e100, 1.0], cfg)
     called = integrate(wrapper, 0.0, [1e100, 1.0], cfg)
     assert kernels == [(2, codegen.traced(fn)), (2, None)]
@@ -284,8 +280,8 @@ def test_compiled_rhs_is_inlined_and_a_wrapped_one_is_called(monkeypatch):
 
 
 def test_a_wrapped_rhs_is_called_once_per_counted_evaluation(monkeypatch):
-    # a run that ends in a terminal event, so the last step is the extra
-    # attempt to the event time
+    # a run that ends in an event, so the last step is the extra attempt to
+    # the event time
     spec = load_shipped("ts_exit_einstein.json").spec
     inlined = trajectory.solve_problem(spec, t_max=20.0).result
     wrapped = []
@@ -297,19 +293,16 @@ def test_a_wrapped_rhs_is_called_once_per_counted_evaluation(monkeypatch):
 
     monkeypatch.setattr(trajectory, "make_vector_rhs", wrapping_factory)
     called = trajectory.solve_problem(spec, t_max=20.0).result
-    assert called.terminal_event is not None
+    assert called.termination == "event:shape_exit"
     assert called.n_rhs == len(wrapped[0][1])
     _same_run(inlined, called)
 
 
-@pytest.mark.parametrize(
-    "before, after, direction",
-    [(1.0, 0.0, -1), (1.0, -0.0, 0), (-1.0, 0.0, 1), (-1.0, 0.0, 0)],
-)
-def test_an_event_that_lands_exactly_on_zero_is_a_crossing(before, after, direction):
-    # the sign test at accepted points is skipped only when neither side is
-    # <= 0; a value of exactly zero still counts
-    ev = EventSpec("step", lambda t, y: before if t < 0.5 else after, direction, True)
+@pytest.mark.parametrize("after", [0.0, -0.0])
+def test_an_event_that_lands_exactly_on_zero_is_a_crossing(after):
+    # the crossing test at accepted points is skipped only for a value
+    # above 0; a value of exactly zero still counts
+    ev = EventSpec("step", lambda t, y: 1.0 if t < 0.5 else after)
     res = integrate(lambda t, y: [1.0], 0.0, [0.0], IntegratorConfig(t_max=1.0, events=(ev,)))
     assert res.termination == "event:step"
-    assert res.terminal_event.t == pytest.approx(0.5, abs=1e-9)
+    assert res.ts[-1] == pytest.approx(0.5, abs=1e-9)

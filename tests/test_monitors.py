@@ -275,7 +275,7 @@ class TestClassification:
     def test_metric_degenerate_mapping(self, shipped_runs):
         src = shipped_runs["ts_e0_c1.json"]
         result = copy.deepcopy(src.result)
-        result.termination = "event:metric_degenerate"
+        result.termination = "state_invalid"
         v = M.classify_completeness(Trajectory(spec=src.spec, delta=src.delta, result=result))
         assert v.kind == "metric_degenerate"
 
@@ -428,9 +428,10 @@ class TestGrowthProbe:
     def test_probe_range_error(self, shipped_runs, monkeypatch):
         spec = shipped_runs["ts_probe_d1.json"].spec
         solved, _ = self._count_solves(monkeypatch)
-        with pytest.raises(M.ProbeRangeError, match="no admissible"):
-            M.growth_probe(spec, c=50.0, tau=0.5, c_limit=-1.0)
-        assert solved == [-0.125, -0.25, -0.5]  # the whole grid above c_limit
+        monkeypatch.setattr(M, "_C_LIMIT", -1.0)
+        with pytest.raises(M.ProbeRangeError, match=r"no admissible C in \(-1, -0.125\]"):
+            M.growth_probe(spec, c=50.0, tau=0.5)
+        assert solved == [-0.125, -0.25, -0.5]  # the whole grid above the limit
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(

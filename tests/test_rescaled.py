@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,16 @@ def test_chart_comparison_needs_one_launch_slice():
     other = solve_problem(SPEC1, t_max=1.0, delta=2.0 * phys.delta)
     with pytest.raises(ValueError, match="launch slice"):
         R.compare_charts(other, resc)
+
+
+def test_chart_comparison_skips_samples_outside_the_chart():
+    # a chart_degenerate run may end on a sample with some Y_i <= 0, which
+    # does not invert; the comparison leaves any such sample out
+    phys, resc = solve_both_charts(SPEC1, t_max=1.0)
+    ys = resc.result.ys.copy()
+    ys[len(ys) // 2, resc.k + 1] = 0.0
+    cut = dataclasses.replace(resc, result=dataclasses.replace(resc.result, ys=ys))
+    with pytest.raises(ValueError, match="positive"):
+        R.from_rescaled(cut.samples, DW1)
+    full = R.compare_charts(phys, resc)
+    assert R.compare_charts(phys, cut).n_points == full.n_points - 1

@@ -78,7 +78,7 @@ def test_reports_keep_their_keys_on_every_path(shipped_runs):
     # asymptotes, all three systems
     kinds = set()
     for name in CONFIG_NAMES_GRID:
-        report = build_report(shipped_runs[name], load_shipped(name))
+        report = build_report(shipped_runs[name])
         for block, kind in REPORT_BLOCKS.items():
             if block in report:
                 assert keys_of(report[block]) == sorted(REPORT_FIELDS[kind]), (name, block)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from solitonlab.geometry import killing_curvature_bound, scalar_curvature
 from solitonlab.launch import launch
 from solitonlab.monitors import classify_completeness, dw_apriori_monitor
-from solitonlab.runio import build_report, load_config, run_solve
+from solitonlab.runio import load_config, run_solve
 from solitonlab.systems import (
     DancerWangAnsatz,
     ProblemSpec,
@@ -17,7 +17,7 @@ from solitonlab.systems import (
     make_vector_rhs,
     pack_state,
 )
-from solitonlab import trajectory
+from solitonlab import rescaled, trajectory
 from solitonlab.trajectory import solve_problem, standard_events
 
 from conftest import compiled_dw_margin, invariant_margin_fn, load_shipped, u_second_derivative_identity
@@ -76,10 +76,52 @@ def test_samples_match_an_independent_integrator(name):
 def test_event_set_matches_ansatz():
     hopf = ProblemSpec(TwoSummandsAnsatz(3, 4, 6.0, 48.0, 12.0), 0.0, -1.0, (1.0,))
     names = [e.name for e in standard_events(hopf)]
-    assert names == ["metric_degenerate", "shape_exit", "invariant_exit", "overflow"]
+    assert names == ["shape_exit", "invariant_exit", "overflow"]
     # no ratio window exists when the discriminant is negative
     bad = ProblemSpec(TwoSummandsAnsatz(2, 2, 2.0, 2.0, 1.0), 0.0, 0.0, (1.0,))
     assert "invariant_exit" not in [e.name for e in standard_events(bad)]
+
+
+# one solver run that ends on each event the two charts install, and the
+# verdict of the physical ones
+_DW1 = DancerWangAnsatz((2,), (2,), (1,))
+EVENT_RUNS = {
+    "shape_exit": (lambda runs: runs["ts_exit_einstein.json"], "invariant_set_exit"),
+    "invariant_exit": (
+        lambda runs: solve_problem(
+            ProblemSpec(DancerWangAnsatz((2, 2), (2, 2), (1, 1)), 0.0, -1.0, (1.0, 1.0)), t_max=10.0
+        ),
+        "invariant_set_exit",
+    ),
+    # a strongly expanding run whose metric grows past 1e12 by t = 6.8
+    "overflow": (
+        lambda runs: solve_problem(
+            ProblemSpec(DancerWangAnsatz((4,), (5,), (3,)), 100.0, 0.0, (100.0,)), t_max=10.0
+        ),
+        "inconclusive",
+    ),
+    "t_target": (
+        lambda runs: rescaled.solve_rescaled(load_shipped("dw_m2_chart.json").spec, t_max=10.0),
+        None,
+    ),
+    # the flow keeps every Y_i and Lc positive; only a step far too long
+    # for the solution, here at tolerance 1, overshoots one through zero
+    "chart_degenerate": (
+        lambda runs: rescaled.solve_rescaled(
+            ProblemSpec(_DW1, 0.0, -50.0, (0.5,)), t_max=10.0, rel_tol=1.0, abs_tol=1.0
+        ),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("event", EVENT_RUNS)
+def test_each_event_ends_a_run(shipped_runs, event):
+    run, verdict = EVENT_RUNS[event]
+    traj = run(shipped_runs)
+    assert traj.result.termination == f"event:{event}"
+    if verdict is not None:
+        assert classify_completeness(traj).kind == verdict
 
 
 def test_sweep_shows_verdict_boundary_in_C():
@@ -110,23 +152,6 @@ def test_report_embeds_anchor_strings(shipped_runs, tmp_path):
     for entry in report["checks"]:
         assert entry.get("anchor"), entry
     assert "kahler" in report and "a_priori_bounds" in report
-
-
-def test_monitor_toggles_limit_report(tmp_path):
-    cfg = load_config(
-        {
-            "system": "two_summands",
-            "ansatz": {"d1": 1, "d2": 2, "A1": 0.0, "A2": 6.0, "A3": 1.0},
-            "epsilon": 0.0,
-            "C": -1.0,
-            "initial": 1.0,
-            "integrator": {"t_max": 2.0},
-            "monitors": ["conservation"],
-        }
-    )
-    run_solve(cfg, str(tmp_path))
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert "conservation" in report and "potential" not in report
 
 
 # (accepted steps, rejected attempts, right-hand-side calls) at t_max = 100:
@@ -235,8 +260,7 @@ def state_test_oracles(k, chart):
     if chart:
         events = {"chart_degenerate": lambda s, y: min(y[k : 2 * k + 1]), "overflow": overflow}
         return events, lambda y: all(map(math.isfinite, y))
-    events = {"metric_degenerate": lambda t, y: min(y[:k]), "overflow": overflow}
-    return events, lambda y: all(map(math.isfinite, y)) and min(y[:k]) > 0.0
+    return {"overflow": overflow}, lambda y: all(map(math.isfinite, y)) and min(y[:k]) > 0.0
 
 
 def compiled_state_tests(k, chart):
@@ -247,8 +271,7 @@ def compiled_state_tests(k, chart):
         events = {"chart_degenerate": trajectory._min_of(k, 2 * k + 1)}
         return events | {"overflow": trajectory._overflow(n)}, trajectory._validity(n, 0)
     n = 2 * k + 2
-    events = {"metric_degenerate": trajectory._min_of(0, k)}
-    return events | {"overflow": trajectory._overflow(n)}, trajectory._validity(n, k)
+    return {"overflow": trajectory._overflow(n)}, trajectory._validity(n, k)
 
 
 def assert_same_bits(got, want):
@@ -339,16 +362,16 @@ def test_invariant_events_are_the_oracle_margins_bit_for_bit(name, data):
 
 def test_invariant_events_are_compiled_once_per_ansatz_and_sizes():
     spec = load_shipped("dw_m2_chart.json").spec
-    events = standard_events(spec)[1:3]
+    events = standard_events(spec)[:2]
     assert [e.name for e in events] == ["shape_exit", "invariant_exit"]
     for other in (spec.with_C(-7.0), ProblemSpec(spec.ansatz, 1.0, spec.C, spec.initial)):
-        assert all(a.fn is b.fn for a, b in zip(events, standard_events(other)[1:3]))
+        assert all(a.fn is b.fn for a, b in zip(events, standard_events(other)[:2]))
     resized = ProblemSpec(spec.ansatz, spec.epsilon, spec.C, (2.0, 1.0))
-    assert standard_events(resized)[2].fn is not events[1].fn
+    assert standard_events(resized)[1].fn is not events[1].fn
 
 
 def test_specs_with_one_component_count_share_the_compiled_tests(monkeypatch):
-    from solitonlab import integrator, rescaled
+    from solitonlab import integrator
 
     configs = []
 
