@@ -84,7 +84,6 @@ def test_event_set_matches_ansatz():
 
 # one solver run that ends on each event the two charts install, and the
 # verdict of the physical ones
-_DW1 = DancerWangAnsatz((2,), (2,), (1,))
 EVENT_RUNS = {
     "shape_exit": (lambda runs: runs["ts_exit_einstein.json"], "invariant_set_exit"),
     "invariant_exit": (
@@ -108,7 +107,8 @@ EVENT_RUNS = {
     # for the solution, here at tolerance 1, overshoots one through zero
     "chart_degenerate": (
         lambda runs: rescaled.solve_rescaled(
-            ProblemSpec(_DW1, 0.0, -50.0, (0.5,)), t_max=10.0, rel_tol=1.0, abs_tol=1.0
+            ProblemSpec(DancerWangAnsatz((2,), (2,), (1,)), 0.0, -50.0, (0.5,)),
+            t_max=10.0, rel_tol=1.0, abs_tol=1.0,
         ),
         None,
     ),
