@@ -5,6 +5,11 @@ from types import SimpleNamespace
 __version__ = "0.1.0"
 
 
+def _fmt(x: float) -> str:
+    """17 significant digits: the one text form of a float in every output."""
+    return f"{x:.17g}"
+
+
 class Report(SimpleNamespace):
     """A diagnostic record, written to JSON as the object ``vars(report)``.
 

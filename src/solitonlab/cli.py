@@ -15,21 +15,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import __version__
+from . import __version__, _fmt
 from .geometry import load_decomposition, ricci_eigenvalues, scalar_curvature, validate
-from .monitors import ProbeRangeError, growth_probe
-from .runio import (
-    ConfigError,
-    load_config,
-    exit_code_for,
-    run_id_of,
-    run_solve,
-    write_json,
-    _atomic_write,
-    _fmt,
-)
+
+# the solver modules (runio, monitors and what they load) are imported by the
+# commands that run solves, so that ``curvature`` loads none of them
 
 EX_OK = 0
 EX_ERROR = 1
@@ -46,6 +36,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .runio import ConfigError, exit_code_for, load_config, run_solve
+
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
@@ -66,6 +58,8 @@ def cmd_solve(args) -> int:
 
 def _parse_grid(expr: str):
     # PARAM=start:step:count
+    from .runio import ConfigError
+
     try:
         param, rng = expr.split("=", 1)
         start, step, count = rng.split(":")
@@ -75,6 +69,8 @@ def _parse_grid(expr: str):
 
 
 def _apply_param(doc: dict, param: str, value: float):
+    from .runio import ConfigError
+
     out = copy.deepcopy(doc)
     if param == "C":
         out["C"] = value
@@ -97,11 +93,15 @@ def _apply_param(doc: dict, param: str, value: float):
 
 
 def _run_cell(doc: dict, outdir: str):
+    from .runio import load_config, run_solve
+
     cfg = load_config(doc)
     return run_solve(cfg, outdir)
 
 
 def cmd_sweep(args) -> int:
+    from .runio import ConfigError, _atomic_write, load_config, write_json
+
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = json.load(fh)
@@ -178,6 +178,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_probe_c0(args) -> int:
+    from .monitors import ProbeRangeError, growth_probe
+    from .runio import ConfigError, _atomic_write, load_config, write_json
+
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .codegen import Tape, Trace, compile_function, traced
 
-__all__ = ["EventSpec", "IntegratorConfig", "IntegrationResult", "integrate"]
+__all__ = ["EventSpec", "IntegratorConfig", "IntegrationResult", "compile_attempt", "integrate"]
 
 # Dormand-Prince 5(4) tableau: nodes _Ci, stage weights _Aij; the 5th-order
 # weights equal the last row _A7j (FSAL), and _Ej = b5_j - b4_j.
@@ -300,6 +300,15 @@ def _dp_kernel(n: int, rhs: Trace | None = None):
     return compile_function("dp5", "\n".join(src) + "\n", filename, namespace)
 
 
+def compile_attempt(rhs, n: int):
+    """The compiled attempt ``integrate`` takes for ``rhs`` on states of n
+    floats, and the right-hand sides a completed attempt evaluates inline
+    (0 when each stage calls ``rhs``).  Cached: a caller may build it ahead
+    of a run, so that a forked process inherits it."""
+    trace = traced(rhs)
+    return _dp_kernel(n, trace), len(_STAGES) if trace is not None else 0
+
+
 def _crossed(prev, curr):
     """A fall through zero: a finite value above 0, then one at or below 0."""
     return math.isfinite(prev) and math.isfinite(curr) and prev > 0.0 >= curr
@@ -330,9 +339,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     # a compiled right-hand side is inlined into the attempt, which counts
     # its own evaluations: ``inlined`` when it completes, the number it
     # returns when it fails; ``call`` counts every other evaluation
-    trace = traced(rhs)
-    dp_step = _dp_kernel(n, trace)
-    inlined = len(_STAGES) if trace is not None else 0
+    dp_step, inlined = compile_attempt(rhs, n)
 
     def call(tt, yy):
         nonlocal n_rhs
@@ -340,12 +347,20 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         out = rhs(tt, yy)
         return out if type(out) is list else np.asarray(out, dtype=float).tolist()
 
-    f = call(t, y)
+    # the launch state's slope and the starting step, failing as a stage would
+    try:
+        f = call(t, y)
+        if not all(map(isfinite, f)):
+            raise FloatingPointError("a component is not finite")
+        h = min(_initial_step(call, t, y, f, rtol, atol, max_step), t_max - t)
+    except _STAGE_ERRORS as exc:
+        raise ArithmeticError(
+            f"the right-hand side fails at the launch state t = {t!r} ({exc});"
+            " check the sizes in 'initial'"
+        ) from exc
     # one flat buffer per sampled quantity, n values per sample
     ts, ys, dys, dense = array("d", [t]), array("d", y), array("d", f), array("d")
     ev_prev = [fn(t, y) for fn in event_fns]
-
-    h = min(_initial_step(call, t, y, f, rtol, atol, max_step), t_max - t)
     err_prev = 1.0
     termination = "reached_t_max"
     rejected_invalid = False

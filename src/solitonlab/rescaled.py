@@ -27,12 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
 from . import Report
 from .codegen import trace_function
-from .integrator import EventSpec, IntegrationResult, IntegratorConfig, integrate
+from .integrator import EventSpec, IntegrationResult, IntegratorConfig, compile_attempt, integrate
 from .launch import launch
 from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, _dot, _sum, tr_L
 from .trajectory import _min_of, _overflow, _validity
@@ -46,6 +47,7 @@ __all__ = [
     "rescaled_locus_residuals",
     "RescaledTrajectory",
     "solve_rescaled",
+    "prepare_rescaled",
     "compare_charts",
 ]
 
@@ -257,6 +259,22 @@ def solve_rescaled(
 ) -> RescaledTrajectory:
     """Launch physically at t = delta, map to the compact chart, and flow in
     slow time until the carried physical time passes t_max."""
+    return prepare_rescaled(spec, t_max, rel_tol, abs_tol, max_steps, delta)()
+
+
+def prepare_rescaled(
+    spec: ProblemSpec,
+    t_max: float = 10.0,
+    rel_tol: float = 1e-11,
+    abs_tol: float = 1e-13,
+    max_steps: int = 200_000,
+    delta: float | None = None,
+) -> Callable[[], RescaledTrajectory]:
+    """``solve_rescaled`` up to its integration, which the returned function
+    of no arguments runs.  The launch slice is mapped to the chart here
+    (raising as ``to_rescaled``), and the right-hand side, the attempt and
+    the state tests are compiled here: a process forked after this call
+    runs the integration without compiling anything."""
     a = spec.ansatz
     if not isinstance(a, DancerWangAnsatz):
         raise TypeError("the compact chart is only defined for the circle-bundle system")
@@ -278,8 +296,8 @@ def solve_rescaled(
         validity=_validity(len(y0), 0),
     )
     rhs = make_rescaled_vector_rhs(a, spec.epsilon)
-    result = integrate(rhs, 0.0, y0, cfg)
-    return RescaledTrajectory(spec=spec, delta=delta, result=result)
+    compile_attempt(rhs, len(y0))
+    return lambda: RescaledTrajectory(spec=spec, delta=delta, result=integrate(rhs, 0.0, y0, cfg))
 
 
 class ChartComparison(Report):

@@ -14,12 +14,13 @@ import itertools
 import json
 import math
 import os
+import pickle
 import tempfile
 import time
 
 import numpy as np
 
-from . import Report, __version__
+from . import Report, __version__, _fmt
 from . import monitors as mon
 from .launch import default_delta
 from .systems import DancerWangAnsatz, LuPagePopeAnsatz, ProblemSpec, TwoSummandsAnsatz
@@ -214,10 +215,6 @@ def load_config(source) -> RunConfig:
 
 
 # -- formatting -------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def run_id_of(config_doc: dict) -> str:
@@ -416,30 +413,98 @@ def _timed(timings: dict, key: str):
     timings[key] = time.perf_counter() - start
 
 
+@contextlib.contextmanager
+def _beside(fn):
+    """Run ``fn()`` in a forked child while the block runs.  The block gets
+    ``join``, which waits for the child and returns fn's result or raises
+    its exception, pickled back through a pipe.  A child not joined when the
+    block raises is killed and reaped.  Without ``os.fork``, ``join`` calls
+    ``fn`` in this process.
+
+    The child leaves through ``os._exit``: it flushes none of the stdio
+    buffers it inherited and runs no exit handlers."""
+    if not hasattr(os, "fork"):
+        yield fn
+        return
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                reader.close()
+                try:
+                    payload = (True, fn())
+                except BaseException as exc:  # re-raised by the parent's join
+                    payload = (False, exc)
+                writer.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+                writer.close()
+                status = 0
+            finally:
+                os._exit(status)
+        writer.close()
+        reaped = False
+
+        def join():
+            nonlocal reaped
+            data = reader.read()
+            _, status = os.waitpid(pid, 0)
+            reaped = True
+            if not data:
+                raise RuntimeError(f"the child process ended with no result (wait status {status})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            return value
+
+        try:
+            yield join
+        finally:
+            if not reaped:
+                import signal  # only a failure needs it
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
     """Execute one config: solve, monitor, persist.  Returns the manifest,
-    whose ``timings`` give the wall seconds of each step."""
+    whose ``timings`` give the wall seconds of each step.
+
+    With ``chart: both`` a forked child (see ``_beside``) solves the compact
+    chart and writes ``rescaled.csv`` while this process solves the
+    physical chart, so the two sides' timings overlap."""
     os.makedirs(outdir, exist_ok=True)
     started = time.perf_counter()
     timings: dict[str, float] = {}
     # both charts must share one launch slice, so resolve delta up front
     delta = cfg.launch_delta
+    compact = None
     if cfg.chart == "both":
         from . import rescaled  # only the compact chart needs it
         if delta is None:
             delta = rescaled.rescaled_default_delta(cfg.spec)
-    with _timed(timings, "solve"):
-        traj = solve_problem(
-            cfg.spec,
-            t_max=cfg.t_max,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            max_steps=cfg.max_steps,
-            max_step=cfg.max_step,
-            delta=delta,
-        )
-    with _timed(timings, "report"):
-        report = build_report(traj)
+        # the launch check and every compile happen here, before the fork,
+        # so that this process keeps what they cache
+        with _timed(timings, "solve_rescaled"):
+            run_compact = rescaled.prepare_rescaled(
+                cfg.spec,
+                t_max=cfg.t_max,
+                rel_tol=cfg.rel_tol,
+                abs_tol=cfg.abs_tol,
+                max_steps=cfg.max_steps,
+                delta=delta,
+            )
+
+        def compact():
+            child: dict[str, float] = {}
+            with _timed(child, "solve_rescaled"):
+                rtraj = run_compact()
+            with _timed(child, "write rescaled.csv"):
+                write_rescaled_csv(os.path.join(outdir, "rescaled.csv"), rtraj)
+            # the result alone: pickled, rtraj would also copy the sample
+            # views that writing the CSV cached on it
+            return rtraj.result, child
+
     artifacts = []
 
     def emit(name, writer):
@@ -448,34 +513,44 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
             writer(path)
         artifacts.append(name)
 
-    emit("trajectory.csv", lambda p: write_trajectory_csv(p, traj))
     rtraj = None
-    if cfg.chart == "both":
-        with _timed(timings, "solve_rescaled"):
-            rtraj = rescaled.solve_rescaled(
+    with contextlib.nullcontext() if compact is None else _beside(compact) as join:
+        with _timed(timings, "solve"):
+            traj = solve_problem(
                 cfg.spec,
                 t_max=cfg.t_max,
                 rel_tol=cfg.rel_tol,
                 abs_tol=cfg.abs_tol,
                 max_steps=cfg.max_steps,
+                max_step=cfg.max_step,
                 delta=delta,
             )
-        emit("rescaled.csv", lambda p: write_rescaled_csv(p, rtraj))
-        with _timed(timings, "compare_charts"):
-            comparison = rescaled.compare_charts(traj, rtraj)
-        ok = comparison.max_rel_deviation <= 1e-6
-        _add_check(report, "chart_comparison", comparison, ok)
-    if plot:
-        emit(
-            "trajectory.svg",
-            lambda p: write_svg_plot(
-                p,
-                traj.ts,
-                {n: traj.f[:, i] for i, n in enumerate(cfg.spec.ansatz.component_names)}
-                | {"-du": -traj.du},
-                title="metric components and potential slope",
-            ),
-        )
+        with _timed(timings, "report"):
+            report = build_report(traj)
+        emit("trajectory.csv", lambda p: write_trajectory_csv(p, traj))
+        if plot:
+            emit(
+                "trajectory.svg",
+                lambda p: write_svg_plot(
+                    p,
+                    traj.ts,
+                    {n: traj.f[:, i] for i, n in enumerate(cfg.spec.ansatz.component_names)}
+                    | {"-du": -traj.du},
+                    title="metric components and potential slope",
+                ),
+            )
+        if compact is not None:
+            with _timed(timings, "wait compact chart"):
+                result, child = join()
+            # the compact chart's solve includes its preparation before the fork
+            child["solve_rescaled"] += timings["solve_rescaled"]
+            timings |= child
+            artifacts.insert(1, "rescaled.csv")
+            rtraj = rescaled.RescaledTrajectory(spec=cfg.spec, delta=delta, result=result)
+            with _timed(timings, "compare_charts"):
+                comparison = rescaled.compare_charts(traj, rtraj)
+            ok = comparison.max_rel_deviation <= 1e-6
+            _add_check(report, "chart_comparison", comparison, ok)
     emit("report.json", lambda p: write_json(p, report))
 
     verdict = report["verdict"]

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shutil
+import time
 import warnings
 from importlib.resources import files
 
@@ -223,13 +225,17 @@ class TestSolve:
         manifest = json.loads((out / "manifest.json").read_text())
         timings = manifest["timings"]
         written = [f"write {name}" for name in manifest["artifacts"][:-1]]
-        assert sorted(timings) == sorted(
-            ["solve", "report", "solve_rescaled", "compare_charts", *written]
-        )
         names = ["trajectory.csv", "rescaled.csv", "trajectory.svg", "report.json"]
         assert written == [f"write {name}" for name in names]
+        # the compact chart's steps overlap this process's, so each side's
+        # steps, not all of them, fit in the wall time
+        compact = ["solve_rescaled", "write rescaled.csv"]
+        physical = ["solve", "report", "wait compact chart", "compare_charts"]
+        physical += [w for w in written if w not in compact]
+        assert sorted(timings) == sorted(physical + compact)
         assert all(type(v) is float and v >= 0.0 for v in timings.values())
-        assert sum(timings.values()) <= manifest["wall_time_s"]
+        for side in (physical, compact):
+            assert sum(timings[key] for key in side) <= manifest["wall_time_s"]
         for name in ("trajectory.csv", "rescaled.csv", "report.json"):
             assert "timings" not in (out / name).read_text()
 
@@ -310,29 +316,76 @@ def test_lpp_with_a_flat_warped_circle_solves(tmp_path):
     assert manifest["reasons"] == ["shape operator lost positivity at some sample"]
 
 
+# sha256 of each output of the shipped chart: both configs as the two charts
+# wrote them one after the other in one process (within one C library, like
+# conftest.REPORT_DIGESTS)
+CHART_BOTH_DIGESTS = {
+    "dw_m2_chart.json": {
+        "trajectory.csv": "ad24f00006dfdab10da55b2e79bbd24bf0b576b7dd3225f80f3f88d920836ada",
+        "rescaled.csv": "8106d90cd859e11d83c808330cf94f773cc353085be9ec53d806170576fb316e",
+        "report.json": "6331658e3447e862528f76c39b39c8f4ff146a0415d9c56e6134dd62f6cf1f1c",
+    },
+    "dw_kahler.json": {
+        "trajectory.csv": "85d7759480e9026765ec2034c3fa9a0170d68c90c3820c6bd9a06a451337df60",
+        "rescaled.csv": "3365a0c4c447b12d0e37bd664e7722bd1863f4fcdd0c9023fa780b220d15746d",
+        "report.json": "4170519313e6d40758975586a39138a4c3b545dd3f1e9ef2b531446335dba2cd",
+    },
+}
+
+
+def forked_children(monkeypatch) -> list:
+    """The pids of the children ``os.fork`` starts from now on."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
 class TestChartBoth:
     def test_both_charts_reuse_the_written_runs(self, tmp_path, monkeypatch):
         from solitonlab import integrator, rescaled, trajectory
 
-        calls = []
+        calls = []  # (process, config, result) of each integration in this process
 
         def counting(rhs, t0, y0, cfg):
             result = integrator.integrate(rhs, t0, y0, cfg)
-            calls.append((cfg, result))
+            calls.append((os.getpid(), cfg, result))
+            # the compact chart's result comes back from the process that
+            # made it, carrying that process's count
+            result.made_by = (os.getpid(), len(calls))
             return result
+
+        compared = []
+
+        def comparing(phys, resc, compare=rescaled.compare_charts):
+            compared.append(resc)
+            return compare(phys, resc)
 
         monkeypatch.setattr(trajectory, "integrate", counting)
         monkeypatch.setattr(rescaled, "integrate", counting)
+        monkeypatch.setattr(rescaled, "compare_charts", comparing)
         doc = json.loads(config_path("dw_kahler.json").read_text())
         doc["integrator"] = dict(doc["integrator"], t_max=2.0, max_step=0.01)
         out = tmp_path / "o"
         assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)]) == 0
-        # one physical and one compact-chart integration, and the physical
-        # one is the run written to trajectory.csv, with the config's max_step
-        assert len(calls) == 2
-        (phys_cfg, phys), (_, resc) = calls
+        # one physical integration here, the run written to trajectory.csv,
+        # with the config's max_step; one compact-chart integration in a
+        # forked child, whose result is the one compared
+        ((pid, phys_cfg, phys),) = calls
+        assert pid == os.getpid() and phys.made_by == (pid, 1)
         assert phys_cfg.max_step == 0.01
+        ((resc_pid, resc_calls),) = [r.result.made_by for r in compared]
+        assert (resc_pid != os.getpid()) == hasattr(os, "fork") and resc_calls == 1
+        resc = compared[0].result
         assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + len(phys.ts)
+        assert len((out / "rescaled.csv").read_text().splitlines()) == 1 + len(resc.ts)
         kd = json.loads((out / "manifest.json").read_text())["key_diagnostics"]
         assert (kd["n_accepted"], kd["n_rejected"], kd["n_rhs"]) == (
             phys.n_accepted,
@@ -371,6 +424,151 @@ class TestChartBoth:
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
             assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 70
         assert "outside the compact chart" in capsys.readouterr().err
+
+    def test_shipped_configs_keep_their_digests(self, tmp_path):
+        shipped = [
+            path.name
+            for path in (files("solitonlab") / "configs").iterdir()
+            if path.name.endswith(".json") and json.loads(path.read_text()).get("chart") == "both"
+        ]
+        assert sorted(shipped) == sorted(CHART_BOTH_DIGESTS)
+        for name, digests in CHART_BOTH_DIGESTS.items():
+            out = tmp_path / name
+            assert main(["solve", "--config", str(config_path(name)), "--out", str(out)]) == 0
+            for output, digest in digests.items():
+                got = hashlib.sha256((out / output).read_bytes()).hexdigest()
+                assert got == digest, (name, output)
+
+    def test_without_fork_the_compact_chart_runs_here_alike(self, tmp_path, monkeypatch):
+        from solitonlab.runio import run_solve
+
+        cfg = load_config(str(config_path("dw_m2_chart.json")))
+        forked = run_solve(cfg, str(tmp_path / "forked"))
+        monkeypatch.delattr(os, "fork")
+        here = run_solve(cfg, str(tmp_path / "here"))
+        for name in ("trajectory.csv", "rescaled.csv", "report.json"):
+            here_bytes = (tmp_path / "here" / name).read_bytes()
+            assert here_bytes == (tmp_path / "forked" / name).read_bytes(), name
+        assert sorted(here.pop("timings")) == sorted(forked.pop("timings"))
+        assert here.pop("wall_time_s") > 0.0 and forked.pop("wall_time_s") > 0.0
+        assert here == forked
+
+    def test_the_compact_chart_compiles_here_before_the_fork(self, tmp_path):
+        # a long-lived process keeps every kernel the child used
+        from solitonlab import integrator, rescaled, trajectory
+        from solitonlab.runio import run_solve
+
+        cfg = load_config(str(config_path("dw_m2_chart.json")))
+        a, eps = cfg.spec.ansatz, cfg.spec.epsilon
+        n = 2 * (a.m + 1) + 3
+        caches = (
+            rescaled._rescaled_kernel,
+            integrator._dp_kernel,
+            trajectory._min_of,
+            trajectory._overflow,
+            trajectory._validity,
+        )
+        for cache in caches:
+            cache.cache_clear()
+        run_solve(cfg, str(tmp_path / "o"))
+        misses = [cache.cache_info().misses for cache in caches]
+        rhs = rescaled.make_rescaled_vector_rhs(a, eps)
+        integrator.compile_attempt(rhs, n)
+        trajectory._min_of(a.m + 1, 2 * (a.m + 1) + 1)
+        trajectory._overflow(n)
+        trajectory._validity(n, 0)
+        assert [cache.cache_info().misses for cache in caches] == misses
+
+    def test_a_compact_chart_failure_exits_70_with_its_message(self, tmp_path, capsys, monkeypatch):
+        from solitonlab import rescaled
+
+        def failing(s, y):
+            raise RuntimeError(f"compact right-hand side failed in process {os.getpid()}")
+
+        children = forked_children(monkeypatch)
+        monkeypatch.setattr(rescaled, "make_rescaled_vector_rhs", lambda a, eps: failing)
+        doc = json.loads(config_path("dw_kahler.json").read_text())
+        doc["integrator"] = dict(doc["integrator"], t_max=2.0)
+        path = write_json(tmp_path, "c.json", doc)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 70
+        (pid,) = children
+        err = capsys.readouterr().err
+        message = f"compact right-hand side failed in process {pid}"
+        assert err == f"error: integration failed: {message}\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_a_failure_here_kills_and_reaps_the_child(self, tmp_path, monkeypatch):
+        from solitonlab import rescaled, runio
+
+        def interrupted(traj):
+            raise KeyboardInterrupt
+
+        children = forked_children(monkeypatch)
+        # a child that would still be integrating when this process fails
+        monkeypatch.setattr(rescaled, "integrate", lambda *args: time.sleep(60))
+        monkeypatch.setattr(runio, "build_report", interrupted)
+        cfg = load_config(str(config_path("dw_m2_chart.json")))
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            runio.run_solve(cfg, str(tmp_path / "o"))
+        assert time.monotonic() - start < 30.0
+        (pid,) = children
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("chart", ["physical", "both"])
+    def test_a_launch_state_outside_the_rhs_domain_exits_70(
+        self, chart, tmp_path, capsys, monkeypatch
+    ):
+        # loadable, but f * f underflows at the launch slice, so the physical
+        # right-hand side divides by zero there; the compact chart's launch
+        # check, made before any fork, refuses the slice first
+        from solitonlab.launch import default_delta
+
+        doc = {
+            "system": "dancer_wang",
+            "ansatz": {"d": [10**20], "p": [2], "q": [-2]},
+            "epsilon": 0.0,
+            "C": -1.0,
+            "initial": [1e-300],
+            "chart": chart,
+            "integrator": {"t_max": 1.0},
+        }
+        path = write_json(tmp_path, "c.json", doc)
+        children = forked_children(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the launch series itself
+            assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 70
+        assert children == []
+        err = capsys.readouterr().err
+        if chart == "both":
+            assert "outside the compact chart" in err
+            return
+        cause = r"\(float division by zero\); check the sizes in 'initial'"
+        match = re.search(rf"launch state t = (\S+) {cause}", err)
+        delta = default_delta(load_config(doc).spec)
+        assert match and math.isclose(float(match[1]), delta, rel_tol=1e-12), err
+
+    def test_a_physical_launch_failure_after_the_fork_exits_70_and_reaps(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from solitonlab import trajectory
+
+        def dividing(t, y):
+            return [v / 0.0 for v in y]
+
+        children = forked_children(monkeypatch)
+        monkeypatch.setattr(trajectory, "make_vector_rhs", lambda a, eps: dividing)
+        doc = json.loads(config_path("dw_kahler.json").read_text())
+        doc["integrator"] = dict(doc["integrator"], t_max=2.0)
+        path = write_json(tmp_path, "c.json", doc)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 70
+        err = capsys.readouterr().err
+        assert "launch state t = " in err and "check the sizes in 'initial'" in err
+        (pid,) = children
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
     def test_physical_chart_manifest_has_no_rescaled_counts(self, tmp_path):
         out = tmp_path / "o"

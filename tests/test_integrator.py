@@ -208,6 +208,16 @@ def test_stats_are_counted():
     assert res.n_rhs >= 6 * res.n_accepted
 
 
+@pytest.mark.parametrize(
+    "slope, cause",
+    [(lambda y: [1.0 / (y[0] - y[0])], "division by zero"), (lambda y: [float("nan")], "not finite")],
+)
+def test_a_launch_state_outside_the_rhs_domain_is_named(slope, cause):
+    # a stage would reject such a state; at the launch state nothing can
+    with pytest.raises(ArithmeticError, match=rf"launch state t = 0\.25 \(.*{cause}.*\).*'initial'"):
+        integrate(lambda t, y: slope(y), 0.25, [1.0], IntegratorConfig(t_max=1.0))
+
+
 def test_config_guards():
     with pytest.raises(ValueError, match="tolerances"):
         IntegratorConfig(t_max=1.0, rel_tol=0.0)

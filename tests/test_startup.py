@@ -39,18 +39,45 @@ COMMAND_ONLY = (
 )
 
 
-def test_cli_import_loads_no_command_only_module():
+# the solver: what ``curvature``, which needs only geometry, must not load
+SOLVER = (
+    "solitonlab.runio",
+    "solitonlab.monitors",
+    "solitonlab.trajectory",
+    "solitonlab.integrator",
+    "solitonlab.codegen",
+)
+
+
+def modules_loaded_by(code: str, *args) -> set:
+    """The modules a fresh interpreter has loaded after running ``code``,
+    which must print them as a JSON list on its last line."""
     src = os.path.dirname(os.path.dirname(solitonlab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import json, sys; from solitonlab import cli, runio; print(json.dumps([*sys.modules]))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_command_only_module():
+    code = "import json, sys; from solitonlab import cli, runio; print(json.dumps([*sys.modules]))"
+    loaded = modules_loaded_by(code)
     assert "solitonlab.monitors" in loaded  # the child imported this package
     assert sorted(loaded.intersection(COMMAND_ONLY)) == []
+
+
+def test_curvature_loads_no_solver_module():
+    code = (
+        "import json, sys; from solitonlab import cli; "
+        "code = cli.main(['curvature', '--decomposition', sys.argv[1], '--x', '1,1']); "
+        "print(json.dumps([*sys.modules]) if code == 0 else code)"
+    )
+    loaded = modules_loaded_by(code, str(decomposition_path("hopf_sp1_sp2.json")))
+    assert "solitonlab.geometry" in loaded
+    assert sorted(loaded.intersection(SOLVER + COMMAND_ONLY)) == []
 
 
 def keys_of(report) -> list:
