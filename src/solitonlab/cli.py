@@ -92,15 +92,8 @@ def _apply_param(doc: dict, param: str, value: float):
     raise ConfigError(f"unknown grid parameter {param!r} (use C, fbar or g<i>)")
 
 
-def _run_cell(doc: dict, outdir: str):
-    from .runio import load_config, run_solve
-
-    cfg = load_config(doc)
-    return run_solve(cfg, outdir)
-
-
 def cmd_sweep(args) -> int:
-    from .runio import ConfigError, _atomic_write, load_config, write_json
+    from .runio import ConfigError, _atomic_write, load_config, run_solve, write_json
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -120,8 +113,7 @@ def cmd_sweep(args) -> int:
                 for doc, coords in cells
                 for param, value in axis
             ]
-        for doc, _ in cells:
-            load_config(doc)  # validate every cell up front
+        configs = [load_config(doc) for doc, _ in cells]  # every cell validated up front
     except ConfigError as exc:
         return _fail(EX_CONFIG, str(exc))
 
@@ -131,17 +123,15 @@ def cmd_sweep(args) -> int:
     cell_dirs = [os.path.join(args.out, f"cell_{i:04d}") for i in range(len(cells))]
     errors: dict[str, str] = {}  # cell -> the exception that failed it
     if jobs == 1:
-        for i, (doc, _) in enumerate(cells):
+        for i, cfg in enumerate(configs):
             try:
-                results[i] = _run_cell(doc, cell_dirs[i])
+                results[i] = run_solve(cfg, cell_dirs[i])
             except Exception as exc:  # keep sweeping past individual failures
                 errors[f"cell_{i:04d}"] = f"{type(exc).__name__}: {exc}"
     else:
         import concurrent.futures  # only a worker pool needs it
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_cell, doc, cell_dirs[i]) for i, (doc, _) in enumerate(cells)
-            ]
+            futures = [pool.submit(run_solve, cfg, cell_dirs[i]) for i, cfg in enumerate(configs)]
             for i, fut in enumerate(futures):  # merge in grid order
                 try:
                     results[i] = fut.result()

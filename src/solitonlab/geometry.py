@@ -119,14 +119,16 @@ def killing_curvature_bound(dec: IsotropyDecomposition, x) -> float:
     return 0.5 * float(np.dot(np.asarray(dec.d, float) * np.asarray(dec.b), 1.0 / x))
 
 
-def validate(dec: IsotropyDecomposition, tol: float = 1e-12) -> ValidationReport:
-    """Check symmetry and sign constraints plus the Wang-Ziller identity.
+def validate(dec: IsotropyDecomposition) -> ValidationReport:
+    """Check symmetry and sign constraints, each to a relative 1e-12, plus
+    the Wang-Ziller identity.
 
     The Wang-Ziller residual of summand i is
     ``sum_{j,k} [ijk] - d_i (b_i - 2 c_i)``; it is only computed when the
     Casimir constants are present.
     """
     report = ValidationReport(symmetry_violations=[], negativity_violations=[])
+    tol = 1e-12
     t = dec.triples
     s = dec.s
     for i in range(s):

@@ -87,7 +87,6 @@ class IntegratorConfig:
     t_max: float
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
     max_steps: int = 200_000
     events: tuple[EventSpec, ...] = ()
     validity: Callable[[list[float]], bool] | None = None
@@ -95,8 +94,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.t_max <= 0 or self.max_step <= 0 or self.max_steps <= 0:
-            raise ValueError("t_max, max_step and max_steps must be positive")
+        if self.t_max <= 0 or self.max_steps <= 0:
+            raise ValueError("t_max and max_steps must be positive")
 
 
 @dataclass
@@ -118,10 +117,6 @@ class IntegrationResult:
     n_accepted: int = 0
     n_rejected: int = 0
     n_rhs: int = 0
-
-    @property
-    def y_end(self) -> np.ndarray:
-        return self.ys[-1]
 
     def sample_at(self, t) -> np.ndarray:
         """The continuous extension at a time (shape (n,)) or an array of
@@ -193,7 +188,7 @@ def _error_norm(err, y_old, y_new, rtol, atol):
     ])
 
 
-def _initial_step(call, t0, y0, f0, rtol, atol, max_step):
+def _initial_step(call, t0, y0, f0, rtol, atol):
     # standard two-trial heuristic for the starting step
     d0 = _error_norm(y0, y0, y0, rtol, atol)
     d1 = _error_norm(f0, y0, y0, rtol, atol)
@@ -204,7 +199,7 @@ def _initial_step(call, t0, y0, f0, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, max_step)
+    return min(100 * h0, h1)
 
 
 # what a stage may raise where numpy would return inf or NaN
@@ -332,7 +327,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     t = float(t0)
     n_acc = n_rej = n_rhs = 0
     rtol, atol, validity = cfg.rel_tol, cfg.abs_tol, cfg.validity
-    t_max, max_steps, max_step = cfg.t_max, cfg.max_steps, cfg.max_step
+    t_max, max_steps = cfg.t_max, cfg.max_steps
     events = cfg.events
     event_fns = [ev.fn for ev in events]
     isfinite = math.isfinite
@@ -352,7 +347,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         f = call(t, y)
         if not all(map(isfinite, f)):
             raise FloatingPointError("a component is not finite")
-        h = min(_initial_step(call, t, y, f, rtol, atol, max_step), t_max - t)
+        h = min(_initial_step(call, t, y, f, rtol, atol), t_max - t)
     except _STAGE_ERRORS as exc:
         raise ArithmeticError(
             f"the right-hand side fails at the launch state t = {t!r} ({exc});"
@@ -437,7 +432,6 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
 
         factor = _SAFETY * (err ** -_ALPHA) * (err_prev**_BETA) if err > 0 else _MAX_FACTOR
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        h = min(h, max_step)
         err_prev = max(err, 1e-4)
 
     return IntegrationResult(

@@ -130,5 +130,8 @@ def launch(spec: ProblemSpec, delta: float | None = None) -> SolitonState:
     delta = default_delta(spec) if delta is None else float(delta)
     if delta <= 0:
         raise ValueError("launch delta must be positive")
-    # C <= 0, eps >= 0, sizes > 0 are enforced by ProblemSpec itself.
-    return _project_conservation(_series_state(spec, delta), spec)
+    # C <= 0, eps >= 0, sizes > 0 are enforced by ProblemSpec itself.  Absurd
+    # sizes can make the projection divide by an underflowed square; the
+    # launch checks after it name the non-finite state, so numpy need not warn.
+    with np.errstate(all="ignore"):
+        return _project_conservation(_series_state(spec, delta), spec)

@@ -31,11 +31,12 @@ from .trajectory import (
 
 __all__ = [
     "TwoSummandsDiagnostics", "two_summands_roots", "quartic_ratio_polynomial",
-    "c0_zero_predicates", "locus_report", "PotentialReport", "potential_report", "AsymptoteReport",
-    "asymptote_check", "ConservationReport", "conservation_report", "OmegaReport",
-    "two_summands_omega_monitor", "DWBoundReport", "dw_apriori_monitor", "LppBoundReport",
-    "lpp_bound_monitor", "KahlerReport", "kahler_report", "Verdict", "classify_completeness",
-    "GrowthProbeReport", "growth_probe", "ProbeRangeError", "curvature_budget_at_launch",
+    "ZeroConstantWindows", "c0_zero_predicates", "locus_report", "PotentialReport",
+    "potential_report", "AsymptoteReport", "asymptote_check", "ConservationReport",
+    "conservation_report", "OmegaReport", "two_summands_omega_monitor", "DWBoundReport",
+    "dw_apriori_monitor", "LppBoundReport", "lpp_bound_monitor", "KahlerReport", "kahler_report",
+    "Verdict", "classify_completeness", "GrowthProbeReport", "growth_probe", "ProbeRangeError",
+    "curvature_budget_at_launch",
 ]
 
 _LOCUS_TOL = 1e-7  # both locus ratios this close to 1: the Einstein locus
@@ -99,15 +100,21 @@ def two_summands_roots(a: TwoSummandsAnsatz) -> TwoSummandsDiagnostics:
     )
 
 
-def c0_zero_predicates(a: TwoSummandsAnsatz) -> dict:
+class ZeroConstantWindows(Report):
+    anchor: str
+    general: bool
+    circle_fibre: bool
+
+
+def c0_zero_predicates(a: TwoSummandsAnsatz) -> ZeroConstantWindows:
     """Parameter tests under which even C = 0 trajectories stay complete:
     (d1+1) A2^2 > 4 d1 d2 (2d1+d2) A3 in general and A2^2 > 2 d2 (d2+2) A3
     for a collapsing circle."""
-    return {
-        "anchor": "parameter windows where the zero conservation constant already suffices",
-        "general": bool((a.d1 + 1) * a.A2**2 > 4.0 * a.d1 * a.d2 * (2 * a.d1 + a.d2) * a.A3),
-        "circle_fibre": bool(a.A2**2 > 2.0 * a.d2 * (a.d2 + 2) * a.A3),
-    }
+    return ZeroConstantWindows(
+        anchor="parameter windows where the zero conservation constant already suffices",
+        general=bool((a.d1 + 1) * a.A2**2 > 4.0 * a.d1 * a.d2 * (2 * a.d1 + a.d2) * a.A3),
+        circle_fibre=bool(a.A2**2 > 2.0 * a.d2 * (a.d2 + 2) * a.A3),
+    )
 
 
 # -- locus membership ----------------------------------------------------------
@@ -430,10 +437,6 @@ class Verdict:
         "numerically_complete is a horizon verdict: the run reached t_max with "
         "every monitored invariant intact; it is evidence, not a completeness proof"
     )
-
-    @property
-    def is_complete(self) -> bool:
-        return self.kind == "numerically_complete"
 
 
 def classify_completeness(traj: Trajectory) -> Verdict:

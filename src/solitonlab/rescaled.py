@@ -71,7 +71,7 @@ class RescaledState:
             raise ValueError("X and Y must have matching shapes")
 
 
-def to_rescaled(state: SolitonState, spec: ProblemSpec, s: float = 0.0) -> RescaledState:
+def to_rescaled(state: SolitonState, spec: ProblemSpec) -> RescaledState:
     """The chart's coordinates of one state.  Raises ValueError when
     H = -udot + tr L is not positive, and ArithmeticError when a coordinate
     is not finite or Lc or some Y_i is not positive (f H overflowed)."""
@@ -79,7 +79,8 @@ def to_rescaled(state: SolitonState, spec: ProblemSpec, s: float = 0.0) -> Resca
     if H <= 0:
         raise ValueError("rescaling requires -udot + tr L > 0")
     z = state.df / state.f
-    r = RescaledState(X=z / H, Y=1.0 / (state.f * H), Lc=1.0 / H, s=s, t=state.t, u=state.u)
+    with np.errstate(over="ignore"):  # an overflowed f H gives Y_i = 0, refused below
+        r = RescaledState(X=z / H, Y=1.0 / (state.f * H), Lc=1.0 / H, s=0.0, t=state.t, u=state.u)
     if not (np.all(np.isfinite([*r.X, *r.Y, r.Lc])) and r.Lc > 0 and np.all(r.Y > 0)):
         raise ArithmeticError("the state maps outside the compact chart (Lc, Y_i > 0, all finite)")
     return r
@@ -254,12 +255,11 @@ def solve_rescaled(
     t_max: float = 10.0,
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-13,
-    max_steps: int = 200_000,
     delta: float | None = None,
 ) -> RescaledTrajectory:
     """Launch physically at t = delta, map to the compact chart, and flow in
     slow time until the carried physical time passes t_max."""
-    return prepare_rescaled(spec, t_max, rel_tol, abs_tol, max_steps, delta)()
+    return prepare_rescaled(spec, t_max, rel_tol, abs_tol, delta)()
 
 
 def prepare_rescaled(
@@ -267,19 +267,25 @@ def prepare_rescaled(
     t_max: float = 10.0,
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-13,
-    max_steps: int = 200_000,
     delta: float | None = None,
 ) -> Callable[[], RescaledTrajectory]:
     """``solve_rescaled`` up to its integration, which the returned function
     of no arguments runs.  The launch slice is mapped to the chart here
-    (raising as ``to_rescaled``), and the right-hand side, the attempt and
-    the state tests are compiled here: a process forked after this call
-    runs the integration without compiling anything."""
+    (raising as ``to_rescaled``; its ArithmeticError also names the launch
+    time and 'initial'), and the right-hand side, the attempt and the state
+    tests are compiled here: a process forked after this call runs the
+    integration without compiling anything."""
     a = spec.ansatz
     if not isinstance(a, DancerWangAnsatz):
         raise TypeError("the compact chart is only defined for the circle-bundle system")
     delta = rescaled_default_delta(spec) if delta is None else float(delta)
-    r0 = to_rescaled(launch(spec, delta), spec)
+    state0 = launch(spec, delta)
+    try:
+        r0 = to_rescaled(state0, spec)
+    except ArithmeticError as exc:
+        raise ArithmeticError(
+            f"at the launch state t = {state0.t!r}, {exc}; check the sizes in 'initial'"
+        ) from exc
     k = a.m + 1
     y0 = np.concatenate((r0.X, r0.Y, [r0.Lc, r0.t, r0.u]))
     events = (
@@ -291,7 +297,6 @@ def prepare_rescaled(
         t_max=_S_MAX,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
-        max_steps=max_steps,
         events=events,
         validity=_validity(len(y0), 0),
     )

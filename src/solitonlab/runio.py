@@ -51,7 +51,7 @@ _ANSATZ = {
 }
 _SYSTEMS = tuple(_ANSATZ)
 _FIELDS = ("system", "ansatz", "epsilon", "C", "initial", "launch_delta", "integrator", "chart", "expect")
-_INTEGRATOR_FIELDS = ("rel_tol", "abs_tol", "t_max", "max_steps", "max_step")
+_INTEGRATOR_FIELDS = ("rel_tol", "abs_tol", "t_max")
 
 
 @dataclasses.dataclass
@@ -61,24 +61,22 @@ class RunConfig:
     rel_tol: float
     abs_tol: float
     t_max: float
-    max_steps: int
-    max_step: float
     chart: str
     expect: str | None
     raw: dict
 
 
-def _number(value, finite: bool = True) -> float | None:
-    """value as a float; None if it is not a number (a bool is not one) or,
-    unless ``finite`` is False, not finite.  JSON admits NaN and Infinity,
-    and an integer too large for a float."""
+def _number(value) -> float | None:
+    """value as a float; None if it is not a number (a bool is not one) or
+    not finite.  JSON admits NaN and Infinity, and an integer too large for
+    a float."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         return None
     try:
         value = float(value)
     except OverflowError:
         return None
-    return value if not finite or math.isfinite(value) else None
+    return value if math.isfinite(value) else None
 
 
 def _need(doc: dict, field: str, kind, ctx: str = ""):
@@ -98,19 +96,12 @@ def _need(doc: dict, field: str, kind, ctx: str = ""):
     return value
 
 
-def _positive(doc: dict, field: str, kind, default, ctx: str = "", finite: bool = True):
-    """A positive finite number (kind float; +inf too when ``finite`` is
-    False) or positive integer (kind int), the default when the field is
-    absent."""
-    value = doc.get(field, default)
-    if kind is float:
-        value = _number(value, finite)
-    elif not isinstance(value, int) or isinstance(value, bool):
-        value = None
+def _positive(doc: dict, field: str, default, ctx: str = ""):
+    """A positive finite number, the default when the field is absent."""
+    value = _number(doc.get(field, default))
     if value is None or not value > 0:
-        noun = "integer" if kind is int else "finite number" if finite else "number"
         where = f"{ctx}.{field}" if ctx else field
-        raise ConfigError(f"field '{where}' must be a positive {noun}")
+        raise ConfigError(f"field '{where}' must be a positive finite number")
     return value
 
 
@@ -202,12 +193,10 @@ def load_config(source) -> RunConfig:
         raise ConfigError(f"field 'expect': unknown verdict {expect!r}")
     return RunConfig(
         spec=spec,
-        launch_delta=None if delta is None else _positive(doc, "launch_delta", float, None),
-        rel_tol=_positive(integ, "rel_tol", float, 1e-11, "integrator"),
-        abs_tol=_positive(integ, "abs_tol", float, 1e-13, "integrator"),
-        t_max=_positive(integ, "t_max", float, 10.0, "integrator"),
-        max_steps=_positive(integ, "max_steps", int, 200_000, "integrator"),
-        max_step=_positive(integ, "max_step", float, np.inf, "integrator", finite=False),
+        launch_delta=None if delta is None else _positive(doc, "launch_delta", None),
+        rel_tol=_positive(integ, "rel_tol", 1e-11, "integrator"),
+        abs_tol=_positive(integ, "abs_tol", 1e-13, "integrator"),
+        t_max=_positive(integ, "t_max", 10.0, "integrator"),
         chart=chart,
         expect=expect,
         raw=doc,
@@ -315,10 +304,10 @@ def write_rescaled_csv(path: str, rtraj):
 # -- SVG line plot (no dependencies) --------------------------------------------------
 
 
-def write_svg_plot(path: str, xs, series: dict, title: str = "", width=900, height=480):
+def write_svg_plot(path: str, xs, series: dict, title: str):
     """Plain polyline plot of several named series against a common abscissa."""
     xs = np.asarray(xs, dtype=float)
-    pad = 60
+    width, height, pad = 900, 480, 60
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
     lo = min(float(np.min(np.asarray(v))) for v in series.values())
     hi = max(float(np.max(np.asarray(v))) for v in series.values())
@@ -491,7 +480,6 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
                 t_max=cfg.t_max,
                 rel_tol=cfg.rel_tol,
                 abs_tol=cfg.abs_tol,
-                max_steps=cfg.max_steps,
                 delta=delta,
             )
 
@@ -521,8 +509,6 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
                 t_max=cfg.t_max,
                 rel_tol=cfg.rel_tol,
                 abs_tol=cfg.abs_tol,
-                max_steps=cfg.max_steps,
-                max_step=cfg.max_step,
                 delta=delta,
             )
         with _timed(timings, "report"):

@@ -68,8 +68,7 @@ __all__ = [
 class TwoSummandsAnsatz:
     """Fibre/base split with curvature constants A1, A2, A3.
 
-    In geometric examples A1 = d1 (d1 - 1); this is flagged by
-    ``is_geometric`` but never enforced.
+    In geometric examples A1 = d1 (d1 - 1); this is never enforced.
     """
 
     d1: int
@@ -83,18 +82,6 @@ class TwoSummandsAnsatz:
             raise ValueError("summand dimensions must be positive")
         if self.A1 < 0 or self.A2 <= 0 or self.A3 <= 0:
             raise ValueError("need A1 >= 0 and A2, A3 > 0")
-
-    @property
-    def is_geometric(self) -> bool:
-        return abs(self.A1 - self.d1 * (self.d1 - 1)) <= 1e-12 * (1.0 + self.A1)
-
-    @property
-    def base_einstein_constant(self) -> float:
-        return self.A2 / self.d2
-
-    @property
-    def oneill_norm_sq(self) -> float:
-        return self.A3 / self.d2
 
     @property
     def dims(self) -> tuple[int, ...]:

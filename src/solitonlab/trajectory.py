@@ -16,11 +16,11 @@ sample's margin, the minimum of its candidates, exceeds -slack.
 
 The events and the validity test every attempt passes are compiled into
 straight-line code and cached, per component count (``_min_of``,
-``_overflow``, ``_validity``) or per ansatz and initial orbit sizes
-(``_row_events``).  Each min and max is taken as the builtin takes it
-(``codegen.extremum``), so the same floats are compared in the same order
-as by ``min``/``max`` over the candidates, on a list of floats at accepted
-points and on an array on the continuous extension.
+``_overflow``, ``_validity``) or per ansatz, initial orbit sizes and
+flat-circle flag (``_row_events``).  Each min and max is taken as the
+builtin takes it (``codegen.extremum``), so the same floats are compared in
+the same order as by ``min``/``max`` over the candidates, on a list of
+floats at accepted points and on an array on the continuous extension.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .systems import (
     conservation_residual_curvature,
     kahler_residual,
     make_vector_rhs,
+    pack_state,
     u_dotdot_stable,
     unpack_state,
 )
@@ -121,15 +122,25 @@ def invariants(spec: ProblemSpec) -> tuple[Invariant, ...]:
     """The state invariants of spec's ansatz, each declared once: every
     fdot_i > 0, then the preserved set (the two-summands ratio window, the
     warped-product ratio bound or the circle-bundle a priori bounds)."""
-    return _invariants(spec.ansatz, spec.initial)
+    return _invariants(spec.ansatz, spec.initial, _flat_circle(spec))
+
+
+def _flat_circle(spec: ProblemSpec) -> bool:
+    """A warped circle (lpp with d2 = 1) on a steady run.  Its factor is
+    flat, so the flow fixes g2: gdot_2 = 0 at every sample, and the shape
+    row leaves g2 out.  With eps > 0 the soliton term moves g2 and the row
+    keeps it."""
+    a = spec.ansatz
+    return isinstance(a, LuPagePopeAnsatz) and a.d2 == 1 and spec.epsilon == 0.0
 
 
 @lru_cache(maxsize=None)
-def _invariants(a, initial: tuple[float, ...]) -> tuple[Invariant, ...]:
+def _invariants(a, initial: tuple[float, ...], flat_circle: bool) -> tuple[Invariant, ...]:
     k = len(a.dims)
+    shaped = a.component_names[:-1] if flat_circle else a.component_names
     shape = Invariant(
         "shape_exit", "shape operator lost positivity at some sample", 0.0,
-        lambda y: {f"d{name}": y[k + i] for i, name in enumerate(a.component_names)},
+        lambda y: {f"d{name}": y[k + i] for i, name in enumerate(shaped)},
     )
     if isinstance(a, TwoSummandsAnsatz):
         D, _, w2_sq = two_summands_root_squares(a)
@@ -165,12 +176,12 @@ def _invariants(a, initial: tuple[float, ...]) -> tuple[Invariant, ...]:
 
 
 @lru_cache(maxsize=None)
-def _row_events(a, initial: tuple[float, ...]) -> tuple[EventSpec, ...]:
+def _row_events(a, initial: tuple[float, ...], flat_circle: bool) -> tuple[EventSpec, ...]:
     """Each invariant row traced into an event: the minimum of its
     candidates, taken as ``min`` takes it.  A margin no state moves never
     crosses zero and gets none."""
     events = []
-    for row in _invariants(a, initial):
+    for row in _invariants(a, initial, flat_circle):
         tape = Tape()
         y = [tape.var(f"y{j}") for j in range(2 * len(a.dims) + 2)]
         values = list(row.candidates(y).values())
@@ -179,7 +190,8 @@ def _row_events(a, initial: tuple[float, ...]) -> tuple[EventSpec, ...]:
             # each component the row uses is read from the state once, first
             used = set(re.findall(r"\w+", "\n".join(lines)))
             lines = [f"{v.name} = y[{j}]" for j, v in enumerate(y) if v.name in used] + lines
-            fn = _state_test(f"{row.event} {a!r} {initial!r}", "t, y", lines, "m", tape.namespace)
+            label = f"{row.event} {a!r} {initial!r}" + (" flat circle" if flat_circle else "")
+            fn = _state_test(label, "t, y", lines, "m", tape.namespace)
             events.append(EventSpec(row.event, fn))
     return tuple(events)
 
@@ -236,7 +248,8 @@ def _validity(n: int, k: int):
 
 def standard_events(spec: ProblemSpec) -> tuple[EventSpec, ...]:
     k = len(spec.ansatz.dims)
-    return (*_row_events(spec.ansatz, spec.initial), EventSpec("overflow", _overflow(2 * k + 2)))
+    events = _row_events(spec.ansatz, spec.initial, _flat_circle(spec))
+    return (*events, EventSpec("overflow", _overflow(2 * k + 2)))
 
 
 @dataclass
@@ -347,8 +360,6 @@ def solve_problem(
     t_max: float = 100.0,
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-13,
-    max_steps: int = 200_000,
-    max_step: float = np.inf,
     delta: float | None = None,
 ) -> Trajectory:
     """Launch at small t = delta and integrate with the standard event set."""
@@ -359,12 +370,9 @@ def solve_problem(
         t_max=t_max,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
-        max_step=max_step,
-        max_steps=max_steps,
         events=standard_events(spec),
         validity=_validity(2 * k + 2, k),
     )
     rhs = make_vector_rhs(spec.ansatz, spec.epsilon)
-    y0 = np.concatenate((state0.f, state0.df, [state0.u, state0.du]))
-    result = integrate(rhs, state0.t, y0, cfg)
+    result = integrate(rhs, state0.t, pack_state(state0), cfg)
     return Trajectory(spec=spec, delta=delta, result=result)

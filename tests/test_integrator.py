@@ -19,12 +19,12 @@ def test_tanh_closed_form_on_unit_interval(a):
     res = integrate(contracting_rhs(a), 0.0, [0.0], IntegratorConfig(t_max=5.0))
     assert res.termination == "reached_t_max"
     exact = comparison_ode_closed_form(a, 0.0, 0.0, 5.0)
-    assert res.y_end[0] == pytest.approx(exact, abs=1e-9)
+    assert res.ys[-1][0] == pytest.approx(exact, abs=1e-9)
 
 
 def test_spec_point_value():
     res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=1.0))
-    assert res.y_end[0] == pytest.approx(-1.5231883119115297, abs=1e-9)
+    assert res.ys[-1][0] == pytest.approx(-1.5231883119115297, abs=1e-9)
 
 
 def test_rejected_attempt_keeps_the_accepted_slope():
@@ -46,7 +46,7 @@ def test_rejected_attempt_keeps_the_accepted_slope():
 def test_zero_rhs_is_constant():
     res = integrate(lambda t, y: np.zeros(3), 0.0, [1.0, -2.0, 0.5], IntegratorConfig(t_max=4.0))
     assert res.termination == "reached_t_max"
-    np.testing.assert_array_equal(res.y_end, [1.0, -2.0, 0.5])
+    np.testing.assert_array_equal(res.ys[-1], [1.0, -2.0, 0.5])
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 8.0])
@@ -148,7 +148,7 @@ def test_tolerance_halving_convergence():
     r2 = integrate(
         contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0, rel_tol=5e-11, abs_tol=5e-13)
     )
-    assert abs(r1.y_end[0] - r2.y_end[0]) < 10 * 1e-10
+    assert abs(r1.ys[-1][0] - r2.ys[-1][0]) < 10 * 1e-10
 
 
 def test_bitwise_determinism():
@@ -199,7 +199,7 @@ def test_validity_callback_flags_invalid_state():
     cfg = IntegratorConfig(t_max=10.0, validity=lambda y: bool(y[0] > 0.5))
     res = integrate(rhs, 0.0, [1.0], cfg)
     assert res.termination == "state_invalid"
-    assert res.y_end[0] > 0.4
+    assert res.ys[-1][0] > 0.4
 
 
 def test_stats_are_counted():

@@ -135,6 +135,6 @@ def test_richardson_consistency(spec):
     for d in (delta, delta / 2):
         traj = solve_problem(spec, t_max=0.1, rel_tol=rtol, abs_tol=atol, delta=d)
         assert traj.reached_horizon
-        ends.append(traj.result.y_end)
+        ends.append(traj.result.ys[-1])
     scale = 1.0 + np.max(np.abs(ends[0]))
     assert np.max(np.abs(ends[0] - ends[1])) <= 10 * (rtol * scale + atol)

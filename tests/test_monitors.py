@@ -97,7 +97,7 @@ class TestRoots:
             a = TwoSummandsAnsatz(
                 d1, d2, float(d1 * (d1 - 1)), float(rng.uniform(0.5, 30)), float(rng.uniform(0.05, 5))
             )
-            lhs = a.base_einstein_constant**2 / (4.0 * a.oneill_norm_sq)
+            lhs = (a.A2 / d2) ** 2 / (4.0 * (a.A3 / d2))
             rhs = (2 * d1 + d2) * (d1 - 1) / d1
             assert (M.two_summands_roots(a).D >= 0) == (lhs >= rhs)
 
@@ -105,9 +105,9 @@ class TestRoots:
 class TestPredicatesAndClosedForm:
     def test_zero_constant_windows(self):
         pred = M.c0_zero_predicates(TwoSummandsAnsatz(1, 2, 0.0, 10.0, 1.0))
-        assert pred["circle_fibre"] is True  # 100 > 16
+        assert pred.circle_fibre is True  # 100 > 16
         boundary = M.c0_zero_predicates(TwoSummandsAnsatz(1, 2, 0.0, 4.0, 1.0))
-        assert boundary["circle_fibre"] is False  # 16 == 16, strict inequality required
+        assert boundary.circle_fibre is False  # 16 == 16, strict inequality required
 
     def test_general_window_reduces_to_circle_window_at_d1_one(self):
         rng = np.random.default_rng(3)
@@ -116,7 +116,7 @@ class TestPredicatesAndClosedForm:
             pred = M.c0_zero_predicates(a)
             # (d1+1) A2^2 > 4 d1 d2 (2 d1 + d2) A3 at d1 = 1 reads
             # 2 A2^2 > 4 d2 (d2 + 2) A3, i.e. exactly the circle predicate
-            assert pred["general"] == pred["circle_fibre"]
+            assert pred.general == pred.circle_fibre
 
     def test_comparison_closed_form_values(self):
         assert comparison_ode_closed_form(2.0, 0.0, 0.0, 1.0) == pytest.approx(
@@ -267,7 +267,8 @@ class TestInvariantMonitors:
 
 class TestClassification:
     def test_complete_and_exit(self, shipped_runs):
-        assert M.classify_completeness(shipped_runs["ts_complete_steady.json"]).is_complete
+        v = M.classify_completeness(shipped_runs["ts_complete_steady.json"])
+        assert v.kind == "numerically_complete"
         v = M.classify_completeness(shipped_runs["ts_exit_einstein.json"])
         assert v.kind == "invariant_set_exit"
         assert v.t_star is not None
@@ -282,9 +283,9 @@ class TestClassification:
     def test_circle_fibre_window_keeps_zero_constant_runs_alive(self):
         # A2^2 > 2 d2 (d2+2) A3 holds, so even C = 0 stays complete
         a = TwoSummandsAnsatz(1, 2, 0.0, 6.0, 1.0)
-        assert M.c0_zero_predicates(a)["circle_fibre"]
+        assert M.c0_zero_predicates(a).circle_fibre
         traj = solve_problem(ProblemSpec(a, 0.0, 0.0, (1.0,)), t_max=10.0)
-        assert M.classify_completeness(traj).is_complete
+        assert M.classify_completeness(traj).kind == "numerically_complete"
 
     def test_negative_discriminant_cannot_be_complete(self):
         # even if such a run survived to the horizon it would stay inconclusive

@@ -287,12 +287,6 @@ class TestKahlerResidual:
 
 
 class TestValidation:
-    def test_geometric_flag(self):
-        assert HOPF.is_geometric
-        assert not TwoSummandsAnsatz(3, 4, 5.0, 48.0, 12.0).is_geometric
-        assert HOPF.base_einstein_constant == pytest.approx(12.0)
-        assert HOPF.oneill_norm_sq == pytest.approx(3.0)
-
     def test_problem_spec_guards(self):
         with pytest.raises(ValueError, match="epsilon"):
             ProblemSpec(HOPF, -0.5, -1.0, (1.0,))

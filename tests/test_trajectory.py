@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from solitonlab.geometry import killing_curvature_bound, scalar_curvature
 from solitonlab.launch import launch
 from solitonlab.monitors import classify_completeness, dw_apriori_monitor
-from solitonlab.runio import load_config, run_solve
+from solitonlab.runio import _jsonable, build_report, load_config, run_solve
 from solitonlab.systems import (
     DancerWangAnsatz,
     ProblemSpec,
@@ -20,7 +20,13 @@ from solitonlab.systems import (
 from solitonlab import rescaled, trajectory
 from solitonlab.trajectory import solve_problem, standard_events
 
-from conftest import compiled_dw_margin, invariant_margin_fn, load_shipped, u_second_derivative_identity
+from conftest import (
+    SHIPPED_CONFIG_NAMES,
+    compiled_dw_margin,
+    invariant_margin_fn,
+    load_shipped,
+    u_second_derivative_identity,
+)
 
 
 def test_samples_are_strictly_increasing_and_valid(shipped_runs):
@@ -131,7 +137,7 @@ def test_sweep_shows_verdict_boundary_in_C():
     weak = solve_problem(ProblemSpec(a, 0.0, -1.0, (1.0, 1.0)), t_max=50.0)
     strong = solve_problem(ProblemSpec(a, 0.0, -50.0, (1.0, 1.0)), t_max=50.0)
     assert classify_completeness(weak).kind in ("invariant_set_exit", "metric_degenerate")
-    assert classify_completeness(strong).is_complete
+    assert classify_completeness(strong).kind == "numerically_complete"
     assert dw_apriori_monitor(strong).bound_ok_throughout
 
 
@@ -152,6 +158,20 @@ def test_report_embeds_anchor_strings(shipped_runs, tmp_path):
     for entry in report["checks"]:
         assert entry.get("anchor"), entry
     assert "kahler" in report and "a_priori_bounds" in report
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIG_NAMES)
+def test_every_check_carries_its_payload_anchor(shipped_runs, name):
+    traj = shipped_runs.get(name)
+    if traj is None:
+        cfg = load_shipped(name)
+        traj = solve_problem(
+            cfg.spec, t_max=cfg.t_max, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, delta=cfg.launch_delta
+        )
+    report = json.loads(json.dumps(_jsonable(build_report(traj))))
+    for entry in report["checks"]:
+        anchor = report[entry["name"]]["anchor"]
+        assert isinstance(anchor, str) and entry["anchor"] == anchor, entry
 
 
 # (accepted steps, rejected attempts, right-hand-side calls) at t_max = 100:
