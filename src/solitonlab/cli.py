@@ -10,7 +10,9 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
+import functools
 import json
 import os
 import sys
@@ -93,8 +95,10 @@ def _apply_param(doc: dict, param: str, value: float):
 
 
 def cmd_sweep(args) -> int:
-    from .runio import ConfigError, _atomic_write, load_config, run_solve, write_json
+    from .runio import ConfigError, _atomic_write, _beside, load_config, run_solve, write_json
 
+    if args.jobs < 1:
+        return _fail(EX_CONFIG, f"--jobs must be at least 1, got {args.jobs}")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = json.load(fh)
@@ -118,32 +122,42 @@ def cmd_sweep(args) -> int:
         return _fail(EX_CONFIG, str(exc))
 
     os.makedirs(args.out, exist_ok=True)
-    jobs = max(1, args.jobs)
-    results: list[dict | None] = [None] * len(cells)
+    shares = max(1, min(args.jobs, len(cells)))  # a grid may have no cell
     cell_dirs = [os.path.join(args.out, f"cell_{i:04d}") for i in range(len(cells))]
-    errors: dict[str, str] = {}  # cell -> the exception that failed it
-    if jobs == 1:
-        for i, cfg in enumerate(configs):
+
+    def run_share(k: int) -> list:
+        """(index, manifest or the exception as text) of each cell of share
+        k: cells k, k + shares, k + 2 shares, ..."""
+        share = []
+        for i in range(k, len(cells), shares):
             try:
-                results[i] = run_solve(cfg, cell_dirs[i])
+                share.append((i, run_solve(configs[i], cell_dirs[i])))
             except Exception as exc:  # keep sweeping past individual failures
-                errors[f"cell_{i:04d}"] = f"{type(exc).__name__}: {exc}"
-    else:
-        import concurrent.futures  # only a worker pool needs it
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_solve, cfg, cell_dirs[i]) for i, cfg in enumerate(configs)]
-            for i, fut in enumerate(futures):  # merge in grid order
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:
-                    errors[f"cell_{i:04d}"] = f"{type(exc).__name__}: {exc}"
+                share.append((i, f"{type(exc).__name__}: {exc}"))
+        return share
+
+    # share 0 runs here and each other share in a forked child (see _beside),
+    # so in a long-lived process the children inherit the kernels this
+    # process compiled for earlier runs of the family
+    with contextlib.ExitStack() as stack:
+        joins = [stack.enter_context(_beside(functools.partial(run_share, k))) for k in range(1, shares)]
+        done = run_share(0)
+        for k, join in enumerate(joins, 1):
+            try:
+                done += join()
+            except RuntimeError as exc:  # the child ended with no result
+                done += [(i, f"{type(exc).__name__}: {exc}") for i in range(k, len(cells), shares)]
+    outcomes = dict(done)
+    # cell -> the exception that failed it
+    errors = {f"cell_{i:04d}": v for i, v in outcomes.items() if isinstance(v, str)}
 
     params = [param for param, *_ in grids]
     header = params + ["cell", "verdict", "termination", "terminal_du", "max_conservation_residual"]
     lines = [",".join(header)]
-    for i, ((_, coords), manifest) in enumerate(zip(cells, results)):
+    for i, (_, coords) in enumerate(cells):  # merge in grid order
         values = [_fmt(v) for _, v in coords]
-        if manifest is None:
+        manifest = outcomes[i]
+        if isinstance(manifest, str):
             lines.append(",".join(values + [f"cell_{i:04d}", "error", "error", "nan", "nan"]))
             continue
         key = manifest["key_diagnostics"]

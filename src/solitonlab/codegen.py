@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import linecache
 import math
+import time
 import weakref
 from dataclasses import dataclass
 
@@ -134,14 +135,22 @@ class Traced:
     __hash__ = None
 
 
+# kernels compile_function made in this process and the seconds it took;
+# only ever increased, so a caller reads the work of a span as a difference
+COUNTERS = {"kernel_compiles": 0, "kernel_compile_s": 0.0}
+
+
 def compile_function(name: str, source: str, filename: str, namespace: dict):
     """Compile ``source``, the text of ``def name(...)``, with ``namespace``
     as its globals, register it with ``linecache`` under ``filename``, and
-    return the function."""
+    return the function.  Counted in ``COUNTERS``."""
+    start = time.perf_counter()
     code = compile(source, filename, "exec")
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"__name__": __name__, **namespace}
     exec(code, namespace)
+    COUNTERS["kernel_compiles"] += 1
+    COUNTERS["kernel_compile_s"] += time.perf_counter() - start
     return namespace[name]
 
 

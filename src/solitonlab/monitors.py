@@ -25,8 +25,8 @@ from .systems import (
     flow_ansatz,
 )
 from .trajectory import (
-    _BOUND_TOL, Trajectory, dw_omega_sq_bounds, dw_pair_bound_constant, lpp_ratio_bound,
-    solve_problem, two_summands_root_squares,
+    _BOUND_TOL, Trajectory, _flat_circle, dw_omega_sq_bounds, dw_pair_bound_constant,
+    lpp_ratio_bound, solve_problem, two_summands_root_squares,
 )
 
 __all__ = [
@@ -520,7 +520,8 @@ def growth_probe(
     success and the weakest failing point above it until the bracket is 1%
     tight.  The first success in scan order is the weakest success of the
     whole grid, so stopping early changes no bracket end.  Runs whose shape operator loses positivity before tau
-    are excluded and reported.
+    are excluded and reported; a flat warped circle's g2, which the flow
+    fixes, is left out of that test as it is out of the shape row.
     """
     if c <= 0 or tau <= 0:
         raise ValueError("slope target c and probe time tau must be positive")
@@ -528,6 +529,7 @@ def growth_probe(
     samples: dict[float, float] = {}
     excluded: list[float] = []
     work = {"n_accepted": 0, "n_rejected": 0, "n_rhs": 0}
+    shaped = slice(-1) if _flat_circle(spec) else slice(None)  # the tested columns of df
 
     def slope_of(C):
         """-udot(tau) of the run at C, or None when it is excluded."""
@@ -536,7 +538,7 @@ def growth_probe(
         t = solve_problem(spec.with_C(C), t_max=tau, rel_tol=rel_tol, abs_tol=abs_tol, delta=delta)
         for key in work:
             work[key] += getattr(t.result, key)
-        if not t.reached_horizon or not np.all(t.df > 0.0):
+        if not t.reached_horizon or not np.all(t.df[:, shaped] > 0.0):
             excluded.append(C)
             return None
         samples[C] = float(-t.du[-1])

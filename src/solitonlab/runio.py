@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import Report, __version__, _fmt
+from . import Report, __version__, _fmt, codegen
 from . import monitors as mon
 from .launch import default_delta
 from .systems import DancerWangAnsatz, LuPagePopeAnsatz, ProblemSpec, TwoSummandsAnsatz
@@ -457,7 +457,8 @@ def _beside(fn):
 
 def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
     """Execute one config: solve, monitor, persist.  Returns the manifest,
-    whose ``timings`` give the wall seconds of each step.
+    whose ``timings`` give the wall seconds of each step and whose
+    ``counters`` give the kernels compiled on the way and their seconds.
 
     With ``chart: both`` a forked child (see ``_beside``) solves the compact
     chart and writes ``rescaled.csv`` while this process solves the
@@ -465,6 +466,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
     os.makedirs(outdir, exist_ok=True)
     started = time.perf_counter()
     timings: dict[str, float] = {}
+    compiled = dict(codegen.COUNTERS)
     # both charts must share one launch slice, so resolve delta up front
     delta = cfg.launch_delta
     compact = None
@@ -561,6 +563,8 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
         },
         "artifacts": artifacts + ["manifest.json"],
         "timings": timings,
+        # kernels this run compiled: none when the process already holds them
+        "counters": {key: value - compiled[key] for key, value in codegen.COUNTERS.items()},
         "wall_time_s": time.perf_counter() - started,
     }
     if rtraj is not None:

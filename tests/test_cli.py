@@ -467,6 +467,9 @@ class TestChartBoth:
             assert here_bytes == (tmp_path / "forked" / name).read_bytes(), name
         assert sorted(here.pop("timings")) == sorted(forked.pop("timings"))
         assert here.pop("wall_time_s") > 0.0 and forked.pop("wall_time_s") > 0.0
+        # the forked run compiled every kernel in this process, so this run compiles none
+        forked.pop("counters")
+        assert here.pop("counters") == {"kernel_compiles": 0, "kernel_compile_s": 0.0}
         assert here == forked
 
     def test_the_compact_chart_compiles_here_before_the_fork(self, tmp_path):
@@ -636,7 +639,9 @@ class TestSweep:
             assert (tmp_path / f"sw/cell_{i:04d}/manifest.json").exists()
         assert not (tmp_path / "sw/sweep_errors.json").exists()
 
-    def test_failed_cell_keeps_its_error(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_cell_keeps_its_error(self, jobs, tmp_path, monkeypatch):
+        # with --jobs 2, cell 1 fails in the forked child
         from solitonlab import runio
 
         run_solve = runio.run_solve
@@ -648,7 +653,7 @@ class TestSweep:
 
         monkeypatch.setattr(runio, "run_solve", failing)
         cfg = write_json(tmp_path, "c.json", BASE)
-        code = main(["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:3", "--jobs", "1", "--out", str(tmp_path / "sw")])
+        code = main(["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:3", "--jobs", jobs, "--out", str(tmp_path / "sw")])
         assert code == 1
         errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
         assert errors == {"cell_0001": "RuntimeError: no convergence in cell 1"}
@@ -674,6 +679,103 @@ class TestSweep:
             assert main(["sweep", "--config", cfg, *args]) == 0
         for name in ("sweep_summary.csv", "cell_0000/trajectory.csv", "cell_0001/report.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+    def test_more_jobs_than_cells_fork_no_idle_child(self, tmp_path, monkeypatch):
+        cfg = write_json(tmp_path, "c.json", BASE)
+        args = ["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:2"]
+        assert main([*args, "--jobs", "1", "--out", str(tmp_path / "1")]) == 0
+        children = forked_children(monkeypatch)
+        assert main([*args, "--jobs", "5", "--out", str(tmp_path / "5")]) == 0
+        assert len(children) == 1
+        for name in ("sweep_summary.csv", "cell_0000/trajectory.csv", "cell_0001/trajectory.csv",
+                     "cell_0000/report.json", "cell_0001/report.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "5" / name).read_bytes(), name
+
+    def test_without_fork_the_shares_run_here_alike(self, tmp_path, monkeypatch):
+        cfg = write_json(tmp_path, "c.json", BASE)
+        args = ["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:3"]
+        assert main([*args, "--jobs", "1", "--out", str(tmp_path / "1")]) == 0
+        monkeypatch.delattr(os, "fork")
+        assert main([*args, "--jobs", "2", "--out", str(tmp_path / "2")]) == 0
+        for name in ("sweep_summary.csv", "cell_0001/trajectory.csv", "cell_0002/report.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+    def test_a_child_that_ends_without_a_result_fails_its_share(self, tmp_path, monkeypatch):
+        from solitonlab import runio
+
+        here = os.getpid()
+        run_solve = runio.run_solve
+
+        def dying(cfg, outdir):
+            if os.getpid() != here:
+                os._exit(3)
+            return run_solve(cfg, outdir)
+
+        monkeypatch.setattr(runio, "run_solve", dying)
+        children = forked_children(monkeypatch)
+        cfg = write_json(tmp_path, "c.json", BASE)
+        code = main(["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:3", "--jobs", "2", "--out", str(tmp_path / "sw")])
+        assert code == 1
+        (pid,) = children
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+        errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
+        message = "RuntimeError: the child process ended with no result (wait status 768)"
+        assert errors == {"cell_0001": message}
+        rows = [row.split(",")[2] for row in (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()[1:]]
+        assert rows == ["numerically_complete", "error", "numerically_complete"]
+
+    def test_a_failure_here_kills_and_reaps_every_child(self, tmp_path, monkeypatch):
+        from solitonlab import runio
+
+        here = os.getpid()
+        run_solve = runio.run_solve
+
+        def interrupted(cfg, outdir):
+            if os.getpid() == here:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child still running when this process fails
+            return run_solve(cfg, outdir)
+
+        monkeypatch.setattr(runio, "run_solve", interrupted)
+        children = forked_children(monkeypatch)
+        cfg = write_json(tmp_path, "c.json", BASE)
+        start = time.monotonic()
+        # the traceback held here keeps the sweep's frame alive: the children
+        # must be reaped before the exception leaves it, not when it is freed
+        with pytest.raises(KeyboardInterrupt) as caught:
+            main(["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:3", "--jobs", "3", "--out", str(tmp_path / "sw")])
+        assert time.monotonic() - start < 30.0
+        assert len(children) == 2
+        for pid in children:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert caught.traceback
+
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "c.json", BASE)
+        assert main(["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:2", "--jobs", "0", "--out", str(tmp_path / "sw")]) == 64
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_a_repeated_sweep_compiles_no_kernel(self, tmp_path):
+        # the DP5 step kernel is compiled once per process: by this process for
+        # its share and by the child for its own; a second sweep's child
+        # inherits this process's kernels
+        from solitonlab import integrator
+
+        integrator._dp_kernel.cache_clear()
+        cfg = write_json(tmp_path, "c.json", BASE)
+        counters = {}
+        for out in ("first", "again"):
+            args = ["--grid", "C=-0.5:-0.5:2", "--jobs", "2", "--out", str(tmp_path / out)]
+            assert main(["sweep", "--config", cfg, *args]) == 0
+            counters[out] = [
+                json.loads((tmp_path / out / f"cell_{i:04d}/manifest.json").read_text())["counters"]
+                for i in range(2)
+            ]
+        assert all(c["kernel_compiles"] > 0 and c["kernel_compile_s"] > 0.0 for c in counters["first"])
+        assert counters["again"] == [{"kernel_compiles": 0, "kernel_compile_s": 0.0}] * 2
 
     def test_non_finite_grid_value_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", BASE)
@@ -712,6 +814,18 @@ class TestProbe:
         assert (c_fail is not None) == has_fail_end
         printed = capsys.readouterr().out.split("bracket=(")[1].split(")")[0].split(", ")
         assert printed == [_fmt(c_fail) if has_fail_end else "None", _fmt(c_success)]
+
+    def test_a_flat_warped_circle_is_probed(self, tmp_path):
+        # an lpp run with d2 = 1 and eps = 0 keeps g2's slope at zero; testing
+        # it for positivity excluded every run, and the probe exited 3
+        doc = json.loads(config_path("lpp_e0_c1.json").read_text())
+        doc["ansatz"]["d2"] = 1
+        cfg = write_json(tmp_path, "c.json", doc)
+        out = tmp_path / "probe"
+        assert main(["probe-c0", "--config", cfg, "--c", "2", "--tau", "0.25", "--out", str(out)]) == 0
+        report = json.loads((out / "probe_report.json").read_text())
+        assert report["bracket"] == [-17.733894587578856, -17.83018788153428]
+        assert (report["n_solves"], report["excluded"]) == (17, [])
 
     def test_unreachable_target_exits_three(self, tmp_path, capsys):
         doc = dict(BASE, C=-1.0)

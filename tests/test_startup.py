@@ -27,11 +27,14 @@ from conftest import (
     load_shipped,
 )
 
-# modules that only some commands use: the worker pool (concurrent.futures,
-# which loads logging), run ids (hashlib), the compact chart (rescaled) and
-# the basis-level curvature oracle (lie_bases)
+# modules that only some commands use: run ids (hashlib), the compact chart
+# (rescaled) and the basis-level curvature oracle (lie_bases); and a process
+# pool's (concurrent.futures and multiprocessing, and the logging that
+# concurrent.futures loads), which no command uses: a sweep forks its
+# children itself
 COMMAND_ONLY = (
     "concurrent.futures",
+    "multiprocessing",
     "logging",
     "hashlib",
     "solitonlab.rescaled",
@@ -67,6 +70,18 @@ def test_cli_import_loads_no_command_only_module():
     loaded = modules_loaded_by(code)
     assert "solitonlab.monitors" in loaded  # the child imported this package
     assert sorted(loaded.intersection(COMMAND_ONLY)) == []
+
+
+def test_a_parallel_sweep_loads_no_process_pool(tmp_path):
+    code = (
+        "import json, sys; from solitonlab import cli; "
+        "code = cli.main(['sweep', '--config', sys.argv[1], '--grid', 'C=-1:-1:3', "
+        "'--jobs', '2', '--out', sys.argv[2]]); "
+        "print(json.dumps([*sys.modules]) if code == 0 else code)"
+    )
+    loaded = modules_loaded_by(code, str(config_path("ts_e0_c1.json")), str(tmp_path / "sw"))
+    assert "solitonlab.runio" in loaded
+    assert sorted(loaded.intersection(("concurrent.futures", "multiprocessing"))) == []
 
 
 def test_curvature_loads_no_solver_module():
