@@ -18,10 +18,10 @@ import os
 import sys
 
 from . import __version__, _fmt
-from .geometry import load_decomposition, ricci_eigenvalues, scalar_curvature, validate
 
-# the solver modules (runio, monitors and what they load) are imported by the
-# commands that run solves, so that ``curvature`` loads none of them
+# each command imports what it runs: the solver modules (runio, monitors and
+# what they load) for solve, sweep and probe-c0, geometry for curvature, so
+# that neither side loads the other's
 
 EX_OK = 0
 EX_ERROR = 1
@@ -59,15 +59,21 @@ def cmd_solve(args) -> int:
 
 
 def _parse_grid(expr: str):
-    # PARAM=start:step:count
+    # PARAM=start:step:count, count >= 1
     from .runio import ConfigError
 
     try:
         param, rng = expr.split("=", 1)
         start, step, count = rng.split(":")
-        return param.strip(), float(start), float(step), int(count)
+        start, step, count = float(start), float(step), int(count)
     except ValueError:
         raise ConfigError(f"grid spec {expr!r} is not PARAM=start:step:count") from None
+    if count < 1:
+        raise ConfigError(f"grid spec {expr!r}: the count must be at least 1")
+    param = param.strip()
+    if param[:1] == "g" and param[1:].isdigit():
+        param = f"g{int(param[1:])}"  # g01 sets g1: one name per parameter
+    return param, start, step, count
 
 
 def _apply_param(doc: dict, param: str, value: float):
@@ -106,6 +112,10 @@ def cmd_sweep(args) -> int:
         return _fail(EX_CONFIG, f"cannot read config: {exc}")
     try:
         grids = [_parse_grid(g) for g in args.grid]
+        params = [param for param, *_ in grids]
+        for param in params:
+            if params.count(param) > 1:
+                raise ConfigError(f"grid parameter {param!r} is given more than once")
         axes = [
             [(param, start + i * step) for i in range(count)]
             for param, start, step, count in grids
@@ -122,7 +132,7 @@ def cmd_sweep(args) -> int:
         return _fail(EX_CONFIG, str(exc))
 
     os.makedirs(args.out, exist_ok=True)
-    shares = max(1, min(args.jobs, len(cells)))  # a grid may have no cell
+    shares = min(args.jobs, len(cells))
     cell_dirs = [os.path.join(args.out, f"cell_{i:04d}") for i in range(len(cells))]
 
     def run_share(k: int) -> list:
@@ -151,7 +161,6 @@ def cmd_sweep(args) -> int:
     # cell -> the exception that failed it
     errors = {f"cell_{i:04d}": v for i, v in outcomes.items() if isinstance(v, str)}
 
-    params = [param for param, *_ in grids]
     header = params + ["cell", "verdict", "termination", "terminal_du", "max_conservation_residual"]
     lines = [",".join(header)]
     for i, (_, coords) in enumerate(cells):  # merge in grid order
@@ -182,6 +191,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_probe_c0(args) -> int:
+    from .launch import default_delta
     from .monitors import ProbeRangeError, growth_probe
     from .runio import ConfigError, _atomic_write, load_config, write_json
 
@@ -189,8 +199,12 @@ def cmd_probe_c0(args) -> int:
         cfg = load_config(args.config)
     except ConfigError as exc:
         return _fail(EX_CONFIG, str(exc))
-    if args.c <= 0 or args.tau <= 0:
-        return _fail(EX_CONFIG, "probe needs --c > 0 and --tau > 0")
+    if args.c <= 0:
+        return _fail(EX_CONFIG, "probe needs --c > 0")
+    # the probe's solves run in the physical chart, from its launch offset
+    offset = default_delta(cfg.spec) if cfg.launch_delta is None else cfg.launch_delta
+    if not args.tau > offset:
+        return _fail(EX_CONFIG, f"--tau must exceed the launch offset {offset!r}, got {args.tau!r}")
     os.makedirs(args.out, exist_ok=True)
     try:
         report = growth_probe(
@@ -218,6 +232,8 @@ def cmd_probe_c0(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    from .geometry import load_decomposition, ricci_eigenvalues, scalar_curvature, validate
+
     try:
         dec = load_decomposition(args.decomposition)
     except (OSError, ValueError, json.JSONDecodeError) as exc:

@@ -8,8 +8,9 @@ product b) and the totally symmetric, nonnegative structure constants
 scalar curvature / Ricci eigenvalues are closed-form rational expressions
 in (d, b, [ijk], x).
 
-The closed forms here are validated against a brute-force basis-level
-computation in :mod:`solitonlab.lie_bases`.
+The test suite checks these closed forms against a brute-force
+computation from explicit Lie-algebra bases; the package itself holds only
+what the ``curvature`` command runs.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ __all__ = [
     "ValidationReport",
     "scalar_curvature",
     "ricci_eigenvalues",
-    "killing_curvature_bound",
     "validate",
     "load_decomposition",
-    "decomposition_to_dict",
 ]
 
 
@@ -109,16 +108,6 @@ def ricci_eigenvalues(dec: IsotropyDecomposition, x) -> np.ndarray:
     return 0.5 * b * inv - mixed / (2.0 * d) + plain / (4.0 * d)
 
 
-def killing_curvature_bound(dec: IsotropyDecomposition, x) -> float:
-    """Upper bound (1/2) sum d_i b_i / x_i on the scalar curvature.
-
-    The bracket term of the scalar curvature is nonpositive, so this bound
-    holds for every valid decomposition and scaling.
-    """
-    x = _check_x(dec, x)
-    return 0.5 * float(np.dot(np.asarray(dec.d, float) * np.asarray(dec.b), 1.0 / x))
-
-
 def validate(dec: IsotropyDecomposition) -> ValidationReport:
     """Check symmetry and sign constraints, each to a relative 1e-12, plus
     the Wang-Ziller identity.
@@ -150,26 +139,6 @@ def validate(dec: IsotropyDecomposition) -> ValidationReport:
             float(np.sum(t[i])) - dec.d[i] * (dec.b[i] - 2.0 * dec.c[i]) for i in range(s)
         ]
     return report
-
-
-def decomposition_to_dict(dec: IsotropyDecomposition) -> dict:
-    """JSON-ready form storing one representative per unordered triple."""
-    summands = []
-    for i in range(dec.s):
-        entry = {"dim": int(dec.d[i]), "b": float(dec.b[i])}
-        entry["c"] = float(dec.c[i]) if dec.c is not None else None
-        summands.append(entry)
-    triples = []
-    for i in range(dec.s):
-        for j in range(i, dec.s):
-            for k in range(j, dec.s):
-                v = float(dec.triples[i, j, k])
-                if v != 0.0:
-                    triples.append({"i": i, "j": j, "k": k, "value": v})
-    out = {"summands": summands, "triples": triples}
-    if dec.metadata:
-        out["metadata"] = dec.metadata
-    return out
 
 
 def load_decomposition(source) -> IsotropyDecomposition:

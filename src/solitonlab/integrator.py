@@ -311,7 +311,7 @@ def _crossed(prev, curr):
 
 def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     """Advance dy/dt = rhs(t, y) from (t0, y0) until t_max, an event, step
-    failure or an invalid state.
+    failure or an invalid state; a t_max at or before t0 is a ValueError.
 
     ``rhs`` receives the state as a list of floats and returns the
     derivative as a sequence of as many floats; a list is used as it is,
@@ -325,6 +325,8 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
     t = float(t0)
+    if not cfg.t_max > t:
+        raise ValueError(f"t_max {cfg.t_max!r} must exceed the start time {t!r}")
     n_acc = n_rej = n_rhs = 0
     rtol, atol, validity = cfg.rel_tol, cfg.abs_tol, cfg.validity
     t_max, max_steps = cfg.t_max, cfg.max_steps

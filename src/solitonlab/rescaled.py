@@ -34,7 +34,7 @@ import numpy as np
 from . import Report
 from .codegen import trace_function
 from .integrator import EventSpec, IntegrationResult, IntegratorConfig, compile_attempt, integrate
-from .launch import launch
+from .launch import launch, rescaled_default_delta
 from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, _dot, _sum, tr_L
 from .trajectory import _min_of, _overflow, _validity
 
@@ -232,17 +232,6 @@ class RescaledTrajectory:
             t=ys[:, 2 * k + 1],
             u=ys[:, 2 * k + 2],
         )
-
-
-def rescaled_default_delta(spec: ProblemSpec) -> float:
-    """Launch offset for compact-chart runs.
-
-    The slow-time flow spends ~ln(1/delta) near the fibre critical point,
-    which amplifies the seed's rounding-level off-manifold error roughly
-    like 1/delta^2; 1e-3 keeps the amplified error well under the 1e-7
-    locus budgets while the series truncation stays negligible.
-    """
-    return 1e-3 * min(1.0, min(spec.initial))
 
 
 # slow-time cap of a compact-chart run; the t_target event normally ends it

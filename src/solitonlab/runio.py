@@ -22,7 +22,7 @@ import numpy as np
 
 from . import Report, __version__, _fmt, codegen
 from . import monitors as mon
-from .launch import default_delta
+from .launch import default_delta, rescaled_default_delta
 from .systems import DancerWangAnsatz, LuPagePopeAnsatz, ProblemSpec, TwoSummandsAnsatz
 from .trajectory import Trajectory, solve_problem
 
@@ -191,12 +191,23 @@ def load_config(source) -> RunConfig:
         "inconclusive",
     ):
         raise ConfigError(f"field 'expect': unknown verdict {expect!r}")
+    delta = None if delta is None else _positive(doc, "launch_delta", None)
+    t_max = _positive(integ, "t_max", 10.0, "integrator")
+    # a run starts at its launch offset; with chart both, both charts start
+    # at the compact chart's
+    offset = delta
+    if offset is None:
+        offset = rescaled_default_delta(spec) if chart == "both" else default_delta(spec)
+    if not t_max > offset:
+        raise ConfigError(
+            f"field 'integrator.t_max' must exceed the launch offset {offset!r}, got {t_max!r}"
+        )
     return RunConfig(
         spec=spec,
-        launch_delta=None if delta is None else _positive(doc, "launch_delta", None),
+        launch_delta=delta,
         rel_tol=_positive(integ, "rel_tol", 1e-11, "integrator"),
         abs_tol=_positive(integ, "abs_tol", 1e-13, "integrator"),
-        t_max=_positive(integ, "t_max", 10.0, "integrator"),
+        t_max=t_max,
         chart=chart,
         expect=expect,
         raw=doc,
@@ -473,7 +484,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
     if cfg.chart == "both":
         from . import rescaled  # only the compact chart needs it
         if delta is None:
-            delta = rescaled.rescaled_default_delta(cfg.spec)
+            delta = rescaled_default_delta(cfg.spec)
         # the launch check and every compile happen here, before the fork,
         # so that this process keeps what they cache
         with _timed(timings, "solve_rescaled"):

@@ -9,10 +9,10 @@ the monitors.
 
 Each family's Ricci rates exist once in closed form (``_ricci_rates_split``);
 lpp has none of its own and is integrated as its degenerate dancer_wang
-embedding.  The same derivative can be assembled generically from the
-Ricci eigenvalues of an encoded structure-constant decomposition
-(``generic_rhs``); the two routes are kept independent on purpose and
-property-tested against each other.
+embedding.  The test suite holds an independent route to the same
+derivative, assembled from the Ricci eigenvalues of a structure-constant
+decomposition of each family, and property-tests the closed forms against
+it; nothing here depends on ``geometry``.
 
 The closed forms and the residuals built on them take the components as a
 sequence, f[i] being one component: a float for one state or an (N,) array
@@ -43,17 +43,14 @@ from operator import add, mul, truediv
 import numpy as np
 
 from .codegen import trace_function
-from .geometry import IsotropyDecomposition, ricci_eigenvalues
 
 __all__ = [
     "TwoSummandsAnsatz",
     "DancerWangAnsatz",
     "LuPagePopeAnsatz",
     "SolitonState",
-    "StateDerivative",
     "ProblemSpec",
     "flow_ansatz",
-    "generic_rhs",
     "make_vector_rhs",
     "pack_state",
     "unpack_state",
@@ -96,14 +93,6 @@ class TwoSummandsAnsatz:
     @property
     def collapsing_dim(self) -> int:
         return self.d1
-
-    def decomposition(self) -> IsotropyDecomposition:
-        """Structure-constant data reproducing this system's Ricci terms."""
-        t = np.zeros((2, 2, 2))
-        for perm in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
-            t[perm] = 4.0 * self.A3
-        b = (2.0 * self.A1 / self.d1 + 4.0 * self.A3 / self.d1, 2.0 * self.A2 / self.d2)
-        return IsotropyDecomposition(d=(self.d1, self.d2), b=b, triples=t)
 
     @cached_property
     def _rate_coefficients(self) -> tuple[float, ...]:
@@ -170,18 +159,6 @@ class DancerWangAnsatz:
         return self.m
 
     collapsing_dim = 1
-
-    def decomposition(self) -> IsotropyDecomposition:
-        s = self.m + 1
-        t = np.zeros((s, s, s))
-        for i in range(1, s):
-            v = self.d[i - 1] * self.q[i - 1] ** 2
-            for perm in ((0, i, i), (i, 0, i), (i, i, 0)):
-                t[perm] = v
-        b = (float(sum(di * qi**2 for di, qi in zip(self.d, self.q))),) + tuple(
-            2.0 * pi for pi in self.p
-        )
-        return IsotropyDecomposition(d=self.dims, b=b, triples=t)
 
     @cached_property
     def _rate_coefficients(self) -> tuple[tuple[float, ...], ...]:
@@ -270,16 +247,6 @@ class SolitonState:
         self.df = np.atleast_1d(np.asarray(self.df, dtype=float))
         if self.f.shape != self.df.shape:
             raise ValueError("f and df must have matching shapes")
-
-
-@dataclass
-class StateDerivative:
-    """d/dt of a SolitonState: (fdot_i, fddot_i, udot, uddot)."""
-
-    df: np.ndarray
-    ddf: np.ndarray
-    du: float
-    udd: float
 
 
 @dataclass(frozen=True)
@@ -381,28 +348,6 @@ def _ricci_rates_split(f, ansatz: Ansatz):
         rates[0] = term if i == 0 else rates[0] + term
         rates.append(p[i] / g2 - c2[i] * ff2 / g4)
     return 0.0, rates
-
-
-# -- right-hand sides --------------------------------------------------------
-
-
-def generic_rhs(state: SolitonState, ansatz: Ansatz, eps: float) -> StateDerivative:
-    """Assemble the flow from the general soliton equations instead.
-
-    The Ricci term comes from :func:`geometry.ricci_eigenvalues` on the
-    ansatz's encoded decomposition (metric scalings x_i = f_i^2).  Used as a
-    cross-check of the specialized right-hand sides, never at solve time.
-    """
-    if np.any(state.f <= 0.0):
-        raise ValueError("metric components must be positive to evaluate the flow")
-    rates = ricci_eigenvalues(flow_ansatz(ansatz).decomposition(), state.f**2)
-    d = ansatz.dims
-    z = state.df / state.f
-    H = -state.du + _dot(d, z)
-    dz = -H * z + eps / 2.0 + rates
-    ddf = state.f * (dz + z * z)
-    udd = float(_dot(d, dz + z * z)) - eps / 2.0
-    return StateDerivative(df=state.df.copy(), ddf=ddf, du=state.du, udd=udd)
 
 
 # -- cancellation-free assembly near the singular orbit -----------------------

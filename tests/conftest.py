@@ -7,7 +7,8 @@ import pytest
 
 from solitonlab.codegen import Tape, compile_function, extremum
 from solitonlab.geometry import scalar_curvature
-from solitonlab.rescaled import rescaled_default_delta, solve_rescaled
+from solitonlab.launch import rescaled_default_delta
+from solitonlab.rescaled import solve_rescaled
 from solitonlab.runio import load_config
 from solitonlab.systems import DancerWangAnsatz, LuPagePopeAnsatz, TwoSummandsAnsatz, flow_ansatz
 from solitonlab.trajectory import (
@@ -17,6 +18,8 @@ from solitonlab.trajectory import (
     solve_problem,
     two_summands_root_squares,
 )
+
+from oracles.structure import decomposition
 
 CONFIG_NAMES_GRID = [
     f"{system}_{tag}.json"
@@ -70,7 +73,7 @@ def u_second_derivative_identity(state, spec):
     sample."""
     d = np.asarray(spec.ansatz.dims, dtype=float)
     z = np.asarray(state.df) / np.asarray(state.f)
-    dec = flow_ansatz(spec.ansatz).decomposition()
+    dec = decomposition(flow_ansatz(spec.ansatz))
     tr_r = np.apply_along_axis(lambda x: scalar_curvature(dec, x), 0, np.asarray(state.f) ** 2)
     eps = spec.epsilon
     trace_terms = state.du**2 + d @ (z * z) - (d @ z) ** 2 + tr_r

@@ -8,15 +8,16 @@ be trusted.  It also extracts structure-constant data from a basis, which
 is how the two-summands constants of the quaternionic Hopf fibrations are
 produced.
 
-Test-support code: not needed at solve time, but shipped so decomposition
-files can be regenerated and audited.
+Test code: no command runs it.  The shipped ``hopf_sp1_sp2.json`` was
+extracted with it, and ``tests/test_lie_oracle.py`` compares the shipped
+decomposition files with a fresh extraction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import IsotropyDecomposition
+from solitonlab.geometry import IsotropyDecomposition
 
 __all__ = [
     "ExplicitHomogeneousSpace",

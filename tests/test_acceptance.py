@@ -7,7 +7,6 @@ fixture so the whole suite stays fast.
 import numpy as np
 import pytest
 
-from solitonlab import lie_bases as lb
 from solitonlab import monitors as M
 from solitonlab import rescaled as R
 from solitonlab.geometry import ricci_eigenvalues, scalar_curvature
@@ -21,6 +20,7 @@ from solitonlab.systems import (
 )
 
 from conftest import CONFIG_NAMES_GRID, comparison_ode_closed_form, load_shipped, solve_both_charts
+from oracles import lie_bases as lb
 from test_geometry import random_decomposition
 
 

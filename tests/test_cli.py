@@ -223,6 +223,31 @@ class TestSolve:
         assert code == 64
         assert f"'{where}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, changes, t_max, offset",
+        [
+            ("ts_e0_c1.json", {}, 1e-5, 1e-3),
+            ("ts_e0_c1.json", {}, 1e-3, 1e-3),  # at the offset
+            ("ts_e0_c1.json", {"launch_delta": 0.5}, 0.25, 0.5),
+            # with chart both, both charts launch at the compact chart's 1e-3,
+            # above the physical chart's own 1e-4
+            ("dw_m2_chart.json", {}, 5e-4, 1e-3),
+        ],
+    )
+    def test_a_horizon_at_or_below_the_launch_offset_is_config_error(
+        self, tmp_path, capsys, name, changes, t_max, offset
+    ):
+        # such a run would end reached_t_max with one sample, at the offset
+        doc = json.loads(config_path(name).read_text()) | changes
+        doc["integrator"]["t_max"] = t_max
+        cfg = write_json(tmp_path, "c.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert "'integrator.t_max'" in err and f"launch offset {offset!r}" in err
+        assert not (tmp_path / "o").exists()
+        if doc.get("chart") == "both":
+            assert load_config(doc | {"chart": "physical"}).t_max == t_max
+
     def test_integer_launch_delta_is_accepted(self):
         cfg = load_config(dict(BASE, launch_delta=1))
         assert (type(cfg.launch_delta), cfg.launch_delta) == (float, 1.0)
@@ -544,8 +569,7 @@ class TestChartBoth:
         # right-hand side divides by zero there; the compact chart's launch
         # check, made before any fork, refuses the slice first.  Either names
         # the launch time and 'initial', and numpy does not warn first.
-        from solitonlab.launch import default_delta
-        from solitonlab.rescaled import rescaled_default_delta
+        from solitonlab.launch import default_delta, rescaled_default_delta
 
         doc = {
             "system": "dancer_wang",
@@ -783,6 +807,26 @@ class TestSweep:
         assert "'C'" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
+    @pytest.mark.parametrize("grid", ["C=-1:-10:0", "C=-1:-10:-2"])
+    def test_a_grid_count_below_one_is_config_error(self, tmp_path, capsys, grid):
+        # such a grid has no cell: the sweep would run nothing and exit 0
+        cfg = write_json(tmp_path, "c.json", BASE)
+        assert main(["sweep", "--config", cfg, "--grid", grid, "--out", str(tmp_path / "sw")]) == 64
+        assert repr(grid) in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize(
+        "first, second, name", [("C=-1:-1:2", "C=-5:-1:1", "C"), ("g1=1:1:2", "g01=3:1:1", "g1")]
+    )
+    def test_a_grid_parameter_named_twice_is_config_error(self, tmp_path, capsys, first, second, name):
+        # the later axis would overwrite the earlier one in every cell, while
+        # the summary printed the earlier one's values
+        cfg = write_json(tmp_path, "c.json", BASE)
+        args = ["--grid", first, "--grid", second, "--out", str(tmp_path / "sw")]
+        assert main(["sweep", "--config", cfg, *args]) == 64
+        assert repr(name) in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_bad_grid_spec(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", BASE)
         assert main(["sweep", "--config", cfg, "--grid", "C=oops", "--out", str(tmp_path / "sw")]) == 64
@@ -826,6 +870,20 @@ class TestProbe:
         report = json.loads((out / "probe_report.json").read_text())
         assert report["bracket"] == [-17.733894587578856, -17.83018788153428]
         assert (report["n_solves"], report["excluded"]) == (17, [])
+
+    @pytest.mark.parametrize(
+        "changes, tau, offset",
+        [({}, 1e-5, 1e-4), ({}, 1e-4, 1e-4), ({"launch_delta": 0.5}, 0.25, 0.5)],
+    )
+    def test_a_tau_at_or_below_the_launch_offset_is_config_error(self, tmp_path, capsys, changes, tau, offset):
+        # such a probe would bracket -udot at the offset, not at tau
+        doc = json.loads(config_path("ts_probe_d1.json").read_text()) | changes
+        cfg = write_json(tmp_path, "c.json", doc)
+        code = main(["probe-c0", "--config", cfg, "--c", "5", "--tau", repr(tau), "--out", str(tmp_path / "o")])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "--tau" in err and f"launch offset {offset!r}" in err
+        assert not (tmp_path / "o").exists()
 
     def test_unreachable_target_exits_three(self, tmp_path, capsys):
         doc = dict(BASE, C=-1.0)

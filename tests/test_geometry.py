@@ -5,8 +5,6 @@ import pytest
 
 from solitonlab.geometry import (
     IsotropyDecomposition,
-    decomposition_to_dict,
-    killing_curvature_bound,
     load_decomposition,
     ricci_eigenvalues,
     scalar_curvature,
@@ -14,6 +12,7 @@ from solitonlab.geometry import (
 )
 
 from conftest import decomposition_path
+from oracles.structure import decomposition_to_dict, killing_curvature_bound
 
 
 def random_decomposition(rng, s=None, abelian=False):

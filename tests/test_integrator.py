@@ -225,6 +225,13 @@ def test_config_guards():
         IntegratorConfig(t_max=-1.0)
 
 
+@pytest.mark.parametrize("t_max", [0.25, 0.125])
+def test_a_horizon_at_or_before_the_start_is_refused(t_max):
+    # a run with no interval would be the start alone, reached_t_max
+    with pytest.raises(ValueError, match="t_max"):
+        integrate(contracting_rhs(2.0), 0.25, [0.0], IntegratorConfig(t_max=t_max))
+
+
 def _error_norm_oracle(err, y_old, y_new, rtol, atol):
     """The step error norm as first written, kept as the reference."""
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))

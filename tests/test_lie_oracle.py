@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from solitonlab import lie_bases as lb
 from solitonlab.geometry import load_decomposition, ricci_eigenvalues, scalar_curvature, validate
 
 from conftest import decomposition_path
+from oracles import lie_bases as lb
 
 
 @pytest.mark.parametrize("name", ["su2", "su2su2_product", "su2su2_diag_u1", "hopf_m1"])

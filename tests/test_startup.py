@@ -28,7 +28,7 @@ from conftest import (
 )
 
 # modules that only some commands use: run ids (hashlib), the compact chart
-# (rescaled) and the basis-level curvature oracle (lie_bases); and a process
+# (rescaled) and the curvature of a decomposition (geometry); and a process
 # pool's (concurrent.futures and multiprocessing, and the logging that
 # concurrent.futures loads), which no command uses: a sweep forks its
 # children itself
@@ -38,7 +38,7 @@ COMMAND_ONLY = (
     "logging",
     "hashlib",
     "solitonlab.rescaled",
-    "solitonlab.lie_bases",
+    "solitonlab.geometry",
 )
 
 
@@ -81,7 +81,9 @@ def test_a_parallel_sweep_loads_no_process_pool(tmp_path):
     )
     loaded = modules_loaded_by(code, str(config_path("ts_e0_c1.json")), str(tmp_path / "sw"))
     assert "solitonlab.runio" in loaded
-    assert sorted(loaded.intersection(("concurrent.futures", "multiprocessing"))) == []
+    # no process pool, and not the curvature module: no solve imports geometry
+    unused = ("concurrent.futures", "multiprocessing", "solitonlab.geometry")
+    assert sorted(loaded.intersection(unused)) == []
 
 
 def test_curvature_loads_no_solver_module():
@@ -91,8 +93,7 @@ def test_curvature_loads_no_solver_module():
         "print(json.dumps([*sys.modules]) if code == 0 else code)"
     )
     loaded = modules_loaded_by(code, str(decomposition_path("hopf_sp1_sp2.json")))
-    assert "solitonlab.geometry" in loaded
-    assert sorted(loaded.intersection(SOLVER + COMMAND_ONLY)) == []
+    assert sorted(loaded.intersection(SOLVER + COMMAND_ONLY)) == ["solitonlab.geometry"]
 
 
 def keys_of(report) -> list:

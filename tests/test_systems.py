@@ -12,7 +12,6 @@ from solitonlab.systems import (
     conservation_residual,
     conservation_residual_curvature,
     flow_ansatz,
-    generic_rhs,
     kahler_residual,
     make_vector_rhs,
     pack_state,
@@ -23,6 +22,7 @@ from solitonlab.systems import (
 from solitonlab.systems import _second_rates_stable
 
 from conftest import u_second_derivative_identity
+from oracles.structure import decomposition, generic_rhs
 
 HOPF = TwoSummandsAnsatz(3, 4, 6.0, 48.0, 12.0)
 DW1 = DancerWangAnsatz((2,), (2,), (1,))
@@ -248,7 +248,7 @@ class TestConservedQuantities:
     def test_identity_reduces_to_curvature_for_static_slice(self):
         spec = ProblemSpec(HOPF, 0.0, 0.0, (1.0,))
         st_ = rest_state([1.7, 2.4], HOPF)
-        tr_ricci = scalar_curvature(flow_ansatz(HOPF).decomposition(), st_.f**2)
+        tr_ricci = scalar_curvature(decomposition(flow_ansatz(HOPF)), st_.f**2)
         # the identity in the package's grouping is the curvature residual
         # plus 2 (C + eps u - H udot), which vanishes on this slice
         assert conservation_residual_curvature(st_, spec) == pytest.approx(tr_ricci, rel=1e-14)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solitonlab.geometry import killing_curvature_bound, scalar_curvature
+from solitonlab.geometry import scalar_curvature
 from solitonlab.launch import launch
 from solitonlab.monitors import classify_completeness, dw_apriori_monitor
 from solitonlab.runio import _jsonable, build_report, load_config, run_solve
@@ -27,6 +27,7 @@ from conftest import (
     load_shipped,
     u_second_derivative_identity,
 )
+from oracles.structure import decomposition, killing_curvature_bound
 
 
 def test_samples_are_strictly_increasing_and_valid(shipped_runs):
@@ -39,7 +40,7 @@ def test_scalar_curvature_bound_along_trajectories(shipped_runs):
     # tr r <= (1/2) sum d_i b_i / f_i^2 with the ansatz's encoded Killing data
     for name in ("ts_complete_steady.json", "dw_complete_steady.json", "lpp_e1_c10.json"):
         traj = shipped_runs[name]
-        dec = flow_ansatz(traj.spec.ansatz).decomposition()
+        dec = decomposition(flow_ansatz(traj.spec.ansatz))
         for st in traj.states[:: max(1, len(traj.states) // 200)]:
             bound = killing_curvature_bound(dec, st.f**2)
             assert scalar_curvature(dec, st.f**2) <= bound + 1e-10 * (1 + abs(bound))
