@@ -14,10 +14,11 @@ import contextlib
 import copy
 import functools
 import json
+import math
 import os
 import sys
 
-from . import __version__, _fmt
+from . import __version__, _beside, _fmt
 
 # each command imports what it runs: the solver modules (runio, monitors and
 # what they load) for solve, sweep and probe-c0, geometry for curvature, so
@@ -101,7 +102,7 @@ def _apply_param(doc: dict, param: str, value: float):
 
 
 def cmd_sweep(args) -> int:
-    from .runio import ConfigError, _atomic_write, _beside, load_config, run_solve, write_json
+    from .runio import ConfigError, _atomic_write, load_config, run_solve, write_json
 
     if args.jobs < 1:
         return _fail(EX_CONFIG, f"--jobs must be at least 1, got {args.jobs}")
@@ -199,10 +200,12 @@ def cmd_probe_c0(args) -> int:
         cfg = load_config(args.config)
     except ConfigError as exc:
         return _fail(EX_CONFIG, str(exc))
-    if args.c <= 0:
-        return _fail(EX_CONFIG, "probe needs --c > 0")
+    if not 0.0 < args.c < math.inf:
+        return _fail(EX_CONFIG, f"probe needs a finite --c > 0, got {args.c!r}")
     # the probe's solves run in the physical chart, from its launch offset
     offset = default_delta(cfg.spec) if cfg.launch_delta is None else cfg.launch_delta
+    if not math.isfinite(args.tau):
+        return _fail(EX_CONFIG, f"--tau must be finite, got {args.tau!r}")
     if not args.tau > offset:
         return _fail(EX_CONFIG, f"--tau must exceed the launch offset {offset!r}, got {args.tau!r}")
     os.makedirs(args.out, exist_ok=True)

@@ -10,11 +10,17 @@ monitored invariant intact -- never a claim of mathematical completeness.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import math
+import os
+import pickle
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import Report
+from . import Report, _beside
 from .systems import (
     DancerWangAnsatz,
     LuPagePopeAnsatz,
@@ -488,6 +494,8 @@ class GrowthProbeReport(Report):
     n_accepted: int
     n_rejected: int
     n_rhs: int
+    lanes: int
+    n_unused: int
 
 
 def curvature_budget_at_launch(spec: ProblemSpec, delta: float | None = None) -> float:
@@ -504,46 +512,25 @@ def curvature_budget_at_launch(spec: ProblemSpec, delta: float | None = None) ->
     return float(_sum([d * p / g**2 for d, p, g in zip(a.d, a.p, spec.initial)]))
 
 
-def growth_probe(
-    spec: ProblemSpec,
-    c: float,
-    tau: float,
-    rel_tol: float = 1e-11,
-    abs_tol: float = 1e-13,
-    delta: float | None = None,
-) -> GrowthProbeReport:
-    """Bracket the weakest conservation constant driving -udot(tau) >= c.
+_WORK = ("n_accepted", "n_rejected", "n_rhs")  # a probe's work counts, summed over its solves
 
-    Doubles C from -1/8, one solve at a time, and stops one grid point past
-    the first C whose slope reaches c; with no success above ``_C_LIMIT`` it
-    raises ``ProbeRangeError``.  It then bisects in log|C| between that
-    success and the weakest failing point above it until the bracket is 1%
-    tight.  The first success in scan order is the weakest success of the
-    whole grid, so stopping early changes no bracket end.  Runs whose shape operator loses positivity before tau
-    are excluded and reported; a flat warped circle's g2, which the flow
-    fixes, is left out of that test as it is out of the shape row.
-    """
-    if c <= 0 or tau <= 0:
-        raise ValueError("slope target c and probe time tau must be positive")
 
-    samples: dict[float, float] = {}
-    excluded: list[float] = []
-    work = {"n_accepted": 0, "n_rejected": 0, "n_rhs": 0}
-    shaped = slice(-1) if _flat_circle(spec) else slice(None)  # the tested columns of df
+class _Pending(Exception):
+    """A replay of the search asked for a C, ``args[0]``, whose solve has no
+    outcome yet."""
 
-    def slope_of(C):
-        """-udot(tau) of the run at C, or None when it is excluded."""
-        if C in excluded or C in samples:  # a midpoint can land on an excluded grid point
-            return samples.get(C)
-        t = solve_problem(spec.with_C(C), t_max=tau, rel_tol=rel_tol, abs_tol=abs_tol, delta=delta)
-        for key in work:
-            work[key] += getattr(t.result, key)
-        if not t.reached_horizon or not np.all(t.df[:, shaped] > 0.0):
-            excluded.append(C)
-            return None
-        samples[C] = float(-t.du[-1])
-        return samples[C]
 
+def _search(slope_of, c: float):
+    """The probe's search: doubles C from -1/8, one ``slope_of(C)`` at a
+    time, and stops one grid point past the first C whose slope reaches c.
+    It then bisects in log|C| between that success and the weakest failing
+    point above it until the bracket is 1% tight.  ``slope_of(C)`` is
+    -udot(tau) of the run at C, or None when the run is excluded.  Returns
+    (c_fail or None, c_success), or None when no C above ``_C_LIMIT``
+    reaches c.
+
+    The first success in scan order is the weakest success of the whole
+    grid, so stopping early changes no bracket end."""
     c_success = c_fail = None
     C = _C_START
     while C > _C_LIMIT:
@@ -557,9 +544,7 @@ def growth_probe(
                 c_fail = C
         C *= 2.0
     if c_success is None:
-        raise ProbeRangeError(
-            f"no admissible C in ({_C_LIMIT:g}, {_C_START:g}] reaches -udot({tau:g}) >= {c:g}"
-        )
+        return None
     if c_fail is not None:
         while (c_fail - c_success) > _BRACKET_REL * abs(c_success):
             mid = -np.sqrt(c_fail * c_success)  # geometric midpoint, both negative
@@ -570,9 +555,192 @@ def growth_probe(
                 c_success = mid
             else:
                 c_fail = mid
+    return c_fail, c_success
+
+
+def _replay(outcomes: dict, c: float, asked: dict | None = None):
+    """``_search`` on the outcomes known so far: C -> (slope or None, work
+    counts), or the exception C's solve raised, which is raised here if the
+    search asks for C.  Raises ``_Pending`` at the first C it asks for
+    without an outcome.  ``asked`` gets the C values asked for, in order."""
+
+    def slope_of(C):
+        if C not in outcomes:
+            raise _Pending(C)
+        if asked is not None:
+            asked[C] = None
+        outcome = outcomes[C]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome[0]
+
+    return _search(slope_of, c)
+
+
+def _guess(outcomes: dict, C, c: float) -> float:
+    """A slope for C before its solve ends: below c while no run has
+    reached c.  After that, above c exactly when |C| lies at or beyond
+    where the line through the weakest success and the strongest failure
+    weaker than it crosses c, in (log|C|, slope).  A wrong guess costs a
+    solve, never a result."""
+    known = [(abs(k), o[0]) for k, o in outcomes.items() if isinstance(o, tuple) and o[0] is not None]
+    successes = [x for x in known if x[1] >= c]
+    if not successes:
+        return -math.inf
+    x1, s1 = min(successes)
+    crossing = math.log(x1)
+    failures = [x for x in known if x[0] < x1]  # each below c: x1 is the weakest success
+    if failures:
+        x0, s0 = max(failures)
+        crossing = math.log(x0) + (c - s0) / (s1 - s0) * (crossing - math.log(x0))
+    return math.inf if math.log(abs(C)) >= crossing else -math.inf
+
+
+def _next_request(outcomes: dict, C, c: float):
+    """The C the search asks for after C if C's slope is as ``_guess``
+    says; None when the search would then end or ask for a C already
+    solved."""
+    trial = {k: o for k, o in outcomes.items() if isinstance(o, tuple)}
+    trial[C] = (_guess(outcomes, C, c), None)
+    try:
+        _replay(trial, c)
+    except _Pending as pending:
+        (C_next,) = pending.args
+        return None if C_next in outcomes else C_next
+    return None
+
+
+def _lanes() -> int:
+    """2 where this process can fork and may run on more than one CPU, else 1."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return 2 if len(cpus) > 1 else 1
+
+
+@contextlib.contextmanager
+def _second_lane(solve):
+    """A forked child (see ``_beside``) that makes ``solve(C)`` for each C
+    sent to it, one at a time, and sends back its outcome, or the
+    exception it raised.  Yields the lane: ``lane.ask(C)`` sends C, and
+    ``lane.answer()`` waits for the oldest unanswered outcome and raises
+    ``EOFError`` once the child is gone.  Leaving the block ends the
+    requests and reaps the child, which is killed first if the block
+    raised."""
+    fds = os.pipe() + os.pipe()
+    with contextlib.ExitStack() as stack:
+        requests_in, requests, outcomes, outcomes_out = [
+            stack.enter_context(open(fd, mode)) for fd, mode in zip(fds, ("rb", "wb", "rb", "wb"))
+        ]
+
+        def serve():
+            requests.close()
+            outcomes.close()
+            while True:
+                try:
+                    C = pickle.load(requests_in)
+                except EOFError:
+                    return
+                try:
+                    outcome = solve(C)
+                except Exception as exc:  # raised by the parent if the search asks for C
+                    outcome = exc
+                outcomes_out.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+                outcomes_out.flush()
+
+        with _beside(serve) as join:
+            requests_in.close()
+            outcomes_out.close()
+
+            def ask(C):
+                requests.write(pickle.dumps(C, pickle.HIGHEST_PROTOCOL))
+                requests.flush()
+
+            yield SimpleNamespace(ask=ask, answer=functools.partial(pickle.load, outcomes))
+            requests.close()
+            with contextlib.suppress(Exception):  # a failed child cost time, never a result
+                join()
+
+
+def growth_probe(
+    spec: ProblemSpec,
+    c: float,
+    tau: float,
+    rel_tol: float = 1e-11,
+    abs_tol: float = 1e-13,
+    delta: float | None = None,
+) -> GrowthProbeReport:
+    """Bracket the weakest conservation constant driving -udot(tau) >= c.
+
+    Runs ``_search`` with one solve per C it asks for; with no success
+    above ``_C_LIMIT`` it raises ``ProbeRangeError``.  Runs whose shape
+    operator loses positivity before tau are excluded and reported; a flat
+    warped circle's g2, which the flow fixes, is left out of that test as
+    it is out of the shape row.
+
+    With two lanes (``_lanes``), a forked child solves the C the search
+    will ask for next, found by replaying the search with a guessed outcome
+    (``_guess``) for the C this process solves meanwhile.  The search is
+    replayed on the outcomes known so far until it finishes; the report is
+    built from the C values its last replay asked for, so it is the one-lane
+    report, and ``n_unused`` counts the child's solves it never asked for.
+    If the child dies, this process finishes the search alone.
+    """
+    if not (0.0 < c < math.inf and 0.0 < tau < math.inf):
+        raise ValueError("slope target c and probe time tau must be finite and positive")
+    shaped = slice(-1) if _flat_circle(spec) else slice(None)  # the tested columns of df
+
+    def solve(C):
+        """-udot(tau) of the run at C, or None when it is excluded, and the
+        run's work counts."""
+        t = solve_problem(spec.with_C(C), t_max=tau, rel_tol=rel_tol, abs_tol=abs_tol, delta=delta)
+        work = tuple(getattr(t.result, key) for key in _WORK)
+        if not t.reached_horizon or not np.all(t.df[:, shaped] > 0.0):
+            return None, work
+        return float(-t.du[-1]), work
+
+    lanes = _lanes()
+    outcomes: dict = {}
+    with _second_lane(solve) if lanes == 2 else contextlib.nullcontext() as lane:
+        in_flight = None  # the C the child is solving
+        while True:
+            asked: dict = {}
+            try:
+                found = _replay(outcomes, c, asked)
+                break
+            except _Pending as pending:
+                (C,) = pending.args
+            # wait for the child's solve: the search needs it now, or the
+            # child must be free for the next guess
+            if in_flight is not None:
+                try:
+                    outcomes[in_flight] = lane.answer()
+                except (EOFError, pickle.UnpicklingError):
+                    lane = None  # the child is gone: go on alone
+                in_flight = None
+                if C in outcomes:
+                    continue
+            if lane is not None:
+                in_flight = _next_request(outcomes, C, c)
+                if in_flight is not None:
+                    try:
+                        lane.ask(in_flight)
+                    except OSError:
+                        lane = in_flight = None
+            outcomes[C] = solve(C)
+        if in_flight is not None:  # a guess the search did not follow
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                outcomes[in_flight] = lane.answer()
+    if found is None:
+        raise ProbeRangeError(
+            f"no admissible C in ({_C_LIMIT:g}, {_C_START:g}] reaches -udot({tau:g}) >= {c:g}"
+        )
+    c_fail, c_success = found
+    samples = {C: outcomes[C][0] for C in asked if outcomes[C][0] is not None}
     ordered = sorted(samples.items())  # most negative first
     slopes = [s for _, s in ordered]
     monotone = all(a >= b - 1e-12 for a, b in zip(slopes, slopes[1:]))
+    work = map(sum, zip(*(outcomes[C][1] for C in asked)))
     return GrowthProbeReport(
         anchor="empirical threshold on the conservation constant prescribing the potential's slope",
         c=float(c),
@@ -581,8 +749,10 @@ def growth_probe(
         empirical_C0=float(c_success),
         bracket=(None if c_fail is None else float(c_fail), float(c_success)),
         samples=[(float(k), float(v)) for k, v in ordered],
-        excluded=sorted(excluded),
+        excluded=sorted(C for C in asked if outcomes[C][0] is None),
         monotone=bool(monotone),
-        n_solves=len(samples) + len(excluded),
-        **work,
+        n_solves=len(asked),
+        **dict(zip(_WORK, work)),
+        lanes=lanes,
+        n_unused=len(outcomes) - len(asked),
     )

@@ -16,8 +16,8 @@ sample's margin, the minimum of its candidates, exceeds -slack.
 
 The events and the validity test every attempt passes are compiled into
 straight-line code and cached, per component count (``_min_of``,
-``_overflow``, ``_validity``) or per ansatz, initial orbit sizes and
-flat-circle flag (``_row_events``).  Each min and max is taken as the
+``_overflow``, ``_validity``) or per ansatz, circle-bundle pair constant
+c0 and flat-circle flag (``_row_events``).  Each min and max is taken as the
 builtin takes it (``codegen.extremum``), so the same floats are compared in
 the same order as by ``min``/``max`` over the candidates, on a list of
 floats at accepted points and on an array on the continuous extension.
@@ -122,7 +122,15 @@ def invariants(spec: ProblemSpec) -> tuple[Invariant, ...]:
     """The state invariants of spec's ansatz, each declared once: every
     fdot_i > 0, then the preserved set (the two-summands ratio window, the
     warped-product ratio bound or the circle-bundle a priori bounds)."""
-    return _invariants(spec.ansatz, spec.initial, _flat_circle(spec))
+    return _invariants(spec.ansatz, _pair_constant(spec), _flat_circle(spec))
+
+
+def _pair_constant(spec: ProblemSpec) -> float | None:
+    """All that a row reads of the initial orbit sizes: the circle-bundle
+    pair constant c0 (1 for a single factor, whatever its size); None for
+    the other families, whose rows read none of them."""
+    a = spec.ansatz
+    return dw_pair_bound_constant(a, spec.initial) if isinstance(a, DancerWangAnsatz) else None
 
 
 def _flat_circle(spec: ProblemSpec) -> bool:
@@ -135,7 +143,7 @@ def _flat_circle(spec: ProblemSpec) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _invariants(a, initial: tuple[float, ...], flat_circle: bool) -> tuple[Invariant, ...]:
+def _invariants(a, c0: float | None, flat_circle: bool) -> tuple[Invariant, ...]:
     k = len(a.dims)
     shaped = a.component_names[:-1] if flat_circle else a.component_names
     shape = Invariant(
@@ -162,7 +170,6 @@ def _invariants(a, initial: tuple[float, ...], flat_circle: bool) -> tuple[Invar
         )
     if not isinstance(a, DancerWangAnsatz):
         raise TypeError(f"unknown ansatz type {type(a)!r}")
-    c0 = dw_pair_bound_constant(a, initial)
     b = dw_omega_sq_bounds(a, c0).tolist()
     g = range(1, a.m + 1)
     pairs = [(i, j) for i in g for j in g] if a.m > 1 else []
@@ -176,12 +183,12 @@ def _invariants(a, initial: tuple[float, ...], flat_circle: bool) -> tuple[Invar
 
 
 @lru_cache(maxsize=None)
-def _row_events(a, initial: tuple[float, ...], flat_circle: bool) -> tuple[EventSpec, ...]:
+def _row_events(a, c0: float | None, flat_circle: bool) -> tuple[EventSpec, ...]:
     """Each invariant row traced into an event: the minimum of its
     candidates, taken as ``min`` takes it.  A margin no state moves never
     crosses zero and gets none."""
     events = []
-    for row in _invariants(a, initial, flat_circle):
+    for row in _invariants(a, c0, flat_circle):
         tape = Tape()
         y = [tape.var(f"y{j}") for j in range(2 * len(a.dims) + 2)]
         values = list(row.candidates(y).values())
@@ -190,7 +197,8 @@ def _row_events(a, initial: tuple[float, ...], flat_circle: bool) -> tuple[Event
             # each component the row uses is read from the state once, first
             used = set(re.findall(r"\w+", "\n".join(lines)))
             lines = [f"{v.name} = y[{j}]" for j, v in enumerate(y) if v.name in used] + lines
-            label = f"{row.event} {a!r} {initial!r}" + (" flat circle" if flat_circle else "")
+            label = f"{row.event} {a!r}" + (f" c0={c0!r}" if c0 is not None else "")
+            label += " flat circle" if flat_circle else ""
             fn = _state_test(label, "t, y", lines, "m", tape.namespace)
             events.append(EventSpec(row.event, fn))
     return tuple(events)
@@ -248,7 +256,7 @@ def _validity(n: int, k: int):
 
 def standard_events(spec: ProblemSpec) -> tuple[EventSpec, ...]:
     k = len(spec.ansatz.dims)
-    events = _row_events(spec.ansatz, spec.initial, _flat_circle(spec))
+    events = _row_events(spec.ansatz, _pair_constant(spec), _flat_circle(spec))
     return (*events, EventSpec("overflow", _overflow(2 * k + 2)))
 
 

@@ -208,7 +208,8 @@ def classify_oracle(traj):
 # The fields of each report type, in order, as its dataclass listed them before
 # the reports became ``solitonlab.Report`` records.  ``dataclasses.asdict``
 # emitted exactly these keys, defaults included, so report.json,
-# probe_report.json and the curvature check's report must keep them.
+# probe_report.json and the curvature check's report must keep them.  Fields
+# added since come last (the probe's ``lanes`` and ``n_unused``).
 
 REPORT_FIELDS = {
     name: tuple(fields.split())
@@ -230,7 +231,7 @@ REPORT_FIELDS = {
         "LppBoundReport": "anchor bound max_omega1_sq ok",
         "KahlerReport": "anchor max_abs_residual per_factor_max on_locus",
         "GrowthProbeReport": "anchor c tau c_star empirical_C0 bracket samples excluded "
-        "monotone n_solves n_accepted n_rejected n_rhs",
+        "monotone n_solves n_accepted n_rejected n_rhs lanes n_unused",
         "Verdict": "kind t_star reasons note",
         "ValidationReport": "symmetry_violations negativity_violations wang_ziller_residuals",
         "LocusResiduals": "anchor einstein_linear einstein_quadratic kahler_square "

@@ -801,6 +801,20 @@ class TestSweep:
         assert all(c["kernel_compiles"] > 0 and c["kernel_compile_s"] > 0.0 for c in counters["first"])
         assert counters["again"] == [{"kernel_compiles": 0, "kernel_compile_s": 0.0}] * 2
 
+    def test_a_g1_sweep_of_one_factor_compiles_its_events_once(self, tmp_path):
+        # with one factor the rows read no orbit size (c0 = 1 for every g1),
+        # so the cells after the first compile nothing
+        from solitonlab import trajectory
+
+        trajectory._row_events.cache_clear()
+        cfg = shipped("dw_e0_c1.json", tmp_path)
+        args = ["--grid", "g1=0.8:0.2:3", "--jobs", "1", "--out", str(tmp_path / "sw")]
+        assert main(["sweep", "--config", cfg, *args]) == 0
+        manifests = [json.loads((tmp_path / f"sw/cell_{i:04d}/manifest.json").read_text()) for i in range(3)]
+        compiles = [m["counters"]["kernel_compiles"] for m in manifests]
+        assert compiles[0] >= 2 and compiles[1:] == [0, 0]
+        assert trajectory._row_events.cache_info().currsize == 1
+
     def test_non_finite_grid_value_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", BASE)
         assert main(["sweep", "--config", cfg, "--grid", "C=nan:1:2", "--out", str(tmp_path / "sw")]) == 64
@@ -843,6 +857,7 @@ class TestProbe:
         assert report["empirical_C0"] < 0
         assert report["n_solves"] == len(report["samples"]) + len(report["excluded"])
         assert report["n_rhs"] >= 6 * report["n_accepted"] > 0
+        assert report["lanes"] in (1, 2) and report["n_unused"] == 0
         line = capsys.readouterr().out
         assert f"solves={report['n_solves']} n_rhs={report['n_rhs']}" in line
         lines = (out / "probe_samples.csv").read_text().splitlines()
@@ -883,6 +898,19 @@ class TestProbe:
         assert code == 64
         err = capsys.readouterr().err
         assert "--tau" in err and f"launch offset {offset!r}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--c", "nan"), ("--c", "inf"), ("--tau", "inf"), ("--tau", "nan")]
+    )
+    def test_a_non_finite_target_or_time_is_config_error(self, tmp_path, capsys, flag, value):
+        # --c nan once ran the whole scan and exited 3; --tau inf integrated
+        # each run to an infinite horizon
+        cfg = shipped("ts_probe_d1.json", tmp_path)
+        values = {"--c": "5", "--tau": "0.5"} | {flag: value}
+        args = [arg for item in values.items() for arg in item]
+        assert main(["probe-c0", "--config", cfg, *args, "--out", str(tmp_path / "o")]) == 64
+        assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unreachable_target_exits_three(self, tmp_path, capsys):

@@ -1,6 +1,9 @@
+import collections
 import copy
 import dataclasses
+import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from solitonlab import monitors as M
 from solitonlab.integrator import IntegrationResult
+from solitonlab.runio import load_config
 from solitonlab.systems import (
     DancerWangAnsatz,
     ProblemSpec,
@@ -18,7 +22,9 @@ from solitonlab.systems import (
 )
 from solitonlab.trajectory import Trajectory, dw_pair_bound_constant, lpp_ratio_bound, solve_problem
 
-from conftest import SHIPPED_CONFIG_NAMES, classify_oracle, comparison_ode_closed_form, load_shipped
+from conftest import (
+    SHIPPED_CONFIG_NAMES, classify_oracle, comparison_ode_closed_form, config_path, load_shipped,
+)
 
 
 def one_sample_run(state, spec):
@@ -393,22 +399,62 @@ def _full_scan_bracket(slope_of, c, c_start=-0.125, c_limit=-1e9, bracket_rel=0.
     return (c_fail, c_success), samples, excluded
 
 
+def _append(path, *values):
+    """Append one line of floats to path.  The file is opened for appending,
+    so each line lands whole, from whichever process writes it."""
+    with open(path, "a") as fh:
+        fh.write(" ".join(repr(float(v)) for v in values) + "\n")
+
+
+def _lines(path) -> list:
+    """The lines ``_append`` wrote to path, as tuples of floats."""
+    if not path.exists():
+        return []
+    return [tuple(map(float, line.split())) for line in path.read_text().splitlines()]
+
+
+def _one_lane(**probe):
+    """growth_probe without os.fork, so in one process."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(os, "fork")
+        return M.growth_probe(**probe)
+
+
+def _same_report(two, one):
+    """two is one's report, but for the lanes and the unused solves."""
+    assert (one.lanes, one.n_unused) == (1, 0)
+    assert two.lanes == M._lanes()
+    assert vars(two) == vars(one) | {"lanes": two.lanes, "n_unused": two.n_unused}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _lpp_flat_circle():
+    """lpp_e0_c1 with a warped circle, d2 = 1."""
+    doc = json.loads(config_path("lpp_e0_c1.json").read_text())
+    doc["ansatz"]["d2"] = 1
+    return load_config(doc).spec
+
+
 class TestGrowthProbe:
     @staticmethod
-    def _count_solves(monkeypatch):
+    def _count_solves(monkeypatch, path):
         """Record the C and the step counts of every solve the probe makes
-        through the module's ``solve_problem``."""
-        solved, work = [], []
+        through the module's ``solve_problem``, in either lane, as a line of
+        ``path``; returns the reader of those lines."""
         solve = M.solve_problem
 
         def counted(spec, *args, **kwargs):
             traj = solve(spec, *args, **kwargs)
-            solved.append(spec.C)
-            work.append((traj.result.n_accepted, traj.result.n_rejected, traj.result.n_rhs))
+            r = traj.result
+            _append(path, spec.C, r.n_accepted, r.n_rejected, r.n_rhs)
             return traj
 
         monkeypatch.setattr(M, "solve_problem", counted)
-        return solved, work
+        return lambda: _lines(path)
 
     def test_probe_brackets_threshold(self, shipped_runs):
         spec = shipped_runs["ts_probe_d1.json"].spec
@@ -423,28 +469,40 @@ class TestGrowthProbe:
 
     def test_probe_rejects_bad_arguments(self, shipped_runs):
         spec = shipped_runs["ts_probe_d1.json"].spec
-        with pytest.raises(ValueError, match="positive"):
-            M.growth_probe(spec, c=-1.0, tau=0.5)
+        for c, tau in [(-1.0, 0.5), (0.0, 0.5), (math.nan, 0.5), (math.inf, 0.5), (5.0, 0.0),
+                       (5.0, math.nan), (5.0, math.inf)]:
+            with pytest.raises(ValueError, match="finite and positive"):
+                M.growth_probe(spec, c=c, tau=tau)
 
-    def test_probe_range_error(self, shipped_runs, monkeypatch):
+    def test_probe_range_error(self, shipped_runs, monkeypatch, tmp_path):
         spec = shipped_runs["ts_probe_d1.json"].spec
-        solved, _ = self._count_solves(monkeypatch)
+        solved = self._count_solves(monkeypatch, tmp_path / "solves")
         monkeypatch.setattr(M, "_C_LIMIT", -1.0)
         with pytest.raises(M.ProbeRangeError, match=r"no admissible C in \(-1, -0.125\]"):
             M.growth_probe(spec, c=50.0, tau=0.5)
-        assert solved == [-0.125, -0.25, -0.5]  # the whole grid above the limit
+        # the whole grid above the limit, each point once
+        assert sorted(C for C, *_ in solved()) == [-0.5, -0.25, -0.125]
+        _no_child_left()
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
         nodes=st.lists(st.floats(0.0, 10.0), min_size=34, max_size=34),
         holes=st.sets(st.integers(0, 33), max_size=6),
         c=st.floats(0.5, 9.5),
+        guess=st.sampled_from([None, -math.inf, math.inf]),
     )
-    def test_early_stop_keeps_the_full_scan_bracket(self, shipped_runs, nodes, holes, c):
+    def test_early_stop_keeps_the_full_scan_bracket(
+        self, shipped_runs, tmp_path_factory, nodes, holes, c, guess
+    ):
         """On slopes that need not be monotone, with excluded runs around some
         grid points (a bisection midpoint can land on one), the probe returns
-        the full scan's bracket and a subset of its samples."""
+        the full scan's bracket and a subset of its samples, and two lanes
+        return the one-lane report.  The slopes here are linear in log|C|
+        between grid points, as ``_guess`` interpolates them, so its guesses
+        hold; a guess fixed at failure or at success sends the child C values
+        the search does not ask for."""
         spec = shipped_runs["ts_probe_d1.json"].spec
+        log = tmp_path_factory.mktemp("solves") / "solves"
 
         def slope_of(C):
             x = float(np.log2(C / -0.125))  # the grid index, exact on grid points
@@ -452,10 +510,8 @@ class TestGrowthProbe:
                 return None
             return float(np.interp(x, np.arange(34), nodes))
 
-        solved = []
-
         def fake_solve(spec, **kwargs):
-            solved.append(spec.C)
+            _append(log, spec.C)
             s = slope_of(spec.C)
             return SimpleNamespace(
                 reached_horizon=s is not None,
@@ -464,34 +520,171 @@ class TestGrowthProbe:
                 result=SimpleNamespace(n_accepted=1, n_rejected=0, n_rhs=6),
             )
 
+        def solved():
+            """The C of every solve since the last call, in either lane."""
+            Cs = [C for C, in _lines(log)]
+            log.unlink(missing_ok=True)
+            return Cs
+
         want = _full_scan_bracket(slope_of, c)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "solve_problem", fake_solve)
+            if guess is not None:
+                mp.setattr(M, "_guess", lambda outcomes, C, c: guess)
             if want is None:
                 with pytest.raises(M.ProbeRangeError):
                     M.growth_probe(spec, c=c, tau=0.5)
-                assert len(solved) == 33
+                assert len(solved()) == 33
+                with pytest.raises(M.ProbeRangeError):
+                    _one_lane(spec=spec, c=c, tau=0.5)
+                assert len(solved()) == 33
                 return
             rep = M.growth_probe(spec, c=c, tau=0.5)
+            two_lanes = solved()
+            one = _one_lane(spec=spec, c=c, tau=0.5)
+            one_lane = solved()
         bracket, samples, excluded = want
         assert rep.bracket == bracket
         assert all(samples[C] == s for C, s in rep.samples)
         assert set(rep.excluded) <= set(excluded) and len(set(rep.excluded)) == len(rep.excluded)
-        assert rep.n_solves == len(solved) == len(set(solved))
-        assert rep.n_rhs == 6 * len(solved)
+        assert rep.n_solves == len(one_lane) == len(set(one_lane))
+        assert rep.n_solves + rep.n_unused == len(two_lanes) == len(set(two_lanes))
+        assert set(one_lane) <= set(two_lanes)
+        assert rep.n_rhs == 6 * rep.n_solves
+        _same_report(rep, one)
 
-    def test_probe_scan_stops_one_point_past_first_success(self, shipped_runs, monkeypatch):
+    def test_probe_scan_stops_one_point_past_first_success(self, shipped_runs, monkeypatch, tmp_path):
         spec = shipped_runs["ts_probe_d1.json"].spec
-        solved, work = self._count_solves(monkeypatch)
+        solved = self._count_solves(monkeypatch, tmp_path / "solves")
         rep = M.growth_probe(spec, c=5.0, tau=0.5)
-        # grid -0.125 ... -128 (first success -64, one point past it), then 7 midpoints
-        assert len(solved) == 18
-        assert solved[:11] == [-0.125 * 2.0**k for k in range(11)]
+        lines = solved()
+        Cs = [C for C, *_ in lines]
+        # grid -0.125 ... -128 (first success -64, one point past it), then 7
+        # midpoints; in two lanes every solve the child made was asked for
+        assert len(Cs) == 18 and rep.n_unused == 0
+        grid = {-0.125 * 2.0**k for k in range(11)}
+        assert grid <= set(Cs) and all(-64.0 < C < -32.0 for C in set(Cs) - grid)
         assert rep.bracket == (-34.14849282165835, -34.33391576083122)
         assert rep.excluded == []
-        assert sorted(C for C, _ in rep.samples) == sorted(solved)
+        assert sorted(C for C, _ in rep.samples) == sorted(Cs)
         assert rep.n_solves == 18
-        assert (rep.n_accepted, rep.n_rejected, rep.n_rhs) == tuple(map(sum, zip(*work)))
+        assert (rep.n_accepted, rep.n_rejected, rep.n_rhs) == (2802, 31, 17034)
+        _, *counts = zip(*lines)
+        assert [rep.n_accepted, rep.n_rejected, rep.n_rhs] == [int(sum(col)) for col in counts]
+
+    @pytest.mark.parametrize("case", ["ts c=2", "ts c=5", "ts c=10", "lpp flat circle"])
+    def test_two_lanes_give_the_one_lane_report(self, shipped_runs, monkeypatch, tmp_path, case):
+        if case.startswith("ts"):
+            probe = dict(spec=shipped_runs["ts_probe_d1.json"].spec, c=float(case[5:]), tau=0.5)
+        else:
+            probe = dict(spec=_lpp_flat_circle(), c=2.0, tau=0.25)
+        solved = self._count_solves(monkeypatch, tmp_path / "solves")
+        two = M.growth_probe(**probe)
+        two_lanes = solved()
+        (tmp_path / "solves").unlink()
+        one = _one_lane(**probe)
+        one_lane = solved()
+        _same_report(two, one)
+        if case == "lpp flat circle":
+            assert two.bracket == (-17.733894587578856, -17.83018788153428) and two.n_solves == 17
+        # the same solves with the same counts, in whatever order the lanes made them
+        assert len(two_lanes) == two.n_solves + two.n_unused and len(one_lane) == two.n_solves
+        assert not collections.Counter(one_lane) - collections.Counter(two_lanes)
+        assert sorted(C for C, *_ in one_lane) == sorted([C for C, _ in two.samples] + two.excluded)
+        _no_child_left()
+
+    def test_probe_solves_conserve(self, shipped_runs):
+        # the benchmark's tracer sees the solves of this process only, so
+        # every solve of the probe is checked here: each sample's run, made
+        # again in this process, has its slope and conserves within budget
+        spec = shipped_runs["ts_probe_d1.json"].spec
+        rep = M.growth_probe(spec, c=5.0, tau=0.5)
+        assert len(rep.samples) == 18
+        for C, slope in rep.samples:
+            traj = solve_problem(spec.with_C(C), t_max=0.5)
+            assert float(-traj.du[-1]) == slope
+            assert M.conservation_report(traj).max_abs_residual <= 1e-8 * (1.0 + abs(C))
+
+    def test_a_speculative_solve_that_raises_is_not_surfaced(self, shipped_runs, monkeypatch, tmp_path):
+        # guessing every outcome a failure sends the child C values the
+        # bisection does not ask for; each of those solves raises
+        spec = shipped_runs["ts_probe_d1.json"].spec
+        one = _one_lane(spec=spec, c=5.0, tau=0.5)
+        asked = {C for C, _ in one.samples}
+        solve = M.solve_problem
+
+        def raising(spec, *args, **kwargs):
+            if spec.C not in asked:
+                _append(tmp_path / "raised", spec.C)
+                raise ArithmeticError(f"speculative solve at {spec.C!r}")
+            return solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(M, "solve_problem", raising)
+        monkeypatch.setattr(M, "_guess", lambda outcomes, C, c: -math.inf)
+        two = M.growth_probe(spec, c=5.0, tau=0.5)
+        raised = _lines(tmp_path / "raised")
+        assert M._lanes() == 1 or (len(raised) == two.n_unused > 0)
+        _same_report(two, one)
+        _no_child_left()
+
+    def test_a_solve_that_raises_where_the_search_asks_surfaces(self, shipped_runs, monkeypatch):
+        # the first bisection midpoint, solved by the child
+        spec = shipped_runs["ts_probe_d1.json"].spec
+        solve = M.solve_problem
+        midpoint = -float(np.sqrt(32.0 * 64.0))
+
+        def raising(spec, *args, **kwargs):
+            if spec.C == midpoint:
+                raise ArithmeticError("midpoint")
+            return solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(M, "solve_problem", raising)
+        with pytest.raises(ArithmeticError, match="midpoint"):
+            M.growth_probe(spec, c=5.0, tau=0.5)
+        _no_child_left()
+        with pytest.raises(ArithmeticError, match="midpoint"):
+            _one_lane(spec=spec, c=5.0, tau=0.5)
+
+    def test_a_child_that_dies_mid_probe_leaves_the_same_report(
+        self, shipped_runs, monkeypatch, tmp_path
+    ):
+        spec = shipped_runs["ts_probe_d1.json"].spec
+        solve, parent = M.solve_problem, os.getpid()
+
+        def dying(spec, *args, **kwargs):
+            if os.getpid() != parent:
+                _append(tmp_path / "child", spec.C)
+                if len(_lines(tmp_path / "child")) == 3:
+                    os._exit(1)
+            return solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(M, "solve_problem", dying)
+        two = M.growth_probe(spec, c=5.0, tau=0.5)
+        _no_child_left()
+        assert M._lanes() == 1 or len(_lines(tmp_path / "child")) == 3
+        _same_report(two, _one_lane(spec=spec, c=5.0, tau=0.5))
+
+    def test_no_child_outlives_a_failed_probe(self, shipped_runs, monkeypatch):
+        spec = shipped_runs["ts_probe_d1.json"].spec
+        solve, parent = M.solve_problem, os.getpid()
+
+        def failing(spec, *args, **kwargs):
+            if os.getpid() == parent and spec.C == -2.0:
+                raise RuntimeError("parent solve")
+            return solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(M, "solve_problem", failing)
+        with pytest.raises(RuntimeError, match="parent solve"):
+            M.growth_probe(spec, c=5.0, tau=0.5)
+        _no_child_left()
+
+    def test_one_cpu_or_no_fork_gives_one_lane(self, shipped_runs, monkeypatch):
+        spec = shipped_runs["ts_probe_d1.json"].spec
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+        rep = M.growth_probe(spec, c=2.0, tau=0.5)
+        assert (rep.lanes, rep.n_unused) == (1, 0)
+        assert _one_lane(spec=spec, c=2.0, tau=0.5) == rep
 
 
 @pytest.mark.parametrize("m", [3, 4])

@@ -391,6 +391,23 @@ def test_invariant_events_are_compiled_once_per_ansatz_and_sizes():
     assert standard_events(resized)[1].fn is not events[1].fn
 
 
+def test_invariant_events_read_the_sizes_only_through_c0():
+    # the two-summands and lpp rows read no orbit size; a dw row reads them
+    # through c0 alone, which is 1 for one factor whatever g1
+    resizes = {"ts_e0_c1.json": (2.5,), "lpp_e0_c1.json": (2.0, 0.5), "dw_e0_c1.json": (3.0,)}
+    for name, initial in resizes.items():
+        spec = load_shipped(name).spec
+        resized = ProblemSpec(spec.ansatz, spec.epsilon, spec.C, initial)
+        assert all(a.fn is b.fn for a, b in zip(standard_events(spec), standard_events(resized)))
+    # two factors: the larger ratio g1/g2 or g2/g1 sets c0, so swapping sizes keeps it
+    a = load_shipped("dw_m2_chart.json").spec.ansatz
+    specs = [ProblemSpec(a, 0.0, -1.0, sizes) for sizes in ((2.0, 1.0), (1.0, 2.0), (3.0, 1.0))]
+    c0 = [trajectory.dw_pair_bound_constant(a, spec.initial) for spec in specs]
+    events = [standard_events(spec)[1].fn for spec in specs]
+    assert c0[0] == c0[1] and events[0] is events[1]
+    assert c0[0] != c0[2] and events[0] is not events[2]
+
+
 def test_specs_with_one_component_count_share_the_compiled_tests(monkeypatch):
     from solitonlab import integrator
 
