@@ -1,5 +1,6 @@
 """Numerical laboratory for cohomogeneity-one gradient Ricci soliton trajectories."""
 
+import collections
 import contextlib
 import os
 import pickle
@@ -27,52 +28,79 @@ class Report(SimpleNamespace):
 
 @contextlib.contextmanager
 def _beside(fn):
-    """Run ``fn()`` in a forked child while the block runs.  The block gets
-    ``join``, which waits for the child and returns fn's result or raises
-    its exception, pickled back through a pipe.  A child not joined when the
-    block raises is killed and reaped.  Without ``os.fork``, ``join`` calls
-    ``fn`` in this process.
+    """A request lane to a forked child that runs ``fn(x)`` for each x sent
+    to it, in order, while the block runs.  The block gets the lane:
+    ``lane.ask(x)`` sends x, and ``lane.answer()`` waits for the oldest
+    unanswered result and returns it, or raises the exception ``fn``
+    raised; both go through pipes, pickled.  Once the child is gone,
+    ``answer`` reaps it and raises ``RuntimeError``.  Leaving the block
+    reaps the child, which is killed first if the block raised.  Without
+    ``os.fork``, ``answer`` calls ``fn`` in this process.
 
     The child leaves through ``os._exit``: it flushes none of the stdio
     buffers it inherited and runs no exit handlers."""
     if not hasattr(os, "fork"):
-        yield fn
+        asked = collections.deque()
+        yield SimpleNamespace(ask=asked.append, answer=lambda: fn(asked.popleft()))
         return
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+    fds = os.pipe() + os.pipe()
+    with contextlib.ExitStack() as stack:
+        requests_in, requests, answers, answers_out = [
+            stack.enter_context(open(fd, mode)) for fd, mode in zip(fds, ("rb", "wb", "rb", "wb"))
+        ]
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
-                reader.close()
-                try:
-                    payload = (True, fn())
-                except BaseException as exc:  # re-raised by the parent's join
-                    payload = (False, exc)
-                writer.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-                writer.close()
+                requests.close()
+                answers.close()
+                while True:
+                    try:
+                        x = pickle.load(requests_in)
+                    except EOFError:
+                        break
+                    try:
+                        payload = (True, fn(x))
+                    except BaseException as exc:  # re-raised by the parent's answer
+                        payload = (False, exc)
+                    answers_out.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+                    answers_out.flush()
                 status = 0
             finally:
                 os._exit(status)
-        writer.close()
-        reaped = False
+        requests_in.close()
+        answers_out.close()
+        ended = None  # the child's wait status once it is reaped
 
-        def join():
-            nonlocal reaped
-            data = reader.read()
-            _, status = os.waitpid(pid, 0)
-            reaped = True
-            if not data:
-                raise RuntimeError(f"the child process ended with no result (wait status {status})")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            return value
+        def ask(x):
+            with contextlib.suppress(BrokenPipeError):  # a child gone is answer's to report
+                requests.write(pickle.dumps(x, pickle.HIGHEST_PROTOCOL))
+                requests.flush()
+
+        def answer():
+            nonlocal ended
+            if ended is None:
+                try:
+                    ok, value = pickle.load(answers)
+                except (EOFError, pickle.UnpicklingError):  # none, or a truncated one
+                    ended = os.waitpid(pid, 0)[1]
+                else:
+                    if not ok:
+                        raise value
+                    return value
+            raise RuntimeError(f"the child process ended with no result (wait status {ended})")
 
         try:
-            yield join
-        finally:
-            if not reaped:
+            yield SimpleNamespace(ask=ask, answer=answer)
+        except BaseException:
+            if ended is None:
                 import signal  # only a failure needs it
                 os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            # with no more requests, and none of its answers read, the child ends
+            with contextlib.suppress(BrokenPipeError):  # requests a child gone never read
+                requests.close()
+            answers.close()
+            if ended is None:
                 os.waitpid(pid, 0)

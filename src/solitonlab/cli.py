@@ -1,9 +1,10 @@
 """Command-line front end: single solves, parameter sweeps, growth probes
 and curvature queries.
 
-Exit codes: 0 success or matched expectation, 1 unexpected error,
-2 invariant-set exit / unmet verdict, 3 probe found no admissible constant,
-64 malformed config, 65 decomposition validation failure, 70 integrator
+Exit codes: 0 success or matched expectation (and --help, --version),
+1 unexpected error, 2 invariant-set exit / unmet verdict, 3 probe found no
+admissible constant, 64 malformed config or command line (argparse's usage
+errors included), 65 decomposition validation failure, 70 integrator
 failure.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import functools
 import json
 import math
 import os
@@ -134,55 +134,44 @@ def cmd_sweep(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     shares = min(args.jobs, len(cells))
-    cell_dirs = [os.path.join(args.out, f"cell_{i:04d}") for i in range(len(cells))]
 
-    def run_share(k: int) -> list:
-        """(index, manifest or the exception as text) of each cell of share
-        k: cells k, k + shares, k + 2 shares, ..."""
-        share = []
-        for i in range(k, len(cells), shares):
-            try:
-                share.append((i, run_solve(configs[i], cell_dirs[i])))
-            except Exception as exc:  # keep sweeping past individual failures
-                share.append((i, f"{type(exc).__name__}: {exc}"))
-        return share
+    def run_cell(i: int):
+        """Cell i's verdict, termination, terminal_du and
+        max_conservation_residual as text, or its exception as text."""
+        try:
+            manifest = run_solve(configs[i], os.path.join(args.out, f"cell_{i:04d}"))
+        except Exception as exc:  # keep sweeping past individual failures
+            return f"{type(exc).__name__}: {exc}"
+        key = manifest["key_diagnostics"]
+        return [manifest["verdict"], manifest["termination"]] + [
+            _fmt(key[name]) for name in ("terminal_du", "max_conservation_residual")
+        ]
 
-    # share 0 runs here and each other share in a forked child (see _beside),
-    # so in a long-lived process the children inherit the kernels this
-    # process compiled for earlier runs of the family
+    # the cells are dealt round-robin into the shares: share 0 runs here and
+    # each other share in a forked child (see _beside), so in a long-lived
+    # process the children inherit the kernels this process compiled for
+    # earlier runs of the family
     with contextlib.ExitStack() as stack:
-        joins = [stack.enter_context(_beside(functools.partial(run_share, k))) for k in range(1, shares)]
-        done = run_share(0)
-        for k, join in enumerate(joins, 1):
+        lanes = [stack.enter_context(_beside(run_cell)) for _ in range(1, shares)]
+        theirs = [i for i in range(len(cells)) if i % shares]
+        for i in theirs:
+            lanes[i % shares - 1].ask(i)
+        outcomes = {i: run_cell(i) for i in range(0, len(cells), shares)}
+        for i in theirs:
             try:
-                done += join()
-            except RuntimeError as exc:  # the child ended with no result
-                done += [(i, f"{type(exc).__name__}: {exc}") for i in range(k, len(cells), shares)]
-    outcomes = dict(done)
+                outcomes[i] = lanes[i % shares - 1].answer()
+            except RuntimeError as exc:  # the child ended before answering cell i
+                outcomes[i] = f"{type(exc).__name__}: {exc}"
     # cell -> the exception that failed it
     errors = {f"cell_{i:04d}": v for i, v in outcomes.items() if isinstance(v, str)}
 
     header = params + ["cell", "verdict", "termination", "terminal_du", "max_conservation_residual"]
     lines = [",".join(header)]
     for i, (_, coords) in enumerate(cells):  # merge in grid order
-        values = [_fmt(v) for _, v in coords]
-        manifest = outcomes[i]
-        if isinstance(manifest, str):
-            lines.append(",".join(values + [f"cell_{i:04d}", "error", "error", "nan", "nan"]))
-            continue
-        key = manifest["key_diagnostics"]
-        lines.append(
-            ",".join(
-                values
-                + [
-                    f"cell_{i:04d}",
-                    manifest["verdict"],
-                    manifest["termination"],
-                    _fmt(key["terminal_du"]),
-                    _fmt(key["max_conservation_residual"]),
-                ]
-            )
-        )
+        fields = outcomes[i]
+        if isinstance(fields, str):
+            fields = ["error", "error", "nan", "nan"]
+        lines.append(",".join([_fmt(v) for _, v in coords] + [f"cell_{i:04d}"] + fields))
     _atomic_write(os.path.join(args.out, "sweep_summary.csv"), lines)
     if errors:
         write_json(os.path.join(args.out, "sweep_errors.json"), errors)
@@ -299,7 +288,13 @@ def main(argv=None) -> int:
     p.add_argument("--x", required=True, help="comma-separated metric scalings")
     p.set_defaults(fn=cmd_curvature)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here is EX_VERDICT
+        if exc.code == 2:
+            return EX_CONFIG
+        raise
     try:
         return args.fn(args)
     except BrokenPipeError:

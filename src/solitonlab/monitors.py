@@ -11,12 +11,8 @@ monitored invariant intact -- never a claim of mathematical completeness.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import os
-import pickle
-from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -434,15 +430,23 @@ def kahler_report(traj: Trajectory) -> KahlerReport:
 # -- classification --------------------------------------------------------------
 
 
-@dataclass
-class Verdict:
+class Verdict(Report):
     kind: str
     t_star: float | None
     reasons: list[str]
-    note: str = (
-        "numerically_complete is a horizon verdict: the run reached t_max with "
-        "every monitored invariant intact; it is evidence, not a completeness proof"
-    )
+    note: str
+
+
+_VERDICT_NOTE = (
+    "numerically_complete is a horizon verdict: the run reached t_max with "
+    "every monitored invariant intact; it is evidence, not a completeness proof"
+)
+# the verdict of a run that ended before t_max, by its termination
+_ENDED_EARLY = {
+    "state_invalid": "metric_degenerate",
+    "event:shape_exit": "invariant_set_exit",
+    "event:invariant_exit": "invariant_set_exit",
+}
 
 
 def classify_completeness(traj: Trajectory) -> Verdict:
@@ -453,24 +457,18 @@ def classify_completeness(traj: Trajectory) -> Verdict:
     tolerance, and every row of the invariant table (strictly positive
     shape eigenvalues, the ansatz's preserved set) holding at every sample.
     """
-    spec = traj.spec
     term = traj.termination
-    if term == "state_invalid":
-        return Verdict("metric_degenerate", float(traj.ts[-1]), [term])
-    if term in ("event:shape_exit", "event:invariant_exit"):
-        return Verdict("invariant_set_exit", float(traj.ts[-1]), [term])
     if term != "reached_t_max":
-        return Verdict("inconclusive", float(traj.ts[-1]), [term])
-
+        kind = _ENDED_EARLY.get(term, "inconclusive")
+        return Verdict(kind=kind, t_star=float(traj.ts[-1]), reasons=[term], note=_VERDICT_NOTE)
     reasons = []
-    tol = _CONSERVATION_TOL_SCALE * (1.0 + abs(spec.C))
+    tol = _CONSERVATION_TOL_SCALE * (1.0 + abs(traj.spec.C))
     worst = float(np.max(np.abs(traj.columns["conservation_residual"])))
     if not worst <= tol:
         reasons.append(f"conservation residual {worst:.3e} above {tol:.3e}")
     reasons += [m.row.reason for m in traj.margins.values() if not m.holds]
-    if reasons:
-        return Verdict("inconclusive", None, reasons)
-    return Verdict("numerically_complete", None, [])
+    kind = "inconclusive" if reasons else "numerically_complete"
+    return Verdict(kind=kind, t_star=None, reasons=reasons, note=_VERDICT_NOTE)
 
 
 # -- growth probe -----------------------------------------------------------------
@@ -515,26 +513,21 @@ def curvature_budget_at_launch(spec: ProblemSpec, delta: float | None = None) ->
 _WORK = ("n_accepted", "n_rejected", "n_rhs")  # a probe's work counts, summed over its solves
 
 
-class _Pending(Exception):
-    """A replay of the search asked for a C, ``args[0]``, whose solve has no
-    outcome yet."""
-
-
-def _search(slope_of, c: float):
-    """The probe's search: doubles C from -1/8, one ``slope_of(C)`` at a
-    time, and stops one grid point past the first C whose slope reaches c.
-    It then bisects in log|C| between that success and the weakest failing
-    point above it until the bracket is 1% tight.  ``slope_of(C)`` is
-    -udot(tau) of the run at C, or None when the run is excluded.  Returns
-    (c_fail or None, c_success), or None when no C above ``_C_LIMIT``
-    reaches c.
+def _search(c: float):
+    """The probe's search, as a generator: yields each C it asks for and is
+    sent -udot(tau) of the run at C, or None when the run is excluded.  It
+    doubles C from -1/8 and stops one grid point past the first C whose
+    slope reaches c.  It then bisects in log|C| between that success and
+    the weakest failing point above it until the bracket is 1% tight.
+    Returns (c_fail or None, c_success), or None when no C above
+    ``_C_LIMIT`` reaches c.
 
     The first success in scan order is the weakest success of the whole
     grid, so stopping early changes no bracket end."""
     c_success = c_fail = None
     C = _C_START
     while C > _C_LIMIT:
-        s = slope_of(C)
+        s = yield C
         if c_success is not None:
             break  # the one point past the first success
         if s is not None:
@@ -548,7 +541,7 @@ def _search(slope_of, c: float):
     if c_fail is not None:
         while (c_fail - c_success) > _BRACKET_REL * abs(c_success):
             mid = -np.sqrt(c_fail * c_success)  # geometric midpoint, both negative
-            s = slope_of(mid)
+            s = yield mid
             if s is None:
                 break
             if s >= c:
@@ -556,25 +549,6 @@ def _search(slope_of, c: float):
             else:
                 c_fail = mid
     return c_fail, c_success
-
-
-def _replay(outcomes: dict, c: float, asked: dict | None = None):
-    """``_search`` on the outcomes known so far: C -> (slope or None, work
-    counts), or the exception C's solve raised, which is raised here if the
-    search asks for C.  Raises ``_Pending`` at the first C it asks for
-    without an outcome.  ``asked`` gets the C values asked for, in order."""
-
-    def slope_of(C):
-        if C not in outcomes:
-            raise _Pending(C)
-        if asked is not None:
-            asked[C] = None
-        outcome = outcomes[C]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome[0]
-
-    return _search(slope_of, c)
 
 
 def _guess(outcomes: dict, C, c: float) -> float:
@@ -596,18 +570,17 @@ def _guess(outcomes: dict, C, c: float) -> float:
     return math.inf if math.log(abs(C)) >= crossing else -math.inf
 
 
-def _next_request(outcomes: dict, C, c: float):
-    """The C the search asks for after C if C's slope is as ``_guess``
-    says; None when the search would then end or ask for a C already
-    solved."""
-    trial = {k: o for k, o in outcomes.items() if isinstance(o, tuple)}
-    trial[C] = (_guess(outcomes, C, c), None)
+def _next_request(slopes: list, c: float):
+    """The C a fresh search asks for once sent ``slopes`` in order; None
+    when it would then end."""
+    search = _search(c)
+    C = next(search)
     try:
-        _replay(trial, c)
-    except _Pending as pending:
-        (C_next,) = pending.args
-        return None if C_next in outcomes else C_next
-    return None
+        for s in slopes:
+            C = search.send(s)
+    except StopIteration:
+        return None
+    return C
 
 
 def _lanes() -> int:
@@ -616,50 +589,6 @@ def _lanes() -> int:
         return 1
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     return 2 if len(cpus) > 1 else 1
-
-
-@contextlib.contextmanager
-def _second_lane(solve):
-    """A forked child (see ``_beside``) that makes ``solve(C)`` for each C
-    sent to it, one at a time, and sends back its outcome, or the
-    exception it raised.  Yields the lane: ``lane.ask(C)`` sends C, and
-    ``lane.answer()`` waits for the oldest unanswered outcome and raises
-    ``EOFError`` once the child is gone.  Leaving the block ends the
-    requests and reaps the child, which is killed first if the block
-    raised."""
-    fds = os.pipe() + os.pipe()
-    with contextlib.ExitStack() as stack:
-        requests_in, requests, outcomes, outcomes_out = [
-            stack.enter_context(open(fd, mode)) for fd, mode in zip(fds, ("rb", "wb", "rb", "wb"))
-        ]
-
-        def serve():
-            requests.close()
-            outcomes.close()
-            while True:
-                try:
-                    C = pickle.load(requests_in)
-                except EOFError:
-                    return
-                try:
-                    outcome = solve(C)
-                except Exception as exc:  # raised by the parent if the search asks for C
-                    outcome = exc
-                outcomes_out.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
-                outcomes_out.flush()
-
-        with _beside(serve) as join:
-            requests_in.close()
-            outcomes_out.close()
-
-            def ask(C):
-                requests.write(pickle.dumps(C, pickle.HIGHEST_PROTOCOL))
-                requests.flush()
-
-            yield SimpleNamespace(ask=ask, answer=functools.partial(pickle.load, outcomes))
-            requests.close()
-            with contextlib.suppress(Exception):  # a failed child cost time, never a result
-                join()
 
 
 def growth_probe(
@@ -678,59 +607,67 @@ def growth_probe(
     warped circle's g2, which the flow fixes, is left out of that test as
     it is out of the shape row.
 
-    With two lanes (``_lanes``), a forked child solves the C the search
-    will ask for next, found by replaying the search with a guessed outcome
-    (``_guess``) for the C this process solves meanwhile.  The search is
-    replayed on the outcomes known so far until it finishes; the report is
-    built from the C values its last replay asked for, so it is the one-lane
-    report, and ``n_unused`` counts the child's solves it never asked for.
-    If the child dies, this process finishes the search alone.
+    With two lanes (``_lanes``), a forked child (see ``_beside``) solves
+    the C the search will ask for next, found by a fresh search sent the
+    slopes so far and a guessed slope (``_guess``) for the C this process
+    solves meanwhile.  The report is built from the C values the search
+    asked for, so it is the one-lane report, and ``n_unused`` counts the
+    child's solves it never asked for.  A solve that raised surfaces only
+    if the search asks for its C.  If the child dies, this process finishes
+    the search alone.
     """
     if not (0.0 < c < math.inf and 0.0 < tau < math.inf):
         raise ValueError("slope target c and probe time tau must be finite and positive")
     shaped = slice(-1) if _flat_circle(spec) else slice(None)  # the tested columns of df
 
-    def solve(C):
+    def outcome(C):
         """-udot(tau) of the run at C, or None when it is excluded, and the
-        run's work counts."""
-        t = solve_problem(spec.with_C(C), t_max=tau, rel_tol=rel_tol, abs_tol=abs_tol, delta=delta)
+        run's work counts; or the exception the solve raised."""
+        try:
+            t = solve_problem(spec.with_C(C), t_max=tau, rel_tol=rel_tol, abs_tol=abs_tol, delta=delta)
+        except Exception as exc:  # raised here if the search asks for C
+            return exc
         work = tuple(getattr(t.result, key) for key in _WORK)
         if not t.reached_horizon or not np.all(t.df[:, shaped] > 0.0):
             return None, work
         return float(-t.du[-1]), work
 
     lanes = _lanes()
-    outcomes: dict = {}
-    with _second_lane(solve) if lanes == 2 else contextlib.nullcontext() as lane:
+    outcomes: dict = {}  # C -> outcome(C), made in either lane
+    asked, sent = [], []  # the C values the search asked for and the slopes it was sent
+    search = _search(c)
+    with _beside(outcome) if lanes == 2 else contextlib.nullcontext() as lane:
         in_flight = None  # the C the child is solving
-        while True:
-            asked: dict = {}
-            try:
-                found = _replay(outcomes, c, asked)
-                break
-            except _Pending as pending:
-                (C,) = pending.args
-            # wait for the child's solve: the search needs it now, or the
-            # child must be free for the next guess
-            if in_flight is not None:
-                try:
-                    outcomes[in_flight] = lane.answer()
-                except (EOFError, pickle.UnpicklingError):
-                    lane = None  # the child is gone: go on alone
-                in_flight = None
-                if C in outcomes:
-                    continue
-            if lane is not None:
-                in_flight = _next_request(outcomes, C, c)
-                if in_flight is not None:
+        try:
+            C = next(search)
+            while True:
+                # wait for the child's solve: the search needs it now, or
+                # the child must be free for the next guess
+                if C not in outcomes and in_flight is not None:
                     try:
-                        lane.ask(in_flight)
-                    except OSError:
-                        lane = in_flight = None
-            outcomes[C] = solve(C)
+                        outcomes[in_flight] = lane.answer()
+                    except RuntimeError:
+                        lane = None  # the child is gone: go on alone
+                    in_flight = None
+                if C not in outcomes:
+                    if lane is not None:
+                        in_flight = _next_request([*sent, _guess(outcomes, C, c)], c)
+                        if in_flight in outcomes:
+                            in_flight = None
+                        elif in_flight is not None:
+                            lane.ask(in_flight)
+                    outcomes[C] = outcome(C)
+                if isinstance(outcomes[C], Exception):
+                    raise outcomes[C]
+                asked.append(C)
+                sent.append(outcomes[C][0])
+                C = search.send(sent[-1])
+        except StopIteration as stop:
+            found = stop.value
         if in_flight is not None:  # a guess the search did not follow
-            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+            with contextlib.suppress(RuntimeError):
                 outcomes[in_flight] = lane.answer()
+    asked = dict.fromkeys(asked)  # a midpoint on an excluded grid point is asked twice
     if found is None:
         raise ProbeRangeError(
             f"no admissible C in ({_C_LIMIT:g}, {_C_START:g}] reaches -udot({tau:g}) >= {c:g}"

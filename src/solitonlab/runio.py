@@ -243,8 +243,6 @@ def _atomic_write(path: str, lines):
 def _jsonable(obj):
     if isinstance(obj, Report):
         obj = vars(obj)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -442,12 +440,12 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
                 delta=delta,
             )
 
-        def compact():
+        def compact(path):
             child: dict[str, float] = {}
             with _timed(child, "solve_rescaled"):
                 rtraj = run_compact()
             with _timed(child, "write rescaled.csv"):
-                write_rescaled_csv(os.path.join(outdir, "rescaled.csv"), rtraj)
+                write_rescaled_csv(path, rtraj)
             # the result alone: pickled, rtraj would also copy the sample
             # views that writing the CSV cached on it
             return rtraj.result, child
@@ -461,7 +459,9 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
         artifacts.append(name)
 
     rtraj = None
-    with contextlib.nullcontext() if compact is None else _beside(compact) as join:
+    with contextlib.nullcontext() if compact is None else _beside(compact) as lane:
+        if compact is not None:
+            lane.ask(os.path.join(outdir, "rescaled.csv"))
         with _timed(timings, "solve"):
             traj = solve_problem(
                 cfg.spec,
@@ -486,7 +486,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
             )
         if compact is not None:
             with _timed(timings, "wait compact chart"):
-                result, child = join()
+                result, child = lane.answer()
             # the compact chart's solve includes its preparation before the fork
             child["solve_rescaled"] += timings["solve_rescaled"]
             timings |= child

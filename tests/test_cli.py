@@ -749,6 +749,31 @@ class TestSweep:
         rows = [row.split(",")[2] for row in (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()[1:]]
         assert rows == ["numerically_complete", "error", "numerically_complete"]
 
+    def test_a_child_that_dies_after_its_first_cell_keeps_that_row(self, tmp_path, monkeypatch):
+        # --jobs 2 over 4 cells: the child answers cell 1, then dies in cell 3
+        from solitonlab import runio
+
+        here = os.getpid()
+        run_solve = runio.run_solve
+
+        def dying(cfg, outdir):
+            if os.getpid() != here and outdir.endswith("cell_0003"):
+                os._exit(3)
+            return run_solve(cfg, outdir)
+
+        monkeypatch.setattr(runio, "run_solve", dying)
+        children = forked_children(monkeypatch)
+        cfg = write_json(tmp_path, "c.json", BASE)
+        code = main(["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:4", "--jobs", "2", "--out", str(tmp_path / "sw")])
+        assert code == 1
+        (pid,) = children
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+        errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
+        assert errors == {"cell_0003": "RuntimeError: the child process ended with no result (wait status 768)"}
+        rows = [row.split(",")[2] for row in (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()[1:]]
+        assert rows == ["numerically_complete"] * 3 + ["error"]
+
     def test_a_failure_here_kills_and_reaps_every_child(self, tmp_path, monkeypatch):
         from solitonlab import runio
 
@@ -919,6 +944,28 @@ class TestProbe:
         code = main(["probe-c0", "--config", cfg, "--c", "1e9", "--tau", "0.05", "--out", str(tmp_path / "o")])
         assert code == 3
         assert "no admissible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # argparse reads -inf as an option, so --c has no value
+        ["probe-c0", "--config", "c.json", "--c", "-inf", "--tau", "0.5", "--out", "o"],
+        ["solve", "--config", "c.json"],
+    ],
+)
+def test_a_usage_error_exits_64(argv, capsys):
+    # argparse's own exit status 2 would read as an unmet verdict
+    assert main(argv) == 64
+    assert "usage: solitonlab" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(flag, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main([flag])
+    assert caught.value.code == 0
+    assert "solitonlab" in capsys.readouterr().out
 
 
 class TestCurvature:
