@@ -37,6 +37,10 @@ def _beside(fn):
     reaps the child, which is killed first if the block raised.  Without
     ``os.fork``, ``answer`` calls ``fn`` in this process.
 
+    A pipe holds a bounded amount (64 KiB on Linux): once answers not yet
+    taken fill it, the child waits to write the next.  So each caller
+    here has at most one request outstanding, or asks once in all.
+
     The child leaves through ``os._exit``: it flushes none of the stdio
     buffers it inherited and runs no exit handlers."""
     if not hasattr(os, "fork"):

@@ -135,33 +135,50 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     shares = min(args.jobs, len(cells))
 
+    def manifest_of(i: int) -> str:
+        return os.path.join(args.out, f"cell_{i:04d}", "manifest.json")
+
+    def row(manifest: dict) -> list[str]:
+        """A cell's verdict, termination, terminal_du and
+        max_conservation_residual as text."""
+        key = manifest["key_diagnostics"]
+        # float() also reads back the text a manifest holds for nan and inf
+        return [manifest["verdict"], manifest["termination"]] + [
+            _fmt(float(key[name])) for name in ("terminal_du", "max_conservation_residual")
+        ]
+
     def run_cell(i: int):
-        """Cell i's verdict, termination, terminal_du and
-        max_conservation_residual as text, or its exception as text."""
+        """Cell i's row, or its exception as text."""
         try:
-            manifest = run_solve(configs[i], os.path.join(args.out, f"cell_{i:04d}"))
+            return row(run_solve(configs[i], os.path.dirname(manifest_of(i))))
         except Exception as exc:  # keep sweeping past individual failures
             return f"{type(exc).__name__}: {exc}"
-        key = manifest["key_diagnostics"]
-        return [manifest["verdict"], manifest["termination"]] + [
-            _fmt(key[name]) for name in ("terminal_du", "max_conservation_residual")
-        ]
 
     # the cells are dealt round-robin into the shares: share 0 runs here and
     # each other share in a forked child (see _beside), so in a long-lived
     # process the children inherit the kernels this process compiled for
-    # earlier runs of the family
+    # earlier runs of the family.  A child is asked once, for its whole
+    # share, and answers once, when the share is done: however large the
+    # grid, its answer can wait on this process but its cells cannot.
+    share = [range(j, len(cells), shares) for j in range(shares)]
     with contextlib.ExitStack() as stack:
-        lanes = [stack.enter_context(_beside(run_cell)) for _ in range(1, shares)]
-        theirs = [i for i in range(len(cells)) if i % shares]
-        for i in theirs:
-            lanes[i % shares - 1].ask(i)
-        outcomes = {i: run_cell(i) for i in range(0, len(cells), shares)}
-        for i in theirs:
+        lanes = [stack.enter_context(_beside(lambda s: [run_cell(i) for i in s])) for _ in range(1, shares)]
+        for lane, mine in zip(lanes, share[1:]):
+            for i in mine:  # a manifest of an earlier sweep must not stand for a cell left unrun
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(manifest_of(i))
+            lane.ask(mine)
+        outcomes = {i: run_cell(i) for i in share[0]}
+        for lane, mine in zip(lanes, share[1:]):
             try:
-                outcomes[i] = lanes[i % shares - 1].answer()
-            except RuntimeError as exc:  # the child ended before answering cell i
-                outcomes[i] = f"{type(exc).__name__}: {exc}"
+                outcomes.update(zip(mine, lane.answer()))
+            except RuntimeError as exc:  # the child ended before its answer
+                for i in mine:  # the cells it finished wrote their manifests
+                    try:
+                        with open(manifest_of(i), encoding="utf-8") as fh:
+                            outcomes[i] = row(json.load(fh))
+                    except FileNotFoundError:
+                        outcomes[i] = f"{type(exc).__name__}: {exc}"
     # cell -> the exception that failed it
     errors = {f"cell_{i:04d}": v for i, v in outcomes.items() if isinstance(v, str)}
 

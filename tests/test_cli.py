@@ -774,6 +774,60 @@ class TestSweep:
         rows = [row.split(",")[2] for row in (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()[1:]]
         assert rows == ["numerically_complete"] * 3 + ["error"]
 
+    def test_a_dead_child_leaves_no_row_of_an_earlier_sweep(self, tmp_path, monkeypatch):
+        from solitonlab import runio
+
+        cfg = write_json(tmp_path, "c.json", BASE)
+        args = ["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:4", "--jobs", "2", "--out", str(tmp_path / "sw")]
+        assert main(args) == 0
+        here = os.getpid()
+        run_solve = runio.run_solve
+
+        def dying(cfg, outdir):
+            if os.getpid() != here:
+                os._exit(3)
+            return run_solve(cfg, outdir)
+
+        monkeypatch.setattr(runio, "run_solve", dying)
+        assert main(args) == 1
+        errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
+        assert sorted(errors) == ["cell_0001", "cell_0003"]
+        rows = [row.split(",")[2] for row in (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()[1:]]
+        assert rows == ["numerically_complete", "error"] * 2
+
+    def test_a_child_runs_its_share_while_share_0_runs_whatever_it_answers(self, tmp_path, monkeypatch):
+        # --jobs 2 over 200 cells: the child's 100 answers, 2 kB each, pass
+        # the 64 KiB a pipe holds, and this process reads none of them until
+        # its own cell 0 is done; it waits there for the child's last cell
+        from solitonlab import runio
+
+        here = os.getpid()
+        done = tmp_path / "child_done"
+        waited = []
+
+        def failing(cfg, outdir):
+            cell = outdir[-4:]
+            if os.getpid() != here:
+                if cell == "0199":
+                    done.touch()
+                raise RuntimeError(f"cell {cell} " + "x" * 2000)
+            if cell == "0000":
+                start = time.monotonic()
+                while not done.exists() and time.monotonic() - start < 20.0:
+                    time.sleep(0.01)
+                waited.append(done.exists())
+            raise RuntimeError(f"cell {cell}")
+
+        monkeypatch.setattr(runio, "run_solve", failing)
+        cfg = write_json(tmp_path, "c.json", BASE)
+        code = main(["sweep", "--config", cfg, "--grid", "C=-0.5:-0.01:200", "--jobs", "2", "--out", str(tmp_path / "sw")])
+        assert code == 1
+        assert waited == [True]  # the child finished while share 0 was still running
+        errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
+        assert len(errors) == 200
+        assert errors["cell_0199"] == "RuntimeError: cell 0199 " + "x" * 2000
+        assert errors["cell_0198"] == "RuntimeError: cell 0198"
+
     def test_a_failure_here_kills_and_reaps_every_child(self, tmp_path, monkeypatch):
         from solitonlab import runio
 
