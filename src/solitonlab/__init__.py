@@ -26,6 +26,23 @@ class Report(SimpleNamespace):
         super().__init__(**dict.fromkeys(self.__annotations__) | fields)
 
 
+# one entry per lane (``_beside``) open in this process, or in the one it
+# was forked from: a child inherits the list
+_open = []
+
+
+def _lanes() -> int:
+    """The one rule for an optional second lane (the probe's, the streamed
+    trajectory.csv): 2 lanes where ``os.fork`` exists, this process may run
+    on more than one CPU, is no lane's child and holds no lane open, else
+    1.  A lane asked for (the sweep's ``--jobs``, the compact chart) does
+    not ask."""
+    if not hasattr(os, "fork") or _open:
+        return 1
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return 2 if len(cpus) > 1 else 1
+
+
 @contextlib.contextmanager
 def _beside(fn):
     """A request lane to a forked child that runs ``fn(x)`` for each x sent
@@ -37,18 +54,28 @@ def _beside(fn):
     reaps the child, which is killed first if the block raised.  Without
     ``os.fork``, ``answer`` calls ``fn`` in this process.
 
-    A pipe holds a bounded amount (64 KiB on Linux): once answers not yet
-    taken fill it, the child waits to write the next.  So each caller
-    here has at most one request outstanding, or asks once in all.
+    A pipe holds a bounded amount (64 KiB on Linux).  A request sent to a
+    full pipe waits until the child reads one: that is back-pressure, and
+    the child, serving in order, always gets to it.  But once answers not
+    yet taken fill their pipe, the child waits to write the next, and
+    with it an ``ask`` waiting on a full request pipe would wait forever.
+    So a caller that streams requests and takes the answers at the end
+    keeps the answers it leaves unread below 64 KiB in all: a few bytes
+    each, with one carrying the result.  The other callers here have at
+    most one request outstanding, or ask once in all.
 
-    The child leaves through ``os._exit``: it flushes none of the stdio
-    buffers it inherited and runs no exit handlers."""
+    While the block runs the lane counts as open (``_lanes``), in this
+    process and in the child, which never leaves it.  The child leaves
+    through ``os._exit``: it flushes none of the stdio buffers it
+    inherited and runs no exit handlers."""
     if not hasattr(os, "fork"):
         asked = collections.deque()
         yield SimpleNamespace(ask=asked.append, answer=lambda: fn(asked.popleft()))
         return
     fds = os.pipe() + os.pipe()
     with contextlib.ExitStack() as stack:
+        _open.append(fn)  # before the fork, so the child inherits it
+        stack.callback(_open.pop)
         requests_in, requests, answers, answers_out = [
             stack.enter_context(open(fd, mode)) for fd, mode in zip(fds, ("rb", "wb", "rb", "wb"))
         ]

@@ -68,6 +68,8 @@ _ALPHA = 0.7 / 5.0  # PI controller exponents
 _BETA = 0.4 / 5.0
 # smallest step, relative to max(|t|, 1)
 _H_FLOOR = 16.0 * sys.float_info.epsilon
+# the samples a sink receives at a time
+_SINK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,7 @@ class IntegratorConfig:
     max_steps: int = 200_000
     events: tuple[EventSpec, ...] = ()
     validity: Callable[[list[float]], bool] | None = None
+    sink: Callable | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -321,6 +324,13 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     on a tie, with one extra step from the last accepted point to its time.
     Statistics count accepted steps, rejected attempts and right-hand-side
     evaluations.
+
+    A ``cfg.sink`` is called as ``sink(ts, ys)`` with each block of
+    ``_SINK_BLOCK`` samples as soon as its last one is accepted: their
+    times, then their states row after row, as ``array('d')``.  A sample
+    is never changed once accepted, so the rows of a block are final; the
+    samples after the last full block (an event's point among them) are
+    the result's alone.
     """
     y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
@@ -330,7 +340,7 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     n_acc = n_rej = n_rhs = 0
     rtol, atol, validity = cfg.rel_tol, cfg.abs_tol, cfg.validity
     t_max, max_steps = cfg.t_max, cfg.max_steps
-    events = cfg.events
+    events, sink = cfg.events, cfg.sink
     event_fns = [ev.fn for ev in events]
     isfinite = math.isfinite
     # a compiled right-hand side is inlined into the attempt, which counts
@@ -358,6 +368,8 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     # one flat buffer per sampled quantity, n values per sample
     ts, ys, dys, dense = array("d", [t]), array("d", y), array("d", f), array("d")
     ev_prev = [fn(t, y) for fn in event_fns]
+    # the accepted-step count at which the samples fill the next block
+    block_end = -1 if sink is None else _SINK_BLOCK - 1
     err_prev = 1.0
     termination = "reached_t_max"
     rejected_invalid = False
@@ -431,6 +443,10 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         if hit is not None:
             break
         t, y, f = t_new, y_new, f_new
+        if n_acc == block_end:
+            start = block_end + 1 - _SINK_BLOCK
+            sink(ts[start:], ys[start * n :])
+            block_end += _SINK_BLOCK
 
         factor = _SAFETY * (err ** -_ALPHA) * (err_prev**_BETA) if err > 0 else _MAX_FACTOR
         h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))

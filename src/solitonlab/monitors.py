@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 
 import numpy as np
 
-from . import Report, _beside
+from . import Report, _beside, _lanes
 from .systems import (
     DancerWangAnsatz,
     LuPagePopeAnsatz,
@@ -581,14 +580,6 @@ def _next_request(slopes: list, c: float):
     except StopIteration:
         return None
     return C
-
-
-def _lanes() -> int:
-    """2 where this process can fork and may run on more than one CPU, else 1."""
-    if not hasattr(os, "fork"):
-        return 1
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    return 2 if len(cpus) > 1 else 1
 
 
 def growth_probe(

@@ -10,17 +10,18 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
 import tempfile
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import Report, __version__, _beside, _fmt, codegen
+from . import Report, __version__, _beside, _fmt, _lanes, codegen
 from . import monitors as mon
+from .integrator import IntegrationResult
 from .launch import default_delta, rescaled_default_delta
 from .systems import DancerWangAnsatz, LuPagePopeAnsatz, ProblemSpec, TwoSummandsAnsatz
 from .trajectory import Trajectory, solve_problem
@@ -235,9 +236,13 @@ def _atomic_write(path: str, lines):
                 fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        _remove(tmp)
         raise
+
+
+def _remove(path: str):
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
 
 
 def _jsonable(obj):
@@ -268,10 +273,10 @@ def write_json(path: str, payload: dict):
 _CSV_CHUNK = 256
 
 
-def _write_csv(path: str, columns: dict):
-    """One header line of column names, then one row per sample; a length-N
-    value is one column, an (m, N) value one column per factor, numbered
-    from 1."""
+def _csv_lines(columns: dict):
+    """One header line of column names, then the rows, up to ``_CSV_CHUNK``
+    of them to a string, one row per sample; a length-N value is one
+    column, an (m, N) value one column per factor, numbered from 1."""
     names, values = [], []
     for name, col in columns.items():
         if np.ndim(col) == 1:
@@ -282,18 +287,115 @@ def _write_csv(path: str, columns: dict):
             values += list(col)
     row = ",".join(["%.17g"] * len(names))
     table = np.column_stack(values)
-    chunks = (table[start : start + _CSV_CHUNK] for start in range(0, len(table), _CSV_CHUNK))
-    text = ("\n".join([row] * len(rows)) % tuple(rows.ravel().tolist()) for rows in chunks)
-    _atomic_write(path, itertools.chain([",".join(names)], text))
+    yield ",".join(names)
+    for start in range(0, len(table), _CSV_CHUNK):
+        rows = table[start : start + _CSV_CHUNK]
+        yield "\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def write_trajectory_csv(path: str, traj: Trajectory):
+def _write_csv(path: str, columns: dict):
+    _atomic_write(path, _csv_lines(columns))
+
+
+def _trajectory_columns(traj: Trajectory) -> dict:
+    """trajectory.csv's columns, each a value per sample."""
     names = traj.spec.ansatz.component_names
     columns = {"t": traj.ts}
     columns |= dict(zip(names, traj.f.T))
     columns |= {f"d{n}": col for n, col in zip(names, traj.df.T)}
     columns |= {"u": traj.u, "du": traj.du}
-    _write_csv(path, columns | traj.columns)
+    return columns | traj.columns
+
+
+def write_trajectory_csv(path: str, traj: Trajectory):
+    _write_csv(path, _trajectory_columns(traj))
+
+
+@contextlib.contextmanager
+def _csv_stream(path: str, spec: ProblemSpec, delta: float):
+    """trajectory.csv at ``path``, written beside the integration where
+    ``_lanes`` allows a second lane.  ``stream.sink`` (None with one lane)
+    goes to ``solve_problem``: its first block of samples creates a
+    temporary file beside ``path`` and forks a child (see ``_beside``),
+    which builds each block's columns and lines as ``write_trajectory_csv``
+    does and appends them.  ``stream.rest(traj)`` sends the samples after
+    the last block; ``stream.done()`` waits for the child, moves the file
+    to ``path`` and returns the child's seconds.  A run that filled no
+    block, could not fork, or whose child ended without an answer is
+    written here by ``write_trajectory_csv`` and returns ``{}``.  Leaving
+    the block by an exception kills the child and removes the file.
+
+    Each block is answered with None, a few bytes taken by ``done``: at
+    most 200,000 / 256 of them, far below what a pipe holds.  For that, an
+    error in the child is kept, the blocks after it are skipped, and
+    ``done`` raises it."""
+    stack = contextlib.ExitStack()
+    parent = SimpleNamespace(lane=None, fd=None, tmp=None, sent=0, asked=0, traj=None)
+    child = SimpleNamespace(out=None, error=None, seconds=0.0)
+
+    def append(request):
+        """Run in the child: format one block of samples into the file."""
+        ts, ys, last = request
+        start = time.perf_counter()
+        try:
+            if child.error is None and len(ts):
+                ys = np.frombuffer(ys).reshape(len(ts), -1)
+                block = Trajectory(spec, delta, IntegrationResult(np.frombuffer(ts), ys, None, None, ""))
+                lines = _csv_lines(_trajectory_columns(block))
+                if child.out is None:
+                    child.out = os.fdopen(parent.fd, "w", encoding="utf-8", newline="\n")
+                else:
+                    next(lines)  # the header, written with the first block
+                for line in lines:
+                    child.out.write(line)
+                    child.out.write("\n")
+            if last and child.out is not None:
+                child.out.close()
+        except Exception as exc:
+            child.error = child.error or exc
+        child.seconds += time.perf_counter() - start
+        if last:
+            if child.error is not None:
+                raise child.error
+            return {"stream trajectory.csv": child.seconds}
+
+    def sink(ts, ys):
+        if parent.lane is None:
+            directory = os.path.dirname(os.path.abspath(path))
+            parent.fd, parent.tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+            stack.callback(_remove, parent.tmp)
+            try:
+                parent.lane = stack.enter_context(_beside(append))
+            except OSError:  # no process to be had: done() writes here
+                parent.lane = False
+            finally:
+                os.close(parent.fd)  # the child's copy is the one that writes
+        if parent.lane:
+            parent.lane.ask((ts, ys, False))
+            parent.sent += len(ts)
+            parent.asked += 1
+
+    def rest(traj):
+        parent.traj = traj
+        if parent.lane:
+            parent.lane.ask((traj.ts[parent.sent :], traj.result.ys[parent.sent :], True))
+            parent.asked += 1
+
+    def done():
+        if parent.lane:
+            try:
+                for _ in range(parent.asked):
+                    timings = parent.lane.answer()  # the last one's
+            except RuntimeError:  # the child is gone: write here
+                pass
+            else:
+                os.replace(parent.tmp, path)
+                return timings
+        write_trajectory_csv(path, parent.traj)
+        return {}
+
+    with stack:
+        yield SimpleNamespace(sink=sink if _lanes() == 2 else None, rest=rest, done=done)
 
 
 def write_rescaled_csv(path: str, rtraj):
@@ -417,18 +519,23 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
 
     With ``chart: both`` a forked child (see ``_beside``) solves the compact
     chart and writes ``rescaled.csv`` while this process solves the
-    physical chart, so the two sides' timings overlap."""
+    physical chart, so the two sides' timings overlap.  Otherwise, where
+    ``_lanes`` allows a second lane, a forked child writes
+    ``trajectory.csv`` block by block while this process integrates
+    (``_csv_stream``).  Runs of fewer than 256 samples, with one CPU or no
+    ``os.fork``, with ``chart: both``, or in a sweep of ``--jobs`` 2 or
+    more write it here, after the report."""
     os.makedirs(outdir, exist_ok=True)
     started = time.perf_counter()
     timings: dict[str, float] = {}
     compiled = dict(codegen.COUNTERS)
     # both charts must share one launch slice, so resolve delta up front
     delta = cfg.launch_delta
+    if delta is None:
+        delta = rescaled_default_delta(cfg.spec) if cfg.chart == "both" else default_delta(cfg.spec)
     compact = None
     if cfg.chart == "both":
         from . import rescaled  # only the compact chart needs it
-        if delta is None:
-            delta = rescaled_default_delta(cfg.spec)
         # the launch check and every compile happen here, before the fork,
         # so that this process keeps what they cache
         with _timed(timings, "solve_rescaled"):
@@ -459,9 +566,12 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
         artifacts.append(name)
 
     rtraj = None
-    with contextlib.nullcontext() if compact is None else _beside(compact) as lane:
+    with contextlib.ExitStack() as stack:
         if compact is not None:
+            lane = stack.enter_context(_beside(compact))
             lane.ask(os.path.join(outdir, "rescaled.csv"))
+        # asked with the compact chart's lane open, which it then leaves alone
+        stream = stack.enter_context(_csv_stream(os.path.join(outdir, "trajectory.csv"), cfg.spec, delta))
         with _timed(timings, "solve"):
             traj = solve_problem(
                 cfg.spec,
@@ -469,10 +579,12 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
                 rel_tol=cfg.rel_tol,
                 abs_tol=cfg.abs_tol,
                 delta=delta,
+                sink=stream.sink,
             )
+        stream.rest(traj)
         with _timed(timings, "report"):
             report = build_report(traj)
-        emit("trajectory.csv", lambda p: write_trajectory_csv(p, traj))
+        emit("trajectory.csv", lambda p: timings.update(stream.done()))
         if plot:
             emit(
                 "trajectory.svg",
@@ -496,6 +608,11 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
                 comparison = rescaled.compare_charts(traj, rtraj)
             ok = comparison.max_rel_deviation <= 1e-6
             _add_check(report, "chart_comparison", comparison, ok)
+            if comparison.t_hi < traj.ts[-1]:
+                report["verdict"].reasons.append(
+                    f"the charts are compared up to t = {_fmt(comparison.t_hi)}, where the compact"
+                    f" chart ends; ({_fmt(comparison.t_hi)}, {_fmt(traj.ts[-1])}] is not compared"
+                )
     emit("report.json", lambda p: write_json(p, report))
 
     verdict = report["verdict"]

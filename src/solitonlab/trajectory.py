@@ -369,8 +369,10 @@ def solve_problem(
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-13,
     delta: float | None = None,
+    sink=None,
 ) -> Trajectory:
-    """Launch at small t = delta and integrate with the standard event set."""
+    """Launch at small t = delta and integrate with the standard event set;
+    ``sink`` receives the samples block by block (see ``integrate``)."""
     delta = default_delta(spec) if delta is None else float(delta)
     state0 = launch(spec, delta)
     k = len(spec.ansatz.dims)
@@ -380,6 +382,7 @@ def solve_problem(
         abs_tol=abs_tol,
         events=standard_events(spec),
         validity=_validity(2 * k + 2, k),
+        sink=sink,
     )
     rhs = make_vector_rhs(spec.ansatz, spec.epsilon)
     result = integrate(rhs, state0.t, pack_state(state0), cfg)

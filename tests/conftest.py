@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from importlib.resources import files
 
 import numpy as np
@@ -78,6 +79,21 @@ def u_second_derivative_identity(state, spec):
     eps = spec.epsilon
     trace_terms = state.du**2 + d @ (z * z) - (d @ z) ** 2 + tr_r
     return spec.C + eps * state.u + trace_terms + (spec.orbit_dim - 1) * eps / 2.0
+
+
+def forked_children(monkeypatch) -> list:
+    """The pids of the children ``os.fork`` starts from now on."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,14 @@
 """The request lane to a forked child (``solitonlab._beside``), which the
-compact chart, the sweep's shares and the probe's second lane all use."""
+compact chart, the sweep's shares, the probe's second lane and the streamed
+trajectory.csv all use, and the rule for an optional lane (``_lanes``)."""
 
 import os
+import signal
 import time
 
 import pytest
 
-from solitonlab import _beside
+from solitonlab import _beside, _lanes
 
 
 def _no_child_left():
@@ -126,4 +128,65 @@ def test_leaving_normally_reaps_a_child_with_requests_unanswered():
         for x in range(3):
             lane.ask(x)
         assert lane.answer()[0] == 0
+    _no_child_left()
+
+
+def _lanes_here(x):
+    return _lanes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the child needs os.fork")
+def test_no_optional_lane_while_a_lane_is_open_or_in_its_child(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _lanes() == 2
+    with _beside(_lanes_here) as lane:
+        assert _lanes() == 1
+        lane.ask(None)
+        assert lane.answer() == 1  # in the child
+        with _beside(_lanes_here) as inner:
+            inner.ask(None)
+            assert inner.answer() == 1
+        assert _lanes() == 1
+    assert _lanes() == 2
+    # a block that raised leaves the lane closed too
+    with pytest.raises(ArithmeticError):
+        with _beside(_lanes_here):
+            raise ArithmeticError
+    assert _lanes() == 2
+    _no_child_left()
+
+
+def test_one_cpu_or_no_fork_gives_no_optional_lane(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _lanes() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _lanes() == 1
+
+
+def _none(x):
+    return None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the child needs os.fork")
+def test_a_long_request_stream_answered_at_the_end_does_not_stall():
+    # 3000 requests of 16 kB, each a full pipe many times over, and their
+    # answers, a few bytes each, all left unread until the last is sent:
+    # each ask waits only for the child to read, never for this process
+    block = bytes(16 * 1024)
+
+    def stalled(signum, frame):
+        raise TimeoutError("the request stream stalled")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(60)
+    try:
+        with _beside(_none) as lane:
+            for _ in range(3000):
+                lane.ask(block)
+            answers = [lane.answer() for _ in range(3000)]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert answers == [None] * 3000
     _no_child_left()

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from solitonlab.cli import main
 from solitonlab.runio import ConfigError, _fmt, load_config
 
-from conftest import config_path, decomposition_path
+from conftest import config_path, decomposition_path, forked_children
 
 
 def test_shipped_configs_are_distinct():
@@ -382,21 +382,6 @@ CHART_BOTH_DIGESTS = {
 }
 
 
-def forked_children(monkeypatch) -> list:
-    """The pids of the children ``os.fork`` starts from now on."""
-    pids = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
-
-
 class TestChartBoth:
     def test_both_charts_reuse_the_written_runs(self, tmp_path, monkeypatch):
         from solitonlab import integrator, rescaled, trajectory
@@ -618,6 +603,24 @@ class TestChartBoth:
         (pid,) = children
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+    def test_a_comparison_short_of_the_run_names_the_span_left_out(self, tmp_path):
+        # the compact chart stops at a fixed slow time, s = 400: on this
+        # expanding run (ds ~ t dt / 2) that is t ~ 34.6 of the run's 100
+        doc = json.loads(config_path("dw_e1_c10.json").read_text())
+        doc["chart"] = "both"
+        doc["integrator"] = dict(doc["integrator"], t_max=100.0)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        t_hi = report["chart_comparison"]["t_hi"]
+        assert 34.0 < t_hi < 35.0 and manifest["key_diagnostics"]["t_end"] == 100.0
+        assert manifest["verdict"] == report["verdict"]["kind"] == "numerically_complete"
+        assert manifest["reasons"] == report["verdict"]["reasons"] == [
+            f"the charts are compared up to t = {_fmt(t_hi)}, where the compact chart ends;"
+            f" ({_fmt(t_hi)}, 100] is not compared"
+        ]
 
     def test_physical_chart_manifest_has_no_rescaled_counts(self, tmp_path):
         out = tmp_path / "o"

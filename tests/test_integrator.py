@@ -323,3 +323,26 @@ def test_an_event_that_lands_exactly_on_zero_is_a_crossing(after):
     res = integrate(lambda t, y: [1.0], 0.0, [0.0], IntegratorConfig(t_max=1.0, events=(ev,)))
     assert res.termination == "event:step"
     assert res.ts[-1] == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("event", [False, True])
+def test_a_sink_gets_each_full_block_of_final_samples(event):
+    # a shipped run, one ending at an event too: the blocks are the
+    # result's first rows, in order, and the run is the one without a sink
+    spec = load_shipped("ts_exit_einstein.json" if event else "dw_complete_steady.json").spec
+    blocks = []
+
+    def sink(ts, ys):
+        blocks.append((ts.tobytes(), ys.tobytes()))
+
+    with_sink = trajectory.solve_problem(spec, t_max=100.0, sink=sink)
+    plain = trajectory.solve_problem(spec, t_max=100.0)
+    _same_run(with_sink.result, plain.result)
+    assert with_sink.termination.startswith("event:") == event
+    block = integrator._SINK_BLOCK
+    assert len(blocks) == len(plain.ts) // block > 0
+    n = plain.result.ys.shape[1]
+    ts, ys = plain.ts[: len(blocks) * block], plain.result.ys[: len(blocks) * block]
+    assert b"".join(t for t, _ in blocks) == ts.tobytes()
+    assert b"".join(y for _, y in blocks) == ys.tobytes()
+    assert {len(t) for t, _ in blocks} == {8 * block} and {len(y) for _, y in blocks} == {8 * block * n}
