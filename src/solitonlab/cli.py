@@ -198,7 +198,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_probe_c0(args) -> int:
-    from .launch import default_delta
     from .monitors import ProbeRangeError, growth_probe
     from .runio import ConfigError, _atomic_write, load_config, write_json
 
@@ -208,10 +207,9 @@ def cmd_probe_c0(args) -> int:
         return _fail(EX_CONFIG, str(exc))
     if not 0.0 < args.c < math.inf:
         return _fail(EX_CONFIG, f"probe needs a finite --c > 0, got {args.c!r}")
-    # the probe's solves run in the physical chart, from its launch offset
-    offset = default_delta(cfg.spec) if cfg.launch_delta is None else cfg.launch_delta
     if not math.isfinite(args.tau):
         return _fail(EX_CONFIG, f"--tau must be finite, got {args.tau!r}")
+    offset = cfg.launch_delta  # the probe's solves launch where the config's run does
     if not args.tau > offset:
         return _fail(EX_CONFIG, f"--tau must exceed the launch offset {offset!r}, got {args.tau!r}")
     os.makedirs(args.out, exist_ok=True)

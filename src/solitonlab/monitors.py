@@ -26,7 +26,7 @@ from .systems import (
     flow_ansatz,
 )
 from .trajectory import (
-    _BOUND_TOL, Trajectory, _flat_circle, dw_omega_sq_bounds, dw_pair_bound_constant,
+    _BOUND_TOL, Trajectory, dw_omega_sq_bounds, dw_pair_bound_constant,
     lpp_ratio_bound, solve_problem, two_summands_root_squares,
 )
 
@@ -43,8 +43,6 @@ __all__ = [
 _LOCUS_TOL = 1e-7  # both locus ratios this close to 1: the Einstein locus
 _L_NONZERO_TOL = 1e-12  # every |fdot_i / f_i| below this: a steady run skips concavity
 _MAX_T0_GRID = 256  # most grid times the windowed lower bound is checked at
-# the conservation budget 1e-8 (1 + |C|), one for the report and the verdict
-_CONSERVATION_TOL_SCALE = 1e-8
 _OMEGA_TOL = 1e-6  # relative slack on the two-summands ratio-slope cap
 _KAHLER_TOL = 1e-6  # largest Kaehler residual still on the locus
 _C_START = -0.125  # the growth probe's first grid point
@@ -266,19 +264,25 @@ class ConservationReport(Report):
     ok: bool
 
 
+def _conservation_budget(traj: Trajectory) -> tuple[float, float]:
+    """The largest |conservation residual| over the samples and the budget
+    1e-8 (1 + |C|) it must not exceed: the one rule the report and the
+    verdict read."""
+    worst = float(np.max(np.abs(traj.columns["conservation_residual"])))
+    return worst, 1e-8 * (1.0 + abs(traj.spec.C))
+
+
 def conservation_report(traj: Trajectory) -> ConservationReport:
-    spec = traj.spec
     r3 = traj.columns["conservation_residual"]
     r4 = traj.columns["conservation_residual_curvature"]
-    tol = _CONSERVATION_TOL_SCALE * (1.0 + abs(spec.C))
-    m3 = float(np.max(np.abs(r3)))
+    worst, tol = _conservation_budget(traj)
     return ConservationReport(
         anchor="first integral uddot + (-udot + tr L) udot - C - eps u vanishing along the flow",
-        max_abs_residual=m3,
+        max_abs_residual=worst,
         max_abs_residual_curvature=float(np.max(np.abs(r4))),
         max_variant_disagreement=float(np.max(np.abs(r3 - r4))),
         tolerance=tol,
-        ok=bool(m3 <= tol),
+        ok=worst <= tol,
     )
 
 
@@ -298,7 +302,8 @@ class OmegaReport(Report):
 
 def two_summands_omega_monitor(traj: Trajectory) -> OmegaReport:
     """Ratio omega = f1/f2: slope never exceeding its launch value 1/fbar
-    while omega sits in [0, omega2], and omega staying below omega2."""
+    while omega is in [0, omega2), inside the window row, and omega staying
+    below omega2."""
     a = traj.spec.ansatz
     if not isinstance(a, TwoSummandsAnsatz):
         raise TypeError("omega monitor applies to the two-summands system")
@@ -307,7 +312,7 @@ def two_summands_omega_monitor(traj: Trajectory) -> OmegaReport:
     omega, domega = traj.columns["omega"], traj.columns["domega"]
     bound = 1.0 / traj.spec.initial[0]  # 1 / fbar
     window = traj.margins["invariant_exit"]
-    in_window = (omega >= 0.0) & (window.values >= 0.0)  # omega in [0, omega2]
+    in_window = (omega >= 0.0) & window.inside  # omega in [0, omega2)
     max_do = float(np.max(domega[in_window])) if np.any(in_window) else -np.inf
     return OmegaReport(
         anchor="fibre/base ratio slope capped by its launch value inside the preserved window",
@@ -461,8 +466,7 @@ def classify_completeness(traj: Trajectory) -> Verdict:
         kind = _ENDED_EARLY.get(term, "inconclusive")
         return Verdict(kind=kind, t_star=float(traj.ts[-1]), reasons=[term], note=_VERDICT_NOTE)
     reasons = []
-    tol = _CONSERVATION_TOL_SCALE * (1.0 + abs(traj.spec.C))
-    worst = float(np.max(np.abs(traj.columns["conservation_residual"])))
+    worst, tol = _conservation_budget(traj)
     if not worst <= tol:
         reasons.append(f"conservation residual {worst:.3e} above {tol:.3e}")
     reasons += [m.row.reason for m in traj.margins.values() if not m.holds]
@@ -499,11 +503,11 @@ def curvature_budget_at_launch(spec: ProblemSpec, delta: float | None = None) ->
     """The trace of the Killing-type curvature budget at the launch slice:
     sum A_i / f_i^2 for the two-summands system, sum d_i p_i / g_i(0)^2 for
     circle bundles (the warped factor contributing d2 (d2 - 1) / g2(0)^2)."""
-    from .launch import default_delta, launch
+    from .launch import launch
 
     a = flow_ansatz(spec.ansatz)
     if isinstance(a, TwoSummandsAnsatz):
-        state = launch(spec, default_delta(spec) if delta is None else delta)
+        state = launch(spec, delta)
         return float(a.A1 / state.f[0] ** 2 + a.A2 / state.f[1] ** 2)
     # left to right, as on Python < 3.12, whose builtin sum is not compensated
     return float(_sum([d * p / g**2 for d, p, g in zip(a.d, a.p, spec.initial)]))
@@ -593,10 +597,9 @@ def growth_probe(
     """Bracket the weakest conservation constant driving -udot(tau) >= c.
 
     Runs ``_search`` with one solve per C it asks for; with no success
-    above ``_C_LIMIT`` it raises ``ProbeRangeError``.  Runs whose shape
-    operator loses positivity before tau are excluded and reported; a flat
-    warped circle's g2, which the flow fixes, is left out of that test as
-    it is out of the shape row.
+    above ``_C_LIMIT`` it raises ``ProbeRangeError``.  A run that ends
+    before tau or leaves the shape row (``margins["shape_exit"]``, which
+    leaves a flat warped circle's fixed g2 out) is excluded and reported.
 
     With two lanes (``_lanes``), a forked child (see ``_beside``) solves
     the C the search will ask for next, found by a fresh search sent the
@@ -609,7 +612,6 @@ def growth_probe(
     """
     if not (0.0 < c < math.inf and 0.0 < tau < math.inf):
         raise ValueError("slope target c and probe time tau must be finite and positive")
-    shaped = slice(-1) if _flat_circle(spec) else slice(None)  # the tested columns of df
 
     def outcome(C):
         """-udot(tau) of the run at C, or None when it is excluded, and the
@@ -619,7 +621,7 @@ def growth_probe(
         except Exception as exc:  # raised here if the search asks for C
             return exc
         work = tuple(getattr(t.result, key) for key in _WORK)
-        if not t.reached_horizon or not np.all(t.df[:, shaped] > 0.0):
+        if not t.reached_horizon or not t.margins["shape_exit"].holds:
             return None, work
         return float(-t.du[-1]), work
 

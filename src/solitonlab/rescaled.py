@@ -16,10 +16,14 @@ the locus residuals are written once over sequences of components with
 + - * / and left-to-right sums only, so the integrator's right-hand side
 (floats) and the CSV columns ((N,) arrays) round alike on any numpy kernel.
 The right-hand side is the polynomial system traced once into straight-line
-code and compiled (see ``codegen``), cached per ansatz and eps.  The
-``chart_degenerate`` and ``overflow`` events and the all-finite validity
-test are the physical chart's compiled state tests (see ``trajectory``),
-cached per component count, with each min and max in the builtin's order.
+code and compiled (see ``codegen``), cached per ansatz and eps.
+
+Slow time has no cap: the horizon is t_max, where the ``t_target`` event
+finds the carried t.  The ``chart_degenerate`` and ``overflow`` events and
+the all-finite validity test are the physical chart's compiled state tests
+(see ``trajectory``), cached per component count, with each min and max in
+the builtin's order.  A run that meets no event ends at the integrator's
+attempt cap.
 """
 
 from __future__ import annotations
@@ -234,11 +238,6 @@ class RescaledTrajectory:
         )
 
 
-# slow-time cap of a compact-chart run; the t_target event normally ends it
-# first (the shipped runs reach their physical horizon by s = 77)
-_S_MAX = 400.0
-
-
 def solve_rescaled(
     spec: ProblemSpec,
     t_max: float = 10.0,
@@ -247,7 +246,7 @@ def solve_rescaled(
     delta: float | None = None,
 ) -> RescaledTrajectory:
     """Launch physically at t = delta, map to the compact chart, and flow in
-    slow time until the carried physical time passes t_max."""
+    slow time until the carried physical time reaches t_max."""
     return prepare_rescaled(spec, t_max, rel_tol, abs_tol, delta)()
 
 
@@ -283,7 +282,7 @@ def prepare_rescaled(
         EventSpec("overflow", _overflow(len(y0))),
     )
     cfg = IntegratorConfig(
-        t_max=_S_MAX,
+        t_max=math.inf,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         events=events,

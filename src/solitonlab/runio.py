@@ -57,7 +57,7 @@ _INTEGRATOR_FIELDS = ("rel_tol", "abs_tol", "t_max")
 @dataclasses.dataclass
 class RunConfig:
     spec: ProblemSpec
-    launch_delta: float | None
+    launch_delta: float  # the launch offset the run uses, resolved by load_config
     rel_tol: float
     abs_tol: float
     t_max: float
@@ -171,9 +171,6 @@ def load_config(source) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    delta = doc.get("launch_delta")
-    if delta is None and not default_delta(spec) > 0:
-        raise ConfigError("field 'initial': sizes this small leave no positive launch offset")
     integ = doc.get("integrator", {})
     if not isinstance(integ, dict):
         raise ConfigError("field 'integrator' must be an object")
@@ -191,16 +188,18 @@ def load_config(source) -> RunConfig:
         "inconclusive",
     ):
         raise ConfigError(f"field 'expect': unknown verdict {expect!r}")
-    delta = None if delta is None else _positive(doc, "launch_delta", None)
+    # the run's launch offset, resolved here once: launch_delta, else its
+    # chart's default (with chart both, both charts start at the compact one's)
+    if doc.get("launch_delta") is not None:
+        delta = _positive(doc, "launch_delta", None)
+    else:
+        delta = rescaled_default_delta(spec) if chart == "both" else default_delta(spec)
+        if not delta > 0:
+            raise ConfigError("field 'initial': sizes this small leave no positive launch offset")
     t_max = _positive(integ, "t_max", 10.0, "integrator")
-    # a run starts at its launch offset; with chart both, both charts start
-    # at the compact chart's
-    offset = delta
-    if offset is None:
-        offset = rescaled_default_delta(spec) if chart == "both" else default_delta(spec)
-    if not t_max > offset:
+    if not t_max > delta:
         raise ConfigError(
-            f"field 'integrator.t_max' must exceed the launch offset {offset!r}, got {t_max!r}"
+            f"field 'integrator.t_max' must exceed the launch offset {delta!r}, got {t_max!r}"
         )
     return RunConfig(
         spec=spec,
@@ -529,10 +528,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
     started = time.perf_counter()
     timings: dict[str, float] = {}
     compiled = dict(codegen.COUNTERS)
-    # both charts must share one launch slice, so resolve delta up front
-    delta = cfg.launch_delta
-    if delta is None:
-        delta = rescaled_default_delta(cfg.spec) if cfg.chart == "both" else default_delta(cfg.spec)
+    delta = cfg.launch_delta  # one launch slice for both charts
     compact = None
     if cfg.chart == "both":
         from . import rescaled  # only the compact chart needs it

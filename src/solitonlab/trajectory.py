@@ -36,7 +36,7 @@ import numpy as np
 
 from .codegen import Tape, Traced, compile_function, extremum
 from .integrator import EventSpec, IntegrationResult, IntegratorConfig, integrate
-from .launch import default_delta, launch
+from .launch import launch
 from .systems import (
     DancerWangAnsatz,
     LuPagePopeAnsatz,
@@ -371,9 +371,9 @@ def solve_problem(
     delta: float | None = None,
     sink=None,
 ) -> Trajectory:
-    """Launch at small t = delta and integrate with the standard event set;
-    ``sink`` receives the samples block by block (see ``integrate``)."""
-    delta = default_delta(spec) if delta is None else float(delta)
+    """Launch at small t = delta (by default ``launch``'s) and integrate
+    with the standard event set; ``sink`` receives the samples block by
+    block (see ``integrate``)."""
     state0 = launch(spec, delta)
     k = len(spec.ansatz.dims)
     cfg = IntegratorConfig(
@@ -386,4 +386,4 @@ def solve_problem(
     )
     rhs = make_vector_rhs(spec.ansatz, spec.epsilon)
     result = integrate(rhs, state0.t, pack_state(state0), cfg)
-    return Trajectory(spec=spec, delta=delta, result=result)
+    return Trajectory(spec=spec, delta=state0.t, result=result)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -247,6 +248,24 @@ class TestSolve:
         assert not (tmp_path / "o").exists()
         if doc.get("chart") == "both":
             assert load_config(doc | {"chart": "physical"}).t_max == t_max
+
+    def test_the_positivity_check_reads_the_offset_the_run_launches_at(self, tmp_path, capsys):
+        # the physical default 1e-4 * 1e-320 rounds to 0, but a chart both
+        # run launches at the compact chart's 1e-323: it loads, and its
+        # launch slice is refused as with that launch_delta given
+        doc = json.loads(config_path("dw_m2_chart.json").read_text()) | {"initial": [1e-320, 1e-320]}
+        assert load_config(doc).launch_delta == 1e-323
+        errs = []
+        for changes in ({}, {"launch_delta": 1e-323}):
+            cfg = write_json(tmp_path, "c.json", doc | changes)
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 70
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "launch state t = 1e-323" in errs[0] and "check the sizes in 'initial'" in errs[0]
+        # in the physical chart no offset is left
+        cfg = write_json(tmp_path, "c.json", doc | {"chart": "physical"})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "p")]) == 64
+        assert "'initial': sizes this small leave no positive launch offset" in capsys.readouterr().err
 
     def test_integer_launch_delta_is_accepted(self):
         cfg = load_config(dict(BASE, launch_delta=1))
@@ -604,22 +623,45 @@ class TestChartBoth:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
 
-    def test_a_comparison_short_of_the_run_names_the_span_left_out(self, tmp_path):
-        # the compact chart stops at a fixed slow time, s = 400: on this
-        # expanding run (ds ~ t dt / 2) that is t ~ 34.6 of the run's 100
-        doc = json.loads(config_path("dw_e1_c10.json").read_text())
-        doc["chart"] = "both"
+    @pytest.mark.parametrize("name", ["dw_m2_chart.json", "dw_e1_c10.json"])
+    def test_the_charts_are_compared_over_the_whole_run(self, tmp_path, name):
+        # slow time has no cap of its own: at t_max 100 the compact chart
+        # reaches t = 100 (one at s = 400 stopped dw_m2_chart at t = 55.47
+        # and dw_e1_c10 at t = 34.59)
+        doc = json.loads(config_path(name).read_text()) | {"chart": "both"}
         doc["integrator"] = dict(doc["integrator"], t_max=100.0)
         out = tmp_path / "o"
         assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        comparison = json.loads((out / "report.json").read_text())["chart_comparison"]
+        assert comparison["t_hi"] == manifest["key_diagnostics"]["t_end"] == 100.0
+        assert comparison["max_rel_deviation"] <= 1e-6
+        assert manifest["reasons"] == []
+
+    def test_a_comparison_short_of_the_run_names_the_span_left_out(self, tmp_path, monkeypatch):
+        # a compact run capped at 300 attempts ends short of the run's t_max;
+        # the cap is patched in here, before the fork, so the child that
+        # integrates the compact chart inherits it
+        from solitonlab import integrator, rescaled
+
+        cap = 300
+
+        def capped(rhs, t0, y0, cfg):
+            return integrator.integrate(rhs, t0, y0, dataclasses.replace(cfg, max_steps=cap))
+
+        monkeypatch.setattr(rescaled, "integrate", capped)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(config_path("dw_m2_chart.json")), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
         report = json.loads((out / "report.json").read_text())
-        t_hi = report["chart_comparison"]["t_hi"]
-        assert 34.0 < t_hi < 35.0 and manifest["key_diagnostics"]["t_end"] == 100.0
+        kd = manifest["key_diagnostics"]
+        assert kd["rescaled"]["n_accepted"] + kd["rescaled"]["n_rejected"] == cap
+        t_hi, t_end = report["chart_comparison"]["t_hi"], kd["t_end"]
+        assert t_hi < t_end == 10.0
         assert manifest["verdict"] == report["verdict"]["kind"] == "numerically_complete"
         assert manifest["reasons"] == report["verdict"]["reasons"] == [
             f"the charts are compared up to t = {_fmt(t_hi)}, where the compact chart ends;"
-            f" ({_fmt(t_hi)}, 100] is not compared"
+            f" ({_fmt(t_hi)}, {_fmt(t_end)}] is not compared"
         ]
 
     def test_physical_chart_manifest_has_no_rescaled_counts(self, tmp_path):

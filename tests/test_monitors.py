@@ -279,6 +279,22 @@ class TestClassification:
         assert v.kind == "invariant_set_exit"
         assert v.t_star is not None
 
+    def test_the_report_and_the_verdict_share_the_conservation_budget(self, shipped_runs):
+        # a residual at the budget 1e-8 (1 + |C|) passes both; one ulp above
+        # fails both, and the verdict's reason gives the report's numbers
+        src = shipped_runs["ts_e0_c1.json"]
+        budget = 1e-8 * (1.0 + abs(src.spec.C))
+        for worst, ok in ((budget, True), (math.nextafter(budget, math.inf), False)):
+            run = Trajectory(spec=src.spec, delta=src.delta, result=src.result)
+            residual = np.zeros_like(src.ts)
+            residual[len(residual) // 2] = -worst
+            run.__dict__["columns"] = src.columns | {"conservation_residual": residual}
+            rep, v = M.conservation_report(run), M.classify_completeness(run)
+            assert (rep.max_abs_residual, rep.tolerance, rep.ok) == (worst, budget, ok)
+            assert v.kind == ("numerically_complete" if ok else "inconclusive")
+            reason = f"conservation residual {rep.max_abs_residual:.3e} above {rep.tolerance:.3e}"
+            assert v.reasons == ([] if ok else [reason])
+
     def test_metric_degenerate_mapping(self, shipped_runs):
         src = shipped_runs["ts_e0_c1.json"]
         result = copy.deepcopy(src.result)
@@ -467,6 +483,41 @@ class TestGrowthProbe:
         # curvature budget at launch ~ A2 / fbar^2 for a collapsing circle
         assert rep.c_star == pytest.approx(6.0, rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "name, ansatz",
+        [("ts_probe_d1.json", {}), ("lpp_e0_c1.json", {"d2": 1}), ("ts_exit_einstein.json", {})],
+        ids=["ts_probe_d1", "lpp_flat_circle", "ts_exit_einstein"],
+    )
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(C=st.floats(-1e4, 0.0), tau=st.floats(0.05, 2.0))
+    def test_a_run_is_excluded_by_the_shape_row_as_by_its_old_test(self, name, ansatz, C, tau):
+        """The oracle is the probe's test before it read the shape row: a
+        run is excluded when it ends before tau or some fdot_i is not
+        positive at some sample, g2 left out on a steady flat circle
+        (lpp with d2 = 1), whose slope the flow fixes at 0.
+        ``ts_exit_einstein`` leaves the shape row at t = 1.5 - 2.1 for C
+        in [-10, 0], so some of its runs are excluded."""
+        doc = json.loads(config_path(name).read_text())
+        doc["ansatz"] |= ansatz
+        flat_circle = ansatz.get("d2") == 1
+        cfg = load_config(doc)
+        tols = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+        traj = solve_problem(cfg.spec.with_C(C), t_max=tau, **tols)
+        df = traj.df[:, :-1] if flat_circle else traj.df
+        excluded = not traj.reached_horizon or not np.all(df > 0.0)
+
+        def ask_once(c):
+            """A search that asks for C alone."""
+            yield C
+            return None, C
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "_search", ask_once)
+            mp.delattr(os, "fork")
+            rep = M.growth_probe(cfg.spec, c=1.0, tau=tau, **tols)
+        assert rep.excluded == ([C] if excluded else [])
+        assert rep.samples == ([] if excluded else [(C, float(-traj.du[-1]))])
+
     def test_probe_rejects_bad_arguments(self, shipped_runs):
         spec = shipped_runs["ts_probe_d1.json"].spec
         for c, tau in [(-1.0, 0.5), (0.0, 0.5), (math.nan, 0.5), (math.inf, 0.5), (5.0, 0.0),
@@ -515,7 +566,7 @@ class TestGrowthProbe:
             s = slope_of(spec.C)
             return SimpleNamespace(
                 reached_horizon=s is not None,
-                df=np.ones((1, 2)),
+                margins={"shape_exit": SimpleNamespace(holds=True)},
                 du=np.array([0.0 if s is None else -s]),
                 result=SimpleNamespace(n_accepted=1, n_rejected=0, n_rhs=6),
             )

@@ -7,7 +7,6 @@ import time
 import pytest
 
 from solitonlab import _lanes, runio
-from solitonlab.launch import default_delta
 from solitonlab.runio import load_config, run_solve, write_trajectory_csv
 from solitonlab.trajectory import solve_problem
 
@@ -26,7 +25,7 @@ def reaped(pids):
 def streamed(cfg, path, t_max=None):
     """The physical run of cfg to t_max (its own by default), its
     trajectory.csv streamed to path."""
-    delta = default_delta(cfg.spec) if cfg.launch_delta is None else cfg.launch_delta
+    delta = cfg.launch_delta
     with runio._csv_stream(str(path), cfg.spec, delta) as stream:
         traj = solve_problem(
             cfg.spec,
