@@ -24,9 +24,11 @@ its input fails while tracing instead of being frozen into one branch.
 ``extremum`` writes a min or max over expressions as straight-line code
 that compares the candidates in the order the builtin does.
 
-``traced`` gives the ``Trace`` of a function ``trace_function`` compiled,
-by the identity of the function object, so the integrator can inline the
-body.  Generated sources are registered with ``linecache`` under a
+``traced`` gives the ``Trace`` a function was compiled from, by the
+identity of the function object: ``trace_function`` registers each one it
+compiles, and so do the state tests of ``trajectory``.  The integrator
+inlines the body, ``Trace.bound`` renaming what could clash with the code
+around it.  Generated sources are registered with ``linecache`` under a
 readable name such as ``<solitonlab dp5 n=6>``, so tracebacks and
 ``inspect.getsource`` show the kernel's lines.
 """
@@ -35,12 +37,14 @@ from __future__ import annotations
 
 import linecache
 import math
+import re
 import time
 import weakref
 from dataclasses import dataclass
 
 __all__ = [
-    "Tape", "Trace", "Traced", "compile_function", "extremum", "trace_function", "traced",
+    "Tape", "Trace", "Traced", "compile_function", "extremum", "register", "trace_function",
+    "traced",
 ]
 
 
@@ -172,9 +176,14 @@ def extremum(name: str, candidates, op: str = "<") -> list[str]:
     return lines
 
 
+# a name in generated source: not an attribute, nor the exponent of a
+# literal (compiled by ``re`` on first use, not at import)
+_NAME = r"(?<![\w.])[A-Za-z_]\w*"
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """A traced formula: the names of its n inputs, the recorded lines that
+    """A traced formula: the names of its inputs, the recorded lines that
     compute from them, the source text of each output and the constants the
     lines bind by name."""
 
@@ -184,16 +193,45 @@ class Trace:
     outputs: tuple[str, ...]
     namespace: dict
 
+    def bound(self, args, prefix: str) -> Trace:
+        """This formula for inlining into other generated code: each input
+        replaced by the matching name of ``args``, and every other name it
+        binds -- the locals its lines assign and its constants -- given
+        ``prefix``, so that it clashes with no name of the code around it."""
+        if len(args) < len(self.inputs):
+            raise ValueError(f"{self.filename} reads {len(self.inputs)} values, not {len(args)}")
+        assigned = (re.match(r"\s*(\w+) = ", line) for line in self.lines)
+        names = {v: prefix + v for v in (*(m[1] for m in assigned if m), *self.namespace)}
+        names |= dict(zip(self.inputs, args))
 
-# id of each live function trace_function compiled -> its Trace; an entry
+        def rename(text):
+            return re.sub(_NAME, lambda m: names.get(m[0], m[0]), text)
+
+        return Trace(
+            self.filename,
+            tuple(names[v] for v in self.inputs),
+            tuple(map(rename, self.lines)),
+            tuple(map(rename, self.outputs)),
+            {names[k]: v for k, v in self.namespace.items()},
+        )
+
+
+# id of each live function compiled from a Trace -> that Trace; an entry
 # goes when its function is collected, before the id can be reused
 _TRACES: dict[int, Trace] = {}
 
 
+def register(fn, trace: Trace):
+    """Record ``fn`` as compiled from ``trace``, for ``traced``; returns fn."""
+    _TRACES[id(fn)] = trace
+    weakref.finalize(fn, _TRACES.pop, id(fn), None)
+    return fn
+
+
 def traced(fn) -> Trace | None:
-    """The Trace ``fn`` was compiled from, if ``trace_function`` returned
-    this very object; a wrapper around it, even one that copies its
-    attributes, has none."""
+    """The Trace ``fn`` was compiled from, if it was registered (as
+    ``trace_function`` registers what it returns); a wrapper around it,
+    even one that copies its attributes, has none."""
     return _TRACES.get(id(fn))
 
 
@@ -207,7 +245,4 @@ def trace_function(formula, n: int, filename: str):
     trace = Trace(filename, tuple(v.name for v in y), tuple(tape.lines), tuple(out), tape.namespace)
     body = [f"{', '.join(trace.inputs)}, = y", *trace.lines, f"return [{', '.join(out)}]"]
     source = "def fn(t, y):\n" + "".join(f"    {line}\n" for line in body)
-    fn = compile_function("fn", source, filename, tape.namespace)
-    _TRACES[id(fn)] = trace
-    weakref.finalize(fn, _TRACES.pop, id(fn), None)
-    return fn
+    return register(compile_function("fn", source, filename, tape.namespace), trace)

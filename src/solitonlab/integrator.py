@@ -7,24 +7,37 @@ fourth-order continuous extension (Shampine 1986; Hairer, Norsett and
 Wanner, Solving ODEs I, II.6), built from each step's stages at no extra
 right-hand-side cost.  It serves ``sample_at`` and event location alike.
 
-The step runs on Python floats: the state and each stage are lists, and
-every stage combination, the error vector and the dense-output term is an
+The step runs on Python floats, one local per component of the state and
+of each stage, and every stage combination, the error vector and the dense-output term is an
 explicit sum in a fixed order.  The error norm sums in numpy's pairwise
 order, so it equals the array formula bit for bit.  No rounding on the step
 depends on the BLAS or SIMD kernels numpy picks at run time, and identical
 inputs walk an identical step sequence on any such kernel.  Accepted samples
 go to flat double buffers that become the result's arrays.
 
-One attempt is straight-line code generated from the tableau rows for the
-state length at hand (``_dp_kernel``): scalar locals, no per-component
-loops.  A right-hand side compiled by ``codegen`` (found by the identity
-of the function object, so a profiler's wrapper is called like any other
-callable) is fused in: each stage is its traced body inlined, and the
-attempt counts its own evaluations.  Every stage reuses the body's local
-names.  With names of its own per stage the attempt has some 420 locals;
-CPython reaches a local past the 256th only through an extended
-instruction, and so built the attempt ran no faster than the calling one.
-Attempts are compiled on first use and cached.
+The whole adaptive loop is one function generated for the state length
+and the run's callables (``_run_kernel``), compiled on first use and
+cached: the six stages, the error norm, the validity test, every event,
+the sample buffers, the sink's blocks and the PI controller, on scalar
+locals with no per-component loops.  A callable compiled by ``codegen``
+or ``trajectory`` -- the right-hand side, an event or the validity test --
+is found by the identity of the function object (``codegen.traced``) and
+inlined.  The right-hand side's body is each stage, in the body's own
+local names, which every stage reuses: with names of its own per stage
+the loop would have some 420 locals, and CPython reaches a local past the
+256th only through an extended instruction.  An event's or the validity
+test's body reads the new state's names for its inputs and gives every
+other name it binds a prefix of its own.  Any other callable, a
+profiler's wrapper included, is passed in and called from the same loop.
+So the cache key holds the traces and the call slots, never an uncompiled
+callable, and an accepted step calls nothing in Python unless a callable
+has no trace.
+
+A step that crosses an event returns to Python: ``_refine_event`` bisects
+the crossing, and the step to its time is one compiled attempt
+(``_dp_kernel``), built only when a run first crosses an event.  Every
+float operation is the one the step has always made, in the same order,
+so samples, counts and terminations do not depend on what is inlined.
 """
 
 from __future__ import annotations
@@ -60,6 +73,8 @@ _D1, _D2, _D3, _D4, _D5, _D6, _D7 = (
     -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
 )
+_ERROR_WEIGHTS = (_E1, _E2, _E3, _E4, _E5, _E6, _E7)
+_DENSE_WEIGHTS = (_D1, _D2, _D3, _D4, _D5, _D6, _D7)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -219,97 +234,277 @@ _STAGES = (
 )
 
 
-@lru_cache(maxsize=64)
-def _dp_kernel(n: int, rhs: Trace | None = None):
-    """One Dormand-Prince attempt on states of n floats, compiled from the
-    tableau rows: ``step(call, t, y, f, h, rtol, atol)`` steps by h from
-    (t, y) with slope f, each y and f a sequence of n floats.
+def _combined(weights, j):
+    """The stage combination of component j: k1_j w1 + k2_j w2 + ...,
+    summed left to right with zero weights included, so its rounding is
+    fixed."""
+    return " + ".join(f"k{i}_{j} * {w!r}" for i, w in enumerate(weights, 1))
 
-    Returns (y_new, f_new, err, r5) -- the fifth-order solution, its slope
-    (FSAL), the scaled error norm and the quartic term of the step's
-    continuous extension -- or a failure when a stage raises one of
-    ``_STAGE_ERRORS`` or is not finite.  Each stage is checked before the
-    next one is evaluated.  Every combination of stages is
-    y_j + h * (k1_j a1 + k2_j a2 + ...), summed left to right with zero
-    weights included, so its rounding is fixed.  The error norm is
-    ``_error_norm`` unrolled, summed in ``_pairwise_sum``'s order.
 
-    Without ``rhs`` each stage is ``call(t_i, x)``, a failure returns None,
-    and a stage of the wrong length raises ValueError.  With the Trace of a
-    compiled right-hand side each stage is its traced body inlined, in the
-    body's own local names, and ``call`` is not used: a failure returns the
-    number of right-hand sides evaluated, and a completed attempt evaluated
-    ``len(_STAGES)``.  The source is registered with linecache as
-    ``<solitonlab dp5 n=...>``.
-    """
+def _names(prefix, n):
+    return "".join(f"{prefix}{j}, " for j in range(n))
+
+
+def _indented(lines, depth=1):
+    return [f"{'    ' * depth}{line}" for line in lines]
+
+
+def _unpacked(n):
+    """The lines that unpack the state y and its slope f into y_j and k1_j."""
+    return [f"{_names('y_', n)}= y", f"{_names('k1_', n)}= f"]
+
+
+def _attempt(n, rhs: Trace | None, call, failure, y_new: bool) -> list[str]:
+    """Source lines of one Dormand-Prince attempt by h from (t, y_j) with
+    slope k1_j: the stages k2_j .. k7_j, the fifth-order solution yn_j (and
+    the list ``y_new`` of them when asked for) and the scaled error norm
+    ``err``.
+
+    Each stage is checked before the next one is evaluated; one that raises
+    one of ``_STAGE_ERRORS`` or is not finite runs ``failure(stage)``,
+    lines that must leave the attempt.  Without ``rhs`` the lines
+    ``call(t_i, x)`` set ``k`` to the stage, x a list display, and a stage
+    of the wrong length raises ValueError.  With the Trace of a compiled
+    right-hand side each stage is its body inlined, in the body's own local
+    names.  Every stage input is y_j + h * (k1_j a1 + k2_j a2 + ...), and
+    the error norm is ``_error_norm`` unrolled, summed in
+    ``_pairwise_sum``'s order."""
     J = range(n)
-    err_weights = (_E1, _E2, _E3, _E4, _E5, _E6, _E7)
-    dense_weights = (_D1, _D2, _D3, _D4, _D5, _D6, _D7)
-
-    def names(prefix):
-        return "".join(f"{prefix}{j}, " for j in J)
-
-    def combined(weights, j):
-        return " + ".join(f"k{i}_{j} * {w!r}" for i, w in enumerate(weights, 1))
-
-    def check(stage, failure):
-        finite = " and ".join(f"isfinite(k{stage}_{j})" for j in J)
-        return [f"        if not ({finite}):", f"            return {failure}"]
-
-    src = ["def dp5(call, t, y, f, h, rtol, atol):", f"    {names('y_')}= y", f"    {names('k1_')}= f"]
+    y_new = y_new or rhs is None
+    src = []
     for stage, (node, weights) in enumerate(_STAGES, 2):
-        x = [f"y_{j} + h * ({combined(weights, j)})" for j in J]
-        src.append("    try:")
+        x = [f"y_{j} + h * ({_combined(weights, j)})" for j in J]
+        src.append("try:")
         if stage == 7:  # the 5th-order solution, the last stage's node
-            src += [f"        yn{j} = {x[j]}" for j in J] + [f"        y_new = [{names('yn')}]"]
+            src += _indented(f"yn{j} = {x[j]}" for j in J)
             x = [f"yn{j}" for j in J]
+            if y_new:
+                src.append(f"    y_new = [{_names('yn', n)}]")
         if rhs is None:
             t_node = "t + h" if node == 1.0 else f"t + {node!r} * h"
-            arg = "y_new" if stage == 7 else f"[{', '.join(x)}]"
-            src.append(f"        k = call({t_node}, {arg})")
-            stage_k = [f"    {names(f'k{stage}_')}= k"]
-            failure = None
+            src += _indented(call(t_node, "y_new" if stage == 7 else f"[{', '.join(x)}]"))
+            stage_k = [f"{_names(f'k{stage}_', n)}= k"]
         else:
-            src += [f"        {v} = {e}" for v, e in zip(rhs.inputs, x)]
-            src += [f"        {line}" for line in rhs.lines]
-            stage_k = [f"    k{stage}_{j} = {out}" for j, out in zip(J, rhs.outputs)]
-            failure = stage - 1  # the right-hand sides evaluated
-        caught = ["    except _STAGE_ERRORS:", f"        return {failure}"]
-        src += [*caught, *stage_k, "    try:", *check(stage, failure), *caught]
+            src += _indented(f"{v} = {e}" for v, e in zip(rhs.inputs, x))
+            src += _indented(rhs.lines)
+            stage_k = [f"k{stage}_{j} = {out}" for j, out in zip(J, rhs.outputs)]
+        caught = ["except _STAGE_ERRORS:", *_indented(failure(stage))]
+        finite = " and ".join(f"isfinite(k{stage}_{j})" for j in J)
+        src += [*caught, *stage_k, "try:", f"    if not ({finite}):", *_indented(failure(stage), 2), *caught]
     for j in J:
         src += [
-            f"    a = abs(y_{j})",
-            f"    b = abs(yn{j})",
-            f"    w{j} = h * ({combined(err_weights, j)}) / (atol + rtol * (a if a > b or a != a else b))",
+            f"a = abs(y_{j})",
+            f"b = abs(yn{j})",
+            f"w{j} = h * ({_combined(_ERROR_WEIGHTS, j)}) / (atol + rtol * (a if a > b or a != a else b))",
         ]
     tape = Tape()
     total = _pairwise_sum([w * w for w in (tape.var(f"w{j}") for j in J)])
-    src += [f"    {line}" for line in tape.lines]
-    r5 = ", ".join(f"h * ({combined(dense_weights, j)})" for j in J)
-    f_new = "k" if rhs is None else f"[{names('k7_')}]"
-    src.append(f"    return y_new, {f_new}, sqrt({total.name} / {n}), [{r5}]")
+    return [*src, *tape.lines, f"err = sqrt({total.name} / {n})"]
+
+
+def _dense(n):
+    """The quartic term r5 of the step's continuous extension, as the items
+    of a list or tuple display."""
+    return ", ".join(f"h * ({_combined(_DENSE_WEIGHTS, j)})" for j in range(n))
+
+
+def _namespace(rhs: Trace | None, n: int) -> dict:
     namespace = {"_STAGE_ERRORS": _STAGE_ERRORS, "isfinite": math.isfinite, "sqrt": math.sqrt}
-    filename = f"<solitonlab dp5 n={n}>"
     if rhs is not None:
         if (len(rhs.inputs), len(rhs.outputs)) != (n, n):
             raise ValueError(f"{rhs.filename} does not map {n} values to {n}")
         namespace |= rhs.namespace
+    return namespace
+
+
+@lru_cache(maxsize=64)
+def _dp_kernel(n: int, rhs: Trace | None = None):
+    """One Dormand-Prince attempt on states of n floats (see ``_attempt``):
+    ``step(call, t, y, f, h, rtol, atol)`` steps by h from (t, y) with
+    slope f, each y and f a sequence of n floats.
+
+    Returns (y_new, f_new, err, r5) -- the fifth-order solution, its slope
+    (FSAL), the scaled error norm and the quartic term of the step's
+    continuous extension -- or a failure.  Without ``rhs`` each stage is
+    ``call(t_i, x)`` and a failure returns None.  With the Trace of a
+    compiled right-hand side ``call`` is not used: a failure returns the
+    number of right-hand sides evaluated, and a completed attempt evaluated
+    ``len(_STAGES)``.  ``integrate`` takes it for the one step to an event.
+    The source is registered with linecache as ``<solitonlab dp5 n=...>``.
+    """
+    def call(t_node, arg):
+        return [f"k = call({t_node}, {arg})"]
+
+    def failure(stage):
+        return [f"return {None if rhs is None else stage - 1}"]
+
+    src = [
+        *_unpacked(n),
+        *_attempt(n, rhs, call, failure, True),
+        f"return y_new, [{_names('k7_', n)}], err, [{_dense(n)}]",
+    ]
+    src = ["def dp5(call, t, y, f, h, rtol, atol):", *_indented(src)]
+    filename = f"<solitonlab dp5 n={n}>"
+    if rhs is not None:
         filename = f"<solitonlab dp5 n={n} inlining {rhs.filename[1:-1]}>"
-    return compile_function("dp5", "\n".join(src) + "\n", filename, namespace)
+    return compile_function("dp5", "\n".join(src) + "\n", filename, _namespace(rhs, n))
 
 
 def compile_attempt(rhs, n: int):
-    """The compiled attempt ``integrate`` takes for ``rhs`` on states of n
-    floats, and the right-hand sides a completed attempt evaluates inline
-    (0 when each stage calls ``rhs``).  Cached: a caller may build it ahead
-    of a run, so that a forked process inherits it."""
+    """The compiled attempt ``integrate`` takes for the step to an event
+    with ``rhs`` on states of n floats, and the right-hand sides a completed
+    attempt evaluates inline (0 when each stage calls ``rhs``).  Cached: a
+    caller may build it ahead of a run, so that a forked process inherits
+    it."""
     trace = traced(rhs)
     return _dp_kernel(n, trace), len(_STAGES) if trace is not None else 0
 
 
-def _crossed(prev, curr):
-    """A fall through zero: a finite value above 0, then one at or below 0."""
-    return math.isfinite(prev) and math.isfinite(curr) and prev > 0.0 >= curr
+@lru_cache(maxsize=64)
+def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
+    """The adaptive loop of ``integrate`` on states of n floats, compiled
+    from the attempt (``_attempt``), the validity test, the events, the
+    sample buffers, the sink's blocks and the PI controller.
+
+    ``rhs``, each item of ``events`` and the item of ``validity`` (empty
+    without a validity test) is the Trace of a compiled callable, inlined
+    with the state's names for its inputs and a prefix of its own on every
+    other name it binds, or None, a call slot: that callable is passed in
+    and called.  Returns (termination, n_acc, n_rej, n_rhs, crossing):
+    ``crossing`` is None, or, when an accepted step crossed an event, the
+    step's (indices of the events it crossed, t, y, f, h, y_new, f_new, r5)
+    with an empty termination; that step is counted but not sampled.
+    """
+    J = range(n)
+    yn, k7 = _names("yn", n), _names("k7_", n)
+    called = rhs is None or None in events or None in validity
+    namespace = _namespace(rhs, n) | {"as_list": _as_list}
+
+    def inline(trace, prefix):
+        bound = trace.bound([f"yn{j}" for j in J], prefix)
+        namespace.update(bound.namespace)
+        return bound.lines, bound.outputs[0]
+
+    def call(t_node, arg):
+        return [f"k = rhs({t_node}, {arg})", "if type(k) is not list:", "    k = as_list(k)"]
+
+    def failure(stage):
+        return [f"n_rhs += {stage - 1}", "n_rej += 1", "h *= 0.25", "continue"]
+
+    if not validity:
+        test = ["invalid = False"]
+    elif validity[0] is None:
+        test = ["invalid = not validity(y_new)"]
+    else:
+        lines, out = inline(validity[0], "v_")
+        test = [*lines, f"invalid = not ({out})"]
+    crossings = []
+    for i, trace in enumerate(events):
+        if trace is None:
+            lines, value = [f"v = ev{i}(t_new, y_new)"], "v"
+        else:
+            lines, value = inline(trace, f"e{i}_")
+            if not value.isidentifier():
+                lines, value = [*lines, f"v = {value}"], "v"
+        crossings += [
+            *lines,
+            f"if {value} <= 0.0 and isfinite(prev{i}) and isfinite({value}) and prev{i} > 0.0:",
+            f"    hit += ({i},)",
+            f"prev{i} = {value}",
+        ]
+    # the factors of the PI controller and of a rejection, clamped as by
+    # min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), which keeps the first of
+    # equal arguments
+    lo, hi = repr(_MIN_FACTOR), repr(_MAX_FACTOR)
+    step = [
+        "if n_acc + n_rej >= max_steps:",
+        "    return 'step_failure', n_acc, n_rej, n_rhs, None",
+        "if t_max - t < h:",
+        "    h = t_max - t",
+        "a = abs(t)",
+        f"if h < {_H_FLOOR!r} * (1.0 if 1.0 > a else a):",
+        "    return 'state_invalid' if rejected_invalid else 'step_failure', n_acc, n_rej, n_rhs, None",
+        *_attempt(n, rhs, call, failure, called),
+        f"n_rhs += {len(_STAGES)}",
+        *test,
+        "if invalid or not isfinite(err):",
+        "    n_rej += 1",
+        "    rejected_invalid = invalid",
+        "    h *= 0.25",
+        "    continue",
+        "if err > 1.0:",
+        "    n_rej += 1",
+        "    rejected_invalid = False",
+        f"    x = {_SAFETY!r} * err ** -0.2",
+        f"    h *= x if x > {lo} else {lo}",
+        "    continue",
+        # accepted
+        "n_acc += 1",
+        "rejected_invalid = False",
+        "t_new = t + h",
+        "hit = ()",
+        *crossings,
+        f"r5 = ({_dense(n)},)",
+        "if hit:",
+        f"    return '', n_acc, n_rej, n_rhs, (hit, t, [{_names('y_', n)}], [{_names('k1_', n)}],"
+        f" h, [{yn}], [{k7}], r5)",
+        "ts_append(t_new)",
+        f"ys_extend(({yn}))",
+        f"dys_extend(({k7}))",
+        "dense_extend(r5)",
+        "t = t_new",
+        *(f"y_{j} = yn{j}" for j in J),
+        *(f"k1_{j} = k7_{j}" for j in J),
+        "if n_acc == block_end:",
+        f"    start = block_end + 1 - {_SINK_BLOCK}",
+        f"    sink(ts[start:], ys[start * {n}:])",
+        f"    block_end += {_SINK_BLOCK}",
+        "if err > 0.0:",
+        f"    x = {_SAFETY!r} * err ** {-_ALPHA!r} * err_prev ** {_BETA!r}",
+        f"    x = x if x > {lo} else {lo}",
+        f"    h *= x if x < {hi} else {hi}",
+        "else:",
+        f"    h *= {hi}",
+        "err_prev = 1e-4 if 1e-4 > err else err",
+    ]
+    src = _unpacked(n)
+    if events:
+        src += [f"{_names('ev', len(events))}= event_fns", f"{_names('prev', len(events))}= ev_prev"]
+    src += [
+        "ts_append, ys_extend, dys_extend, dense_extend = ts.append, ys.extend, dys.extend, dense.extend",
+        "n_acc = n_rej = n_rhs = 0",
+        "err_prev = 1.0",
+        "rejected_invalid = False",
+        # CPython 3.11 specializes a function's instructions once it has run
+        # a few calls or unconditional back jumps; the conditional back jump
+        # of `while t < t_max` counts for neither, so a run would go
+        # unspecialized until its eighth call
+        "while True:",
+        "    if not t < t_max:",
+        "        return 'reached_t_max', n_acc, n_rej, n_rhs, None",
+        *_indented(step),
+    ]
+    args = "rhs, event_fns, validity, sink, t, y, f, h, t_max, rtol, atol, max_steps, ev_prev, block_end"
+    src = [f"def run({args}, ts, ys, dys, dense):", *_indented(src)]
+    parts = [("call" if trace is None else trace.filename[1:-1]) for trace in (rhs, *events, *validity)]
+    filename = f"<solitonlab run n={n}: {'; '.join(parts)}>"
+    return compile_function("run", "\n".join(src) + "\n", filename, namespace)
+
+
+def _as_list(out) -> list:
+    """A called right-hand side's value as a list of floats."""
+    return np.asarray(out, dtype=float).tolist()
+
+
+def compile_run(rhs, n: int, cfg: IntegratorConfig):
+    """The compiled loop ``integrate`` runs for ``rhs`` and ``cfg``'s events
+    and validity test on states of n floats: each compiled one inlined, any
+    other called.  Cached by the traces and call slots, never by an
+    uncompiled callable; a caller may build it ahead of a run, so that a
+    forked process inherits it."""
+    events = tuple(traced(ev.fn) for ev in cfg.events)
+    validity = () if cfg.validity is None else (traced(cfg.validity),)
+    return _run_kernel(n, traced(rhs), events, validity)
 
 
 def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
@@ -337,29 +532,21 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     t = float(t0)
     if not cfg.t_max > t:
         raise ValueError(f"t_max {cfg.t_max!r} must exceed the start time {t!r}")
-    n_acc = n_rej = n_rhs = 0
-    rtol, atol, validity = cfg.rel_tol, cfg.abs_tol, cfg.validity
-    t_max, max_steps = cfg.t_max, cfg.max_steps
-    events, sink = cfg.events, cfg.sink
-    event_fns = [ev.fn for ev in events]
-    isfinite = math.isfinite
-    # a compiled right-hand side is inlined into the attempt, which counts
-    # its own evaluations: ``inlined`` when it completes, the number it
-    # returns when it fails; ``call`` counts every other evaluation
-    dp_step, inlined = compile_attempt(rhs, n)
+    rtol, atol, events, sink = cfg.rel_tol, cfg.abs_tol, cfg.events, cfg.sink
+    n_rhs = 0
 
     def call(tt, yy):
         nonlocal n_rhs
         n_rhs += 1
         out = rhs(tt, yy)
-        return out if type(out) is list else np.asarray(out, dtype=float).tolist()
+        return out if type(out) is list else _as_list(out)
 
     # the launch state's slope and the starting step, failing as a stage would
     try:
         f = call(t, y)
-        if not all(map(isfinite, f)):
+        if not all(map(math.isfinite, f)):
             raise FloatingPointError("a component is not finite")
-        h = min(_initial_step(call, t, y, f, rtol, atol), t_max - t)
+        h = min(_initial_step(call, t, y, f, rtol, atol), cfg.t_max - t)
     except _STAGE_ERRORS as exc:
         raise ArithmeticError(
             f"the right-hand side fails at the launch state t = {t!r} ({exc});"
@@ -367,90 +554,40 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         ) from exc
     # one flat buffer per sampled quantity, n values per sample
     ts, ys, dys, dense = array("d", [t]), array("d", y), array("d", f), array("d")
-    ev_prev = [fn(t, y) for fn in event_fns]
-    # the accepted-step count at which the samples fill the next block
-    block_end = -1 if sink is None else _SINK_BLOCK - 1
-    err_prev = 1.0
-    termination = "reached_t_max"
-    rejected_invalid = False
-
-    while t < t_max:
-        if n_acc + n_rej >= max_steps:
-            termination = "step_failure"
-            break
-        h = min(h, t_max - t)
-        if h < _H_FLOOR * max(abs(t), 1.0):
-            termination = "state_invalid" if rejected_invalid else "step_failure"
-            break
-
-        step = dp_step(call, t, y, f, h, rtol, atol)
-        if type(step) is not tuple:
+    termination, n_acc, n_rej, counted, crossing = compile_run(rhs, n, cfg)(
+        rhs, [ev.fn for ev in events], cfg.validity, sink, t, y, f, h, cfg.t_max, rtol, atol,
+        cfg.max_steps, [ev.fn(t, y) for ev in events],
+        # the accepted-step count at which the samples fill the next block
+        -1 if sink is None else _SINK_BLOCK - 1,
+        ts, ys, dys, dense,
+    )
+    n_rhs += counted
+    if crossing is not None:
+        hits, t, y, f, h, y_new, f_new, r5 = crossing
+        extension = (*map(np.array, (y, y_new, f, f_new, r5)), h)
+        hit = None
+        for idx in hits:
+            t_star, y_star = _refine_event(events[idx], t, extension)
+            if hit is None or t_star < hit[0]:
+                hit = t_star, y_star, events[idx].name
+        t_star, y_star, name = hit
+        termination = f"event:{name}"
+        # the last sample is a real step's end; should that step fail, it is
+        # the extension restricted to [t, t_star]
+        dp_step, inlined = compile_attempt(rhs, n)
+        step = dp_step(call, t, y, f, t_star - t, rtol, atol)
+        if type(step) is tuple:
+            n_rhs += inlined
+            y_new, f_new, _, r5 = step
+        else:
             n_rhs += step or 0
-            n_rej += 1
-            h *= 0.25
-            continue
-        n_rhs += inlined
-        y_new, f_new, err, r5 = step
-        invalid = validity is not None and not validity(y_new)
-        if invalid or not isfinite(err):
-            n_rej += 1
-            rejected_invalid = invalid
-            h *= 0.25
-            continue
-        if err > 1.0:
-            n_rej += 1
-            rejected_invalid = False
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-            continue
-
-        # accepted
-        n_acc += 1
-        rejected_invalid = False
-        t_new = t + h
-
-        hit = extension = None
-        for idx, fn in enumerate(event_fns):
-            val = fn(t_new, y_new)
-            # a crossing needs a value <= 0 after it; NaN has none
-            if val <= 0.0 and _crossed(ev_prev[idx], val):
-                if extension is None:
-                    extension = (*map(np.array, (y, y_new, f, f_new, r5)), h)
-                t_star, y_star = _refine_event(events[idx], t, extension)
-                if hit is None or t_star < hit[0]:
-                    hit = t_star, y_star, events[idx].name
-            ev_prev[idx] = val
-
-        if hit is not None:
-            t_star, y_star, name = hit
-            termination = f"event:{name}"
-            # the last sample is a real step's end; should that step fail,
-            # it is the extension restricted to [t, t_star]
-            step = dp_step(call, t, y, f, t_star - t, rtol, atol)
-            if type(step) is tuple:
-                n_rhs += inlined
-                y_new, f_new, _, r5 = step
-            else:
-                n_rhs += step or 0
-                sigma = (t_star - t) / h
-                y_new, f_new = y_star, _slope(*extension, sigma) / h
-                r5 = (sigma * sigma) * (sigma * sigma) * extension[4]
-            t_new = t_star
-
-        ts.append(t_new)
+            sigma = (t_star - t) / h
+            y_new, f_new = y_star, _slope(*extension, sigma) / h
+            r5 = (sigma * sigma) * (sigma * sigma) * extension[4]
+        ts.append(t_star)
         ys.extend(y_new)
         dys.extend(f_new)
         dense.extend(r5)
-        if hit is not None:
-            break
-        t, y, f = t_new, y_new, f_new
-        if n_acc == block_end:
-            start = block_end + 1 - _SINK_BLOCK
-            sink(ts[start:], ys[start * n :])
-            block_end += _SINK_BLOCK
-
-        factor = _SAFETY * (err ** -_ALPHA) * (err_prev**_BETA) if err > 0 else _MAX_FACTOR
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        err_prev = max(err, 1e-4)
 
     return IntegrationResult(
         ts=np.frombuffer(ts),
@@ -462,6 +599,11 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         n_rejected=n_rej,
         n_rhs=n_rhs,
     )
+
+
+def _crossed(prev, curr):
+    """A fall through zero: a finite value above 0, then one at or below 0."""
+    return math.isfinite(prev) and math.isfinite(curr) and prev > 0.0 >= curr
 
 
 def _refine_event(ev: EventSpec, t0, extension):

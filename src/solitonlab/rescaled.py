@@ -19,10 +19,12 @@ The right-hand side is the polynomial system traced once into straight-line
 code and compiled (see ``codegen``), cached per ansatz and eps.
 
 Slow time has no cap: the horizon is t_max, where the ``t_target`` event
-finds the carried t.  The ``chart_degenerate`` and ``overflow`` events and
-the all-finite validity test are the physical chart's compiled state tests
-(see ``trajectory``), cached per component count, with each min and max in
-the builtin's order.  A run that meets no event ends at the integrator's
+finds the carried t.  Every event and the all-finite validity test are
+compiled state tests (see ``trajectory``), which the integrator inlines:
+``chart_degenerate`` and ``overflow`` and the validity test are the
+physical chart's, cached per component count, with each min and max in
+the builtin's order, and ``t_target`` is cached per component count and
+t_max.  A run that meets no event ends at the integrator's
 attempt cap.
 """
 
@@ -36,11 +38,13 @@ from typing import Callable
 import numpy as np
 
 from . import Report
-from .codegen import trace_function
-from .integrator import EventSpec, IntegrationResult, IntegratorConfig, compile_attempt, integrate
+from .codegen import Tape, trace_function
+from .integrator import (
+    EventSpec, IntegrationResult, IntegratorConfig, compile_attempt, compile_run, integrate,
+)
 from .launch import launch, rescaled_default_delta
 from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, _dot, _sum, tr_L
-from .trajectory import _min_of, _overflow, _validity
+from .trajectory import _min_of, _overflow, _state_test, _validity
 
 __all__ = [
     "RescaledState",
@@ -277,7 +281,7 @@ def prepare_rescaled(
     k = a.m + 1
     y0 = np.concatenate((r0.X, r0.Y, [r0.Lc, r0.t, r0.u]))
     events = (
-        EventSpec("t_target", lambda s, y: t_max - y[2 * k + 1]),
+        EventSpec("t_target", _t_target(len(y0), t_max)),
         EventSpec("chart_degenerate", _min_of(k, 2 * k + 1)),
         EventSpec("overflow", _overflow(len(y0))),
     )
@@ -289,8 +293,18 @@ def prepare_rescaled(
         validity=_validity(len(y0), 0),
     )
     rhs = make_rescaled_vector_rhs(a, spec.epsilon)
-    compile_attempt(rhs, len(y0))
+    compile_run(rhs, len(y0), cfg)
+    compile_attempt(rhs, len(y0))  # the step to the event that ends the run
     return lambda: RescaledTrajectory(spec=spec, delta=delta, result=integrate(rhs, 0.0, y0, cfg))
+
+
+@lru_cache(maxsize=None)
+def _t_target(n: int, t_max: float):
+    """``fn(s, y)``: t_max - t, with t the state's carried physical time
+    y[n - 2]."""
+    tape = Tape()
+    label = f"t_target n={n} t_max={t_max!r}"
+    return _state_test(label, "s, y", n, [], f"{tape.ref(float(t_max))} - y{n - 2}", tape.namespace)
 
 
 class ChartComparison(Report):

@@ -604,7 +604,9 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
                 comparison = rescaled.compare_charts(traj, rtraj)
             ok = comparison.max_rel_deviation <= 1e-6
             _add_check(report, "chart_comparison", comparison, ok)
-            if comparison.t_hi < traj.ts[-1]:
+            # a compact run that ends at t_target reached t_max; its carried t
+            # may still land a rounding short of it
+            if comparison.t_hi < traj.ts[-1] and result.termination != "event:t_target":
                 report["verdict"].reasons.append(
                     f"the charts are compared up to t = {_fmt(comparison.t_hi)}, where the compact"
                     f" chart ends; ({_fmt(comparison.t_hi)}, {_fmt(traj.ts[-1])}] is not compared"

@@ -273,11 +273,136 @@ REPORT_BLOCKS = {
     "zero_constant_windows": "ZeroConstantWindows",
 }
 
+# what `solitonlab solve` gives on every shipped config, each in a fresh
+# output directory: the sha256 of each output, the exit code and each
+# chart's (accepted, rejected, right-hand-side) counts.  Within one C
+# library only: the step-size controller calls libm's pow, and the step
+# sequence amplifies a last-bit change.
+SHIPPED_OUTPUTS = {
+    "dw_complete_steady.json": {
+        "exit": 0,
+        "trajectory.csv": "71f9ed0e33ffac7535e210a348c2a8d39881a35407ff96b913cda0c7d006c4c8",
+        "report.json": "de34e3e3a286da04a4d4dc21fe46d10972a6f118b8986293a7c42ccb4b4f5d88",
+        "physical": (3415, 2, 20504),
+    },
+    "dw_e0_c0.json": {
+        "exit": 0,
+        "trajectory.csv": "ea7378a513127d2ce1eaa0905f6af3382a7b07134f5eb5596560d418936e2cf3",
+        "report.json": "50f31a01248f00e3c21aa705b98cd8512ecbaff0a66239eff84b31fe0cdfb83d",
+        "physical": (426, 3, 2576),
+    },
+    "dw_e0_c1.json": {
+        "exit": 0,
+        "trajectory.csv": "2a7642195f886d7457d1d851a2da559c683bdcd83cb6c4022d311b77e0c253b7",
+        "report.json": "c11b9df2ca4e4bb3f69b040e793ba8f340216481fdfdbe22345b68db1659ad28",
+        "physical": (498, 3, 3008),
+    },
+    "dw_e1_c1.json": {
+        "exit": 0,
+        "trajectory.csv": "fb26589bf2d504a60a3c50197288a6521da560bd37b3eb8da2349adb5f5e3e3d",
+        "report.json": "f57e1d583dc1de455b67e7220da6523e7cfa2cbea7320fd4363cab7c833064d1",
+        "physical": (544, 2, 3278),
+    },
+    "dw_e1_c10.json": {
+        "exit": 0,
+        "trajectory.csv": "c65c1729855d011b4ce1bd77bcc26792f220e75d4a3fa46af341fd2577619f04",
+        "report.json": "15a44689edea791e4ee04e4c6811b1b756f9826c0055817ee05a06b988a28dde",
+        "physical": (712, 2, 4286),
+    },
+    "dw_kahler.json": {
+        "exit": 0,
+        "trajectory.csv": "85d7759480e9026765ec2034c3fa9a0170d68c90c3820c6bd9a06a451337df60",
+        "rescaled.csv": "3365a0c4c447b12d0e37bd664e7722bd1863f4fcdd0c9023fa780b220d15746d",
+        "report.json": "4170519313e6d40758975586a39138a4c3b545dd3f1e9ef2b531446335dba2cd",
+        "physical": (554, 2, 3338),
+        "compact": (752, 0, 4520),
+    },
+    "dw_m2_chart.json": {
+        "exit": 0,
+        "trajectory.csv": "ad24f00006dfdab10da55b2e79bbd24bf0b576b7dd3225f80f3f88d920836ada",
+        "rescaled.csv": "8106d90cd859e11d83c808330cf94f773cc353085be9ec53d806170576fb316e",
+        "report.json": "6331658e3447e862528f76c39b39c8f4ff146a0415d9c56e6134dd62f6cf1f1c",
+        "physical": (923, 0, 5540),
+        "compact": (1053, 0, 6326),
+    },
+    "lpp_complete_steady.json": {
+        "exit": 0,
+        "trajectory.csv": "97aea0a7ab101d1698e8a1f645e84d75ce64287652d78c0fd40219a88118b1aa",
+        "report.json": "22c975f25c5e6b4b9ceeac532a80bf46d30195d737cbcd7b95b1cbd320b1d2df",
+        "physical": (2269, 2, 13628),
+    },
+    "lpp_e0_c0.json": {
+        "exit": 0,
+        "trajectory.csv": "beb431cf999f9a725d166e667d8b76c77c646dcf8ffa615b16dfb51bb8edf616",
+        "report.json": "6b03e587fad90a7adea580193b46fb4346352df6b5e75fe5af2596b727ef8312",
+        "physical": (683, 2, 4112),
+    },
+    "lpp_e0_c1.json": {
+        "exit": 0,
+        "trajectory.csv": "02df9bef26a4ffa6cdd1f5e9f5bcb40066d810b4cbfea29022d7d1dffec5ddd0",
+        "report.json": "c3eec68c7dedcd3ac4fe1309132a3446cee2d8df00abf3fb8dc560aa84647af8",
+        "physical": (559, 2, 3368),
+    },
+    "lpp_e1_c1.json": {
+        "exit": 0,
+        "trajectory.csv": "aa943d987541928563fae7048f31304f2c31d4824f885864f599ccbf5c0107b6",
+        "report.json": "2ddc459f3528d7210f0b42b559bee9746ebceda6aa989bdb88c7f7561fdfc9d4",
+        "physical": (663, 2, 3992),
+    },
+    "lpp_e1_c10.json": {
+        "exit": 0,
+        "trajectory.csv": "6130636055f783b809c540cba9e4881a009ac3c273b547ceeafb6c90b8436930",
+        "report.json": "92d9e1a13131747942dea3f3bf81080969cabb75382f938568b268ea55ebad6a",
+        "physical": (747, 2, 4496),
+    },
+    "ts_complete_steady.json": {
+        "exit": 0,
+        "trajectory.csv": "1908edd5f9e402b0a01242bc9c0ccca3ce1b2b5285518f4b0752fe60e619c460",
+        "report.json": "2c98c0835a7fd90c13724f0965b0e3831ff9b4773429e822d33e43166d7c756b",
+        "physical": (2772, 2, 16646),
+    },
+    "ts_e0_c0.json": {
+        "exit": 0,
+        "trajectory.csv": "90f11dc5d243853b7cb0e0cc3403b6069564d30dd96e738be4e0a4c1f4845c90",
+        "report.json": "0178ca77f50867b717aac3ed3b143145cf0d92debcf2a5343eaf823523e84e91",
+        "physical": (1306, 2, 7850),
+    },
+    "ts_e0_c1.json": {
+        "exit": 0,
+        "trajectory.csv": "d6bca934a27a5c6d48f66660426e47e8b38ba7e0d433af67da97375dbcec473e",
+        "report.json": "4afa479f900ca446952b04cf1580b2326f8bba7ee95fd80d8ff31d47c5a05846",
+        "physical": (1175, 2, 7064),
+    },
+    "ts_e1_c1.json": {
+        "exit": 0,
+        "trajectory.csv": "04dfd205915344eca8802be393bf0c995efd84a6ad63c0070b8610c2dc751dcb",
+        "report.json": "e55c3cd9a86f761ff66dec45ee4efebb4cd6a91cd4abad8f635806b00804c5a1",
+        "physical": (1331, 2, 8000),
+    },
+    "ts_e1_c10.json": {
+        "exit": 0,
+        "trajectory.csv": "6013129ad3d3849871b73ca9710542f8cf3b1647940e19792fb9a864a840faeb",
+        "report.json": "35aa078e753434d2f2ea415dcff30b7a0a54f53805f1a71f9790650435928f2e",
+        "physical": (1219, 2, 7328),
+    },
+    "ts_exit_einstein.json": {
+        "exit": 0,
+        "trajectory.csv": "f48ca680ac80ae7fb718cae4c137793169ac0bacdfe3751bdc2984f5d0a7f3b0",
+        "report.json": "e5b45d3b152fdfdfddb059cbf008074ceb2bc4b4f0d6243abdc80f6fad40e534",
+        "physical": (607, 2, 3662),
+    },
+    "ts_probe_d1.json": {
+        "exit": 0,
+        "trajectory.csv": "f8791803e7d0c48e1a3f2c3a1eed476c944fdcc0136681cb91fd6f48eb478ea6",
+        "report.json": "c99d14a50c8e85f3b4d594bea9f574455c5cd4c7f8453a88bdbb35851b107437",
+        "physical": (516, 1, 3104),
+    },
+}
+
 # sha256 of report.json as the dataclass reports wrote it (within one C
-# library, like the CSVs: the step-size controller calls libm's pow); the
-# two-summands digest since zero_constant_windows' checks entry has its anchor
+# library, like SHIPPED_OUTPUTS); the two-summands digest since
+# zero_constant_windows' checks entry has its anchor
 REPORT_DIGESTS = {
-    "ts_e1_c1.json": "e55c3cd9a86f761ff66dec45ee4efebb4cd6a91cd4abad8f635806b00804c5a1",
-    "dw_m2_chart.json": "6331658e3447e862528f76c39b39c8f4ff146a0415d9c56e6134dd62f6cf1f1c",
-    "lpp_complete_steady.json": "22c975f25c5e6b4b9ceeac532a80bf46d30195d737cbcd7b95b1cbd320b1d2df",
+    name: SHIPPED_OUTPUTS[name]["report.json"]
+    for name in ("ts_e1_c1.json", "dw_m2_chart.json", "lpp_complete_steady.json")
 }

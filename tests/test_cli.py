@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from solitonlab.cli import main
 from solitonlab.runio import ConfigError, _fmt, load_config
 
-from conftest import config_path, decomposition_path, forked_children
+from conftest import SHIPPED_OUTPUTS, config_path, decomposition_path, forked_children
 
 
 def test_shipped_configs_are_distinct():
@@ -384,21 +384,23 @@ def test_an_expanding_flat_warped_circle_keeps_g2_in_the_shape_row(tmp_path):
     assert shape == {"candidate": "dg2", "margin": 2.5e-5, "t": 1e-4}
 
 
-# sha256 of each output of the shipped chart: both configs as the two charts
-# wrote them one after the other in one process (within one C library, like
-# conftest.REPORT_DIGESTS)
-CHART_BOTH_DIGESTS = {
-    "dw_m2_chart.json": {
-        "trajectory.csv": "ad24f00006dfdab10da55b2e79bbd24bf0b576b7dd3225f80f3f88d920836ada",
-        "rescaled.csv": "8106d90cd859e11d83c808330cf94f773cc353085be9ec53d806170576fb316e",
-        "report.json": "6331658e3447e862528f76c39b39c8f4ff146a0415d9c56e6134dd62f6cf1f1c",
-    },
-    "dw_kahler.json": {
-        "trajectory.csv": "85d7759480e9026765ec2034c3fa9a0170d68c90c3820c6bd9a06a451337df60",
-        "rescaled.csv": "3365a0c4c447b12d0e37bd664e7722bd1863f4fcdd0c9023fa780b220d15746d",
-        "report.json": "4170519313e6d40758975586a39138a4c3b545dd3f1e9ef2b531446335dba2cd",
-    },
-}
+@pytest.mark.parametrize("name", sorted(SHIPPED_OUTPUTS))
+def test_a_shipped_config_keeps_its_outputs(tmp_path, name):
+    out = tmp_path / "o"
+    got = {"exit": main(["solve", "--config", str(config_path(name)), "--out", str(out)])}
+    for output in ("trajectory.csv", "rescaled.csv", "report.json"):
+        if (out / output).exists():
+            got[output] = hashlib.sha256((out / output).read_bytes()).hexdigest()
+    kd = json.loads((out / "manifest.json").read_text())["key_diagnostics"]
+    for chart, counts in (("physical", kd), ("compact", kd.get("rescaled"))):
+        if counts is not None:
+            got[chart] = (counts["n_accepted"], counts["n_rejected"], counts["n_rhs"])
+    assert got == SHIPPED_OUTPUTS[name]
+
+
+def test_every_shipped_config_has_its_outputs_pinned():
+    names = [path.name for path in (files("solitonlab") / "configs").iterdir() if path.name.endswith(".json")]
+    assert sorted(names) == sorted(SHIPPED_OUTPUTS)
 
 
 class TestChartBoth:
@@ -469,20 +471,6 @@ class TestChartBoth:
             assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 70
         assert [str(w.message) for w in caught] == []
         assert "outside the compact chart" in capsys.readouterr().err
-
-    def test_shipped_configs_keep_their_digests(self, tmp_path):
-        shipped = [
-            path.name
-            for path in (files("solitonlab") / "configs").iterdir()
-            if path.name.endswith(".json") and json.loads(path.read_text()).get("chart") == "both"
-        ]
-        assert sorted(shipped) == sorted(CHART_BOTH_DIGESTS)
-        for name, digests in CHART_BOTH_DIGESTS.items():
-            out = tmp_path / name
-            assert main(["solve", "--config", str(config_path(name)), "--out", str(out)]) == 0
-            for output, digest in digests.items():
-                got = hashlib.sha256((out / output).read_bytes()).hexdigest()
-                assert got == digest, (name, output)
 
     def test_without_fork_the_compact_chart_runs_here_alike(self, tmp_path, monkeypatch):
         from solitonlab.runio import run_solve
@@ -636,6 +624,19 @@ class TestChartBoth:
         comparison = json.loads((out / "report.json").read_text())["chart_comparison"]
         assert comparison["t_hi"] == manifest["key_diagnostics"]["t_end"] == 100.0
         assert comparison["max_rel_deviation"] <= 1e-6
+        assert manifest["reasons"] == []
+
+    def test_a_compact_run_ending_at_t_target_names_no_span(self, tmp_path):
+        # dw_e0_c0's compact run to t_max 300 ends at its t_target event with
+        # a carried t of 299.99999999981111: it reached t_max, and the 2e-10
+        # short of it is rounding, not a span left out
+        doc = json.loads(config_path("dw_e0_c0.json").read_text()) | {"chart": "both"}
+        doc["integrator"] = dict(doc["integrator"], t_max=300.0)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        t_hi = json.loads((out / "report.json").read_text())["chart_comparison"]["t_hi"]
+        assert t_hi == 299.99999999981111 < manifest["key_diagnostics"]["t_end"] == 300.0
         assert manifest["reasons"] == []
 
     def test_a_comparison_short_of_the_run_names_the_span_left_out(self, tmp_path, monkeypatch):
@@ -907,12 +908,12 @@ class TestSweep:
         assert not (tmp_path / "sw").exists()
 
     def test_a_repeated_sweep_compiles_no_kernel(self, tmp_path):
-        # the DP5 step kernel is compiled once per process: by this process for
+        # the DP5 run kernel is compiled once per process: by this process for
         # its share and by the child for its own; a second sweep's child
         # inherits this process's kernels
         from solitonlab import integrator
 
-        integrator._dp_kernel.cache_clear()
+        integrator._run_kernel.cache_clear()
         cfg = write_json(tmp_path, "c.json", BASE)
         counters = {}
         for out in ("first", "again"):

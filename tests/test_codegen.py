@@ -30,9 +30,10 @@ from solitonlab.integrator import (
     _A61, _A62, _A63, _A64, _A65, _A71, _A72, _A73, _A74, _A75, _A76,
     _C2, _C3, _C4, _C5, _D1, _D2, _D3, _D4, _D5, _D6, _D7,
     _E1, _E2, _E3, _E4, _E5, _E6, _E7,
-    _STAGE_ERRORS, _STAGES, _dp_kernel, _error_norm,
+    _STAGE_ERRORS, _STAGES, IntegratorConfig, _dp_kernel, _error_norm, compile_run,
 )
 from solitonlab.systems import DancerWangAnsatz, LuPagePopeAnsatz, TwoSummandsAnsatz
+from solitonlab.trajectory import _validity, standard_events
 
 from conftest import load_shipped
 
@@ -279,6 +280,14 @@ def test_generated_source_shows_in_tracebacks_and_getsource():
     step = _dp_kernel(6)
     assert inspect.getsourcefile(step) == "<solitonlab dp5 n=6>"
     assert inspect.getsource(step).startswith("def dp5(call, t, y, f, h, rtol, atol):\n")
+    # the run kernel names every callable it inlines
+    spec = S.ProblemSpec(DW[1], 0.5, -1.0, (1.0, 1.0))
+    cfg = IntegratorConfig(t_max=1.0, events=standard_events(spec), validity=_validity(8, 3))
+    run = compile_run(fn, 8, cfg)
+    inlined = [codegen.traced(g).filename[1:-1] for g in (fn, *(ev.fn for ev in cfg.events), cfg.validity)]
+    assert inspect.getsourcefile(run) == f"<solitonlab run n=8: {'; '.join(inlined)}>"
+    assert inlined[-1] == "solitonlab validity n=8 k=3"
+    assert inspect.getsource(run).startswith("def run(rhs, event_fns, validity, sink, t, y, f, h, ")
 
 
 def test_nothing_is_compiled_at_import():
@@ -286,6 +295,7 @@ def test_nothing_is_compiled_at_import():
         "import linecache\n"
         "from solitonlab import cli, integrator, rescaled, systems\n"
         "assert integrator._dp_kernel.cache_info().currsize == 0\n"
+        "assert integrator._run_kernel.cache_info().currsize == 0\n"
         "assert systems._vector_kernel.cache_info().currsize == 0\n"
         "assert rescaled._rescaled_kernel.cache_info().currsize == 0\n"
         "assert not [k for k in linecache.cache if k.startswith('<solitonlab')]\n"

@@ -1,4 +1,8 @@
+import contextlib
+import dis
 import functools
+import io
+import sys
 
 import numpy as np
 import pytest
@@ -284,13 +288,13 @@ def test_compiled_rhs_is_inlined_and_a_wrapped_one_is_called(monkeypatch):
     # stages overflow, until the step falls below its floor
     fn = codegen.trace_function(lambda y: [y[0] * y[0], 0.5 * y[1]], 2, "<test blow-up>")
     wrapper, calls = _wrapped(fn)
-    kernels, original = [], integrator._dp_kernel
-    monkeypatch.setattr(integrator, "_dp_kernel", lambda *key: kernels.append(key) or original(*key))
+    kernels, original = [], integrator._run_kernel
+    monkeypatch.setattr(integrator, "_run_kernel", lambda *key: kernels.append(key) or original(*key))
     monkeypatch.setattr(integrator, "_initial_step", lambda *args: 1.0)
     cfg = IntegratorConfig(t_max=2.0)
     inlined = integrate(fn, 0.0, [1e100, 1.0], cfg)
     called = integrate(wrapper, 0.0, [1e100, 1.0], cfg)
-    assert kernels == [(2, codegen.traced(fn)), (2, None)]
+    assert kernels == [(2, codegen.traced(fn), (), ()), (2, None, (), ())]
     assert called.termination == "step_failure" and called.n_rejected > 20
     assert called.n_rhs == len(calls)
     _same_run(inlined, called)
@@ -346,3 +350,191 @@ def test_a_sink_gets_each_full_block_of_final_samples(event):
     assert b"".join(t for t, _ in blocks) == ts.tobytes()
     assert b"".join(y for _, y in blocks) == ys.tobytes()
     assert {len(t) for t, _ in blocks} == {8 * block} and {len(y) for _, y in blocks} == {8 * block * n}
+
+
+# -- the run kernel: inlined and called callables alike -----------------------
+
+
+def _state_test(label, n, result, args="t, y"):
+    """A compiled state test over n components: ``result`` in y0, y1, ..."""
+    return trajectory._state_test(f"test {label}", args, n, [], result)
+
+
+def _called(fn):
+    """fn behind a plain wrapper, which has no trace: a call slot."""
+    return functools.wraps(fn)(lambda *args: fn(*args))
+
+
+def _both_runs(rhs, y0, cfg, **patches):
+    """The run with every compiled callable inlined and the run with each of
+    them wrapped, so called, and each run's sink blocks; both must agree."""
+    runs = []
+    for wrap in (lambda fn: fn, _called):
+        blocks = []
+        wrapped = IntegratorConfig(
+            t_max=cfg.t_max,
+            rel_tol=cfg.rel_tol,
+            abs_tol=cfg.abs_tol,
+            max_steps=cfg.max_steps,
+            events=tuple(EventSpec(ev.name, wrap(ev.fn)) for ev in cfg.events),
+            validity=None if cfg.validity is None else wrap(cfg.validity),
+            sink=lambda ts, ys: blocks.append((ts.tobytes(), ys.tobytes())),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in patches.items():
+                mp.setattr(integrator, name, value)
+            slots = [rhs, *(ev.fn for ev in wrapped.events), *filter(None, [wrapped.validity])]
+            assert all((codegen.traced(wrap(fn)) is None) == (wrap is _called) for fn in slots)
+            runs.append((integrate(wrap(rhs), 0.0, y0, wrapped), blocks))
+    (inlined, inlined_blocks), (called, called_blocks) = runs
+    _same_run(inlined, called)
+    assert inlined_blocks == called_blocks
+    full = len(inlined.ts) // integrator._SINK_BLOCK * integrator._SINK_BLOCK
+    assert b"".join(t for t, _ in inlined_blocks) == inlined.ts[:full].tobytes()
+    assert b"".join(y for _, y in inlined_blocks) == inlined.ys[:full].tobytes()
+    return inlined
+
+
+_coefficient = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -0.25])
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    data=st.data(),
+    t_max=st.sampled_from([2.0, 30.0]),
+    max_steps=st.sampled_from([5, 300, 200_000]),
+    rel_tol=st.sampled_from([1e-10, 1e-6, 1e-3]),
+)
+def test_inlined_and_called_callables_run_alike(n, data, t_max, max_steps, rel_tol):
+    # y_j' = a_j y_j y_(j+1) + b_j / y_(j-1) + c_j: products overflow and
+    # quotients divide by zero, so stages fail; events on the components
+    # (a min and a max among them, whose locals would clash), one twice for
+    # a tie; a validity test over the first k components
+    coefficients = data.draw(st.lists(st.tuples(*[_coefficient] * 3), min_size=n, max_size=n))
+    y0 = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, -1.0, 1e150]), min_size=n, max_size=n))
+    rise, fall = data.draw(st.sampled_from([1.5, 4.0])), data.draw(st.sampled_from([0.25, 0.0, -3.0]))
+
+    def formula(y):
+        return [a * y[j] * y[(j + 1) % n] + b / y[j - 1] + c for j, (a, b, c) in enumerate(coefficients)]
+
+    rhs = codegen.trace_function(formula, n, f"<test rhs {coefficients!r}>")
+    events = (
+        EventSpec("rise", _state_test(f"rise {rise!r} n={n}", n, f"{rise!r} - y{n - 1}")),
+        EventSpec("fall", _state_test(f"fall {fall!r} n={n}", n, f"y0 - {fall!r}")),
+        EventSpec("fall again", _state_test(f"fall {fall!r} n={n} again", n, f"y0 - {fall!r}")),
+        EventSpec("min", trajectory._min_of(0, n)),
+        EventSpec("overflow", trajectory._overflow(n)),
+    )
+    k = data.draw(st.integers(0, n))
+    cfg = IntegratorConfig(
+        t_max=t_max, rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, max_steps=max_steps,
+        events=events, validity=trajectory._validity(n, k),
+    )
+    with np.errstate(all="ignore"):
+        try:
+            _both_runs(rhs, y0, cfg)
+        except ArithmeticError as exc:  # the launch state fails; for both alike
+            assert "launch state" in str(exc)
+
+
+def _oscillator():
+    return codegen.trace_function(lambda y: [y[1], -y[0]], 2, "<test oscillator>")
+
+
+def test_a_stage_that_is_not_finite_rejects_alike():
+    # y' = y^2 from 1e100: every attempt's stages overflow to inf
+    rhs = codegen.trace_function(lambda y: [y[0] * y[0], 0.5 * y[1]], 2, "<test blow-up>")
+    cfg = IntegratorConfig(t_max=2.0, events=(EventSpec("overflow", trajectory._overflow(2)),),
+                           validity=trajectory._validity(2, 1))
+    res = _both_runs(rhs, [1e100, 1.0], cfg, _initial_step=lambda *args: 1.0)
+    assert (res.termination, res.n_accepted) == ("step_failure", 0) and res.n_rejected > 20
+
+
+def test_a_failed_validity_test_rejects_alike():
+    # y0 falls through 0 at t = 1, where the validity test rejects every step
+    rhs = codegen.trace_function(lambda y: [-1.0 + 0.0 * y[0], y[0]], 2, "<test falling>")
+    cfg = IntegratorConfig(t_max=3.0, validity=trajectory._validity(2, 1))
+    res = _both_runs(rhs, [1.0, 0.0], cfg)
+    assert res.termination == "state_invalid" and res.ts[-1] < 1.0 < res.ts[-1] + 1e-6
+
+
+def test_an_error_above_tolerance_rejects_alike():
+    # a first step of 1 on the oscillator at 1e-10 is far too long
+    cfg = IntegratorConfig(t_max=3.0, validity=trajectory._validity(2, 0))
+    res = _both_runs(_oscillator(), [1.0, 0.0], cfg, _initial_step=lambda *args: 1.0)
+    assert res.termination == "reached_t_max" and res.n_rejected > 0
+
+
+def test_a_tied_crossing_goes_to_the_first_event_alike():
+    # cos t falls through 0.5 at pi/3 in both events, separately compiled
+    events = tuple(EventSpec(name, _state_test(f"cos {name}", 2, "y0 - 0.5")) for name in ("a", "b"))
+    cfg = IntegratorConfig(t_max=3.0, events=(EventSpec("min", trajectory._min_of(0, 2)), *events))
+    res = _both_runs(_oscillator(), [1.0, 0.0], cfg)
+    assert res.termination == "event:a"
+    assert res.ts[-1] == pytest.approx(np.pi / 3, abs=1e-9)
+
+
+def test_the_attempt_cap_ends_a_run_alike():
+    cfg = IntegratorConfig(t_max=100.0, max_steps=10, events=(EventSpec("min", trajectory._min_of(0, 2)),))
+    res = _both_runs(_oscillator(), [1.0, 0.0], cfg)
+    assert res.termination == "step_failure" and res.n_accepted + res.n_rejected == 10
+
+
+@pytest.mark.parametrize("samples", [255, 256, 257])
+def test_the_sink_gets_the_same_blocks_alike(samples):
+    # the launch sample and one per accepted step, none rejected
+    cfg = IntegratorConfig(t_max=1e3, max_steps=samples - 1, validity=trajectory._validity(2, 0))
+    res = _both_runs(_oscillator(), [1.0, 0.0], cfg)
+    assert (len(res.ts), res.n_rejected) == (samples, 0)
+
+
+def test_a_run_compiles_the_attempt_only_for_a_crossing():
+    # one kernel for a run that reaches t_max; the step to an event is the
+    # compiled attempt, built when a step first crosses one
+    for cache in (integrator._run_kernel, integrator._dp_kernel):
+        cache.cache_clear()
+    trajectory.solve_problem(load_shipped("ts_e0_c1.json").spec, t_max=2.0)
+    assert integrator._run_kernel.cache_info().misses == 1
+    assert integrator._dp_kernel.cache_info().misses == 0
+    exit_run = trajectory.solve_problem(load_shipped("ts_exit_einstein.json").spec, t_max=20.0)
+    assert exit_run.termination == "event:shape_exit"
+    assert integrator._dp_kernel.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("chart", [False, True])
+def test_the_run_kernel_keeps_below_256_locals(chart, monkeypatch):
+    # CPython reaches a local past the 256th only through an extended
+    # instruction; dw with m = 2 has the most components of the shipped runs
+    from solitonlab import rescaled
+
+    runs = []
+
+    def capture(rhs, t0, y0, cfg):
+        runs.append((rhs, len(y0), cfg))
+        return integrate(rhs, t0, y0, cfg)
+
+    monkeypatch.setattr(rescaled if chart else trajectory, "integrate", capture)
+    spec = load_shipped("dw_m2_chart.json").spec
+    if chart:
+        rescaled.solve_rescaled(spec, t_max=0.01)
+    else:
+        trajectory.solve_problem(spec, t_max=0.01)
+    ((rhs, n, cfg),) = runs
+    assert n == 2 * 3 + (3 if chart else 2)
+    assert integrator.compile_run(rhs, n, cfg).__code__.co_nlocals < 256
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="CPython 3.11's warm-up rule")
+def test_a_run_kernel_specializes_within_its_first_call():
+    # CPython 3.11 specializes a function's instructions after a few calls
+    # or unconditional back jumps, and a run kernel is called once a run:
+    # a loop that jumps back only conditionally would run unspecialized, as
+    # every compact-chart run in a forked child did
+    rhs = codegen.trace_function(lambda y: [y[1], -y[0]], 2, "<test specialized>")
+    cfg = IntegratorConfig(t_max=3.0)
+    integrate(rhs, 0.0, [1.0, 0.0], cfg)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        dis.dis(integrator.compile_run(rhs, 2, cfg), adaptive=True)
+    assert "BINARY_OP_MULTIPLY_FLOAT" in text.getvalue()

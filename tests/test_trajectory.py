@@ -17,7 +17,7 @@ from solitonlab.systems import (
     make_vector_rhs,
     pack_state,
 )
-from solitonlab import rescaled, trajectory
+from solitonlab import codegen, rescaled, trajectory
 from solitonlab.trajectory import solve_problem, standard_events
 
 from conftest import (
@@ -324,6 +324,21 @@ def test_compiled_state_tests_are_the_closures_bit_for_bit(k, chart, data):
         arr = np.array(y)  # the continuous extension's states
         assert_same_bits(fn(0.0, arr), oracles[name](0.0, arr))
     assert validity(y) is validity_oracle(y)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data(), t_max=st.one_of(st.sampled_from([10.0, 300.0]), st.floats(1e-3, 1e4)))
+def test_compiled_t_target_is_the_closure_bit_for_bit(m, data, t_max):
+    # the compact chart's horizon event, first written as a lambda over the
+    # carried t, y[2k + 1] with k = m + 1; it is a traced state test now
+    n = 2 * m + 5
+    y = data.draw(st.lists(_state_value, min_size=n, max_size=n))
+    fn = rescaled._t_target(n, t_max)
+    assert codegen.traced(fn) is not None
+    for state in (y, np.array(y)):
+        with np.errstate(all="ignore"):
+            assert_same_bits(fn(0.0, state), t_max - state[2 * (m + 1) + 1])
 
 
 @pytest.mark.parametrize(
