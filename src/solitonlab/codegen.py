@@ -29,8 +29,9 @@ identity of the function object: ``trace_function`` registers each one it
 compiles, and so do the state tests of ``trajectory``.  The integrator
 inlines the body, ``Trace.bound`` renaming what could clash with the code
 around it.  Generated sources are registered with ``linecache`` under a
-readable name such as ``<solitonlab dp5 n=6>``, so tracebacks and
-``inspect.getsource`` show the kernel's lines.
+readable name such as ``<solitonlab run n=8: ...>``, which names what the
+run kernel inlines, so tracebacks and ``inspect.getsource`` show the
+kernel's lines.
 """
 
 from __future__ import annotations

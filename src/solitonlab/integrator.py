@@ -33,11 +33,13 @@ So the cache key holds the traces and the call slots, never an uncompiled
 callable, and an accepted step calls nothing in Python unless a callable
 has no trace.
 
-A step that crosses an event returns to Python: ``_refine_event`` bisects
-the crossing, and the step to its time is one compiled attempt
-(``_dp_kernel``), built only when a run first crosses an event.  Every
-float operation is the one the step has always made, in the same order,
-so samples, counts and terminations do not depend on what is inlined.
+One kernel, one more attempt at a crossing: a step that crosses an event
+returns to Python, ``_refine_event`` bisects the crossing, and the step to
+its time is the same kernel called once more from the step's start, which
+returns after that one attempt.  So a run compiles nothing at a crossing.
+Every float operation is the one the step has always made, in the same
+order, so samples, counts and terminations do not depend on what is
+inlined.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import numpy as np
 
 from .codegen import Tape, Trace, compile_function, traced
 
-__all__ = ["EventSpec", "IntegratorConfig", "IntegrationResult", "compile_attempt", "integrate"]
+__all__ = ["EventSpec", "IntegratorConfig", "IntegrationResult", "integrate"]
 
 # Dormand-Prince 5(4) tableau: nodes _Ci, stage weights _Aij; the 5th-order
 # weights equal the last row _A7j (FSAL), and _Ej = b5_j - b4_j.
@@ -249,26 +251,21 @@ def _indented(lines, depth=1):
     return [f"{'    ' * depth}{line}" for line in lines]
 
 
-def _unpacked(n):
-    """The lines that unpack the state y and its slope f into y_j and k1_j."""
-    return [f"{_names('y_', n)}= y", f"{_names('k1_', n)}= f"]
-
-
-def _attempt(n, rhs: Trace | None, call, failure, y_new: bool) -> list[str]:
+def _attempt(n, rhs: Trace | None, y_new: bool) -> list[str]:
     """Source lines of one Dormand-Prince attempt by h from (t, y_j) with
     slope k1_j: the stages k2_j .. k7_j, the fifth-order solution yn_j (and
-    the list ``y_new`` of them when asked for) and the scaled error norm
-    ``err``.
+    the list ``y_new`` of them when asked for), the scaled error norm
+    ``err``, the quartic term ``r5`` of the step's continuous extension, and
+    ``n_rhs`` counting the stages evaluated.
 
     Each stage is checked before the next one is evaluated; one that raises
-    one of ``_STAGE_ERRORS`` or is not finite runs ``failure(stage)``,
-    lines that must leave the attempt.  Without ``rhs`` the lines
-    ``call(t_i, x)`` set ``k`` to the stage, x a list display, and a stage
-    of the wrong length raises ValueError.  With the Trace of a compiled
-    right-hand side each stage is its body inlined, in the body's own local
-    names.  Every stage input is y_j + h * (k1_j a1 + k2_j a2 + ...), and
-    the error norm is ``_error_norm`` unrolled, summed in
-    ``_pairwise_sum``'s order."""
+    one of ``_STAGE_ERRORS`` or is not finite counts the stages before it,
+    rejects the attempt and quarters h.  Without ``rhs`` each stage is the
+    call ``rhs(t_i, x)``, x a list display, and a stage of the wrong length
+    raises ValueError.  With the Trace of a compiled right-hand side each
+    stage is its body inlined, in the body's own local names.  Every stage
+    input is y_j + h * (k1_j a1 + k2_j a2 + ...), and the error norm is
+    ``_error_norm`` unrolled, summed in ``_pairwise_sum``'s order."""
     J = range(n)
     y_new = y_new or rhs is None
     src = []
@@ -282,15 +279,17 @@ def _attempt(n, rhs: Trace | None, call, failure, y_new: bool) -> list[str]:
                 src.append(f"    y_new = [{_names('yn', n)}]")
         if rhs is None:
             t_node = "t + h" if node == 1.0 else f"t + {node!r} * h"
-            src += _indented(call(t_node, "y_new" if stage == 7 else f"[{', '.join(x)}]"))
+            arg = "y_new" if stage == 7 else f"[{', '.join(x)}]"
+            src += [f"    k = rhs({t_node}, {arg})", "    if type(k) is not list:", "        k = as_list(k)"]
             stage_k = [f"{_names(f'k{stage}_', n)}= k"]
         else:
             src += _indented(f"{v} = {e}" for v, e in zip(rhs.inputs, x))
             src += _indented(rhs.lines)
             stage_k = [f"k{stage}_{j} = {out}" for j, out in zip(J, rhs.outputs)]
-        caught = ["except _STAGE_ERRORS:", *_indented(failure(stage))]
+        failure = [f"n_rhs += {stage - 1}", "n_rej += 1", "h *= 0.25", "continue"]
+        caught = ["except _STAGE_ERRORS:", *_indented(failure)]
         finite = " and ".join(f"isfinite(k{stage}_{j})" for j in J)
-        src += [*caught, *stage_k, "try:", f"    if not ({finite}):", *_indented(failure(stage), 2), *caught]
+        src += [*caught, *stage_k, "try:", f"    if not ({finite}):", *_indented(failure, 2), *caught]
     for j in J:
         src += [
             f"a = abs(y_{j})",
@@ -299,65 +298,8 @@ def _attempt(n, rhs: Trace | None, call, failure, y_new: bool) -> list[str]:
         ]
     tape = Tape()
     total = _pairwise_sum([w * w for w in (tape.var(f"w{j}") for j in J)])
-    return [*src, *tape.lines, f"err = sqrt({total.name} / {n})"]
-
-
-def _dense(n):
-    """The quartic term r5 of the step's continuous extension, as the items
-    of a list or tuple display."""
-    return ", ".join(f"h * ({_combined(_DENSE_WEIGHTS, j)})" for j in range(n))
-
-
-def _namespace(rhs: Trace | None, n: int) -> dict:
-    namespace = {"_STAGE_ERRORS": _STAGE_ERRORS, "isfinite": math.isfinite, "sqrt": math.sqrt}
-    if rhs is not None:
-        if (len(rhs.inputs), len(rhs.outputs)) != (n, n):
-            raise ValueError(f"{rhs.filename} does not map {n} values to {n}")
-        namespace |= rhs.namespace
-    return namespace
-
-
-@lru_cache(maxsize=64)
-def _dp_kernel(n: int, rhs: Trace | None = None):
-    """One Dormand-Prince attempt on states of n floats (see ``_attempt``):
-    ``step(call, t, y, f, h, rtol, atol)`` steps by h from (t, y) with
-    slope f, each y and f a sequence of n floats.
-
-    Returns (y_new, f_new, err, r5) -- the fifth-order solution, its slope
-    (FSAL), the scaled error norm and the quartic term of the step's
-    continuous extension -- or a failure.  Without ``rhs`` each stage is
-    ``call(t_i, x)`` and a failure returns None.  With the Trace of a
-    compiled right-hand side ``call`` is not used: a failure returns the
-    number of right-hand sides evaluated, and a completed attempt evaluated
-    ``len(_STAGES)``.  ``integrate`` takes it for the one step to an event.
-    The source is registered with linecache as ``<solitonlab dp5 n=...>``.
-    """
-    def call(t_node, arg):
-        return [f"k = call({t_node}, {arg})"]
-
-    def failure(stage):
-        return [f"return {None if rhs is None else stage - 1}"]
-
-    src = [
-        *_unpacked(n),
-        *_attempt(n, rhs, call, failure, True),
-        f"return y_new, [{_names('k7_', n)}], err, [{_dense(n)}]",
-    ]
-    src = ["def dp5(call, t, y, f, h, rtol, atol):", *_indented(src)]
-    filename = f"<solitonlab dp5 n={n}>"
-    if rhs is not None:
-        filename = f"<solitonlab dp5 n={n} inlining {rhs.filename[1:-1]}>"
-    return compile_function("dp5", "\n".join(src) + "\n", filename, _namespace(rhs, n))
-
-
-def compile_attempt(rhs, n: int):
-    """The compiled attempt ``integrate`` takes for the step to an event
-    with ``rhs`` on states of n floats, and the right-hand sides a completed
-    attempt evaluates inline (0 when each stage calls ``rhs``).  Cached: a
-    caller may build it ahead of a run, so that a forked process inherits
-    it."""
-    trace = traced(rhs)
-    return _dp_kernel(n, trace), len(_STAGES) if trace is not None else 0
+    r5 = ", ".join(f"h * ({_combined(_DENSE_WEIGHTS, j)})" for j in J)
+    return [*src, *tape.lines, f"err = sqrt({total.name} / {n})", f"r5 = ({r5},)", f"n_rhs += {len(_STAGES)}"]
 
 
 @lru_cache(maxsize=64)
@@ -374,22 +316,29 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
     ``crossing`` is None, or, when an accepted step crossed an event, the
     step's (indices of the events it crossed, t, y, f, h, y_new, f_new, r5)
     with an empty termination; that step is counted but not sampled.
+
+    One kernel, one more attempt at a crossing: with ``once`` true the loop
+    returns right after its first completed attempt, with an empty
+    termination and (y_new, f_new, err, r5) -- the fifth-order solution,
+    its slope (FSAL), the scaled error norm and the quartic term -- in place
+    of ``crossing``.  A failed stage rejects the attempt as always, so with
+    ``max_steps`` 1 the call ends as ``step_failure`` with None.
     """
     J = range(n)
     yn, k7 = _names("yn", n), _names("k7_", n)
     called = rhs is None or None in events or None in validity
-    namespace = _namespace(rhs, n) | {"as_list": _as_list}
+    namespace = {
+        "_STAGE_ERRORS": _STAGE_ERRORS, "isfinite": math.isfinite, "sqrt": math.sqrt, "as_list": _as_list,
+    }
+    if rhs is not None:
+        if (len(rhs.inputs), len(rhs.outputs)) != (n, n):
+            raise ValueError(f"{rhs.filename} does not map {n} values to {n}")
+        namespace |= rhs.namespace
 
     def inline(trace, prefix):
         bound = trace.bound([f"yn{j}" for j in J], prefix)
         namespace.update(bound.namespace)
         return bound.lines, bound.outputs[0]
-
-    def call(t_node, arg):
-        return [f"k = rhs({t_node}, {arg})", "if type(k) is not list:", "    k = as_list(k)"]
-
-    def failure(stage):
-        return [f"n_rhs += {stage - 1}", "n_rej += 1", "h *= 0.25", "continue"]
 
     if not validity:
         test = ["invalid = False"]
@@ -424,8 +373,9 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
         "a = abs(t)",
         f"if h < {_H_FLOOR!r} * (1.0 if 1.0 > a else a):",
         "    return 'state_invalid' if rejected_invalid else 'step_failure', n_acc, n_rej, n_rhs, None",
-        *_attempt(n, rhs, call, failure, called),
-        f"n_rhs += {len(_STAGES)}",
+        *_attempt(n, rhs, called),
+        "if once:",
+        f"    return '', n_acc, n_rej, n_rhs, ([{yn}], [{k7}], err, r5)",
         *test,
         "if invalid or not isfinite(err):",
         "    n_rej += 1",
@@ -444,7 +394,6 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
         "t_new = t + h",
         "hit = ()",
         *crossings,
-        f"r5 = ({_dense(n)},)",
         "if hit:",
         f"    return '', n_acc, n_rej, n_rhs, (hit, t, [{_names('y_', n)}], [{_names('k1_', n)}],"
         f" h, [{yn}], [{k7}], r5)",
@@ -467,7 +416,7 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
         f"    h *= {hi}",
         "err_prev = 1e-4 if 1e-4 > err else err",
     ]
-    src = _unpacked(n)
+    src = [f"{_names('y_', n)}= y", f"{_names('k1_', n)}= f"]
     if events:
         src += [f"{_names('ev', len(events))}= event_fns", f"{_names('prev', len(events))}= ev_prev"]
     src += [
@@ -485,7 +434,7 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
         *_indented(step),
     ]
     args = "rhs, event_fns, validity, sink, t, y, f, h, t_max, rtol, atol, max_steps, ev_prev, block_end"
-    src = [f"def run({args}, ts, ys, dys, dense):", *_indented(src)]
+    src = [f"def run({args}, ts, ys, dys, dense, once):", *_indented(src)]
     parts = [("call" if trace is None else trace.filename[1:-1]) for trace in (rhs, *events, *validity)]
     filename = f"<solitonlab run n={n}: {'; '.join(parts)}>"
     return compile_function("run", "\n".join(src) + "\n", filename, namespace)
@@ -533,11 +482,8 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
     if not cfg.t_max > t:
         raise ValueError(f"t_max {cfg.t_max!r} must exceed the start time {t!r}")
     rtol, atol, events, sink = cfg.rel_tol, cfg.abs_tol, cfg.events, cfg.sink
-    n_rhs = 0
 
     def call(tt, yy):
-        nonlocal n_rhs
-        n_rhs += 1
         out = rhs(tt, yy)
         return out if type(out) is list else _as_list(out)
 
@@ -554,14 +500,16 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         ) from exc
     # one flat buffer per sampled quantity, n values per sample
     ts, ys, dys, dense = array("d", [t]), array("d", y), array("d", f), array("d")
-    termination, n_acc, n_rej, counted, crossing = compile_run(rhs, n, cfg)(
-        rhs, [ev.fn for ev in events], cfg.validity, sink, t, y, f, h, cfg.t_max, rtol, atol,
-        cfg.max_steps, [ev.fn(t, y) for ev in events],
-        # the accepted-step count at which the samples fill the next block
-        -1 if sink is None else _SINK_BLOCK - 1,
-        ts, ys, dys, dense,
+    run = compile_run(rhs, n, cfg)
+    fns = [ev.fn for ev in events]
+    prev = [fn(t, y) for fn in fns]
+    # the accepted-step count at which the samples fill the next block
+    block_end = -1 if sink is None else _SINK_BLOCK - 1
+    termination, n_acc, n_rej, n_rhs, crossing = run(
+        rhs, fns, cfg.validity, sink, t, y, f, h, cfg.t_max, rtol, atol, cfg.max_steps, prev,
+        block_end, ts, ys, dys, dense, False,
     )
-    n_rhs += counted
+    n_rhs += 2  # the launch state's slope and the starting step's trial
     if crossing is not None:
         hits, t, y, f, h, y_new, f_new, r5 = crossing
         extension = (*map(np.array, (y, y_new, f, f_new, r5)), h)
@@ -572,15 +520,17 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
                 hit = t_star, y_star, events[idx].name
         t_star, y_star, name = hit
         termination = f"event:{name}"
-        # the last sample is a real step's end; should that step fail, it is
-        # the extension restricted to [t, t_star]
-        dp_step, inlined = compile_attempt(rhs, n)
-        step = dp_step(call, t, y, f, t_star - t, rtol, atol)
-        if type(step) is tuple:
-            n_rhs += inlined
+        # the last sample is the end of one more attempt of the kernel, from
+        # the crossing step's start; should that attempt fail, it is the
+        # extension restricted to [t, t_star]
+        _, _, _, counted, step = run(
+            rhs, fns, cfg.validity, sink, t, y, f, t_star - t, t_star, rtol, atol, 1, prev,
+            block_end, ts, ys, dys, dense, True,
+        )
+        n_rhs += counted
+        if step is not None:
             y_new, f_new, _, r5 = step
         else:
-            n_rhs += step or 0
             sigma = (t_star - t) / h
             y_new, f_new = y_star, _slope(*extension, sigma) / h
             r5 = (sigma * sigma) * (sigma * sigma) * extension[4]

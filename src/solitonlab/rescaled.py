@@ -39,9 +39,7 @@ import numpy as np
 
 from . import Report
 from .codegen import Tape, trace_function
-from .integrator import (
-    EventSpec, IntegrationResult, IntegratorConfig, compile_attempt, compile_run, integrate,
-)
+from .integrator import EventSpec, IntegrationResult, IntegratorConfig, compile_run, integrate
 from .launch import launch, rescaled_default_delta
 from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, _dot, _sum, tr_L
 from .trajectory import _min_of, _overflow, _state_test, _validity
@@ -264,8 +262,9 @@ def prepare_rescaled(
     """``solve_rescaled`` up to its integration, which the returned function
     of no arguments runs.  The launch slice is mapped to the chart here
     (raising as ``to_rescaled``; its ArithmeticError also names the launch
-    time and 'initial'), and the right-hand side, the attempt and the state
-    tests are compiled here: a process forked after this call runs the
+    time and 'initial'), and the right-hand side, the state tests and the
+    run kernel, which also takes the step to the event that ends the run,
+    are compiled here: a process forked after this call runs the
     integration without compiling anything."""
     a = spec.ansatz
     if not isinstance(a, DancerWangAnsatz):
@@ -294,7 +293,6 @@ def prepare_rescaled(
     )
     rhs = make_rescaled_vector_rhs(a, spec.epsilon)
     compile_run(rhs, len(y0), cfg)
-    compile_attempt(rhs, len(y0))  # the step to the event that ends the run
     return lambda: RescaledTrajectory(spec=spec, delta=delta, result=integrate(rhs, 0.0, y0, cfg))
 
 

@@ -4,6 +4,8 @@ Desk-scale runs only; the shipped configs are shared through the session
 fixture so the whole suite stays fast.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,21 @@ def test_criterion_10_kahler_locus():
     ok &= np.max(np.abs(res.kahler_square)) <= 1e-6
     ok &= np.max(np.abs(res.kahler_slope)) <= 1e-6
     report(10, "Kaehler-locus residual families stay under 1e-6 in both charts", ok)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 10: the second-order launch series at delta = 1e-3 leaves the shipped"
+    " run off the Kaehler locus by O(delta^2), 3.04e-6 against the 1e-6 bound",
+)
+def test_the_shipped_kahler_run_reports_on_locus(tmp_path):
+    # criterion 10 launches its physical run at 1e-4; the shipped run is
+    # chart: both, so both charts launch at the compact chart's 1e-3.  The
+    # marker goes when a higher-order launch series closes the gap.
+    run_solve(load_shipped("dw_kahler.json"), str(tmp_path))
+    kahler = json.loads((tmp_path / "report.json").read_text())["kahler"]
+    assert kahler["on_locus"], kahler["max_abs_residual"]
 
 
 @pytest.mark.parametrize(

@@ -499,7 +499,7 @@ class TestChartBoth:
         n = 2 * (a.m + 1) + 3
         caches = (
             rescaled._rescaled_kernel,
-            integrator._dp_kernel,
+            integrator._run_kernel,
             trajectory._min_of,
             trajectory._overflow,
             trajectory._validity,
@@ -509,10 +509,14 @@ class TestChartBoth:
         run_solve(cfg, str(tmp_path / "o"))
         misses = [cache.cache_info().misses for cache in caches]
         rhs = rescaled.make_rescaled_vector_rhs(a, eps)
-        integrator.compile_attempt(rhs, n)
-        trajectory._min_of(a.m + 1, 2 * (a.m + 1) + 1)
-        trajectory._overflow(n)
-        trajectory._validity(n, 0)
+        events = (
+            integrator.EventSpec("t_target", rescaled._t_target(n, cfg.t_max)),
+            integrator.EventSpec("chart_degenerate", trajectory._min_of(a.m + 1, 2 * (a.m + 1) + 1)),
+            integrator.EventSpec("overflow", trajectory._overflow(n)),
+        )
+        # the run kernel, which also takes the step to the t_target event
+        run_cfg = integrator.IntegratorConfig(math.inf, events=events, validity=trajectory._validity(n, 0))
+        integrator.compile_run(rhs, n, run_cfg)
         assert [cache.cache_info().misses for cache in caches] == misses
 
     def test_a_compact_chart_failure_exits_70_with_its_message(self, tmp_path, capsys, monkeypatch):

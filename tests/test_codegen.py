@@ -1,10 +1,11 @@
 """The compiled float kernels against the code they are generated from.
 
-The DP5 attempt is compared with the list-comprehension step it replaced,
-kept here verbatim as the oracle; each traced right-hand side is compared
-with its formula interpreted on floats; the attempt with a compiled
-right-hand side inlined is compared with the attempt that calls it.  All
-must agree bit for bit.
+The run kernel's DP5 attempt, taken alone through the kernel's one-attempt
+return, is compared with the list-comprehension step it replaced, kept here
+verbatim as the oracle; each traced right-hand side is compared with its
+formula interpreted on floats; the attempt with a compiled right-hand side
+inlined is compared with the attempt that calls it.  All must agree bit for
+bit.
 """
 
 import gc
@@ -30,7 +31,7 @@ from solitonlab.integrator import (
     _A61, _A62, _A63, _A64, _A65, _A71, _A72, _A73, _A74, _A75, _A76,
     _C2, _C3, _C4, _C5, _D1, _D2, _D3, _D4, _D5, _D6, _D7,
     _E1, _E2, _E3, _E4, _E5, _E6, _E7,
-    _STAGE_ERRORS, _STAGES, IntegratorConfig, _dp_kernel, _error_norm, compile_run,
+    _STAGE_ERRORS, IntegratorConfig, _error_norm, compile_run,
 )
 from solitonlab.systems import DancerWangAnsatz, LuPagePopeAnsatz, TwoSummandsAnsatz
 from solitonlab.trajectory import _validity, standard_events
@@ -46,6 +47,19 @@ def bits(values) -> list:
 
 
 # -- the DP5 attempt -----------------------------------------------------------
+
+
+def one_attempt(rhs, t, y, f, h, rtol, atol):
+    """One attempt by h from (t, y) with slope f, taken by the run kernel
+    for ``rhs`` with no event or validity test, which returns after it:
+    ((y_new, f_new, err, r5), or None for a failed stage; the right-hand
+    sides it evaluated).  A compiled ``rhs`` is inlined, any other called."""
+    run = compile_run(rhs, len(y), IntegratorConfig(t_max=math.inf))
+    buffers = [], [], [], []
+    _, _, _, n_rhs, step = run(
+        rhs, [], None, None, t, y, f, h, math.inf, rtol, atol, 1, [], -1, *buffers, True,
+    )
+    return step, n_rhs
 
 
 def dp_step_oracle(call, t, y, f, h, rtol, atol):
@@ -147,9 +161,10 @@ def test_dp5_kernel_is_the_oracle_bit_for_bit(case):
     y, t, h, rtol, atol = case
     f = RecordingRHS()(t, y)
     got_rhs, want_rhs = RecordingRHS(), RecordingRHS()
-    got = _dp_kernel(len(y))(got_rhs, t, y, f, h, rtol, atol)
+    got, n_rhs = one_attempt(got_rhs, t, y, f, h, rtol, atol)
     want = dp_step_oracle(want_rhs, t, y, f, h, rtol, atol)
     assert got_rhs.calls == want_rhs.calls
+    assert n_rhs == len(got_rhs.calls)
     assert (got is None) == (want is None)
     if want is not None:
         assert type(got[2]) is float
@@ -161,11 +176,10 @@ def test_dp5_kernel_is_the_oracle_bit_for_bit(case):
 def test_dp5_kernel_fails_a_stage_where_the_oracle_does(case):
     y, t, h, rtol, atol = case
     f = RecordingRHS()(t, y)
-    step = _dp_kernel(len(y))
     for stage_call in range(1, 7):
         for fault in (math.inf, -math.inf, math.nan, *_STAGE_ERRORS):
             got_rhs, want_rhs = RecordingRHS(stage_call, fault), RecordingRHS(stage_call, fault)
-            assert step(got_rhs, t, y, f, h, rtol, atol) is None
+            assert one_attempt(got_rhs, t, y, f, h, rtol, atol) == (None, stage_call)
             assert dp_step_oracle(want_rhs, t, y, f, h, rtol, atol) is None
             assert got_rhs.calls == want_rhs.calls
             assert len(got_rhs.calls) == stage_call
@@ -177,7 +191,7 @@ def test_dp5_kernel_raises_on_a_stage_of_the_wrong_length(stage_call, extra):
     y = [0.5, -1.0, 2.0]
     rhs = RecordingRHS(stage_call, extra=extra)
     with pytest.raises(ValueError, match="values to unpack"):
-        _dp_kernel(3)(rhs, 0.0, y, RecordingRHS()(0.0, y), 0.1, 1e-8, 1e-10)
+        one_attempt(rhs, 0.0, y, RecordingRHS()(0.0, y), 0.1, 1e-8, 1e-10)
 
 
 # -- traced right-hand sides ---------------------------------------------------
@@ -277,10 +291,9 @@ def test_generated_source_shows_in_tracebacks_and_getsource():
     assert f'File "<solitonlab rhs {DW[1]!r} eps=0.5>", line 3, in fn' in text
     assert "_1 = y3 / y0" in text
     assert inspect.getsource(fn).startswith("def fn(t, y):\n    y0, y1, y2, y3,")
-    step = _dp_kernel(6)
-    assert inspect.getsourcefile(step) == "<solitonlab dp5 n=6>"
-    assert inspect.getsource(step).startswith("def dp5(call, t, y, f, h, rtol, atol):\n")
-    # the run kernel names every callable it inlines
+    # the run kernel names every callable it inlines, and "call" for one it calls
+    plain = compile_run(RecordingRHS(), 6, IntegratorConfig(t_max=1.0))
+    assert inspect.getsourcefile(plain) == "<solitonlab run n=6: call>"
     spec = S.ProblemSpec(DW[1], 0.5, -1.0, (1.0, 1.0))
     cfg = IntegratorConfig(t_max=1.0, events=standard_events(spec), validity=_validity(8, 3))
     run = compile_run(fn, 8, cfg)
@@ -294,7 +307,6 @@ def test_nothing_is_compiled_at_import():
     code = (
         "import linecache\n"
         "from solitonlab import cli, integrator, rescaled, systems\n"
-        "assert integrator._dp_kernel.cache_info().currsize == 0\n"
         "assert integrator._run_kernel.cache_info().currsize == 0\n"
         "assert systems._vector_kernel.cache_info().currsize == 0\n"
         "assert rescaled._rescaled_kernel.cache_info().currsize == 0\n"
@@ -393,8 +405,8 @@ def _compiled_rhs(system, eps):
 
 def _both_attempts(fn, y, f, h, rtol=1e-8, atol=1e-10):
     """The inlined and the calling attempt on the compiled right-hand side
-    fn: (result, right-hand sides evaluated, stages that raised) each."""
-    n = len(y)
+    fn, each as (result, right-hand sides evaluated), and the stages that
+    raised in the calling one."""
     calls, raised = [], []
 
     def call(t, x):
@@ -405,9 +417,9 @@ def _both_attempts(fn, y, f, h, rtol=1e-8, atol=1e-10):
             raised.append(len(calls))
             raise
 
-    want = _dp_kernel(n)(call, 0.0, y, f, h, rtol, atol)
-    got = _dp_kernel(n, codegen.traced(fn))(None, 0.0, y, f, h, rtol, atol)
-    return (got, got if type(got) is int else len(_STAGES)), (want, len(calls)), raised
+    want, want_rhs = one_attempt(call, 0.0, y, f, h, rtol, atol)
+    assert want_rhs == len(calls)
+    return one_attempt(fn, 0.0, y, f, h, rtol, atol), (want, want_rhs), raised
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -428,10 +440,8 @@ def test_inlined_attempt_is_the_calling_attempt_bit_for_bit(system, eps, y, h, s
         f = slope[:n]
     (got, got_rhs), (want, want_rhs), _ = _both_attempts(fn, y, f, h)
     assert got_rhs == want_rhs
-    if want is None:
-        assert type(got) is int
-    else:
-        assert type(got) is tuple
+    assert (want is None) == (got is None)
+    if want is not None:
         assert bits(list(got)) == bits(list(want))
 
 
@@ -458,7 +468,7 @@ def test_inlined_attempt_fails_at_every_stage_as_the_calling_one(system):
         h = 10.0 ** rng.uniform(-8.0, 3.0)
         (got, got_rhs), (want, want_rhs), stage_raised = _both_attempts(fn, y, f, h)
         assert got_rhs == want_rhs
-        assert (want is None) == (type(got) is int)
+        assert (want is None) == (got is None)
         if want is None:
             failed_after.add(want_rhs)
             raised.update(stage_raised)
