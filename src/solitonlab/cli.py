@@ -84,7 +84,9 @@ def _apply_param(doc: dict, param: str, value: float):
     if param == "C":
         out["C"] = value
         return out
-    initial = out["initial"]
+    initial = out.get("initial")
+    if initial is None:
+        raise ConfigError(f"grid parameter {param!r} sets 'initial', which the base config lacks")
     if param == "fbar":
         if isinstance(initial, list):
             raise ConfigError("grid parameter 'fbar' applies to a scalar 'initial'")
@@ -112,6 +114,8 @@ def cmd_sweep(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(EX_CONFIG, f"cannot read config: {exc}")
     try:
+        if not isinstance(base, dict):
+            raise ConfigError("config document must be a JSON object")
         grids = [_parse_grid(g) for g in args.grid]
         params = [param for param, *_ in grids]
         for param in params:

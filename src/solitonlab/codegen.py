@@ -24,35 +24,41 @@ its input fails while tracing instead of being frozen into one branch.
 ``extremum`` writes a min or max over expressions as straight-line code
 that compares the candidates in the order the builtin does.
 
-``traced`` gives the ``Trace`` a function was compiled from, by the
-identity of the function object: ``trace_function`` registers each one it
-compiles, and so do the state tests of ``trajectory``.  The integrator
-inlines the body, ``Trace.bound`` renaming what could clash with the code
-around it.  Generated sources are registered with ``linecache`` under a
-readable name such as ``<solitonlab run n=8: ...>``, which names what the
-run kernel inlines, so tracebacks and ``inspect.getsource`` show the
-kernel's lines.
+``compile_trace`` compiles a ``Trace`` into ``fn(t, y)``, for
+``trace_function`` and the state tests of ``integrator`` alike, and
+``traced`` gives the Trace back by the identity of the function object.
+The integrator pastes a traced body into its run kernel as it was
+recorded, renaming nothing, so a constant without a literal is named
+uniquely in the process.  Generated sources are registered with
+``linecache`` under a readable name such as ``<solitonlab run n=8: ...>``,
+which names what the run kernel inlines, so tracebacks and
+``inspect.getsource`` show the kernel's lines.
 """
 
 from __future__ import annotations
 
+import itertools
 import linecache
 import math
-import re
 import time
 import weakref
 from dataclasses import dataclass
 
 __all__ = [
-    "Tape", "Trace", "Traced", "compile_function", "extremum", "register", "trace_function",
+    "Tape", "Trace", "Traced", "compile_function", "compile_trace", "extremum", "trace_function",
     "traced",
 ]
+
+# numbers the constants of every tape, so that no two tapes in the process
+# bind one name and a kernel can hold the constants of several
+_CONSTANTS = itertools.count()
 
 
 class Tape:
     """The operations recorded while tracing, as lines of source, and the
     constants that have no literal (-0.0, inf, NaN, non-builtin numbers),
-    bound by name in the generated function's globals."""
+    bound in the generated function's globals under names unique in the
+    process."""
 
     def __init__(self):
         self.lines: list[str] = []
@@ -72,7 +78,7 @@ class Tape:
                 return repr(value)
             if value < 0:
                 return f"({value!r})"
-        name = f"_const{len(self.namespace)}"
+        name = f"_const{next(_CONSTANTS)}"
         self.namespace[name] = value
         return name
 
@@ -177,16 +183,11 @@ def extremum(name: str, candidates, op: str = "<") -> list[str]:
     return lines
 
 
-# a name in generated source: not an attribute, nor the exponent of a
-# literal (compiled by ``re`` on first use, not at import)
-_NAME = r"(?<![\w.])[A-Za-z_]\w*"
-
-
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A traced formula: the names of its inputs, the recorded lines that
     compute from them, the source text of each output and the constants the
-    lines bind by name."""
+    lines name, each under a name no other tape in the process uses."""
 
     filename: str
     inputs: tuple[str, ...]
@@ -194,45 +195,29 @@ class Trace:
     outputs: tuple[str, ...]
     namespace: dict
 
-    def bound(self, args, prefix: str) -> Trace:
-        """This formula for inlining into other generated code: each input
-        replaced by the matching name of ``args``, and every other name it
-        binds -- the locals its lines assign and its constants -- given
-        ``prefix``, so that it clashes with no name of the code around it."""
-        if len(args) < len(self.inputs):
-            raise ValueError(f"{self.filename} reads {len(self.inputs)} values, not {len(args)}")
-        assigned = (re.match(r"\s*(\w+) = ", line) for line in self.lines)
-        names = {v: prefix + v for v in (*(m[1] for m in assigned if m), *self.namespace)}
-        names |= dict(zip(self.inputs, args))
-
-        def rename(text):
-            return re.sub(_NAME, lambda m: names.get(m[0], m[0]), text)
-
-        return Trace(
-            self.filename,
-            tuple(names[v] for v in self.inputs),
-            tuple(map(rename, self.lines)),
-            tuple(map(rename, self.outputs)),
-            {names[k]: v for k, v in self.namespace.items()},
-        )
-
 
 # id of each live function compiled from a Trace -> that Trace; an entry
 # goes when its function is collected, before the id can be reused
 _TRACES: dict[int, Trace] = {}
 
 
-def register(fn, trace: Trace):
-    """Record ``fn`` as compiled from ``trace``, for ``traced``; returns fn."""
+def compile_trace(trace: Trace, result: str):
+    """Compile ``trace`` into ``fn(t, y)``, which unpacks y into the
+    trace's inputs, runs its lines and returns the source text ``result``
+    (an output, or a list display of them), with the trace's constants as
+    globals; registered for ``traced``."""
+    body = [f"{', '.join(trace.inputs)}, = y", *trace.lines, f"return {result}"]
+    source = "def fn(t, y):\n" + "".join(f"    {line}\n" for line in body)
+    fn = compile_function("fn", source, trace.filename, trace.namespace)
     _TRACES[id(fn)] = trace
     weakref.finalize(fn, _TRACES.pop, id(fn), None)
     return fn
 
 
 def traced(fn) -> Trace | None:
-    """The Trace ``fn`` was compiled from, if it was registered (as
-    ``trace_function`` registers what it returns); a wrapper around it,
-    even one that copies its attributes, has none."""
+    """The Trace ``fn`` was compiled from, if ``compile_trace`` compiled
+    it; a wrapper around it, even one that copies its attributes, has
+    none."""
     return _TRACES.get(id(fn))
 
 
@@ -244,6 +229,4 @@ def trace_function(formula, n: int, filename: str):
     y = [tape.var(f"y{j}") for j in range(n)]
     out = [tape.ref(v) for v in formula(y)]
     trace = Trace(filename, tuple(v.name for v in y), tuple(tape.lines), tuple(out), tape.namespace)
-    body = [f"{', '.join(trace.inputs)}, = y", *trace.lines, f"return [{', '.join(out)}]"]
-    source = "def fn(t, y):\n" + "".join(f"    {line}\n" for line in body)
-    return register(compile_function("fn", source, filename, tape.namespace), trace)
+    return compile_trace(trace, f"[{', '.join(out)}]")

@@ -19,19 +19,19 @@ The whole adaptive loop is one function generated for the state length
 and the run's callables (``_run_kernel``), compiled on first use and
 cached: the six stages, the error norm, the validity test, every event,
 the sample buffers, the sink's blocks and the PI controller, on scalar
-locals with no per-component loops.  A callable compiled by ``codegen``
-or ``trajectory`` -- the right-hand side, an event or the validity test --
-is found by the identity of the function object (``codegen.traced``) and
-inlined.  The right-hand side's body is each stage, in the body's own
-local names, which every stage reuses: with names of its own per stage
-the loop would have some 420 locals, and CPython reaches a local past the
-256th only through an extended instruction.  An event's or the validity
-test's body reads the new state's names for its inputs and gives every
-other name it binds a prefix of its own.  Any other callable, a
-profiler's wrapper included, is passed in and called from the same loop.
-So the cache key holds the traces and the call slots, never an uncompiled
-callable, and an accepted step calls nothing in Python unless a callable
-has no trace.
+locals with no per-component loops.  A callable compiled from a
+``codegen.Trace`` -- the right-hand side, an event or the validity test --
+is found by the identity of the function object (``codegen.traced``), and
+its recorded lines are pasted in as they are.  The right-hand side is
+recorded over y0 .. y{n-1}, which each stage binds to its input, so every
+stage reuses its local names: with names of its own per stage the loop
+would have some 420 locals, and CPython reaches a local past the 256th
+only through an extended instruction.  A state test (``_state_test``)
+takes (t, y) and is recorded over yn0 .. yn{n-1}, the loop's names for
+the new state.  Any other callable, a profiler's wrapper included, is
+passed in and called from the same loop.  So the cache key holds the
+traces and the call slots, never an uncompiled callable, and an accepted
+step calls nothing in Python unless a callable has no trace.
 
 One kernel, one more attempt at a crossing: a step that crosses an event
 returns to Python, ``_refine_event`` bisects the crossing, and the step to
@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .codegen import Tape, Trace, compile_function, traced
+from .codegen import Tape, Trace, compile_function, compile_trace, extremum, traced
 
 __all__ = ["EventSpec", "IntegratorConfig", "IntegrationResult", "integrate"]
 
@@ -108,7 +108,7 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     max_steps: int = 200_000
     events: tuple[EventSpec, ...] = ()
-    validity: Callable[[list[float]], bool] | None = None
+    validity: Callable[[float, list[float]], bool] | None = None
     sink: Callable | None = None
 
     def __post_init__(self):
@@ -302,6 +302,45 @@ def _attempt(n, rhs: Trace | None, y_new: bool) -> list[str]:
     return [*src, *tape.lines, f"err = sqrt({total.name} / {n})", f"r5 = ({r5},)", f"n_rhs += {len(_STAGES)}"]
 
 
+def _state(n: int) -> tuple[str, ...]:
+    """yn0 .. yn{n-1}: the names the run kernel binds for the new state of
+    an attempt, over which every state test is recorded."""
+    return tuple(f"yn{j}" for j in range(n))
+
+
+def _state_test(label: str, n: int, lines, result: str, namespace=None):
+    """Compile ``fn(t, y)`` for a state y of n floats as
+    ``<solitonlab label>``: it unpacks y into ``_state(n)``, runs the lines
+    and returns ``result``, with the namespace as globals.  The run kernel
+    pastes the lines and the result as they are, so they read the state
+    under those names, assign only tape locals and ``codegen.extremum``'s
+    m and c, and bind constants by the names a ``Tape`` gives them."""
+    trace = Trace(f"<solitonlab {label}>", _state(n), tuple(lines), (result,), namespace or {})
+    return compile_trace(trace, result)
+
+
+@lru_cache(maxsize=None)
+def _min_of(lo: int, hi: int, n: int):
+    """``fn(t, y)``: min(y[lo:hi]) for a state of n components."""
+    return _state_test(f"min y[{lo}:{hi}] n={n}", n, extremum("m", _state(n)[lo:hi]), "m")
+
+
+@lru_cache(maxsize=None)
+def _overflow(n: int):
+    """``fn(t, y)``: 1e12 - max(map(abs, y)) for a state of n components."""
+    lines = extremum("m", [f"abs({v})" for v in _state(n)], ">")
+    return _state_test(f"overflow n={n}", n, lines, "1e12 - m")
+
+
+@lru_cache(maxsize=None)
+def _validity(n: int, k: int):
+    """``fn(t, y)`` for a list y of n floats: all finite, and the first k
+    positive.  Once all are finite this is min(y[:k]) > 0.0."""
+    y = _state(n)
+    tests = [f"isfinite({v})" for v in y] + [f"{v} > 0.0" for v in y[:k]]
+    return _state_test(f"validity n={n} k={k}", n, [], " and ".join(tests), {"isfinite": math.isfinite})
+
+
 @lru_cache(maxsize=64)
 def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
     """The adaptive loop of ``integrate`` on states of n floats, compiled
@@ -309,13 +348,14 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
     sample buffers, the sink's blocks and the PI controller.
 
     ``rhs``, each item of ``events`` and the item of ``validity`` (empty
-    without a validity test) is the Trace of a compiled callable, inlined
-    with the state's names for its inputs and a prefix of its own on every
-    other name it binds, or None, a call slot: that callable is passed in
-    and called.  Returns (termination, n_acc, n_rej, n_rhs, crossing):
-    ``crossing`` is None, or, when an accepted step crossed an event, the
-    step's (indices of the events it crossed, t, y, f, h, y_new, f_new, r5)
-    with an empty termination; that step is counted but not sampled.
+    without a validity test) is the Trace of a compiled callable, whose
+    lines are pasted as they were recorded (a state test's over
+    ``_state(n)``, see ``_state_test``), or None, a call slot: that
+    callable is passed in and called.  Returns (termination, n_acc, n_rej,
+    n_rhs, crossing): ``crossing`` is None, or, when an accepted step
+    crossed an event, the step's (indices of the events it crossed, t, y,
+    f, h, y_new, f_new, r5) with an empty termination; that step is
+    counted but not sampled.
 
     One kernel, one more attempt at a crossing: with ``once`` true the loop
     returns right after its first completed attempt, with an empty
@@ -335,24 +375,25 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
             raise ValueError(f"{rhs.filename} does not map {n} values to {n}")
         namespace |= rhs.namespace
 
-    def inline(trace, prefix):
-        bound = trace.bound([f"yn{j}" for j in J], prefix)
-        namespace.update(bound.namespace)
-        return bound.lines, bound.outputs[0]
+    def inline(trace):
+        if trace.inputs != _state(n):
+            raise ValueError(f"{trace.filename} does not read the new state yn0 .. yn{n - 1}")
+        namespace.update(trace.namespace)
+        return trace.lines, trace.outputs[0]
 
     if not validity:
         test = ["invalid = False"]
     elif validity[0] is None:
-        test = ["invalid = not validity(y_new)"]
+        test = ["invalid = not validity(t + h, y_new)"]
     else:
-        lines, out = inline(validity[0], "v_")
+        lines, out = inline(validity[0])
         test = [*lines, f"invalid = not ({out})"]
     crossings = []
     for i, trace in enumerate(events):
         if trace is None:
             lines, value = [f"v = ev{i}(t_new, y_new)"], "v"
         else:
-            lines, value = inline(trace, f"e{i}_")
+            lines, value = inline(trace)
             if not value.isidentifier():
                 lines, value = [*lines, f"v = {value}"], "v"
         crossings += [

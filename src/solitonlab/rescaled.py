@@ -20,12 +20,11 @@ code and compiled (see ``codegen``), cached per ansatz and eps.
 
 Slow time has no cap: the horizon is t_max, where the ``t_target`` event
 finds the carried t.  Every event and the all-finite validity test are
-compiled state tests (see ``trajectory``), which the integrator inlines:
-``chart_degenerate`` and ``overflow`` and the validity test are the
-physical chart's, cached per component count, with each min and max in
-the builtin's order, and ``t_target`` is cached per component count and
-t_max.  A run that meets no event ends at the integrator's
-attempt cap.
+compiled state tests (see ``integrator._state_test``), which the run
+kernel inlines: ``chart_degenerate``, ``overflow`` and the validity test
+are cached per component count, with each min and max in the builtin's
+order, and ``t_target`` is cached per component count and t_max.  A run
+that meets no event ends at the integrator's attempt cap.
 """
 
 from __future__ import annotations
@@ -39,10 +38,12 @@ import numpy as np
 
 from . import Report
 from .codegen import Tape, trace_function
-from .integrator import EventSpec, IntegrationResult, IntegratorConfig, compile_run, integrate
+from .integrator import (
+    EventSpec, IntegrationResult, IntegratorConfig, _min_of, _overflow, _state, _state_test, _validity,
+    compile_run, integrate,
+)
 from .launch import launch, rescaled_default_delta
 from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, _dot, _sum, tr_L
-from .trajectory import _min_of, _overflow, _state_test, _validity
 
 __all__ = [
     "RescaledState",
@@ -281,7 +282,7 @@ def prepare_rescaled(
     y0 = np.concatenate((r0.X, r0.Y, [r0.Lc, r0.t, r0.u]))
     events = (
         EventSpec("t_target", _t_target(len(y0), t_max)),
-        EventSpec("chart_degenerate", _min_of(k, 2 * k + 1)),
+        EventSpec("chart_degenerate", _min_of(k, 2 * k + 1, len(y0))),
         EventSpec("overflow", _overflow(len(y0))),
     )
     cfg = IntegratorConfig(
@@ -298,11 +299,11 @@ def prepare_rescaled(
 
 @lru_cache(maxsize=None)
 def _t_target(n: int, t_max: float):
-    """``fn(s, y)``: t_max - t, with t the state's carried physical time
-    y[n - 2]."""
+    """``fn(t, y)`` at slow time t: t_max minus the state's carried
+    physical time y[n - 2]."""
     tape = Tape()
     label = f"t_target n={n} t_max={t_max!r}"
-    return _state_test(label, "s, y", n, [], f"{tape.ref(float(t_max))} - y{n - 2}", tape.namespace)
+    return _state_test(label, n, [], f"{tape.ref(float(t_max))} - {_state(n)[n - 2]}", tape.namespace)
 
 
 class ChartComparison(Report):

@@ -14,20 +14,19 @@ The row is traced into its event and evaluated on all samples as
 report.json's ``margins`` read under one rule: a row holds when every
 sample's margin, the minimum of its candidates, exceeds -slack.
 
-The events and the validity test every attempt passes are compiled into
-straight-line code and cached, per component count (``_min_of``,
-``_overflow``, ``_validity``) or per ansatz, circle-bundle pair constant
-c0 and flat-circle flag (``_row_events``).  Each is registered with its
-trace (``codegen.traced``), so the integrator's run kernel inlines it.  Each min and max is taken as the
-builtin takes it (``codegen.extremum``), so the same floats are compared in
-the same order as by ``min``/``max`` over the candidates, on a list of
-floats at accepted points and on an array on the continuous extension.
+The events and the validity test every attempt passes are state tests
+(``integrator._state_test``), compiled into straight-line code over the
+names the run kernel binds, which pastes them as they are.  They are
+cached per component count (``_overflow``, ``_validity``) or per ansatz,
+circle-bundle pair constant c0 and flat-circle flag (``_row_events``).
+Each min and max is taken as the builtin takes it (``codegen.extremum``),
+so the same floats are compared in the same order as by ``min``/``max``
+over the candidates, on a list of floats at accepted points and on an
+array on the continuous extension.
 """
 
 from __future__ import annotations
 
-import math
-import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -35,8 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codegen import Tape, Trace, Traced, compile_function, extremum, register
-from .integrator import EventSpec, IntegrationResult, IntegratorConfig, integrate
+from .codegen import Tape, Traced, extremum
+from .integrator import (
+    EventSpec, IntegrationResult, IntegratorConfig, _overflow, _state, _state_test, _validity, integrate,
+)
 from .launch import launch
 from .systems import (
     DancerWangAnsatz,
@@ -192,12 +193,12 @@ def _row_events(a, c0: float | None, flat_circle: bool) -> tuple[EventSpec, ...]
     n = 2 * len(a.dims) + 2
     for row in _invariants(a, c0, flat_circle):
         tape = Tape()
-        values = list(row.candidates([tape.var(f"y{j}") for j in range(n)]).values())
+        values = list(row.candidates([tape.var(v) for v in _state(n)]).values())
         if any(isinstance(v, Traced) for v in values):
             lines = [*tape.lines, *extremum("m", [tape.ref(v) for v in values])]
             label = f"{row.event} {a!r}" + (f" c0={c0!r}" if c0 is not None else "")
             label += " flat circle" if flat_circle else ""
-            fn = _state_test(label, "t, y", n, lines, "m", tape.namespace)
+            fn = _state_test(label, n, lines, "m", tape.namespace)
             events.append(EventSpec(row.event, fn))
     return tuple(events)
 
@@ -218,44 +219,6 @@ class Margin(NamedTuple):
     @property
     def holds(self) -> bool:
         return bool(np.all(self.inside))
-
-
-def _state_test(label: str, args: str, n: int, lines: list[str], result: str, namespace=None):
-    """Compile ``def test(args)``, which reads each component y[j] it uses
-    into the local yj, runs the lines and returns ``result``, as
-    ``<solitonlab label>``, with ``isfinite`` and the namespace as globals.
-    Its Trace over the n components is registered (``codegen.traced``), so
-    the integrator inlines it."""
-    namespace = namespace or {}
-    inputs = tuple(f"y{j}" for j in range(n))
-    trace = Trace(f"<solitonlab {label}>", inputs, tuple(lines), (result,), namespace)
-    used = set(re.findall(r"\w+", "\n".join([*lines, result])))
-    loads = [f"{v} = y[{j}]" for j, v in enumerate(inputs) if v in used]
-    body = "".join(f"    {line}\n" for line in [*loads, *lines, f"return {result}"])
-    namespace = {"isfinite": math.isfinite, **namespace}
-    return register(compile_function("test", f"def test({args}):\n{body}", trace.filename, namespace), trace)
-
-
-@lru_cache(maxsize=None)
-def _min_of(lo: int, hi: int):
-    """``fn(t, y)``: min(y[lo:hi])."""
-    lines = extremum("m", [f"y{j}" for j in range(lo, hi)])
-    return _state_test(f"min y[{lo}:{hi}]", "t, y", hi, lines, "m")
-
-
-@lru_cache(maxsize=None)
-def _overflow(n: int):
-    """``fn(t, y)``: 1e12 - max(map(abs, y)) for a state of n components."""
-    lines = extremum("m", [f"abs(y{j})" for j in range(n)], ">")
-    return _state_test(f"overflow n={n}", "t, y", n, lines, "1e12 - m")
-
-
-@lru_cache(maxsize=None)
-def _validity(n: int, k: int):
-    """``fn(y)`` for a list y of n floats: all finite, and the first k
-    positive.  Once all are finite this is min(y[:k]) > 0.0."""
-    tests = [f"isfinite(y{j})" for j in range(n)] + [f"y{j} > 0.0" for j in range(k)]
-    return _state_test(f"validity n={n} k={k}", "y", n, [], " and ".join(tests))
 
 
 def standard_events(spec: ProblemSpec) -> tuple[EventSpec, ...]:

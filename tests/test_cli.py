@@ -491,7 +491,7 @@ class TestChartBoth:
 
     def test_the_compact_chart_compiles_here_before_the_fork(self, tmp_path):
         # a long-lived process keeps every kernel the child used
-        from solitonlab import integrator, rescaled, trajectory
+        from solitonlab import integrator, rescaled
         from solitonlab.runio import run_solve
 
         cfg = load_config(str(config_path("dw_m2_chart.json")))
@@ -500,9 +500,9 @@ class TestChartBoth:
         caches = (
             rescaled._rescaled_kernel,
             integrator._run_kernel,
-            trajectory._min_of,
-            trajectory._overflow,
-            trajectory._validity,
+            integrator._min_of,
+            integrator._overflow,
+            integrator._validity,
         )
         for cache in caches:
             cache.cache_clear()
@@ -511,11 +511,11 @@ class TestChartBoth:
         rhs = rescaled.make_rescaled_vector_rhs(a, eps)
         events = (
             integrator.EventSpec("t_target", rescaled._t_target(n, cfg.t_max)),
-            integrator.EventSpec("chart_degenerate", trajectory._min_of(a.m + 1, 2 * (a.m + 1) + 1)),
-            integrator.EventSpec("overflow", trajectory._overflow(n)),
+            integrator.EventSpec("chart_degenerate", integrator._min_of(a.m + 1, 2 * (a.m + 1) + 1, n)),
+            integrator.EventSpec("overflow", integrator._overflow(n)),
         )
         # the run kernel, which also takes the step to the t_target event
-        run_cfg = integrator.IntegratorConfig(math.inf, events=events, validity=trajectory._validity(n, 0))
+        run_cfg = integrator.IntegratorConfig(math.inf, events=events, validity=integrator._validity(n, 0))
         integrator.compile_run(rhs, n, run_cfg)
         assert [cache.cache_info().misses for cache in caches] == misses
 
@@ -970,6 +970,28 @@ class TestSweep:
         assert repr(name) in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
+    def test_a_base_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
+        # solve refuses the same file with the same message
+        cfg = write_json(tmp_path, "c.json", [])
+        assert main(["sweep", "--config", cfg, "--grid", "C=-1:-1:2", "--out", str(tmp_path / "sw")]) == 64
+        assert capsys.readouterr().err == "error: config document must be a JSON object\n"
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+        assert capsys.readouterr().err == "error: config document must be a JSON object\n"
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("grid", ["g1=1:1:2", "fbar=1:1:2"])
+    @pytest.mark.parametrize("initial", [None, "missing"])
+    def test_a_size_grid_over_a_base_without_initial_is_config_error(self, tmp_path, capsys, grid, initial):
+        # a grid that would set the sizes does not stand in for them
+        doc = {key: value for key, value in BASE.items() if key != "initial"}
+        if initial is None:
+            doc["initial"] = None
+        cfg = write_json(tmp_path, "c.json", doc)
+        assert main(["sweep", "--config", cfg, "--grid", grid, "--out", str(tmp_path / "sw")]) == 64
+        err = capsys.readouterr().err
+        assert repr(grid.split("=")[0]) in err and "'initial'" in err
+        assert not (tmp_path / "sw").exists()
+
     def test_bad_grid_spec(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", BASE)
         assert main(["sweep", "--config", cfg, "--grid", "C=oops", "--out", str(tmp_path / "sw")]) == 64
@@ -1107,6 +1129,12 @@ class TestCurvature:
         }
         path = write_json(tmp_path, "dup.json", doc)
         assert main(["curvature", "--decomposition", path, "--x", "1"]) == 64
+
+    @pytest.mark.parametrize("x", ["nan,1", "inf,1", "1,-inf"])
+    def test_a_non_finite_scaling_is_config_error(self, capsys, x):
+        path = str(decomposition_path("hopf_sp1_sp2.json"))
+        assert main(["curvature", "--decomposition", path, "--x", x]) == 64
+        assert capsys.readouterr().err == "error: metric scalings must be finite and strictly positive\n"
 
     def test_dimension_mismatch_is_config_error(self):
         code = main(

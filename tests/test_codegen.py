@@ -31,10 +31,10 @@ from solitonlab.integrator import (
     _A61, _A62, _A63, _A64, _A65, _A71, _A72, _A73, _A74, _A75, _A76,
     _C2, _C3, _C4, _C5, _D1, _D2, _D3, _D4, _D5, _D6, _D7,
     _E1, _E2, _E3, _E4, _E5, _E6, _E7,
-    _STAGE_ERRORS, IntegratorConfig, _error_norm, compile_run,
+    _STAGE_ERRORS, IntegratorConfig, _error_norm, _validity, compile_run,
 )
 from solitonlab.systems import DancerWangAnsatz, LuPagePopeAnsatz, TwoSummandsAnsatz
-from solitonlab.trajectory import _validity, standard_events
+from solitonlab.trajectory import standard_events
 
 from conftest import load_shipped
 
@@ -303,6 +303,27 @@ def test_generated_source_shows_in_tracebacks_and_getsource():
     assert inspect.getsource(run).startswith("def run(rhs, event_fns, validity, sink, t, y, f, h, ")
 
 
+def test_a_run_kernel_shows_each_state_test_as_recorded():
+    # a state test is recorded over the names the run kernel binds for the
+    # new state, so the kernel holds its lines and its result verbatim
+    fn = S.make_vector_rhs(DW[2], 0.5)
+    spec = S.ProblemSpec(DW[2], 0.5, -1.0, (1.0, 2.0, 0.5))
+    cfg = IntegratorConfig(t_max=1.0, events=standard_events(spec), validity=_validity(10, 4))
+    source = inspect.getsource(compile_run(fn, 10, cfg))
+    events = [codegen.traced(ev.fn) for ev in cfg.events]
+    validity = codegen.traced(cfg.validity)
+    assert sum(len(trace.lines) for trace in events) > 20
+    for trace in (*events, validity):
+        assert trace.inputs == tuple(f"yn{j}" for j in range(10))
+        # the loop's body is indented twice
+        assert "".join(f"        {line}\n" for line in trace.lines) in source
+    for i, trace in enumerate(events):
+        (value,) = trace.outputs
+        shown = f"if {value} <= 0.0 and isfinite(prev{i})" if value.isidentifier() else f"v = {value}\n"
+        assert f"        {shown}" in source
+    assert f"        invalid = not ({validity.outputs[0]})\n" in source
+
+
 def test_nothing_is_compiled_at_import():
     code = (
         "import linecache\n"
@@ -342,16 +363,18 @@ def test_identities_are_not_recorded_and_keep_every_bit(op):
         (lambda x: 0.0 + x, "_1 = 0.0 + y0"),
         (lambda x: 0.0 * x, "_1 = 0.0 * y0"),
         (lambda x: x * 0.0, "_1 = y0 * 0.0"),
-        (lambda x: x - -0.0, "_1 = y0 - _const0"),
+        (lambda x: x - -0.0, "_1 = y0 - {}"),
         (lambda x: 0.0 - x, "_1 = 0.0 - y0"),
         (lambda x: 1.0 / x, "_1 = 1.0 / y0"),
     ],
 )
 def test_operations_that_change_a_bit_are_kept(op, line):
     # -0.0 + 0.0 is +0.0, and 0.0 * x is NaN for infinite x and -0.0 for
-    # negative x
+    # negative x; -0.0 has no literal, so the line names it
     fn = trace_function(lambda y: [op(y[0])], 1, "<test kept>")
-    assert codegen.traced(fn).lines == (line,)
+    trace = codegen.traced(fn)
+    assert trace.lines == (line.format(*trace.namespace),)
+    assert bits(list(trace.namespace.values())) == bits([-0.0] if "{}" in line else [])
     for x in _SPECIAL:
         if x == 0.0 and line.endswith("/ y0"):
             continue

@@ -2,6 +2,7 @@ import contextlib
 import dis
 import functools
 import io
+import math
 import sys
 
 import numpy as np
@@ -200,7 +201,7 @@ def test_validity_callback_flags_invalid_state():
     # flow into y = 0 from above with a validity requirement y > 0.5:
     # steps get rejected and the run ends as state_invalid
     rhs = lambda t, y: np.array([-1.0])
-    cfg = IntegratorConfig(t_max=10.0, validity=lambda y: bool(y[0] > 0.5))
+    cfg = IntegratorConfig(t_max=10.0, validity=lambda t, y: bool(y[0] > 0.5))
     res = integrate(rhs, 0.0, [1.0], cfg)
     assert res.termination == "state_invalid"
     assert res.ys[-1][0] > 0.4
@@ -361,9 +362,9 @@ def test_a_sink_gets_each_full_block_of_final_samples(event):
 # -- the run kernel: inlined and called callables alike -----------------------
 
 
-def _state_test(label, n, result, args="t, y"):
-    """A compiled state test over n components: ``result`` in y0, y1, ..."""
-    return trajectory._state_test(f"test {label}", args, n, [], result)
+def _state_test(label, n, result):
+    """A compiled state test over n components: ``result`` in yn0, yn1, ..."""
+    return integrator._state_test(f"test {label}", n, [], result)
 
 
 def _called(fn):
@@ -426,16 +427,16 @@ def test_inlined_and_called_callables_run_alike(n, data, t_max, max_steps, rel_t
 
     rhs = codegen.trace_function(formula, n, f"<test rhs {coefficients!r}>")
     events = (
-        EventSpec("rise", _state_test(f"rise {rise!r} n={n}", n, f"{rise!r} - y{n - 1}")),
-        EventSpec("fall", _state_test(f"fall {fall!r} n={n}", n, f"y0 - {fall!r}")),
-        EventSpec("fall again", _state_test(f"fall {fall!r} n={n} again", n, f"y0 - {fall!r}")),
-        EventSpec("min", trajectory._min_of(0, n)),
-        EventSpec("overflow", trajectory._overflow(n)),
+        EventSpec("rise", _state_test(f"rise {rise!r} n={n}", n, f"{rise!r} - yn{n - 1}")),
+        EventSpec("fall", _state_test(f"fall {fall!r} n={n}", n, f"yn0 - {fall!r}")),
+        EventSpec("fall again", _state_test(f"fall {fall!r} n={n} again", n, f"yn0 - {fall!r}")),
+        EventSpec("min", integrator._min_of(0, n, n)),
+        EventSpec("overflow", integrator._overflow(n)),
     )
     k = data.draw(st.integers(0, n))
     cfg = IntegratorConfig(
         t_max=t_max, rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, max_steps=max_steps,
-        events=events, validity=trajectory._validity(n, k),
+        events=events, validity=integrator._validity(n, k),
     )
     with np.errstate(all="ignore"):
         try:
@@ -451,8 +452,8 @@ def _oscillator():
 def test_a_stage_that_is_not_finite_rejects_alike():
     # y' = y^2 from 1e100: every attempt's stages overflow to inf
     rhs = codegen.trace_function(lambda y: [y[0] * y[0], 0.5 * y[1]], 2, "<test blow-up>")
-    cfg = IntegratorConfig(t_max=2.0, events=(EventSpec("overflow", trajectory._overflow(2)),),
-                           validity=trajectory._validity(2, 1))
+    cfg = IntegratorConfig(t_max=2.0, events=(EventSpec("overflow", integrator._overflow(2)),),
+                           validity=integrator._validity(2, 1))
     res = _both_runs(rhs, [1e100, 1.0], cfg, _initial_step=lambda *args: 1.0)
     assert (res.termination, res.n_accepted) == ("step_failure", 0) and res.n_rejected > 20
 
@@ -460,29 +461,54 @@ def test_a_stage_that_is_not_finite_rejects_alike():
 def test_a_failed_validity_test_rejects_alike():
     # y0 falls through 0 at t = 1, where the validity test rejects every step
     rhs = codegen.trace_function(lambda y: [-1.0 + 0.0 * y[0], y[0]], 2, "<test falling>")
-    cfg = IntegratorConfig(t_max=3.0, validity=trajectory._validity(2, 1))
+    cfg = IntegratorConfig(t_max=3.0, validity=integrator._validity(2, 1))
     res = _both_runs(rhs, [1.0, 0.0], cfg)
     assert res.termination == "state_invalid" and res.ts[-1] < 1.0 < res.ts[-1] + 1e-6
 
 
 def test_an_error_above_tolerance_rejects_alike():
     # a first step of 1 on the oscillator at 1e-10 is far too long
-    cfg = IntegratorConfig(t_max=3.0, validity=trajectory._validity(2, 0))
+    cfg = IntegratorConfig(t_max=3.0, validity=integrator._validity(2, 0))
     res = _both_runs(_oscillator(), [1.0, 0.0], cfg, _initial_step=lambda *args: 1.0)
     assert res.termination == "reached_t_max" and res.n_rejected > 0
 
 
 def test_a_tied_crossing_goes_to_the_first_event_alike():
     # cos t falls through 0.5 at pi/3 in both events, separately compiled
-    events = tuple(EventSpec(name, _state_test(f"cos {name}", 2, "y0 - 0.5")) for name in ("a", "b"))
-    cfg = IntegratorConfig(t_max=3.0, events=(EventSpec("min", trajectory._min_of(0, 2)), *events))
+    events = tuple(EventSpec(name, _state_test(f"cos {name}", 2, "yn0 - 0.5")) for name in ("a", "b"))
+    cfg = IntegratorConfig(t_max=3.0, events=(EventSpec("min", integrator._min_of(0, 2, 2)), *events))
     res = _both_runs(_oscillator(), [1.0, 0.0], cfg)
     assert res.termination == "event:a"
     assert res.ts[-1] == pytest.approx(np.pi / 3, abs=1e-9)
 
 
+def test_each_traced_constant_keeps_its_value_when_inlined():
+    # the right-hand side and two events each bind a constant that has no
+    # literal; the run kernel holds all three under their own names, so
+    # were two of them to share a name, one would read the other's value:
+    # a right-hand side reading NaN fails every stage, an event reading
+    # -0.0 in place of inf or NaN falls at the first step
+    rhs = codegen.trace_function(lambda y: [y[1] - -0.0, -y[0]], 2, "<test constant rhs>")
+    fall, early = codegen.Tape(), codegen.Tape()
+    inf, nan = fall.ref(math.inf), early.ref(math.nan)
+    events = (
+        EventSpec("early", integrator._state_test(
+            "test never early", 2, codegen.extremum("m", ["1.5 - yn0", nan]), "m", early.namespace,
+        )),
+        EventSpec("fall", integrator._state_test(
+            "test fall past 0.5", 2, codegen.extremum("m", [inf, "yn0 - 0.5"]), "m", fall.namespace,
+        )),
+    )
+    namespaces = [codegen.traced(fn).namespace for fn in (rhs, *(ev.fn for ev in events))]
+    assert [len(ns) for ns in namespaces] == [1, 1, 1]
+    assert len({name for ns in namespaces for name in ns}) == 3
+    res = _both_runs(rhs, [1.0, 0.0], IntegratorConfig(t_max=3.0, events=events))
+    assert res.termination == "event:fall"
+    assert res.ts[-1] == pytest.approx(np.pi / 3, abs=1e-9)
+
+
 def test_the_attempt_cap_ends_a_run_alike():
-    cfg = IntegratorConfig(t_max=100.0, max_steps=10, events=(EventSpec("min", trajectory._min_of(0, 2)),))
+    cfg = IntegratorConfig(t_max=100.0, max_steps=10, events=(EventSpec("min", integrator._min_of(0, 2, 2)),))
     res = _both_runs(_oscillator(), [1.0, 0.0], cfg)
     assert res.termination == "step_failure" and res.n_accepted + res.n_rejected == 10
 
@@ -490,7 +516,7 @@ def test_the_attempt_cap_ends_a_run_alike():
 @pytest.mark.parametrize("samples", [255, 256, 257])
 def test_the_sink_gets_the_same_blocks_alike(samples):
     # the launch sample and one per accepted step, none rejected
-    cfg = IntegratorConfig(t_max=1e3, max_steps=samples - 1, validity=trajectory._validity(2, 0))
+    cfg = IntegratorConfig(t_max=1e3, max_steps=samples - 1, validity=integrator._validity(2, 0))
     res = _both_runs(_oscillator(), [1.0, 0.0], cfg)
     assert (len(res.ts), res.n_rejected) == (samples, 0)
 

@@ -17,7 +17,7 @@ from solitonlab.systems import (
     make_vector_rhs,
     pack_state,
 )
-from solitonlab import codegen, rescaled, trajectory
+from solitonlab import codegen, integrator, rescaled, trajectory
 from solitonlab.trajectory import solve_problem, standard_events
 
 from conftest import (
@@ -289,10 +289,10 @@ def compiled_state_tests(k, chart):
     ``solve_problem`` (or ``solve_rescaled``) use for k components."""
     if chart:
         n = 2 * k + 3
-        events = {"chart_degenerate": trajectory._min_of(k, 2 * k + 1)}
-        return events | {"overflow": trajectory._overflow(n)}, trajectory._validity(n, 0)
+        events = {"chart_degenerate": integrator._min_of(k, 2 * k + 1, n)}
+        return events | {"overflow": integrator._overflow(n)}, integrator._validity(n, 0)
     n = 2 * k + 2
-    return {"overflow": trajectory._overflow(n)}, trajectory._validity(n, k)
+    return {"overflow": integrator._overflow(n)}, integrator._validity(n, k)
 
 
 def assert_same_bits(got, want):
@@ -323,7 +323,7 @@ def test_compiled_state_tests_are_the_closures_bit_for_bit(k, chart, data):
         assert_same_bits(fn(0.0, y), oracles[name](0.0, y))
         arr = np.array(y)  # the continuous extension's states
         assert_same_bits(fn(0.0, arr), oracles[name](0.0, arr))
-    assert validity(y) is validity_oracle(y)
+    assert validity(0.0, y) is validity_oracle(y)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -355,8 +355,8 @@ def test_compiled_t_target_is_the_closure_bit_for_bit(m, data, t_max):
 )
 def test_compiled_minimum_breaks_ties_and_nans_as_min(values):
     k = len(values)
-    fn = trajectory._min_of(0, k)
     y = values + [1.0] * (k + 2)
+    fn = integrator._min_of(0, k, len(y))
     for state in (y, np.array(y)):
         assert_same_bits(fn(0.0, state), min(state[:k]))
 
