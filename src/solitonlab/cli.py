@@ -132,6 +132,7 @@ def cmd_sweep(args) -> int:
                 for doc, coords in cells
                 for param, value in axis
             ]
+        load_config(base)  # the base is a config solve accepts, whatever the grid replaces
         configs = [load_config(doc) for doc, _ in cells]  # every cell validated up front
     except ConfigError as exc:
         return _fail(EX_CONFIG, str(exc))

@@ -16,6 +16,7 @@ what the ``curvature`` command runs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,9 +142,20 @@ def validate(dec: IsotropyDecomposition) -> ValidationReport:
     return report
 
 
+def _checked(value, where: str, kind=float, least=None):
+    """value as ``kind``: a finite JSON number, an integer for int (a bool
+    or a string is neither), and at least ``least`` if given."""
+    low = -sys.float_info.max if least is None else least
+    if isinstance(value, bool) or not isinstance(value, (int, kind)) or not low <= value <= sys.float_info.max:
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"field {where!r} must be {what}" + ("" if least is None else f" >= {least}"))
+    return kind(value)
+
+
 def load_decomposition(source) -> IsotropyDecomposition:
     """Build a decomposition from a JSON document (path, file object or dict).
 
+    Each dim is an integer >= 1 and each b, c and value a finite number.
     Summand indices in the triples list are 0-based; each unordered triple
     appears once and is symmetrized on load.
     """
@@ -156,18 +168,19 @@ def load_decomposition(source) -> IsotropyDecomposition:
             doc = json.load(fh)
     try:
         summands = doc["summands"]
-        d = tuple(int(s["dim"]) for s in summands)
-        b = tuple(float(s["b"]) for s in summands)
+        d = tuple(_checked(s["dim"], f"summands[{i}].dim", int, 1) for i, s in enumerate(summands))
+        b = tuple(_checked(s["b"], f"summands[{i}].b") for i, s in enumerate(summands))
         cs = [s.get("c") for s in summands]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed decomposition document: {exc}") from exc
-    c = None if any(v is None for v in cs) else tuple(float(v) for v in cs)
+    c = None if None in cs else tuple(_checked(v, f"summands[{i}].c") for i, v in enumerate(cs))
     n = len(d)
     triples = np.zeros((n, n, n))
     seen = set()
-    for item in doc.get("triples", []):
+    for t, item in enumerate(doc.get("triples", [])):
         try:
-            i, j, k, v = int(item["i"]), int(item["j"]), int(item["k"]), float(item["value"])
+            i, j, k = (_checked(item[key], f"triples[{t}].{key}", int) for key in "ijk")
+            v = _checked(item["value"], f"triples[{t}].value")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed triple entry {item!r}") from exc
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):

@@ -8,17 +8,18 @@ construction the monitors reason about.  A metric component reaching zero
 needs no event: the validity test rejects every attempt with some f_i <= 0,
 so such a run ends as ``state_invalid``.
 
-Each state invariant is declared once, as a row of ``invariants(spec)``.
-The row is traced into its event and evaluated on all samples as
-``Trajectory.margins``, which the verdict, the monitors' ``ok`` fields and
-report.json's ``margins`` read under one rule: a row holds when every
-sample's margin, the minimum of its candidates, exceeds -slack.
+Each state invariant is declared once, as a row of ``invariants(spec)``
+that carries its event's compiled test.  The row is evaluated on all
+samples as ``Trajectory.margins``, which the verdict, the monitors' ``ok``
+fields and report.json's ``margins`` read under one rule: a row holds when
+every sample's margin, the minimum of its candidates, exceeds -slack.
 
 The events and the validity test every attempt passes are state tests
 (``integrator._state_test``), compiled into straight-line code over the
 names the run kernel binds, which pastes them as they are.  They are
-cached per component count (``_overflow``, ``_validity``) or per ansatz,
-circle-bundle pair constant c0 and flat-circle flag (``_row_events``).
+cached per component count (``_overflow``, ``_validity``) or with their
+row, on what its candidates read: the shape row on the ansatz and the
+flat-circle flag, the set row on the ansatz and c0 (``_set_row``).
 Each min and max is taken as the builtin takes it (``codegen.extremum``),
 so the same floats are compared in the same order as by ``min``/``max``
 over the candidates, on a list of floats at accepted points and on an
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -67,26 +69,17 @@ def dw_pair_bound_constant(a: DancerWangAnsatz, initial) -> float:
     if a.m == 1:
         return 1.0
     vals = []
-    for i in range(a.m):
-        for j in range(a.m):
-            if i == j:
-                continue
-            vals.append(initial[i] / initial[j])
-            vals.append(np.sqrt((a.d[j] + 2.0) / a.d[j] * a.p[i] / a.p[j]))
+    for i, j in permutations(range(a.m), 2):
+        vals += [initial[i] / initial[j], np.sqrt((a.d[j] + 2.0) / a.d[j] * a.p[i] / a.p[j])]
     return float(max(vals)) + 1.0
 
 
 def dw_omega_sq_bounds(a: DancerWangAnsatz, c0: float) -> np.ndarray:
     """Per-factor ceilings on omega_i^2 = (f/g_i)^2; infinite for degenerate
     factors with q_i = 0."""
-    out = np.empty(a.m)
     pmin = min(a.p)
-    for i in range(a.m):
-        if a.q[i] == 0:
-            out[i] = np.inf
-        else:
-            out[i] = 4.0 * pmin / (a.m * c0 * c0 * (a.d[i] + 2.0) * a.q[i] ** 2)
-    return out
+    bounds = [4.0 * pmin / (a.m * c0 * c0 * (d + 2.0) * q**2) if q else np.inf for d, q in zip(a.d, a.q)]
+    return np.array(bounds)
 
 
 def two_summands_root_squares(a: TwoSummandsAnsatz) -> tuple[float, float, float]:
@@ -108,31 +101,29 @@ _BOUND_TOL = 1e-9  # absolute slack on the circle-bundle and warped-product boun
 
 
 class Invariant(NamedTuple):
-    """A row of the invariant table: the event that watches a set,
-    the verdict reason for a run that leaves it, the slack, and
-    ``candidates(y)``, labelled closed forms over the state components y
-    (floats, (N,) arrays or traced values).  A state is inside while every
+    """A row of the invariant table: the event that watches a set, the
+    verdict reason for a run that leaves it, the slack, ``candidates(y)``,
+    labelled closed forms over the state components y (floats, (N,) arrays
+    or traced values), and ``test``, the event's compiled minimum of the
+    candidates (None if no state moves it).  A state is inside while every
     candidate exceeds -slack."""
 
     event: str
     reason: str
     slack: float
     candidates: Callable[[Sequence], dict]
+    test: Callable | None
 
 
 def invariants(spec: ProblemSpec) -> tuple[Invariant, ...]:
     """The state invariants of spec's ansatz, each declared once: every
     fdot_i > 0, then the preserved set (the two-summands ratio window, the
-    warped-product ratio bound or the circle-bundle a priori bounds)."""
-    return _invariants(spec.ansatz, _pair_constant(spec), _flat_circle(spec))
-
-
-def _pair_constant(spec: ProblemSpec) -> float | None:
-    """All that a row reads of the initial orbit sizes: the circle-bundle
-    pair constant c0 (1 for a single factor, whatever its size); None for
-    the other families, whose rows read none of them."""
+    warped-product ratio bound or the circle-bundle a priori bounds).  The
+    set row reads the orbit sizes only through the circle-bundle pair
+    constant c0, 1 for a single factor whatever its size."""
     a = spec.ansatz
-    return dw_pair_bound_constant(a, spec.initial) if isinstance(a, DancerWangAnsatz) else None
+    c0 = dw_pair_bound_constant(a, spec.initial) if isinstance(a, DancerWangAnsatz) else None
+    return _shape_row(a, _flat_circle(spec)), _set_row(a, c0)
 
 
 def _flat_circle(spec: ProblemSpec) -> bool:
@@ -144,30 +135,42 @@ def _flat_circle(spec: ProblemSpec) -> bool:
     return isinstance(a, LuPagePopeAnsatz) and a.d2 == 1 and spec.epsilon == 0.0
 
 
+def _row(a, event: str, reason: str, slack: float, candidates, label: str = "") -> Invariant:
+    """The row, its candidates traced into its test as ``min`` takes them."""
+    n = 2 * len(a.dims) + 2
+    tape = Tape()
+    values = list(candidates([tape.var(v) for v in _state(n)]).values())
+    test = None
+    if any(isinstance(v, Traced) for v in values):
+        lines = [*tape.lines, *extremum("m", [tape.ref(v) for v in values])]
+        test = _state_test(f"{event} {a!r}{label}", n, lines, "m", tape.namespace)
+    return Invariant(event, reason, slack, candidates, test)
+
+
 @lru_cache(maxsize=None)
-def _invariants(a, c0: float | None, flat_circle: bool) -> tuple[Invariant, ...]:
+def _shape_row(a, flat_circle: bool) -> Invariant:
     k = len(a.dims)
     shaped = a.component_names[:-1] if flat_circle else a.component_names
-    shape = Invariant(
-        "shape_exit", "shape operator lost positivity at some sample", 0.0,
+    return _row(
+        a, "shape_exit", "shape operator lost positivity at some sample", 0.0,
         lambda y: {f"d{name}": y[k + i] for i, name in enumerate(shaped)},
+        " flat circle" if flat_circle else "",
     )
+
+
+@lru_cache(maxsize=None)
+def _set_row(a, c0: float | None) -> Invariant:
+    row = partial(_row, a, "invariant_exit")
     if isinstance(a, TwoSummandsAnsatz):
         D, _, w2_sq = two_summands_root_squares(a)
         if D < 0:  # no window: the margin is D, which no state moves and no event watches
-            return shape, Invariant(
-                "invariant_exit", "no preserved window exists (negative discriminant)", 0.0,
-                lambda y: {"D": D},
-            )
-        omega2 = float(np.sqrt(w2_sq))
-        return shape, Invariant(
-            "invariant_exit", "fibre/base ratio reached its root", 0.0,
-            lambda y: {"omega2 - f1/f2": omega2 - y[0] / y[1]},
-        )
+            return row("no preserved window exists (negative discriminant)", 0.0, lambda y: {"D": D})
+        w2 = float(np.sqrt(w2_sq))
+        return row("fibre/base ratio reached its root", 0.0, lambda y: {"omega2 - f1/f2": w2 - y[0] / y[1]})
     if isinstance(a, LuPagePopeAnsatz):
         bound = lpp_ratio_bound(a)
-        return shape, Invariant(
-            "invariant_exit", "ratio bound violated at some sample", _BOUND_TOL,
+        return row(
+            "ratio bound violated at some sample", _BOUND_TOL,
             lambda y: {"bound - (f/g1)^2": bound - (y[0] / y[1]) * (y[0] / y[1])},
         )
     if not isinstance(a, DancerWangAnsatz):
@@ -175,32 +178,14 @@ def _invariants(a, c0: float | None, flat_circle: bool) -> tuple[Invariant, ...]
     b = dw_omega_sq_bounds(a, c0).tolist()
     g = range(1, a.m + 1)
     pairs = [(i, j) for i in g for j in g] if a.m > 1 else []
-    return shape, Invariant(
-        "invariant_exit", "a priori bound violated at some sample", _BOUND_TOL,
+    return row(
+        "a priori bound violated at some sample", _BOUND_TOL,
         lambda y: {
             **{f"b{i} - (f/g{i})^2": b[i - 1] - (y[0] / y[i]) * (y[0] / y[i]) for i in g},
             **{f"c0 - g{i}/g{j}": c0 - y[i] / y[j] for i, j in pairs},
         },
+        f" c0={c0!r}",
     )
-
-
-@lru_cache(maxsize=None)
-def _row_events(a, c0: float | None, flat_circle: bool) -> tuple[EventSpec, ...]:
-    """Each invariant row traced into an event: the minimum of its
-    candidates, taken as ``min`` takes it.  A margin no state moves never
-    crosses zero and gets none."""
-    events = []
-    n = 2 * len(a.dims) + 2
-    for row in _invariants(a, c0, flat_circle):
-        tape = Tape()
-        values = list(row.candidates([tape.var(v) for v in _state(n)]).values())
-        if any(isinstance(v, Traced) for v in values):
-            lines = [*tape.lines, *extremum("m", [tape.ref(v) for v in values])]
-            label = f"{row.event} {a!r}" + (f" c0={c0!r}" if c0 is not None else "")
-            label += " flat circle" if flat_circle else ""
-            fn = _state_test(label, n, lines, "m", tape.namespace)
-            events.append(EventSpec(row.event, fn))
-    return tuple(events)
 
 
 class Margin(NamedTuple):
@@ -222,9 +207,9 @@ class Margin(NamedTuple):
 
 
 def standard_events(spec: ProblemSpec) -> tuple[EventSpec, ...]:
-    k = len(spec.ansatz.dims)
-    events = _row_events(spec.ansatz, _pair_constant(spec), _flat_circle(spec))
-    return (*events, EventSpec("overflow", _overflow(2 * k + 2)))
+    """The rows' tests, then the overflow guard."""
+    rows = [EventSpec(row.event, row.test) for row in invariants(spec) if row.test is not None]
+    return (*rows, EventSpec("overflow", _overflow(2 * len(spec.ansatz.dims) + 2)))
 
 
 @dataclass

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from solitonlab import runio
 from solitonlab.cli import main
 from solitonlab.runio import ConfigError, _fmt, load_config
 
@@ -355,6 +356,84 @@ def test_edge_configs_load_or_name_the_field(system, field, data, tmp_path_facto
             warnings.simplefilter("ignore", RuntimeWarning)  # overflow on the way to exit 70
             code = main(["solve", "--config", path, "--out", str(tmp / "o")])
     assert code in expected, doc
+
+
+# -- type-confused config fields --------------------------------------------------
+# Every field the loader reads, given a value of the wrong JSON type: a bool, a
+# string, a list or object, NaN or Infinity, or a float where an integer is
+# due.  solve, probe-c0 and a sweep whose grid replaces C must each refuse it
+# with exit 64 and name the field, before any run.
+
+_not_a_number = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+_not_an_integer = st.one_of(_not_a_number, st.floats(-10.0, 10.0))
+_not_a_string = st.one_of(st.booleans(), st.integers(-2, 2), st.floats(), st.lists(st.text(max_size=2)))
+_not_an_object = st.one_of(st.booleans(), st.text(max_size=4), st.floats(), st.lists(st.integers(0, 2), max_size=2))
+
+
+def _confused_list(entry):
+    """A value drawn from ``entry`` that is not a list, or a list whose last
+    entry is drawn from it."""
+    bad = st.tuples(st.lists(st.integers(1, 3), max_size=2), entry).map(lambda t: [*t[0], t[1]])
+    return st.one_of(entry.filter(lambda v: not isinstance(v, list)), bad)
+
+
+def _confused(system: str, path: tuple[str, ...]):
+    """A value of the wrong type for the field at ``path``."""
+    if path == ("ansatz",) or path == ("integrator",):
+        return _not_an_object
+    if path[0] in ("system", "chart", "expect"):
+        return _not_a_string
+    if path == ("initial",):
+        return _confused_list(_not_a_number)
+    if path[0] == "ansatz":
+        kind = runio._ANSATZ[system][1][path[1]]
+        return {int: _not_an_integer, float: _not_a_number, tuple: _confused_list(_not_an_integer)}[kind]
+    return _not_a_number
+
+
+def _config_fields(system: str):
+    """Every field the loader reads, as its path in the document."""
+    return [
+        *((field,) for field in runio._FIELDS),
+        *(("integrator", field) for field in runio._INTEGRATOR_FIELDS),
+        *(("ansatz", field) for field in runio._ANSATZ[system][1]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "system, path",
+    [(system, path) for system in sorted(_EDGE_BASE) for path in _config_fields(system)],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else v,
+)
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_type_confused_field_is_config_error_naming_it(system, path, data, tmp_path_factory):
+    value = data.draw(_confused(system, path))
+    doc = json.loads(config_path(_EDGE_BASE[system]).read_text())
+    if len(path) == 1:
+        doc[path[0]] = value
+    else:
+        doc.setdefault(path[0], {})[path[1]] = value
+    tmp = tmp_path_factory.mktemp("confused")
+    cfg = write_json(tmp, "c.json", doc)
+    name = re.compile(rf"'{re.escape('.'.join(path))}(\[\d+\])?'")
+    commands = [
+        ["solve", "--config", cfg, "--out", str(tmp / "o")],
+        ["probe-c0", "--config", cfg, "--c", "5", "--tau", "0.5", "--out", str(tmp / "p")],
+        ["sweep", "--config", cfg, "--grid", "C=-1:-1:2", "--out", str(tmp / "sw")],
+    ]
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 64, (argv[0], path, value)
+        assert name.search(err.getvalue()), (argv[0], path, value, err.getvalue())
+    assert sorted(p.name for p in tmp.iterdir()) == ["c.json"]
 
 
 def flat_warped_circle_shape_margin(tmp_path, epsilon) -> dict:
@@ -744,7 +823,8 @@ class TestSweep:
         cfg = write_json(tmp_path, "c.json", BASE)
         code = main(["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:3", "--out", str(tmp_path / "sw")])
         assert code == 0
-        assert [doc["C"] for doc in parsed] == [-0.5, -1.0, -1.5]
+        # the base once, to validate it, then each cell once
+        assert parsed == [BASE, *(dict(BASE, C=c) for c in (-0.5, -1.0, -1.5))]
 
     def test_a_pool_sweep_writes_what_one_process_writes(self, tmp_path):
         cfg = write_json(tmp_path, "c.json", BASE)
@@ -935,14 +1015,37 @@ class TestSweep:
         # so the cells after the first compile nothing
         from solitonlab import trajectory
 
-        trajectory._row_events.cache_clear()
+        rows = (trajectory._shape_row, trajectory._set_row)
+        for cache in rows:
+            cache.cache_clear()
         cfg = shipped("dw_e0_c1.json", tmp_path)
         args = ["--grid", "g1=0.8:0.2:3", "--jobs", "1", "--out", str(tmp_path / "sw")]
         assert main(["sweep", "--config", cfg, *args]) == 0
         manifests = [json.loads((tmp_path / f"sw/cell_{i:04d}/manifest.json").read_text()) for i in range(3)]
         compiles = [m["counters"]["kernel_compiles"] for m in manifests]
         assert compiles[0] >= 2 and compiles[1:] == [0, 0]
-        assert trajectory._row_events.cache_info().currsize == 1
+        assert [cache.cache_info().currsize for cache in rows] == [1, 1]
+
+    def test_a_size_sweep_of_two_factors_compiles_only_its_set_row_and_run_kernel(self, tmp_path):
+        # g1 moves c0, which the set row reads and the shape row does not:
+        # a cold sweep compiles the right-hand side, both rows, the overflow
+        # and validity tests and the run kernel once, then a set row and a
+        # run kernel per cell
+        from solitonlab import integrator, systems, trajectory
+
+        caches = (
+            systems._vector_kernel, trajectory._shape_row, trajectory._set_row,
+            integrator._overflow, integrator._validity, integrator._run_kernel,
+        )
+        for cache in caches:
+            cache.cache_clear()
+        doc = json.loads(config_path("dw_m2_chart.json").read_text())
+        cfg = write_json(tmp_path, "c.json", dict(doc, chart="physical"))
+        args = ["--grid", "g1=3:1:4", "--jobs", "1", "--out", str(tmp_path / "sw")]
+        assert main(["sweep", "--config", cfg, *args]) == 0
+        manifests = [json.loads((tmp_path / f"sw/cell_{i:04d}/manifest.json").read_text()) for i in range(4)]
+        assert [m["counters"]["kernel_compiles"] for m in manifests] == [6, 2, 2, 2]
+        assert trajectory._shape_row.cache_info().currsize == 1
 
     def test_non_finite_grid_value_is_config_error(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "c.json", BASE)
@@ -990,6 +1093,17 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--grid", grid, "--out", str(tmp_path / "sw")]) == 64
         err = capsys.readouterr().err
         assert repr(grid.split("=")[0]) in err and "'initial'" in err
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("field, value, grid", [("C", "oops", "C=-1:-1:2"), ("initial", ["x"], "g1=1:1:2")])
+    def test_a_base_that_solve_refuses_is_config_error(self, tmp_path, capsys, field, value, grid):
+        # a grid that replaces a field solve refuses does not stand in for it
+        doc = json.loads(config_path("dw_e0_c1.json").read_text())
+        cfg = write_json(tmp_path, "c.json", dict(doc, **{field: value}))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+        message = capsys.readouterr().err
+        assert main(["sweep", "--config", cfg, "--grid", grid, "--out", str(tmp_path / "sw")]) == 64
+        assert capsys.readouterr().err == message and repr(field) in message
         assert not (tmp_path / "sw").exists()
 
     def test_bad_grid_spec(self, tmp_path, capsys):
@@ -1135,6 +1249,28 @@ class TestCurvature:
         path = str(decomposition_path("hopf_sp1_sp2.json"))
         assert main(["curvature", "--decomposition", path, "--x", x]) == 64
         assert capsys.readouterr().err == "error: metric scalings must be finite and strictly positive\n"
+
+    @pytest.mark.parametrize(
+        "part, key, value, field",
+        [
+            ("summands", "dim", 2.7, "summands[0].dim"),
+            ("summands", "dim", True, "summands[0].dim"),
+            ("summands", "dim", 0, "summands[0].dim"),
+            ("summands", "dim", -3, "summands[0].dim"),
+            ("triples", "i", 0.9, "triples[0].i"),
+            ("summands", "b", "nan", "summands[0].b"),
+            ("triples", "value", "inf", "triples[0].value"),
+        ],
+        ids=["dim 2.7", "dim true", "dim 0", "dim -3", "index 0.9", "b 'nan'", "value 'inf'"],
+    )
+    def test_a_malformed_decomposition_field_is_config_error(self, tmp_path, capsys, part, key, value, field):
+        # each loaded as a truncated dim or index, or gave a nan or inf result
+        doc = json.loads(decomposition_path("hopf_sp1_sp2.json").read_text())
+        doc[part][0][key] = value
+        path = write_json(tmp_path, "d.json", doc)
+        assert main(["curvature", "--decomposition", path, "--x", "1,1"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load decomposition: ") and repr(field) in err
 
     def test_dimension_mismatch_is_config_error(self):
         code = main(

@@ -423,6 +423,21 @@ def test_invariant_events_read_the_sizes_only_through_c0():
     assert c0[0] != c0[2] and events[0] is not events[2]
 
 
+def test_the_shape_row_is_shared_across_c0_and_the_set_row_is_not():
+    # the shape row reads no orbit size, so two dw m = 2 specs with different
+    # c0 share its compiled test; the set row reads c0
+    a = load_shipped("dw_m2_chart.json").spec.ansatz
+    one, other = (ProblemSpec(a, 0.0, -1.0, sizes) for sizes in ((2.0, 1.0), (3.0, 1.0)))
+    assert trajectory.dw_pair_bound_constant(a, one.initial) != trajectory.dw_pair_bound_constant(a, other.initial)
+    assert standard_events(one)[0].fn is standard_events(other)[0].fn
+    assert standard_events(one)[1].fn is not standard_events(other)[1].fn
+    # the events and the margins read the same row objects
+    rows = trajectory.invariants(one)
+    assert [e.fn for e in standard_events(one)[:2]] == [row.test for row in rows]
+    margins = solve_problem(one, t_max=1.0).margins
+    assert all(m.row is row for m, row in zip(margins.values(), rows, strict=True))
+
+
 def test_specs_with_one_component_count_share_the_compiled_tests(monkeypatch):
     from solitonlab import integrator
 
