@@ -2,8 +2,10 @@
 
 import collections
 import contextlib
+import json
 import os
 import pickle
+import sys
 from types import SimpleNamespace
 
 __version__ = "0.1.0"
@@ -24,6 +26,65 @@ class Report(SimpleNamespace):
 
     def __init__(self, **fields):
         super().__init__(**dict.fromkeys(self.__annotations__) | fields)
+
+
+class ConfigError(ValueError):
+    """Malformed input file (a run config or a decomposition); the message
+    names the offending field."""
+
+
+def _read_json(source, what: str) -> dict:
+    """The JSON object in ``source``, a path or a file object; a dict is
+    taken as read.  A file that cannot be opened, bytes that are not UTF-8
+    or not JSON, and a document that is not an object are a ConfigError."""
+    if isinstance(source, dict):
+        return source
+    try:
+        if hasattr(source, "read"):
+            doc = json.load(source)
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} document must be a JSON object")
+    return doc
+
+
+def _field(value, where: str, kind=float, least=None, positive=False):
+    """``value`` read as ``kind``, else a ConfigError naming the field at
+    ``where``.  A list is a JSON array.  A number is one a float can hold:
+    an int a JSON integer, a float any finite JSON number (JSON admits
+    NaN, Infinity and integers beyond a float's range), and a bool
+    neither; it is at least ``least`` if given, and above 0 if
+    ``positive``."""
+    if kind is list:
+        ok = isinstance(value, list)
+    else:
+        ok = (
+            isinstance(value, (int, kind))
+            and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max
+            and (least is None or value >= least)
+            and (value > 0 or not positive)
+        )
+    if not ok:
+        what = {int: "an integer", float: "a finite number", list: "a list"}[kind]
+        what = "a positive finite number" if positive else what
+        raise ConfigError(f"field '{where}' must be {what}" + ("" if least is None else f" >= {least}"))
+    return kind(value)
+
+
+def _only(doc, fields, ctx: str = ""):
+    """Refuse a doc that is not a JSON object, or a field of it that the
+    loader does not read."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"field '{ctx}' must be an object")
+    for field in doc:
+        if field not in fields:
+            where = f"{ctx}.{field}" if ctx else field
+            raise ConfigError(f"unknown field '{where}'")
 
 
 # one entry per lane (``_beside``) open in this process, or in the one it

@@ -3,9 +3,9 @@ and curvature queries.
 
 Exit codes: 0 success or matched expectation (and --help, --version),
 1 unexpected error, 2 invariant-set exit / unmet verdict, 3 probe found no
-admissible constant, 64 malformed config or command line (argparse's usage
-errors included), 65 decomposition validation failure, 70 integrator
-failure.
+admissible constant, 64 unreadable or malformed config or decomposition
+file, or malformed command line (argparse's usage errors included), 65
+decomposition validation failure, 70 integrator failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from . import __version__, _beside, _fmt
+from . import ConfigError, __version__, _beside, _fmt, _read_json
 
 # each command imports what it runs: the solver modules (runio, monitors and
 # what they load) for solve, sweep and probe-c0, geometry for curvature, so
@@ -39,7 +39,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .runio import ConfigError, exit_code_for, load_config, run_solve
+    from .runio import exit_code_for, load_config, run_solve
 
     try:
         cfg = load_config(args.config)
@@ -61,8 +61,6 @@ def cmd_solve(args) -> int:
 
 def _parse_grid(expr: str):
     # PARAM=start:step:count, count >= 1
-    from .runio import ConfigError
-
     try:
         param, rng = expr.split("=", 1)
         start, step, count = rng.split(":")
@@ -78,8 +76,6 @@ def _parse_grid(expr: str):
 
 
 def _apply_param(doc: dict, param: str, value: float):
-    from .runio import ConfigError
-
     out = copy.deepcopy(doc)
     if param == "C":
         out["C"] = value
@@ -104,18 +100,12 @@ def _apply_param(doc: dict, param: str, value: float):
 
 
 def cmd_sweep(args) -> int:
-    from .runio import ConfigError, _atomic_write, load_config, run_solve, write_json
+    from .runio import _atomic_write, load_config, run_solve, write_json
 
     if args.jobs < 1:
         return _fail(EX_CONFIG, f"--jobs must be at least 1, got {args.jobs}")
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(EX_CONFIG, f"cannot read config: {exc}")
-    try:
-        if not isinstance(base, dict):
-            raise ConfigError("config document must be a JSON object")
+        base = _read_json(args.config, "config")
         grids = [_parse_grid(g) for g in args.grid]
         params = [param for param, *_ in grids]
         for param in params:
@@ -204,7 +194,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_probe_c0(args) -> int:
     from .monitors import ProbeRangeError, growth_probe
-    from .runio import ConfigError, _atomic_write, load_config, write_json
+    from .runio import _atomic_write, load_config, write_json
 
     try:
         cfg = load_config(args.config)
@@ -248,7 +238,7 @@ def cmd_curvature(args) -> int:
 
     try:
         dec = load_decomposition(args.decomposition)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         return _fail(EX_CONFIG, f"cannot load decomposition: {exc}")
     report = validate(dec)
     if report.symmetry_violations or report.negativity_violations:

@@ -15,13 +15,11 @@ what the ``curvature`` command runs.
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import Report
+from . import Report, _field, _only, _read_json
 
 __all__ = [
     "IsotropyDecomposition",
@@ -142,46 +140,37 @@ def validate(dec: IsotropyDecomposition) -> ValidationReport:
     return report
 
 
-def _checked(value, where: str, kind=float, least=None):
-    """value as ``kind``: a finite JSON number, an integer for int (a bool
-    or a string is neither), and at least ``least`` if given."""
-    low = -sys.float_info.max if least is None else least
-    if isinstance(value, bool) or not isinstance(value, (int, kind)) or not low <= value <= sys.float_info.max:
-        what = "an integer" if kind is int else "a finite number"
-        raise ValueError(f"field {where!r} must be {what}" + ("" if least is None else f" >= {least}"))
-    return kind(value)
-
-
 def load_decomposition(source) -> IsotropyDecomposition:
     """Build a decomposition from a JSON document (path, file object or dict).
 
-    Each dim is an integer >= 1 and each b, c and value a finite number.
-    Summand indices in the triples list are 0-based; each unordered triple
-    appears once and is symmetrized on load.
+    The document holds ``metadata``, a list of ``summands`` (each ``dim``,
+    ``b`` and optionally ``c``) and a list of ``triples`` (each ``i``,
+    ``j``, ``k`` and ``value``), and no other field.  Each dim is an
+    integer >= 1 and each b, c and value a finite number.  Summand indices
+    in the triples list are 0-based; each unordered triple appears once and
+    is symmetrized on load.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = _read_json(source, "decomposition")
+    _only(doc, ("metadata", "summands", "triples"))
     try:
-        summands = doc["summands"]
-        d = tuple(_checked(s["dim"], f"summands[{i}].dim", int, 1) for i, s in enumerate(summands))
-        b = tuple(_checked(s["b"], f"summands[{i}].b") for i, s in enumerate(summands))
-        cs = [s.get("c") for s in summands]
-    except (KeyError, TypeError) as exc:
+        summands = _field(doc["summands"], "summands", list)
+        for i, s in enumerate(summands):
+            _only(s, ("dim", "b", "c"), f"summands[{i}]")
+        d = tuple(_field(s["dim"], f"summands[{i}].dim", int, 1) for i, s in enumerate(summands))
+        b = tuple(_field(s["b"], f"summands[{i}].b") for i, s in enumerate(summands))
+    except KeyError as exc:
         raise ValueError(f"malformed decomposition document: {exc}") from exc
-    c = None if None in cs else tuple(_checked(v, f"summands[{i}].c") for i, v in enumerate(cs))
+    cs = [s.get("c") for s in summands]
+    c = None if None in cs else tuple(_field(v, f"summands[{i}].c") for i, v in enumerate(cs))
     n = len(d)
     triples = np.zeros((n, n, n))
     seen = set()
-    for t, item in enumerate(doc.get("triples", [])):
+    for t, item in enumerate(_field(doc.get("triples", []), "triples", list)):
+        _only(item, ("i", "j", "k", "value"), f"triples[{t}]")
         try:
-            i, j, k = (_checked(item[key], f"triples[{t}].{key}", int) for key in "ijk")
-            v = _checked(item["value"], f"triples[{t}].value")
-        except (KeyError, TypeError) as exc:
+            i, j, k = (_field(item[key], f"triples[{t}].{key}", int) for key in "ijk")
+            v = _field(item["value"], f"triples[{t}].value")
+        except KeyError as exc:
             raise ValueError(f"malformed triple entry {item!r}") from exc
         if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise ValueError(f"triple index out of range in {item!r}")

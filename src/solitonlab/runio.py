@@ -11,7 +11,6 @@ import contextlib
 import dataclasses
 import functools
 import json
-import math
 import os
 import tempfile
 import time
@@ -19,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import Report, __version__, _beside, _fmt, _lanes, codegen
+from . import ConfigError, Report, __version__, _beside, _field, _fmt, _lanes, _only, _read_json, codegen
 from . import monitors as mon
 from .integrator import IntegrationResult
 from .launch import default_delta, rescaled_default_delta
@@ -36,10 +35,6 @@ __all__ = [
     "write_svg_plot",
     "run_id_of",
 ]
-
-
-class ConfigError(ValueError):
-    """Malformed run configuration; the message names the offending field."""
 
 
 # each system's ansatz type and the fields it reads, each an integer, a
@@ -66,102 +61,39 @@ class RunConfig:
     raw: dict
 
 
-def _number(value) -> float | None:
-    """value as a float; None if it is not a number (a bool is not one) or
-    not finite.  JSON admits NaN and Infinity, and an integer too large for
-    a float."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _need(doc: dict, field: str, kind, ctx: str = ""):
+def _need(doc: dict, field: str, kind=None, ctx: str = ""):
+    """The field, checked as ``kind`` (tuple: a list of integers) if given."""
     where = f"{ctx}.{field}" if ctx else field
     if field not in doc:
         raise ConfigError(f"missing field '{where}'")
     value = doc[field]
-    if kind is float:
-        number = _number(value)
-        if number is None:
-            raise ConfigError(f"field '{where}' must be a finite number")
-        return number
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"field '{where}' must be an integer")
-        return value
-    return value
-
-
-def _positive(doc: dict, field: str, default, ctx: str = ""):
-    """A positive finite number, the default when the field is absent."""
-    value = _number(doc.get(field, default))
-    if value is None or not value > 0:
-        where = f"{ctx}.{field}" if ctx else field
-        raise ConfigError(f"field '{where}' must be a positive finite number")
-    return value
-
-
-def _integers(doc: dict, field: str) -> tuple[int, ...]:
-    """The list ``ansatz.field``, each entry a JSON integer (a bool is not one)."""
-    values = _need(doc, field, list, "ansatz")
-    if not isinstance(values, list):
-        raise ConfigError(f"field 'ansatz.{field}' must be a list of integers")
-    for i, value in enumerate(values):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"field 'ansatz.{field}[{i}]' must be an integer")
-    return tuple(values)
-
-
-def _only(doc: dict, fields, ctx: str = ""):
-    """Refuse a field of doc that the loader does not read."""
-    for field in doc:
-        if field not in fields:
-            where = f"{ctx}.{field}" if ctx else field
-            raise ConfigError(f"unknown field '{where}'")
+    if kind is tuple:
+        return tuple(_field(v, f"{where}[{i}]", int) for i, v in enumerate(_field(value, where, list)))
+    return value if kind is None else _field(value, where, kind)
 
 
 def _build_ansatz(system: str, doc: dict):
     cls, fields = _ANSATZ[system]
-    if not isinstance(doc, dict):
-        raise ConfigError("field 'ansatz' must be an object")
     _only(doc, fields, "ansatz")
     try:
-        return cls(**{
-            field: _integers(doc, field) if kind is tuple else _need(doc, field, kind, "ansatz")
-            for field, kind in fields.items()
-        })
+        return cls(**{field: _need(doc, field, kind, "ansatz") for field, kind in fields.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'ansatz' for system '{system}': {exc}") from exc
 
 
 def load_config(source) -> RunConfig:
     """Parse and validate a run configuration (path, file object or dict)."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            if hasattr(source, "read"):
-                doc = json.load(source)
-            else:
-                with open(source, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
+    doc = _read_json(source, "config")
     _only(doc, _FIELDS)
-    system = _need(doc, "system", str)
+    system = _need(doc, "system")
     if system not in _SYSTEMS:
         raise ConfigError(f"field 'system' must be one of {_SYSTEMS}, got {system!r}")
-    ansatz = _build_ansatz(system, _need(doc, "ansatz", dict))
+    ansatz = _build_ansatz(system, _need(doc, "ansatz"))
     initial = doc.get("initial")
-    initial = tuple(map(_number, initial)) if isinstance(initial, list) else (_number(initial),)
-    if None in initial:
-        raise ConfigError("field 'initial' must be a finite number or a list of finite numbers")
+    try:
+        initial = tuple(_field(v, "initial") for v in (initial if isinstance(initial, list) else [initial]))
+    except ConfigError:
+        raise ConfigError("field 'initial' must be a finite number or a list of finite numbers") from None
     try:
         spec = ProblemSpec(
             ansatz=ansatz,
@@ -172,8 +104,6 @@ def load_config(source) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     integ = doc.get("integrator", {})
-    if not isinstance(integ, dict):
-        raise ConfigError("field 'integrator' must be an object")
     _only(integ, _INTEGRATOR_FIELDS, "integrator")
     chart = doc.get("chart", "physical")
     if chart not in ("physical", "both"):
@@ -191,12 +121,12 @@ def load_config(source) -> RunConfig:
     # the run's launch offset, resolved here once: launch_delta, else its
     # chart's default (with chart both, both charts start at the compact one's)
     if doc.get("launch_delta") is not None:
-        delta = _positive(doc, "launch_delta", None)
+        delta = _field(doc["launch_delta"], "launch_delta", positive=True)
     else:
         delta = rescaled_default_delta(spec) if chart == "both" else default_delta(spec)
         if not delta > 0:
             raise ConfigError("field 'initial': sizes this small leave no positive launch offset")
-    t_max = _positive(integ, "t_max", 10.0, "integrator")
+    t_max = _field(integ.get("t_max", 10.0), "integrator.t_max", positive=True)
     if not t_max > delta:
         raise ConfigError(
             f"field 'integrator.t_max' must exceed the launch offset {delta!r}, got {t_max!r}"
@@ -204,8 +134,8 @@ def load_config(source) -> RunConfig:
     return RunConfig(
         spec=spec,
         launch_delta=delta,
-        rel_tol=_positive(integ, "rel_tol", 1e-11, "integrator"),
-        abs_tol=_positive(integ, "abs_tol", 1e-13, "integrator"),
+        rel_tol=_field(integ.get("rel_tol", 1e-11), "integrator.rel_tol", positive=True),
+        abs_tol=_field(integ.get("abs_tol", 1e-13), "integrator.abs_tol", positive=True),
         t_max=t_max,
         chart=chart,
         expect=expect,

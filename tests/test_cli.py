@@ -208,6 +208,8 @@ class TestSolve:
             ("q", ["-2"], "ansatz.q[0]"),
             ("d", [2, 2.0], "ansatz.d[1]"),
             ("q", -2, "ansatz.q"),
+            # beyond a float's range: it exited 70 on the way to the first float
+            ("d", [10**400], "ansatz.d[0]"),
             ("d", [2], None),
         ],
     )
@@ -434,6 +436,21 @@ def test_a_type_confused_field_is_config_error_naming_it(system, path, data, tmp
             assert main(argv) == 64, (argv[0], path, value)
         assert name.search(err.getvalue()), (argv[0], path, value, err.getvalue())
     assert sorted(p.name for p in tmp.iterdir()) == ["c.json"]
+
+
+def test_a_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # each exited 1 with a UnicodeDecodeError; curvature exited 64 on the same bytes
+    path = tmp_path / "c.json"
+    path.write_bytes(config_path("ts_probe_d1.json").read_bytes().rstrip() + b"\xff")
+    commands = [
+        ["solve", "--config", str(path), "--out", str(tmp_path / "o")],
+        ["sweep", "--config", str(path), "--grid", "C=-1:-1:2", "--out", str(tmp_path / "sw")],
+        ["probe-c0", "--config", str(path), "--c", "5", "--tau", "0.5", "--out", str(tmp_path / "p")],
+    ]
+    for argv in commands:
+        assert main(argv) == 64, argv[0]
+        assert capsys.readouterr().err.startswith("error: cannot read config: 'utf-8' codec can't decode"), argv[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def flat_warped_circle_shape_margin(tmp_path, epsilon) -> dict:
@@ -1260,13 +1277,39 @@ class TestCurvature:
             ("triples", "i", 0.9, "triples[0].i"),
             ("summands", "b", "nan", "summands[0].b"),
             ("triples", "value", "inf", "triples[0].value"),
+            ("summands", "C", 1.0, "summands[0].C"),
+            ("triples", "val", 1.0, "triples[0].val"),
         ],
-        ids=["dim 2.7", "dim true", "dim 0", "dim -3", "index 0.9", "b 'nan'", "value 'inf'"],
+        ids=[
+            "dim 2.7", "dim true", "dim 0", "dim -3", "index 0.9", "b 'nan'", "value 'inf'", "C for c", "val",
+        ],
     )
     def test_a_malformed_decomposition_field_is_config_error(self, tmp_path, capsys, part, key, value, field):
         # each loaded as a truncated dim or index, or gave a nan or inf result
         doc = json.loads(decomposition_path("hopf_sp1_sp2.json").read_text())
         doc[part][0][key] = value
+        path = write_json(tmp_path, "d.json", doc)
+        assert main(["curvature", "--decomposition", path, "--x", "1,1"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load decomposition: ") and repr(field) in err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            (lambda doc: doc.update(tripels=doc.pop("triples")), "tripels"),
+            (lambda doc: doc.update(triples=5), "triples"),
+            (lambda doc: doc.update(triples={"i": 0}), "triples"),
+            (lambda doc: doc.update(summands=5), "summands"),
+            (lambda doc: doc["summands"].__setitem__(0, 2), "summands[0]"),
+            (lambda doc: doc["triples"].__setitem__(0, [0, 0, 1]), "triples[0]"),
+        ],
+        ids=["tripels", "triples 5", "triples object", "summands 5", "summand 2", "triple list"],
+    )
+    def test_a_misnamed_or_mistyped_decomposition_part_is_config_error(self, tmp_path, capsys, change, field):
+        # a misspelt triples list was ignored (scalar_curvature 39, not 34.5),
+        # and a number or an object in its place exited 1 or named a key
+        doc = json.loads(decomposition_path("hopf_sp1_sp2.json").read_text())
+        change(doc)
         path = write_json(tmp_path, "d.json", doc)
         assert main(["curvature", "--decomposition", path, "--x", "1,1"]) == 64
         err = capsys.readouterr().err
