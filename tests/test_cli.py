@@ -208,9 +208,9 @@ class TestSolve:
             ("q", ["-2"], "ansatz.q[0]"),
             ("d", [2, 2.0], "ansatz.d[1]"),
             ("q", -2, "ansatz.q"),
+            ("d", [2], None),
             # beyond a float's range: it exited 70 on the way to the first float
             ("d", [10**400], "ansatz.d[0]"),
-            ("d", [2], None),
         ],
     )
     def test_dancer_wang_entries_must_be_integers(self, tmp_path, capsys, field, entries, where):
