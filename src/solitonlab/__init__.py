@@ -112,8 +112,10 @@ def _beside(fn):
     unanswered result and returns it, or raises the exception ``fn``
     raised; both go through pipes, pickled.  Once the child is gone,
     ``answer`` reaps it and raises ``RuntimeError``.  Leaving the block
-    reaps the child, which is killed first if the block raised.  Without
-    ``os.fork``, ``answer`` calls ``fn`` in this process.
+    reaps the child, which is killed first if the block raised.
+    ``lane.pid`` is the child's pid, or None where no child is to be had:
+    no ``os.fork``, or an ``OSError`` from the fork or its pipes (a full
+    process or file limit).  Then ``answer`` calls ``fn`` here.
 
     A pipe holds a bounded amount (64 KiB on Linux).  A request sent to a
     full pipe waits until the child reads one: that is back-pressure, and
@@ -129,18 +131,22 @@ def _beside(fn):
     process and in the child, which never leaves it.  The child leaves
     through ``os._exit``: it flushes none of the stdio buffers it
     inherited and runs no exit handlers."""
-    if not hasattr(os, "fork"):
-        asked = collections.deque()
-        yield SimpleNamespace(ask=asked.append, answer=lambda: fn(asked.popleft()))
-        return
-    fds = os.pipe() + os.pipe()
     with contextlib.ExitStack() as stack:
         _open.append(fn)  # before the fork, so the child inherits it
         stack.callback(_open.pop)
-        requests_in, requests, answers, answers_out = [
-            stack.enter_context(open(fd, mode)) for fd, mode in zip(fds, ("rb", "wb", "rb", "wb"))
-        ]
-        pid = os.fork()
+        pid = None
+        with contextlib.suppress(OSError):
+            if hasattr(os, "fork"):
+                requests_in, requests, answers, answers_out = [
+                    stack.enter_context(open(fd, mode))
+                    for _ in range(2)  # each pipe's ends go on the stack before the next pipe is made
+                    for fd, mode in zip(os.pipe(), ("rb", "wb"))
+                ]
+                pid = os.fork()
+        if pid is None:
+            asked = collections.deque()
+            yield SimpleNamespace(pid=None, ask=asked.append, answer=lambda: fn(asked.popleft()))
+            return
         if pid == 0:
             status = 1
             try:
@@ -183,7 +189,7 @@ def _beside(fn):
             raise RuntimeError(f"the child process ended with no result (wait status {ended})")
 
         try:
-            yield SimpleNamespace(ask=ask, answer=answer)
+            yield SimpleNamespace(pid=pid, ask=ask, answer=answer)
         except BaseException:
             if ended is None:
                 import signal  # only a failure needs it

@@ -5,7 +5,8 @@ Exit codes: 0 success or matched expectation (and --help, --version),
 1 unexpected error, 2 invariant-set exit / unmet verdict, 3 probe found no
 admissible constant, 64 unreadable or malformed config or decomposition
 file, or malformed command line (argparse's usage errors included), 65
-decomposition validation failure, 70 integrator failure.
+decomposition validation failure (symmetry, sign or the Wang-Ziller
+identity), 70 integrator failure.
 """
 
 from __future__ import annotations
@@ -239,13 +240,15 @@ def cmd_curvature(args) -> int:
     try:
         dec = load_decomposition(args.decomposition)
     except ValueError as exc:
-        return _fail(EX_CONFIG, f"cannot load decomposition: {exc}")
+        return _fail(EX_CONFIG, str(exc))
     report = validate(dec)
-    if report.symmetry_violations or report.negativity_violations:
+    if not report.ok:
         for v in report.symmetry_violations:
             print(f"symmetry violation: {v}", file=sys.stderr)
         for v in report.negativity_violations:
             print(f"sign violation: {v}", file=sys.stderr)
+        for v in report.wang_ziller_violations:
+            print(f"wang_ziller violation: {v}", file=sys.stderr)
         return EX_DATA
     try:
         x = [float(v) for v in args.x.split(",")]
@@ -256,10 +259,7 @@ def cmd_curvature(args) -> int:
     print(f"scalar_curvature: {_fmt(s)}")
     print("ricci_eigenvalues: " + ", ".join(_fmt(v) for v in r))
     if report.wang_ziller_residuals is not None:
-        print(
-            "wang_ziller_residuals: "
-            + ", ".join(_fmt(v) for v in report.wang_ziller_residuals)
-        )
+        print("wang_ziller_residuals: " + ", ".join(_fmt(v) for v in report.wang_ziller_residuals))
     if dec.metadata:
         print(f"metadata: {dec.metadata}")
     return EX_OK

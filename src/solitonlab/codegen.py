@@ -43,10 +43,11 @@ import math
 import time
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "Tape", "Trace", "Traced", "compile_function", "compile_trace", "extremum", "trace_function",
-    "traced",
+    "trace_rates", "traced",
 ]
 
 # numbers the constants of every tape, so that no two tapes in the process
@@ -230,3 +231,17 @@ def trace_function(formula, n: int, filename: str):
     out = [tape.ref(v) for v in formula(y)]
     trace = Trace(filename, tuple(v.name for v in y), tuple(tape.lines), tuple(out), tape.namespace)
     return compile_trace(trace, f"[{', '.join(out)}]")
+
+
+def trace_rates(rates, a, eps: float, n: int, label: str):
+    """The right-hand side ``rates(y, a, eps)`` of a state of n components,
+    as ``trace_function`` compiles it, named ``<solitonlab {label} ...>``:
+    the one cache of both charts' right-hand sides, compiled once per
+    formula, ansatz and eps in the process."""
+    # keyed on eps's sign as well: 0.0 == -0.0, but they round differently
+    return _rates_kernel(rates, a, eps, math.copysign(1.0, eps), n, label)
+
+
+@lru_cache(maxsize=64)
+def _rates_kernel(rates, a, eps: float, _sign: float, n: int, label: str):
+    return trace_function(lambda y: rates(y, a, eps), n, f"<solitonlab {label} {a!r} eps={eps!r}>")

@@ -69,12 +69,14 @@ class ValidationReport(Report):
     wang_ziller_residuals: list[float] | None
 
     @property
+    def wang_ziller_violations(self) -> list[str]:
+        """Each Wang-Ziller residual not below 1e-10 in size."""
+        residuals = enumerate(self.wang_ziller_residuals or ())
+        return [f"summand {i}: residual {r!r} not below 1e-10" for i, r in residuals if not abs(r) < 1e-10]
+
+    @property
     def ok(self) -> bool:
-        if self.symmetry_violations or self.negativity_violations:
-            return False
-        if self.wang_ziller_residuals is not None:
-            return all(abs(r) < 1e-10 for r in self.wang_ziller_residuals)
-        return True
+        return not (self.symmetry_violations or self.negativity_violations or self.wang_ziller_violations)
 
 
 def _check_x(dec: IsotropyDecomposition, x) -> np.ndarray:

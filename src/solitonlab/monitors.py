@@ -27,7 +27,7 @@ from .systems import (
 )
 from .trajectory import (
     _BOUND_TOL, Trajectory, dw_omega_sq_bounds, dw_pair_bound_constant,
-    lpp_ratio_bound, solve_problem, two_summands_root_squares,
+    invariants, lpp_ratio_bound, solve_problem, two_summands_root_squares,
 )
 
 __all__ = [
@@ -36,8 +36,8 @@ __all__ = [
     "potential_report", "AsymptoteReport", "asymptote_check", "ConservationReport",
     "conservation_report", "OmegaReport", "two_summands_omega_monitor", "DWBoundReport",
     "dw_apriori_monitor", "LppBoundReport", "lpp_bound_monitor", "KahlerReport", "kahler_report",
-    "Verdict", "classify_completeness", "GrowthProbeReport", "growth_probe", "ProbeRangeError",
-    "curvature_budget_at_launch",
+    "Verdict", "VERDICTS", "classify_completeness", "GrowthProbeReport", "growth_probe",
+    "ProbeRangeError", "curvature_budget_at_launch",
 ]
 
 _LOCUS_TOL = 1e-7  # both locus ratios this close to 1: the Einstein locus
@@ -445,12 +445,10 @@ _VERDICT_NOTE = (
     "numerically_complete is a horizon verdict: the run reached t_max with "
     "every monitored invariant intact; it is evidence, not a completeness proof"
 )
-# the verdict of a run that ended before t_max, by its termination
-_ENDED_EARLY = {
-    "state_invalid": "metric_degenerate",
-    "event:shape_exit": "invariant_set_exit",
-    "event:invariant_exit": "invariant_set_exit",
-}
+# every verdict classify_completeness gives, the names a config's expect may take
+VERDICTS = ("numerically_complete", "invariant_set_exit", "metric_degenerate", "inconclusive")
+# the verdict of a run that ended before t_max, other than at a row's event
+_ENDED_EARLY = {"state_invalid": "metric_degenerate"}
 
 
 def classify_completeness(traj: Trajectory) -> Verdict:
@@ -463,7 +461,8 @@ def classify_completeness(traj: Trajectory) -> Verdict:
     """
     term = traj.termination
     if term != "reached_t_max":
-        kind = _ENDED_EARLY.get(term, "inconclusive")
+        rows = {f"event:{row.event}" for row in invariants(traj.spec)}
+        kind = "invariant_set_exit" if term in rows else _ENDED_EARLY.get(term, "inconclusive")
         return Verdict(kind=kind, t_star=float(traj.ts[-1]), reasons=[term], note=_VERDICT_NOTE)
     reasons = []
     worst, tol = _conservation_budget(traj)
@@ -601,14 +600,14 @@ def growth_probe(
     before tau or leaves the shape row (``margins["shape_exit"]``, which
     leaves a flat warped circle's fixed g2 out) is excluded and reported.
 
-    With two lanes (``_lanes``), a forked child (see ``_beside``) solves
-    the C the search will ask for next, found by a fresh search sent the
-    slopes so far and a guessed slope (``_guess``) for the C this process
-    solves meanwhile.  The report is built from the C values the search
-    asked for, so it is the one-lane report, and ``n_unused`` counts the
-    child's solves it never asked for.  A solve that raised surfaces only
-    if the search asks for its C.  If the child dies, this process finishes
-    the search alone.
+    With two lanes (``_lanes``, and a lane that got its child), a forked
+    child (see ``_beside``) solves the C the search will ask for next,
+    found by a fresh search sent the slopes so far and a guessed slope
+    (``_guess``) for the C this process solves meanwhile.  The report is
+    built from the C values the search asked for, so it is the one-lane
+    report, and ``n_unused`` counts the child's solves it never asked for.
+    A solve that raised surfaces only if the search asks for its C.  If the
+    child dies, this process finishes the search alone.
     """
     if not (0.0 < c < math.inf and 0.0 < tau < math.inf):
         raise ValueError("slope target c and probe time tau must be finite and positive")
@@ -625,11 +624,12 @@ def growth_probe(
             return None, work
         return float(-t.du[-1]), work
 
-    lanes = _lanes()
     outcomes: dict = {}  # C -> outcome(C), made in either lane
     asked, sent = [], []  # the C values the search asked for and the slopes it was sent
     search = _search(c)
-    with _beside(outcome) if lanes == 2 else contextlib.nullcontext() as lane:
+    with _beside(outcome) if _lanes() == 2 else contextlib.nullcontext() as lane:
+        lane = lane if getattr(lane, "pid", None) else None  # a lane without a child is none
+        lanes = 1 if lane is None else 2
         in_flight = None  # the C the child is solving
         try:
             C = next(search)

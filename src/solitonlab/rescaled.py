@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import Report
-from .codegen import Tape, trace_function
+from .codegen import Tape, trace_rates
 from .integrator import (
     EventSpec, IntegrationResult, IntegratorConfig, _min_of, _overflow, _state, _state_test, _validity,
     compile_run, integrate,
@@ -138,16 +138,8 @@ def _rescaled_rates(y, a: DancerWangAnsatz, eps: float) -> list:
 def make_rescaled_vector_rhs(a: DancerWangAnsatz, eps: float):
     """Flattened d/ds of [X..., Y..., Lc, t, u] as a list of floats:
     ``_rescaled_rates`` traced into straight-line code, compiled once per
-    ansatz and eps (see ``codegen``)."""
-    # keyed on eps's sign as well: 0.0 == -0.0, but they round differently
-    return _rescaled_kernel(a, eps, math.copysign(1.0, eps))
-
-
-@lru_cache(maxsize=32)
-def _rescaled_kernel(a: DancerWangAnsatz, eps: float, _sign: float):
-    n = 2 * (a.m + 1) + 3
-    name = f"<solitonlab rescaled rhs {a!r} eps={eps!r}>"
-    return trace_function(lambda y: _rescaled_rates(y, a, eps), n, name)
+    ansatz and eps (see ``codegen.trace_rates``)."""
+    return trace_rates(_rescaled_rates, a, eps, 2 * (a.m + 1) + 3, "rescaled rhs")
 
 
 def _fourth_ratios(Y) -> list:

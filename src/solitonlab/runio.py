@@ -111,12 +111,7 @@ def load_config(source) -> RunConfig:
     if chart == "both" and not isinstance(ansatz, DancerWangAnsatz):
         raise ConfigError("field 'chart': the rescaled chart exists only for dancer_wang")
     expect = doc.get("expect")
-    if expect is not None and expect not in (
-        "numerically_complete",
-        "invariant_set_exit",
-        "metric_degenerate",
-        "inconclusive",
-    ):
+    if expect is not None and expect not in mon.VERDICTS:
         raise ConfigError(f"field 'expect': unknown verdict {expect!r}")
     # the run's launch offset, resolved here once: launch_delta, else its
     # chart's default (with chart both, both charts start at the compact one's)
@@ -250,9 +245,9 @@ def _csv_stream(path: str, spec: ProblemSpec, delta: float):
     does and appends them.  ``stream.rest(traj)`` sends the samples after
     the last block; ``stream.done()`` waits for the child, moves the file
     to ``path`` and returns the child's seconds.  A run that filled no
-    block, could not fork, or whose child ended without an answer is
-    written here by ``write_trajectory_csv`` and returns ``{}``.  Leaving
-    the block by an exception kills the child and removes the file.
+    block, got a lane without a child, or whose child ended without an
+    answer is written here by ``write_trajectory_csv`` and returns ``{}``.
+    Leaving the block by an exception kills the child and removes the file.
 
     Each block is answered with None, a few bytes taken by ``done``: at
     most 200,000 / 256 of them, far below what a pipe holds.  For that, an
@@ -294,11 +289,10 @@ def _csv_stream(path: str, spec: ProblemSpec, delta: float):
             parent.fd, parent.tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
             stack.callback(_remove, parent.tmp)
             try:
-                parent.lane = stack.enter_context(_beside(append))
-            except OSError:  # no process to be had: done() writes here
-                parent.lane = False
+                lane = stack.enter_context(_beside(append))
             finally:
                 os.close(parent.fd)  # the child's copy is the one that writes
+            parent.lane = lane if lane.pid else False  # no child: done() writes here
         if parent.lane:
             parent.lane.ask((ts, ys, False))
             parent.sent += len(ts)
@@ -448,12 +442,9 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
 
     With ``chart: both`` a forked child (see ``_beside``) solves the compact
     chart and writes ``rescaled.csv`` while this process solves the
-    physical chart, so the two sides' timings overlap.  Otherwise, where
-    ``_lanes`` allows a second lane, a forked child writes
-    ``trajectory.csv`` block by block while this process integrates
-    (``_csv_stream``).  Runs of fewer than 256 samples, with one CPU or no
-    ``os.fork``, with ``chart: both``, or in a sweep of ``--jobs`` 2 or
-    more write it here, after the report."""
+    physical chart, so the two sides' timings overlap.  Otherwise
+    ``_csv_stream`` may write ``trajectory.csv`` in a forked child while
+    this process integrates."""
     os.makedirs(outdir, exist_ok=True)
     started = time.perf_counter()
     timings: dict[str, float] = {}

@@ -35,14 +35,13 @@ floats bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import add, mul, truediv
 
 import numpy as np
 
-from .codegen import trace_function
+from .codegen import trace_rates
 
 __all__ = [
     "TwoSummandsAnsatz",
@@ -415,15 +414,9 @@ def _vector_rates(y, a: TwoSummandsAnsatz | DancerWangAnsatz, eps: float) -> lis
 def make_vector_rhs(ansatz: Ansatz, eps: float):
     """Flattened dy/dt for y = [f..., df..., u, du] as a list of floats:
     ``_vector_rates`` traced into straight-line code, compiled once per
-    flow ansatz and eps (see ``codegen``)."""
-    # keyed on eps's sign as well: 0.0 == -0.0, but they round differently
-    return _vector_kernel(flow_ansatz(ansatz), eps, math.copysign(1.0, eps))
-
-
-@lru_cache(maxsize=32)
-def _vector_kernel(a: TwoSummandsAnsatz | DancerWangAnsatz, eps: float, _sign: float):
-    n = 2 * len(a.dims) + 2
-    return trace_function(lambda y: _vector_rates(y, a, eps), n, f"<solitonlab rhs {a!r} eps={eps!r}>")
+    flow ansatz and eps (see ``codegen.trace_rates``)."""
+    a = flow_ansatz(ansatz)
+    return trace_rates(_vector_rates, a, eps, 2 * len(a.dims) + 2, "rhs")
 
 
 # -- conserved quantities and identities --------------------------------------

@@ -2,6 +2,7 @@
 compact chart, the sweep's shares, the probe's second lane and the streamed
 trajectory.csv all use, and the rule for an optional lane (``_lanes``)."""
 
+import errno
 import os
 import signal
 import time
@@ -35,7 +36,7 @@ def test_answers_come_back_in_request_order():
     assert [square for square, _ in answers] == [0, 1, 4, 9, 16]
     # every request is served by one child, not by this process
     (pid,) = {pid for _, pid in answers}
-    assert (pid != os.getpid()) == hasattr(os, "fork")
+    assert (pid != os.getpid()) == hasattr(os, "fork") == (lane.pid == pid)
     _no_child_left()
 
 
@@ -110,6 +111,52 @@ def test_without_fork_the_answers_are_the_same(monkeypatch):
         assert calls == []
         lane.answer()
         assert calls == ["x"]
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("refused", ["fork", "first pipe", "second pipe"])
+def test_a_refused_fork_or_pipe_answers_here_in_order(refused, monkeypatch):
+    # what a full pid, process or file-descriptor limit gives: no child,
+    # and each answer made here when it is taken
+    def failing(*args):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    pipe = os.pipe
+    pipes = []
+    refused_pipe = {"fork": None, "first pipe": 1, "second pipe": 2}[refused]
+
+    def pipe_or_fail():
+        pipes.append(None)
+        if len(pipes) == refused_pipe:
+            failing()
+        return pipe()
+
+    monkeypatch.setattr(os, "fork", failing, raising=False)
+    monkeypatch.setattr(os, "pipe", pipe_or_fail)
+    fds = _open_fds()
+    calls = []
+
+    def recorded(x):
+        calls.append(x)
+        return _raising_on_odd(x)
+
+    with _beside(recorded) as lane:
+        assert lane.pid is None
+        for x in range(4):
+            lane.ask(x)
+        assert calls == []
+        assert lane.answer() == 0
+        with pytest.raises(ArithmeticError, match="odd request 1"):
+            lane.answer()
+        assert lane.answer() == 2
+        with pytest.raises(ArithmeticError, match="odd request 3"):
+            lane.answer()
+    assert calls == [0, 1, 2, 3]
+    assert _open_fds() == fds  # the pipes made before the refusal are closed
+    _no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the child needs os.fork")

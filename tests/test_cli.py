@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -587,14 +588,14 @@ class TestChartBoth:
 
     def test_the_compact_chart_compiles_here_before_the_fork(self, tmp_path):
         # a long-lived process keeps every kernel the child used
-        from solitonlab import integrator, rescaled
+        from solitonlab import codegen, integrator, rescaled
         from solitonlab.runio import run_solve
 
         cfg = load_config(str(config_path("dw_m2_chart.json")))
         a, eps = cfg.spec.ansatz, cfg.spec.epsilon
         n = 2 * (a.m + 1) + 3
         caches = (
-            rescaled._rescaled_kernel,
+            codegen._rates_kernel,
             integrator._run_kernel,
             integrator._min_of,
             integrator._overflow,
@@ -1048,10 +1049,10 @@ class TestSweep:
         # a cold sweep compiles the right-hand side, both rows, the overflow
         # and validity tests and the run kernel once, then a set row and a
         # run kernel per cell
-        from solitonlab import integrator, systems, trajectory
+        from solitonlab import codegen, integrator, trajectory
 
         caches = (
-            systems._vector_kernel, trajectory._shape_row, trajectory._set_row,
+            codegen._rates_kernel, trajectory._shape_row, trajectory._set_row,
             integrator._overflow, integrator._validity, integrator._run_kernel,
         )
         for cache in caches:
@@ -1203,6 +1204,59 @@ class TestProbe:
         assert "no admissible" in capsys.readouterr().err
 
 
+def _refuse_fork(monkeypatch):
+    """Make os.fork fail as a full pid or process limit makes it fail, with
+    two CPUs asking for the optional lanes."""
+
+    def failing():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", failing, raising=False)
+
+
+def _nothing_left(root):
+    """No child process to reap, and no temporary file under root."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(root.rglob(".tmp_*")) == []
+
+
+class TestFailedFork:
+    """A refused fork: every lane (``_beside``) answers here, so each
+    command runs in one process and writes what it writes with children."""
+
+    def test_the_probe_runs_in_one_lane(self, tmp_path, monkeypatch):
+        cfg = shipped("ts_probe_d1.json", tmp_path)
+        _refuse_fork(monkeypatch)
+        out = tmp_path / "probe"
+        assert main(["probe-c0", "--config", cfg, "--c", "5", "--tau", "0.5", "--out", str(out)]) == 0
+        report = json.loads((out / "probe_report.json").read_text())
+        assert report["bracket"] == [-34.14849282165835, -34.33391576083122]
+        assert (report["n_solves"], report["n_rhs"], report["lanes"], report["n_unused"]) == (18, 17034, 1, 0)
+        _nothing_left(tmp_path)
+
+    def test_a_chart_both_solve_writes_the_forked_bytes(self, tmp_path, monkeypatch):
+        cfg = shipped("dw_m2_chart.json", tmp_path)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "forked")]) == 0
+        _refuse_fork(monkeypatch)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "here")]) == 0
+        for name in ("trajectory.csv", "rescaled.csv", "report.json"):
+            assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "forked" / name).read_bytes(), name
+        _nothing_left(tmp_path)
+
+    def test_a_sweep_of_two_jobs_writes_the_one_job_summary(self, tmp_path, monkeypatch):
+        cfg = shipped("dw_e0_c1.json", tmp_path)
+        _refuse_fork(monkeypatch)
+        for jobs in ("1", "2"):
+            args = ["--grid", "C=-1:-10:4", "--jobs", jobs, "--out", str(tmp_path / jobs)]
+            assert main(["sweep", "--config", cfg, *args]) == 0
+        summaries = [(tmp_path / jobs / "sweep_summary.csv").read_bytes() for jobs in ("1", "2")]
+        assert summaries[0] == summaries[1]
+        assert not (tmp_path / "2" / "sweep_errors.json").exists()
+        _nothing_left(tmp_path)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1268,52 +1322,80 @@ class TestCurvature:
         assert capsys.readouterr().err == "error: metric scalings must be finite and strictly positive\n"
 
     @pytest.mark.parametrize(
-        "part, key, value, field",
+        "part, key, value, message",
         [
-            ("summands", "dim", 2.7, "summands[0].dim"),
-            ("summands", "dim", True, "summands[0].dim"),
-            ("summands", "dim", 0, "summands[0].dim"),
-            ("summands", "dim", -3, "summands[0].dim"),
-            ("triples", "i", 0.9, "triples[0].i"),
-            ("summands", "b", "nan", "summands[0].b"),
-            ("triples", "value", "inf", "triples[0].value"),
-            ("summands", "C", 1.0, "summands[0].C"),
-            ("triples", "val", 1.0, "triples[0].val"),
+            ("summands", "dim", 2.7, "field 'summands[0].dim' must be an integer >= 1"),
+            ("summands", "dim", True, "field 'summands[0].dim' must be an integer >= 1"),
+            ("summands", "dim", 0, "field 'summands[0].dim' must be an integer >= 1"),
+            ("summands", "dim", -3, "field 'summands[0].dim' must be an integer >= 1"),
+            ("triples", "i", 0.9, "field 'triples[0].i' must be an integer"),
+            ("summands", "b", "nan", "field 'summands[0].b' must be a finite number"),
+            ("triples", "value", "inf", "field 'triples[0].value' must be a finite number"),
+            ("summands", "C", 1.0, "unknown field 'summands[0].C'"),
+            ("triples", "val", 1.0, "unknown field 'triples[0].val'"),
         ],
         ids=[
             "dim 2.7", "dim true", "dim 0", "dim -3", "index 0.9", "b 'nan'", "value 'inf'", "C for c", "val",
         ],
     )
-    def test_a_malformed_decomposition_field_is_config_error(self, tmp_path, capsys, part, key, value, field):
+    def test_a_malformed_decomposition_field_is_config_error(self, tmp_path, capsys, part, key, value, message):
         # each loaded as a truncated dim or index, or gave a nan or inf result
         doc = json.loads(decomposition_path("hopf_sp1_sp2.json").read_text())
         doc[part][0][key] = value
         path = write_json(tmp_path, "d.json", doc)
         assert main(["curvature", "--decomposition", path, "--x", "1,1"]) == 64
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot load decomposition: ") and repr(field) in err
+        # the loader's message, once prefixed
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
-        "change, field",
+        "change, message",
         [
-            (lambda doc: doc.update(tripels=doc.pop("triples")), "tripels"),
-            (lambda doc: doc.update(triples=5), "triples"),
-            (lambda doc: doc.update(triples={"i": 0}), "triples"),
-            (lambda doc: doc.update(summands=5), "summands"),
-            (lambda doc: doc["summands"].__setitem__(0, 2), "summands[0]"),
-            (lambda doc: doc["triples"].__setitem__(0, [0, 0, 1]), "triples[0]"),
+            (lambda doc: doc.update(tripels=doc.pop("triples")), "unknown field 'tripels'"),
+            (lambda doc: doc.update(triples=5), "field 'triples' must be a list"),
+            (lambda doc: doc.update(triples={"i": 0}), "field 'triples' must be a list"),
+            (lambda doc: doc.update(summands=5), "field 'summands' must be a list"),
+            (lambda doc: doc["summands"].__setitem__(0, 2), "field 'summands[0]' must be an object"),
+            (lambda doc: doc["triples"].__setitem__(0, [0, 0, 1]), "field 'triples[0]' must be an object"),
         ],
         ids=["tripels", "triples 5", "triples object", "summands 5", "summand 2", "triple list"],
     )
-    def test_a_misnamed_or_mistyped_decomposition_part_is_config_error(self, tmp_path, capsys, change, field):
+    def test_a_misnamed_or_mistyped_decomposition_part_is_config_error(self, tmp_path, capsys, change, message):
         # a misspelt triples list was ignored (scalar_curvature 39, not 34.5),
         # and a number or an object in its place exited 1 or named a key
         doc = json.loads(decomposition_path("hopf_sp1_sp2.json").read_text())
         change(doc)
         path = write_json(tmp_path, "d.json", doc)
         assert main(["curvature", "--decomposition", path, "--x", "1,1"]) == 64
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_an_unreadable_decomposition_names_the_reader_once(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["curvature", "--decomposition", missing, "--x", "1,1"]) == 64
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot load decomposition: ") and repr(field) in err
+        assert err == f"error: cannot read decomposition: [Errno 2] No such file or directory: {missing!r}\n"
+
+    def test_a_decomposition_off_the_wang_ziller_identity_exits_65(self, tmp_path, capsys):
+        # a Casimir constant raised by 1 moves summand 0's residual to 2 d_0 = 6;
+        # the curvature of such a file was printed with exit 0
+        doc = json.loads(decomposition_path("hopf_sp1_sp2.json").read_text())
+        doc["summands"][0]["c"] += 1
+        path = write_json(tmp_path, "d.json", doc)
+        assert main(["curvature", "--decomposition", path, "--x", "1,1"]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "wang_ziller violation: summand 0: residual 6.0 not below 1e-10\n"
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in (files("solitonlab") / "decompositions").iterdir() if p.name.endswith(".json"))
+    )
+    def test_each_shipped_decomposition_is_valid(self, name, capsys):
+        from solitonlab.geometry import load_decomposition, validate
+
+        dec = load_decomposition(str(decomposition_path(name)))
+        assert validate(dec).ok
+        x = ",".join(["1"] * dec.s)
+        assert main(["curvature", "--decomposition", str(decomposition_path(name)), "--x", x]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_dimension_mismatch_is_config_error(self):
         code = main(

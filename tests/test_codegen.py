@@ -274,7 +274,7 @@ def test_probe_compiles_one_rhs(monkeypatch):
         compiled.append(filename)
         return original(name, source, filename, namespace)
 
-    S._vector_kernel.cache_clear()
+    codegen._rates_kernel.cache_clear()
     monkeypatch.setattr(codegen, "compile_function", counting)
     spec = load_shipped("ts_probe_d1.json").spec
     rep = M.growth_probe(spec, c=5.0, tau=0.5)
@@ -327,10 +327,9 @@ def test_a_run_kernel_shows_each_state_test_as_recorded():
 def test_nothing_is_compiled_at_import():
     code = (
         "import linecache\n"
-        "from solitonlab import cli, integrator, rescaled, systems\n"
+        "from solitonlab import cli, codegen, integrator, rescaled, systems\n"
         "assert integrator._run_kernel.cache_info().currsize == 0\n"
-        "assert systems._vector_kernel.cache_info().currsize == 0\n"
-        "assert rescaled._rescaled_kernel.cache_info().currsize == 0\n"
+        "assert codegen._rates_kernel.cache_info().currsize == 0\n"
         "assert not [k for k in linecache.cache if k.startswith('<solitonlab')]\n"
     )
     src = os.path.dirname(os.path.dirname(solitonlab.__file__))

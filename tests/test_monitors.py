@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from solitonlab import monitors as M
 from solitonlab.integrator import IntegrationResult
-from solitonlab.runio import load_config
+from solitonlab.runio import ConfigError, load_config
 from solitonlab.systems import (
     DancerWangAnsatz,
     ProblemSpec,
@@ -20,7 +20,9 @@ from solitonlab.systems import (
     TwoSummandsAnsatz,
     pack_state,
 )
-from solitonlab.trajectory import Trajectory, dw_pair_bound_constant, lpp_ratio_bound, solve_problem
+from solitonlab.trajectory import (
+    Trajectory, dw_pair_bound_constant, invariants, lpp_ratio_bound, solve_problem,
+)
 
 from conftest import (
     SHIPPED_CONFIG_NAMES, classify_oracle, comparison_ode_closed_form, config_path, load_shipped,
@@ -301,6 +303,32 @@ class TestClassification:
         result.termination = "state_invalid"
         v = M.classify_completeness(Trajectory(spec=src.spec, delta=src.delta, result=result))
         assert v.kind == "metric_degenerate"
+
+    @pytest.mark.parametrize(
+        "termination, kind",
+        [
+            ("event:shape_exit", "invariant_set_exit"),
+            ("event:invariant_exit", "invariant_set_exit"),
+            ("event:overflow", "inconclusive"),
+            ("step_failure", "inconclusive"),
+        ],
+    )
+    def test_an_early_end_at_a_row_event_leaves_the_set(self, shipped_runs, termination, kind):
+        # every row of the invariant table watches its set with the event
+        # named after it; no other termination is a set exit
+        src = shipped_runs["dw_e0_c1.json"]
+        assert {row.event for row in invariants(src.spec)} == {"shape_exit", "invariant_exit"}
+        result = copy.deepcopy(src.result)
+        result.termination = termination
+        v = M.classify_completeness(Trajectory(spec=src.spec, delta=src.delta, result=result))
+        assert (v.kind, v.reasons) == (kind, [termination])
+        assert v.kind in M.VERDICTS
+
+    def test_a_config_may_expect_each_verdict_and_no_other_name(self):
+        doc = json.loads(config_path("ts_e0_c1.json").read_text())
+        assert [load_config(dict(doc, expect=kind)).expect for kind in M.VERDICTS] == list(M.VERDICTS)
+        with pytest.raises(ConfigError, match="field 'expect': unknown verdict 'complete'"):
+            load_config(dict(doc, expect="complete"))
 
     def test_circle_fibre_window_keeps_zero_constant_runs_alive(self):
         # A2^2 > 2 d2 (d2+2) A3 holds, so even C = 0 stays complete
