@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 
 
 def _fmt(x: float) -> str:
-    """17 significant digits: the one text form of a float in every output."""
+    """17 significant digits: a float's one text form in CSVs and printed
+    lines (JSON holds its ``repr``)."""
     return f"{x:.17g}"
 
 
@@ -74,6 +75,19 @@ def _field(value, where: str, kind=float, least=None, positive=False):
         what = "a positive finite number" if positive else what
         raise ConfigError(f"field '{where}' must be {what}" + ("" if least is None else f" >= {least}"))
     return kind(value)
+
+
+def _need(doc: dict, field: str, kind=None, ctx: str = "", least=None):
+    """The field of ``doc`` at ``ctx.field``, checked as ``kind`` (tuple: a
+    list of integers) if given and at least ``least`` if given, else a
+    ConfigError naming it; a missing field is one too."""
+    where = f"{ctx}.{field}" if ctx else field
+    if field not in doc:
+        raise ConfigError(f"missing field '{where}'")
+    value = doc[field]
+    if kind is tuple:
+        return tuple(_field(v, f"{where}[{i}]", int) for i, v in enumerate(_field(value, where, list)))
+    return value if kind is None else _field(value, where, kind, least)
 
 
 def _only(doc, fields, ctx: str = ""):

@@ -6,7 +6,7 @@ Exit codes: 0 success or matched expectation (and --help, --version),
 admissible constant, 64 unreadable or malformed config or decomposition
 file, or malformed command line (argparse's usage errors included), 65
 decomposition validation failure (symmetry, sign or the Wang-Ziller
-identity), 70 integrator failure.
+identity), 70 integrator failure; ``main`` maps each for every command.
 """
 
 from __future__ import annotations
@@ -42,14 +42,7 @@ def _fail(code: int, message: str) -> int:
 def cmd_solve(args) -> int:
     from .runio import exit_code_for, load_config, run_solve
 
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        return _fail(EX_CONFIG, str(exc))
-    try:
-        manifest = run_solve(cfg, args.out, plot=args.plot)
-    except (ArithmeticError, RuntimeError) as exc:
-        return _fail(EX_SOLVER, f"integration failed: {exc}")
+    manifest = run_solve(load_config(args.config), args.out, plot=args.plot)
     print(
         f"run {manifest['run_id']}: verdict={manifest['verdict']} "
         f"termination={manifest['termination']} out={args.out}"
@@ -104,29 +97,26 @@ def cmd_sweep(args) -> int:
     from .runio import _atomic_write, load_config, run_solve, write_json
 
     if args.jobs < 1:
-        return _fail(EX_CONFIG, f"--jobs must be at least 1, got {args.jobs}")
-    try:
-        base = _read_json(args.config, "config")
-        grids = [_parse_grid(g) for g in args.grid]
-        params = [param for param, *_ in grids]
-        for param in params:
-            if params.count(param) > 1:
-                raise ConfigError(f"grid parameter {param!r} is given more than once")
-        axes = [
-            [(param, start + i * step) for i in range(count)]
-            for param, start, step, count in grids
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    base = _read_json(args.config, "config")
+    grids = [_parse_grid(g) for g in args.grid]
+    params = [param for param, *_ in grids]
+    for param in params:
+        if params.count(param) > 1:
+            raise ConfigError(f"grid parameter {param!r} is given more than once")
+    axes = [
+        [(param, start + i * step) for i in range(count)]
+        for param, start, step, count in grids
+    ]
+    cells: list[tuple[dict, list[tuple[str, float]]]] = [(base, [])]
+    for axis in axes:
+        cells = [
+            (_apply_param(doc, param, value), coords + [(param, value)])
+            for doc, coords in cells
+            for param, value in axis
         ]
-        cells: list[tuple[dict, list[tuple[str, float]]]] = [(base, [])]
-        for axis in axes:
-            cells = [
-                (_apply_param(doc, param, value), coords + [(param, value)])
-                for doc, coords in cells
-                for param, value in axis
-            ]
-        load_config(base)  # the base is a config solve accepts, whatever the grid replaces
-        configs = [load_config(doc) for doc, _ in cells]  # every cell validated up front
-    except ConfigError as exc:
-        return _fail(EX_CONFIG, str(exc))
+    load_config(base)  # the base is a config solve accepts, whatever the grid replaces
+    configs = [load_config(doc) for doc, _ in cells]  # every cell validated up front
 
     os.makedirs(args.out, exist_ok=True)
     shares = min(args.jobs, len(cells))
@@ -197,17 +187,14 @@ def cmd_probe_c0(args) -> int:
     from .monitors import ProbeRangeError, growth_probe
     from .runio import _atomic_write, load_config, write_json
 
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        return _fail(EX_CONFIG, str(exc))
+    cfg = load_config(args.config)
     if not 0.0 < args.c < math.inf:
-        return _fail(EX_CONFIG, f"probe needs a finite --c > 0, got {args.c!r}")
+        raise ConfigError(f"probe needs a finite --c > 0, got {args.c!r}")
     if not math.isfinite(args.tau):
-        return _fail(EX_CONFIG, f"--tau must be finite, got {args.tau!r}")
+        raise ConfigError(f"--tau must be finite, got {args.tau!r}")
     offset = cfg.launch_delta  # the probe's solves launch where the config's run does
     if not args.tau > offset:
-        return _fail(EX_CONFIG, f"--tau must exceed the launch offset {offset!r}, got {args.tau!r}")
+        raise ConfigError(f"--tau must exceed the launch offset {offset!r}, got {args.tau!r}")
     os.makedirs(args.out, exist_ok=True)
     try:
         report = growth_probe(
@@ -237,10 +224,7 @@ def cmd_probe_c0(args) -> int:
 def cmd_curvature(args) -> int:
     from .geometry import load_decomposition, ricci_eigenvalues, scalar_curvature, validate
 
-    try:
-        dec = load_decomposition(args.decomposition)
-    except ValueError as exc:
-        return _fail(EX_CONFIG, str(exc))
+    dec = load_decomposition(args.decomposition)
     report = validate(dec)
     if not report.ok:
         for v in report.symmetry_violations:
@@ -307,6 +291,10 @@ def main(argv=None) -> int:
         raise
     try:
         return args.fn(args)
+    except ConfigError as exc:
+        return _fail(EX_CONFIG, str(exc))
+    except (ArithmeticError, RuntimeError) as exc:
+        return _fail(EX_SOLVER, f"integration failed: {exc}")
     except BrokenPipeError:
         return EX_ERROR
     except Exception as exc:  # CLI contract: unexpected errors exit 1

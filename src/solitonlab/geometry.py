@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import Report, _field, _only, _read_json
+from . import ConfigError, Report, _field, _need, _only, _read_json
 
 __all__ = [
     "IsotropyDecomposition",
@@ -150,35 +150,32 @@ def load_decomposition(source) -> IsotropyDecomposition:
     ``j``, ``k`` and ``value``), and no other field.  Each dim is an
     integer >= 1 and each b, c and value a finite number.  Summand indices
     in the triples list are 0-based; each unordered triple appears once and
-    is symmetrized on load.
+    is symmetrized on load.  A field missing or malformed is a ConfigError
+    naming it.
     """
     doc = _read_json(source, "decomposition")
     _only(doc, ("metadata", "summands", "triples"))
-    try:
-        summands = _field(doc["summands"], "summands", list)
-        for i, s in enumerate(summands):
-            _only(s, ("dim", "b", "c"), f"summands[{i}]")
-        d = tuple(_field(s["dim"], f"summands[{i}].dim", int, 1) for i, s in enumerate(summands))
-        b = tuple(_field(s["b"], f"summands[{i}].b") for i, s in enumerate(summands))
-    except KeyError as exc:
-        raise ValueError(f"malformed decomposition document: {exc}") from exc
+    summands = _need(doc, "summands", list)
+    for i, s in enumerate(summands):
+        _only(s, ("dim", "b", "c"), f"summands[{i}]")
+    d = tuple(_need(s, "dim", int, f"summands[{i}]", least=1) for i, s in enumerate(summands))
+    b = tuple(_need(s, "b", float, f"summands[{i}]") for i, s in enumerate(summands))
     cs = [s.get("c") for s in summands]
     c = None if None in cs else tuple(_field(v, f"summands[{i}].c") for i, v in enumerate(cs))
     n = len(d)
     triples = np.zeros((n, n, n))
     seen = set()
     for t, item in enumerate(_field(doc.get("triples", []), "triples", list)):
-        _only(item, ("i", "j", "k", "value"), f"triples[{t}]")
-        try:
-            i, j, k = (_field(item[key], f"triples[{t}].{key}", int) for key in "ijk")
-            v = _field(item["value"], f"triples[{t}].value")
-        except KeyError as exc:
-            raise ValueError(f"malformed triple entry {item!r}") from exc
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise ValueError(f"triple index out of range in {item!r}")
+        ctx = f"triples[{t}]"
+        _only(item, ("i", "j", "k", "value"), ctx)
+        i, j, k = (_need(item, key, int, ctx) for key in "ijk")
+        v = _need(item, "value", float, ctx)
+        for name, index in zip("ijk", (i, j, k)):
+            if not 0 <= index < n:
+                raise ConfigError(f"field '{ctx}.{name}' is out of range: a summand index is 0 to {n - 1}")
         key = tuple(sorted((i, j, k)))
         if key in seen:
-            raise ValueError(f"duplicate triple {key} in decomposition document")
+            raise ConfigError(f"field '{ctx}' duplicates the triple {key}")
         seen.add(key)
         for perm in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
             triples[perm] = v

@@ -15,10 +15,8 @@ import math
 
 import numpy as np
 
-from . import Report, _beside, _lanes
+from . import Report, _beside, _fmt, _lanes
 from .systems import (
-    DancerWangAnsatz,
-    LuPagePopeAnsatz,
     ProblemSpec,
     TwoSummandsAnsatz,
     _ricci_rates_split,
@@ -36,8 +34,8 @@ __all__ = [
     "potential_report", "AsymptoteReport", "asymptote_check", "ConservationReport",
     "conservation_report", "OmegaReport", "two_summands_omega_monitor", "DWBoundReport",
     "dw_apriori_monitor", "LppBoundReport", "lpp_bound_monitor", "KahlerReport", "kahler_report",
-    "Verdict", "VERDICTS", "classify_completeness", "GrowthProbeReport", "growth_probe",
-    "ProbeRangeError", "curvature_budget_at_launch",
+    "charts_agree", "Verdict", "VERDICTS", "classify_completeness", "GrowthProbeReport",
+    "growth_probe", "ProbeRangeError", "curvature_budget_at_launch",
 ]
 
 _LOCUS_TOL = 1e-7  # both locus ratios this close to 1: the Einstein locus
@@ -272,6 +270,14 @@ def _conservation_budget(traj: Trajectory) -> tuple[float, float]:
     return worst, 1e-8 * (1.0 + abs(traj.spec.C))
 
 
+_CHART_TOL = 1e-6  # largest relative deviation between the two charts' samples
+
+
+def charts_agree(comparison) -> bool:
+    """The one rule the chart_comparison check and the verdict read."""
+    return comparison.max_rel_deviation <= _CHART_TOL
+
+
 def conservation_report(traj: Trajectory) -> ConservationReport:
     r3 = traj.columns["conservation_residual"]
     r4 = traj.columns["conservation_residual_curvature"]
@@ -304,11 +310,8 @@ def two_summands_omega_monitor(traj: Trajectory) -> OmegaReport:
     """Ratio omega = f1/f2: slope never exceeding its launch value 1/fbar
     while omega is in [0, omega2), inside the window row, and omega staying
     below omega2."""
-    a = traj.spec.ansatz
-    if not isinstance(a, TwoSummandsAnsatz):
-        raise TypeError("omega monitor applies to the two-summands system")
-    diag = two_summands_roots(a)
-    no_root = diag.D < 0
+    D, _, w2_sq = two_summands_root_squares(traj.spec.ansatz)
+    no_root = D < 0
     omega, domega = traj.columns["omega"], traj.columns["domega"]
     bound = 1.0 / traj.spec.initial[0]  # 1 / fbar
     window = traj.margins["invariant_exit"]
@@ -317,7 +320,7 @@ def two_summands_omega_monitor(traj: Trajectory) -> OmegaReport:
     return OmegaReport(
         anchor="fibre/base ratio slope capped by its launch value inside the preserved window",
         no_root_regime=no_root,
-        omega2=diag.omega2,
+        omega2=None if no_root else float(np.sqrt(w2_sq)),
         max_omega=float(np.max(omega)),
         max_domega=float(np.max(domega)) if no_root else max_do,
         domega_bound=bound,
@@ -346,8 +349,6 @@ def dw_apriori_monitor(traj: Trajectory) -> DWBoundReport:
     bounds hold."""
     spec = traj.spec
     a = spec.ansatz
-    if not isinstance(a, DancerWangAnsatz):
-        raise TypeError("a priori bound monitor applies to the circle-bundle system")
     c0 = dw_pair_bound_constant(a, spec.initial)
     g = traj.f[:, 1:]
     dg = traj.df[:, 1:]
@@ -400,12 +401,9 @@ class LppBoundReport(Report):
 
 
 def lpp_bound_monitor(traj: Trajectory) -> LppBoundReport:
-    a = traj.spec.ansatz
-    if not isinstance(a, LuPagePopeAnsatz):
-        raise TypeError("bound monitor applies to the warped-product system")
     return LppBoundReport(
         anchor="warped-product ratio bound omega1^2 < 4 p1 / ((d1+2) q1^2)",
-        bound=lpp_ratio_bound(a),
+        bound=lpp_ratio_bound(traj.spec.ansatz),
         max_omega1_sq=float(np.max(traj.columns["omega1"] ** 2)),
         ok=traj.margins["invariant_exit"].holds,
     )
@@ -419,9 +417,6 @@ class KahlerReport(Report):
 
 
 def kahler_report(traj: Trajectory) -> KahlerReport:
-    a = traj.spec.ansatz
-    if not isinstance(a, DancerWangAnsatz):
-        raise TypeError("Kaehler residual applies to the circle-bundle system")
     per = np.max(np.abs(traj.columns["kahler_res"]), axis=1)
     return KahlerReport(
         anchor="first-order condition d/dt g_i^2 = -q_i f cutting the preserved Kaehler locus",
@@ -451,24 +446,41 @@ VERDICTS = ("numerically_complete", "invariant_set_exit", "metric_degenerate", "
 _ENDED_EARLY = {"state_invalid": "metric_degenerate"}
 
 
-def classify_completeness(traj: Trajectory) -> Verdict:
+def classify_completeness(traj: Trajectory, comparison=None, compact_termination: str = "") -> Verdict:
     """Sort a finished run into numerically_complete / invariant_set_exit /
-    metric_degenerate / inconclusive.
+    metric_degenerate / inconclusive, with every reason it has.
 
     Completeness requires the horizon, the conservation residual within
     tolerance, and every row of the invariant table (strictly positive
     shape eigenvalues, the ansatz's preserved set) holding at every sample.
+    Given ``comparison``, the ``compare_charts`` report of a compact-chart
+    run of the same problem that ended with ``compact_termination``, it
+    also requires the charts to agree (``charts_agree``) over the whole
+    run.
     """
     term = traj.termination
+    charts = []  # why the compact chart, when given, does not confirm the run
+    if comparison is not None:
+        t_hi, t_end = comparison.t_hi, traj.ts[-1]
+        if not charts_agree(comparison):
+            charts.append(f"chart deviation {comparison.max_rel_deviation:.3e} above {_CHART_TOL:.3e}")
+        # a compact run that ends at t_target reached t_max; its carried t
+        # may still land a rounding short of it
+        if t_hi < t_end and compact_termination != "event:t_target":
+            charts.append(
+                f"the charts are compared up to t = {_fmt(t_hi)}, where the compact"
+                f" chart ends; ({_fmt(t_hi)}, {_fmt(t_end)}] is not compared"
+            )
     if term != "reached_t_max":
         rows = {f"event:{row.event}" for row in invariants(traj.spec)}
         kind = "invariant_set_exit" if term in rows else _ENDED_EARLY.get(term, "inconclusive")
-        return Verdict(kind=kind, t_star=float(traj.ts[-1]), reasons=[term], note=_VERDICT_NOTE)
+        return Verdict(kind=kind, t_star=float(traj.ts[-1]), reasons=[term, *charts], note=_VERDICT_NOTE)
     reasons = []
     worst, tol = _conservation_budget(traj)
     if not worst <= tol:
         reasons.append(f"conservation residual {worst:.3e} above {tol:.3e}")
     reasons += [m.row.reason for m in traj.margins.values() if not m.holds]
+    reasons += charts
     kind = "inconclusive" if reasons else "numerically_complete"
     return Verdict(kind=kind, t_star=None, reasons=reasons, note=_VERDICT_NOTE)
 

@@ -1,8 +1,8 @@
 """Run configs, trajectory/report/manifest files, and deterministic output.
 
-All floating-point output uses 17-significant-digit decimal formatting so
-re-running a config yields byte-identical CSV.  The manifest is written
-atomically and last, after every data file it lists.
+Every CSV float is written with 17 significant digits, so re-running a
+config yields byte-identical CSV.  The manifest is written atomically and
+last, after every data file it lists.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import ConfigError, Report, __version__, _beside, _field, _fmt, _lanes, _only, _read_json, codegen
+from . import (
+    ConfigError, Report, __version__, _beside, _field, _fmt, _lanes, _need, _only, _read_json, codegen,
+)
 from . import monitors as mon
 from .integrator import IntegrationResult
 from .launch import default_delta, rescaled_default_delta
@@ -59,17 +61,6 @@ class RunConfig:
     chart: str
     expect: str | None
     raw: dict
-
-
-def _need(doc: dict, field: str, kind=None, ctx: str = ""):
-    """The field, checked as ``kind`` (tuple: a list of integers) if given."""
-    where = f"{ctx}.{field}" if ctx else field
-    if field not in doc:
-        raise ConfigError(f"missing field '{where}'")
-    value = doc[field]
-    if kind is tuple:
-        return tuple(_field(v, f"{where}[{i}]", int) for i, v in enumerate(_field(value, where, list)))
-    return value if kind is None else _field(value, where, kind)
 
 
 def _build_ansatz(system: str, doc: dict):
@@ -393,11 +384,10 @@ def _add_check(report: dict, name: str, payload, ok=None):
 
 
 def build_report(traj: Trajectory) -> dict:
-    spec = traj.spec
-    a = spec.ansatz
+    """The run's checks of its family; the verdict, which may also read the
+    chart comparison, is ``run_solve``'s to add."""
+    a = traj.spec.ansatz
     report: dict = {"checks": []}
-    verdict = mon.classify_completeness(traj)
-    report["verdict"] = verdict
     # each invariant row's closest approach: its smallest margin, the time
     # of that sample and the candidate that attains it
     report["margins"] = {
@@ -483,6 +473,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
         artifacts.append(name)
 
     rtraj = None
+    charts = ()  # the chart comparison and the compact run's termination
     with contextlib.ExitStack() as stack:
         if compact is not None:
             lane = stack.enter_context(_beside(compact))
@@ -523,18 +514,11 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
             rtraj = rescaled.RescaledTrajectory(spec=cfg.spec, delta=delta, result=result)
             with _timed(timings, "compare_charts"):
                 comparison = rescaled.compare_charts(traj, rtraj)
-            ok = comparison.max_rel_deviation <= 1e-6
-            _add_check(report, "chart_comparison", comparison, ok)
-            # a compact run that ends at t_target reached t_max; its carried t
-            # may still land a rounding short of it
-            if comparison.t_hi < traj.ts[-1] and result.termination != "event:t_target":
-                report["verdict"].reasons.append(
-                    f"the charts are compared up to t = {_fmt(comparison.t_hi)}, where the compact"
-                    f" chart ends; ({_fmt(comparison.t_hi)}, {_fmt(traj.ts[-1])}] is not compared"
-                )
+            _add_check(report, "chart_comparison", comparison, mon.charts_agree(comparison))
+            charts = (comparison, result.termination)
+    report["verdict"] = verdict = mon.classify_completeness(traj, *charts)
     emit("report.json", lambda p: write_json(p, report))
 
-    verdict = report["verdict"]
     binding, closest = min(report["margins"].items(), key=lambda item: item[1]["margin"])
     manifest = {
         "run_id": run_id_of(cfg.raw),

@@ -730,15 +730,36 @@ class TestChartBoth:
     def test_a_compact_run_ending_at_t_target_names_no_span(self, tmp_path):
         # dw_e0_c0's compact run to t_max 300 ends at its t_target event with
         # a carried t of 299.99999999981111: it reached t_max, and the 2e-10
-        # short of it is rounding, not a span left out
+        # short of it is rounding, not a span left out.  The charts deviate
+        # by 7.3e-6 there, the one reason the run is inconclusive.
         doc = json.loads(config_path("dw_e0_c0.json").read_text()) | {"chart": "both"}
         doc["integrator"] = dict(doc["integrator"], t_max=300.0)
         out = tmp_path / "o"
-        assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)]) == 0
+        assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
-        t_hi = json.loads((out / "report.json").read_text())["chart_comparison"]["t_hi"]
+        comparison = json.loads((out / "report.json").read_text())["chart_comparison"]
+        t_hi = comparison["t_hi"]
         assert t_hi == 299.99999999981111 < manifest["key_diagnostics"]["t_end"] == 300.0
-        assert manifest["reasons"] == []
+        assert manifest["reasons"] == [f"chart deviation {comparison['max_rel_deviation']:.3e} above 1.000e-06"]
+
+    @pytest.mark.parametrize("t_max, code, verdict", [(100.0, 0, "numerically_complete"), (150.0, 2, "inconclusive")])
+    def test_charts_that_disagree_make_the_run_inconclusive(self, tmp_path, capsys, t_max, code, verdict):
+        # dw_e0_c0's charts deviate by 8.0e-7 at t_max 100 and by 1.8e-6 at
+        # 150: past 1e-6 the failed chart_comparison check was written under
+        # a numerically_complete verdict with no reason, and the run exited 0
+        doc = json.loads(config_path("dw_e0_c0.json").read_text()) | {"chart": "both"}
+        doc["integrator"] = dict(doc["integrator"], t_max=t_max)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", write_json(tmp_path, "c.json", doc), "--out", str(out)]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        deviation = report["chart_comparison"]["max_rel_deviation"]
+        (check,) = [c for c in report["checks"] if c["name"] == "chart_comparison"]
+        assert check["ok"] == (deviation <= 1e-6) == (code == 0)
+        assert manifest["verdict"] == report["verdict"]["kind"] == verdict
+        reasons = [] if code == 0 else [f"chart deviation {deviation:.3e} above 1.000e-06"]
+        assert manifest["reasons"] == report["verdict"]["reasons"] == reasons
+        assert ("note: inconclusive (chart deviation" in capsys.readouterr().out) == (code == 2)
 
     def test_a_comparison_short_of_the_run_names_the_span_left_out(self, tmp_path, monkeypatch):
         # a compact run capped at 300 attempts ends short of the run's t_max;
@@ -753,14 +774,15 @@ class TestChartBoth:
 
         monkeypatch.setattr(rescaled, "integrate", capped)
         out = tmp_path / "o"
-        assert main(["solve", "--config", str(config_path("dw_m2_chart.json")), "--out", str(out)]) == 0
+        assert main(["solve", "--config", str(config_path("dw_m2_chart.json")), "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
         report = json.loads((out / "report.json").read_text())
         kd = manifest["key_diagnostics"]
         assert kd["rescaled"]["n_accepted"] + kd["rescaled"]["n_rejected"] == cap
         t_hi, t_end = report["chart_comparison"]["t_hi"], kd["t_end"]
         assert t_hi < t_end == 10.0
-        assert manifest["verdict"] == report["verdict"]["kind"] == "numerically_complete"
+        # a span left out is a reason, and a run with a reason is inconclusive
+        assert manifest["verdict"] == report["verdict"]["kind"] == "inconclusive"
         assert manifest["reasons"] == report["verdict"]["reasons"] == [
             f"the charts are compared up to t = {_fmt(t_hi)}, where the compact chart ends;"
             f" ({_fmt(t_hi)}, {_fmt(t_end)}] is not compared"
@@ -1271,6 +1293,61 @@ def test_a_usage_error_exits_64(argv, capsys):
     assert "usage: solitonlab" in capsys.readouterr().err
 
 
+_COMMANDS = {
+    "solve": ["--config", "c.json", "--out", "o"],
+    "sweep": ["--config", "c.json", "--grid", "C=-1:-1:2", "--out", "o"],
+    "probe-c0": ["--config", "c.json", "--c", "5", "--tau", "0.5", "--out", "o"],
+    "curvature": ["--decomposition", "d.json", "--x", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "error, code, line",
+    [
+        (ConfigError("field 'C' must be a finite number"), 64, "error: field 'C' must be a finite number"),
+        (ArithmeticError("float division by zero"), 70, "error: integration failed: float division by zero"),
+        (RuntimeError("no step size left"), 70, "error: integration failed: no step size left"),
+    ],
+    ids=["config", "arithmetic", "runtime"],
+)
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_main_gives_each_command_one_exit_code_per_failure(command, error, code, line, capsys, monkeypatch):
+    # only solve mapped an integrator failure to 70: the others exited 1
+    from solitonlab import cli
+
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), failing)
+    assert main([command, *_COMMANDS[command]]) == code
+    assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "probe-c0"])
+def test_a_failing_launch_exits_70_alike_under_solve_and_probe(command, tmp_path, capfd):
+    # f * f underflows at the launch slice, so the right-hand side divides by
+    # zero there; probe-c0 exited 1 with the exception's type name
+    doc = {
+        "system": "dancer_wang",
+        "ansatz": {"d": [10**20], "p": [2], "q": [-2]},
+        "epsilon": 0.0,
+        "C": -1.0,
+        "initial": [1e-300],
+        "integrator": {"t_max": 1.0},
+    }
+    args = [*_COMMANDS[command]]
+    args[1], args[-1] = write_json(tmp_path, "c.json", doc), str(tmp_path / "o")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, *args]) == 70
+    assert [str(w.message) for w in caught] == []
+    err = capfd.readouterr().err
+    assert err == (
+        "error: integration failed: the right-hand side fails at the launch state"
+        " t = 1.0000000000000002e-304 (float division by zero); check the sizes in 'initial'\n"
+    )
+
+
 @pytest.mark.parametrize("flag", ["--help", "--version"])
 def test_help_and_version_exit_zero(flag, capsys):
     with pytest.raises(SystemExit) as caught:
@@ -1356,8 +1433,15 @@ class TestCurvature:
             (lambda doc: doc.update(summands=5), "field 'summands' must be a list"),
             (lambda doc: doc["summands"].__setitem__(0, 2), "field 'summands[0]' must be an object"),
             (lambda doc: doc["triples"].__setitem__(0, [0, 0, 1]), "field 'triples[0]' must be an object"),
+            (lambda doc: doc["summands"][1].pop("b"), "missing field 'summands[1].b'"),
+            (lambda doc: doc["triples"][0].pop("k"), "missing field 'triples[0].k'"),
+            (lambda doc: doc["triples"][0].update(i=7), "field 'triples[0].i' is out of range: a summand index is 0 to 1"),
+            (lambda doc: doc.pop("summands"), "missing field 'summands'"),
         ],
-        ids=["tripels", "triples 5", "triples object", "summands 5", "summand 2", "triple list"],
+        ids=[
+            "tripels", "triples 5", "triples object", "summands 5", "summand 2", "triple list",
+            "no b", "no k", "index 7", "no summands",
+        ],
     )
     def test_a_misnamed_or_mistyped_decomposition_part_is_config_error(self, tmp_path, capsys, change, message):
         # a misspelt triples list was ignored (scalar_curvature 39, not 34.5),

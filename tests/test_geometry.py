@@ -151,5 +151,5 @@ def test_loader_rejects_duplicate_and_out_of_range_triples():
 
 
 def test_loader_requires_summands():
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(ValueError, match="missing field 'summands'"):
         load_decomposition({"triples": []})
