@@ -30,8 +30,12 @@ class Report(SimpleNamespace):
 
 
 class ConfigError(ValueError):
-    """Malformed input file (a run config or a decomposition); the message
-    names the offending field."""
+    """Malformed input: a run config, a decomposition file or a
+    command-line value; the message names the offending field or flag."""
+
+
+class ProbeRangeError(RuntimeError):
+    """No sampled conservation constant reached the probe's slope target."""
 
 
 def _read_json(source, what: str) -> dict:

@@ -6,7 +6,10 @@ Exit codes: 0 success or matched expectation (and --help, --version),
 admissible constant, 64 unreadable or malformed config or decomposition
 file, or malformed command line (argparse's usage errors included), 65
 decomposition validation failure (symmetry, sign or the Wang-Ziller
-identity), 70 integrator failure; ``main`` maps each for every command.
+identity), 70 integrator failure.  One table, ``_failure``, turns an
+exception into its exit code and its one line of text: ``main`` prints
+that line after ``error: `` for every command, and a sweep records it for
+each failed cell in ``sweep_errors.json``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import os
 import sys
 
-from . import ConfigError, __version__, _beside, _fmt, _read_json
+from . import ConfigError, ProbeRangeError, __version__, _beside, _fmt, _read_json
 
 # each command imports what it runs: the solver modules (runio, monitors and
 # what they load) for solve, sweep and probe-c0, geometry for curvature, so
@@ -34,9 +37,16 @@ EX_DATA = 65
 EX_SOLVER = 70
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and the one-line text of a command, or a sweep cell,
+    that ``exc`` failed."""
+    if isinstance(exc, ConfigError):
+        return EX_CONFIG, str(exc)
+    if isinstance(exc, ProbeRangeError):
+        return EX_NO_ADMISSIBLE_C, str(exc)
+    if isinstance(exc, (ArithmeticError, RuntimeError)):
+        return EX_SOLVER, f"integration failed: {exc}"
+    return EX_ERROR, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_solve(args) -> int:
@@ -134,11 +144,11 @@ def cmd_sweep(args) -> int:
         ]
 
     def run_cell(i: int):
-        """Cell i's row, or its exception as text."""
+        """Cell i's row, or the text its failure prints under solve."""
         try:
             return row(run_solve(configs[i], os.path.dirname(manifest_of(i))))
         except Exception as exc:  # keep sweeping past individual failures
-            return f"{type(exc).__name__}: {exc}"
+            return _failure(exc)[1]
 
     # the cells are dealt round-robin into the shares: share 0 runs here and
     # each other share in a forked child (see _beside), so in a long-lived
@@ -164,8 +174,8 @@ def cmd_sweep(args) -> int:
                         with open(manifest_of(i), encoding="utf-8") as fh:
                             outcomes[i] = row(json.load(fh))
                     except FileNotFoundError:
-                        outcomes[i] = f"{type(exc).__name__}: {exc}"
-    # cell -> the exception that failed it
+                        outcomes[i] = _failure(exc)[1]
+    # cell -> its failure, as text
     errors = {f"cell_{i:04d}": v for i, v in outcomes.items() if isinstance(v, str)}
 
     header = params + ["cell", "verdict", "termination", "terminal_du", "max_conservation_residual"]
@@ -184,7 +194,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_probe_c0(args) -> int:
-    from .monitors import ProbeRangeError, growth_probe
+    from .monitors import growth_probe
     from .runio import _atomic_write, load_config, write_json
 
     cfg = load_config(args.config)
@@ -196,17 +206,14 @@ def cmd_probe_c0(args) -> int:
     if not args.tau > offset:
         raise ConfigError(f"--tau must exceed the launch offset {offset!r}, got {args.tau!r}")
     os.makedirs(args.out, exist_ok=True)
-    try:
-        report = growth_probe(
-            cfg.spec,
-            c=args.c,
-            tau=args.tau,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            delta=cfg.launch_delta,
-        )
-    except ProbeRangeError as exc:
-        return _fail(EX_NO_ADMISSIBLE_C, str(exc))
+    report = growth_probe(
+        cfg.spec,
+        c=args.c,
+        tau=args.tau,
+        rel_tol=cfg.rel_tol,
+        abs_tol=cfg.abs_tol,
+        delta=cfg.launch_delta,
+    )
     write_json(os.path.join(args.out, "probe_report.json"), report)
     lines = ["C,slope_at_tau"]
     lines += [",".join((_fmt(c), _fmt(s))) for c, s in report.samples]
@@ -219,6 +226,17 @@ def cmd_probe_c0(args) -> int:
         f"solves={report.n_solves} n_rhs={report.n_rhs}"
     )
     return EX_OK
+
+
+def _parse_x(text: str) -> list[float]:
+    # comma-separated numbers, each entry named by its place if it is not one
+    x = []
+    for i, v in enumerate(text.split(",")):
+        try:
+            x.append(float(v))
+        except ValueError:
+            raise ConfigError(f"--x[{i}] must be a number, got {v!r}") from None
+    return x
 
 
 def cmd_curvature(args) -> int:
@@ -234,12 +252,9 @@ def cmd_curvature(args) -> int:
         for v in report.wang_ziller_violations:
             print(f"wang_ziller violation: {v}", file=sys.stderr)
         return EX_DATA
-    try:
-        x = [float(v) for v in args.x.split(",")]
-        s = scalar_curvature(dec, x)
-        r = ricci_eigenvalues(dec, x)
-    except ValueError as exc:
-        return _fail(EX_CONFIG, str(exc))
+    x = _parse_x(args.x)
+    s = scalar_curvature(dec, x)
+    r = ricci_eigenvalues(dec, x)
     print(f"scalar_curvature: {_fmt(s)}")
     print("ricci_eigenvalues: " + ", ".join(_fmt(v) for v in r))
     if report.wang_ziller_residuals is not None:
@@ -291,14 +306,12 @@ def main(argv=None) -> int:
         raise
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        return _fail(EX_CONFIG, str(exc))
-    except (ArithmeticError, RuntimeError) as exc:
-        return _fail(EX_SOLVER, f"integration failed: {exc}")
     except BrokenPipeError:
         return EX_ERROR
-    except Exception as exc:  # CLI contract: unexpected errors exit 1
-        return _fail(EX_ERROR, f"{type(exc).__name__}: {exc}")
+    except Exception as exc:
+        code, text = _failure(exc)
+        print(f"error: {text}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

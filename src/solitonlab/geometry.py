@@ -82,9 +82,9 @@ class ValidationReport(Report):
 def _check_x(dec: IsotropyDecomposition, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dec.s,):
-        raise ValueError(f"scaling vector has {x.size} entries, decomposition has {dec.s} summands")
+        raise ConfigError(f"scaling vector has {x.size} entries, decomposition has {dec.s} summands")
     if not np.all(np.isfinite(x) & (x > 0.0)):
-        raise ValueError("metric scalings must be finite and strictly positive")
+        raise ConfigError("metric scalings must be finite and strictly positive")
     return x
 
 

@@ -125,8 +125,9 @@ def _series_state(spec: ProblemSpec, delta: float) -> SolitonState:
     with np.errstate(divide="ignore", invalid="ignore"):
         # the collapsing component's rate is singular there and unused
         _, r = _ricci_rates_split(np.concatenate(([0.0], fbar)), spec.ansatz)
-    fdd = fbar * (spec.epsilon / 2.0 + np.array(r[1:])) / (spec.d_S + 1.0)
-    udd0 = spec.C / (spec.d_S + 1.0)
+    d_S = spec.ansatz.dims[0]  # the collapsing sphere's dimension
+    fdd = fbar * (spec.epsilon / 2.0 + np.array(r[1:])) / (d_S + 1.0)
+    udd0 = spec.C / (d_S + 1.0)
     return SolitonState(
         t=delta,
         f=np.concatenate(([delta], fbar + 0.5 * delta**2 * fdd)),

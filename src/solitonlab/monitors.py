@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from . import Report, _beside, _fmt, _lanes
+from . import ProbeRangeError, Report, _beside, _fmt, _lanes
 from .systems import (
     ProblemSpec,
     TwoSummandsAnsatz,
@@ -486,10 +486,6 @@ def classify_completeness(traj: Trajectory, comparison=None, compact_termination
 
 
 # -- growth probe -----------------------------------------------------------------
-
-
-class ProbeRangeError(RuntimeError):
-    """No sampled conservation constant reached the requested slope."""
 
 
 class GrowthProbeReport(Report):

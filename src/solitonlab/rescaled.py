@@ -233,16 +233,11 @@ class RescaledTrajectory:
         )
 
 
-def solve_rescaled(
-    spec: ProblemSpec,
-    t_max: float = 10.0,
-    rel_tol: float = 1e-11,
-    abs_tol: float = 1e-13,
-    delta: float | None = None,
-) -> RescaledTrajectory:
+def solve_rescaled(*args, **kwargs) -> RescaledTrajectory:
     """Launch physically at t = delta, map to the compact chart, and flow in
-    slow time until the carried physical time reaches t_max."""
-    return prepare_rescaled(spec, t_max, rel_tol, abs_tol, delta)()
+    slow time until the carried physical time reaches t_max; the arguments
+    are ``prepare_rescaled``'s."""
+    return prepare_rescaled(*args, **kwargs)()
 
 
 def prepare_rescaled(

@@ -87,12 +87,6 @@ class TwoSummandsAnsatz:
     def component_names(self) -> tuple[str, ...]:
         return ("f1", "f2")
 
-    n_sizes = 1  # initial data: fbar
-
-    @property
-    def collapsing_dim(self) -> int:
-        return self.d1
-
     @cached_property
     def _rate_coefficients(self) -> tuple[float, ...]:
         """(geo, c1, c3, c2, c4) of the split rates r1 = geo / (d1 f1^2) +
@@ -153,12 +147,6 @@ class DancerWangAnsatz:
     def component_names(self) -> tuple[str, ...]:
         return ("f",) + tuple(f"g{i + 1}" for i in range(self.m))
 
-    @property
-    def n_sizes(self) -> int:
-        return self.m
-
-    collapsing_dim = 1
-
     @cached_property
     def _rate_coefficients(self) -> tuple[tuple[float, ...], ...]:
         """(c0, p, c2) of the rates r_f = sum c0 f^2 / g^4 and
@@ -197,14 +185,11 @@ class LuPagePopeAnsatz:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return (1, self.d1, self.d2)
+        return self._dancer_wang.dims
 
     @property
     def component_names(self) -> tuple[str, ...]:
-        return ("f", "g1", "g2")
-
-    n_sizes = 2
-    collapsing_dim = 1
+        return self._dancer_wang.component_names
 
     def as_dancer_wang(self) -> DancerWangAnsatz:
         """The (p2, q2) = (d2 - 1, 0) degenerate two-factor embedding, built
@@ -264,17 +249,11 @@ class ProblemSpec:
             raise ValueError("epsilon must be >= 0 (steady or expanding)")
         if self.C > 0:
             raise ValueError("conservation constant C must be <= 0")
-        if len(self.initial) != self.ansatz.n_sizes:
-            raise ValueError(
-                f"expected {self.ansatz.n_sizes} initial size(s), got {len(self.initial)}"
-            )
+        n_sizes = len(self.ansatz.dims) - 1  # every component but the collapsing one
+        if len(self.initial) != n_sizes:
+            raise ValueError(f"expected {n_sizes} initial size(s), got {len(self.initial)}")
         if any(v <= 0 for v in self.initial):
             raise ValueError("initial orbit sizes must be positive")
-
-    @property
-    def d_S(self) -> int:
-        """Dimension of the collapsing sphere."""
-        return self.ansatz.collapsing_dim
 
     @property
     def orbit_dim(self) -> int:

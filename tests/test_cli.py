@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solitonlab import runio
+from solitonlab import ProbeRangeError, runio
 from solitonlab.cli import main
 from solitonlab.runio import ConfigError, _fmt, load_config
 
@@ -849,7 +849,7 @@ class TestSweep:
         code = main(["sweep", "--config", cfg, "--grid", "C=-0.5:-0.5:3", "--jobs", jobs, "--out", str(tmp_path / "sw")])
         assert code == 1
         errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
-        assert errors == {"cell_0001": "RuntimeError: no convergence in cell 1"}
+        assert errors == {"cell_0001": "integration failed: no convergence in cell 1"}
         rows = (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()
         assert rows[2].split(",")[1:] == ["cell_0001", "error", "error", "nan", "nan"]
         assert rows[1].split(",")[2] == "numerically_complete"
@@ -914,7 +914,7 @@ class TestSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
         errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
-        message = "RuntimeError: the child process ended with no result (wait status 768)"
+        message = "integration failed: the child process ended with no result (wait status 768)"
         assert errors == {"cell_0001": message}
         rows = [row.split(",")[2] for row in (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()[1:]]
         assert rows == ["numerically_complete", "error", "numerically_complete"]
@@ -940,7 +940,7 @@ class TestSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
         errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
-        assert errors == {"cell_0003": "RuntimeError: the child process ended with no result (wait status 768)"}
+        assert errors == {"cell_0003": "integration failed: the child process ended with no result (wait status 768)"}
         rows = [row.split(",")[2] for row in (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()[1:]]
         assert rows == ["numerically_complete"] * 3 + ["error"]
 
@@ -995,8 +995,8 @@ class TestSweep:
         assert waited == [True]  # the child finished while share 0 was still running
         errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
         assert len(errors) == 200
-        assert errors["cell_0199"] == "RuntimeError: cell 0199 " + "x" * 2000
-        assert errors["cell_0198"] == "RuntimeError: cell 0198"
+        assert errors["cell_0199"] == "integration failed: cell 0199 " + "x" * 2000
+        assert errors["cell_0198"] == "integration failed: cell 0198"
 
     def test_a_failure_here_kills_and_reaps_every_child(self, tmp_path, monkeypatch):
         from solitonlab import runio
@@ -1307,8 +1307,10 @@ _COMMANDS = {
         (ConfigError("field 'C' must be a finite number"), 64, "error: field 'C' must be a finite number"),
         (ArithmeticError("float division by zero"), 70, "error: integration failed: float division by zero"),
         (RuntimeError("no step size left"), 70, "error: integration failed: no step size left"),
+        (ProbeRangeError("no admissible C in (-1, -0.125]"), 3, "error: no admissible C in (-1, -0.125]"),
+        (KeyError("C"), 1, "error: KeyError: 'C'"),
     ],
-    ids=["config", "arithmetic", "runtime"],
+    ids=["config", "arithmetic", "runtime", "probe range", "other"],
 )
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_main_gives_each_command_one_exit_code_per_failure(command, error, code, line, capsys, monkeypatch):
@@ -1326,7 +1328,8 @@ def test_main_gives_each_command_one_exit_code_per_failure(command, error, code,
 @pytest.mark.parametrize("command", ["solve", "probe-c0"])
 def test_a_failing_launch_exits_70_alike_under_solve_and_probe(command, tmp_path, capfd):
     # f * f underflows at the launch slice, so the right-hand side divides by
-    # zero there; probe-c0 exited 1 with the exception's type name
+    # zero there; probe-c0 exited 1 with the exception's type name, and a
+    # sweep cell recorded that type name in place of the line solve prints
     doc = {
         "system": "dancer_wang",
         "ansatz": {"d": [10**20], "p": [2], "q": [-2]},
@@ -1346,6 +1349,10 @@ def test_a_failing_launch_exits_70_alike_under_solve_and_probe(command, tmp_path
         "error: integration failed: the right-hand side fails at the launch state"
         " t = 1.0000000000000002e-304 (float division by zero); check the sizes in 'initial'\n"
     )
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--config", args[1], "--grid", "C=-1:-1:1", "--out", out]) == 1
+    errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
+    assert errors == {"cell_0000": err.removeprefix("error: ").rstrip("\n")}
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -1397,6 +1404,17 @@ class TestCurvature:
         path = str(decomposition_path("hopf_sp1_sp2.json"))
         assert main(["curvature", "--decomposition", path, "--x", x]) == 64
         assert capsys.readouterr().err == "error: metric scalings must be finite and strictly positive\n"
+
+    @pytest.mark.parametrize(
+        "x, entry",
+        [("a,1", "--x[0] must be a number, got 'a'"), ("1,", "--x[1] must be a number, got ''")],
+        ids=["a,1", "1,"],
+    )
+    def test_an_entry_that_is_not_a_number_names_its_place(self, capsys, x, entry):
+        # exited 64 with float()'s message, naming neither --x nor the entry
+        path = str(decomposition_path("hopf_sp1_sp2.json"))
+        assert main(["curvature", "--decomposition", path, "--x", x]) == 64
+        assert capsys.readouterr().err == f"error: {entry}\n"
 
     @pytest.mark.parametrize(
         "part, key, value, message",

@@ -295,8 +295,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="initial"):
             ProblemSpec(HOPF, 0.0, -1.0, (1.0, 2.0))
         spec = ProblemSpec(HOPF, 0.0, -1.0, (1.0,))
-        assert spec.d_S == 3 and spec.orbit_dim == 7
-        assert ProblemSpec(DW1, 0.0, -1.0, (1.0,)).d_S == 1
+        assert spec.ansatz.dims[0] == 3 and spec.orbit_dim == 7
+        assert ProblemSpec(DW1, 0.0, -1.0, (1.0,)).ansatz.dims[0] == 1
 
 
 def float_bits(values) -> bytes:
