@@ -38,6 +38,11 @@ class ProbeRangeError(RuntimeError):
     """No sampled conservation constant reached the probe's slope target."""
 
 
+class LaneLost(RuntimeError):
+    """A lane's child (``_beside``) ended before it gave a result: it was
+    killed, or it ran out of memory, say."""
+
+
 def _read_json(source, what: str) -> dict:
     """The JSON object in ``source``, a path or a file object; a dict is
     taken as read.  A file that cannot be opened, bytes that are not UTF-8
@@ -129,7 +134,7 @@ def _beside(fn):
     ``lane.ask(x)`` sends x, and ``lane.answer()`` waits for the oldest
     unanswered result and returns it, or raises the exception ``fn``
     raised; both go through pipes, pickled.  Once the child is gone,
-    ``answer`` reaps it and raises ``RuntimeError``.  Leaving the block
+    ``answer`` reaps it and raises ``LaneLost``.  Leaving the block
     reaps the child, which is killed first if the block raised.
     ``lane.pid`` is the child's pid, or None where no child is to be had:
     no ``os.fork``, or an ``OSError`` from the fork or its pipes (a full
@@ -204,7 +209,7 @@ def _beside(fn):
                     if not ok:
                         raise value
                     return value
-            raise RuntimeError(f"the child process ended with no result (wait status {ended})")
+            raise LaneLost(f"the child process ended with no result (wait status {ended})")
 
         try:
             yield SimpleNamespace(pid=pid, ask=ask, answer=answer)

@@ -6,10 +6,11 @@ Exit codes: 0 success or matched expectation (and --help, --version),
 admissible constant, 64 unreadable or malformed config or decomposition
 file, or malformed command line (argparse's usage errors included), 65
 decomposition validation failure (symmetry, sign or the Wang-Ziller
-identity), 70 integrator failure.  One table, ``_failure``, turns an
-exception into its exit code and its one line of text: ``main`` prints
-that line after ``error: `` for every command, and a sweep records it for
-each failed cell in ``sweep_errors.json``.
+identity), 70 integrator failure, 71 a lane's child process that ended
+with no result (killed, or out of memory, say).  One table,
+``_failure``, turns an exception into its exit code and its one line of
+text: ``main`` prints that line after ``error: `` for every command, and
+a sweep records it for each failed cell in ``sweep_errors.json``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import os
 import sys
 
-from . import ConfigError, ProbeRangeError, __version__, _beside, _fmt, _read_json
+from . import ConfigError, LaneLost, ProbeRangeError, __version__, _beside, _fmt, _read_json
 
 # each command imports what it runs: the solver modules (runio, monitors and
 # what they load) for solve, sweep and probe-c0, geometry for curvature, so
@@ -35,6 +36,7 @@ EX_NO_ADMISSIBLE_C = 3
 EX_CONFIG = 64
 EX_DATA = 65
 EX_SOLVER = 70
+EX_OSERR = 71
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
@@ -44,6 +46,8 @@ def _failure(exc: Exception) -> tuple[int, str]:
         return EX_CONFIG, str(exc)
     if isinstance(exc, ProbeRangeError):
         return EX_NO_ADMISSIBLE_C, str(exc)
+    if isinstance(exc, LaneLost):
+        return EX_OSERR, f"lane lost: {exc}"
     if isinstance(exc, (ArithmeticError, RuntimeError)):
         return EX_SOLVER, f"integration failed: {exc}"
     return EX_ERROR, f"{type(exc).__name__}: {exc}"
@@ -168,7 +172,7 @@ def cmd_sweep(args) -> int:
         for lane, mine in zip(lanes, share[1:]):
             try:
                 outcomes.update(zip(mine, lane.answer()))
-            except RuntimeError as exc:  # the child ended before its answer
+            except LaneLost as exc:  # the child ended before its answer
                 for i in mine:  # the cells it finished wrote their manifests
                     try:
                         with open(manifest_of(i), encoding="utf-8") as fh:

@@ -533,11 +533,17 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
         f = call(t, y)
         if not all(map(math.isfinite, f)):
             raise FloatingPointError("a component is not finite")
-        h = min(_initial_step(call, t, y, f, rtol, atol), cfg.t_max - t)
     except _STAGE_ERRORS as exc:
         raise ArithmeticError(
             f"the right-hand side fails at the launch state t = {t!r} ({exc});"
             " check the sizes in 'initial'"
+        ) from exc
+    try:
+        h = min(_initial_step(call, t, y, f, rtol, atol), cfg.t_max - t)
+    except _STAGE_ERRORS as exc:
+        raise ArithmeticError(
+            f"the starting step at t = {t!r} cannot be chosen ({exc})"
+            f" with integrator.abs_tol = {atol!r} and integrator.rel_tol = {rtol!r}"
         ) from exc
     # one flat buffer per sampled quantity, n values per sample
     ts, ys, dys, dense = array("d", [t]), array("d", y), array("d", f), array("d")

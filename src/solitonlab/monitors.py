@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from . import ProbeRangeError, Report, _beside, _fmt, _lanes
+from . import LaneLost, ProbeRangeError, Report, _beside, _fmt, _lanes
+from .launch import launch
 from .systems import (
     ProblemSpec,
     TwoSummandsAnsatz,
@@ -35,7 +36,8 @@ __all__ = [
     "conservation_report", "OmegaReport", "two_summands_omega_monitor", "DWBoundReport",
     "dw_apriori_monitor", "LppBoundReport", "lpp_bound_monitor", "KahlerReport", "kahler_report",
     "charts_agree", "Verdict", "VERDICTS", "classify_completeness", "GrowthProbeReport",
-    "growth_probe", "ProbeRangeError", "curvature_budget_at_launch",
+    "growth_probe", "ProbeRangeError", "curvature_budget_at_launch", "comparison_ode_closed_form",
+    "comparison_threshold", "growth_estimate",
 ]
 
 _LOCUS_TOL = 1e-7  # both locus ratios this close to 1: the Einstein locus
@@ -43,7 +45,7 @@ _L_NONZERO_TOL = 1e-12  # every |fdot_i / f_i| below this: a steady run skips co
 _MAX_T0_GRID = 256  # most grid times the windowed lower bound is checked at
 _OMEGA_TOL = 1e-6  # relative slack on the two-summands ratio-slope cap
 _KAHLER_TOL = 1e-6  # largest Kaehler residual still on the locus
-_C_START = -0.125  # the growth probe's first grid point
+_C_START = -0.125  # the growth probe's weakest grid point, where its scan starts
 _C_LIMIT = -1e9  # the probe's scan gives up at or below this C
 _BRACKET_REL = 0.01  # the relative width the probe's bracket is bisected to
 
@@ -504,14 +506,15 @@ class GrowthProbeReport(Report):
     n_rhs: int
     lanes: int
     n_unused: int
+    C0_estimate: float | None
+    start: float
+    estimate_holds: bool | None
 
 
 def curvature_budget_at_launch(spec: ProblemSpec, delta: float | None = None) -> float:
     """The trace of the Killing-type curvature budget at the launch slice:
     sum A_i / f_i^2 for the two-summands system, sum d_i p_i / g_i(0)^2 for
     circle bundles (the warped factor contributing d2 (d2 - 1) / g2(0)^2)."""
-    from .launch import launch
-
     a = flow_ansatz(spec.ansatz)
     if isinstance(a, TwoSummandsAnsatz):
         state = launch(spec, delta)
@@ -520,37 +523,127 @@ def curvature_budget_at_launch(spec: ProblemSpec, delta: float | None = None) ->
     return float(_sum([d * p / g**2 for d, p, g in zip(a.d, a.p, spec.initial)]))
 
 
+# -- the growth estimate ------------------------------------------------------------
+# While every fdot_i > 0, the identity 2 uddot = C + eps u + udot^2
+# + (tr L^2 - (tr L)^2) + tr r + (n-1) eps/2 has its bracket <= 0, tr r below
+# c_star and eps u <= 0 for C < 0, so y = udot obeys y' <= -a + y^2/2 with
+# a = -(C + c_star + (n-1) eps/2) / 2: the comparison solution from the
+# launch slice bounds -udot from below.
+
+
+def comparison_ode_closed_form(a: float, y_star: float, s_star: float, s):
+    """Solution of y' = -a + y^2/2, y(s_star) = y_star:
+    sqrt(2a) tanh(sqrt(a/2)(s_star - s) + arctanh(y_star / sqrt(2a))).
+    Requires a > 0 and -a + y_star^2/2 < 0."""
+    if a <= 0:
+        raise ValueError("comparison coefficient a must be positive")
+    if -a + y_star**2 / 2.0 >= 0:
+        raise ValueError("initial value outside the contracting branch")
+    root = np.sqrt(2.0 * a)
+    return root * np.tanh(np.sqrt(a / 2.0) * (s_star - s) + np.arctanh(y_star / root))
+
+
+def comparison_threshold(c: float, tau: float, y_star: float, s_star: float) -> float:
+    """a0(c, tau): the least a whose comparison solution from (s_star,
+    y_star) has y(tau) <= -c, bisected to adjacent floats.  y(tau) falls as
+    a grows and stays above -sqrt(2a), so a0 lies above c^2/2.  Requires
+    |y_star| < c and tau > s_star."""
+    if not (abs(y_star) < c and tau > s_star):
+        raise ValueError("the threshold needs |y_star| < c and tau > s_star")
+
+    def reached(a):
+        return comparison_ode_closed_form(a, y_star, s_star, tau) <= -c
+
+    lo = hi = c * c / 2.0
+    while not reached(hi):
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+    return float(hi)
+
+
+def growth_estimate(spec: ProblemSpec, c: float, tau: float, delta: float | None = None) -> float | None:
+    """C0(c, tau) = -2 a0 - c_star - (n-1) eps/2, the C at and below which
+    the comparison from the launch slice (``launch``: s = delta, y =
+    udot(delta)) predicts -udot(tau) >= c.  None where that is vacuous:
+    c_star carries the collapsing fibre's A1/f0^2 (about 6e6 at delta =
+    1e-3), the launch slice alone decides (|udot(delta)| >= c, or tau <=
+    delta), or C0 is not in (``_C_LIMIT``, ``_C_START``).  None too where
+    sizes out of a float's range make c_star fail: the solves report that."""
+    a = flow_ansatz(spec.ansatz)
+    if isinstance(a, TwoSummandsAnsatz) and a.A1 != 0:
+        return None
+    state = launch(spec, delta)
+    if not (abs(state.du) < c and tau > state.t):
+        return None
+    try:
+        c_star = curvature_budget_at_launch(spec, delta)
+    except ArithmeticError:
+        return None
+    a0 = comparison_threshold(c, tau, float(state.du), float(state.t))
+    C0 = -2.0 * a0 - c_star - (spec.orbit_dim - 1) * spec.epsilon / 2.0
+    return C0 if _C_LIMIT < C0 < _C_START else None
+
+
+# -- growth probe -----------------------------------------------------------------
+
+
 _WORK = ("n_accepted", "n_rejected", "n_rhs")  # a probe's work counts, summed over its solves
 
 
-def _search(c: float):
+def _start(C0: float | None) -> float:
+    """The probe's first C: the first point of its doubling grid at or below
+    the estimate C0, or ``_C_START`` where there is none above ``_C_LIMIT``."""
+    if C0 is None:
+        return _C_START
+    C = _C_START
+    while C > C0:
+        C *= 2.0
+    return C if C > _C_LIMIT else _C_START
+
+
+def _search(c: float, start: float):
     """The probe's search, as a generator: yields each C it asks for and is
-    sent -udot(tau) of the run at C, or None when the run is excluded.  It
-    doubles C from -1/8 and stops one grid point past the first C whose
-    slope reaches c.  It then bisects in log|C| between that success and
-    the weakest failing point above it until the bracket is 1% tight.
+    sent -udot(tau) of the run at C, or None when the run is excluded.
     Returns (c_fail or None, c_success), or None when no C above
     ``_C_LIMIT`` reaches c.
 
-    The first success in scan order is the weakest success of the whole
-    grid, so stopping early changes no bracket end."""
+    It scans the grid C = -1/8, -1/4, ... for the weakest success (the
+    first in scan order) and the failure nearest it, then bisects in log|C|
+    between them until the bracket is 1% tight.  A grid point ``start``
+    below -1/8 is the estimate's: where its slope reaches c, the points
+    after it, halving toward -1/8, are asked up to the first failure F, and
+    every point weaker than F is taken to fail, which holds wherever the
+    slope is monotone on the grid.  Where it does not reach c, the scan
+    runs from -1/8, reusing its outcome."""
     c_success = c_fail = None
-    C = _C_START
-    while C > _C_LIMIT:
-        s = yield C
-        if c_success is not None:
-            break  # the one point past the first success
-        if s is not None:
-            if s >= c:
-                c_success = C
-            else:
+    s_start = yield start
+    if start != _C_START and s_start is not None and s_start >= c:
+        c_success = C = start
+        while C < _C_START:
+            C /= 2.0
+            s = yield C
+            if s is None:
+                continue
+            if s < c:
                 c_fail = C
-        C *= 2.0
-    if c_success is None:
-        return None
+                break
+            c_success = C
+    else:
+        C = _C_START
+        while C > _C_LIMIT:
+            s = s_start if C == start else (yield C)
+            if s is not None:
+                if s >= c:
+                    c_success = C
+                    break
+                c_fail = C
+            C *= 2.0
+        if c_success is None:
+            return None
     if c_fail is not None:
         while (c_fail - c_success) > _BRACKET_REL * abs(c_success):
-            mid = -np.sqrt(c_fail * c_success)  # geometric midpoint, both negative
+            mid = -math.sqrt(c_fail * c_success)  # geometric midpoint, both negative
             s = yield mid
             if s is None:
                 break
@@ -561,16 +654,16 @@ def _search(c: float):
     return c_fail, c_success
 
 
-def _guess(outcomes: dict, C, c: float) -> float:
-    """A slope for C before its solve ends: below c while no run has
-    reached c.  After that, above c exactly when |C| lies at or beyond
-    where the line through the weakest success and the strongest failure
-    weaker than it crosses c, in (log|C|, slope).  A wrong guess costs a
-    solve, never a result."""
+def _guess(outcomes: dict, C, c: float, start: float) -> float:
+    """A slope for C before its solve ends: above c at the estimate's
+    ``start``, below c elsewhere while no run has reached c.  After that,
+    above c exactly when |C| lies at or beyond where the line through the
+    weakest success and the strongest failure weaker than it crosses c, in
+    (log|C|, slope).  A wrong guess costs a solve, never a result."""
     known = [(abs(k), o[0]) for k, o in outcomes.items() if isinstance(o, tuple) and o[0] is not None]
     successes = [x for x in known if x[1] >= c]
     if not successes:
-        return -math.inf
+        return math.inf if C == start != _C_START else -math.inf
     x1, s1 = min(successes)
     crossing = math.log(x1)
     failures = [x for x in known if x[0] < x1]  # each below c: x1 is the weakest success
@@ -580,10 +673,10 @@ def _guess(outcomes: dict, C, c: float) -> float:
     return math.inf if math.log(abs(C)) >= crossing else -math.inf
 
 
-def _next_request(slopes: list, c: float):
-    """The C a fresh search asks for once sent ``slopes`` in order; None
-    when it would then end."""
-    search = _search(c)
+def _next_request(slopes: list, c: float, start: float):
+    """The C a fresh search from ``start`` asks for once sent ``slopes`` in
+    order; None when it would then end."""
+    search = _search(c, start)
     C = next(search)
     try:
         for s in slopes:
@@ -603,10 +696,13 @@ def growth_probe(
 ) -> GrowthProbeReport:
     """Bracket the weakest conservation constant driving -udot(tau) >= c.
 
-    Runs ``_search`` with one solve per C it asks for; with no success
-    above ``_C_LIMIT`` it raises ``ProbeRangeError``.  A run that ends
-    before tau or leaves the shape row (``margins["shape_exit"]``, which
-    leaves a flat warped circle's fixed g2 out) is excluded and reported.
+    Runs ``_search`` with one solve per C it asks for, from the grid point
+    the estimate ``growth_estimate`` predicts (``_start``); with no success
+    above ``_C_LIMIT`` it raises ``ProbeRangeError``.  ``estimate_holds``
+    says whether the run at that start reached c (None where the search
+    started at ``_C_START``).  A run that ends before tau or leaves the
+    shape row (``margins["shape_exit"]``, which leaves a flat warped
+    circle's fixed g2 out) is excluded and reported.
 
     With two lanes (``_lanes``, and a lane that got its child), a forked
     child (see ``_beside``) solves the C the search will ask for next,
@@ -632,9 +728,11 @@ def growth_probe(
             return None, work
         return float(-t.du[-1]), work
 
+    C0 = growth_estimate(spec, c, tau, delta)
+    start = _start(C0)
     outcomes: dict = {}  # C -> outcome(C), made in either lane
     asked, sent = [], []  # the C values the search asked for and the slopes it was sent
-    search = _search(c)
+    search = _search(c, start)
     with _beside(outcome) if _lanes() == 2 else contextlib.nullcontext() as lane:
         lane = lane if getattr(lane, "pid", None) else None  # a lane without a child is none
         lanes = 1 if lane is None else 2
@@ -647,12 +745,12 @@ def growth_probe(
                 if C not in outcomes and in_flight is not None:
                     try:
                         outcomes[in_flight] = lane.answer()
-                    except RuntimeError:
+                    except LaneLost:
                         lane = None  # the child is gone: go on alone
                     in_flight = None
                 if C not in outcomes:
                     if lane is not None:
-                        in_flight = _next_request([*sent, _guess(outcomes, C, c)], c)
+                        in_flight = _next_request([*sent, _guess(outcomes, C, c, start)], c, start)
                         if in_flight in outcomes:
                             in_flight = None
                         elif in_flight is not None:
@@ -666,7 +764,7 @@ def growth_probe(
         except StopIteration as stop:
             found = stop.value
         if in_flight is not None:  # a guess the search did not follow
-            with contextlib.suppress(RuntimeError):
+            with contextlib.suppress(LaneLost):
                 outcomes[in_flight] = lane.answer()
     asked = dict.fromkeys(asked)  # a midpoint on an excluded grid point is asked twice
     if found is None:
@@ -679,6 +777,10 @@ def growth_probe(
     slopes = [s for _, s in ordered]
     monotone = all(a >= b - 1e-12 for a, b in zip(slopes, slopes[1:]))
     work = map(sum, zip(*(outcomes[C][1] for C in asked)))
+    holds = None  # no estimate to hold
+    if start != _C_START:
+        s = outcomes[start][0]
+        holds = s is not None and s >= c
     return GrowthProbeReport(
         anchor="empirical threshold on the conservation constant prescribing the potential's slope",
         c=float(c),
@@ -693,4 +795,7 @@ def growth_probe(
         **dict(zip(_WORK, work)),
         lanes=lanes,
         n_unused=len(outcomes) - len(asked),
+        C0_estimate=C0,
+        start=start,
+        estimate_holds=holds,
     )

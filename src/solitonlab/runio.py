@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import (
-    ConfigError, Report, __version__, _beside, _field, _fmt, _lanes, _need, _only, _read_json, codegen,
+    ConfigError, LaneLost, Report, __version__, _beside, _field, _fmt, _lanes, _need, _only, _read_json,
+    codegen,
 )
 from . import monitors as mon
 from .integrator import IntegrationResult
@@ -300,7 +301,7 @@ def _csv_stream(path: str, spec: ProblemSpec, delta: float):
             try:
                 for _ in range(parent.asked):
                     timings = parent.lane.answer()  # the last one's
-            except RuntimeError:  # the child is gone: write here
+            except LaneLost:  # the child is gone: write here
                 pass
             else:
                 os.replace(parent.tmp, path)

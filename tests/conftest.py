@@ -9,6 +9,7 @@ import pytest
 from solitonlab.codegen import Tape, compile_function, extremum
 from solitonlab.geometry import scalar_curvature
 from solitonlab.launch import rescaled_default_delta
+from solitonlab.monitors import comparison_ode_closed_form  # the tests import it from here
 from solitonlab.rescaled import solve_rescaled
 from solitonlab.runio import load_config
 from solitonlab.systems import DancerWangAnsatz, LuPagePopeAnsatz, TwoSummandsAnsatz, flow_ansatz
@@ -52,18 +53,6 @@ def solve_both_charts(spec, t_max):
     """The physical and the compact-chart run of spec from one launch slice."""
     delta = rescaled_default_delta(spec)
     return solve_problem(spec, t_max=t_max, delta=delta), solve_rescaled(spec, t_max=t_max, delta=delta)
-
-
-def comparison_ode_closed_form(a: float, y_star: float, s_star: float, s):
-    """Solution of y' = -a + y^2/2, y(s_star) = y_star:
-    sqrt(2a) tanh(sqrt(a/2)(s_star - s) + arctanh(y_star / sqrt(2a))).
-    Requires a > 0 and -a + y_star^2/2 < 0."""
-    if a <= 0:
-        raise ValueError("comparison coefficient a must be positive")
-    if -a + y_star**2 / 2.0 >= 0:
-        raise ValueError("initial value outside the contracting branch")
-    root = np.sqrt(2.0 * a)
-    return root * np.tanh(np.sqrt(a / 2.0) * (s_star - s) + np.arctanh(y_star / root))
 
 
 def u_second_derivative_identity(state, spec):
@@ -225,7 +214,8 @@ def classify_oracle(traj):
 # the reports became ``solitonlab.Report`` records.  ``dataclasses.asdict``
 # emitted exactly these keys, defaults included, so report.json,
 # probe_report.json and the curvature check's report must keep them.  Fields
-# added since come last (the probe's ``lanes`` and ``n_unused``).
+# added since come last (the probe's ``lanes``, ``n_unused``, ``C0_estimate``,
+# ``start`` and ``estimate_holds``).
 
 REPORT_FIELDS = {
     name: tuple(fields.split())
@@ -247,7 +237,8 @@ REPORT_FIELDS = {
         "LppBoundReport": "anchor bound max_omega1_sq ok",
         "KahlerReport": "anchor max_abs_residual per_factor_max on_locus",
         "GrowthProbeReport": "anchor c tau c_star empirical_C0 bracket samples excluded "
-        "monotone n_solves n_accepted n_rejected n_rhs lanes n_unused",
+        "monotone n_solves n_accepted n_rejected n_rhs lanes n_unused C0_estimate start "
+        "estimate_holds",
         "Verdict": "kind t_star reasons note",
         "ValidationReport": "symmetry_violations negativity_violations wang_ziller_residuals",
         "LocusResiduals": "anchor einstein_linear einstein_quadratic kahler_square "

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from solitonlab import _beside, _lanes
+from solitonlab import LaneLost, _beside, _lanes
 
 
 def _no_child_left():
@@ -75,12 +75,12 @@ def test_a_child_that_exits_mid_request_is_reaped_and_named():
             lane.ask(x)
         assert lane.answer() == 1
         message = r"the child process ended with no result \(wait status 1280\)"
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(LaneLost, match=message):
             lane.answer()
         _no_child_left()  # reaped by the answer that found it gone
         # a request to the child gone is not an error; its answer is
         lane.ask(4)
-        with pytest.raises(RuntimeError, match=message):
+        with pytest.raises(LaneLost, match=message):
             lane.answer()
     _no_child_left()
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solitonlab import ProbeRangeError, runio
+from solitonlab import LaneLost, ProbeRangeError, runio
 from solitonlab.cli import main
 from solitonlab.runio import ConfigError, _fmt, load_config
 
@@ -914,7 +914,7 @@ class TestSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
         errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
-        message = "integration failed: the child process ended with no result (wait status 768)"
+        message = "lane lost: the child process ended with no result (wait status 768)"
         assert errors == {"cell_0001": message}
         rows = [row.split(",")[2] for row in (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()[1:]]
         assert rows == ["numerically_complete", "error", "numerically_complete"]
@@ -940,7 +940,7 @@ class TestSweep:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
         errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
-        assert errors == {"cell_0003": "integration failed: the child process ended with no result (wait status 768)"}
+        assert errors == {"cell_0003": "lane lost: the child process ended with no result (wait status 768)"}
         rows = [row.split(",")[2] for row in (tmp_path / "sw/sweep_summary.csv").read_text().splitlines()[1:]]
         assert rows == ["numerically_complete"] * 3 + ["error"]
 
@@ -1189,7 +1189,7 @@ class TestProbe:
         assert main(["probe-c0", "--config", cfg, "--c", "2", "--tau", "0.25", "--out", str(out)]) == 0
         report = json.loads((out / "probe_report.json").read_text())
         assert report["bracket"] == [-17.733894587578856, -17.83018788153428]
-        assert (report["n_solves"], report["excluded"]) == (17, [])
+        assert (report["n_solves"], report["excluded"]) == (9, [])
 
     @pytest.mark.parametrize(
         "changes, tau, offset",
@@ -1255,7 +1255,7 @@ class TestFailedFork:
         assert main(["probe-c0", "--config", cfg, "--c", "5", "--tau", "0.5", "--out", str(out)]) == 0
         report = json.loads((out / "probe_report.json").read_text())
         assert report["bracket"] == [-34.14849282165835, -34.33391576083122]
-        assert (report["n_solves"], report["n_rhs"], report["lanes"], report["n_unused"]) == (18, 17034, 1, 0)
+        assert (report["n_solves"], report["n_rhs"], report["lanes"], report["n_unused"]) == (9, 8952, 1, 0)
         _nothing_left(tmp_path)
 
     def test_a_chart_both_solve_writes_the_forked_bytes(self, tmp_path, monkeypatch):
@@ -1308,9 +1308,11 @@ _COMMANDS = {
         (ArithmeticError("float division by zero"), 70, "error: integration failed: float division by zero"),
         (RuntimeError("no step size left"), 70, "error: integration failed: no step size left"),
         (ProbeRangeError("no admissible C in (-1, -0.125]"), 3, "error: no admissible C in (-1, -0.125]"),
+        (LaneLost("the child process ended with no result (wait status 9)"), 71,
+         "error: lane lost: the child process ended with no result (wait status 9)"),
         (KeyError("C"), 1, "error: KeyError: 'C'"),
     ],
-    ids=["config", "arithmetic", "runtime", "probe range", "other"],
+    ids=["config", "arithmetic", "runtime", "probe range", "lane lost", "other"],
 )
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_main_gives_each_command_one_exit_code_per_failure(command, error, code, line, capsys, monkeypatch):
@@ -1353,6 +1355,19 @@ def test_a_failing_launch_exits_70_alike_under_solve_and_probe(command, tmp_path
     assert main(["sweep", "--config", args[1], "--grid", "C=-1:-1:1", "--out", out]) == 1
     errors = json.loads((tmp_path / "sw/sweep_errors.json").read_text())
     assert errors == {"cell_0000": err.removeprefix("error: ").rstrip("\n")}
+
+
+def test_a_starting_step_that_fails_names_the_tolerances(tmp_path, capsys):
+    # an abs_tol of 1e-300 makes the starting step's trial divide by zero; the
+    # right-hand side is fine, so the line names the tolerances, not 'initial'
+    doc = json.loads(config_path("ts_exit_einstein.json").read_text())
+    doc["integrator"]["abs_tol"] = 1e-300
+    cfg = write_json(tmp_path, "c.json", doc)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 70
+    assert capsys.readouterr().err == (
+        "error: integration failed: the starting step at t = 0.001 cannot be chosen (float division"
+        " by zero) with integrator.abs_tol = 1e-300 and integrator.rel_tol = 1e-11\n"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])

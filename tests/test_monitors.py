@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from solitonlab import monitors as M
 from solitonlab.integrator import IntegrationResult
+from solitonlab.launch import launch
 from solitonlab.runio import ConfigError, load_config
 from solitonlab.systems import (
     DancerWangAnsatz,
@@ -154,6 +155,103 @@ class TestPredicatesAndClosedForm:
         a0 = hi
         assert met(1.01 * a0) and met(2 * a0) and met(10 * a0)
         assert not met(0.99 * a0)
+
+    @pytest.mark.parametrize(
+        "c, tau, y_star, s_star",
+        [(5.0, 0.5, -5e-5, 1e-4), (2.0, 1.0, 0.0, 0.0), (20.0, 0.2, -2.5e-3, 1e-3), (1.0, 3.0, -0.3, 0.1),
+         (0.5, 2.0, 0.4, 0.0)],
+    )
+    def test_comparison_threshold_is_the_riccati_threshold(self, c, tau, y_star, s_star):
+        # the Riccati ODE itself, integrated by scipy, reaches -c at tau from
+        # a0 and misses it just below
+        integrate = pytest.importorskip("scipy.integrate")
+        a0 = M.comparison_threshold(c, tau, y_star, s_star)
+
+        def y_at_tau(a):
+            sol = integrate.solve_ivp(
+                lambda s, y: [-a + y[0] ** 2 / 2.0], (s_star, tau), [y_star], rtol=1e-12, atol=1e-14
+            )
+            return sol.y[0, -1]
+
+        assert a0 > c * c / 2.0
+        assert y_at_tau(a0) == pytest.approx(-c, rel=1e-9)
+        assert y_at_tau(a0 * (1.0 - 1e-6)) > -c > y_at_tau(a0 * (1.0 + 1e-6))
+        assert comparison_ode_closed_form(a0, y_star, s_star, tau) <= -c
+        assert comparison_ode_closed_form(np.nextafter(a0, 0.0), y_star, s_star, tau) > -c
+
+    def test_comparison_threshold_preconditions(self):
+        for c, tau, y_star, s_star in [(1.0, 1.0, -1.0, 0.0), (1.0, 1.0, 2.0, 0.0), (1.0, 0.5, 0.0, 0.5)]:
+            with pytest.raises(ValueError, match="needs"):
+                M.comparison_threshold(c, tau, y_star, s_star)
+
+
+class TestGrowthEstimate:
+    def test_estimate_on_the_probe_config(self, shipped_runs):
+        # C0 = -2 a0 - c_star - (n - 1) eps / 2, with a0 from the launch slice
+        spec = shipped_runs["ts_probe_d1.json"].spec
+        state = launch(spec)
+        a0 = M.comparison_threshold(5.0, 0.5, float(state.du), state.t)
+        C0 = M.growth_estimate(spec, 5.0, 0.5)
+        assert C0 == -2.0 * a0 - M.curvature_budget_at_launch(spec) - (spec.orbit_dim - 1) * spec.epsilon / 2.0
+        assert C0 == pytest.approx(-37.760776186588615, rel=1e-12)
+        assert M._start(C0) == -64.0
+
+    @pytest.mark.parametrize(
+        "name, c, tau, why",
+        [
+            ("ts_complete_steady.json", 5.0, 0.5, "A1 / f0^2 in c_star"),
+            ("ts_probe_d1.json", 5.0, 1e-5, "tau at the launch slice"),
+            ("ts_probe_d1.json", 4e-5, 0.5, "the launch slice reaches c"),
+            ("ts_probe_d1.json", 1e5, 0.5, "C0 at or below the limit"),
+        ],
+    )
+    def test_a_vacuous_estimate_is_none(self, shipped_runs, name, c, tau, why):
+        assert M.growth_estimate(shipped_runs[name].spec, c, tau) is None, why
+
+    def test_no_start_or_one_past_the_limit_is_the_scan_start(self):
+        assert M._start(None) == -0.125
+        # C0 in (-1e9, -0.125 * 2^32): its grid point -0.125 * 2^33 is past the limit
+        assert M._start(-0.125 * 2.0**32) == -0.125 * 2.0**32
+        assert M._start(-0.125 * 2.0**32 - 1.0) == -0.125
+        assert M._start(-0.25) == -0.25 and M._start(-0.2) == -0.25
+
+    @pytest.mark.parametrize("name", ["ts_probe_d1.json", "dw_e0_c1.json", "lpp_complete_steady.json"])
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(c=st.floats(1.0, 50.0), tau=st.floats(0.1, 3.0))
+    def test_the_estimate_keeps_the_scan_bracket_with_no_more_solves(self, name, c, tau):
+        """Where the estimate's start reaches c, the walk from it gives the
+        bracket of the search started at -1/8, bit for bit; for targets c
+        of 1 and above it never takes more solves."""
+        cfg = load_config(json.loads(config_path(name).read_text()))
+        tols = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, delta=cfg.launch_delta)
+        probe = dict(spec=cfg.spec, c=c, tau=tau, **tols)
+        rep = _one_lane(**probe)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "growth_estimate", lambda *args: None)
+            scan = _one_lane(**probe)
+        assert rep.C0_estimate is not None and rep.estimate_holds
+        assert (scan.start, scan.estimate_holds) == (-0.125, None)
+        assert rep.bracket == scan.bracket
+        assert rep.n_solves <= scan.n_solves
+
+    def test_a_vacuous_estimate_keeps_todays_scan(self, shipped_runs):
+        cfg = shipped_runs["ts_complete_steady.json"]
+        rep = _one_lane(spec=cfg.spec, c=5.0, tau=0.5)
+        assert (rep.C0_estimate, rep.start, rep.estimate_holds) == (None, -0.125, None)
+        assert rep.bracket == (-62.96867914346162, -63.31059284441443)
+        assert rep.n_solves == 17
+
+    def test_an_estimate_that_fails_falls_back_to_the_scan(self, shipped_runs, monkeypatch, tmp_path):
+        # an estimate of -2 starts the search at -2, which fails at c = 5;
+        # the scan from -1/8 then reuses its outcome
+        spec = shipped_runs["ts_probe_d1.json"].spec
+        monkeypatch.setattr(M, "growth_estimate", lambda *args: -1.5)
+        solved = TestGrowthProbe._count_solves(monkeypatch, tmp_path / "solves")
+        rep = _one_lane(spec=spec, c=5.0, tau=0.5)
+        Cs = [C for C, *_ in solved()]
+        assert Cs[:2] == [-2.0, -0.125] and len(Cs) == len(set(Cs)) == rep.n_solves
+        assert (rep.C0_estimate, rep.start, rep.estimate_holds) == (-1.5, -2.0, False)
+        assert rep.bracket == (-34.14849282165835, -34.33391576083122)
 
 
 class TestLocus:
@@ -534,12 +632,13 @@ class TestGrowthProbe:
         df = traj.df[:, :-1] if flat_circle else traj.df
         excluded = not traj.reached_horizon or not np.all(df > 0.0)
 
-        def ask_once(c):
+        def ask_once(c, start):
             """A search that asks for C alone."""
             yield C
             return None, C
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "growth_estimate", lambda *args: None)
             mp.setattr(M, "_search", ask_once)
             mp.delattr(os, "fork")
             rep = M.growth_probe(cfg.spec, c=1.0, tau=tau, **tols)
@@ -574,12 +673,36 @@ class TestGrowthProbe:
         self, shipped_runs, tmp_path_factory, nodes, holes, c, guess
     ):
         """On slopes that need not be monotone, with excluded runs around some
-        grid points (a bisection midpoint can land on one), the probe returns
-        the full scan's bracket and a subset of its samples, and two lanes
-        return the one-lane report.  The slopes here are linear in log|C|
-        between grid points, as ``_guess`` interpolates them, so its guesses
-        hold; a guess fixed at failure or at success sends the child C values
-        the search does not ask for."""
+        grid points (a bisection midpoint can land on one), the probe started
+        at -1/8 returns the full scan's bracket and a subset of its samples,
+        and two lanes return the one-lane report.  The slopes here are
+        linear in log|C| between grid points, as ``_guess`` interpolates
+        them, so its guesses hold; a guess fixed at failure or at success
+        sends the child C values the search does not ask for."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "growth_estimate", lambda *args: None)
+            self._check_full_scan_bracket(shipped_runs, tmp_path_factory, nodes, holes, c, guess)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        nodes=st.lists(st.floats(0.0, 10.0), min_size=34, max_size=34).map(sorted),
+        holes=st.sets(st.integers(0, 33), max_size=6),
+        c=st.floats(0.5, 9.5),
+        guess=st.sampled_from([None, -math.inf, math.inf]),
+    )
+    def test_a_start_from_the_estimate_keeps_the_full_scan_bracket_on_monotone_slopes(
+        self, shipped_runs, tmp_path_factory, nodes, holes, c, guess
+    ):
+        """As above, with slopes that grow with |C| and the search started
+        where ``growth_estimate`` points on ts_probe_d1 (-8 to -128 for these
+        c): where the start reaches c the walk toward -1/8 finds the full
+        scan's bracket, and where it does not the scan runs from -1/8."""
+        self._check_full_scan_bracket(shipped_runs, tmp_path_factory, nodes, holes, c, guess)
+
+    @staticmethod
+    def _check_full_scan_bracket(shipped_runs, tmp_path_factory, nodes, holes, c, guess):
+        """The probe on fake slopes, interpolated between ``nodes`` at the
+        grid points and excluded around ``holes``, against the full scan."""
         spec = shipped_runs["ts_probe_d1.json"].spec
         log = tmp_path_factory.mktemp("solves") / "solves"
 
@@ -609,14 +732,18 @@ class TestGrowthProbe:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "solve_problem", fake_solve)
             if guess is not None:
-                mp.setattr(M, "_guess", lambda outcomes, C, c: guess)
+                mp.setattr(M, "_guess", lambda outcomes, C, c, start: guess)
             if want is None:
+                # the whole grid above the limit, each point once; a guessed
+                # success sends the child bisection midpoints besides
+                grid = {-0.125 * 2.0**k for k in range(33)}
                 with pytest.raises(M.ProbeRangeError):
                     M.growth_probe(spec, c=c, tau=0.5)
-                assert len(solved()) == 33
+                two_lanes = solved()
+                assert len(two_lanes) == len(set(two_lanes)) and grid <= set(two_lanes)
                 with pytest.raises(M.ProbeRangeError):
                     _one_lane(spec=spec, c=c, tau=0.5)
-                assert len(solved()) == 33
+                assert sorted(solved()) == sorted(grid)
                 return
             rep = M.growth_probe(spec, c=c, tau=0.5)
             two_lanes = solved()
@@ -632,22 +759,22 @@ class TestGrowthProbe:
         assert rep.n_rhs == 6 * rep.n_solves
         _same_report(rep, one)
 
-    def test_probe_scan_stops_one_point_past_first_success(self, shipped_runs, monkeypatch, tmp_path):
+    def test_probe_walks_from_the_estimate_to_the_first_failure(self, shipped_runs, monkeypatch, tmp_path):
         spec = shipped_runs["ts_probe_d1.json"].spec
         solved = self._count_solves(monkeypatch, tmp_path / "solves")
         rep = M.growth_probe(spec, c=5.0, tau=0.5)
         lines = solved()
         Cs = [C for C, *_ in lines]
-        # grid -0.125 ... -128 (first success -64, one point past it), then 7
-        # midpoints; in two lanes every solve the child made was asked for
-        assert len(Cs) == 18 and rep.n_unused == 0
-        grid = {-0.125 * 2.0**k for k in range(11)}
-        assert grid <= set(Cs) and all(-64.0 < C < -32.0 for C in set(Cs) - grid)
+        # the estimate -37.76 starts the search at -64, a success; -32 fails,
+        # then 7 midpoints; in two lanes every solve the child made was asked for
+        assert (rep.C0_estimate, rep.start, rep.estimate_holds) == (-37.760776186588615, -64.0, True)
+        assert len(Cs) == 9 and rep.n_unused == 0
+        assert {-64.0, -32.0} <= set(Cs) and all(-64.0 < C < -32.0 for C in set(Cs) - {-64.0, -32.0})
         assert rep.bracket == (-34.14849282165835, -34.33391576083122)
         assert rep.excluded == []
         assert sorted(C for C, _ in rep.samples) == sorted(Cs)
-        assert rep.n_solves == 18
-        assert (rep.n_accepted, rep.n_rejected, rep.n_rhs) == (2802, 31, 17034)
+        assert rep.n_solves == 9
+        assert (rep.n_accepted, rep.n_rejected, rep.n_rhs) == (1471, 18, 8952)
         _, *counts = zip(*lines)
         assert [rep.n_accepted, rep.n_rejected, rep.n_rhs] == [int(sum(col)) for col in counts]
 
@@ -665,7 +792,7 @@ class TestGrowthProbe:
         one_lane = solved()
         _same_report(two, one)
         if case == "lpp flat circle":
-            assert two.bracket == (-17.733894587578856, -17.83018788153428) and two.n_solves == 17
+            assert two.bracket == (-17.733894587578856, -17.83018788153428) and two.n_solves == 9
         # the same solves with the same counts, in whatever order the lanes made them
         assert len(two_lanes) == two.n_solves + two.n_unused and len(one_lane) == two.n_solves
         assert not collections.Counter(one_lane) - collections.Counter(two_lanes)
@@ -678,7 +805,7 @@ class TestGrowthProbe:
         # again in this process, has its slope and conserves within budget
         spec = shipped_runs["ts_probe_d1.json"].spec
         rep = M.growth_probe(spec, c=5.0, tau=0.5)
-        assert len(rep.samples) == 18
+        assert len(rep.samples) == 9
         for C, slope in rep.samples:
             traj = solve_problem(spec.with_C(C), t_max=0.5)
             assert float(-traj.du[-1]) == slope
@@ -699,7 +826,7 @@ class TestGrowthProbe:
             return solve(spec, *args, **kwargs)
 
         monkeypatch.setattr(M, "solve_problem", raising)
-        monkeypatch.setattr(M, "_guess", lambda outcomes, C, c: -math.inf)
+        monkeypatch.setattr(M, "_guess", lambda outcomes, C, c, start: -math.inf)
         two = M.growth_probe(spec, c=5.0, tau=0.5)
         raised = _lines(tmp_path / "raised")
         assert M._lanes() == 1 or (len(raised) == two.n_unused > 0)
@@ -707,22 +834,23 @@ class TestGrowthProbe:
         _no_child_left()
 
     def test_a_solve_that_raises_where_the_search_asks_surfaces(self, shipped_runs, monkeypatch):
-        # the first bisection midpoint, solved by the child
+        # the point after the start -64, solved by the child, and the first
+        # bisection midpoint, solved by this process
         spec = shipped_runs["ts_probe_d1.json"].spec
         solve = M.solve_problem
-        midpoint = -float(np.sqrt(32.0 * 64.0))
+        for raised in (-32.0, -math.sqrt(32.0 * 64.0)):
 
-        def raising(spec, *args, **kwargs):
-            if spec.C == midpoint:
-                raise ArithmeticError("midpoint")
-            return solve(spec, *args, **kwargs)
+            def raising(spec, *args, **kwargs):
+                if spec.C == raised:
+                    raise ArithmeticError(f"solve at {raised}")
+                return solve(spec, *args, **kwargs)
 
-        monkeypatch.setattr(M, "solve_problem", raising)
-        with pytest.raises(ArithmeticError, match="midpoint"):
-            M.growth_probe(spec, c=5.0, tau=0.5)
-        _no_child_left()
-        with pytest.raises(ArithmeticError, match="midpoint"):
-            _one_lane(spec=spec, c=5.0, tau=0.5)
+            monkeypatch.setattr(M, "solve_problem", raising)
+            with pytest.raises(ArithmeticError, match=f"solve at {raised}"):
+                M.growth_probe(spec, c=5.0, tau=0.5)
+            _no_child_left()
+            with pytest.raises(ArithmeticError, match=f"solve at {raised}"):
+                _one_lane(spec=spec, c=5.0, tau=0.5)
 
     def test_a_child_that_dies_mid_probe_leaves_the_same_report(
         self, shipped_runs, monkeypatch, tmp_path
@@ -748,7 +876,7 @@ class TestGrowthProbe:
         solve, parent = M.solve_problem, os.getpid()
 
         def failing(spec, *args, **kwargs):
-            if os.getpid() == parent and spec.C == -2.0:
+            if os.getpid() == parent and spec.C == -64.0:  # the start
                 raise RuntimeError("parent solve")
             return solve(spec, *args, **kwargs)
 
