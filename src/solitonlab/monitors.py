@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from . import LaneLost, ProbeRangeError, Report, _beside, _fmt, _lanes
+from .integrator import _H_FLOOR, MAX_STEPS
 from .launch import launch
 from .systems import (
     ProblemSpec,
@@ -48,6 +49,7 @@ _KAHLER_TOL = 1e-6  # largest Kaehler residual still on the locus
 _C_START = -0.125  # the growth probe's weakest grid point, where its scan starts
 _C_LIMIT = -1e9  # the probe's scan gives up at or below this C
 _BRACKET_REL = 0.01  # the relative width the probe's bracket is bisected to
+_ROUNDS = 4  # predicted rounds of the probe's walk, and of its bisection, before it solves plainly
 
 
 # -- two-summands root structure ---------------------------------------------
@@ -448,9 +450,25 @@ VERDICTS = ("numerically_complete", "invariant_set_exit", "metric_degenerate", "
 _ENDED_EARLY = {"state_invalid": "metric_degenerate"}
 
 
+def _step_limit(traj: Trajectory) -> str:
+    """Which limit ended a step_failure run, read from its counts: the cap
+    on step attempts, or else the step floor at the last sample."""
+    r = traj.result
+    if r.n_accepted + r.n_rejected >= MAX_STEPS:
+        return f"all {MAX_STEPS} step attempts made ({r.n_accepted} accepted, {r.n_rejected} rejected)"
+    t = float(traj.ts[-1])
+    return (
+        f"the step fell below its floor 16 eps max(1, |t|) = {_H_FLOOR * max(1.0, abs(t)):.3e}"
+        f" at t = {_fmt(t)}"
+    )
+
+
 def classify_completeness(traj: Trajectory, comparison=None, compact_termination: str = "") -> Verdict:
     """Sort a finished run into numerically_complete / invariant_set_exit /
     metric_degenerate / inconclusive, with every reason it has.
+
+    A ``step_failure`` run also names the limit that ended it: the cap of
+    ``MAX_STEPS`` step attempts or the step floor.
 
     Completeness requires the horizon, the conservation residual within
     tolerance, and every row of the invariant table (strictly positive
@@ -476,7 +494,8 @@ def classify_completeness(traj: Trajectory, comparison=None, compact_termination
     if term != "reached_t_max":
         rows = {f"event:{row.event}" for row in invariants(traj.spec)}
         kind = "invariant_set_exit" if term in rows else _ENDED_EARLY.get(term, "inconclusive")
-        return Verdict(kind=kind, t_star=float(traj.ts[-1]), reasons=[term, *charts], note=_VERDICT_NOTE)
+        limit = [_step_limit(traj)] if term == "step_failure" else []
+        return Verdict(kind=kind, t_star=float(traj.ts[-1]), reasons=[term, *limit, *charts], note=_VERDICT_NOTE)
     reasons = []
     worst, tol = _conservation_budget(traj)
     if not worst <= tol:
@@ -602,37 +621,189 @@ def _start(C0: float | None) -> float:
     return C if C > _C_LIMIT else _C_START
 
 
-def _search(c: float, start: float):
+def _grid(j: int) -> float:
+    """The probe's doubling grid: -1/8, -1/4, ... at j = 0, 1, ..."""
+    return _C_START * 2.0**j
+
+
+def _root(known: dict, c: float) -> float | None:
+    """Where the interpolant of the solved slopes' squares against C
+    reaches c^2, between the weakest success and the failure next above it
+    (or 0): the line through two samples, or the parabola through the three
+    nearest those ends in log|C|.  For steady C < 0 the far field gives
+    -udot -> sqrt(-C), so (-udot)^2 is close to linear in C.  None where
+    the interpolant is degenerate: equal slopes, no finite root, or no
+    single root between those ends."""
+    samples = [(C, s) for C, s in known.items() if s is not None]
+    lo = max((C for C, s in samples if s >= c), default=None)
+    if lo is None:
+        return None
+    hi = min((C for C, s in samples if s < c and C > lo), default=0.0)
+    ends = [lo] if hi == 0.0 else [lo, hi]
+    near = sorted(samples, key=lambda p: (min(abs(math.log(p[0] / e)) for e in ends), p[0]))[:3]
+    if len(near) < 2:
+        return None
+    (C0, s0), (C1, s1) = near[:2]
+    v0, v1 = s0 * s0, s1 * s1
+    d01, rest = (v1 - v0) / (C1 - C0), c * c - v0
+    # in z = C - C0 the interpolant reaches c^2 where a z^2 + b z - rest = 0
+    a = 0.0
+    if len(near) == 3:
+        C2, s2 = near[2]
+        a = ((s2 * s2 - v1) / (C2 - C1) - d01) / (C2 - C0)
+    b = d01 + a * (C0 - C1)
+    if a == 0.0:
+        zs = [rest / b] if b != 0.0 else []
+    elif (disc := b * b + 4.0 * a * rest) < 0.0:
+        zs = []
+    else:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        zs = [q / a, -rest / q] if q != 0.0 else [0.0]
+    inside = [C0 + z for z in zs if math.isfinite(C0 + z) and lo < C0 + z < hi]
+    return inside[0] if len(inside) == 1 else None
+
+
+def _reaches(known: dict, C: float, c: float, x: float | None) -> bool:
+    """Whether the run at C is taken to reach c: by its own solve; else by
+    monotonicity, a solved success at or above C or a solved failure at or
+    below it; else by lying at or below the interpolant's root x."""
+    if known.get(C) is not None:
+        return known[C] >= c
+    if any(s is not None and s >= c and K >= C for K, s in known.items()):
+        return True
+    if any(s is not None and s < c and K <= C for K, s in known.items()):
+        return False
+    return x is not None and C <= x
+
+
+def _search(c: float, start: float, expect: dict | None = None):
     """The probe's search, as a generator: yields each C it asks for and is
     sent -udot(tau) of the run at C, or None when the run is excluded.
     Returns (c_fail or None, c_success), or None when no C above
-    ``_C_LIMIT`` reaches c.
+    ``_C_LIMIT`` reaches c.  A C it has been sent once is never asked
+    again.  ``expect``, when given, gets for each C asked whether the
+    search expects its run to reach c (``_guess``).
 
     It scans the grid C = -1/8, -1/4, ... for the weakest success (the
     first in scan order) and the failure nearest it, then bisects in log|C|
     between them until the bracket is 1% tight.  A grid point ``start``
-    below -1/8 is the estimate's: where its slope reaches c, the points
-    after it, halving toward -1/8, are asked up to the first failure F, and
-    every point weaker than F is taken to fail, which holds wherever the
-    slope is monotone on the grid.  Where it does not reach c, the scan
-    runs from -1/8, reusing its outcome."""
-    c_success = c_fail = None
-    s_start = yield start
-    if start != _C_START and s_start is not None and s_start >= c:
-        c_success = C = start
-        while C < _C_START:
-            C /= 2.0
-            s = yield C
-            if s is None:
+    below -1/8 is the estimate's.  Where its slope does not reach c, the
+    scan runs from -1/8, reusing its outcome, and so does its bisection.
+    Where it does, the search assumes the slope is monotone in C:
+
+    - The walk toward -1/8 asks for start/2, then predicts the first grid
+      failure F from the interpolant (``_root``) and asks for F and 2F back
+      to back.  A failing F and a succeeding 2F are the walk's end; every
+      grid point weaker than F is taken to fail and every one between 2F
+      and the start to succeed.
+    - Where the walk's ends are adjacent grid points, the bisection labels
+      each midpoint on its path (each ``-math.sqrt(c_fail * c_success)``
+      from the ends the labels so far give) by its own solve, by
+      monotonicity or by the interpolant (``_reaches``), and asks for the
+      two ends of the leaf so predicted, back to back.  A failing fail end
+      and a succeeding success end make that leaf the answer, the one the
+      bisection solving every midpoint reaches: the leaves partition the
+      bracket, and on a monotone slope only one has such ends.
+
+    Otherwise it predicts again with the new samples, and after
+    ``_ROUNDS`` rounds, at an excluded end or at a degenerate interpolant it
+    finishes plainly, halving toward -1/8 or bisecting, on the samples it
+    has."""
+    known: dict = {}  # C -> its run's slope, None where excluded
+
+    def ask(C, reaches=None):
+        """The slope at C, asked for unless known; ``reaches`` is what the
+        search expects of it, by default what monotonicity or the
+        interpolant gives, worked out only for ``expect``."""
+        if C not in known:
+            if expect is not None:
+                expect[C] = _reaches(known, C, c, _root(known, c)) if reaches is None else reaches
+            known[C] = yield C
+        return known[C]
+
+    def label(C):
+        """A solved run's outcome: True at a success, False at a failure,
+        None where excluded or not solved."""
+        s = known.get(C)
+        return None if s is None else s >= c
+
+    def walk(g):
+        """(F or None, S) from the grid point g's success: S the weakest
+        grid success and F the failure next above it, as halving from g
+        toward -1/8 and skipping excluded runs finds them."""
+        yield from ask(_grid(g - 1), False)
+        rounds = 0
+        while True:
+            ks = min(j for j in range(g + 1) if label(_grid(j)))
+            kf = max((j for j in range(ks) if label(_grid(j)) is False), default=-1)
+            unknown = [j for j in range(kf + 1, ks) if _grid(j) not in known]
+            if not unknown:
+                return (_grid(kf) if kf >= 0 else None), _grid(ks)
+            x = _root(known, c) if rounds < _ROUNDS else None
+            if x is None:  # halve: the next grid point not yet solved
+                rounds = _ROUNDS
+                yield from ask(_grid(max(unknown)))
                 continue
-            if s < c:
-                c_fail = C
+            rounds += 1
+            weak = [j for j in [kf, *unknown] if j >= 0 and _grid(j) > x]
+            if not weak:  # every unknown point is predicted to reach c
+                yield from ask(_grid(min(unknown)), True)
+                continue
+            k = max(weak)
+            ends = [(_grid(k), False), (_grid(k + 1), True)]
+            if all(C in known for C, _ in ends):
+                rounds = _ROUNDS
+                continue
+            for C, reaches in ends:
+                yield from ask(C, reaches)
+            if None in (known[C] for C, _ in ends):
+                rounds = _ROUNDS
+
+    def bisect(c_fail, c_success, predict):
+        """The log-bisection of (c_fail, c_success) to 1%, stopped by an
+        excluded midpoint; with ``predict``, its leaf predicted first."""
+        rounds = 0 if predict else _ROUNDS
+        while rounds < _ROUNDS:
+            x = _root(known, c)
+            if x is None:
                 break
-            c_success = C
+            rounds += 1
+            f, s = c_fail, c_success
+            while f - s > _BRACKET_REL * abs(s):
+                mid = -math.sqrt(f * s)  # geometric midpoint, both negative
+                if mid in known and known[mid] is None:
+                    break
+                if _reaches(known, mid, c, x):
+                    s = mid
+                else:
+                    f = mid
+            sf = yield from ask(f, False)
+            ss = yield from ask(s, True)
+            if sf is None or ss is None:
+                break
+            if sf < c <= ss:
+                return f, s
+        f, s = c_fail, c_success
+        while f - s > _BRACKET_REL * abs(s):
+            mid = -math.sqrt(f * s)
+            sm = yield from ask(mid)
+            if sm is None:
+                break
+            if sm >= c:
+                s = mid
+            else:
+                f = mid
+        return f, s
+
+    s_start = yield from ask(start, start != _C_START)  # the estimate's start is expected to hold
+    predict = start != _C_START and s_start is not None and s_start >= c
+    if predict:
+        c_fail, c_success = yield from walk(round(math.log2(start / _C_START)))
     else:
+        c_success = c_fail = None
         C = _C_START
         while C > _C_LIMIT:
-            s = s_start if C == start else (yield C)
+            s = yield from ask(C, False)
             if s is not None:
                 if s >= c:
                     c_success = C
@@ -641,36 +812,24 @@ def _search(c: float, start: float):
             C *= 2.0
         if c_success is None:
             return None
-    if c_fail is not None:
-        while (c_fail - c_success) > _BRACKET_REL * abs(c_success):
-            mid = -math.sqrt(c_fail * c_success)  # geometric midpoint, both negative
-            s = yield mid
-            if s is None:
-                break
-            if s >= c:
-                c_success = mid
-            else:
-                c_fail = mid
-    return c_fail, c_success
+    if c_fail is None:
+        return None, c_success
+    # an excluded grid point between the walk's ends: excluded runs may sit
+    # on the bisection's path, and only their solves would show it
+    return (yield from bisect(c_fail, c_success, predict and c_success == 2.0 * c_fail))
 
 
-def _guess(outcomes: dict, C, c: float, start: float) -> float:
-    """A slope for C before its solve ends: above c at the estimate's
-    ``start``, below c elsewhere while no run has reached c.  After that,
-    above c exactly when |C| lies at or beyond where the line through the
-    weakest success and the strongest failure weaker than it crosses c, in
-    (log|C|, slope).  A wrong guess costs a solve, never a result."""
-    known = [(abs(k), o[0]) for k, o in outcomes.items() if isinstance(o, tuple) and o[0] is not None]
-    successes = [x for x in known if x[1] >= c]
-    if not successes:
-        return math.inf if C == start != _C_START else -math.inf
-    x1, s1 = min(successes)
-    crossing = math.log(x1)
-    failures = [x for x in known if x[0] < x1]  # each below c: x1 is the weakest success
-    if failures:
-        x0, s0 = max(failures)
-        crossing = math.log(x0) + (c - s0) / (s1 - s0) * (crossing - math.log(x0))
-    return math.inf if math.log(abs(C)) >= crossing else -math.inf
+def _guess(sent: list, C, c: float, start: float) -> float:
+    """A slope for C before its solve ends: above c where a fresh search
+    from ``start``, sent ``sent``, expects the run at C to reach c, below c
+    elsewhere.  A wrong guess costs a solve, never a result."""
+    expect: dict = {}
+    search = _search(c, start, expect)
+    with contextlib.suppress(StopIteration):
+        next(search)
+        for s in sent:
+            search.send(s)
+    return math.inf if expect.get(C) else -math.inf
 
 
 def _next_request(slopes: list, c: float, start: float):
@@ -700,16 +859,21 @@ def growth_probe(
     the estimate ``growth_estimate`` predicts (``_start``); with no success
     above ``_C_LIMIT`` it raises ``ProbeRangeError``.  ``estimate_holds``
     says whether the run at that start reached c (None where the search
-    started at ``_C_START``).  A run that ends before tau or leaves the
-    shape row (``margins["shape_exit"]``, which leaves a flat warped
-    circle's fixed g2 out) is excluded and reported.
+    started at ``_C_START``).  From a start that holds, the search predicts
+    the rest of its walk and its bisection from the slopes it has, and
+    solves the two ends of each prediction.  A run that ends before tau or
+    leaves the shape row (``margins["shape_exit"]``, which leaves a flat
+    warped circle's fixed g2 out) is excluded and reported.
 
     With two lanes (``_lanes``, and a lane that got its child), a forked
     child (see ``_beside``) solves the C the search will ask for next,
-    found by a fresh search sent the slopes so far and a guessed slope
-    (``_guess``) for the C this process solves meanwhile.  The report is
-    built from the C values the search asked for, so it is the one-lane
-    report, and ``n_unused`` counts the child's solves it never asked for.
+    found by a fresh search sent the slopes so far and, for the C this
+    process solves meanwhile, the outcome the search itself expects
+    (``_guess``).  The search asks for a prediction's two ends back to
+    back, so the child solves the second while this process solves the
+    first.  The report is built from the C values the search asked for, so
+    it is the one-lane report, and ``n_unused`` counts the child's solves
+    it never asked for.
     A solve that raised surfaces only if the search asks for its C.  If the
     child dies, this process finishes the search alone.
     """
@@ -750,7 +914,7 @@ def growth_probe(
                     in_flight = None
                 if C not in outcomes:
                     if lane is not None:
-                        in_flight = _next_request([*sent, _guess(outcomes, C, c, start)], c, start)
+                        in_flight = _next_request([*sent, _guess(sent, C, c, start)], c, start)
                         if in_flight in outcomes:
                             in_flight = None
                         elif in_flight is not None:
@@ -766,7 +930,6 @@ def growth_probe(
         if in_flight is not None:  # a guess the search did not follow
             with contextlib.suppress(LaneLost):
                 outcomes[in_flight] = lane.answer()
-    asked = dict.fromkeys(asked)  # a midpoint on an excluded grid point is asked twice
     if found is None:
         raise ProbeRangeError(
             f"no admissible C in ({_C_LIMIT:g}, {_C_START:g}] reaches -udot({tau:g}) >= {c:g}"

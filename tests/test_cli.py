@@ -1189,7 +1189,7 @@ class TestProbe:
         assert main(["probe-c0", "--config", cfg, "--c", "2", "--tau", "0.25", "--out", str(out)]) == 0
         report = json.loads((out / "probe_report.json").read_text())
         assert report["bracket"] == [-17.733894587578856, -17.83018788153428]
-        assert (report["n_solves"], report["excluded"]) == (9, [])
+        assert (report["n_solves"], report["excluded"]) == (6, [])
 
     @pytest.mark.parametrize(
         "changes, tau, offset",
@@ -1255,7 +1255,7 @@ class TestFailedFork:
         assert main(["probe-c0", "--config", cfg, "--c", "5", "--tau", "0.5", "--out", str(out)]) == 0
         report = json.loads((out / "probe_report.json").read_text())
         assert report["bracket"] == [-34.14849282165835, -34.33391576083122]
-        assert (report["n_solves"], report["n_rhs"], report["lanes"], report["n_unused"]) == (9, 8952, 1, 0)
+        assert (report["n_solves"], report["n_rhs"], report["lanes"], report["n_unused"]) == (4, 4046, 1, 0)
         _nothing_left(tmp_path)
 
     def test_a_chart_both_solve_writes_the_forked_bytes(self, tmp_path, monkeypatch):

@@ -278,7 +278,7 @@ def test_probe_compiles_one_rhs(monkeypatch):
     monkeypatch.setattr(codegen, "compile_function", counting)
     spec = load_shipped("ts_probe_d1.json").spec
     rep = M.growth_probe(spec, c=5.0, tau=0.5)
-    assert rep.n_solves == 9
+    assert rep.n_solves == 4
     rhs = [name for name in compiled if name.startswith("<solitonlab rhs")]
     assert rhs == [f"<solitonlab rhs {S.flow_ansatz(spec.ansatz)!r} eps={spec.epsilon!r}>"]
 

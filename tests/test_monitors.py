@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solitonlab import monitors as M
-from solitonlab.integrator import IntegrationResult
+from solitonlab.integrator import IntegrationResult, IntegratorConfig, integrate
 from solitonlab.launch import launch
 from solitonlab.runio import ConfigError, load_config
 from solitonlab.systems import (
@@ -28,6 +28,13 @@ from solitonlab.trajectory import (
 from conftest import (
     SHIPPED_CONFIG_NAMES, classify_oracle, comparison_ode_closed_form, config_path, load_shipped,
 )
+
+
+def _floor_reason(t) -> str:
+    """The verdict's reason for a step_failure at the step floor, at the
+    last sample's t."""
+    floor = 16.0 * np.finfo(float).eps * max(1.0, abs(t))
+    return f"the step fell below its floor 16 eps max(1, |t|) = {floor:.3e} at t = {t:.17g}"
 
 
 def one_sample_run(state, spec):
@@ -419,8 +426,27 @@ class TestClassification:
         result = copy.deepcopy(src.result)
         result.termination = termination
         v = M.classify_completeness(Trajectory(spec=src.spec, delta=src.delta, result=result))
-        assert (v.kind, v.reasons) == (kind, [termination])
+        # a step_failure far below the attempt cap names the step floor
+        limit = [_floor_reason(src.ts[-1])] if termination == "step_failure" else []
+        assert (v.kind, v.reasons) == (kind, [termination, *limit])
         assert v.kind in M.VERDICTS
+
+    def test_a_step_failure_at_the_attempt_cap_names_the_cap(self, shipped_runs):
+        # the counts of a run that made every step attempt it is allowed
+        src = shipped_runs["dw_e0_c1.json"]
+        result = dataclasses.replace(src.result, termination="step_failure", n_accepted=199_998, n_rejected=2)
+        v = M.classify_completeness(Trajectory(spec=src.spec, delta=src.delta, result=result))
+        assert (v.kind, v.t_star) == ("inconclusive", src.ts[-1])
+        assert v.reasons == ["step_failure", "all 200000 step attempts made (199998 accepted, 2 rejected)"]
+
+    def test_a_step_failure_at_the_step_floor_names_the_floor(self, shipped_runs):
+        # y' = y^2 blows up at t = 1: the rejected attempts there shrink the
+        # step below 16 eps max(1, |t|) long before the attempt cap
+        result = integrate(lambda t, y: [y[0] * y[0]], 0.0, [1.0], IntegratorConfig(t_max=2.0))
+        assert result.termination == "step_failure" and result.n_accepted + result.n_rejected < 2000
+        src = shipped_runs["dw_e0_c1.json"]
+        v = M.classify_completeness(Trajectory(spec=src.spec, delta=0.0, result=result))
+        assert v.reasons == ["step_failure", _floor_reason(result.ts[-1])]
 
     def test_a_config_may_expect_each_verdict_and_no_other_name(self):
         doc = json.loads(config_path("ts_e0_c1.json").read_text())
@@ -539,6 +565,46 @@ def _full_scan_bracket(slope_of, c, c_start=-0.125, c_limit=-1e9, bracket_rel=0.
             else:
                 c_fail = mid
     return (c_fail, c_success), samples, excluded
+
+
+def _walk_then_bisect(slope_of, c, start, bracket_rel=0.01):
+    """The search from the estimate's grid point ``start`` that solves
+    every point it visits: start, then halving toward -1/8 up to the first
+    failure, skipping excluded runs, then bisecting.  Returns its bracket
+    and the number of C it solved, or None where the start does not reach
+    c, so the search scans from -1/8."""
+    solved = {start: slope_of(start)}
+    if solved[start] is None or solved[start] < c:
+        return None
+    c_fail, c_success, C = None, start, start
+    while C < -0.125:
+        C /= 2.0
+        s = solved[C] = slope_of(C)
+        if s is None:
+            continue
+        if s < c:
+            c_fail = C
+            break
+        c_success = C
+    while c_fail is not None and (c_fail - c_success) > bracket_rel * abs(c_success):
+        mid = -math.sqrt(c_fail * c_success)
+        s = solved.setdefault(mid, slope_of(mid))
+        if s is None:
+            break
+        c_success, c_fail = (mid, c_fail) if s >= c else (c_success, mid)
+    return (c_fail, c_success), len(solved)
+
+
+def _asked(c, start, slope_of):
+    """Drive ``_search`` on ``slope_of``: (its result, the C it asked for)."""
+    search, asked = M._search(c, start), []
+    try:
+        C = next(search)
+        while True:
+            asked.append(C)
+            C = search.send(slope_of(C))
+    except StopIteration as stop:
+        return stop.value, asked
 
 
 def _append(path, *values):
@@ -696,11 +762,14 @@ class TestGrowthProbe:
         """As above, with slopes that grow with |C| and the search started
         where ``growth_estimate`` points on ts_probe_d1 (-8 to -128 for these
         c): where the start reaches c the walk toward -1/8 finds the full
-        scan's bracket, and where it does not the scan runs from -1/8."""
-        self._check_full_scan_bracket(shipped_runs, tmp_path_factory, nodes, holes, c, guess)
+        scan's bracket, and where it does not the scan runs from -1/8.  The
+        predicted ends need not be points the full scan solved, and they
+        take at most two solves more than solving every point of the walk
+        and the bisection (``_walk_then_bisect``)."""
+        self._check_full_scan_bracket(shipped_runs, tmp_path_factory, nodes, holes, c, guess, estimate=True)
 
     @staticmethod
-    def _check_full_scan_bracket(shipped_runs, tmp_path_factory, nodes, holes, c, guess):
+    def _check_full_scan_bracket(shipped_runs, tmp_path_factory, nodes, holes, c, guess, estimate=False):
         """The probe on fake slopes, interpolated between ``nodes`` at the
         grid points and excluded around ``holes``, against the full scan."""
         spec = shipped_runs["ts_probe_d1.json"].spec
@@ -751,13 +820,95 @@ class TestGrowthProbe:
             one_lane = solved()
         bracket, samples, excluded = want
         assert rep.bracket == bracket
-        assert all(samples[C] == s for C, s in rep.samples)
-        assert set(rep.excluded) <= set(excluded) and len(set(rep.excluded)) == len(rep.excluded)
+        if estimate:
+            assert all(slope_of(C) == s for C, s in rep.samples)
+            assert all(slope_of(C) is None for C in rep.excluded)
+            before = _walk_then_bisect(slope_of, c, rep.start)
+            assert before is None or rep.n_solves <= before[1] + 2
+        else:
+            assert all(samples[C] == s for C, s in rep.samples)
+            assert set(rep.excluded) <= set(excluded)
+        assert len(set(rep.excluded)) == len(rep.excluded)
         assert rep.n_solves == len(one_lane) == len(set(one_lane))
         assert rep.n_solves + rep.n_unused == len(two_lanes) == len(set(two_lanes))
         assert set(one_lane) <= set(two_lanes)
         assert rep.n_rhs == 6 * rep.n_solves
         _same_report(rep, one)
+
+    def test_equal_slopes_make_the_walk_halve(self):
+        # the line through two equal squared slopes never reaches c^2: the
+        # interpolant is degenerate, so the walk asks for the next grid
+        # point instead of a predicted pair, and finds the bracket of the
+        # search that solves every point
+        assert M._root({-64.0: 6.0, -32.0: 6.0}, 5.0) is None
+        # a root outside the bracket is degenerate too: squared slopes that
+        # fall toward -64 reach 25 only below the weakest success -32
+        assert M._root({-64.0: 5.5, -32.0: 6.0}, 5.0) is None
+
+        def slope_of(C):
+            return float(np.interp(-C, [0.0, 8.0, 16.0, 1e9], [0.0, 4.0, 6.0, 6.0]))
+
+        found, asked = _asked(5.0, -64.0, slope_of)
+        assert asked[:3] == [-64.0, -32.0, -16.0]
+        assert found == _walk_then_bisect(slope_of, 5.0, -64.0)[0]
+
+    def test_an_excluded_predicted_end_finishes_by_plain_bisection(self):
+        # squared slopes linear in C: the line through -64 and -32 predicts
+        # the leaf exactly, and its two ends are the bracket
+        def line(C):
+            return 0.85 * math.sqrt(-C)
+
+        found, asked = _asked(5.0, -64.0, line)
+        assert asked == [-64.0, -32.0, *found] and found == _walk_then_bisect(line, 5.0, -64.0)[0]
+        # with the leaf's fail end excluded, the search bisects from the
+        # walk's ends solving every midpoint, and stops where that
+        # bisection meets the excluded run
+        c_fail, c_success = found
+
+        def holed(C):
+            return None if C == c_fail else line(C)
+
+        found, asked = _asked(5.0, -64.0, holed)
+        assert asked[:5] == [-64.0, -32.0, c_fail, c_success, -math.sqrt(32.0 * 64.0)]
+        bracket, before = _walk_then_bisect(holed, 5.0, -64.0)
+        assert found == bracket and found[0] != c_fail
+        assert len(asked) == len(set(asked)) <= before + 2
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        nodes=st.lists(st.floats(0.0, 10.0), min_size=33, max_size=33),
+        k=st.integers(3, 10),
+        c=st.floats(0.5, 9.5),
+    )
+    def test_a_non_monotone_slope_still_gives_a_confirmed_bracket(self, nodes, k, c):
+        """Slopes that rise and fall with |C| break the monotone assumption
+        of the search from a succeeding start -2^k / 8, so its bracket may
+        differ from the full scan's; its ends are still solved, a failure
+        and a success, at most 1% apart."""
+        nodes = [0.0, *nodes]  # -1/8 fails
+        nodes[k] = 10.0  # the start reaches c
+
+        def slope_of(C):
+            return float(np.interp(np.log2(C / -0.125), np.arange(34), nodes))
+
+        (c_fail, c_success), asked = _asked(c, -0.125 * 2.0**k, slope_of)
+        assert {c_fail, c_success} <= set(asked) and len(asked) == len(set(asked))
+        assert slope_of(c_fail) < c <= slope_of(c_success)
+        assert c_fail - c_success <= 0.01 * abs(c_success)
+
+    def test_a_small_target_takes_no_more_solves_than_the_scan(self):
+        # the estimate's grid point -8 lies six halvings from the threshold
+        # near -0.2; the walk predicts the grid pair around it instead
+        cfg = load_config(json.loads(config_path("dw_e0_c1.json").read_text()))
+        tols = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, delta=cfg.launch_delta)
+        probe = dict(spec=cfg.spec, c=0.15, tau=2.25, **tols)
+        rep = _one_lane(**probe)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "growth_estimate", lambda *args: None)
+            scan = _one_lane(**probe)
+        assert (rep.start, scan.start) == (-8.0, -0.125)
+        assert rep.bracket == scan.bracket == (-0.20571943476924565, -0.20683647095702432)
+        assert (rep.n_solves, scan.n_solves) == (9, 9)
 
     def test_probe_walks_from_the_estimate_to_the_first_failure(self, shipped_runs, monkeypatch, tmp_path):
         spec = shipped_runs["ts_probe_d1.json"].spec
@@ -766,15 +917,17 @@ class TestGrowthProbe:
         lines = solved()
         Cs = [C for C, *_ in lines]
         # the estimate -37.76 starts the search at -64, a success; -32 fails,
-        # then 7 midpoints; in two lanes every solve the child made was asked for
+        # and the line through their squared slopes predicts the bisection's
+        # leaf, whose two ends are the bracket; in two lanes every solve the
+        # child made was asked for
         assert (rep.C0_estimate, rep.start, rep.estimate_holds) == (-37.760776186588615, -64.0, True)
-        assert len(Cs) == 9 and rep.n_unused == 0
-        assert {-64.0, -32.0} <= set(Cs) and all(-64.0 < C < -32.0 for C in set(Cs) - {-64.0, -32.0})
+        assert len(Cs) == 4 and rep.n_unused == 0
+        assert sorted(Cs) == [-64.0, -34.33391576083122, -34.14849282165835, -32.0]
         assert rep.bracket == (-34.14849282165835, -34.33391576083122)
         assert rep.excluded == []
         assert sorted(C for C, _ in rep.samples) == sorted(Cs)
-        assert rep.n_solves == 9
-        assert (rep.n_accepted, rep.n_rejected, rep.n_rhs) == (1471, 18, 8952)
+        assert rep.n_solves == 4
+        assert (rep.n_accepted, rep.n_rejected, rep.n_rhs) == (665, 8, 4046)
         _, *counts = zip(*lines)
         assert [rep.n_accepted, rep.n_rejected, rep.n_rhs] == [int(sum(col)) for col in counts]
 
@@ -792,7 +945,7 @@ class TestGrowthProbe:
         one_lane = solved()
         _same_report(two, one)
         if case == "lpp flat circle":
-            assert two.bracket == (-17.733894587578856, -17.83018788153428) and two.n_solves == 9
+            assert two.bracket == (-17.733894587578856, -17.83018788153428) and two.n_solves == 6
         # the same solves with the same counts, in whatever order the lanes made them
         assert len(two_lanes) == two.n_solves + two.n_unused and len(one_lane) == two.n_solves
         assert not collections.Counter(one_lane) - collections.Counter(two_lanes)
@@ -805,7 +958,7 @@ class TestGrowthProbe:
         # again in this process, has its slope and conserves within budget
         spec = shipped_runs["ts_probe_d1.json"].spec
         rep = M.growth_probe(spec, c=5.0, tau=0.5)
-        assert len(rep.samples) == 9
+        assert len(rep.samples) == 4
         for C, slope in rep.samples:
             traj = solve_problem(spec.with_C(C), t_max=0.5)
             assert float(-traj.du[-1]) == slope
@@ -834,11 +987,11 @@ class TestGrowthProbe:
         _no_child_left()
 
     def test_a_solve_that_raises_where_the_search_asks_surfaces(self, shipped_runs, monkeypatch):
-        # the point after the start -64, solved by the child, and the first
-        # bisection midpoint, solved by this process
+        # the point after the start -64, solved by the child, and the fail
+        # end of the predicted leaf, asked first and so solved by this process
         spec = shipped_runs["ts_probe_d1.json"].spec
         solve = M.solve_problem
-        for raised in (-32.0, -math.sqrt(32.0 * 64.0)):
+        for raised in (-32.0, -34.14849282165835):
 
             def raising(spec, *args, **kwargs):
                 if spec.C == raised:
@@ -861,14 +1014,14 @@ class TestGrowthProbe:
         def dying(spec, *args, **kwargs):
             if os.getpid() != parent:
                 _append(tmp_path / "child", spec.C)
-                if len(_lines(tmp_path / "child")) == 3:
+                if len(_lines(tmp_path / "child")) == 2:  # the leaf's success end
                     os._exit(1)
             return solve(spec, *args, **kwargs)
 
         monkeypatch.setattr(M, "solve_problem", dying)
         two = M.growth_probe(spec, c=5.0, tau=0.5)
         _no_child_left()
-        assert M._lanes() == 1 or len(_lines(tmp_path / "child")) == 3
+        assert M._lanes() == 1 or len(_lines(tmp_path / "child")) == 2
         _same_report(two, _one_lane(spec=spec, c=5.0, tau=0.5))
 
     def test_no_child_outlives_a_failed_probe(self, shipped_runs, monkeypatch):
