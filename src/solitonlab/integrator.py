@@ -86,7 +86,7 @@ _BETA = 0.4 / 5.0
 # smallest step, relative to max(|t|, 1)
 _H_FLOOR = 16.0 * sys.float_info.epsilon
 # step attempts, accepted and rejected, after which a run ends as step_failure
-MAX_STEPS = 200_000
+_MAX_STEPS = 200_000
 # the samples a sink receives at a time
 _SINK_BLOCK = 256
 
@@ -108,7 +108,7 @@ class IntegratorConfig:
     t_max: float
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_steps: int = MAX_STEPS
+    max_steps: int = _MAX_STEPS
     events: tuple[EventSpec, ...] = ()
     validity: Callable[[float, list[float]], bool] | None = None
     sink: Callable | None = None

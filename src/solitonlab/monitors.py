@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import LaneLost, ProbeRangeError, Report, _beside, _fmt, _lanes
-from .integrator import _H_FLOOR, MAX_STEPS
+from .integrator import _H_FLOOR, _MAX_STEPS
 from .launch import launch
 from .systems import (
     ProblemSpec,
@@ -454,8 +454,8 @@ def _step_limit(traj: Trajectory) -> str:
     """Which limit ended a step_failure run, read from its counts: the cap
     on step attempts, or else the step floor at the last sample."""
     r = traj.result
-    if r.n_accepted + r.n_rejected >= MAX_STEPS:
-        return f"all {MAX_STEPS} step attempts made ({r.n_accepted} accepted, {r.n_rejected} rejected)"
+    if r.n_accepted + r.n_rejected >= _MAX_STEPS:
+        return f"all {_MAX_STEPS} step attempts made ({r.n_accepted} accepted, {r.n_rejected} rejected)"
     t = float(traj.ts[-1])
     return (
         f"the step fell below its floor 16 eps max(1, |t|) = {_H_FLOOR * max(1.0, abs(t)):.3e}"
@@ -468,7 +468,7 @@ def classify_completeness(traj: Trajectory, comparison=None, compact_termination
     metric_degenerate / inconclusive, with every reason it has.
 
     A ``step_failure`` run also names the limit that ended it: the cap of
-    ``MAX_STEPS`` step attempts or the step floor.
+    ``_MAX_STEPS`` step attempts or the step floor.
 
     Completeness requires the horizon, the conservation residual within
     tolerance, and every row of the invariant table (strictly positive
