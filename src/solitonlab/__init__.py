@@ -116,11 +116,11 @@ _open = []
 
 
 def _lanes() -> int:
-    """The one rule for an optional second lane (the probe's, the streamed
-    trajectory.csv): 2 lanes where ``os.fork`` exists, this process may run
-    on more than one CPU, is no lane's child and holds no lane open, else
-    1.  A lane asked for (the sweep's ``--jobs``, the compact chart) does
-    not ask."""
+    """The one rule for an optional second lane (the streamed
+    trajectory.csv's): 2 lanes where ``os.fork`` exists, this process may
+    run on more than one CPU, is no lane's child and holds no lane open,
+    else 1.  A lane asked for (the sweep's ``--jobs``, the compact chart)
+    does not ask."""
     if not hasattr(os, "fork") or _open:
         return 1
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)

@@ -10,12 +10,11 @@ monitored invariant intact -- never a claim of mathematical completeness.
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
 
-from . import LaneLost, ProbeRangeError, Report, _beside, _fmt, _lanes
+from . import ProbeRangeError, Report, _fmt
 from .integrator import _H_FLOOR, _MAX_STEPS
 from .launch import launch
 from .systems import (
@@ -523,8 +522,6 @@ class GrowthProbeReport(Report):
     n_accepted: int
     n_rejected: int
     n_rhs: int
-    lanes: int
-    n_unused: int
     C0_estimate: float | None
     start: float
     estimate_holds: bool | None
@@ -676,13 +673,10 @@ def _reaches(known: dict, C: float, c: float, x: float | None) -> bool:
     return x is not None and C <= x
 
 
-def _search(c: float, start: float, expect: dict | None = None):
-    """The probe's search, as a generator: yields each C it asks for and is
-    sent -udot(tau) of the run at C, or None when the run is excluded.
-    Returns (c_fail or None, c_success), or None when no C above
-    ``_C_LIMIT`` reaches c.  A C it has been sent once is never asked
-    again.  ``expect``, when given, gets for each C asked whether the
-    search expects its run to reach c (``_guess``).
+def _search(c: float, start: float, slope_of):
+    """The probe's search: (c_fail or None, c_success), or None when no C
+    above ``_C_LIMIT`` reaches c.  It calls ``slope_of(C)`` for -udot(tau)
+    of the run at C, None when the run is excluded, at most once per C.
 
     It scans the grid C = -1/8, -1/4, ... for the weakest success (the
     first in scan order) and the failure nearest it, then bisects in log|C|
@@ -691,17 +685,17 @@ def _search(c: float, start: float, expect: dict | None = None):
     scan runs from -1/8, reusing its outcome, and so does its bisection.
     Where it does, the search assumes the slope is monotone in C:
 
-    - The walk toward -1/8 asks for start/2, then predicts the first grid
-      failure F from the interpolant (``_root``) and asks for F and 2F back
-      to back.  A failing F and a succeeding 2F are the walk's end; every
-      grid point weaker than F is taken to fail and every one between 2F
-      and the start to succeed.
+    - The walk toward -1/8 solves start/2, then predicts the first grid
+      failure F from the interpolant (``_root``) and solves F and 2F.  A
+      failing F and a succeeding 2F are the walk's end; every grid point
+      weaker than F is taken to fail and every one between 2F and the
+      start to succeed.
     - Where the walk's ends are adjacent grid points, the bisection labels
       each midpoint on its path (each ``-math.sqrt(c_fail * c_success)``
       from the ends the labels so far give) by its own solve, by
-      monotonicity or by the interpolant (``_reaches``), and asks for the
-      two ends of the leaf so predicted, back to back.  A failing fail end
-      and a succeeding success end make that leaf the answer, the one the
+      monotonicity or by the interpolant (``_reaches``), and solves the
+      two ends of the leaf so predicted.  A failing fail end and a
+      succeeding success end make that leaf the answer, the one the
       bisection solving every midpoint reaches: the leaves partition the
       bracket, and on a monotone slope only one has such ends.
 
@@ -711,14 +705,10 @@ def _search(c: float, start: float, expect: dict | None = None):
     has."""
     known: dict = {}  # C -> its run's slope, None where excluded
 
-    def ask(C, reaches=None):
-        """The slope at C, asked for unless known; ``reaches`` is what the
-        search expects of it, by default what monotonicity or the
-        interpolant gives, worked out only for ``expect``."""
+    def ask(C):
+        """The slope at C, solved unless known."""
         if C not in known:
-            if expect is not None:
-                expect[C] = _reaches(known, C, c, _root(known, c)) if reaches is None else reaches
-            known[C] = yield C
+            known[C] = slope_of(C)
         return known[C]
 
     def label(C):
@@ -731,7 +721,7 @@ def _search(c: float, start: float, expect: dict | None = None):
         """(F or None, S) from the grid point g's success: S the weakest
         grid success and F the failure next above it, as halving from g
         toward -1/8 and skipping excluded runs finds them."""
-        yield from ask(_grid(g - 1), False)
+        ask(_grid(g - 1))
         rounds = 0
         while True:
             ks = min(j for j in range(g + 1) if label(_grid(j)))
@@ -742,21 +732,19 @@ def _search(c: float, start: float, expect: dict | None = None):
             x = _root(known, c) if rounds < _ROUNDS else None
             if x is None:  # halve: the next grid point not yet solved
                 rounds = _ROUNDS
-                yield from ask(_grid(max(unknown)))
+                ask(_grid(max(unknown)))
                 continue
             rounds += 1
             weak = [j for j in [kf, *unknown] if j >= 0 and _grid(j) > x]
             if not weak:  # every unknown point is predicted to reach c
-                yield from ask(_grid(min(unknown)), True)
+                ask(_grid(min(unknown)))
                 continue
             k = max(weak)
-            ends = [(_grid(k), False), (_grid(k + 1), True)]
-            if all(C in known for C, _ in ends):
+            ends = [_grid(k), _grid(k + 1)]
+            if all(C in known for C in ends):
                 rounds = _ROUNDS
                 continue
-            for C, reaches in ends:
-                yield from ask(C, reaches)
-            if None in (known[C] for C, _ in ends):
+            if None in [ask(C) for C in ends]:
                 rounds = _ROUNDS
 
     def bisect(c_fail, c_success, predict):
@@ -777,8 +765,8 @@ def _search(c: float, start: float, expect: dict | None = None):
                     s = mid
                 else:
                     f = mid
-            sf = yield from ask(f, False)
-            ss = yield from ask(s, True)
+            sf = ask(f)
+            ss = ask(s)
             if sf is None or ss is None:
                 break
             if sf < c <= ss:
@@ -786,7 +774,7 @@ def _search(c: float, start: float, expect: dict | None = None):
         f, s = c_fail, c_success
         while f - s > _BRACKET_REL * abs(s):
             mid = -math.sqrt(f * s)
-            sm = yield from ask(mid)
+            sm = ask(mid)
             if sm is None:
                 break
             if sm >= c:
@@ -795,15 +783,15 @@ def _search(c: float, start: float, expect: dict | None = None):
                 f = mid
         return f, s
 
-    s_start = yield from ask(start, start != _C_START)  # the estimate's start is expected to hold
+    s_start = ask(start)
     predict = start != _C_START and s_start is not None and s_start >= c
     if predict:
-        c_fail, c_success = yield from walk(round(math.log2(start / _C_START)))
+        c_fail, c_success = walk(round(math.log2(start / _C_START)))
     else:
         c_success = c_fail = None
         C = _C_START
         while C > _C_LIMIT:
-            s = yield from ask(C, False)
+            s = ask(C)
             if s is not None:
                 if s >= c:
                     c_success = C
@@ -816,33 +804,7 @@ def _search(c: float, start: float, expect: dict | None = None):
         return None, c_success
     # an excluded grid point between the walk's ends: excluded runs may sit
     # on the bisection's path, and only their solves would show it
-    return (yield from bisect(c_fail, c_success, predict and c_success == 2.0 * c_fail))
-
-
-def _guess(sent: list, C, c: float, start: float) -> float:
-    """A slope for C before its solve ends: above c where a fresh search
-    from ``start``, sent ``sent``, expects the run at C to reach c, below c
-    elsewhere.  A wrong guess costs a solve, never a result."""
-    expect: dict = {}
-    search = _search(c, start, expect)
-    with contextlib.suppress(StopIteration):
-        next(search)
-        for s in sent:
-            search.send(s)
-    return math.inf if expect.get(C) else -math.inf
-
-
-def _next_request(slopes: list, c: float, start: float):
-    """The C a fresh search from ``start`` asks for once sent ``slopes`` in
-    order; None when it would then end."""
-    search = _search(c, start)
-    C = next(search)
-    try:
-        for s in slopes:
-            C = search.send(s)
-    except StopIteration:
-        return None
-    return C
+    return bisect(c_fail, c_success, predict and c_success == 2.0 * c_fail)
 
 
 def growth_probe(
@@ -863,86 +825,34 @@ def growth_probe(
     the rest of its walk and its bisection from the slopes it has, and
     solves the two ends of each prediction.  A run that ends before tau or
     leaves the shape row (``margins["shape_exit"]``, which leaves a flat
-    warped circle's fixed g2 out) is excluded and reported.
-
-    With two lanes (``_lanes``, and a lane that got its child), a forked
-    child (see ``_beside``) solves the C the search will ask for next,
-    found by a fresh search sent the slopes so far and, for the C this
-    process solves meanwhile, the outcome the search itself expects
-    (``_guess``).  The search asks for a prediction's two ends back to
-    back, so the child solves the second while this process solves the
-    first.  The report is built from the C values the search asked for, so
-    it is the one-lane report, and ``n_unused`` counts the child's solves
-    it never asked for.
-    A solve that raised surfaces only if the search asks for its C.  If the
-    child dies, this process finishes the search alone.
+    warped circle's fixed g2 out) is excluded and reported.  The solves run
+    one after another in this process, and one that raises raises here.
     """
     if not (0.0 < c < math.inf and 0.0 < tau < math.inf):
         raise ValueError("slope target c and probe time tau must be finite and positive")
+    solved: dict = {}  # C -> -udot(tau) of its run, None where excluded, and the run's work counts
 
-    def outcome(C):
-        """-udot(tau) of the run at C, or None when it is excluded, and the
-        run's work counts; or the exception the solve raised."""
-        try:
-            t = solve_problem(spec.with_C(C), t_max=tau, rel_tol=rel_tol, abs_tol=abs_tol, delta=delta)
-        except Exception as exc:  # raised here if the search asks for C
-            return exc
-        work = tuple(getattr(t.result, key) for key in _WORK)
-        if not t.reached_horizon or not t.margins["shape_exit"].holds:
-            return None, work
-        return float(-t.du[-1]), work
+    def slope_of(C):
+        t = solve_problem(spec.with_C(C), t_max=tau, rel_tol=rel_tol, abs_tol=abs_tol, delta=delta)
+        slope = float(-t.du[-1]) if t.reached_horizon and t.margins["shape_exit"].holds else None
+        solved[C] = slope, tuple(getattr(t.result, key) for key in _WORK)
+        return slope
 
     C0 = growth_estimate(spec, c, tau, delta)
     start = _start(C0)
-    outcomes: dict = {}  # C -> outcome(C), made in either lane
-    asked, sent = [], []  # the C values the search asked for and the slopes it was sent
-    search = _search(c, start)
-    with _beside(outcome) if _lanes() == 2 else contextlib.nullcontext() as lane:
-        lane = lane if getattr(lane, "pid", None) else None  # a lane without a child is none
-        lanes = 1 if lane is None else 2
-        in_flight = None  # the C the child is solving
-        try:
-            C = next(search)
-            while True:
-                # wait for the child's solve: the search needs it now, or
-                # the child must be free for the next guess
-                if C not in outcomes and in_flight is not None:
-                    try:
-                        outcomes[in_flight] = lane.answer()
-                    except LaneLost:
-                        lane = None  # the child is gone: go on alone
-                    in_flight = None
-                if C not in outcomes:
-                    if lane is not None:
-                        in_flight = _next_request([*sent, _guess(sent, C, c, start)], c, start)
-                        if in_flight in outcomes:
-                            in_flight = None
-                        elif in_flight is not None:
-                            lane.ask(in_flight)
-                    outcomes[C] = outcome(C)
-                if isinstance(outcomes[C], Exception):
-                    raise outcomes[C]
-                asked.append(C)
-                sent.append(outcomes[C][0])
-                C = search.send(sent[-1])
-        except StopIteration as stop:
-            found = stop.value
-        if in_flight is not None:  # a guess the search did not follow
-            with contextlib.suppress(LaneLost):
-                outcomes[in_flight] = lane.answer()
+    found = _search(c, start, slope_of)
     if found is None:
         raise ProbeRangeError(
             f"no admissible C in ({_C_LIMIT:g}, {_C_START:g}] reaches -udot({tau:g}) >= {c:g}"
         )
     c_fail, c_success = found
-    samples = {C: outcomes[C][0] for C in asked if outcomes[C][0] is not None}
-    ordered = sorted(samples.items())  # most negative first
+    ordered = sorted((C, s) for C, (s, _) in solved.items() if s is not None)  # most negative first
     slopes = [s for _, s in ordered]
     monotone = all(a >= b - 1e-12 for a, b in zip(slopes, slopes[1:]))
-    work = map(sum, zip(*(outcomes[C][1] for C in asked)))
+    work = map(sum, zip(*(w for _, w in solved.values())))
     holds = None  # no estimate to hold
     if start != _C_START:
-        s = outcomes[start][0]
+        s = solved[start][0]
         holds = s is not None and s >= c
     return GrowthProbeReport(
         anchor="empirical threshold on the conservation constant prescribing the potential's slope",
@@ -952,12 +862,10 @@ def growth_probe(
         empirical_C0=float(c_success),
         bracket=(None if c_fail is None else float(c_fail), float(c_success)),
         samples=[(float(k), float(v)) for k, v in ordered],
-        excluded=sorted(C for C in asked if outcomes[C][0] is None),
+        excluded=sorted(C for C, (s, _) in solved.items() if s is None),
         monotone=bool(monotone),
-        n_solves=len(asked),
+        n_solves=len(solved),
         **dict(zip(_WORK, work)),
-        lanes=lanes,
-        n_unused=len(outcomes) - len(asked),
         C0_estimate=C0,
         start=start,
         estimate_holds=holds,

@@ -54,7 +54,7 @@ from .systems import (
     make_vector_rhs,
     pack_state,
     u_dotdot_stable,
-    unpack_state,
+    unpack_state,  # not called here: perfbench/tracing.py wraps this module's reference
 )
 
 __all__ = [
@@ -301,14 +301,6 @@ class Trajectory:
             values = table[first, np.arange(len(self.ts))]
             out[row.event] = Margin(row, values, np.array(list(candidates))[first])
         return out
-
-    @cached_property
-    def states(self) -> list[SolitonState]:
-        """The samples as separate states, for code that walks them one by
-        one; the package itself reads ``samples`` and ``columns``."""
-        return [
-            unpack_state(t, y, self.spec.ansatz) for t, y in zip(self.result.ts, self.result.ys)
-        ]
 
     @property
     def reached_horizon(self) -> bool:

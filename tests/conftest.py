@@ -12,7 +12,7 @@ from solitonlab.launch import rescaled_default_delta
 from solitonlab.monitors import comparison_ode_closed_form  # the tests import it from here
 from solitonlab.rescaled import solve_rescaled
 from solitonlab.runio import load_config
-from solitonlab.systems import DancerWangAnsatz, LuPagePopeAnsatz, TwoSummandsAnsatz, flow_ansatz
+from solitonlab.systems import DancerWangAnsatz, LuPagePopeAnsatz, TwoSummandsAnsatz, flow_ansatz, unpack_state
 from solitonlab.trajectory import (
     dw_omega_sq_bounds,
     dw_pair_bound_constant,
@@ -47,6 +47,13 @@ def decomposition_path(name: str):
 def load_shipped(name: str):
     with config_path(name).open("r") as fh:
         return load_config(json.load(fh))
+
+
+def sample_states(traj) -> list:
+    """A run's samples as separate states, for oracles that walk them one
+    by one; the package itself reads ``Trajectory.samples`` and
+    ``columns``."""
+    return [unpack_state(t, y, traj.spec.ansatz) for t, y in zip(traj.result.ts, traj.result.ys)]
 
 
 def solve_both_charts(spec, t_max):
@@ -214,8 +221,8 @@ def classify_oracle(traj):
 # the reports became ``solitonlab.Report`` records.  ``dataclasses.asdict``
 # emitted exactly these keys, defaults included, so report.json,
 # probe_report.json and the curvature check's report must keep them.  Fields
-# added since come last (the probe's ``lanes``, ``n_unused``, ``C0_estimate``,
-# ``start`` and ``estimate_holds``).
+# added since come last (the probe's ``C0_estimate``, ``start`` and
+# ``estimate_holds``).
 
 REPORT_FIELDS = {
     name: tuple(fields.split())
@@ -237,8 +244,7 @@ REPORT_FIELDS = {
         "LppBoundReport": "anchor bound max_omega1_sq ok",
         "KahlerReport": "anchor max_abs_residual per_factor_max on_locus",
         "GrowthProbeReport": "anchor c tau c_star empirical_C0 bracket samples excluded "
-        "monotone n_solves n_accepted n_rejected n_rhs lanes n_unused C0_estimate start "
-        "estimate_holds",
+        "monotone n_solves n_accepted n_rejected n_rhs C0_estimate start estimate_holds",
         "Verdict": "kind t_star reasons note",
         "ValidationReport": "symmetry_violations negativity_violations wang_ziller_residuals",
         "LocusResiduals": "anchor einstein_linear einstein_quadratic kahler_square "

@@ -1,6 +1,6 @@
 """The request lane to a forked child (``solitonlab._beside``), which the
-compact chart, the sweep's shares, the probe's second lane and the streamed
-trajectory.csv all use, and the rule for an optional lane (``_lanes``)."""
+compact chart, the sweep's shares and the streamed trajectory.csv all use,
+and the rule for an optional lane (``_lanes``)."""
 
 import errno
 import os

@@ -1162,7 +1162,7 @@ class TestProbe:
         assert report["empirical_C0"] < 0
         assert report["n_solves"] == len(report["samples"]) + len(report["excluded"])
         assert report["n_rhs"] >= 6 * report["n_accepted"] > 0
-        assert report["lanes"] in (1, 2) and report["n_unused"] == 0
+        assert "lanes" not in report and "n_unused" not in report
         line = capsys.readouterr().out
         assert f"solves={report['n_solves']} n_rhs={report['n_rhs']}" in line
         lines = (out / "probe_samples.csv").read_text().splitlines()
@@ -1255,7 +1255,7 @@ class TestFailedFork:
         assert main(["probe-c0", "--config", cfg, "--c", "5", "--tau", "0.5", "--out", str(out)]) == 0
         report = json.loads((out / "probe_report.json").read_text())
         assert report["bracket"] == [-34.14849282165835, -34.33391576083122]
-        assert (report["n_solves"], report["n_rhs"], report["lanes"], report["n_unused"]) == (4, 4046, 1, 0)
+        assert (report["n_solves"], report["n_rhs"]) == (4, 4046)
         _nothing_left(tmp_path)
 
     def test_a_chart_both_solve_writes_the_forked_bytes(self, tmp_path, monkeypatch):

@@ -28,7 +28,7 @@ from solitonlab.systems import (
 )
 from solitonlab.systems import _second_rates_stable
 
-from conftest import CONFIG_NAMES_GRID, load_shipped, solve_both_charts
+from conftest import CONFIG_NAMES_GRID, load_shipped, sample_states, solve_both_charts
 
 SHIPPED = CONFIG_NAMES_GRID + [
     "ts_complete_steady.json",
@@ -66,13 +66,13 @@ def kahler_residual_oracle(state, a):
 
 
 def udd_oracle(traj):
-    return np.array([u_dotdot_stable(s, traj.spec.ansatz, traj.spec.epsilon) for s in traj.states])
+    return np.array([u_dotdot_stable(s, traj.spec.ansatz, traj.spec.epsilon) for s in sample_states(traj)])
 
 
 def trajectory_rows_oracle(traj):
     spec = traj.spec
     a = spec.ansatz
-    states = traj.states
+    states = sample_states(traj)
     udd = udd_oracle(traj)
     for i, st in enumerate(states):
         row = [st.t]
@@ -156,8 +156,9 @@ def test_monitors_match_per_state_loops(name, shipped_runs):
     traj = shipped_runs[name]
     spec = traj.spec
     udd = udd_oracle(traj)
-    r3 = np.array([conservation_residual(s, u, spec) for s, u in zip(traj.states, udd)])
-    r4 = np.array([conservation_residual_curvature(s, spec) for s in traj.states])
+    states = sample_states(traj)
+    r3 = np.array([conservation_residual(s, u, spec) for s, u in zip(states, udd)])
+    r4 = np.array([conservation_residual_curvature(s, spec) for s in states])
     cons = M.conservation_report(traj)
     for got, ref in (
         (cons.max_abs_residual, np.max(np.abs(r3))),
@@ -167,7 +168,7 @@ def test_monitors_match_per_state_loops(name, shipped_runs):
         assert abs(got - ref) <= BOUND * (1.0 + abs(ref))
     assert cons.ok == bool(np.max(np.abs(r3)) <= cons.tolerance)
 
-    rows = [locus_membership_oracle(s, spec) for s in traj.states]
+    rows = [locus_membership_oracle(s, spec) for s in states]
     locus = M.locus_report(traj)
     classes = [c for _, _, c in rows]
     assert locus.class_counts == {c: classes.count(c) for c in locus.class_counts}
@@ -176,7 +177,7 @@ def test_monitors_match_per_state_loops(name, shipped_runs):
     assert abs(locus.max_einstein_residual - eins) <= BOUND * (1.0 + eins)
 
     if isinstance(spec.ansatz, DancerWangAnsatz):
-        res = np.array([kahler_residual_oracle(s, spec.ansatz) for s in traj.states])
+        res = np.array([kahler_residual_oracle(s, spec.ansatz) for s in states])
         assert M.kahler_report(traj).per_factor_max == list(np.max(np.abs(res), axis=0))
 
 
@@ -217,8 +218,9 @@ def test_batch_locus_membership_is_the_per_state_one(shipped_runs):
     traj = shipped_runs["ts_e0_c1.json"]
     q1, q2 = traj.columns["locus_mean_ratio"], traj.columns["locus_curvature_ratio"]
     classes = M._locus_classes(q1, q2)
+    states = sample_states(traj)
     for i in (0, len(traj.ts) // 2, len(traj.ts) - 1):
-        one_q1, one_q2, one_class = locus_membership_oracle(traj.states[i], traj.spec)
+        one_q1, one_q2, one_class = locus_membership_oracle(states[i], traj.spec)
         assert one_class == classes[i]
         assert one_q1 == pytest.approx(q1[i], rel=1e-14)
         assert one_q2 == pytest.approx(q2[i], rel=1e-14)

@@ -1,4 +1,3 @@
-import collections
 import copy
 import dataclasses
 import json
@@ -232,10 +231,10 @@ class TestGrowthEstimate:
         cfg = load_config(json.loads(config_path(name).read_text()))
         tols = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, delta=cfg.launch_delta)
         probe = dict(spec=cfg.spec, c=c, tau=tau, **tols)
-        rep = _one_lane(**probe)
+        rep = M.growth_probe(**probe)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "growth_estimate", lambda *args: None)
-            scan = _one_lane(**probe)
+            scan = M.growth_probe(**probe)
         assert rep.C0_estimate is not None and rep.estimate_holds
         assert (scan.start, scan.estimate_holds) == (-0.125, None)
         assert rep.bracket == scan.bracket
@@ -243,19 +242,19 @@ class TestGrowthEstimate:
 
     def test_a_vacuous_estimate_keeps_todays_scan(self, shipped_runs):
         cfg = shipped_runs["ts_complete_steady.json"]
-        rep = _one_lane(spec=cfg.spec, c=5.0, tau=0.5)
+        rep = M.growth_probe(cfg.spec, c=5.0, tau=0.5)
         assert (rep.C0_estimate, rep.start, rep.estimate_holds) == (None, -0.125, None)
         assert rep.bracket == (-62.96867914346162, -63.31059284441443)
         assert rep.n_solves == 17
 
-    def test_an_estimate_that_fails_falls_back_to_the_scan(self, shipped_runs, monkeypatch, tmp_path):
+    def test_an_estimate_that_fails_falls_back_to_the_scan(self, shipped_runs, monkeypatch):
         # an estimate of -2 starts the search at -2, which fails at c = 5;
         # the scan from -1/8 then reuses its outcome
         spec = shipped_runs["ts_probe_d1.json"].spec
         monkeypatch.setattr(M, "growth_estimate", lambda *args: -1.5)
-        solved = TestGrowthProbe._count_solves(monkeypatch, tmp_path / "solves")
-        rep = _one_lane(spec=spec, c=5.0, tau=0.5)
-        Cs = [C for C, *_ in solved()]
+        solved = TestGrowthProbe._count_solves(monkeypatch)
+        rep = M.growth_probe(spec, c=5.0, tau=0.5)
+        Cs = [C for C, *_ in solved]
         assert Cs[:2] == [-2.0, -0.125] and len(Cs) == len(set(Cs)) == rep.n_solves
         assert (rep.C0_estimate, rep.start, rep.estimate_holds) == (-1.5, -2.0, False)
         assert rep.bracket == (-34.14849282165835, -34.33391576083122)
@@ -596,73 +595,31 @@ def _walk_then_bisect(slope_of, c, start, bracket_rel=0.01):
 
 
 def _asked(c, start, slope_of):
-    """Drive ``_search`` on ``slope_of``: (its result, the C it asked for)."""
-    search, asked = M._search(c, start), []
-    try:
-        C = next(search)
-        while True:
-            asked.append(C)
-            C = search.send(slope_of(C))
-    except StopIteration as stop:
-        return stop.value, asked
+    """Run ``_search`` on ``slope_of``: (its result, the C it asked for)."""
+    asked = []
 
+    def recorded(C):
+        asked.append(C)
+        return slope_of(C)
 
-def _append(path, *values):
-    """Append one line of floats to path.  The file is opened for appending,
-    so each line lands whole, from whichever process writes it."""
-    with open(path, "a") as fh:
-        fh.write(" ".join(repr(float(v)) for v in values) + "\n")
-
-
-def _lines(path) -> list:
-    """The lines ``_append`` wrote to path, as tuples of floats."""
-    if not path.exists():
-        return []
-    return [tuple(map(float, line.split())) for line in path.read_text().splitlines()]
-
-
-def _one_lane(**probe):
-    """growth_probe without os.fork, so in one process."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delattr(os, "fork")
-        return M.growth_probe(**probe)
-
-
-def _same_report(two, one):
-    """two is one's report, but for the lanes and the unused solves."""
-    assert (one.lanes, one.n_unused) == (1, 0)
-    assert two.lanes == M._lanes()
-    assert vars(two) == vars(one) | {"lanes": two.lanes, "n_unused": two.n_unused}
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _lpp_flat_circle():
-    """lpp_e0_c1 with a warped circle, d2 = 1."""
-    doc = json.loads(config_path("lpp_e0_c1.json").read_text())
-    doc["ansatz"]["d2"] = 1
-    return load_config(doc).spec
+    return M._search(c, start, recorded), asked
 
 
 class TestGrowthProbe:
     @staticmethod
-    def _count_solves(monkeypatch, path):
+    def _count_solves(monkeypatch):
         """Record the C and the step counts of every solve the probe makes
-        through the module's ``solve_problem``, in either lane, as a line of
-        ``path``; returns the reader of those lines."""
-        solve = M.solve_problem
+        through the module's ``solve_problem``; returns the list of them."""
+        solve, solves = M.solve_problem, []
 
         def counted(spec, *args, **kwargs):
             traj = solve(spec, *args, **kwargs)
             r = traj.result
-            _append(path, spec.C, r.n_accepted, r.n_rejected, r.n_rhs)
+            solves.append((spec.C, r.n_accepted, r.n_rejected, r.n_rhs))
             return traj
 
         monkeypatch.setattr(M, "solve_problem", counted)
-        return lambda: _lines(path)
+        return solves
 
     def test_probe_brackets_threshold(self, shipped_runs):
         spec = shipped_runs["ts_probe_d1.json"].spec
@@ -698,15 +655,14 @@ class TestGrowthProbe:
         df = traj.df[:, :-1] if flat_circle else traj.df
         excluded = not traj.reached_horizon or not np.all(df > 0.0)
 
-        def ask_once(c, start):
+        def ask_once(c, start, slope_of):
             """A search that asks for C alone."""
-            yield C
+            slope_of(C)
             return None, C
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "growth_estimate", lambda *args: None)
             mp.setattr(M, "_search", ask_once)
-            mp.delattr(os, "fork")
             rep = M.growth_probe(cfg.spec, c=1.0, tau=tau, **tols)
         assert rep.excluded == ([C] if excluded else [])
         assert rep.samples == ([] if excluded else [(C, float(-traj.du[-1]))])
@@ -718,46 +674,37 @@ class TestGrowthProbe:
             with pytest.raises(ValueError, match="finite and positive"):
                 M.growth_probe(spec, c=c, tau=tau)
 
-    def test_probe_range_error(self, shipped_runs, monkeypatch, tmp_path):
+    def test_probe_range_error(self, shipped_runs, monkeypatch):
         spec = shipped_runs["ts_probe_d1.json"].spec
-        solved = self._count_solves(monkeypatch, tmp_path / "solves")
+        solved = self._count_solves(monkeypatch)
         monkeypatch.setattr(M, "_C_LIMIT", -1.0)
         with pytest.raises(M.ProbeRangeError, match=r"no admissible C in \(-1, -0.125\]"):
             M.growth_probe(spec, c=50.0, tau=0.5)
         # the whole grid above the limit, each point once
-        assert sorted(C for C, *_ in solved()) == [-0.5, -0.25, -0.125]
-        _no_child_left()
+        assert sorted(C for C, *_ in solved) == [-0.5, -0.25, -0.125]
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
         nodes=st.lists(st.floats(0.0, 10.0), min_size=34, max_size=34),
         holes=st.sets(st.integers(0, 33), max_size=6),
         c=st.floats(0.5, 9.5),
-        guess=st.sampled_from([None, -math.inf, math.inf]),
     )
-    def test_early_stop_keeps_the_full_scan_bracket(
-        self, shipped_runs, tmp_path_factory, nodes, holes, c, guess
-    ):
+    def test_early_stop_keeps_the_full_scan_bracket(self, shipped_runs, nodes, holes, c):
         """On slopes that need not be monotone, with excluded runs around some
         grid points (a bisection midpoint can land on one), the probe started
-        at -1/8 returns the full scan's bracket and a subset of its samples,
-        and two lanes return the one-lane report.  The slopes here are
-        linear in log|C| between grid points, as ``_guess`` interpolates
-        them, so its guesses hold; a guess fixed at failure or at success
-        sends the child C values the search does not ask for."""
+        at -1/8 returns the full scan's bracket and a subset of its samples."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "growth_estimate", lambda *args: None)
-            self._check_full_scan_bracket(shipped_runs, tmp_path_factory, nodes, holes, c, guess)
+            self._check_full_scan_bracket(shipped_runs, nodes, holes, c)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
         nodes=st.lists(st.floats(0.0, 10.0), min_size=34, max_size=34).map(sorted),
         holes=st.sets(st.integers(0, 33), max_size=6),
         c=st.floats(0.5, 9.5),
-        guess=st.sampled_from([None, -math.inf, math.inf]),
     )
     def test_a_start_from_the_estimate_keeps_the_full_scan_bracket_on_monotone_slopes(
-        self, shipped_runs, tmp_path_factory, nodes, holes, c, guess
+        self, shipped_runs, nodes, holes, c
     ):
         """As above, with slopes that grow with |C| and the search started
         where ``growth_estimate`` points on ts_probe_d1 (-8 to -128 for these
@@ -766,14 +713,14 @@ class TestGrowthProbe:
         predicted ends need not be points the full scan solved, and they
         take at most two solves more than solving every point of the walk
         and the bisection (``_walk_then_bisect``)."""
-        self._check_full_scan_bracket(shipped_runs, tmp_path_factory, nodes, holes, c, guess, estimate=True)
+        self._check_full_scan_bracket(shipped_runs, nodes, holes, c, estimate=True)
 
     @staticmethod
-    def _check_full_scan_bracket(shipped_runs, tmp_path_factory, nodes, holes, c, guess, estimate=False):
+    def _check_full_scan_bracket(shipped_runs, nodes, holes, c, estimate=False):
         """The probe on fake slopes, interpolated between ``nodes`` at the
         grid points and excluded around ``holes``, against the full scan."""
         spec = shipped_runs["ts_probe_d1.json"].spec
-        log = tmp_path_factory.mktemp("solves") / "solves"
+        solved = []  # the C of every solve
 
         def slope_of(C):
             x = float(np.log2(C / -0.125))  # the grid index, exact on grid points
@@ -782,7 +729,7 @@ class TestGrowthProbe:
             return float(np.interp(x, np.arange(34), nodes))
 
         def fake_solve(spec, **kwargs):
-            _append(log, spec.C)
+            solved.append(spec.C)
             s = slope_of(spec.C)
             return SimpleNamespace(
                 reached_horizon=s is not None,
@@ -791,33 +738,16 @@ class TestGrowthProbe:
                 result=SimpleNamespace(n_accepted=1, n_rejected=0, n_rhs=6),
             )
 
-        def solved():
-            """The C of every solve since the last call, in either lane."""
-            Cs = [C for C, in _lines(log)]
-            log.unlink(missing_ok=True)
-            return Cs
-
         want = _full_scan_bracket(slope_of, c)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "solve_problem", fake_solve)
-            if guess is not None:
-                mp.setattr(M, "_guess", lambda outcomes, C, c, start: guess)
             if want is None:
-                # the whole grid above the limit, each point once; a guessed
-                # success sends the child bisection midpoints besides
-                grid = {-0.125 * 2.0**k for k in range(33)}
+                # the whole grid above the limit, each point once
                 with pytest.raises(M.ProbeRangeError):
                     M.growth_probe(spec, c=c, tau=0.5)
-                two_lanes = solved()
-                assert len(two_lanes) == len(set(two_lanes)) and grid <= set(two_lanes)
-                with pytest.raises(M.ProbeRangeError):
-                    _one_lane(spec=spec, c=c, tau=0.5)
-                assert sorted(solved()) == sorted(grid)
+                assert sorted(solved) == sorted(-0.125 * 2.0**k for k in range(33))
                 return
             rep = M.growth_probe(spec, c=c, tau=0.5)
-            two_lanes = solved()
-            one = _one_lane(spec=spec, c=c, tau=0.5)
-            one_lane = solved()
         bracket, samples, excluded = want
         assert rep.bracket == bracket
         if estimate:
@@ -829,11 +759,8 @@ class TestGrowthProbe:
             assert all(samples[C] == s for C, s in rep.samples)
             assert set(rep.excluded) <= set(excluded)
         assert len(set(rep.excluded)) == len(rep.excluded)
-        assert rep.n_solves == len(one_lane) == len(set(one_lane))
-        assert rep.n_solves + rep.n_unused == len(two_lanes) == len(set(two_lanes))
-        assert set(one_lane) <= set(two_lanes)
+        assert rep.n_solves == len(solved) == len(set(solved))
         assert rep.n_rhs == 6 * rep.n_solves
-        _same_report(rep, one)
 
     def test_equal_slopes_make_the_walk_halve(self):
         # the line through two equal squared slopes never reaches c^2: the
@@ -902,26 +829,24 @@ class TestGrowthProbe:
         cfg = load_config(json.loads(config_path("dw_e0_c1.json").read_text()))
         tols = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, delta=cfg.launch_delta)
         probe = dict(spec=cfg.spec, c=0.15, tau=2.25, **tols)
-        rep = _one_lane(**probe)
+        rep = M.growth_probe(**probe)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "growth_estimate", lambda *args: None)
-            scan = _one_lane(**probe)
+            scan = M.growth_probe(**probe)
         assert (rep.start, scan.start) == (-8.0, -0.125)
         assert rep.bracket == scan.bracket == (-0.20571943476924565, -0.20683647095702432)
         assert (rep.n_solves, scan.n_solves) == (9, 9)
 
-    def test_probe_walks_from_the_estimate_to_the_first_failure(self, shipped_runs, monkeypatch, tmp_path):
+    def test_probe_walks_from_the_estimate_to_the_first_failure(self, shipped_runs, monkeypatch):
         spec = shipped_runs["ts_probe_d1.json"].spec
-        solved = self._count_solves(monkeypatch, tmp_path / "solves")
+        lines = self._count_solves(monkeypatch)
         rep = M.growth_probe(spec, c=5.0, tau=0.5)
-        lines = solved()
         Cs = [C for C, *_ in lines]
         # the estimate -37.76 starts the search at -64, a success; -32 fails,
         # and the line through their squared slopes predicts the bisection's
-        # leaf, whose two ends are the bracket; in two lanes every solve the
-        # child made was asked for
+        # leaf, whose two ends are the bracket
         assert (rep.C0_estimate, rep.start, rep.estimate_holds) == (-37.760776186588615, -64.0, True)
-        assert len(Cs) == 4 and rep.n_unused == 0
+        assert len(Cs) == 4
         assert sorted(Cs) == [-64.0, -34.33391576083122, -34.14849282165835, -32.0]
         assert rep.bracket == (-34.14849282165835, -34.33391576083122)
         assert rep.excluded == []
@@ -931,31 +856,9 @@ class TestGrowthProbe:
         _, *counts = zip(*lines)
         assert [rep.n_accepted, rep.n_rejected, rep.n_rhs] == [int(sum(col)) for col in counts]
 
-    @pytest.mark.parametrize("case", ["ts c=2", "ts c=5", "ts c=10", "lpp flat circle"])
-    def test_two_lanes_give_the_one_lane_report(self, shipped_runs, monkeypatch, tmp_path, case):
-        if case.startswith("ts"):
-            probe = dict(spec=shipped_runs["ts_probe_d1.json"].spec, c=float(case[5:]), tau=0.5)
-        else:
-            probe = dict(spec=_lpp_flat_circle(), c=2.0, tau=0.25)
-        solved = self._count_solves(monkeypatch, tmp_path / "solves")
-        two = M.growth_probe(**probe)
-        two_lanes = solved()
-        (tmp_path / "solves").unlink()
-        one = _one_lane(**probe)
-        one_lane = solved()
-        _same_report(two, one)
-        if case == "lpp flat circle":
-            assert two.bracket == (-17.733894587578856, -17.83018788153428) and two.n_solves == 6
-        # the same solves with the same counts, in whatever order the lanes made them
-        assert len(two_lanes) == two.n_solves + two.n_unused and len(one_lane) == two.n_solves
-        assert not collections.Counter(one_lane) - collections.Counter(two_lanes)
-        assert sorted(C for C, *_ in one_lane) == sorted([C for C, _ in two.samples] + two.excluded)
-        _no_child_left()
-
     def test_probe_solves_conserve(self, shipped_runs):
-        # the benchmark's tracer sees the solves of this process only, so
-        # every solve of the probe is checked here: each sample's run, made
-        # again in this process, has its slope and conserves within budget
+        # each sample's run, made again, has its slope and conserves within
+        # budget
         spec = shipped_runs["ts_probe_d1.json"].spec
         rep = M.growth_probe(spec, c=5.0, tau=0.5)
         assert len(rep.samples) == 4
@@ -964,31 +867,8 @@ class TestGrowthProbe:
             assert float(-traj.du[-1]) == slope
             assert M.conservation_report(traj).max_abs_residual <= 1e-8 * (1.0 + abs(C))
 
-    def test_a_speculative_solve_that_raises_is_not_surfaced(self, shipped_runs, monkeypatch, tmp_path):
-        # guessing every outcome a failure sends the child C values the
-        # bisection does not ask for; each of those solves raises
-        spec = shipped_runs["ts_probe_d1.json"].spec
-        one = _one_lane(spec=spec, c=5.0, tau=0.5)
-        asked = {C for C, _ in one.samples}
-        solve = M.solve_problem
-
-        def raising(spec, *args, **kwargs):
-            if spec.C not in asked:
-                _append(tmp_path / "raised", spec.C)
-                raise ArithmeticError(f"speculative solve at {spec.C!r}")
-            return solve(spec, *args, **kwargs)
-
-        monkeypatch.setattr(M, "solve_problem", raising)
-        monkeypatch.setattr(M, "_guess", lambda outcomes, C, c, start: -math.inf)
-        two = M.growth_probe(spec, c=5.0, tau=0.5)
-        raised = _lines(tmp_path / "raised")
-        assert M._lanes() == 1 or (len(raised) == two.n_unused > 0)
-        _same_report(two, one)
-        _no_child_left()
-
     def test_a_solve_that_raises_where_the_search_asks_surfaces(self, shipped_runs, monkeypatch):
-        # the point after the start -64, solved by the child, and the fail
-        # end of the predicted leaf, asked first and so solved by this process
+        # the point after the start -64, and the fail end of the predicted leaf
         spec = shipped_runs["ts_probe_d1.json"].spec
         solve = M.solve_problem
         for raised in (-32.0, -34.14849282165835):
@@ -1001,51 +881,16 @@ class TestGrowthProbe:
             monkeypatch.setattr(M, "solve_problem", raising)
             with pytest.raises(ArithmeticError, match=f"solve at {raised}"):
                 M.growth_probe(spec, c=5.0, tau=0.5)
-            _no_child_left()
-            with pytest.raises(ArithmeticError, match=f"solve at {raised}"):
-                _one_lane(spec=spec, c=5.0, tau=0.5)
 
-    def test_a_child_that_dies_mid_probe_leaves_the_same_report(
-        self, shipped_runs, monkeypatch, tmp_path
-    ):
+    def test_the_probe_forks_no_child(self, shipped_runs, monkeypatch):
+        # two CPUs and os.fork at hand: every solve still runs in this process
         spec = shipped_runs["ts_probe_d1.json"].spec
-        solve, parent = M.solve_problem, os.getpid()
-
-        def dying(spec, *args, **kwargs):
-            if os.getpid() != parent:
-                _append(tmp_path / "child", spec.C)
-                if len(_lines(tmp_path / "child")) == 2:  # the leaf's success end
-                    os._exit(1)
-            return solve(spec, *args, **kwargs)
-
-        monkeypatch.setattr(M, "solve_problem", dying)
-        two = M.growth_probe(spec, c=5.0, tau=0.5)
-        _no_child_left()
-        assert M._lanes() == 1 or len(_lines(tmp_path / "child")) == 2
-        _same_report(two, _one_lane(spec=spec, c=5.0, tau=0.5))
-
-    def test_no_child_outlives_a_failed_probe(self, shipped_runs, monkeypatch):
-        spec = shipped_runs["ts_probe_d1.json"].spec
-        solve, parent = M.solve_problem, os.getpid()
-
-        def failing(spec, *args, **kwargs):
-            if os.getpid() == parent and spec.C == -64.0:  # the start
-                raise RuntimeError("parent solve")
-            return solve(spec, *args, **kwargs)
-
-        monkeypatch.setattr(M, "solve_problem", failing)
-        with pytest.raises(RuntimeError, match="parent solve"):
-            M.growth_probe(spec, c=5.0, tau=0.5)
-        _no_child_left()
-
-    def test_one_cpu_or_no_fork_gives_one_lane(self, shipped_runs, monkeypatch):
-        spec = shipped_runs["ts_probe_d1.json"].spec
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
-        rep = M.growth_probe(spec, c=2.0, tau=0.5)
-        assert (rep.lanes, rep.n_unused) == (1, 0)
-        assert _one_lane(spec=spec, c=2.0, tau=0.5) == rep
-
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("the probe forked"))
+        rep = M.growth_probe(spec, c=5.0, tau=0.5)
+        assert rep.bracket == (-34.14849282165835, -34.33391576083122)
+        assert rep.n_solves == 4
+        assert (rep.n_accepted, rep.n_rejected, rep.n_rhs) == (665, 8, 4046)
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_curvature_budget_sums_left_to_right(m):
