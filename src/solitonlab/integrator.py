@@ -5,15 +5,19 @@ fourth-order error estimate, PI step-size control, first-same-as-last
 stage reuse.  Between samples the solution is Dormand-Prince's own
 fourth-order continuous extension (Shampine 1986; Hairer, Norsett and
 Wanner, Solving ODEs I, II.6), built from each step's stages at no extra
-right-hand-side cost.  It serves ``sample_at`` and event location alike.
+right-hand-side cost.  Event location always uses it.  A run keeps it for
+``sample_at`` only when ``IntegratorConfig.dense`` asks, as the physical
+chart of a ``chart: both`` run does for the chart comparison; any other
+run keeps its samples alone and builds the extension only at a crossing.
 
 The step runs on Python floats, one local per component of the state and
-of each stage, and every stage combination, the error vector and the dense-output term is an
-explicit sum in a fixed order.  The error norm sums in numpy's pairwise
-order, so it equals the array formula bit for bit.  No rounding on the step
-depends on the BLAS or SIMD kernels numpy picks at run time, and identical
-inputs walk an identical step sequence on any such kernel.  Accepted samples
-go to flat double buffers that become the result's arrays.
+of each stage, and every stage combination, the error vector and the
+dense-output term is an explicit sum in a fixed order.  The error norm
+sums in numpy's pairwise order, so it equals the array formula bit for
+bit.  No rounding on the step depends on the BLAS or SIMD kernels numpy
+picks at run time, and identical inputs walk an identical step sequence on
+any such kernel.  Accepted samples go to flat double buffers that become
+the result's arrays.
 
 The whole adaptive loop is one function generated for the state length
 and the run's callables (``_run_kernel``), compiled on first use and
@@ -32,6 +36,15 @@ the new state.  Any other callable, a profiler's wrapper included, is
 passed in and called from the same loop.  So the cache key holds the
 traces and the call slots, never an uncompiled callable, and an accepted
 step calls nothing in Python unless a callable has no trace.
+
+An inlined right-hand side is not tested for finite values stage by
+stage.  Every stage enters the error norm's numerator, zero weights
+included (0.0 * inf is NaN), over a denominator of at least atol > 0, so a
+finite norm means every stage was finite; the attempt tests the norm once,
+and only a norm that is not finite, or a stage that raises, scans the
+stages in order for the first that failed.  The counts are those of a test
+after each stage.  A called right-hand side is still tested after each
+stage, so that it is never called on a failed stage's values.
 
 One kernel, one more attempt at a crossing: a step that crosses an event
 returns to Python, ``_refine_event`` bisects the crossing, and the step to
@@ -105,6 +118,11 @@ class EventSpec:
 
 @dataclass
 class IntegratorConfig:
+    """A run's horizon, tolerances and step cap, its events, validity test
+    and sink, and whether it keeps the dense output ``sample_at`` reads.
+    The horizon may be inf, for a run that only an event, the step cap or
+    an invalid state ends."""
+
     t_max: float
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -112,29 +130,36 @@ class IntegratorConfig:
     events: tuple[EventSpec, ...] = ()
     validity: Callable[[float, list[float]], bool] | None = None
     sink: Callable | None = None
+    dense: bool = False
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.t_max <= 0 or self.max_steps <= 0:
-            raise ValueError("t_max and max_steps must be positive")
+        if not (_finite_positive(self.rel_tol) and _finite_positive(self.abs_tol)):
+            raise ValueError("tolerances must be positive and finite")
+        if not (self.t_max > 0 and _finite_positive(self.max_steps)):
+            raise ValueError("t_max must be positive, and max_steps positive and finite")
+
+
+def _finite_positive(x) -> bool:
+    """x > 0 and x < inf, which NaN fails, where it passes x <= 0."""
+    return x > 0 and x < math.inf
 
 
 @dataclass
 class IntegrationResult:
     """One sample per accepted step, termination verdict and step statistics.
 
-    ``dys`` holds the derivative at each sample and ``dense`` the quartic
-    term r5 of each sample interval (one row fewer than ``ts``), so
-    ``sample_at`` evaluates the continuous extension with no further
-    right-hand-side calls.  An event's point is the last sample, and
-    ``termination`` names it.
+    A run with ``IntegratorConfig.dense`` keeps its dense output: ``dys``
+    holds the derivative at each sample and ``dense`` the quartic term r5
+    of each sample interval (one row fewer than ``ts``), so ``sample_at``
+    evaluates the continuous extension with no further right-hand-side
+    calls.  Any other run has None in both.  An event's point is the last
+    sample, and ``termination`` names it.
     """
 
     ts: np.ndarray
     ys: np.ndarray
-    dys: np.ndarray
-    dense: np.ndarray
+    dys: np.ndarray | None
+    dense: np.ndarray | None
     termination: str
     n_accepted: int = 0
     n_rejected: int = 0
@@ -142,7 +167,10 @@ class IntegrationResult:
 
     def sample_at(self, t) -> np.ndarray:
         """The continuous extension at a time (shape (n,)) or an array of
-        times (shape (len(t), n)) within the covered span."""
+        times (shape (len(t), n)) within the covered span, of a run that
+        kept its dense output."""
+        if self.dense is None:
+            raise ValueError("the run kept no dense output: integrate it with IntegratorConfig(dense=True)")
         ts = self.ts
         t = np.asarray(t, dtype=float)
         slack = 1e-12 * (1 + np.abs(t))
@@ -257,19 +285,27 @@ def _attempt(n, rhs: Trace | None, y_new: bool) -> list[str]:
     """Source lines of one Dormand-Prince attempt by h from (t, y_j) with
     slope k1_j: the stages k2_j .. k7_j, the fifth-order solution yn_j (and
     the list ``y_new`` of them when asked for), the scaled error norm
-    ``err``, the quartic term ``r5`` of the step's continuous extension, and
-    ``n_rhs`` counting the stages evaluated.
+    ``err``, and ``n_rhs`` counting the stages evaluated.
 
-    Each stage is checked before the next one is evaluated; one that raises
-    one of ``_STAGE_ERRORS`` or is not finite counts the stages before it,
-    rejects the attempt and quarters h.  Without ``rhs`` each stage is the
-    call ``rhs(t_i, x)``, x a list display, and a stage of the wrong length
-    raises ValueError.  With the Trace of a compiled right-hand side each
-    stage is its body inlined, in the body's own local names.  Every stage
-    input is y_j + h * (k1_j a1 + k2_j a2 + ...), and the error norm is
-    ``_error_norm`` unrolled, summed in ``_pairwise_sum``'s order."""
+    The first stage that raises one of ``_STAGE_ERRORS`` or is not finite
+    counts the stages before it, rejects the attempt and quarters h.
+    Without ``rhs`` each stage is the call ``rhs(t_i, x)``, x a list
+    display, tested before the next one is evaluated; a stage of the wrong
+    length raises ValueError.  With the Trace of a compiled right-hand side
+    each stage is its body inlined, in the body's own local names, and is
+    looked at only when a later stage raises or ``err`` is not finite (an
+    ``err`` with every stage finite goes on to the kernel's own test).
+    Every stage input is y_j + h * (k1_j a1 + k2_j a2 + ...), and the error
+    norm is ``_error_norm`` unrolled, summed in ``_pairwise_sum``'s order."""
     J = range(n)
     y_new = y_new or rhs is None
+
+    def failure(counted):
+        return [f"n_rhs += {counted}", "n_rej += 1", "h *= 0.25", "continue"]
+
+    def failed_stage(last):  # the first of stages 2 .. last - 1 not finite, else last
+        return f"failed_stage({n}, {last}, {''.join(_names(f'k{i}_', n) for i in range(2, last))})"
+
     src = []
     for stage, (node, weights) in enumerate(_STAGES, 2):
         x = [f"y_{j} + h * ({_combined(weights, j)})" for j in J]
@@ -283,15 +319,15 @@ def _attempt(n, rhs: Trace | None, y_new: bool) -> list[str]:
             t_node = "t + h" if node == 1.0 else f"t + {node!r} * h"
             arg = "y_new" if stage == 7 else f"[{', '.join(x)}]"
             src += [f"    k = rhs({t_node}, {arg})", "    if type(k) is not list:", "        k = as_list(k)"]
-            stage_k = [f"{_names(f'k{stage}_', n)}= k"]
+            caught = ["except _STAGE_ERRORS:", *_indented(failure(stage - 1))]
+            finite = " and ".join(f"isfinite(k{stage}_{j})" for j in J)
+            src += [*caught, f"{_names(f'k{stage}_', n)}= k", "try:", f"    if not ({finite}):"]
+            src += _indented(failure(stage - 1), 2) + caught
         else:
             src += _indented(f"{v} = {e}" for v, e in zip(rhs.inputs, x))
             src += _indented(rhs.lines)
-            stage_k = [f"k{stage}_{j} = {out}" for j, out in zip(J, rhs.outputs)]
-        failure = [f"n_rhs += {stage - 1}", "n_rej += 1", "h *= 0.25", "continue"]
-        caught = ["except _STAGE_ERRORS:", *_indented(failure)]
-        finite = " and ".join(f"isfinite(k{stage}_{j})" for j in J)
-        src += [*caught, *stage_k, "try:", f"    if not ({finite}):", *_indented(failure, 2), *caught]
+            src += ["except _STAGE_ERRORS:", *_indented(failure(f"{failed_stage(stage)} - 1"))]
+            src += [f"k{stage}_{j} = {out}" for j, out in zip(J, rhs.outputs)]
     for j in J:
         src += [
             f"a = abs(y_{j})",
@@ -300,8 +336,27 @@ def _attempt(n, rhs: Trace | None, y_new: bool) -> list[str]:
         ]
     tape = Tape()
     total = _pairwise_sum([w * w for w in (tape.var(f"w{j}") for j in J)])
-    r5 = ", ".join(f"h * ({_combined(_DENSE_WEIGHTS, j)})" for j in J)
-    return [*src, *tape.lines, f"err = sqrt({total.name} / {n})", f"r5 = ({r5},)", f"n_rhs += {len(_STAGES)}"]
+    src += [*tape.lines, f"err = sqrt({total.name} / {n})"]
+    if rhs is not None:
+        src += ["if not isfinite(err):", f"    failed = {failed_stage(8)}", "    if failed < 8:"]
+        src += _indented(failure("failed - 1"), 2)
+    return [*src, f"n_rhs += {len(_STAGES)}"]
+
+
+def _failed_stage(n, last, *stages):
+    """The stage an attempt failed at, given the n values of each of its
+    stages 2, 3, ... in order: the first that is not all finite, else
+    ``last``."""
+    for i in range(0, len(stages), n):
+        if not all(map(math.isfinite, stages[i : i + n])):
+            return 2 + i // n
+    return last
+
+
+def _quartic(n) -> str:
+    """The tuple r5 of an attempt's stages: the quartic term of its step's
+    continuous extension."""
+    return f"({', '.join(f'h * ({_combined(_DENSE_WEIGHTS, j)})' for j in range(n))},)"
 
 
 def _state(n: int) -> tuple[str, ...]:
@@ -344,10 +399,17 @@ def _validity(n: int, k: int):
 
 
 @lru_cache(maxsize=64)
-def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
+def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple, dense: bool):
     """The adaptive loop of ``integrate`` on states of n floats, compiled
     from the attempt (``_attempt``), the validity test, the events, the
-    sample buffers, the sink's blocks and the PI controller.
+    sample buffers, the sink's blocks and the PI controller.  An inlined
+    right-hand side's stages are tested for finite values once per
+    attempt, through the error norm; a called one's after each stage.
+
+    With ``dense`` the kernel also appends each accepted step's slope and
+    quartic term r5 to the buffers ``dys`` and ``dense``; without, it keeps
+    ``ts`` and ``ys`` alone, and builds r5 only for a crossing and for the
+    ``once`` return, which refine and take the step to an event.
 
     ``rhs``, each item of ``events`` and the item of ``validity`` (empty
     without a validity test) is the Trace of a compiled callable, whose
@@ -371,6 +433,7 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
     called = rhs is None or None in events or None in validity
     namespace = {
         "_STAGE_ERRORS": _STAGE_ERRORS, "isfinite": math.isfinite, "sqrt": math.sqrt, "as_list": _as_list,
+        "failed_stage": _failed_stage,
     }
     if rhs is not None:
         if (len(rhs.inputs), len(rhs.outputs)) != (n, n):
@@ -418,7 +481,7 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
         "    return 'state_invalid' if rejected_invalid else 'step_failure', n_acc, n_rej, n_rhs, None",
         *_attempt(n, rhs, called),
         "if once:",
-        f"    return '', n_acc, n_rej, n_rhs, ([{yn}], [{k7}], err, r5)",
+        f"    return '', n_acc, n_rej, n_rhs, ([{yn}], [{k7}], err, {_quartic(n)})",
         *test,
         "if invalid or not isfinite(err):",
         "    n_rej += 1",
@@ -439,11 +502,10 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
         *crossings,
         "if hit:",
         f"    return '', n_acc, n_rej, n_rhs, (hit, t, [{_names('y_', n)}], [{_names('k1_', n)}],"
-        f" h, [{yn}], [{k7}], r5)",
+        f" h, [{yn}], [{k7}], {_quartic(n)})",
         "ts_append(t_new)",
         f"ys_extend(({yn}))",
-        f"dys_extend(({k7}))",
-        "dense_extend(r5)",
+        *([f"dys_extend(({k7}))", f"dense_extend({_quartic(n)})"] if dense else []),
         "t = t_new",
         *(f"y_{j} = yn{j}" for j in J),
         *(f"k1_{j} = k7_{j}" for j in J),
@@ -463,7 +525,8 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
     if events:
         src += [f"{_names('ev', len(events))}= event_fns", f"{_names('prev', len(events))}= ev_prev"]
     src += [
-        "ts_append, ys_extend, dys_extend, dense_extend = ts.append, ys.extend, dys.extend, dense.extend",
+        "ts_append, ys_extend = ts.append, ys.extend",
+        *(["dys_extend, dense_extend = dys.extend, dense.extend"] if dense else []),
         "n_acc = n_rej = n_rhs = 0",
         "err_prev = 1.0",
         "rejected_invalid = False",
@@ -479,7 +542,7 @@ def _run_kernel(n: int, rhs: Trace | None, events: tuple, validity: tuple):
     args = "rhs, event_fns, validity, sink, t, y, f, h, t_max, rtol, atol, max_steps, ev_prev, block_end"
     src = [f"def run({args}, ts, ys, dys, dense, once):", *_indented(src)]
     parts = [("call" if trace is None else trace.filename[1:-1]) for trace in (rhs, *events, *validity)]
-    filename = f"<solitonlab run n={n}: {'; '.join(parts)}>"
+    filename = f"<solitonlab run n={n}{' dense' if dense else ''}: {'; '.join(parts)}>"
     return compile_function("run", "\n".join(src) + "\n", filename, namespace)
 
 
@@ -493,10 +556,11 @@ def compile_run(rhs, n: int, cfg: IntegratorConfig):
     and validity test on states of n floats: each compiled one inlined, any
     other called.  Cached by the traces and call slots, never by an
     uncompiled callable; a caller may build it ahead of a run, so that a
-    forked process inherits it."""
+    forked process inherits it.  A run that keeps its dense output has a
+    kernel of its own."""
     events = tuple(traced(ev.fn) for ev in cfg.events)
     validity = () if cfg.validity is None else (traced(cfg.validity),)
-    return _run_kernel(n, traced(rhs), events, validity)
+    return _run_kernel(n, traced(rhs), events, validity, cfg.dense)
 
 
 def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
@@ -548,7 +612,8 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
             f" with integrator.abs_tol = {atol!r} and integrator.rel_tol = {rtol!r}"
         ) from exc
     # one flat buffer per sampled quantity, n values per sample
-    ts, ys, dys, dense = array("d", [t]), array("d", y), array("d", f), array("d")
+    ts, ys = array("d", [t]), array("d", y)
+    dys, dense = (array("d", f), array("d")) if cfg.dense else (None, None)
     run = compile_run(rhs, n, cfg)
     fns = [ev.fn for ev in events]
     prev = [fn(t, y) for fn in fns]
@@ -585,14 +650,15 @@ def integrate(rhs, t0: float, y0, cfg: IntegratorConfig) -> IntegrationResult:
             r5 = (sigma * sigma) * (sigma * sigma) * extension[4]
         ts.append(t_star)
         ys.extend(y_new)
-        dys.extend(f_new)
-        dense.extend(r5)
+        if dense is not None:
+            dys.extend(f_new)
+            dense.extend(r5)
 
     return IntegrationResult(
         ts=np.frombuffer(ts),
         ys=np.frombuffer(ys).reshape(-1, n),
-        dys=np.frombuffer(dys).reshape(-1, n),
-        dense=np.frombuffer(dense).reshape(-1, n),
+        dys=None if dys is None else np.frombuffer(dys).reshape(-1, n),
+        dense=None if dense is None else np.frombuffer(dense).reshape(-1, n),
         termination=termination,
         n_accepted=n_acc,
         n_rejected=n_rej,

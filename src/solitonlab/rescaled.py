@@ -43,7 +43,9 @@ from .integrator import (
     compile_run, integrate,
 )
 from .launch import launch, rescaled_default_delta
-from .systems import DancerWangAnsatz, ProblemSpec, SolitonState, _dot, _sum, tr_L
+from .systems import (
+    DancerWangAnsatz, ProblemSpec, SolitonState, _dot, _sum, conservation_residual, tr_L, u_dotdot_stable,
+)
 
 __all__ = [
     "RescaledState",
@@ -56,6 +58,7 @@ __all__ = [
     "solve_rescaled",
     "prepare_rescaled",
     "compare_charts",
+    "max_conservation_residual",
 ]
 
 
@@ -302,10 +305,29 @@ class ChartComparison(Report):
     per_field_max: dict
 
 
+def _physical(r: RescaledState, sel, ansatz: DancerWangAnsatz) -> SolitonState:
+    """The samples of the batch ``r`` that ``sel`` selects and the chart
+    holds (Lc > 0 and every Y_i > 0), mapped back by ``from_rescaled``."""
+    sel = sel & (r.Lc > 0) & np.all(r.Y > 0, axis=0)
+    inside = RescaledState(r.X[:, sel], r.Y[:, sel], r.Lc[sel], r.s[sel], r.t[sel], r.u[sel])
+    return from_rescaled(inside, ansatz)
+
+
+def max_conservation_residual(resc: RescaledTrajectory) -> float:
+    """The compact run's own first-integral residual: the largest
+    |uddot + (-udot + tr L) udot - C - eps u| over its samples inside the
+    chart, mapped back to the physical chart (0.0 with none inside)."""
+    spec = resc.spec
+    state = _physical(resc.samples, True, spec.ansatz)
+    udd = u_dotdot_stable(state, spec.ansatz, spec.epsilon)
+    return float(np.max(np.abs(conservation_residual(state, udd, spec)), initial=0.0))
+
+
 def compare_charts(phys, resc: RescaledTrajectory) -> ChartComparison:
     """Compare (f, g_i, udot) of a physical-chart run ``phys`` (a
-    ``Trajectory``) and a compact-chart run ``resc`` of the same problem at
-    the slow-time samples, interpolating the physical run.
+    ``Trajectory`` that kept its dense output) and a compact-chart run
+    ``resc`` of the same problem at the slow-time samples, interpolating
+    the physical run.
 
     Both runs must start from the same launch slice (the comparison would be
     meaningless otherwise).  Only samples inside the chart (Lc > 0 and every
@@ -315,11 +337,7 @@ def compare_charts(phys, resc: RescaledTrajectory) -> ChartComparison:
         raise ValueError("the two charts must start from the same launch slice")
     t_hi = min(phys.ts[-1], resc.t[-1])
     r = resc.samples
-    sel = (phys.ts[0] <= r.t) & (r.t <= t_hi) & (r.Lc > 0) & np.all(r.Y > 0, axis=0)
-    got = from_rescaled(
-        RescaledState(r.X[:, sel], r.Y[:, sel], r.Lc[sel], r.s[sel], r.t[sel], r.u[sel]),
-        resc.spec.ansatz,
-    )
+    got = _physical(r, (phys.ts[0] <= r.t) & (r.t <= t_hi), resc.spec.ansatz)
     k = got.f.shape[0]
     ref = phys.result.sample_at(got.t)
     ref_f, ref_du = ref[:, :k].T, ref[:, 2 * k + 1]
@@ -331,7 +349,7 @@ def compare_charts(phys, resc: RescaledTrajectory) -> ChartComparison:
         anchor="physical and compactified charts describing the same trajectory",
         t_lo=float(phys.ts[0]),
         t_hi=float(t_hi),
-        n_points=int(np.count_nonzero(sel)),
+        n_points=len(got.t),
         max_rel_deviation=max(per.values()),
         per_field_max=per,
     )

@@ -432,8 +432,10 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
     ``counters`` give the kernels compiled on the way and their seconds.
 
     With ``chart: both`` a forked child (see ``_beside``) solves the compact
-    chart and writes ``rescaled.csv`` while this process solves the
-    physical chart, so the two sides' timings overlap.  Otherwise
+    chart, writes ``rescaled.csv`` and measures the compact run's own
+    conservation residual while this process solves the physical chart,
+    which alone keeps its dense output for ``compare_charts``, so the two
+    sides' timings overlap.  Otherwise
     ``_csv_stream`` may write ``trajectory.csv`` in a forked child while
     this process integrates."""
     os.makedirs(outdir, exist_ok=True)
@@ -463,7 +465,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
                 write_rescaled_csv(path, rtraj)
             # the result alone: pickled, rtraj would also copy the sample
             # views that writing the CSV cached on it
-            return rtraj.result, child
+            return rtraj.result, child, rescaled.max_conservation_residual(rtraj)
 
     artifacts = []
 
@@ -489,6 +491,8 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
                 abs_tol=cfg.abs_tol,
                 delta=delta,
                 sink=stream.sink,
+                # compare_charts samples the physical run between its steps
+                dense=cfg.chart == "both",
             )
         stream.rest(traj)
         with _timed(timings, "report"):
@@ -507,7 +511,7 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
             )
         if compact is not None:
             with _timed(timings, "wait compact chart"):
-                result, child = lane.answer()
+                result, child, compact_residual = lane.answer()
             # the compact chart's solve includes its preparation before the fork
             child["solve_rescaled"] += timings["solve_rescaled"]
             timings |= child
@@ -546,7 +550,9 @@ def run_solve(cfg: RunConfig, outdir: str, plot: bool = False) -> dict:
         "wall_time_s": time.perf_counter() - started,
     }
     if rtraj is not None:
-        manifest["key_diagnostics"]["rescaled"] = _work_counts(rtraj.result)
+        manifest["key_diagnostics"]["rescaled"] = _work_counts(rtraj.result) | {
+            "max_conservation_residual": compact_residual,
+        }
     write_json(os.path.join(outdir, "manifest.json"), manifest)
     return manifest
 

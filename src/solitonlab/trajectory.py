@@ -314,10 +314,12 @@ def solve_problem(
     abs_tol: float = 1e-13,
     delta: float | None = None,
     sink=None,
+    dense: bool = False,
 ) -> Trajectory:
     """Launch at small t = delta (by default ``launch``'s) and integrate
     with the standard event set; ``sink`` receives the samples block by
-    block (see ``integrate``)."""
+    block (see ``integrate``), and with ``dense`` the result keeps the
+    dense output that ``compare_charts`` samples between steps."""
     state0 = launch(spec, delta)
     k = len(spec.ansatz.dims)
     cfg = IntegratorConfig(
@@ -327,6 +329,7 @@ def solve_problem(
         events=standard_events(spec),
         validity=_validity(2 * k + 2, k),
         sink=sink,
+        dense=dense,
     )
     rhs = make_vector_rhs(spec.ansatz, spec.epsilon)
     result = integrate(rhs, state0.t, pack_state(state0), cfg)

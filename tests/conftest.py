@@ -57,9 +57,11 @@ def sample_states(traj) -> list:
 
 
 def solve_both_charts(spec, t_max):
-    """The physical and the compact-chart run of spec from one launch slice."""
+    """The physical and the compact-chart run of spec from one launch slice,
+    the physical one with the dense output ``compare_charts`` samples."""
     delta = rescaled_default_delta(spec)
-    return solve_problem(spec, t_max=t_max, delta=delta), solve_rescaled(spec, t_max=t_max, delta=delta)
+    phys = solve_problem(spec, t_max=t_max, delta=delta, dense=True)
+    return phys, solve_rescaled(spec, t_max=t_max, delta=delta)
 
 
 def u_second_derivative_identity(state, spec):
@@ -394,6 +396,32 @@ SHIPPED_OUTPUTS = {
         "report.json": "c99d14a50c8e85f3b4d594bea9f574455c5cd4c7f8453a88bdbb35851b107437",
         "physical": (516, 1, 3104),
     },
+}
+
+# sha256 of the dys bytes, then the dense bytes, of each shipped config's
+# physical run with dense output: what every run kept before keeping it
+# became the choice of the run that samples between steps.  Within one C
+# library, like SHIPPED_OUTPUTS.
+SHIPPED_DENSE = {
+    "dw_complete_steady.json": "47fdd73095aa506e115bf2f8a1f7005f592bc75e833701415ac45f942ec5b5f0",
+    "dw_e0_c0.json": "d5d186344b4e73a055e3ccb487411c996df1a5bf0a6a0ff6ca53f99a3f8982de",
+    "dw_e0_c1.json": "e4446606e30d9c2f77772581c3ab206e9241c86d46cb3d198f6f87ad21eb00b5",
+    "dw_e1_c1.json": "d0ac0496be1e96df8be264217f281fed841b40aced37a9447f3b267d5208a3e2",
+    "dw_e1_c10.json": "ba92c56f3e49fb93087a60377a3e34e0d3ac80cba7bd56c70db34851f1d31422",
+    "dw_kahler.json": "705db694c11a04f32dfb8251fe191178cfefbf8f052aeb6a9d7ead9ddc08ad35",
+    "dw_m2_chart.json": "a19f8552953002baf70eaf87870a98094253ef0bf8820506b770d4da8014431d",
+    "lpp_complete_steady.json": "aa52aeca33d2d95c6013e9f5af28fa9202e7f181b87aa64b757f3a4fb9127f41",
+    "lpp_e0_c0.json": "0fcb404e8df12d4b3cedf9ddda535fc98e2bf1b70e6d55700e08422045f90a5a",
+    "lpp_e0_c1.json": "06143380a8d42ac1f3548856dd7fc7257171b323313f617a77fda13e3548a6a1",
+    "lpp_e1_c1.json": "0acef21f47fa76f8f095b6ee37307d288c48e6bb85853f50921ca4070372e13d",
+    "lpp_e1_c10.json": "04aaec1595ae50405d1aaf0204e281f50b5e8b3ea79b30b79dfe72aa0843b360",
+    "ts_complete_steady.json": "6dc8f9a8cf2b7e1af217d523054e2b9e713c5e4fbc4f32e54c96868ad3238906",
+    "ts_e0_c0.json": "84b6a2f16b00cabad7271aa2029e080c8ac5eb156c47b8fe04e761ae9b46ab4c",
+    "ts_e0_c1.json": "3dd290d99e46c8f0babe812459984b4bc9b8bacf84e68f30a2f8a56463b1f045",
+    "ts_e1_c1.json": "e963cb5f7c05cf3e42d0a95903b157c07787d6b2309a9ce0aa0b6b8d9f996b63",
+    "ts_e1_c10.json": "c61e9f8093759ff10512b3169d98117289eb8b775a62513a2ce5638eadefca7d",
+    "ts_exit_einstein.json": "99c5cb2a1620dc391f19066de8a91c55b423ccfecfdf3e7cfa826baa928a4f2b",
+    "ts_probe_d1.json": "84e82af06353fd82fdd7fe3cfa5acec5de026acb7d8f2fd256e3dad0ba4799c4",
 }
 
 # sha256 of report.json as the dataclass reports wrote it (within one C

@@ -530,8 +530,10 @@ class TestChartBoth:
         # one physical integration here, the run written to trajectory.csv;
         # one compact-chart integration in a forked child, whose result is
         # the one compared
-        ((pid, _, phys),) = calls
+        ((pid, phys_cfg, phys),) = calls
         assert pid == os.getpid() and phys.made_by == (pid, 1)
+        # the physical run keeps the dense output the comparison samples
+        assert phys_cfg.dense and phys.dense is not None
         ((resc_pid, resc_calls),) = [r.result.made_by for r in compared]
         assert (resc_pid != os.getpid()) == hasattr(os, "fork") and resc_calls == 1
         resc = compared[0].result
@@ -549,6 +551,7 @@ class TestChartBoth:
             "n_rhs": resc.n_rhs,
             "h_min": float(np.min(np.diff(resc.ts))),
             "h_max": float(np.max(np.diff(resc.ts))),
+            "max_conservation_residual": rescaled.max_conservation_residual(compared[0]),
         }
         # the step-size range is the physical run's, and a manifest value only
         assert (kd["h_min"], kd["h_max"]) == (np.min(np.diff(phys.ts)), np.max(np.diff(phys.ts)))
@@ -557,6 +560,37 @@ class TestChartBoth:
             assert "h_m" not in (out / csv).read_text().splitlines()[0]
         report = json.loads((out / "report.json").read_text())
         assert report["chart_comparison"]["max_rel_deviation"] <= 1e-6
+
+    @pytest.mark.parametrize("name", ["dw_kahler.json", "dw_m2_chart.json"])
+    def test_the_manifest_gives_the_compact_runs_own_conservation_residual(self, tmp_path, name):
+        # the compact run's samples inside the chart, mapped back to the
+        # physical chart: a larger residual than the physical run's (the
+        # compact chart's launch offset), which no pinned output shows
+        from solitonlab import rescaled, systems
+
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(config_path(name)), "--out", str(out)]) == 0
+        kd = json.loads((out / "manifest.json").read_text())["key_diagnostics"]
+        cfg = load_config(json.loads(config_path(name).read_text()))
+        spec = cfg.spec
+        resc = rescaled.solve_rescaled(
+            spec, t_max=cfg.t_max, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, delta=cfg.launch_delta
+        )
+        k, ys = resc.k, resc.result.ys
+        inside = (ys[:, 2 * k] > 0) & np.all(ys[:, k : 2 * k] > 0, axis=1)
+        X, Y, Lc, t, u = ys[inside, :k].T, ys[inside, k : 2 * k].T, *ys[inside, 2 * k :].T
+        f = Lc / Y
+        du = (np.dot(spec.ansatz.dims, X) - 1.0) / Lc
+        state = systems.SolitonState(t=t, f=f, df=f * X / Lc, u=u, du=du)
+        udd = systems.u_dotdot_stable(state, spec.ansatz, spec.epsilon)
+        residual = np.max(np.abs(systems.conservation_residual(state, udd, spec)))
+        assert kd["rescaled"]["max_conservation_residual"] == pytest.approx(residual, rel=1e-12, abs=0)
+        assert kd["max_conservation_residual"] < 1e-10 < kd["rescaled"]["max_conservation_residual"] < 1e-7
+        # the physical chart alone has no compact run to measure
+        doc = json.loads(config_path(name).read_text()) | {"chart": "physical"}
+        physical = tmp_path / "p"
+        assert main(["solve", "--config", write_json(tmp_path, "p.json", doc), "--out", str(physical)]) == 0
+        assert "rescaled" not in json.loads((physical / "manifest.json").read_text())["key_diagnostics"]
 
     def test_a_launch_outside_the_compact_chart_exits_70(self, tmp_path, capsys):
         # f H overflows at launch, so Y is 0 there and the chart cannot start

@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import dis
 import functools
+import hashlib
 import io
 import math
 import sys
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from solitonlab import codegen, integrator, trajectory
 from solitonlab.integrator import EventSpec, IntegratorConfig, _error_norm, integrate
 
-from conftest import comparison_ode_closed_form, load_shipped
+from conftest import SHIPPED_CONFIG_NAMES, SHIPPED_DENSE, comparison_ode_closed_form, load_shipped
 
 
 def contracting_rhs(a):
@@ -96,7 +98,7 @@ def test_terminal_event_falls_back_to_the_extension():
     # the final step to the event time raises, so the last sample is the
     # accepted step's continuous extension restricted to [t, t_event]
     ev = EventSpec("target", lambda t, y: y[0] + 1.0)
-    cfg = IntegratorConfig(t_max=5.0, events=(ev,))
+    cfg = IntegratorConfig(t_max=5.0, events=(ev,), dense=True)
     ref = integrate(contracting_rhs(2.0), 0.0, [0.0], cfg)
     calls = []
 
@@ -169,7 +171,7 @@ def test_bitwise_determinism():
 def test_dense_output_between_steps():
     # DP5's continuous extension; a cubic Hermite interpolant of the same
     # steps errs by 6.4e-8 here
-    res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0))
+    res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0, dense=True))
     t = np.linspace(0.0, 5.0, 999)[1:-1]
     exact = comparison_ode_closed_form(2.0, 0.0, 0.0, t)
     got = res.sample_at(t)
@@ -182,6 +184,13 @@ def test_dense_output_between_steps():
         res.sample_at(7.0)
 
 
+def test_a_run_without_dense_output_cannot_be_sampled_between_steps():
+    res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0))
+    assert res.dys is None and res.dense is None
+    with pytest.raises(ValueError, match="no dense output"):
+        res.sample_at(res.ts[1])
+
+
 def test_max_steps_reports_step_failure():
     res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=5.0, max_steps=3))
     assert res.termination == "step_failure"
@@ -190,7 +199,7 @@ def test_max_steps_reports_step_failure():
 
 def test_sample_at_start_when_no_step_was_accepted(monkeypatch):
     monkeypatch.setattr(integrator, "_initial_step", lambda *args: 5.0)
-    cfg = IntegratorConfig(t_max=5.0, max_steps=1)
+    cfg = IntegratorConfig(t_max=5.0, max_steps=1, dense=True)
     res = integrate(contracting_rhs(8.0), 0.0, [0.5], cfg)
     assert (res.n_accepted, len(res.ts)) == (0, 1)
     np.testing.assert_array_equal(res.sample_at(0.0), [0.5])
@@ -228,6 +237,34 @@ def test_config_guards():
         IntegratorConfig(t_max=1.0, rel_tol=0.0)
     with pytest.raises(ValueError, match="positive"):
         IntegratorConfig(t_max=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-10])
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+def test_a_tolerance_that_is_not_finite_and_positive_is_refused(field, value):
+    # a NaN tolerance once passed x <= 0, and its run spent every attempt
+    # on a NaN step that never meets the step floor
+    with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+        IntegratorConfig(t_max=1.0, **{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, 0.0, -1.0])
+def test_a_horizon_that_is_nan_or_not_positive_is_refused(value):
+    with pytest.raises(ValueError, match="t_max must be positive"):
+        IntegratorConfig(t_max=value)
+
+
+def test_an_infinite_horizon_is_left_to_the_events():
+    # the compact chart runs in slow time with no cap, until an event
+    ev = EventSpec("target", lambda t, y: y[0] + 1.0)
+    res = integrate(contracting_rhs(2.0), 0.0, [0.0], IntegratorConfig(t_max=math.inf, events=(ev,)))
+    assert res.termination == "event:target"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0, -3])
+def test_a_step_cap_that_is_not_finite_and_positive_is_refused(value):
+    with pytest.raises(ValueError, match="max_steps positive and finite"):
+        IntegratorConfig(t_max=1.0, max_steps=value)
 
 
 @pytest.mark.parametrize("t_max", [0.25, 0.125])
@@ -277,11 +314,15 @@ def _wrapped(fn):
 
 
 def _same_run(a, b):
+    """The same samples, termination and counts, and the same dense output
+    where both runs kept it."""
     assert (a.termination, a.n_accepted, a.n_rejected, a.n_rhs) == (
         b.termination, b.n_accepted, b.n_rejected, b.n_rhs,
     )
     for name in ("ts", "ys", "dys", "dense"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        x, y = getattr(a, name), getattr(b, name)
+        if x is not None and y is not None:
+            assert x.tobytes() == y.tobytes()
 
 
 def test_compiled_rhs_is_inlined_and_a_wrapped_one_is_called(monkeypatch):
@@ -301,7 +342,9 @@ def test_compiled_rhs_is_inlined_and_a_wrapped_one_is_called(monkeypatch):
     cfg = IntegratorConfig(t_max=2.0)
     inlined = integrate(fn, 0.0, [1e100, 1.0], cfg)
     called = integrate(wrapper, 0.0, [1e100, 1.0], cfg)
-    assert kernels == [(2, codegen.traced(fn), (), ()), (2, None, (), ())]
+    # the key: state length, the right-hand side's trace or a call slot,
+    # the events', the validity test's, and whether the run keeps dense output
+    assert kernels == [(2, codegen.traced(fn), (), (), False), (2, None, (), (), False)]
     assert called.termination == "step_failure" and called.n_rejected > 20
     assert called.n_rhs == len(calls)
     _same_run(inlined, called)
@@ -359,6 +402,23 @@ def test_a_sink_gets_each_full_block_of_final_samples(event):
     assert {len(t) for t, _ in blocks} == {8 * block} and {len(y) for _, y in blocks} == {8 * block * n}
 
 
+@pytest.mark.parametrize("name", SHIPPED_CONFIG_NAMES)
+def test_a_shipped_run_is_the_same_with_or_without_dense_output(name):
+    # the physical chart of every shipped config: keeping the dense output
+    # moves no sample, termination or count, and what it keeps is pinned
+    cfg = load_shipped(name)
+    kept, sparse = (
+        trajectory.solve_problem(
+            cfg.spec, t_max=cfg.t_max, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, delta=cfg.launch_delta,
+            dense=dense,
+        ).result
+        for dense in (True, False)
+    )
+    _same_run(kept, sparse)
+    assert sparse.dys is None and sparse.dense is None
+    assert hashlib.sha256(kept.dys.tobytes() + kept.dense.tobytes()).hexdigest() == SHIPPED_DENSE[name]
+
+
 # -- the run kernel: inlined and called callables alike -----------------------
 
 
@@ -374,32 +434,40 @@ def _called(fn):
 
 def _both_runs(rhs, y0, cfg, **patches):
     """The run with every compiled callable inlined and the run with each of
-    them wrapped, so called, and each run's sink blocks; both must agree."""
+    them wrapped, so called, each with and without dense output, and each
+    run's sink blocks; all four must agree, and the two with dense output
+    in that too.  Returns the inlined run with dense output."""
     runs = []
-    for wrap in (lambda fn: fn, _called):
-        blocks = []
-        wrapped = IntegratorConfig(
-            t_max=cfg.t_max,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            max_steps=cfg.max_steps,
-            events=tuple(EventSpec(ev.name, wrap(ev.fn)) for ev in cfg.events),
-            validity=None if cfg.validity is None else wrap(cfg.validity),
-            sink=lambda ts, ys: blocks.append((ts.tobytes(), ys.tobytes())),
-        )
-        with pytest.MonkeyPatch.context() as mp:
-            for name, value in patches.items():
-                mp.setattr(integrator, name, value)
-            slots = [rhs, *(ev.fn for ev in wrapped.events), *filter(None, [wrapped.validity])]
-            assert all((codegen.traced(wrap(fn)) is None) == (wrap is _called) for fn in slots)
-            runs.append((integrate(wrap(rhs), 0.0, y0, wrapped), blocks))
-    (inlined, inlined_blocks), (called, called_blocks) = runs
-    _same_run(inlined, called)
-    assert inlined_blocks == called_blocks
+    for dense in (False, True):
+        for wrap in (lambda fn: fn, _called):
+            blocks = []
+            wrapped = IntegratorConfig(
+                t_max=cfg.t_max,
+                rel_tol=cfg.rel_tol,
+                abs_tol=cfg.abs_tol,
+                max_steps=cfg.max_steps,
+                events=tuple(EventSpec(ev.name, wrap(ev.fn)) for ev in cfg.events),
+                validity=None if cfg.validity is None else wrap(cfg.validity),
+                sink=lambda ts, ys: blocks.append((ts.tobytes(), ys.tobytes())),
+                dense=dense,
+            )
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in patches.items():
+                    mp.setattr(integrator, name, value)
+                slots = [rhs, *(ev.fn for ev in wrapped.events), *filter(None, [wrapped.validity])]
+                assert all((codegen.traced(wrap(fn)) is None) == (wrap is _called) for fn in slots)
+                runs.append((integrate(wrap(rhs), 0.0, y0, wrapped), blocks))
+    (inlined, inlined_blocks), (called, _), (kept, _), (kept_called, _) = runs
+    for run, blocks in runs[1:]:
+        _same_run(inlined, run)
+        assert blocks == inlined_blocks
+    assert inlined.dys is inlined.dense is called.dys is called.dense is None
+    assert kept.dys.shape == kept.ys.shape and kept.dense.shape == (len(kept.ts) - 1, len(y0))
+    _same_run(kept, kept_called)
     full = len(inlined.ts) // integrator._SINK_BLOCK * integrator._SINK_BLOCK
     assert b"".join(t for t, _ in inlined_blocks) == inlined.ts[:full].tobytes()
     assert b"".join(y for _, y in inlined_blocks) == inlined.ys[:full].tobytes()
-    return inlined
+    return kept
 
 
 _coefficient = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -0.25])
@@ -456,6 +524,20 @@ def test_a_stage_that_is_not_finite_rejects_alike():
                            validity=integrator._validity(2, 1))
     res = _both_runs(rhs, [1e100, 1.0], cfg, _initial_step=lambda *args: 1.0)
     assert (res.termination, res.n_accepted) == ("step_failure", 0) and res.n_rejected > 20
+
+
+def test_a_stage_that_raises_on_an_earlier_stages_inf_rejects_alike():
+    # from y0 = 1e154 every attempt's second stage squares past the largest
+    # float to inf, and the third divides by 1 / inf = 0.  The inlined run
+    # tests no stage until one raises, then finds the second stage first;
+    # the called run stops at the second stage.  Both count one stage per
+    # attempt after the launch slope and the starting step's trial
+    rhs = codegen.trace_function(
+        lambda y: [y[0] * y[0] + 1.0 / (1.0 / y[0]), 0.5 * y[1]], 2, "<test inf then a division by zero>"
+    )
+    res = _both_runs(rhs, [1e154, 1.0], IntegratorConfig(t_max=2.0), _initial_step=lambda *args: 1.0)
+    assert (res.termination, res.n_accepted) == ("step_failure", 0) and res.n_rejected > 20
+    assert res.n_rhs == 2 + res.n_rejected
 
 
 def test_a_failed_validity_test_rejects_alike():
@@ -556,7 +638,9 @@ def test_the_run_kernel_keeps_below_256_locals(chart, monkeypatch):
         trajectory.solve_problem(spec, t_max=0.01)
     ((rhs, n, cfg),) = runs
     assert n == 2 * 3 + (3 if chart else 2)
-    assert integrator.compile_run(rhs, n, cfg).__code__.co_nlocals < 256
+    for dense in (False, True):  # the kernel that keeps dense output has two more locals
+        run = integrator.compile_run(rhs, n, dataclasses.replace(cfg, dense=dense))
+        assert run.__code__.co_nlocals < 256
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="CPython 3.11's warm-up rule")
