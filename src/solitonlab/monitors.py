@@ -48,7 +48,7 @@ _KAHLER_TOL = 1e-6  # largest Kaehler residual still on the locus
 _C_START = -0.125  # the growth probe's weakest grid point, where its scan starts
 _C_LIMIT = -1e9  # the probe's scan gives up at or below this C
 _BRACKET_REL = 0.01  # the relative width the probe's bracket is bisected to
-_ROUNDS = 4  # predicted rounds of the probe's walk, and of its bisection, before it solves plainly
+_ROUNDS = 4  # guessed rounds of the probe's walk, and of its bisection, before it solves every point
 
 
 # -- two-summands root structure ---------------------------------------------
@@ -618,11 +618,6 @@ def _start(C0: float | None) -> float:
     return C if C > _C_LIMIT else _C_START
 
 
-def _grid(j: int) -> float:
-    """The probe's doubling grid: -1/8, -1/4, ... at j = 0, 1, ..."""
-    return _C_START * 2.0**j
-
-
 def _root(known: dict, c: float) -> float | None:
     """Where the interpolant of the solved slopes' squares against C
     reaches c^2, between the weakest success and the failure next above it
@@ -660,17 +655,18 @@ def _root(known: dict, c: float) -> float | None:
     return inside[0] if len(inside) == 1 else None
 
 
-def _reaches(known: dict, C: float, c: float, x: float | None) -> bool:
-    """Whether the run at C is taken to reach c: by its own solve; else by
-    monotonicity, a solved success at or above C or a solved failure at or
-    below it; else by lying at or below the interpolant's root x."""
-    if known.get(C) is not None:
-        return known[C] >= c
+def _reaches(known: dict, C: float, c: float, x: float) -> bool | None:
+    """Whether the run at C is taken to reach c: by its own solve, None
+    where that excluded it; else by monotonicity, a solved success at or
+    above C or a solved failure at or below it; else by lying at or below
+    the interpolant's root x."""
+    if C in known:
+        return None if known[C] is None else known[C] >= c
     if any(s is not None and s >= c and K >= C for K, s in known.items()):
         return True
     if any(s is not None and s < c and K <= C for K, s in known.items()):
         return False
-    return x is not None and C <= x
+    return C <= x
 
 
 def _search(c: float, start: float, slope_of):
@@ -678,133 +674,93 @@ def _search(c: float, start: float, slope_of):
     above ``_C_LIMIT`` reaches c.  It calls ``slope_of(C)`` for -udot(tau)
     of the run at C, None when the run is excluded, at most once per C.
 
-    It scans the grid C = -1/8, -1/4, ... for the weakest success (the
-    first in scan order) and the failure nearest it, then bisects in log|C|
-    between them until the bracket is 1% tight.  A grid point ``start``
-    below -1/8 is the estimate's.  Where its slope does not reach c, the
-    scan runs from -1/8, reusing its outcome, and so does its bisection.
-    Where it does, the search assumes the slope is monotone in C:
+    The search is a grid walk and a log-bisection.  The walk doubles C from
+    -1/8 to the first success, or, from a grid point ``start`` below -1/8
+    (the estimate's) whose run reaches c, solves start/2 and halves from the
+    weakest success to the first failure; it skips excluded runs.  The
+    bisection halves the walk's pair in log|C| until it is 1% tight, and
+    stops at an excluded midpoint.
 
-    - The walk toward -1/8 solves start/2, then predicts the first grid
-      failure F from the interpolant (``_root``) and solves F and 2F.  A
-      failing F and a succeeding 2F are the walk's end; every grid point
-      weaker than F is taken to fail and every one between 2F and the
-      start to succeed.
-    - Where the walk's ends are adjacent grid points, the bisection labels
-      each midpoint on its path (each ``-math.sqrt(c_fail * c_success)``
-      from the ends the labels so far give) by its own solve, by
-      monotonicity or by the interpolant (``_reaches``), and solves the
-      two ends of the leaf so predicted.  A failing fail end and a
-      succeeding success end make that leaf the answer, the one the
-      bisection solving every midpoint reaches: the leaves partition the
-      bracket, and on a monotone slope only one has such ends.
-
-    Otherwise it predicts again with the new samples, and after
-    ``_ROUNDS`` rounds, at an excluded end or at a degenerate interpolant it
-    finishes plainly, halving toward -1/8 or bisecting, on the samples it
-    has."""
+    From a start that reaches c, the search assumes the slope is monotone
+    in C and runs the walk, and then the bisection of an adjacent grid pair,
+    first under guessed outcomes: a run's own solve, else monotonicity,
+    else lying at or below the root of the interpolant of the solved slopes
+    (``_reaches`` at ``_root``'s x).  It solves only the two ends the stage
+    so reaches.  A failing fail end (or none, where the walk guesses no
+    failure down to -1/8) and a succeeding success end are the stage's
+    answer, the one solving every point would give: on a monotone slope no
+    other pair the stage can reach has such ends.  Otherwise it guesses
+    again with the new samples, and after ``_ROUNDS`` rounds, at an
+    excluded end of a pair or at a degenerate interpolant it runs the stage
+    under solved outcomes, reusing every solve."""
     known: dict = {}  # C -> its run's slope, None where excluded
 
-    def ask(C):
-        """The slope at C, solved unless known."""
+    def solved(C):
+        """The run at C, solved unless known: True where it reaches c,
+        False where it does not, None where excluded."""
         if C not in known:
             known[C] = slope_of(C)
-        return known[C]
+        return None if known[C] is None else known[C] >= c
 
-    def label(C):
-        """A solved run's outcome: True at a success, False at a failure,
-        None where excluded or not solved."""
-        s = known.get(C)
-        return None if s is None else s >= c
+    def walk(outcome, C, step):
+        """The grid from C by factors of ``step`` while ``_C_LIMIT`` < C <=
+        ``_C_START``, skipping runs whose outcome is None, up to the first
+        success when doubling or the first failure when halving: (the last
+        failure, the last success) it met, None where it met none."""
+        last = {False: None, True: None}
+        while _C_LIMIT < C <= _C_START:
+            reached = outcome(C)
+            if reached is not None:
+                last[reached] = C
+                if reached == (step > 1.0):
+                    break
+            C *= step
+        return last[False], last[True]
 
-    def walk(g):
-        """(F or None, S) from the grid point g's success: S the weakest
-        grid success and F the failure next above it, as halving from g
-        toward -1/8 and skipping excluded runs finds them."""
-        ask(_grid(g - 1))
-        rounds = 0
-        while True:
-            ks = min(j for j in range(g + 1) if label(_grid(j)))
-            kf = max((j for j in range(ks) if label(_grid(j)) is False), default=-1)
-            unknown = [j for j in range(kf + 1, ks) if _grid(j) not in known]
-            if not unknown:
-                return (_grid(kf) if kf >= 0 else None), _grid(ks)
-            x = _root(known, c) if rounds < _ROUNDS else None
-            if x is None:  # halve: the next grid point not yet solved
-                rounds = _ROUNDS
-                ask(_grid(max(unknown)))
-                continue
-            rounds += 1
-            weak = [j for j in [kf, *unknown] if j >= 0 and _grid(j) > x]
-            if not weak:  # every unknown point is predicted to reach c
-                ask(_grid(min(unknown)))
-                continue
-            k = max(weak)
-            ends = [_grid(k), _grid(k + 1)]
-            if all(C in known for C in ends):
-                rounds = _ROUNDS
-                continue
-            if None in [ask(C) for C in ends]:
-                rounds = _ROUNDS
+    def bisect(outcome, f, s):
+        """The log-bisection of (f, s) to 1%, stopped at an excluded run."""
+        while f - s > _BRACKET_REL * abs(s):
+            mid = -math.sqrt(f * s)  # geometric midpoint, both negative
+            reached = outcome(mid)
+            if reached is None:
+                break
+            f, s = (f, mid) if reached else (mid, s)
+        return f, s
 
-    def bisect(c_fail, c_success, predict):
-        """The log-bisection of (c_fail, c_success) to 1%, stopped by an
-        excluded midpoint; with ``predict``, its leaf predicted first."""
-        rounds = 0 if predict else _ROUNDS
-        while rounds < _ROUNDS:
+    def stage(run):
+        """(fail, success) from ``run(outcome)``: under guessed outcomes,
+        solving only the ends each round reaches, then under solved ones."""
+        for _ in range(_ROUNDS):
             x = _root(known, c)
             if x is None:
                 break
-            rounds += 1
-            f, s = c_fail, c_success
-            while f - s > _BRACKET_REL * abs(s):
-                mid = -math.sqrt(f * s)  # geometric midpoint, both negative
-                if mid in known and known[mid] is None:
-                    break
-                if _reaches(known, mid, c, x):
-                    s = mid
-                else:
-                    f = mid
-            sf = ask(f)
-            ss = ask(s)
-            if sf is None or ss is None:
-                break
-            if sf < c <= ss:
+            f, s = run(lambda C: _reaches(known, C, c, x))
+            ends = [solved(C) for C in (f, s) if C is not None]
+            if ends in ([False, True], [True]):
                 return f, s
-        f, s = c_fail, c_success
-        while f - s > _BRACKET_REL * abs(s):
-            mid = -math.sqrt(f * s)
-            sm = ask(mid)
-            if sm is None:
+            if None in ends and f is not None:  # a lone excluded end, the next round skips it
                 break
-            if sm >= c:
-                s = mid
-            else:
-                f = mid
-        return f, s
+        return run(solved)
 
-    s_start = ask(start)
-    predict = start != _C_START and s_start is not None and s_start >= c
-    if predict:
-        c_fail, c_success = walk(round(math.log2(start / _C_START)))
+    def halve(outcome):
+        """The walk toward -1/8 from the weakest solved success."""
+        return walk(outcome, max(C for C, s in known.items() if s is not None and s >= c), 0.5)
+
+    guessed = start != _C_START and solved(start)
+    if guessed:
+        solved(start / 2.0)
+        c_fail, c_success = stage(halve)
     else:
-        c_success = c_fail = None
-        C = _C_START
-        while C > _C_LIMIT:
-            s = ask(C)
-            if s is not None:
-                if s >= c:
-                    c_success = C
-                    break
-                c_fail = C
-            C *= 2.0
+        c_fail, c_success = walk(solved, _C_START, 2.0)
         if c_success is None:
             return None
     if c_fail is None:
         return None, c_success
-    # an excluded grid point between the walk's ends: excluded runs may sit
-    # on the bisection's path, and only their solves would show it
-    return bisect(c_fail, c_success, predict and c_success == 2.0 * c_fail)
+    if guessed and c_success == 2.0 * c_fail:
+        return stage(lambda outcome: bisect(outcome, c_fail, c_success))
+    # the scan, or an excluded grid point between the walk's ends: excluded
+    # runs may sit on the bisection's path, and only their solves show it
+    return bisect(solved, c_fail, c_success)
 
 
 def growth_probe(
@@ -821,9 +777,9 @@ def growth_probe(
     the estimate ``growth_estimate`` predicts (``_start``); with no success
     above ``_C_LIMIT`` it raises ``ProbeRangeError``.  ``estimate_holds``
     says whether the run at that start reached c (None where the search
-    started at ``_C_START``).  From a start that holds, the search predicts
+    started at ``_C_START``).  From a start that holds, the search guesses
     the rest of its walk and its bisection from the slopes it has, and
-    solves the two ends of each prediction.  A run that ends before tau or
+    solves the two ends of each guess.  A run that ends before tau or
     leaves the shape row (``margins["shape_exit"]``, which leaves a flat
     warped circle's fixed g2 out) is excluded and reported.  The solves run
     one after another in this process, and one that raises raises here.

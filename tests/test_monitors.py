@@ -801,6 +801,23 @@ class TestGrowthProbe:
         assert found == bracket and found[0] != c_fail
         assert len(asked) == len(set(asked)) <= before + 2
 
+    def test_the_walks_plain_fallback_resumes_at_the_weakest_solved_success(self):
+        # the line through -128 and -64 guesses that -16 reaches c = 0.5 and
+        # -8 fails; both reach c, and the interpolant through the new
+        # samples is degenerate (its only root is -8 itself), so the walk
+        # solves every point from -8, the weakest success, not from start/2:
+        # -32 lies between two successes and is never solved
+        def slope_of(C):
+            return float(np.interp(np.log2(C / -0.125), [0, 4, 8, 12], [0, 0, 1, 5]))
+
+        found, asked = _asked(0.5, -128.0, slope_of)
+        assert asked[:5] == [-128.0, -64.0, -8.0, -16.0, -4.0] and -32.0 not in asked
+        f, s = -4.0, -8.0
+        for mid in asked[5:]:  # then only the midpoints of the bisection
+            assert mid == -math.sqrt(f * s)
+            f, s = (f, mid) if slope_of(mid) >= 0.5 else (mid, s)
+        assert found == (f, s) == (-7.956795387869065, -8.0)
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
         nodes=st.lists(st.floats(0.0, 10.0), min_size=33, max_size=33),
@@ -825,17 +842,28 @@ class TestGrowthProbe:
 
     def test_a_small_target_takes_no_more_solves_than_the_scan(self):
         # the estimate's grid point -8 lies six halvings from the threshold
-        # near -0.2; the walk predicts the grid pair around it instead
+        # near -0.2; the walk guesses the grid pair around it instead
         cfg = load_config(json.loads(config_path("dw_e0_c1.json").read_text()))
         tols = dict(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, delta=cfg.launch_delta)
         probe = dict(spec=cfg.spec, c=0.15, tau=2.25, **tols)
-        rep = M.growth_probe(**probe)
+        with pytest.MonkeyPatch.context() as mp:
+            solves = self._count_solves(mp)
+            rep = M.growth_probe(**probe)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(M, "growth_estimate", lambda *args: None)
             scan = M.growth_probe(**probe)
         assert (rep.start, scan.start) == (-8.0, -0.125)
         assert rep.bracket == scan.bracket == (-0.20571943476924565, -0.20683647095702432)
         assert (rep.n_solves, scan.n_solves) == (9, 9)
+        # the one shipped case whose walk and bisection each guess more than
+        # once: the walk guesses the pairs (-0.5, -1), (-0.25, -0.5) and
+        # (-0.125, -0.25), solving the ends not yet known, then the
+        # bisection guesses the leaves (-0.2046, -0.2057) and (-0.2057,
+        # -0.2068)
+        assert [C for C, *_ in solves] == [
+            -8.0, -4.0, -0.5, -1.0, -0.25, -0.125,
+            -0.2046084312208706, -0.20571943476924565, -0.20683647095702432,
+        ]
 
     def test_probe_walks_from_the_estimate_to_the_first_failure(self, shipped_runs, monkeypatch):
         spec = shipped_runs["ts_probe_d1.json"].spec
